@@ -23,7 +23,6 @@ from .algebra import (
     odot,
     owedge,
     right_interior,
-    sort_with_sign,
     vec_interior_bitensor,
     verify_identities,
     wedge,
@@ -47,7 +46,6 @@ from .energy import (
 )
 from .fields import (
     AnalyticField,
-    ComponentBitensorField,
     FieldDomainError,
     GaussianEnvelope,
     GridField,
@@ -62,7 +60,6 @@ from .fields import (
     partial_derivative,
     plane_wave,
     polynomial_field,
-    product_rule_check,
 )
 from .integrate import (
     HypersurfaceBox,

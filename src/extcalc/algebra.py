@@ -14,16 +14,16 @@ function, so the module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "SpacetimeSignature",
     "Multivector",
     "Bitensor",
     "IdentityReport",
-    "sort_with_sign",
     "merge_with_sign",
     "dot",
     "wedge",
@@ -89,39 +89,10 @@ class SpacetimeSignature:
         return combinations(range(self.dim), grade)
 
 
-def sort_with_sign(indices: Iterable[int], dim: int | None = None) -> tuple[tuple[int, ...], int]:
-    """Sort an index sequence, returning the sorted list and the permutation sign.
-
-    The sign is the parity of the sorting permutation, and zero when the
-    sequence contains a repeated index.  If ``dim`` is given, indices outside
-    [0, dim) raise IndexError.
-    """
-    seq = list(indices)
-    if dim is not None:
-        for i in seq:
-            if not 0 <= i < dim:
-                raise IndexError(f"index {i} out of range for dimension {dim}")
-    sign = 1
-    repeated = False
-    # Insertion sort; swap count parity is the permutation signature.
-    for pos in range(1, len(seq)):
-        value = seq[pos]
-        here = pos
-        while here > 0 and seq[here - 1] > value:
-            seq[here] = seq[here - 1]
-            here -= 1
-            sign = -sign
-        seq[here] = value
-        if here > 0 and seq[here - 1] == value:
-            repeated = True
-    return tuple(seq), 0 if repeated else sign
-
-
 def merge_with_sign(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Merge two strictly increasing lists; sign of the interleaving permutation.
 
-    Equivalent to ``sort_with_sign(first + second)`` but linear time.  Returns
-    sign 0 when the lists overlap.
+    Linear time; returns sign 0 when the lists overlap.
     """
     merged: list[int] = []
     sign = 1
@@ -141,11 +112,6 @@ def merge_with_sign(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[tu
     merged.extend(first[a:])
     merged.extend(second[b:])
     return tuple(merged), sign
-
-
-def _complement(indices: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    inside = set(indices)
-    return tuple(i for i in range(dim) if i not in inside)
 
 
 def _difference(big: tuple[int, ...], small: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -173,10 +139,10 @@ class Multivector:
     __slots__ = ("signature", "grade", "terms")
 
     def __init__(self, signature: SpacetimeSignature, grade: int,
-                 terms: Mapping[tuple[int, ...], complex] | Iterable[tuple[tuple[int, ...], complex]] = ()):
+                 terms: dict[tuple[int, ...], complex] | Iterable[tuple[tuple[int, ...], complex]] = ()):
         if not 0 <= grade <= signature.dim:
             raise GradeError(f"grade {grade} out of range for dimension {signature.dim}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) else terms
         collected: dict[tuple[int, ...], complex] = {}
         for indices, coeff in items:
             indices = tuple(indices)
@@ -233,7 +199,7 @@ class Multivector:
         return self.terms.get((), 0)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return _max_abs(self.terms.values())
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
@@ -324,14 +290,27 @@ class Multivector:
 
 
 def _prune(terms: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
-    """Drop exact zeros and coefficients below PRUNE_REL of the largest one."""
+    """Drop exact zeros and coefficients below PRUNE_REL of the largest one.
+
+    Fails closed: a NaN or infinite coefficient is never dropped, and while one
+    is present no relative cut is made, so it reaches every check downstream.
+    """
     if not terms:
         return {}
-    peak = max(abs(c) for c in terms.values())
-    if peak == 0:
-        return {}
-    cut = PRUNE_REL * peak
-    return {i: c for i, c in sorted(terms.items()) if abs(c) >= cut and c != 0}
+    if math.isfinite(sum(map(abs, terms.values()))):
+        cut = PRUNE_REL * max(map(abs, terms.values()))
+    else:
+        cut = 0.0
+    return {i: c for i, c in sorted(terms.items()) if c != 0 and not abs(c) < cut}
+
+
+def _max_abs(values) -> float:
+    """Largest magnitude, NaN when any value is NaN.
+
+    The builtin max() keeps a NaN only when it comes first.
+    """
+    mags = [abs(c) for c in values]
+    return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
 
 
 def dot(u: Multivector, v: Multivector) -> complex:
@@ -404,25 +383,17 @@ def right_interior(u: Multivector, v: Multivector) -> Multivector:
 
 
 def hodge(v: Multivector) -> Multivector:
-    """Hodge complement: e_I maps to Delta_II sigma(I, I^c) e_{I^c}."""
+    """Hodge complement, the right interior product of the volume blade with v:
+    e_I maps to Delta_II sigma(I, I^c) e_{I^c}."""
     sig = v.signature
-    out: dict[tuple[int, ...], complex] = {}
-    for I, c in v.terms.items():
-        comp = _complement(I, sig.dim)
-        _, sign = merge_with_sign(I, comp)
-        out[comp] = sig.metric_list(I) * sign * c
-    return Multivector(sig, sig.dim - v.grade, out)
+    return right_interior(Multivector.blade(sig, sig.axes()), v)
 
 
 def inv_hodge(v: Multivector) -> Multivector:
-    """Inverse Hodge complement: e_I maps to Delta_{I^c I^c} sigma(I^c, I) e_{I^c}."""
+    """Inverse Hodge complement, (-1)^k times the left interior product of v with
+    the volume blade: e_I maps to Delta_{I^c I^c} sigma(I^c, I) e_{I^c}."""
     sig = v.signature
-    out: dict[tuple[int, ...], complex] = {}
-    for I, c in v.terms.items():
-        comp = _complement(I, sig.dim)
-        _, sign = merge_with_sign(comp, I)
-        out[comp] = sig.metric_list(comp) * sign * c
-    return Multivector(sig, sig.dim - v.grade, out)
+    return (-1) ** sig.k * left_interior(v, Multivector.blade(sig, sig.axes()))
 
 
 def cross(u: Multivector, v: Multivector) -> Multivector:
@@ -441,8 +412,8 @@ class Bitensor:
     __slots__ = ("signature", "comps")
 
     def __init__(self, signature: SpacetimeSignature,
-                 comps: Mapping[tuple[int, int], complex] | Iterable[tuple[tuple[int, int], complex]] = ()):
-        items = comps.items() if isinstance(comps, Mapping) else comps
+                 comps: dict[tuple[int, int], complex] | Iterable[tuple[tuple[int, int], complex]] = ()):
+        items = comps.items() if isinstance(comps, dict) else comps
         collected: dict[tuple[int, int], complex] = {}
         for (i, j), value in items:
             if not (0 <= i < signature.dim and 0 <= j < signature.dim):
@@ -451,7 +422,7 @@ class Bitensor:
             if value != 0:
                 collected[key] = collected.get(key, 0) + value
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "comps", _prune_bitensor(collected))
+        object.__setattr__(self, "comps", _prune(collected))
 
     def __setattr__(self, name, value):
         raise AttributeError("Bitensor is immutable")
@@ -465,7 +436,7 @@ class Bitensor:
         return self.comps.get(key, 0)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.comps.values()), default=0.0)
+        return _max_abs(self.comps.values())
 
     def __add__(self, other: "Bitensor") -> "Bitensor":
         if self.signature != other.signature:
@@ -496,16 +467,6 @@ class Bitensor:
     def __repr__(self) -> str:
         body = ", ".join(f"T{i}{j}={c!r}" for (i, j), c in sorted(self.comps.items())) or "0"
         return f"<Bitensor ({self.signature.k},{self.signature.n}) {body}>"
-
-
-def _prune_bitensor(comps: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
-    if not comps:
-        return {}
-    peak = max(abs(c) for c in comps.values())
-    if peak == 0:
-        return {}
-    cut = PRUNE_REL * peak
-    return {k: c for k, c in sorted(comps.items()) if abs(c) >= cut and c != 0}
 
 
 def vec_interior_bitensor(a: Multivector, t: Bitensor) -> Multivector:
@@ -599,30 +560,17 @@ class IdentityReport:
         return max(self.residuals.values(), default=0.0)
 
 
-def _blade_wedge(I, J):
-    return merge_with_sign(I, J)
-
-
-def _blade_dot(metric_list, I, cI, J, cJ):
-    if I != J:
-        return 0
-    return cI * cJ * metric_list(I)
-
-
-def _blade_lint(metric_list, I, cI, J, cJ):
-    rest = _difference(J, I)
-    if rest is None:
-        return (), 0
-    _, sign = merge_with_sign(rest, I)
-    return rest, metric_list(I) * sign * cI * cJ
-
-
-def _blade_rint(metric_list, I, cI, J, cJ):
-    rest = _difference(I, J)
-    if rest is None:
-        return (), 0
-    _, sign = merge_with_sign(J, rest)
-    return rest, metric_list(J) * sign * cI * cJ
+def _unit_blade_table(product, units: dict) -> dict:
+    """Nonzero products of every ordered pair of unit blades, as {(I, J): (K, c)}."""
+    table = {}
+    for I, u in units.items():
+        for J, v in units.items():
+            terms = product(u, v).terms
+            if len(terms) > 1:
+                raise ValueError(f"{product.__name__}(e_{I}, e_{J}) is not a single blade: {terms}")
+            for K, c in terms.items():
+                table[I, J] = (K, c)
+    return table
 
 
 def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = IDENTITY_DIM_CAP,
@@ -632,25 +580,61 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
     Covers skew-commutativity of the wedge, the left/right interior relation,
     the wedge/interior dot expansion, double-interior associativity and
     antisymmetry, the interior-of-wedge expansion, and the triple-product
-    equalities.  Blade coefficients are integers, so residuals are exact.
+    equalities.  The suite tabulates the public ``wedge``, ``left_interior``,
+    ``right_interior`` and ``dot`` once on every pair of unit blades and runs
+    every identity against those tables, so it certifies the products the
+    rest of the package calls.  ``hodge`` and ``inv_hodge`` are interior
+    products with the volume blade, so they are covered through the
+    interiors.  Blade coefficients are integers, so residuals are exact.
 
-    ``wedge_sign_fn`` replaces the blade wedge rule; it exists so a test
-    harness can inject a corrupted product and confirm detection.
+    ``wedge_sign_fn`` maps two index lists to (merged, sign) and replaces the
+    wedge table; it exists so a test harness can inject a corrupted product
+    and confirm detection.
     """
     dim = sig.dim
     if dim > max_dim:
         raise ValueError(
             f"identity suite refused: dimension {dim} exceeds cap {max_dim}; raise max_dim explicitly")
-    wedge_b = wedge_sign_fn or _blade_wedge
-    ml = sig.metric_list
+    blades_by_grade = [list(sig.index_lists(m)) for m in range(dim + 1)]
+    vectors = blades_by_grade[1]
+    units = {I: Multivector.blade(sig, I) for blades in blades_by_grade for I in blades}
+    if wedge_sign_fn is None:
+        wedge_t = _unit_blade_table(wedge, units)
+    else:
+        wedge_t = {}
+        for I in units:
+            for J in units:
+                K, s = wedge_sign_fn(I, J)
+                if s:
+                    wedge_t[I, J] = (K, s)
+    lint_t = _unit_blade_table(left_interior, units)
+    rint_t = _unit_blade_table(right_interior, units)
+    dot_t = {(I, J): dot(u, v) for I, u in units.items() for J, v in units.items() if len(I) == len(J)}
+
+    def tabulated(table):
+        def product(I, J, scale=1):
+            K, c = table.get((I, J), ((), 0))
+            return K, c * scale
+        return product
+
+    wedge_b, lint, rint = tabulated(wedge_t), tabulated(lint_t), tabulated(rint_t)
+
+    def bdot(I, J, scale=1):
+        return dot_t.get((I, J), 0) * scale
+
+    def gap(lhs, *rhs):
+        """Largest |coefficient| of the term lhs minus the sum of the rhs terms."""
+        K, c = lhs
+        out = {K: c}
+        for K, c in rhs:
+            out[K] = out.get(K, 0) - c
+        return max(map(abs, out.values()))
+
     residuals = {name: 0 for name in (
         "wedge_skew", "interior_transpose", "wedge_dot_expansion",
         "double_interior_assoc", "double_interior_antisym",
         "interior_of_wedge", "triple_product")}
     checks = 0
-
-    blades_by_grade = [list(sig.index_lists(m)) for m in range(dim + 1)]
-    vectors = blades_by_grade[1]
 
     def bump(name, value):
         nonlocal checks
@@ -666,92 +650,48 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
             swap_int = (-1) ** (gu * (gu + gv))
             for I in blades_by_grade[gu]:
                 for J in blades_by_grade[gv]:
-                    K1, s1 = wedge_b(I, J)
-                    K2, s2 = wedge_b(J, I)
-                    if s1 or s2:
-                        bump("wedge_skew", (s1 - swap_wedge * s2) if K1 == K2 else max(abs(s1), abs(s2)))
-                    else:
-                        bump("wedge_skew", 0)
-                    L1, c1 = _blade_lint(ml, I, 1, J, 1)
-                    L2, c2 = _blade_rint(ml, J, 1, I, 1)
-                    if c1 or c2:
-                        bump("interior_transpose", (c1 - swap_int * c2) if L1 == L2 else max(abs(c1), abs(c2)))
-                    else:
-                        bump("interior_transpose", 0)
-
-    def mv(pairs):
-        out = {}
-        for idx, c in pairs:
-            if c:
-                out[idx] = out.get(idx, 0) + c
-        return {i: c for i, c in out.items() if c}
+                    bump("wedge_skew", gap(wedge_b(I, J), wedge_b(J, I, swap_wedge)))
+                    bump("interior_transpose", gap(lint(I, J), rint(J, I, swap_int)))
 
     # identities with one or two blades of every grade r and basis vectors
     for r in range(dim + 1):
         r_blades = blades_by_grade[r]
+        sign_r = (-1) ** r
         for vi in vectors:
             for W in r_blades:
-                # interior of wedge: u . (v ^ w) expansion needs two vectors
+                Li, ci = lint(vi, W)
                 for vj in vectors:
-                    K, s = wedge_b(vj, W)
-                    lhs_idx, lhs_c = _blade_lint(ml, vi, 1, K, s) if s else ((), 0)
-                    lhs = mv([(lhs_idx, lhs_c)])
-                    dot_uv = _blade_dot(ml, vi, 1, vj, 1)
-                    t1 = mv([(W, (-1) ** r * dot_uv)])
-                    Li, ci = _blade_lint(ml, vi, 1, W, 1)
-                    K2, s2 = wedge_b(vj, Li)
-                    t2 = mv([(K2, s2 * ci)] if ci and s2 else [])
-                    rhs = mv(list(t1.items()) + list(t2.items()))
-                    diff = {idx: lhs.get(idx, 0) - rhs.get(idx, 0) for idx in set(lhs) | set(rhs)}
-                    bump("interior_of_wedge", max((abs(c) for c in diff.values()), default=0))
+                    # vi lint (vj ^ W) = (-1)^r (vi . vj) W + vj ^ (vi lint W)
+                    bump("interior_of_wedge", gap(lint(vi, *wedge_b(vj, W)),
+                                                  (W, sign_r * bdot(vi, vj)), wedge_b(vj, Li, ci)))
+                    # vi lint (W rint vj) = (vi lint W) rint vj
+                    bump("double_interior_assoc", gap(lint(vi, *rint(W, vj)), rint(Li, vj, ci)))
+                    # vi lint (vj lint W) = -vj lint (vi lint W)
+                    Lj, cj = lint(vj, W)
+                    bump("double_interior_antisym", gap(lint(vi, Lj, cj), lint(vj, Li, -ci)))
 
-                    # double interior: u . (w interior-from-right v) forms
-                    Ra, ca = _blade_rint(ml, W, 1, vj, 1)
-                    lhs2_idx, lhs2_c = _blade_lint(ml, vi, 1, Ra, ca) if ca else ((), 0)
-                    Lb, cb = _blade_lint(ml, vi, 1, W, 1)
-                    rhs2_idx, rhs2_c = _blade_rint(ml, Lb, cb, vj, 1) if cb else ((), 0)
-                    lhs2 = mv([(lhs2_idx, lhs2_c)])
-                    rhs2 = mv([(rhs2_idx, rhs2_c)])
-                    diff2 = {idx: lhs2.get(idx, 0) - rhs2.get(idx, 0) for idx in set(lhs2) | set(rhs2)}
-                    bump("double_interior_assoc", max((abs(c) for c in diff2.values()), default=0))
-
-                    Lc, cc = _blade_lint(ml, vj, 1, W, 1)
-                    a_idx, a_c = _blade_lint(ml, vi, 1, Lc, cc) if cc else ((), 0)
-                    Ld, cd = _blade_lint(ml, vi, 1, W, 1)
-                    b_idx, b_c = _blade_lint(ml, vj, 1, Ld, cd) if cd else ((), 0)
-                    A = mv([(a_idx, a_c)])
-                    B = mv([(b_idx, -b_c)])
-                    diff3 = {idx: A.get(idx, 0) - B.get(idx, 0) for idx in set(A) | set(B)}
-                    bump("double_interior_antisym", max((abs(c) for c in diff3.values()), default=0))
-
-        # wedge/interior dot expansion over vector pairs and r-blade pairs
+        # (vi ^ W) . (Wp ^ vj) = (-1)^r (vi . vj)(W . Wp) + (vj lint W) . (Wp rint vi)
         for vi in vectors:
             for vj in vectors:
-                dot_vv = _blade_dot(ml, vi, 1, vj, 1)
+                dot_vv = sign_r * bdot(vi, vj)
                 for W in r_blades:
-                    Li, ci = _blade_lint(ml, vj, 1, W, 1)
+                    Lj, cj = lint(vj, W)
                     K1, s1 = wedge_b(vi, W)
                     for Wp in r_blades:
                         K2, s2 = wedge_b(Wp, vj)
-                        lhs = _blade_dot(ml, K1, s1, K2, s2) if s1 and s2 else 0
-                        term1 = (-1) ** r * dot_vv * _blade_dot(ml, W, 1, Wp, 1)
-                        Rp, cp = _blade_rint(ml, Wp, 1, vi, 1)
-                        term2 = _blade_dot(ml, Li, ci, Rp, cp) if ci and cp else 0
-                        bump("wedge_dot_expansion", lhs - term1 - term2)
+                        Rp, cp = rint(Wp, vi)
+                        bump("wedge_dot_expansion",
+                             bdot(K1, K2, s1 * s2) - dot_vv * bdot(W, Wp) - bdot(Lj, Rp, cj * cp))
 
-        # triple product: (u ^ v) . w = v . (w rint u) = u . (v lint w)
+        # triple product: (vi ^ V) . W = V . (W rint vi) = vi . (V lint W)
         if r >= 1:
             for vi in vectors:
                 for V in blades_by_grade[r - 1]:
                     K, s = wedge_b(vi, V)
                     for W in r_blades:
-                        lhs = _blade_dot(ml, K, s, W, 1) if s else 0
-                        Ra, ca = _blade_rint(ml, W, 1, vi, 1)
-                        mid = _blade_dot(ml, V, 1, Ra, ca) if ca else 0
-                        Lb, cb = _blade_lint(ml, V, 1, W, 1)
-                        rhs = _blade_dot(ml, vi, 1, Lb, cb) if cb else 0
-                        bump("triple_product", lhs - mid)
-                        bump("triple_product", lhs - rhs)
+                        lhs = bdot(K, W, s)
+                        bump("triple_product", lhs - bdot(V, *rint(W, vi)))
+                        bump("triple_product", lhs - bdot(vi, *lint(V, W)))
 
     passed = all(v <= tol for v in residuals.values())
     return IdentityReport(signature=sig, residuals={k: float(v) for k, v in residuals.items()},

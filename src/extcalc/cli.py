@@ -82,6 +82,14 @@ def _emit(report: dict, out_path: str | None, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
+def _max(*values):
+    """max() that propagates NaN, so a NaN residual fails; 0.0 when empty.
+
+    The builtin keeps a NaN only when it comes first: max(0.0, nan) is 0.0.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -165,7 +173,7 @@ def cmd_verify_identities(args) -> int:
                 "checks": report.checks,
                 "passed": report.passed,
             })
-            worst = max(worst, report.max_residual)
+            worst = _max(worst, report.max_residual)
     passed = all(e["passed"] for e in entries)
     report = {
         "command": "verify-identities",
@@ -190,9 +198,9 @@ def _check_differential(system: MaxwellSystem, points: np.ndarray) -> dict:
     inhom_max = hom_max = charge_max = 0.0
     for x in points:
         inhom, hom = maxwell_residuals(system, x)
-        inhom_max = max(inhom_max, inhom.max_abs())
-        hom_max = max(hom_max, hom.max_abs())
-        charge_max = max(charge_max, interior_derivative(system.J, x).max_abs())
+        inhom_max = _max(inhom_max, inhom.max_abs())
+        hom_max = _max(hom_max, hom.max_abs())
+        charge_max = _max(charge_max, interior_derivative(system.J, x).max_abs())
     return {"inhom_max": inhom_max, "hom_max": hom_max, "charge_conservation_max": charge_max}
 
 
@@ -230,11 +238,11 @@ def _check_fourier(system: MaxwellSystem) -> dict:
     worst_null = 0.0
     for mode in modes:
         inhom, hom = fourier_maxwell_residuals(mode.xi, mode.amplitude)
-        inhom_max = max(inhom_max, inhom.max_abs() / (2 * math.pi))
-        hom_max = max(hom_max, hom.max_abs())
+        inhom_max = _max(inhom_max, inhom.max_abs() / (2 * math.pi))
+        hom_max = _max(hom_max, hom.max_abs())
         xi = Multivector.vector(system.signature, mode.xi)
         if inhom.max_abs() < 1e-9 and hom.max_abs() < 1e-9:
-            worst_null = max(worst_null, abs(algebra_dot(xi, xi)) * mode.amplitude.max_abs())
+            worst_null = _max(worst_null, abs(algebra_dot(xi, xi)) * mode.amplitude.max_abs())
     return {"inhom_max": inhom_max, "hom_max": hom_max, "null_support_violation": worst_null}
 
 
@@ -244,13 +252,13 @@ def _check_gauge(scenario: Scenario, system: MaxwellSystem, points: np.ndarray) 
     lorenz_max = time_max = space_max = consistency_max = 0.0
     derived = exterior_derivative_field(scenario.A) if isinstance(scenario.A, AnalyticField) else None
     for x in points:
-        lorenz_max = max(lorenz_max, interior_derivative(scenario.A, x).max_abs())
+        lorenz_max = _max(lorenz_max, interior_derivative(scenario.A, x).max_abs())
         t_res, s_res = transverse_gauge_residuals(scenario.A, x)
-        time_max = max(time_max, t_res.max_abs())
-        space_max = max(space_max, s_res.max_abs())
+        time_max = _max(time_max, t_res.max_abs())
+        space_max = _max(space_max, s_res.max_abs())
         if derived is not None:
-            consistency_max = max(consistency_max,
-                                  (derived.evaluate(x) - system.F.evaluate(x)).max_abs())
+            consistency_max = _max(consistency_max,
+                                   (derived.evaluate(x) - system.F.evaluate(x)).max_abs())
     return {"lorenz_max": lorenz_max, "transverse_time_max": time_max,
             "transverse_space_max": space_max, "potential_consistency_max": consistency_max}
 
@@ -274,7 +282,7 @@ def cmd_maxwell_check(args) -> int:
 
     residuals = [value for block in checks.values() for key, value in block.items()
                  if isinstance(value, (int, float))]
-    worst = max(residuals, default=0.0)
+    worst = _max(*residuals)
     passed = worst <= scenario.tol
     report = {
         "command": "maxwell-check",
@@ -315,12 +323,12 @@ def cmd_stress_energy(args) -> int:
         value = system.F.evaluate(x)
         t_def = stress_tensor_def(value)
         t_exp = stress_tensor_explicit(value)
-        route_max = max(route_max, max((abs(t_def.get(i, j) - t_exp.get(i, j))
-                                        for i in scenario.signature.axes()
-                                        for j in scenario.signature.axes()), default=0.0))
-        trace_max = max(trace_max, abs(trace(t_exp) - trace_formula(value)))
-        conservation_max = max(conservation_max,
-                               conservation_residual(system.F, system.J, x).max_abs())
+        route_max = _max(route_max, *(abs(t_def.get(i, j) - t_exp.get(i, j))
+                                      for i in scenario.signature.axes()
+                                      for j in scenario.signature.axes()))
+        trace_max = _max(trace_max, abs(trace(t_exp) - trace_formula(value)))
+        conservation_max = _max(conservation_max,
+                                conservation_residual(system.F, system.J, x).max_abs())
 
     x0 = points[0]
     value0 = system.F.evaluate(x0)
@@ -333,7 +341,7 @@ def cmd_stress_energy(args) -> int:
         conservation_residual_max=conservation_max,
         provenance={"point": [float(v) for v in x0], "aggregate_points": len(points)},
     )
-    worst = max(route_max, trace_max, conservation_max)
+    worst = _max(route_max, trace_max, conservation_max)
     passed = worst <= scenario.tol
     report = {
         "command": "stress-energy",
@@ -431,8 +439,8 @@ def cmd_flux_compare(args) -> int:
     rel_err = (direct - fourier).max_abs() / scale if scale > 0 else direct.max_abs()
     # pointwise Lorenz residual of the synthesized potential, for the record
     rng = np.random.default_rng(0)
-    gauge_max = max((interior_derivative(potential, x).max_abs()
-                     for x in rng.uniform(-1.0, 1.0, size=(10, sig.dim))), default=0.0)
+    gauge_max = _max(*(interior_derivative(potential, x).max_abs()
+                       for x in rng.uniform(-1.0, 1.0, size=(10, sig.dim))))
     passed = rel_err <= tol
     report = {
         "command": "flux-compare",
@@ -495,7 +503,7 @@ def cmd_classical(args) -> int:
             diffs = [abs(got["gauss"] - want["gauss"]), abs(got["monopole"] - want["monopole"])]
             diffs.extend(np.abs(got["faraday"] - want["faraday"]))
             diffs.extend(np.abs(got["ampere"] - want["ampere"]))
-            agreement_max = max(agreement_max, float(max(diffs)))
+            agreement_max = _max(agreement_max, *map(float, diffs))
             if first_sample is None:
                 first_sample = {
                     "point": [float(v) for v in x],
@@ -524,9 +532,9 @@ def cmd_classical(args) -> int:
     vacuum_max = 0.0
     for x in _sample_points(rng, 4, samples):
         inhom, hom = maxwell_residuals(vacuum, x)
-        vacuum_max = max(vacuum_max, inhom.max_abs(), hom.max_abs())
+        vacuum_max = _max(vacuum_max, inhom.max_abs(), hom.max_abs())
 
-    worst = max(agreement_max, vacuum_max)
+    worst = _max(agreement_max, vacuum_max)
     passed = worst <= tol
     report = {
         "command": "classical",

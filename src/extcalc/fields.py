@@ -26,14 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    Bitensor,
-    Multivector,
-    SpacetimeSignature,
-    dot,
-    left_interior,
-    wedge,
-)
+from .algebra import Multivector, SpacetimeSignature, left_interior, wedge
 
 __all__ = [
     "FieldDomainError",
@@ -41,7 +34,6 @@ __all__ = [
     "Mode",
     "AnalyticField",
     "GridField",
-    "ComponentBitensorField",
     "partial_derivative",
     "exterior_derivative",
     "interior_derivative",
@@ -49,7 +41,6 @@ __all__ = [
     "exterior_derivative_field",
     "interior_derivative_field",
     "interior_derivative_bitensor",
-    "product_rule_check",
     "plane_wave",
     "polynomial_field",
     "constant_field",
@@ -440,29 +431,6 @@ def interior_derivative_field(f: AnalyticField) -> AnalyticField:
 # bitensor fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentBitensorField:
-    """Symmetric bitensor field built from grade-0 analytic component fields."""
-
-    signature: SpacetimeSignature
-    comps: dict
-
-    def __post_init__(self):
-        fixed = {}
-        for (i, j), comp in self.comps.items():
-            key = (i, j) if i <= j else (j, i)
-            fixed[key] = comp
-        object.__setattr__(self, "comps", fixed)
-
-    def evaluate(self, x: Sequence[float]) -> Bitensor:
-        return Bitensor(self.signature,
-                        {key: comp.evaluate(x).scalar_value() for key, comp in self.comps.items()})
-
-    def partial_at(self, axis: int, x: Sequence[float]) -> Bitensor:
-        return Bitensor(self.signature,
-                        {key: comp.partial_at(axis, x).scalar_value() for key, comp in self.comps.items()})
-
-
 def interior_derivative_bitensor(tf, x: Sequence[float]) -> Multivector:
     """Interior derivative of a bitensor field: sum_{i,j} d_j T_ij e_i.
 
@@ -480,26 +448,3 @@ def interior_derivative_bitensor(tf, x: Sequence[float]) -> Multivector:
             if value:
                 out[(i,)] = out.get((i,), 0) + value
     return Multivector(sig, 1, out)
-
-
-def product_rule_check(v, w, x: Sequence[float]) -> float:
-    """Residual of the derivative product rule at one point.
-
-    For a grade-(r-1) field v and a grade-r field w this is the absolute
-    difference between the interior derivative of the grade-1 field v
-    interior w and the two-term expansion through the exterior and interior
-    derivatives of the factors.
-    """
-    sig = v.signature
-    if w.grade != v.grade + 1:
-        raise ValueError("product rule expects grades (r-1, r)")
-    vx = v.evaluate(x)
-    wx = w.evaluate(x)
-    div_u: complex = 0
-    for i in sig.axes():
-        du = left_interior(v.partial_at(i, x), wx) + left_interior(vx, w.partial_at(i, x))
-        contracted = left_interior(Multivector.blade(sig, (i,)), du)
-        div_u += sig.metric(i) * contracted.scalar_value()
-    term1 = dot(exterior_derivative(v, x), wx)
-    term2 = (-1) ** v.grade * dot(interior_derivative(w, x), vx)
-    return abs(div_u - term1 - term2)

@@ -165,17 +165,17 @@ def circulation(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: i
     """
     if box.dim != f.grade:
         raise GradeError(f"circulation needs box dimension {f.grade}, got {box.dim}")
+    return _circulation_of(f.evaluate, box, points, panels, use_right_interior)
+
+
+def _circulation_of(fn_value, box: HypersurfaceBox, points: int, panels: int,
+                    use_right_interior: bool = False) -> complex:
     blade = box.element_blade()
     if use_right_interior:
-        fn = lambda x: right_interior(blade, f.evaluate(x)).scalar_value()
+        fn = lambda x: right_interior(blade, fn_value(x)).scalar_value()
     else:
-        fn = lambda x: dot(blade, f.evaluate(x))
+        fn = lambda x: dot(blade, fn_value(x))
     return _integrate_scalar(fn, box, points, panels)
-
-
-def _circulation_of(fn_value, box: HypersurfaceBox, points: int, panels: int) -> complex:
-    blade = box.element_blade()
-    return _integrate_scalar(lambda x: dot(blade, fn_value(x)), box, points, panels)
 
 
 def flux(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: int = 1) -> Multivector:
@@ -185,13 +185,7 @@ def flux(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: int = 1)
     Identically zero (and returned as such) when the box dimension is smaller
     than k + n - grade.
     """
-    sig = box.signature
-    grade = f.grade + box.dim - sig.dim
-    if grade < 0:
-        return Multivector.zero(sig, 0)
-    element = inv_hodge(box.element_blade())
-    return _integrate_multivector(lambda x: left_interior(element, f.evaluate(x)),
-                                  box, grade, points, panels)
+    return _flux_of(f.evaluate, f.grade, box, points, panels)
 
 
 def _flux_of(fn_value, value_grade: int, box: HypersurfaceBox, points: int, panels: int) -> Multivector:

@@ -21,7 +21,7 @@ from .algebra import (
     SpacetimeSignature,
     dot,
     left_interior,
-    merge_with_sign,
+    right_interior,
     wedge,
 )
 from .fields import (
@@ -232,29 +232,16 @@ class ClassicalFields:
         _require_spatial(self.j, "j")
 
 
-def _spatial_hodge(v: Multivector) -> Multivector:
-    """Hodge complement within the three space axes of (1, 3)."""
-    out = {}
-    for (i,), c in v.terms.items():
-        comp = tuple(a for a in SPACE_AXES_3D if a != i)
-        _, sign = merge_with_sign((i,), comp)
-        out[comp] = sign * c
-    return Multivector(MINKOWSKI, 2, out)
-
-
-def _spatial_inv_hodge(b: Multivector) -> Multivector:
-    out = {}
-    for indices, c in b.terms.items():
-        comp = tuple(a for a in SPACE_AXES_3D if a not in indices)
-        _, sign = merge_with_sign(comp, indices)
-        out[comp] = sign * c
-    return Multivector(MINKOWSKI, 1, out)
+# spatial volume blade: the spatial Hodge maps of (1, 3) are the interior
+# products right_interior(_E123, v) and left_interior(b, _E123)
+_E123 = Multivector.blade(MINKOWSKI, SPACE_AXES_3D)
 
 
 def classical_pack(cf: ClassicalFields) -> MaxwellSystem:
     """Build the grade-2 system F = e_0 wedge E + spatial Hodge of B, J = rho e_0 + j."""
     e0 = Multivector.blade(MINKOWSKI, (0,))
-    f_field = cf.E.map_amplitudes(lambda a: wedge(e0, a), 2) + cf.B.map_amplitudes(_spatial_hodge, 2)
+    f_field = (cf.E.map_amplitudes(lambda a: wedge(e0, a), 2)
+               + cf.B.map_amplitudes(lambda b: right_interior(_E123, b), 2))
     j_field = cf.rho.map_amplitudes(lambda a: Multivector.blade(MINKOWSKI, (0,), a.scalar_value()), 1) + cf.j
     return MaxwellSystem(signature=MINKOWSKI, r=2, F=f_field, J=j_field)
 
@@ -270,7 +257,7 @@ def classical_unpack(system: MaxwellSystem) -> ClassicalFields:
                            {idx: c for idx, c in a.terms.items() if 0 not in idx})
 
     e_field = system.F.map_amplitudes(lambda a: left_interior(e0, a), 1)
-    b_field = system.F.map_amplitudes(lambda a: _spatial_inv_hodge(spatial_part(a)), 1)
+    b_field = system.F.map_amplitudes(lambda a: left_interior(a, _E123), 1)
     rho = system.J.map_amplitudes(lambda a: Multivector.scalar(MINKOWSKI, a.coeff((0,))), 0)
     j_field = system.J.map_amplitudes(spatial_part, 1)
     return ClassicalFields(E=e_field, B=b_field, rho=rho, j=j_field)

@@ -202,10 +202,18 @@ def scenario_from_json(data: Mapping) -> Scenario:
         f_field = field_from_json(data["F"], sig)
         j_field = field_from_json(data["J"], sig) if data.get("J") is not None else None
         a_field = field_from_json(data["A"], sig) if data.get("A") is not None else None
+        if not 1 <= r <= sig.dim:
+            raise ScenarioError(f"field grade r = {r} out of range 1..{sig.dim}")
+        for name, fld, grade in (("F", f_field, r), ("J", j_field, r - 1), ("A", a_field, r - 1)):
+            if fld is not None and fld.grade != grade:
+                raise ScenarioError(f"{name} has grade {fld.grade}; r = {r} needs grade {grade}")
         checks = tuple(data.get("checks", ["differential"]))
         for check in checks:
             if check not in VALID_CHECKS:
                 raise ScenarioError(f"unknown check {check!r}; valid: {VALID_CHECKS}")
+        sample_points = int(data.get("sample_points", 20))
+        if sample_points < 1:
+            raise ScenarioError(f"sample_points must be at least 1, got {sample_points}")
         return Scenario(
             signature=sig,
             r=r,
@@ -213,7 +221,7 @@ def scenario_from_json(data: Mapping) -> Scenario:
             J=j_field,
             A=a_field,
             checks=checks,
-            sample_points=int(data.get("sample_points", 20)),
+            sample_points=sample_points,
             seed=int(data.get("seed", 0)),
             tol=float(data.get("tol", 1e-8)),
         )

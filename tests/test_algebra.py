@@ -18,11 +18,12 @@ from extcalc.algebra import (
     odot,
     owedge,
     right_interior,
-    sort_with_sign,
     vec_interior_bitensor,
     verify_identities,
     wedge,
 )
+
+from _support import sort_with_sign
 
 MINK = SpacetimeSignature(1, 3)
 EUC3 = SpacetimeSignature(0, 3)
@@ -322,6 +323,40 @@ def test_verify_identities_cap():
         verify_identities(SpacetimeSignature(3, 4))
 
 
+@pytest.mark.parametrize("name,grades", [
+    ("wedge", (1, 2)),
+    ("left_interior", (1, 2)),
+    ("right_interior", (2, 1)),
+    ("dot", (2, 2)),
+])
+def test_verify_identities_certifies_public_products(monkeypatch, name, grades):
+    # the suite must read the products the package calls, not a private copy
+    from extcalc import algebra
+
+    public = getattr(algebra, name)
+
+    def flipped(u, v):
+        out = public(u, v)
+        return -out if (u.grade, v.grade) == grades else out
+
+    monkeypatch.setattr(algebra, name, flipped)
+    assert not verify_identities(SpacetimeSignature(1, 3)).passed
+
+
+def test_verify_identities_rejects_a_product_that_is_not_a_blade(monkeypatch):
+    from extcalc import algebra
+
+    public = algebra.left_interior
+
+    def smeared(u, v):
+        out = public(u, v)
+        return out + Multivector.blade(u.signature, (3,)) if (u.grade, v.grade) == (1, 2) else out
+
+    monkeypatch.setattr(algebra, "left_interior", smeared)
+    with pytest.raises(ValueError, match="not a single blade"):
+        verify_identities(SpacetimeSignature(1, 3))
+
+
 def test_verify_identities_detects_corruption():
     def bad_wedge(I, J):
         merged, sign = merge_with_sign(I, J)
@@ -340,6 +375,21 @@ def test_verify_identities_detects_corruption():
 def test_terms_prune_relative():
     v = Multivector(MINK, 1, {(0,): 1.0, (1,): 1e-20})
     assert (1,) not in v.terms
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_prune_keeps_non_finite_coefficients(bad):
+    # for both containers, on either index and in either insertion order, the
+    # bad value and the finite term both survive and max_abs reports the bad one
+    for bad_idx, fine_idx in (((1,), (2,)), ((2,), (1,))):
+        pairs = [(bad_idx, bad), (fine_idx, 1.0)]
+        for terms in (pairs, pairs[::-1]):
+            v = Multivector(MINK, 1, dict(terms))
+            assert set(v.terms) == {(1,), (2,)}
+            t = Bitensor(MINK, {idx * 2: c for idx, c in terms})
+            assert set(t.comps) == {(1, 1), (2, 2)}
+            for value in (v.max_abs(), t.max_abs()):
+                assert math.isnan(value) if math.isnan(bad) else value == math.inf
 
 
 def test_grade_zero_behaves_as_scalar():

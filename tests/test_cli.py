@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -163,3 +164,35 @@ def test_classical_deterministic(capsys, tmp_path):
     assert main(["classical", "--seed", "11", "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def _edited_vacuum(tmp_path, edit) -> str:
+    data = json.loads((SCENARIOS / "vacuum_plane_wave.json").read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_stress_energy_nan_amplitude_fails(capsys, tmp_path):
+    def nan_amplitude(data):
+        data["F"]["modes"][0]["amplitude"]["terms"][0]["re"] = math.nan
+
+    code, out, err = run(capsys, "stress-energy", "--config", _edited_vacuum(tmp_path, nan_amplitude))
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert "FAIL" in err
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("stress-energy", "sample_points", 0),
+    ("stress-energy", "sample_points", -3),
+    ("maxwell-check", "r", 1),
+])
+def test_bad_scenario_numbers_exit_2(capsys, tmp_path, command, key, value):
+    config = _edited_vacuum(tmp_path, lambda data: data.update({key: value}))
+    code, out, err = run(capsys, command, "--config", config)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

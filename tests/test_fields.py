@@ -6,7 +6,6 @@ import pytest
 from extcalc.algebra import Multivector, SpacetimeSignature, dot, inv_hodge
 from extcalc.fields import (
     AnalyticField,
-    ComponentBitensorField,
     FieldDomainError,
     GaussianEnvelope,
     GridField,
@@ -21,8 +20,9 @@ from extcalc.fields import (
     partial_derivative,
     plane_wave,
     polynomial_field,
-    product_rule_check,
 )
+
+from _support import ComponentBitensorField, product_rule_check
 
 EUC3 = SpacetimeSignature(0, 3)
 MINK = SpacetimeSignature(1, 3)

@@ -6,7 +6,6 @@ import pytest
 from extcalc.algebra import GradeError, Multivector, SpacetimeSignature
 from extcalc.fields import (
     AnalyticField,
-    ComponentBitensorField,
     GaussianEnvelope,
     Mode,
     constant_field,
@@ -22,6 +21,8 @@ from extcalc.integrate import (
     stokes_circulation_check,
     stokes_flux_check,
 )
+
+from _support import ComponentBitensorField
 
 EUC2 = SpacetimeSignature(0, 2)
 EUC3 = SpacetimeSignature(0, 3)

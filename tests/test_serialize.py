@@ -99,6 +99,12 @@ def test_scenario_parsing_and_errors():
     with pytest.raises(ScenarioError):
         scenario_from_json({"r": 2})
 
+    # sample counts below one, r out of range, and J or A grades other than r - 1
+    for key, value in (("sample_points", 0), ("r", 0), ("r", 3),
+                       ("J", field_to_json(field)), ("A", field_to_json(field))):
+        with pytest.raises(ScenarioError):
+            scenario_from_json({**payload, key: value})
+
 
 def test_canonical_dumps_is_deterministic():
     payload = {"b": 1.5, "a": [1, 2, {"z": True, "y": np.float64(0.25)}]}
