@@ -28,7 +28,6 @@ from .algebra import (
     wedge,
 )
 from .energy import (
-    EnergyMomentumReport,
     GaugeViolation,
     QuadraticTensorField,
     StressTensorField,

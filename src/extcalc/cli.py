@@ -25,7 +25,6 @@ from .algebra import (
     verify_identities,
 )
 from .energy import (
-    EnergyMomentumReport,
     GaugeViolation,
     flux_T_direct,
     flux_T_fourier,
@@ -39,6 +38,7 @@ from .energy import (
 )
 from .fields import (
     AnalyticField,
+    FieldDomainError,
     GridField,
     Mode,
     exterior_derivative_field,
@@ -333,14 +333,6 @@ def cmd_stress_energy(args) -> int:
     x0 = points[0]
     value0 = system.F.evaluate(x0)
     tensor0 = stress_tensor_explicit(value0)
-    summary = EnergyMomentumReport(
-        force=lorentz_force(value0, system.J.evaluate(x0)),
-        tensor=tensor0,
-        trace=float(trace(tensor0)),
-        trace_formula=float(trace_formula(value0)),
-        conservation_residual_max=conservation_max,
-        provenance={"point": [float(v) for v in x0], "aggregate_points": len(points)},
-    )
     worst = _max(route_max, trace_max, conservation_max)
     passed = worst <= scenario.tol
     report = {
@@ -349,12 +341,12 @@ def cmd_stress_energy(args) -> int:
         "r": scenario.r,
         "seed": scenario.seed,
         "tol": scenario.tol,
-        "point": summary.provenance["point"],
-        "T": bitensor_to_json(summary.tensor),
-        "trace": summary.trace,
-        "trace_formula": summary.trace_formula,
-        "force": multivector_to_json(summary.force),
-        "conservation_residual_max": summary.conservation_residual_max,
+        "point": [float(v) for v in x0],
+        "T": bitensor_to_json(tensor0),
+        "trace": float(trace(tensor0)),
+        "trace_formula": float(trace_formula(value0)),
+        "force": multivector_to_json(lorentz_force(value0, system.J.evaluate(x0))),
+        "conservation_residual_max": conservation_max,
         "route_max_diff": route_max,
         "trace_max_diff": trace_max,
         "flux_direct": None,
@@ -408,6 +400,13 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
     raise ScenarioError(f"unknown spectrum kind {kind!r}")
 
 
+def _count(data: dict, key: str, default: int) -> int:
+    value = int(data.get(key, default))
+    if value < 1:
+        raise ScenarioError(f"{key} must be at least 1, got {value}")
+    return value
+
+
 def cmd_flux_compare(args) -> int:
     if not args.config:
         raise ScenarioError("--config PATH is required for this command")
@@ -419,10 +418,9 @@ def cmd_flux_compare(args) -> int:
         coordinate = float(data.get("coordinate", 0.0))
         region = {int(a): (float(lo), float(hi)) for a, (lo, hi) in data["region"].items()}
         slice_bounds = {int(a): (float(lo), float(hi)) for a, (lo, hi) in data["slice_bounds"].items()}
-        freq_points = int(data.get("freq_points", 24))
-        freq_panels = int(data.get("freq_panels", 2))
-        slice_points = int(data.get("slice_points", 8))
-        slice_panels = int(data.get("slice_panels", 16))
+        freq_points, freq_panels, slice_points, slice_panels = (
+            _count(data, key, default) for key, default in
+            (("freq_points", 24), ("freq_panels", 2), ("slice_points", 8), ("slice_panels", 16)))
         tol = args.tol if args.tol is not None else float(data.get("tol", 0.01))
         a_hat = _bump_factory(data["spectrum"], sig, axis, r)
     except (KeyError, TypeError, ValueError) as exc:
@@ -606,8 +604,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("points", "configs", "samples"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ScenarioError(f"--{flag} must be at least 1, got {value}")
         return args.func(args)
-    except (ScenarioError, GaugeViolation) as exc:
+    except (ScenarioError, GaugeViolation, FieldDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

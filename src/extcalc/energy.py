@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -51,7 +52,6 @@ from .fields import (
 from .integrate import DEFAULT_POINTS, HypersurfaceBox
 
 __all__ = [
-    "EnergyMomentumReport",
     "lorentz_force",
     "stress_tensor_def",
     "stress_tensor_explicit",
@@ -87,45 +87,42 @@ def stress_tensor_def(f: Multivector) -> Bitensor:
     return -1 * (odot(f, f) + owedge(f, f))
 
 
-def stress_tensor_explicit(f: Multivector) -> Bitensor:
-    """Explicit component route.
+@lru_cache(maxsize=None)
+def _stress_tables(sig: SpacetimeSignature, grade: int) -> dict:
+    """Index tables of the explicit formula, one per component T_ij with i <= j.
 
-    Diagonal: ((-1)^r / 2) Delta_ii (sum over lists containing i minus sum
-    over lists not containing i of F_I^2 Delta_II).  Off-diagonal: minus the
-    signed products of the two components sharing an (r-1)-sublist.
+    Maps (i, j) to a tuple of (pos_a, pos_b, coef) triples with
+    T_ij = sum coef * F[pos_a] * F[pos_b] over F's dense components in
+    ``index_lists`` order.  Diagonal: ((-1)^r / 2) Delta_ii (sum over lists
+    containing i minus sum over lists not containing i of F_I^2 Delta_II).
+    Off-diagonal: minus the signed products of the two components sharing an
+    (r-1)-sublist.  Components without a term are left out.
     """
-    sig = f.signature
-    r = f.grade
-    comps: dict[tuple[int, int], complex] = {}
-    half = 0.5 * (-1) ** r
+    index = {idx: pos for pos, idx in enumerate(sig.index_lists(grade))}
+    half = 0.5 * (-1) ** grade
+    tables = {}
     for i in sig.axes():
-        total: complex = 0
-        for indices, c in f.terms.items():
-            sign = 1 if i in indices else -1
-            total += sign * c * c * sig.metric_list(indices)
-        value = half * sig.metric(i) * total
-        if value != 0:
-            comps[(i, i)] = value
-    for indices_l in combinations(range(sig.dim), r - 1) if r >= 1 else ():
-        delta_l = sig.metric_list(indices_l)
-        inside = set(indices_l)
-        outside = [i for i in sig.axes() if i not in inside]
-        for a in range(len(outside)):
-            i = outside[a]
-            il, sig_li = merge_with_sign(indices_l, (i,))
-            fi = f.terms.get(il, 0)
-            if fi == 0:
+        tables[(i, i)] = tuple((pos, pos, half * sig.metric(i) * (1 if i in idx else -1)
+                                * sig.metric_list(idx)) for idx, pos in index.items())
+    for i, j in combinations(sig.axes(), 2):
+        triples = []
+        for sub in combinations(range(sig.dim), grade - 1) if grade >= 1 else ():
+            if i in sub or j in sub:
                 continue
-            for b in range(a + 1, len(outside)):
-                j = outside[b]
-                jl, sig_jl = merge_with_sign((j,), indices_l)
-                fj = f.terms.get(jl, 0)
-                if fj == 0:
-                    continue
-                value = -sig_li * sig_jl * fi * fj * delta_l
-                if value != 0:
-                    comps[(i, j)] = comps.get((i, j), 0) + value
-    return Bitensor(sig, comps)
+            il, sign_li = merge_with_sign(sub, (i,))
+            jl, sign_jl = merge_with_sign((j,), sub)
+            triples.append((index[il], index[jl], float(-sign_li * sign_jl * sig.metric_list(sub))))
+        if triples:
+            tables[(i, j)] = tuple(triples)
+    return tables
+
+
+def stress_tensor_explicit(f: Multivector) -> Bitensor:
+    """Explicit component route: the ``_stress_tables`` formula applied to F."""
+    sig = f.signature
+    row = [f.terms.get(idx, 0) for idx in sig.index_lists(f.grade)]
+    return Bitensor(sig, {pair: sum(c * row[a] * row[b] for a, b, c in triples)
+                          for pair, triples in _stress_tables(sig, f.grade).items()})
 
 
 def trace(t: Bitensor) -> complex:
@@ -298,42 +295,7 @@ def _axis_sign(sig: SpacetimeSignature, axis: int) -> int:
     return sign
 
 
-def _stress_column_tables(sig: SpacetimeSignature, grade: int, ell: int):
-    """Index tables turning dense field components into the T_(i, ell) column.
-
-    For each axis i, yields arrays (pos_a, pos_b, coef) with
-    T_(i, ell) = sum coef * F[pos_a] * F[pos_b] over dense components.
-    """
-    lists = list(combinations(range(sig.dim), grade))
-    index = {idx: pos for pos, idx in enumerate(lists)}
-    r = grade
-    tables = []
-    for i in sig.axes():
-        pos_a, pos_b, coef = [], [], []
-        if i == ell:
-            half = 0.5 * (-1) ** r * sig.metric(ell)
-            for idx, pos in index.items():
-                sign = 1 if ell in idx else -1
-                pos_a.append(pos)
-                pos_b.append(pos)
-                coef.append(half * sign * sig.metric_list(idx))
-        else:
-            for sub in combinations(range(sig.dim), r - 1) if r >= 1 else ():
-                if i in sub or ell in sub:
-                    continue
-                il, sign_li = merge_with_sign(sub, (i,))
-                ll, sign_jl = merge_with_sign((ell,), sub)
-                pos_a.append(index[il])
-                pos_b.append(index[ll])
-                coef.append(-sign_li * sign_jl * sig.metric_list(sub))
-        tables.append((np.array(pos_a, dtype=int), np.array(pos_b, dtype=int),
-                       np.array(coef, dtype=float)))
-    return tables
-
-
 def _envelope_bounds(field, axis: int, cutoff: float = 1e-12) -> dict[int, tuple[float, float]]:
-    if getattr(field, "modes", None) is None:
-        raise ValueError("flux_T_direct needs explicit bounds for grid-backed fields")
     envelopes = []
     for mode in field.modes:
         if mode.envelope is None:
@@ -360,10 +322,16 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
 
     Integrates the tensor column T_(i, axis) over the slice and weights it
     with the permutation sign of the fixed axis, the half-space boundary
-    element convention.  Bounds default to the envelope truncation radii and
-    must be given explicitly for fields without envelopes.
+    element convention.  The column entries are the ``_stress_tables`` triples
+    of ``stress_tensor_explicit``, applied to all slice nodes at once.  The
+    field must be analytic (it is evaluated through its mode kernel).  Bounds
+    default to the envelope truncation radii and must be given explicitly for
+    fields without envelopes.
     """
     sig = f_field.signature
+    if getattr(f_field, "modes", None) is None:
+        raise ValueError("flux_T_direct needs an analytic field with modes; "
+                         "grid-backed fields are not supported, with or without bounds")
     if bounds is None:
         bounds = _envelope_bounds(f_field, axis)
     slice_box = HypersurfaceBox(sig, intervals=dict(bounds), fixed={axis: coordinate})
@@ -376,10 +344,13 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
             raise ValueError("flux_T_direct expects a real field; use cosine modes")
         dense = dense.real
     sign = _axis_sign(sig, axis)
+    tables = _stress_tables(sig, f_field.grade)
     out = {}
-    for i, (pos_a, pos_b, coef) in enumerate(_stress_column_tables(sig, f_field.grade, axis)):
-        if len(coef) == 0:
+    for i in sig.axes():
+        triples = tables.get((min(i, axis), max(i, axis)))
+        if triples is None:
             continue
+        pos_a, pos_b, coef = map(np.array, zip(*triples))
         column = (dense[:, pos_a] * dense[:, pos_b]) @ coef
         value = sign * float(weights @ column)
         if value != 0.0:
@@ -486,19 +457,3 @@ def synthesize_on_cone_potential(a_hat: Callable[[Multivector], Multivector], ax
         if imag_part:
             modes.append(Mode(amplitude=imag_part * scale, xi=xi_tuple, phase=0.5 * math.pi))
     return AnalyticField(sig, grade - 1, modes)
-
-
-# ---------------------------------------------------------------------------
-# report container
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnergyMomentumReport:
-    """Aggregated energy-momentum diagnostics for one field configuration."""
-
-    force: Multivector
-    tensor: Bitensor
-    trace: float
-    trace_formula: float
-    conservation_residual_max: float
-    provenance: dict

@@ -18,7 +18,6 @@ into the algebraic contraction j 2 pi xi applied to the amplitude.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -73,14 +72,6 @@ class GaussianEnvelope:
             raise ValueError("envelope width must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def value(self, x: np.ndarray) -> float:
-        d = x - np.asarray(self.center)
-        return math.exp(-float(d @ d) / (2.0 * self.width ** 2))
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        d = points - np.asarray(self.center)
-        return np.exp(-np.einsum("pi,pi->p", d, d) / (2.0 * self.width ** 2))
-
     def truncation_radius(self, cutoff: float = 1e-12) -> float:
         """Distance from the center beyond which the envelope drops below cutoff."""
         return self.width * math.sqrt(2.0 * math.log(1.0 / cutoff))
@@ -120,33 +111,6 @@ class Mode:
         sig = self.amplitude.signature
         return 2.0 * math.pi * sig.metric(axis) * self.xi[axis]
 
-    def _theta(self, x: np.ndarray) -> float:
-        sig = self.amplitude.signature
-        return 2.0 * math.pi * sum(sig.metric(i) * self.xi[i] * x[i] for i in sig.axes()) + self.phase
-
-    def scalar_factor(self, x: np.ndarray) -> complex:
-        value: complex = 1.0
-        for i, p in enumerate(self.poly):
-            if p:
-                value *= (x[i] - self.poly_center[i]) ** p
-        theta = self._theta(x)
-        value *= math.cos(theta) if self.waveform == WAVE_COS else cmath.exp(1j * theta)
-        if self.envelope is not None:
-            value *= self.envelope.value(x)
-        return value
-
-    def scalar_factors(self, points: np.ndarray) -> np.ndarray:
-        sig = self.amplitude.signature
-        metric = np.array([sig.metric(i) for i in sig.axes()], dtype=float)
-        theta = 2.0 * math.pi * points @ (metric * np.asarray(self.xi)) + self.phase
-        value = np.cos(theta) if self.waveform == WAVE_COS else np.exp(1j * theta)
-        for i, p in enumerate(self.poly):
-            if p:
-                value = value * (points[:, i] - self.poly_center[i]) ** p
-        if self.envelope is not None:
-            value = value * self.envelope.values(points)
-        return value
-
     def derivative_modes(self, axis: int) -> list["Mode"]:
         """Exact partial derivative along one axis as a list of modes."""
         out: list[Mode] = []
@@ -185,10 +149,16 @@ def _pad(values: Iterable[float], dim: int) -> tuple[float, ...]:
     return out
 
 
+def _dense_multivector(sig: SpacetimeSignature, grade: int, lists: Sequence[tuple[int, ...]],
+                       row: np.ndarray) -> Multivector:
+    """The multivector whose components, in ``lists`` order, are one dense row."""
+    return Multivector(sig, grade, zip(lists, row.tolist()))
+
+
 class AnalyticField:
     """Fixed-grade multivector field given by a finite list of analytic modes."""
 
-    __slots__ = ("signature", "grade", "modes", "_partials")
+    __slots__ = ("signature", "grade", "modes", "_partials", "_arrays")
 
     def __init__(self, signature: SpacetimeSignature, grade: int, modes: Iterable[Mode] = ()):
         self.signature = signature
@@ -207,13 +177,11 @@ class AnalyticField:
             merged[key] = mode if held is None else replace(held, amplitude=held.amplitude + mode.amplitude)
         self.modes = tuple(m for m in merged.values() if m.amplitude)
         self._partials: dict[int, AnalyticField] = {}
+        self._arrays: tuple | None = None
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
-        point = as_point(self.signature, x)
-        total = Multivector.zero(self.signature, self.grade)
-        for mode in self.modes:
-            total = total + mode.amplitude * mode.scalar_factor(point)
-        return total
+        row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
+        return _dense_multivector(self.signature, self.grade, self._mode_arrays()[0], row)
 
     def partial_field(self, axis: int) -> "AnalyticField":
         cached = self._partials.get(axis)
@@ -236,17 +204,50 @@ class AnalyticField:
             return True
         return any(isinstance(c, complex) for m in self.modes for c in m.amplitude.terms.values())
 
+    def _mode_arrays(self) -> tuple:
+        """Component lists, dtype and per-mode kernel arrays, built once per field.
+
+        Each mode gives (dense amplitude row, 2 pi Delta xi, phase, exp flag,
+        (axis, exponent, centre) monomial factors, (centre, 2 w^2) or None).
+        """
+        if self._arrays is None:
+            sig = self.signature
+            lists = self.component_lists()
+            index = {idx: pos for pos, idx in enumerate(lists)}
+            dtype = complex if self.is_complex() else float
+            metric = np.array([sig.metric(i) for i in sig.axes()], dtype=float)
+            arrays = []
+            for mode in self.modes:
+                row = np.zeros(len(lists), dtype=dtype)
+                for idx, c in mode.amplitude.terms.items():
+                    row[index[idx]] = c
+                monomials = tuple((i, p, mode.poly_center[i]) for i, p in enumerate(mode.poly) if p)
+                env = mode.envelope
+                envelope = None if env is None else (np.asarray(env.center), 2.0 * env.width ** 2)
+                arrays.append((row, 2.0 * math.pi * metric * np.asarray(mode.xi), mode.phase,
+                               mode.waveform == WAVE_EXP, monomials, envelope))
+            self._arrays = (lists, dtype, tuple(arrays))
+        return self._arrays
+
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) evaluation in component_lists order."""
-        lists = self.component_lists()
-        index = {idx: pos for pos, idx in enumerate(lists)}
-        dtype = complex if self.is_complex() else float
+        """Dense (npoints, ncomp) evaluation in component_lists order.
+
+        The one mode kernel: every mode adds its amplitude row times monomial
+        x waveform x envelope, evaluated over all points at once.  Modes are
+        looped over, not stacked, so memory stays at one column per point.
+        """
+        lists, dtype, arrays = self._mode_arrays()
         out = np.zeros((len(points), len(lists)), dtype=dtype)
-        for mode in self.modes:
-            dense = np.zeros(len(lists), dtype=dtype)
-            for idx, c in mode.amplitude.terms.items():
-                dense[index[idx]] = c
-            out += np.outer(mode.scalar_factors(points), dense)
+        for row, slope, phase, is_exp, monomials, envelope in arrays:
+            theta = points @ slope + phase
+            factor = np.exp(1j * theta) if is_exp else np.cos(theta)
+            for axis, power, centre in monomials:
+                factor *= (points[:, axis] - centre) ** power
+            if envelope is not None:
+                centre, two_w2 = envelope
+                d = points - centre
+                factor *= np.exp(-np.einsum("pi,pi->p", d, d) / two_w2)
+            out += np.outer(factor, row)
         return out
 
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
@@ -288,7 +289,7 @@ def polynomial_field(amplitude: Multivector, exponents: Sequence[int],
 class GridField:
     """Field sampled on a rectangular lattice; central-difference derivatives."""
 
-    __slots__ = ("signature", "grade", "origin", "spacing", "values", "_lists", "_index")
+    __slots__ = ("signature", "grade", "origin", "spacing", "values", "_lists")
 
     def __init__(self, signature: SpacetimeSignature, grade: int,
                  origin: Sequence[float], spacing: Sequence[float], values: np.ndarray):
@@ -301,11 +302,13 @@ class GridField:
         if np.any(self.spacing <= 0):
             raise ValueError("grid spacings must be positive")
         self._lists = list(combinations(range(signature.dim), grade))
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(values)
+        if np.iscomplexobj(values) and np.any(values.imag != 0):
+            raise ValueError("grid values must be real; these have a non-zero imaginary part")
+        values = np.asarray(values.real, dtype=float)
         if values.ndim != signature.dim + 1 or values.shape[-1] != len(self._lists):
             raise ValueError(f"values must have shape (*sites, {len(self._lists)})")
         self.values = values
-        self._index = {idx: pos for pos, idx in enumerate(self._lists)}
 
     @classmethod
     def sample(cls, source: AnalyticField, origin: Sequence[float], spacing: Sequence[float],
@@ -317,7 +320,7 @@ class GridField:
         axes = [origin[i] + spacing[i] * np.arange(counts[i]) for i in range(sig.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        dense = source.evaluate_components(points).real
+        dense = source.evaluate_components(points)
         return cls(sig, source.grade, origin, spacing, dense.reshape(*counts, -1))
 
     def _site(self, x: np.ndarray) -> tuple[int, ...]:
@@ -330,13 +333,10 @@ class GridField:
             raise FieldDomainError(f"point {x.tolist()} lies outside the sampled lattice")
         return tuple(int(s) for s in site)
 
-    def _from_dense(self, dense: np.ndarray) -> Multivector:
-        return Multivector(self.signature, self.grade,
-                           {idx: dense[pos] for idx, pos in self._index.items() if dense[pos] != 0})
-
     def evaluate(self, x: Sequence[float]) -> Multivector:
         point = as_point(self.signature, x)
-        return self._from_dense(self.values[self._site(point)])
+        return _dense_multivector(self.signature, self.grade, self._lists,
+                                  self.values[self._site(point)])
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         point = as_point(self.signature, x)
@@ -348,7 +348,7 @@ class GridField:
         fwd[axis] += 1
         bwd[axis] -= 1
         dense = (self.values[tuple(fwd)] - self.values[tuple(bwd)]) / (2.0 * self.spacing[axis])
-        return self._from_dense(dense)
+        return _dense_multivector(self.signature, self.grade, self._lists, dense)
 
 
 # ---------------------------------------------------------------------------

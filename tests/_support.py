@@ -1,13 +1,16 @@
-"""Test-only helpers: a reference index sort, a component bitensor field, and
-a pointwise product-rule residual.  None of these is used by the package."""
+"""Test-only helpers: a reference index sort, a component bitensor field, a
+pointwise product-rule residual, and a per-point reference evaluation of
+analytic mode fields.  None of these is used by the package."""
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from extcalc.algebra import Bitensor, Multivector, SpacetimeSignature, dot, left_interior
-from extcalc.fields import exterior_derivative, interior_derivative
+from extcalc.fields import AnalyticField, exterior_derivative, interior_derivative
 
 
 def sort_with_sign(indices: Iterable[int], dim: int | None = None) -> tuple[tuple[int, ...], int]:
@@ -81,3 +84,27 @@ def product_rule_check(v, w, x: Sequence[float]) -> float:
     term1 = dot(exterior_derivative(v, x), wx)
     term2 = (-1) ** v.grade * dot(interior_derivative(w, x), vx)
     return abs(div_u - term1 - term2)
+
+
+def reference_mode_factor(mode, x: Sequence[float]) -> complex:
+    """One mode's scalar factor at x, written out in Python scalars:
+    monomial x cos(theta) or exp(j theta) x Gaussian envelope, with
+    theta = 2 pi sum_i Delta_ii xi_i x_i + phase."""
+    sig = mode.amplitude.signature
+    value: complex = 1.0
+    for i, p in enumerate(mode.poly):
+        value *= (x[i] - mode.poly_center[i]) ** p
+    theta = 2.0 * math.pi * sum(sig.metric(i) * mode.xi[i] * x[i] for i in sig.axes()) + mode.phase
+    value *= math.cos(theta) if mode.waveform == "cos" else cmath.exp(1j * theta)
+    if mode.envelope is not None:
+        d2 = sum((x[i] - c) ** 2 for i, c in enumerate(mode.envelope.center))
+        value *= math.exp(-d2 / (2.0 * mode.envelope.width ** 2))
+    return value
+
+
+def reference_evaluate(field: AnalyticField, x: Sequence[float]) -> Multivector:
+    """The field at x as the sum of amplitude x scalar factor over its modes."""
+    total = Multivector.zero(field.signature, field.grade)
+    for mode in field.modes:
+        total = total + mode.amplitude * reference_mode_factor(mode, x)
+    return total

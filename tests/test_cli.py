@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from extcalc.algebra import Multivector, SpacetimeSignature
 from extcalc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -166,8 +167,8 @@ def test_classical_deterministic(capsys, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def _edited_vacuum(tmp_path, edit) -> str:
-    data = json.loads((SCENARIOS / "vacuum_plane_wave.json").read_text())
+def _edited_vacuum(tmp_path, edit, scenario="vacuum_plane_wave") -> str:
+    data = json.loads((SCENARIOS / f"{scenario}.json").read_text())
     edit(data)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
@@ -184,15 +185,55 @@ def test_stress_energy_nan_amplitude_fails(capsys, tmp_path):
     assert "FAIL" in err
 
 
-@pytest.mark.parametrize("command,key,value", [
-    ("stress-energy", "sample_points", 0),
-    ("stress-energy", "sample_points", -3),
-    ("maxwell-check", "r", 1),
-])
-def test_bad_scenario_numbers_exit_2(capsys, tmp_path, command, key, value):
-    config = _edited_vacuum(tmp_path, lambda data: data.update({key: value}))
-    code, out, err = run(capsys, command, "--config", config)
+def assert_usage_error(code, out, err):
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# a key starting with "--" is a command-line flag, any other key a config entry
+@pytest.mark.parametrize("command,key,value", [
+    ("stress-energy", "sample_points", 0),
+    ("stress-energy", "sample_points", -3),
+    ("maxwell-check", "r", 1),
+    ("maxwell-check", "--points", 0),
+    ("maxwell-check", "--points", -2),
+    ("flux-compare", "slice_points", 0),
+    ("flux-compare", "freq_points", 0),
+    ("flux-compare", "slice_panels", 0),
+    ("classical", "--samples", 0),
+    ("classical", "--configs", 0),
+])
+def test_bad_scenario_numbers_exit_2(capsys, tmp_path, command, key, value):
+    scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"
+    if key.startswith("--"):
+        argv = [key, str(value)] if command == "classical" else \
+            [key, str(value), "--config", str(SCENARIOS / f"{scenario}.json")]
+    else:
+        argv = ["--config", _edited_vacuum(tmp_path, lambda data: data.update({key: value}), scenario)]
+    assert_usage_error(*run(capsys, command, *argv))
+
+
+def test_mismatched_grid_source_exits_2(capsys, tmp_path):
+    # J sampled on a 0.3 lattice cannot be read at the F lattice's 0.25 sites
+    from extcalc.fields import GridField, interior_derivative_field, plane_wave
+    from extcalc.serialize import canonical_dumps, field_to_json
+
+    sig = SpacetimeSignature(0, 2)
+    f_field = plane_wave(Multivector.blade(sig, (0, 1)), (0.3, 0.2))
+    j_field = interior_derivative_field(f_field)
+    scenario = {
+        "signature": {"k": 0, "n": 2},
+        "r": 2,
+        "F": field_to_json(GridField.sample(f_field, (-1.0, -1.0), (0.25, 0.25), (9, 9))),
+        "J": field_to_json(GridField.sample(j_field, (-1.2, -1.2), (0.3, 0.3), (9, 9))),
+        "A": None,
+        "checks": ["differential"],
+        "sample_points": 5,
+        "seed": 3,
+        "tol": 1e-2,
+    }
+    path = tmp_path / "mismatched.json"
+    path.write_text(canonical_dumps(scenario))
+    assert_usage_error(*run(capsys, "maxwell-check", "--config", str(path)))

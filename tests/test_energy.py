@@ -8,6 +8,7 @@ from extcalc.algebra import (
     Multivector,
     SpacetimeSignature,
     dot,
+    merge_with_sign,
 )
 from extcalc.energy import (
     GaugeViolation,
@@ -27,6 +28,7 @@ from extcalc.energy import (
 from extcalc.fields import (
     AnalyticField,
     GaussianEnvelope,
+    GridField,
     Mode,
     exterior_derivative_field,
     interior_derivative,
@@ -317,6 +319,38 @@ def test_flux_direct_direction_and_scaling():
 
     double = flux_T_direct(2.0 * f_right, 0, 0.0, points=10, panels=12)
     assert double.coeff((0,)) == pytest.approx(4.0 * flux_right.coeff((0,)), rel=1e-9)
+
+
+@pytest.mark.parametrize("k,n", [(1, 2), (1, 3)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_flux_direct_integrates_the_explicit_tensor(k, n, r):
+    # the batched slice flux is the quadrature of stress_tensor_explicit's column
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng(40 + 10 * n + r)
+    modes = [Mode(amplitude=random_mv(sig, r, rng), xi=tuple(rng.uniform(-0.7, 0.7, sig.dim)),
+                  phase=float(rng.uniform(0, 2 * math.pi)), poly=(1,) + (0,) * (sig.dim - 1),
+                  envelope=GaussianEnvelope(center=tuple(rng.uniform(-0.2, 0.2, sig.dim)), width=0.8))
+             for _ in range(2)]
+    f = AnalyticField(sig, r, modes)
+    for axis in (0, 1):
+        bounds = {a: (-1.0, 1.2) for a in sig.axes() if a != axis}
+        got = flux_T_direct(f, axis, 0.3, bounds=bounds, points=4)
+        nodes, weights = HypersurfaceBox(sig, intervals=bounds, fixed={axis: 0.3}).grid_points(4)
+        _, sign = merge_with_sign((axis,), tuple(a for a in sig.axes() if a != axis))
+        want = [sign * sum(w * stress_tensor_explicit(f.evaluate(x)).get(i, axis)
+                           for x, w in zip(nodes, weights)) for i in sig.axes()]
+        scale = max(map(abs, want))
+        assert scale > 0
+        for i in sig.axes():
+            assert abs(got.coeff((i,)) - want[i]) <= 1e-12 * scale
+
+
+def test_flux_direct_rejects_grid_fields():
+    source = plane_wave(Multivector.blade(M11, (1,)), (0.0, 1.0))
+    grid = GridField.sample(source, origin=(-1.0, -1.0), spacing=(0.5, 0.5), counts=(5, 5))
+    for bounds in (None, {1: (-1.0, 1.0)}):
+        with pytest.raises(ValueError, match="analytic field with modes"):
+            flux_T_direct(grid, 0, 0.0, bounds=bounds)
 
 
 def test_flux_direct_rejects_complex_field():

@@ -22,7 +22,7 @@ from extcalc.fields import (
     polynomial_field,
 )
 
-from _support import ComponentBitensorField, product_rule_check
+from _support import ComponentBitensorField, product_rule_check, reference_evaluate
 
 EUC3 = SpacetimeSignature(0, 3)
 MINK = SpacetimeSignature(1, 3)
@@ -103,6 +103,45 @@ def test_evaluate_components_matches_pointwise():
         mv = f.evaluate(x)
         for pos, idx in enumerate(lists):
             assert dense[p, pos] == pytest.approx(mv.coeff(idx), abs=1e-12)
+
+
+def mixed_mode_field(sig, grade, rng):
+    """Cos and exp modes, monomials around a non-zero centre, and envelopes."""
+    modes = []
+    for m in range(4):
+        amp = Multivector(sig, grade, {idx: complex(rng.normal(), rng.normal()) if m == 3
+                                       else float(rng.normal()) for idx in sig.index_lists(grade)})
+        poly = tuple(int(p) for p in rng.integers(0, 3, sig.dim)) if m % 2 else ()
+        center = tuple(rng.uniform(-0.5, 0.5, sig.dim)) if m % 2 else ()
+        env = GaussianEnvelope(center=tuple(rng.uniform(-0.3, 0.3, sig.dim)),
+                               width=float(rng.uniform(0.6, 1.2))) if m >= 2 else None
+        modes.append(Mode(amplitude=amp, xi=tuple(rng.uniform(-1, 1, sig.dim)),
+                          phase=float(rng.uniform(0, 2 * math.pi)),
+                          waveform="exp" if m in (1, 2) else "cos",
+                          poly=poly, poly_center=center, envelope=env))
+    return AnalyticField(sig, grade, modes)
+
+
+@pytest.mark.parametrize("k,n", [(0, 3), (1, 3), (2, 2)])
+@pytest.mark.parametrize("grade", [1, 2])
+def test_mode_kernel_matches_reference(k, n, grade):
+    # evaluate and evaluate_components (and the derived partial fields, whose
+    # modes mix every factor) against the per-point formula in _support
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng(100 * k + 10 * n + grade)
+    f = mixed_mode_field(sig, grade, rng)
+    assert {m.waveform for m in f.modes} == {"cos", "exp"}
+    points = rng.uniform(-1, 1, size=(7, sig.dim))
+    lists = f.component_lists()
+    for field in [f] + [f.partial_field(axis) for axis in sig.axes()]:
+        dense = field.evaluate_components(points)
+        for p, x in enumerate(points):
+            want = reference_evaluate(field, x)
+            got = field.evaluate(x)
+            scale = max(1.0, want.max_abs())
+            assert (got - want).max_abs() <= 1e-12 * scale
+            for pos, idx in enumerate(lists):
+                assert abs(dense[p, pos] - want.coeff(idx)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +248,21 @@ def test_grid_evaluate_and_errors():
         grid.evaluate((2.0, 0.0, 0.0))  # outside
     with pytest.raises(FieldDomainError):
         grid.partial_at(0, (-0.5, 0.0, 0.0))  # boundary site has no lower neighbour
+
+
+def test_grid_rejects_imaginary_parts():
+    sig = SpacetimeSignature(0, 1)
+    values = np.zeros((3, 1), dtype=complex)
+    values[1, 0] = 1.0 + 0.5j
+    with pytest.raises(ValueError, match="imaginary"):
+        GridField(sig, 1, (0.0,), (0.5,), values)
+    values[1, 0] = 1.0 + 0.0j
+    grid = GridField(sig, 1, (0.0,), (0.5,), values)
+    assert grid.values.dtype == float and grid.evaluate((0.5,)).coeff((0,)) == 1.0
+    # sampling a complex-exponential wave keeps its imaginary part, so it fails
+    wave = plane_wave(Multivector.blade(EUC3, (0,)), xi=(0.3, 0.0, 0.0), waveform="exp")
+    with pytest.raises(ValueError, match="imaginary"):
+        GridField.sample(wave, origin=(0.0, 0.0, 0.0), spacing=(0.25, 0.25, 0.25), counts=(3, 3, 3))
 
 
 def test_grid_central_difference_second_order():
