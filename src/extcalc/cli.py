@@ -423,7 +423,7 @@ def cmd_flux_compare(args) -> int:
             (("freq_points", 24), ("freq_panels", 2), ("slice_points", 8), ("slice_panels", 16)))
         tol = args.tol if args.tol is not None else float(data.get("tol", 0.01))
         a_hat = _bump_factory(data["spectrum"], sig, axis, r)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad flux-compare config: {exc}") from exc
 
     fourier = flux_T_fourier(a_hat, axis, region, sig, grade=r,
@@ -562,15 +562,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exterior-algebra Maxwell and stress-energy verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="scenario JSON path")
+    def flags(p, *names):
+        """The report flags every command reads, plus the named ones it also reads."""
+        if "config" in names:
+            p.add_argument("--config", help="scenario JSON path")
         p.add_argument("--out", help="write the JSON report to this file instead of stdout")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=int, default=None, help="random seed override")
-        p.add_argument("--points", type=int, default=None, help="quadrature nodes per axis")
+        if "seed" in names:
+            p.add_argument("--seed", type=int, default=None, help="random seed override")
+        if "points" in names:
+            p.add_argument("--points", type=int, default=None, help="quadrature nodes per axis")
 
     p = sub.add_parser("verify-identities", help="exhaustive product-identity suite")
-    common(p)
+    flags(p)
     p.add_argument("--kmax", type=int, default=None,
                    help="largest time-axis count (default: anything within the cap)")
     p.add_argument("--nmax", type=int, default=None,
@@ -580,19 +584,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("maxwell-check", help="differential/integral/fourier/gauge residuals")
-    common(p)
+    flags(p, "config", "seed", "points")
     p.set_defaults(func=cmd_maxwell_check)
 
     p = sub.add_parser("stress-energy", help="stress tensor routes, trace, conservation")
-    common(p)
+    flags(p, "config", "seed")
     p.set_defaults(func=cmd_stress_energy)
 
     p = sub.add_parser("flux-compare", help="direct versus frequency-domain tensor flux")
-    common(p)
+    flags(p, "config")
     p.set_defaults(func=cmd_flux_compare)
 
     p = sub.add_parser("classical", help="classical (E, B, rho, j) reduction demo")
-    common(p)
+    flags(p, "seed")
     p.add_argument("--configs", type=int, default=3, help="random configurations to test")
     p.add_argument("--samples", type=int, default=5, help="sample points per configuration")
     p.set_defaults(func=cmd_classical)
@@ -604,10 +608,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("points", "configs", "samples"):
+        for flag, least in (("points", 1), ("configs", 1), ("samples", 1), ("seed", 0)):
             value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ScenarioError(f"--{flag} must be at least 1, got {value}")
+            if value is not None and value < least:
+                raise ScenarioError(f"--{flag} must be at least {least}, got {value}")
         return args.func(args)
     except (ScenarioError, GaugeViolation, FieldDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Multivector fields over (k, n) space-time and the differential operator.
 
-Two backends satisfy the same small protocol (``signature``, ``grade``,
-``evaluate``, ``partial_at``):
+Two backends satisfy the same small protocol: ``signature``, ``grade``, the
+batched ``evaluate_components(points)`` giving dense ``(npoints, ncomp)``
+rows in ``component_lists()`` order, and the per-point ``evaluate`` (its
+one-row case, as a multivector) and ``partial_at``:
 
 * ``AnalyticField`` is a finite sum of modes, each the product of a constant
   multivector amplitude, a monomial, a cosine or complex-exponential waveform
@@ -323,24 +325,34 @@ class GridField:
         dense = source.evaluate_components(points)
         return cls(sig, source.grade, origin, spacing, dense.reshape(*counts, -1))
 
-    def _site(self, x: np.ndarray) -> tuple[int, ...]:
-        rel = (x - self.origin) / self.spacing
-        site = np.rint(rel).astype(int)
-        if np.any(np.abs(rel - site) > 1e-8):
-            raise FieldDomainError(f"point {x.tolist()} is not on the sampling lattice")
-        shape = self.values.shape[:-1]
-        if np.any(site < 0) or np.any(site >= np.asarray(shape)):
-            raise FieldDomainError(f"point {x.tolist()} lies outside the sampled lattice")
-        return tuple(int(s) for s in site)
+    def component_lists(self) -> list[tuple[int, ...]]:
+        return list(self._lists)
+
+    def _sites(self, points: np.ndarray) -> np.ndarray:
+        """Lattice sites of the points; the first point off the lattice or
+        outside it raises."""
+        rel = (points - self.origin) / self.spacing
+        sites = np.rint(rel).astype(int)
+        off = np.abs(rel - sites) > 1e-8
+        bad = off | (sites < 0) | (sites >= self.values.shape[:-1])
+        if bad.any():
+            p = int(bad.any(axis=1).argmax())
+            where = "is not on the sampling lattice" if off[p].any() else "lies outside the sampled lattice"
+            raise FieldDomainError(f"point {points[p].tolist()} {where}")
+        return sites
+
+    def evaluate_components(self, points: np.ndarray) -> np.ndarray:
+        """Dense (npoints, ncomp) lattice values in component_lists order."""
+        points = np.asarray(points, dtype=float)
+        return self.values[tuple(self._sites(points).T)]
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
-        point = as_point(self.signature, x)
-        return _dense_multivector(self.signature, self.grade, self._lists,
-                                  self.values[self._site(point)])
+        row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
+        return _dense_multivector(self.signature, self.grade, self._lists, row)
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         point = as_point(self.signature, x)
-        site = self._site(point)
+        site = tuple(int(s) for s in self._sites(point[None, :])[0])
         if site[axis] - 1 < 0 or site[axis] + 1 >= self.values.shape[axis]:
             raise FieldDomainError(f"axis {axis} neighbours of site {site} fall outside the lattice")
         fwd = list(site)

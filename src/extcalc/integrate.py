@@ -3,7 +3,9 @@
 A hypersurface is an axis-aligned box: a set of free axes carrying intervals,
 fixed coordinates on the remaining axes, and an overall orientation sign.
 Integrals are tensor-product Gauss-Legendre quadratures (composite when
-``panels`` is raised), summed in a fixed node order so results are bit-stable.
+``panels`` is raised) taken in one ``weights @ rows(nodes)`` step over dense
+component rows.  Each integrand is a product linear in the field with a fixed
+volume differential, so the product is applied once, after integration.
 
 Boundary faces carry the induced orientation: the face fixing free axis q at
 its upper end is weighted by the sign of the permutation moving q in front of
@@ -15,23 +17,23 @@ with outward normal along the fixed axis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from itertools import combinations_with_replacement
+from typing import Mapping
 
 import numpy as np
 
 from .algebra import (
+    Bitensor,
     GradeError,
     Multivector,
     SpacetimeSignature,
     dot,
     inv_hodge,
     left_interior,
-    right_interior,
     vec_interior_bitensor,
 )
-from .fields import exterior_derivative, interior_derivative, interior_derivative_bitensor
+from .fields import exterior_derivative_field, interior_derivative_bitensor, interior_derivative_field
 
 __all__ = [
     "HypersurfaceBox",
@@ -101,29 +103,21 @@ class HypersurfaceBox:
         return faces
 
     def quadrature(self, points: int = DEFAULT_POINTS, panels: int = 1):
-        """Yield (point, weight) pairs in a fixed deterministic order."""
-        free = self.free_axes
-        rules = [gauss_legendre_rule(*self.intervals[a], points, panels) for a in free]
-        base = np.empty(self.signature.dim)
-        for a, v in self.fixed.items():
-            base[a] = v
-        if not free:
-            yield base.copy(), 1.0
-            return
-        for combo in itertools.product(*(range(len(r[0])) for r in rules)):
-            x = base.copy()
-            w = 1.0
-            for a, (nodes, weights), c in zip(free, rules, combo):
-                x[a] = nodes[c]
-                w *= weights[c]
-            yield x, w
+        """(point, weight) pairs, the rows of ``grid_points``."""
+        return zip(*self.grid_points(points, panels))
 
     def grid_points(self, points: int = DEFAULT_POINTS, panels: int = 1):
-        """Dense (nodes, weights) arrays over the box, for vectorised integrands."""
-        pairs = list(self.quadrature(points, panels))
-        xs = np.array([p for p, _ in pairs])
-        ws = np.array([w for _, w in pairs])
-        return xs, ws
+        """Tensor-product (nodes, weights) arrays, last free axis fastest; each
+        weight multiplies its per-axis weights in free-axis order from 1.0."""
+        rules = [gauss_legendre_rule(*self.intervals[a], points, panels) for a in self.free_axes]
+        weights = np.ones(1)
+        for _, axis_weights in rules:
+            weights = np.multiply.outer(weights, axis_weights).ravel()
+        nodes = np.empty((len(weights), self.signature.dim))
+        nodes[:, list(self.fixed)] = list(self.fixed.values())
+        for a, axis_nodes in zip(self.free_axes, np.meshgrid(*(r[0] for r in rules), indexing="ij")):
+            nodes[:, a] = axis_nodes.ravel()
+        return nodes, weights
 
 
 def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
@@ -139,103 +133,77 @@ def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _integrate_scalar(fn: Callable[[np.ndarray], complex], box: HypersurfaceBox,
-                      points: int, panels: int) -> complex:
-    total: complex = 0.0
-    for x, w in box.quadrature(points, panels):
-        total += w * fn(x)
-    return total
+def _integrate(rows, box: HypersurfaceBox, points: int, panels: int) -> list:
+    """The one quadrature step: weights @ rows(nodes), as Python scalars."""
+    nodes, weights = box.grid_points(points, panels)
+    return (weights @ rows(nodes)).tolist()
 
 
-def _integrate_multivector(fn: Callable[[np.ndarray], Multivector], box: HypersurfaceBox,
-                           grade: int, points: int, panels: int) -> Multivector:
-    total = Multivector.zero(box.signature, grade)
-    for x, w in box.quadrature(points, panels):
-        total = total + fn(x) * w
-    return total
+def _integrated_field(f, box: HypersurfaceBox, points: int, panels: int) -> Multivector:
+    total = _integrate(f.evaluate_components, box, points, panels)
+    return Multivector(box.signature, f.grade, zip(f.component_lists(), total))
 
 
-def circulation(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: int = 1,
-                use_right_interior: bool = False) -> complex:
-    """Circulation of a grade-m field along an m-dimensional box.
-
-    Defined through the dot product of the field with the oriented volume
-    differential; ``use_right_interior`` evaluates the equivalent right
-    interior form instead.
-    """
+def circulation(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: int = 1) -> complex:
+    """Circulation of a grade-m field along an m-dimensional box: the dot
+    product of the oriented volume differential e_S with the integrated field."""
     if box.dim != f.grade:
         raise GradeError(f"circulation needs box dimension {f.grade}, got {box.dim}")
-    return _circulation_of(f.evaluate, box, points, panels, use_right_interior)
-
-
-def _circulation_of(fn_value, box: HypersurfaceBox, points: int, panels: int,
-                    use_right_interior: bool = False) -> complex:
-    blade = box.element_blade()
-    if use_right_interior:
-        fn = lambda x: right_interior(blade, fn_value(x)).scalar_value()
-    else:
-        fn = lambda x: dot(blade, fn_value(x))
-    return _integrate_scalar(fn, box, points, panels)
+    # dot gives the integer 0 when no component meets e_S; keep a float
+    return dot(box.element_blade(), _integrated_field(f, box, points, panels)) + 0.0
 
 
 def flux(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: int = 1) -> Multivector:
-    """Flux of the field across the box: quadrature of the interior product
-    of the inverse-Hodge volume differential with the field.
-
-    Identically zero (and returned as such) when the box dimension is smaller
-    than k + n - grade.
-    """
-    return _flux_of(f.evaluate, f.grade, box, points, panels)
-
-
-def _flux_of(fn_value, value_grade: int, box: HypersurfaceBox, points: int, panels: int) -> Multivector:
+    """Flux of the field across the box: the interior product of the inverse-Hodge
+    volume differential with the integrated field; the zero scalar when the box
+    dimension is smaller than k + n - grade."""
     sig = box.signature
-    grade = value_grade + box.dim - sig.dim
-    if grade < 0:
+    if f.grade + box.dim < sig.dim:
         return Multivector.zero(sig, 0)
-    element = inv_hodge(box.element_blade())
-    return _integrate_multivector(lambda x: left_interior(element, fn_value(x)),
-                                  box, grade, points, panels)
+    return left_interior(inv_hodge(box.element_blade()), _integrated_field(f, box, points, panels))
 
 
 def stokes_circulation_check(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS,
                              panels: int = 1) -> tuple[complex, complex, float]:
     """Boundary circulation of f against interior circulation of its exterior
-    derivative; returns (lhs, rhs, |lhs - rhs|)."""
+    derivative; returns (lhs, rhs, |lhs - rhs|).  Needs an analytic field."""
     if box.dim != f.grade + 1:
         raise GradeError(f"circulation Stokes check needs box dimension {f.grade + 1}, got {box.dim}")
     lhs = sum(circulation(f, face, points, panels) for face in box.boundary_faces())
-    rhs = _circulation_of(lambda x: exterior_derivative(f, x), box, points, panels)
+    rhs = circulation(exterior_derivative_field(f), box, points, panels)
     return lhs, rhs, abs(lhs - rhs)
 
 
 def stokes_flux_check(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS,
                       panels: int = 1) -> tuple[Multivector, Multivector, float]:
-    """Boundary flux of f against interior flux of its interior derivative."""
-    lhs = None
-    for face in box.boundary_faces():
-        term = flux(f, face, points, panels)
-        lhs = term if lhs is None else lhs + term
-    rhs = _flux_of(lambda x: interior_derivative(f, x), f.grade - 1, box, points, panels)
+    """Boundary flux of f against interior flux of its interior derivative.
+    Needs an analytic field."""
+    terms = [flux(f, face, points, panels) for face in box.boundary_faces()]
+    lhs = sum(terms[1:], terms[0])
+    rhs = flux(interior_derivative_field(f), box, points, panels)
     return lhs, rhs, (lhs - rhs).max_abs()
 
 
 def bitensor_stokes_check(tf, box: HypersurfaceBox, points: int = DEFAULT_POINTS,
                           panels: int = 1) -> tuple[Multivector, Multivector, float]:
-    """Stokes identity for a symmetric bitensor field over a full-dimension box.
-
-    The boundary flux contracts the grade-1 inverse-Hodge face element into
-    the bitensor; the interior side integrates its interior derivative."""
+    """Stokes identity for a symmetric bitensor field over a full-dimension box:
+    each face's inverse-Hodge element contracted into the tensor integrated over
+    the face, against the integrated interior derivative (both node by node)."""
     sig = box.signature
     if box.dim != sig.dim:
         raise GradeError("bitensor Stokes check requires a full-dimensional box")
+    pairs = list(combinations_with_replacement(sig.axes(), 2))
+
+    def tensor_rows(nodes):
+        return np.array([[t.get(i, j) for i, j in pairs] for t in map(tf.evaluate, nodes)])
+
+    def divergence_rows(nodes):
+        return np.array([interior_derivative_bitensor(tf, x).vector_components() for x in nodes])
+
     lhs = Multivector.zero(sig, 1)
     for face in box.boundary_faces():
-        element = inv_hodge(face.element_blade())
-        lhs = lhs + _integrate_multivector(
-            lambda x, e=element: vec_interior_bitensor(e, tf.evaluate(x)),
-            face, 1, points, panels)
-    scale = box.orientation  # inverse Hodge of the full-volume blade is the scalar 1
-    rhs = _integrate_multivector(lambda x: interior_derivative_bitensor(tf, x) * scale,
-                                 box, 1, points, panels)
+        tensor = Bitensor(sig, zip(pairs, _integrate(tensor_rows, face, points, panels)))
+        lhs = lhs + vec_interior_bitensor(inv_hodge(face.element_blade()), tensor)
+    # inverse Hodge of the full-volume blade is the scalar orientation
+    rhs = Multivector.vector(sig, _integrate(divergence_rows, box, points, panels)) * box.orientation
     return lhs, rhs, (lhs - rhs).max_abs()

@@ -329,10 +329,8 @@ def integral_maxwell_check(system: MaxwellSystem,
         expected = sig.dim - system.r + 1
         if flux_box.dim != expected:
             raise GradeError(f"flux box must have dimension {expected}")
-        boundary = None
-        for face in flux_box.boundary_faces():
-            term = flux(system.F, face, points, panels)
-            boundary = term if boundary is None else boundary + term
+        terms = [flux(system.F, face, points, panels) for face in flux_box.boundary_faces()]
+        boundary = sum(terms[1:], terms[0])
         through = flux(system.J, flux_box, points, panels)
         flux_res = (boundary - through).max_abs()
     return circ_res, flux_res

@@ -56,7 +56,7 @@ def signature_to_json(sig: SpacetimeSignature) -> dict:
 def signature_from_json(data: Mapping) -> SpacetimeSignature:
     try:
         return SpacetimeSignature(int(data["k"]), int(data["n"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad signature object: {exc}") from exc
 
 
@@ -89,7 +89,7 @@ def multivector_from_json(data: Mapping, sig: SpacetimeSignature | None = None) 
         return Multivector(sig, grade, terms)
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ScenarioError(f"bad multivector object: {exc}") from exc
 
 
@@ -165,7 +165,7 @@ def field_from_json(data: Mapping, sig: SpacetimeSignature):
         raise ScenarioError(f"unknown field backend {backend!r}")
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad field object: {exc}") from exc
 
 
@@ -214,6 +214,9 @@ def scenario_from_json(data: Mapping) -> Scenario:
         sample_points = int(data.get("sample_points", 20))
         if sample_points < 1:
             raise ScenarioError(f"sample_points must be at least 1, got {sample_points}")
+        seed = int(data.get("seed", 0))
+        if seed < 0:
+            raise ScenarioError(f"seed must be at least 0, got {seed}")
         return Scenario(
             signature=sig,
             r=r,
@@ -222,10 +225,10 @@ def scenario_from_json(data: Mapping) -> Scenario:
             A=a_field,
             checks=checks,
             sample_points=sample_points,
-            seed=int(data.get("seed", 0)),
+            seed=seed,
             tol=float(data.get("tol", 1e-8)),
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad scenario object: {exc}") from exc

@@ -1,16 +1,21 @@
 """Test-only helpers: a reference index sort, a component bitensor field, a
-pointwise product-rule residual, and a per-point reference evaluation of
-analytic mode fields.  None of these is used by the package."""
+pointwise product-rule residual, a per-point reference evaluation of
+analytic mode fields, and per-node reference quadratures.  None of these is
+used by the package."""
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from extcalc.algebra import Bitensor, Multivector, SpacetimeSignature, dot, left_interior
+import numpy as np
+
+from extcalc.algebra import Bitensor, Multivector, SpacetimeSignature, dot, inv_hodge, left_interior
 from extcalc.fields import AnalyticField, exterior_derivative, interior_derivative
+from extcalc.integrate import gauss_legendre_rule
 
 
 def sort_with_sign(indices: Iterable[int], dim: int | None = None) -> tuple[tuple[int, ...], int]:
@@ -107,4 +112,41 @@ def reference_evaluate(field: AnalyticField, x: Sequence[float]) -> Multivector:
     total = Multivector.zero(field.signature, field.grade)
     for mode in field.modes:
         total = total + mode.amplitude * reference_mode_factor(mode, x)
+    return total
+
+
+def reference_grid(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The box's quadrature nodes and weights built one node at a time over
+    itertools.product of the per-axis rules, last free axis fastest, each
+    weight multiplied up in free-axis order from 1.0."""
+    free = box.free_axes
+    rules = [gauss_legendre_rule(*box.intervals[a], points, panels) for a in free]
+    nodes, weights = [], []
+    for combo in itertools.product(*(range(len(r[0])) for r in rules)):
+        x = np.empty(box.signature.dim)
+        for a, v in box.fixed.items():
+            x[a] = v
+        w = 1.0
+        for a, (axis_nodes, axis_weights), c in zip(free, rules, combo):
+            x[a] = axis_nodes[c]
+            w *= axis_weights[c]
+        nodes.append(x)
+        weights.append(w)
+    return np.array(nodes), np.array(weights)
+
+
+def reference_circulation(f, box, points: int = 8, panels: int = 1) -> complex:
+    """Sum over nodes of w dot(e_S, F(x))."""
+    blade = box.element_blade()
+    return sum(w * dot(blade, f.evaluate(x)) for x, w in zip(*reference_grid(box, points, panels)))
+
+
+def reference_flux(f, box, points: int = 8, panels: int = 1) -> Multivector:
+    """Sum over nodes of w left_interior(inv_hodge(e_S), F(x))."""
+    element = inv_hodge(box.element_blade())
+    terms = [left_interior(element, f.evaluate(x)) * w
+             for x, w in zip(*reference_grid(box, points, panels))]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
     return total

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extcalc.algebra import Multivector, SpacetimeSignature
 from extcalc.cli import main
@@ -204,6 +207,14 @@ def assert_usage_error(code, out, err):
     ("flux-compare", "slice_panels", 0),
     ("classical", "--samples", 0),
     ("classical", "--configs", 0),
+    ("maxwell-check", "seed", -1),
+    ("maxwell-check", "--seed", -1),
+    ("stress-energy", "--seed", -1),
+    ("classical", "--seed", -1),
+    ("maxwell-check", "seed", math.inf),
+    ("stress-energy", "sample_points", math.inf),
+    ("maxwell-check", "r", -math.inf),
+    ("flux-compare", "slice_points", math.inf),
 ])
 def test_bad_scenario_numbers_exit_2(capsys, tmp_path, command, key, value):
     scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"
@@ -237,3 +248,69 @@ def test_mismatched_grid_source_exits_2(capsys, tmp_path):
     path = tmp_path / "mismatched.json"
     path.write_text(canonical_dumps(scenario))
     assert_usage_error(*run(capsys, "maxwell-check", "--config", str(path)))
+
+
+def test_grid_field_in_an_integral_check_exits_2(capsys, tmp_path):
+    # quadrature nodes are off the lattice, so the batched lattice read fails closed
+    from extcalc.fields import GridField, exterior_derivative_field, plane_wave
+    from extcalc.serialize import canonical_dumps, field_to_json
+
+    sig = SpacetimeSignature(1, 2)
+    f_field = exterior_derivative_field(plane_wave(Multivector.blade(sig, (2,)), (0.5, 0.5, 0.0)))
+    scenario = {
+        "signature": {"k": 1, "n": 2},
+        "r": 2,
+        "F": field_to_json(GridField.sample(f_field, (-1.0,) * 3, (0.25,) * 3, (9,) * 3)),
+        "J": None,
+        "A": None,
+        "checks": ["integral"],
+        "sample_points": 5,
+        "seed": 3,
+        "tol": 1e-2,
+    }
+    path = tmp_path / "grid_integral.json"
+    path.write_text(canonical_dumps(scenario))
+    assert_usage_error(*run(capsys, "maxwell-check", "--config", str(path)))
+
+
+# each command declares only the flags it reads; any other flag is a usage error
+@pytest.mark.parametrize("command,flag,value", [
+    ("verify-identities", "--points", "4"),
+    ("verify-identities", "--config", "x.json"),
+    ("verify-identities", "--seed", "3"),
+    ("stress-energy", "--points", "4"),
+    ("flux-compare", "--points", "4"),
+    ("flux-compare", "--seed", "3"),
+    ("classical", "--points", "4"),
+    ("classical", "--config", "x.json"),
+])
+def test_unread_flags_exit_2(capsys, command, flag, value):
+    config = [] if command in ("verify-identities", "classical") else \
+        ["--config", str(SCENARIOS / ("flux_compare_11.json" if command == "flux-compare"
+                                      else "vacuum_plane_wave.json"))]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *config, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
+VACUUM = json.loads((SCENARIOS / "vacuum_plane_wave.json").read_text())
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3, 40)
+               | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=4))
+JSON_VALUES = (JSON_LEAVES | st.lists(JSON_LEAVES, max_size=3)
+               | st.dictionaries(st.text(max_size=4), JSON_LEAVES, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["maxwell-check", "stress-energy"]), st.sampled_from(sorted(VACUUM)),
+       JSON_VALUES)
+def test_scenario_fuzz_exits_0_1_or_2(tmp_path_factory, command, key, value):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps({**VACUUM, key: value}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert_usage_error(code, out.getvalue(), err.getvalue())

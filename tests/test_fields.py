@@ -248,6 +248,17 @@ def test_grid_evaluate_and_errors():
         grid.evaluate((2.0, 0.0, 0.0))  # outside
     with pytest.raises(FieldDomainError):
         grid.partial_at(0, (-0.5, 0.0, 0.0))  # boundary site has no lower neighbour
+    # batched lattice reads: row by row equal to evaluate, in component_lists order
+    sites = np.array([[-0.5, -0.5, -0.5], [0.5, 0.25, -0.25], x, [0.0, 0.5, 0.0]])
+    rows = grid.evaluate_components(sites)
+    assert rows.shape == (4, 3) and grid.component_lists() == [(0,), (1,), (2,)]
+    for point, row in zip(sites, rows):
+        assert row.tolist() == [grid.evaluate(point).coeff(idx) for idx in grid.component_lists()]
+    # the first bad point raises, off the lattice or out of range
+    with pytest.raises(FieldDomainError, match=r"\[0\.1, 0\.0, 0\.0\] is not on the sampling lattice"):
+        grid.evaluate_components(np.array([x, (0.1, 0.0, 0.0), (2.0, 0.0, 0.0)]))
+    with pytest.raises(FieldDomainError, match=r"\[2\.0, 0\.0, 0\.0\] lies outside the sampled lattice"):
+        grid.evaluate_components(np.array([x, (2.0, 0.0, 0.0), (0.1, 0.0, 0.0)]))
 
 
 def test_grid_rejects_imaginary_parts():

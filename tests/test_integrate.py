@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from extcalc.algebra import GradeError, Multivector, SpacetimeSignature
+from extcalc.algebra import GradeError, Multivector, SpacetimeSignature, dot, right_interior
 from extcalc.fields import (
     AnalyticField,
     GaussianEnvelope,
@@ -22,7 +22,7 @@ from extcalc.integrate import (
     stokes_flux_check,
 )
 
-from _support import ComponentBitensorField
+from _support import ComponentBitensorField, reference_circulation, reference_flux, reference_grid
 
 EUC2 = SpacetimeSignature(0, 2)
 EUC3 = SpacetimeSignature(0, 3)
@@ -31,6 +31,22 @@ MINK2 = SpacetimeSignature(1, 1)
 
 def unit_square(sig=EUC2, orientation=1):
     return HypersurfaceBox(sig, intervals={0: (0.0, 1.0), 1: (0.0, 1.0)}, fixed={}, orientation=orientation)
+
+
+@pytest.mark.parametrize("free", [(1,), (0, 2), (0, 1, 3)])
+def test_grid_points_match_the_product_reference(free):
+    sig = SpacetimeSignature(1, 3)
+    intervals = {a: (-0.3 + 0.1 * a, 0.4 + 0.2 * a) for a in free}
+    fixed = {a: 0.05 * a - 0.1 for a in sig.axes() if a not in free}
+    box = HypersurfaceBox(sig, intervals=intervals, fixed=fixed, orientation=-1)
+    nodes, weights = box.grid_points(points=3, panels=2)
+    ref_nodes, ref_weights = reference_grid(box, points=3, panels=2)
+    assert nodes.shape == ref_nodes.shape == (6 ** len(free), 4)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+    pairs = list(box.quadrature(points=3, panels=2))
+    assert np.array_equal([x for x, _ in pairs], ref_nodes)
+    assert np.array_equal([w for _, w in pairs], ref_weights)
 
 
 def test_gauss_legendre_rule_integrates_polynomials_exactly():
@@ -81,13 +97,43 @@ def test_circulation_of_gradient_around_closed_boundary():
 
 
 def test_circulation_right_interior_form_agrees():
+    # circulation uses dot(e_S, .); on equal grades it is the right interior form
     rng = np.random.default_rng(2)
     amp = Multivector(EUC3, 2, {idx: float(rng.normal()) for idx in EUC3.index_lists(2)})
-    f = plane_wave(amp, xi=(0.3, -0.2, 0.5))
     box = HypersurfaceBox(EUC3, intervals={0: (0, 1), 2: (-0.5, 0.5)}, fixed={1: 0.25})
-    a = circulation(f, box)
-    b = circulation(f, box, use_right_interior=True)
-    assert a == pytest.approx(b, abs=1e-12)
+    for blade in (box.element_blade(), -1 * box.element_blade()):
+        assert dot(blade, amp) == right_interior(blade, amp).scalar_value()
+
+
+def _mode_fields(sig, grade, rng):
+    """One field per waveform family: cos, exp, monomial and envelope."""
+    def amp():
+        return Multivector(sig, grade, {idx: float(rng.normal()) for idx in sig.index_lists(grade)})
+
+    xi = tuple(rng.uniform(-0.8, 0.8, sig.dim))
+    return {
+        "cos": plane_wave(amp(), xi, phase=0.3),
+        "exp": plane_wave(amp() * (1 - 0.5j), xi, waveform="exp"),
+        "monomial": AnalyticField(sig, grade, [Mode(amplitude=amp(), poly=(1, 0, 2, 0)[:sig.dim],
+                                                    poly_center=(0.1,) * sig.dim),
+                                               Mode(amplitude=amp(), xi=xi, poly=(0, 1, 0, 1)[:sig.dim])]),
+        "envelope": plane_wave(amp(), xi, phase=1.1,
+                               envelope=GaussianEnvelope(center=(0.2,) * sig.dim, width=0.7)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["cos", "exp", "monomial", "envelope"])
+def test_circulation_and_flux_match_per_node_reference(kind):
+    sig = SpacetimeSignature(1, 3)
+    f = _mode_fields(sig, 2, np.random.default_rng(31))[kind]
+    circ_box = HypersurfaceBox(sig, intervals={0: (-0.2, 0.4), 2: (0.1, 0.5)}, fixed={1: 0.3, 3: -0.1})
+    flux_box = HypersurfaceBox(sig, intervals={0: (-0.2, 0.4), 1: (-0.5, 0.1), 3: (0.0, 0.3)},
+                               fixed={2: 0.2}, orientation=-1)
+    got, want = circulation(f, circ_box, points=5, panels=2), reference_circulation(f, circ_box, 5, 2)
+    assert want != 0 and abs(got - want) <= 1e-12 * abs(want)
+    got, want = flux(f, flux_box, points=5, panels=2), reference_flux(f, flux_box, 5, 2)
+    assert got.grade == want.grade == 1 and want.max_abs() > 0
+    assert (got - want).max_abs() <= 1e-12 * want.max_abs()
 
 
 # ---------------------------------------------------------------------------
