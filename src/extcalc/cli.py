@@ -43,6 +43,7 @@ from .fields import (
     Mode,
     exterior_derivative_field,
     interior_derivative,
+    interior_derivative_field,
 )
 from .integrate import HypersurfaceBox
 from .maxwell import (
@@ -62,8 +63,10 @@ from .serialize import (
     ScenarioError,
     bitensor_to_json,
     canonical_dumps,
+    json_int,
     multivector_to_json,
     scenario_from_json,
+    signature_from_json,
     signature_to_json,
 )
 
@@ -400,26 +403,23 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
     raise ScenarioError(f"unknown spectrum kind {kind!r}")
 
 
-def _count(data: dict, key: str, default: int) -> int:
-    value = int(data.get(key, default))
-    if value < 1:
-        raise ScenarioError(f"{key} must be at least 1, got {value}")
-    return value
-
-
 def cmd_flux_compare(args) -> int:
     if not args.config:
         raise ScenarioError("--config PATH is required for this command")
     data = _load_config(args.config)
     try:
-        sig = SpacetimeSignature(int(data["signature"]["k"]), int(data["signature"]["n"]))
-        r = int(data["r"])
-        axis = int(data["axis"])
+        sig = signature_from_json(data["signature"])
+        r = json_int(data["r"], "r")
+        axis = json_int(data["axis"], "axis")
         coordinate = float(data.get("coordinate", 0.0))
         region = {int(a): (float(lo), float(hi)) for a, (lo, hi) in data["region"].items()}
         slice_bounds = {int(a): (float(lo), float(hi)) for a, (lo, hi) in data["slice_bounds"].items()}
+        others = set(sig.axes()) - {axis}
+        if axis not in sig.axes() or set(region) != others or set(slice_bounds) != others:
+            raise ScenarioError(f"axis must be one of {list(sig.axes())}, and region and "
+                                f"slice_bounds must bound every other axis")
         freq_points, freq_panels, slice_points, slice_panels = (
-            _count(data, key, default) for key, default in
+            json_int(data.get(key, default), key, least=1) for key, default in
             (("freq_points", 24), ("freq_panels", 2), ("slice_points", 8), ("slice_panels", 16)))
         tol = args.tol if args.tol is not None else float(data.get("tol", 0.01))
         a_hat = _bump_factory(data["spectrum"], sig, axis, r)
@@ -437,8 +437,9 @@ def cmd_flux_compare(args) -> int:
     rel_err = (direct - fourier).max_abs() / scale if scale > 0 else direct.max_abs()
     # pointwise Lorenz residual of the synthesized potential, for the record
     rng = np.random.default_rng(0)
-    gauge_max = _max(*(interior_derivative(potential, x).max_abs()
-                       for x in rng.uniform(-1.0, 1.0, size=(10, sig.dim))))
+    divergence = interior_derivative_field(potential).evaluate_components(
+        rng.uniform(-1.0, 1.0, size=(10, sig.dim)))
+    gauge_max = float(np.abs(divergence).max())
     passed = rel_err <= tol
     report = {
         "command": "flux-compare",

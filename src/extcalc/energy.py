@@ -49,7 +49,7 @@ from .fields import (
     interior_derivative,
     interior_derivative_bitensor,
 )
-from .integrate import DEFAULT_POINTS, HypersurfaceBox
+from .integrate import DEFAULT_POINTS, HypersurfaceBox, gauss_legendre_rule
 
 __all__ = [
     "lorentz_force",
@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 CHI_EPS = 1e-8
+# modes per row block of the slice-flux Gram accumulation
+_GRAM_BLOCK = 16
 
 
 class GaugeViolation(ValueError):
@@ -315,34 +317,66 @@ def _envelope_bounds(field, axis: int, cutoff: float = 1e-12) -> dict[int, tuple
     return bounds
 
 
+def _slice_moments(rows: np.ndarray, const: np.ndarray, axes) -> np.ndarray:
+    """Q[p, q] = sum over the slice nodes of w F_p F_q, from per-axis Grams.
+
+    F = sum_m rows[m] Re(c_m prod_a E_a[m]) on the tensor-product rule whose
+    per-axis (factors E_a, weights w_a) pairs are ``axes``.  With
+    Re(u) Re(v) = Re(u v + u conj(v)) / 2 and the weight a product over axes,
+    each pair of modes integrates to
+    Re(c_m c_n prod_a G+_a[m, n] + conj(c_m) c_n prod_a conj(G-_a[m, n])) / 2
+    with G+_a = (E_a w_a) E_a^T and conj(G-_a) = conj(E_a w_a) E_a^T.  Rows
+    of modes are taken ``_GRAM_BLOCK`` at a time, so memory stays at one
+    block times the mode count.
+    """
+    nmodes, ncomp = rows.shape
+    moments = np.zeros((ncomp, ncomp))
+    for lo in range(0, nmodes, _GRAM_BLOCK):
+        blk = slice(lo, lo + _GRAM_BLOCK)
+        plus = np.ones((len(const[blk]), nmodes), dtype=complex)
+        minus = np.ones_like(plus)
+        for factors, weights in axes:
+            left = factors[blk] * weights
+            plus *= left @ factors.T
+            minus *= left.conj() @ factors.T
+        pair = 0.5 * (const * (const[blk, None] * plus + const[blk, None].conj() * minus)).real
+        moments += rows[blk].T @ (pair @ rows)
+    return moments
+
+
 def flux_T_direct(f_field, axis: int, coordinate: float,
                   bounds: Mapping[int, tuple[float, float]] | None = None,
                   points: int = DEFAULT_POINTS, panels: int = 1) -> Multivector:
     """Stress-tensor flux across the constant-coordinate slice, by quadrature.
 
-    Integrates the tensor column T_(i, axis) over the slice and weights it
-    with the permutation sign of the fixed axis, the half-space boundary
-    element convention.  The column entries are the ``_stress_tables`` triples
-    of ``stress_tensor_explicit``, applied to all slice nodes at once.  The
-    field must be analytic (it is evaluated through its mode kernel).  Bounds
-    default to the envelope truncation radii and must be given explicitly for
-    fields without envelopes.
+    Integrates the tensor column T_(i, axis) over the slice with the
+    tensor-product Gauss-Legendre rule and weights it with the permutation
+    sign of the fixed axis, the half-space boundary element convention.  The
+    column is quadratic in the field, so the rule is applied once to every
+    component product, Q[p, q] = sum w F_p F_q, and the ``_stress_tables``
+    triples of ``stress_tensor_explicit`` are applied to Q.  Every mode is a
+    product of one-axis factors, so Q is a per-axis Gram contraction of the
+    field's mode data (``AnalyticField.axis_factors``), not a node-by-node
+    evaluation.  The field must be analytic and real (cosine modes, real
+    amplitudes).  Bounds default to the envelope truncation radii and must be
+    given explicitly for fields without envelopes.
     """
     sig = f_field.signature
     if getattr(f_field, "modes", None) is None:
         raise ValueError("flux_T_direct needs an analytic field with modes; "
                          "grid-backed fields are not supported, with or without bounds")
+    if f_field.is_complex():
+        raise ValueError("flux_T_direct expects a real field; use cosine modes")
     if bounds is None:
         bounds = _envelope_bounds(f_field, axis)
     slice_box = HypersurfaceBox(sig, intervals=dict(bounds), fixed={axis: coordinate})
     if slice_box.dim != sig.dim - 1:
         raise ValueError("slice bounds must cover every axis except the fixed one")
-    nodes, weights = slice_box.grid_points(points, panels)
-    dense = f_field.evaluate_components(nodes)
-    if np.iscomplexobj(dense):
-        if np.max(np.abs(dense.imag)) > 1e-12 * max(1.0, np.max(np.abs(dense.real))):
-            raise ValueError("flux_T_direct expects a real field; use cosine modes")
-        dense = dense.real
+    rules = {a: gauss_legendre_rule(*slice_box.intervals[a], points, panels)
+             for a in slice_box.free_axes}
+    rows, const, factors = f_field.axis_factors(slice_box.fixed,
+                                                {a: nodes for a, (nodes, _) in rules.items()})
+    moments = _slice_moments(rows, const, [(factors[a], rules[a][1]) for a in slice_box.free_axes])
     sign = _axis_sign(sig, axis)
     tables = _stress_tables(sig, f_field.grade)
     out = {}
@@ -351,8 +385,7 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
         if triples is None:
             continue
         pos_a, pos_b, coef = map(np.array, zip(*triples))
-        column = (dense[:, pos_a] * dense[:, pos_b]) @ coef
-        value = sign * float(weights @ column)
+        value = sign * float(moments[pos_a, pos_b] @ coef)
         if value != 0.0:
             out[(i,)] = value
     return Multivector(sig, 1, out)

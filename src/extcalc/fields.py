@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -251,6 +251,37 @@ class AnalyticField:
                 factor *= np.exp(-np.einsum("pi,pi->p", d, d) / two_w2)
             out += np.outer(factor, row)
         return out
+
+    def axis_factors(self, fixed: Mapping[int, float], nodes: Mapping[int, np.ndarray]):
+        """The mode kernel split over axes, for a tensor-product point set.
+
+        Returns the (nmodes, ncomp) amplitude rows, a per-mode complex
+        constant c, and for each axis a in ``nodes`` the (nmodes, len(nodes[a]))
+        factors E_a[m] = exp(j s_ma x) (x - c_ma)^p_ma exp(-(x - e_ma)^2 / 2 w_m^2)
+        of mode m's slope, monomial and envelope on that axis.  c folds
+        exp(j phi_m) with the same factors at the ``fixed`` coordinates, so
+        c_m prod_a E_a[m, i_a] is mode m's exp(j theta) x monomial x envelope
+        at the point with coordinates nodes[a][i_a]; for a cosine mode the
+        factor is its real part.
+        """
+        lists, dtype, arrays = self._mode_arrays()
+        rows = np.array([row for row, *_ in arrays], dtype=dtype).reshape(len(arrays), len(lists))
+
+        def factors(axis: int, x: np.ndarray) -> np.ndarray:
+            out = np.exp(1j * np.multiply.outer([slope[axis] for _, slope, *_ in arrays], x))
+            for m, (*_, monomials, envelope) in enumerate(arrays):
+                for a, power, centre in monomials:
+                    if a == axis:
+                        out[m] *= (x - centre) ** power
+                if envelope is not None:
+                    centre, two_w2 = envelope
+                    out[m] *= np.exp(-(x - centre[axis]) ** 2 / two_w2)
+            return out
+
+        const = np.exp(1j * np.array([phase for _, _, phase, *_ in arrays], dtype=float))
+        for axis, value in fixed.items():
+            const *= factors(axis, np.array([value], dtype=float))[:, 0]
+        return rows, const, {a: factors(a, np.asarray(x, dtype=float)) for a, x in nodes.items()}
 
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         if self.signature != other.signature or self.grade != other.grade:

@@ -17,6 +17,7 @@ from .fields import AnalyticField, GaussianEnvelope, GridField, Mode
 __all__ = [
     "ScenarioError",
     "Scenario",
+    "json_int",
     "signature_to_json",
     "signature_from_json",
     "multivector_to_json",
@@ -31,6 +32,21 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """Malformed scenario or field description."""
+
+
+def json_int(value, name: str, least: int | None = None) -> int:
+    """A JSON integer: an int, or a float with an integral value such as 2.0.
+
+    Bools, other floats (2.5, NaN, infinities) and any other type raise
+    ScenarioError, as does a value below ``least`` when it is given.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if least is not None and value < least:
+        raise ScenarioError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _jsonify(value):
@@ -55,7 +71,9 @@ def signature_to_json(sig: SpacetimeSignature) -> dict:
 
 def signature_from_json(data: Mapping) -> SpacetimeSignature:
     try:
-        return SpacetimeSignature(int(data["k"]), int(data["n"]))
+        return SpacetimeSignature(json_int(data["k"], "k"), json_int(data["n"], "n"))
+    except ScenarioError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad signature object: {exc}") from exc
 
@@ -79,10 +97,10 @@ def multivector_from_json(data: Mapping, sig: SpacetimeSignature | None = None) 
     try:
         if sig is None:
             sig = signature_from_json(data["signature"])
-        grade = int(data["grade"])
+        grade = json_int(data["grade"], "grade")
         terms = {}
         for entry in data.get("terms", []):
-            indices = tuple(int(i) for i in entry["indices"])
+            indices = tuple(json_int(i, "index") for i in entry["indices"])
             re = float(entry.get("re", 0.0))
             im = float(entry.get("im", 0.0))
             terms[indices] = complex(re, im) if im else re
@@ -140,7 +158,7 @@ def field_to_json(field) -> dict:
 
 def field_from_json(data: Mapping, sig: SpacetimeSignature):
     try:
-        grade = int(data["grade"])
+        grade = json_int(data["grade"], "grade")
         backend = data.get("backend", "modes")
         if backend == "modes":
             modes = []
@@ -151,7 +169,7 @@ def field_from_json(data: Mapping, sig: SpacetimeSignature):
                     xi=tuple(float(v) for v in entry.get("xi", [0.0] * sig.dim)),
                     phase=float(entry.get("phase", 0.0)),
                     waveform=entry.get("waveform", "cos"),
-                    poly=tuple(int(p) for p in entry.get("poly", [])),
+                    poly=tuple(json_int(p, "poly") for p in entry.get("poly", [])),
                     poly_center=tuple(float(c) for c in entry.get("poly_center", [])),
                     envelope=_envelope_from_json(entry.get("envelope"), sig.dim),
                 ))
@@ -198,7 +216,7 @@ VALID_CHECKS = ("differential", "integral", "fourier", "gauge")
 def scenario_from_json(data: Mapping) -> Scenario:
     try:
         sig = signature_from_json(data["signature"])
-        r = int(data["r"])
+        r = json_int(data["r"], "r")
         f_field = field_from_json(data["F"], sig)
         j_field = field_from_json(data["J"], sig) if data.get("J") is not None else None
         a_field = field_from_json(data["A"], sig) if data.get("A") is not None else None
@@ -208,15 +226,13 @@ def scenario_from_json(data: Mapping) -> Scenario:
             if fld is not None and fld.grade != grade:
                 raise ScenarioError(f"{name} has grade {fld.grade}; r = {r} needs grade {grade}")
         checks = tuple(data.get("checks", ["differential"]))
+        if not checks:
+            raise ScenarioError(f"checks must name at least one of {VALID_CHECKS}")
         for check in checks:
             if check not in VALID_CHECKS:
                 raise ScenarioError(f"unknown check {check!r}; valid: {VALID_CHECKS}")
-        sample_points = int(data.get("sample_points", 20))
-        if sample_points < 1:
-            raise ScenarioError(f"sample_points must be at least 1, got {sample_points}")
-        seed = int(data.get("seed", 0))
-        if seed < 0:
-            raise ScenarioError(f"seed must be at least 0, got {seed}")
+        sample_points = json_int(data.get("sample_points", 20), "sample_points", least=1)
+        seed = json_int(data.get("seed", 0), "seed", least=0)
         return Scenario(
             signature=sig,
             r=r,

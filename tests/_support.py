@@ -1,7 +1,7 @@
 """Test-only helpers: a reference index sort, a component bitensor field, a
 pointwise product-rule residual, a per-point reference evaluation of
-analytic mode fields, and per-node reference quadratures.  None of these is
-used by the package."""
+analytic mode fields, per-node reference quadratures and the dense slice
+flux.  None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -13,9 +13,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from extcalc.algebra import Bitensor, Multivector, SpacetimeSignature, dot, inv_hodge, left_interior
+from extcalc.algebra import (
+    Bitensor,
+    Multivector,
+    SpacetimeSignature,
+    dot,
+    inv_hodge,
+    left_interior,
+    merge_with_sign,
+)
+from extcalc.energy import _stress_tables
 from extcalc.fields import AnalyticField, exterior_derivative, interior_derivative
-from extcalc.integrate import gauss_legendre_rule
+from extcalc.integrate import HypersurfaceBox, gauss_legendre_rule
 
 
 def sort_with_sign(indices: Iterable[int], dim: int | None = None) -> tuple[tuple[int, ...], int]:
@@ -150,3 +159,22 @@ def reference_flux(f, box, points: int = 8, panels: int = 1) -> Multivector:
     for term in terms[1:]:
         total = total + term
     return total
+
+
+def reference_flux_T_direct(f_field, axis: int, coordinate: float, bounds,
+                            points: int = 8, panels: int = 1) -> Multivector:
+    """The slice flux by the dense route: every mode evaluated at every node of
+    ``grid_points``, then weights @ each ``_stress_tables`` column, with the
+    permutation sign of moving the fixed axis in front."""
+    sig = f_field.signature
+    box = HypersurfaceBox(sig, intervals=dict(bounds), fixed={axis: coordinate})
+    nodes, weights = box.grid_points(points, panels)
+    dense = f_field.evaluate_components(nodes).real
+    _, sign = merge_with_sign((axis,), tuple(a for a in sig.axes() if a != axis))
+    tables = _stress_tables(sig, f_field.grade)
+    out = {}
+    for i in sig.axes():
+        triples = tables.get((min(i, axis), max(i, axis)), ())
+        column = sum(c * dense[:, a] * dense[:, b] for a, b, c in triples)
+        out[(i,)] = sign * float(weights @ column) if triples else 0.0
+    return Multivector(sig, 1, out)

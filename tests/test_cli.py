@@ -215,6 +215,19 @@ def assert_usage_error(code, out, err):
     ("stress-energy", "sample_points", math.inf),
     ("maxwell-check", "r", -math.inf),
     ("flux-compare", "slice_points", math.inf),
+    pytest.param("maxwell-check", "checks", [], id="maxwell-check-checks-empty-list"),
+    pytest.param("maxwell-check", "checks", "", id="maxwell-check-checks-empty-string"),
+    ("maxwell-check", "sample_points", 2.5),
+    ("maxwell-check", "r", 2.9),
+    ("maxwell-check", "seed", True),
+    ("stress-energy", "seed", 1.5),
+    ("maxwell-check", "sample_points", "3"),
+    ("flux-compare", "slice_points", 8.7),
+    ("flux-compare", "freq_panels", True),
+    ("flux-compare", "r", 1.5),
+    ("flux-compare", "axis", 0.5),
+    ("flux-compare", "axis", 5),
+    ("flux-compare", "axis", 1),
 ])
 def test_bad_scenario_numbers_exit_2(capsys, tmp_path, command, key, value):
     scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"
@@ -224,6 +237,43 @@ def test_bad_scenario_numbers_exit_2(capsys, tmp_path, command, key, value):
     else:
         argv = ["--config", _edited_vacuum(tmp_path, lambda data: data.update({key: value}), scenario)]
     assert_usage_error(*run(capsys, command, *argv))
+
+
+def _set(path, value):
+    """An edit setting the entry at a key path such as ("F", "modes", 0, "poly")."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+# integers nested in the signature and the field objects are validated the same way
+@pytest.mark.parametrize("command,path,value", [
+    ("maxwell-check", ("signature", "k"), 1.5),
+    ("maxwell-check", ("F", "grade"), 2.5),
+    ("maxwell-check", ("F", "modes", 0, "amplitude", "grade"), 2.5),
+    ("maxwell-check", ("F", "modes", 0, "amplitude", "terms", 0, "indices"), [0.5, 2]),
+    ("stress-energy", ("F", "modes", 0, "poly"), [0, 0, 0, 0.5]),
+    ("flux-compare", ("signature", "k"), 1.5),
+    ("flux-compare", ("signature", "n"), True),
+])
+def test_non_integer_nested_numbers_exit_2(capsys, tmp_path, command, path, value):
+    scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"
+    config = _edited_vacuum(tmp_path, _set(path, value), scenario)
+    assert_usage_error(*run(capsys, command, "--config", config))
+
+
+def test_integral_floats_read_as_integers(capsys, tmp_path):
+    def as_floats(data):
+        for key in ("r", "sample_points", "seed"):
+            data[key] = float(data[key])
+        data["signature"] = {"k": 1.0, "n": 3.0}
+        data["F"]["grade"] = 2.0
+
+    want = run(capsys, "maxwell-check", "--config", str(SCENARIOS / "vacuum_plane_wave.json"))
+    assert want[0] == 0
+    assert run(capsys, "maxwell-check", "--config", _edited_vacuum(tmp_path, as_floats)) == want
 
 
 def test_mismatched_grid_source_exits_2(capsys, tmp_path):

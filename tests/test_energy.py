@@ -38,6 +38,8 @@ from extcalc.fields import (
 from extcalc.integrate import HypersurfaceBox, bitensor_stokes_check, gauss_legendre_rule
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, classical_pack
 
+from _support import reference_flux_T_direct
+
 EUC3 = SpacetimeSignature(0, 3)
 M11 = SpacetimeSignature(1, 1)
 M12 = SpacetimeSignature(1, 2)
@@ -345,6 +347,52 @@ def test_flux_direct_integrates_the_explicit_tensor(k, n, r):
             assert abs(got.coeff((i,)) - want[i]) <= 1e-12 * scale
 
 
+def random_slice_field(sig, grade, rng, kind, nmodes=3):
+    """Real modes of one kind: plain cosines, cosines times a monomial around a
+    non-zero centre, enveloped cosines, or all three factors at once."""
+    modes = []
+    for _ in range(nmodes):
+        poly, centre, envelope = (), (), None
+        if kind in ("monomial", "mixed"):
+            poly = tuple(int(p) for p in rng.integers(0, 3, sig.dim))
+            centre = tuple(rng.uniform(-0.5, 0.5, sig.dim))
+        if kind in ("envelope", "mixed"):
+            envelope = GaussianEnvelope(center=tuple(rng.uniform(-0.3, 0.3, sig.dim)),
+                                        width=float(rng.uniform(0.5, 1.0)))
+        modes.append(Mode(amplitude=random_mv(sig, grade, rng), xi=tuple(rng.uniform(-0.9, 0.9, sig.dim)),
+                          phase=float(rng.uniform(0, 2 * math.pi)), poly=poly, poly_center=centre,
+                          envelope=envelope))
+    return AnalyticField(sig, grade, modes)
+
+
+def assert_matches_dense_flux(f, axis, bounds, points, panels):
+    got = flux_T_direct(f, axis, 0.3, bounds=bounds, points=points, panels=panels)
+    want = reference_flux_T_direct(f, axis, 0.3, bounds, points=points, panels=panels)
+    scale = want.max_abs()
+    assert scale > 0
+    assert (got - want).max_abs() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["cos", "monomial", "envelope", "mixed"])
+@pytest.mark.parametrize("k,n,r", [(1, 1, 1), (1, 2, 2), (1, 3, 2)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_flux_direct_matches_the_dense_reference(kind, k, n, r, axis):
+    # 1-, 2- and 3-dimensional slices, composite rules
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng([k, n, r, axis, len(kind)])
+    f = random_slice_field(sig, r, rng, kind)
+    bounds = {a: (-1.0, 1.2) for a in sig.axes() if a != axis}
+    assert_matches_dense_flux(f, axis, bounds, points=4, panels=2)
+
+
+def test_flux_direct_matches_the_dense_reference_across_mode_blocks():
+    # 60 modes span four blocks of the Gram accumulation, the last one partial
+    rng = np.random.default_rng(61)
+    f = random_slice_field(M12, 2, rng, "mixed", nmodes=60)
+    assert len(f.modes) == 60
+    assert_matches_dense_flux(f, 1, {0: (-1.5, 1.0), 2: (-1.0, 1.2)}, points=5, panels=3)
+
+
 def test_flux_direct_rejects_grid_fields():
     source = plane_wave(Multivector.blade(M11, (1,)), (0.0, 1.0))
     grid = GridField.sample(source, origin=(-1.0, -1.0), spacing=(0.5, 0.5), counts=(5, 5))
@@ -354,10 +402,13 @@ def test_flux_direct_rejects_grid_fields():
 
 
 def test_flux_direct_rejects_complex_field():
-    f = plane_wave(Multivector.blade(M11, (1,)), (0.0, 1.0), waveform="exp",
-                   envelope=GaussianEnvelope(center=(0.0, 0.0), width=1.0))
-    with pytest.raises(ValueError):
-        flux_T_direct(f, 0, 0.0)
+    env = GaussianEnvelope(center=(0.0, 0.0), width=1.0)
+    f = plane_wave(Multivector.blade(M11, (1,)), (0.0, 1.0), waveform="exp", envelope=env)
+    # a complex field is rejected even where its values on the slice are real
+    flat = plane_wave(Multivector.blade(M11, (1,)), (0.0, 0.0), waveform="exp", envelope=env)
+    for field in (f, flat):
+        with pytest.raises(ValueError, match="expects a real field"):
+            flux_T_direct(field, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
