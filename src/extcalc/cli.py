@@ -415,9 +415,10 @@ def cmd_flux_compare(args) -> int:
         region = {int(a): (float(lo), float(hi)) for a, (lo, hi) in data["region"].items()}
         slice_bounds = {int(a): (float(lo), float(hi)) for a, (lo, hi) in data["slice_bounds"].items()}
         others = set(sig.axes()) - {axis}
-        if axis not in sig.axes() or set(region) != others or set(slice_bounds) != others:
+        if axis not in sig.axes() or set(region) != others or set(slice_bounds) != others \
+                or any(not lo < hi for lo, hi in (*region.values(), *slice_bounds.values())):
             raise ScenarioError(f"axis must be one of {list(sig.axes())}, and region and "
-                                f"slice_bounds must bound every other axis")
+                                f"slice_bounds must bound every other axis by [lo, hi], lo < hi")
         freq_points, freq_panels, slice_points, slice_panels = (
             json_int(data.get(key, default), key, least=1) for key, default in
             (("freq_points", 24), ("freq_panels", 2), ("slice_points", 8), ("slice_panels", 16)))

@@ -248,7 +248,8 @@ def _set(path, value):
     return edit
 
 
-# integers nested in the signature and the field objects are validated the same way
+# integers nested in the signature and the field objects are validated the same
+# way, and so are flux-compare's intervals
 @pytest.mark.parametrize("command,path,value", [
     ("maxwell-check", ("signature", "k"), 1.5),
     ("maxwell-check", ("F", "grade"), 2.5),
@@ -257,8 +258,10 @@ def _set(path, value):
     ("stress-energy", ("F", "modes", 0, "poly"), [0, 0, 0, 0.5]),
     ("flux-compare", ("signature", "k"), 1.5),
     ("flux-compare", ("signature", "n"), True),
+    ("flux-compare", ("region", "1"), [1.6, 0.4]),
+    ("flux-compare", ("slice_bounds", "1"), [3.0, -3.0]),
 ])
-def test_non_integer_nested_numbers_exit_2(capsys, tmp_path, command, path, value):
+def test_bad_nested_config_entries_exit_2(capsys, tmp_path, command, path, value):
     scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"
     config = _edited_vacuum(tmp_path, _set(path, value), scenario)
     assert_usage_error(*run(capsys, command, "--config", config))
