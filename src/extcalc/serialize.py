@@ -72,8 +72,6 @@ def signature_to_json(sig: SpacetimeSignature) -> dict:
 def signature_from_json(data: Mapping) -> SpacetimeSignature:
     try:
         return SpacetimeSignature(json_int(data["k"], "k"), json_int(data["n"], "n"))
-    except ScenarioError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad signature object: {exc}") from exc
 
