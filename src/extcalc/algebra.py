@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 __all__ = [
     "SpacetimeSignature",
     "Multivector",
@@ -266,24 +268,6 @@ class Multivector:
                            {i: c.conjugate() if isinstance(c, complex) else c for i, c in self.terms.items()})
 
     # -- products ------------------------------------------------------------
-
-    def dot(self, other: "Multivector") -> complex:
-        return dot(self, other)
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        return wedge(self, other)
-
-    def left_interior(self, other: "Multivector") -> "Multivector":
-        return left_interior(self, other)
-
-    def right_interior(self, other: "Multivector") -> "Multivector":
-        return right_interior(self, other)
-
-    def hodge(self) -> "Multivector":
-        return hodge(self)
-
-    def inv_hodge(self) -> "Multivector":
-        return inv_hodge(self)
 
     def __xor__(self, other: "Multivector") -> "Multivector":
         return wedge(self, other)
@@ -560,17 +544,39 @@ class IdentityReport:
         return max(self.residuals.values(), default=0.0)
 
 
-def _unit_blade_table(product, units: dict) -> dict:
-    """Nonzero products of every ordered pair of unit blades, as {(I, J): (K, c)}."""
-    table = {}
-    for I, u in units.items():
-        for J, v in units.items():
+def _unit_products(product, blades: list, units: list, position: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``product`` on every ordered pair of unit blades, as arrays K, C of blade
+    positions and coefficients with product(e_a, e_b) = C[a, b] e_{K[a, b]}.
+
+    A zero product is stored as (0, 0): the scalar blade with coefficient 0.
+    """
+    K, C = [], []
+    for I, u in zip(blades, units):
+        for J, v in zip(blades, units):
             terms = product(u, v).terms
             if len(terms) > 1:
                 raise ValueError(f"{product.__name__}(e_{I}, e_{J}) is not a single blade: {terms}")
-            for K, c in terms.items():
-                table[I, J] = (K, c)
-    return table
+            L, c = next(iter(terms.items()), ((), 0))
+            K.append(position[L])
+            C.append(c)
+    shape = (len(blades), len(blades))
+    return np.reshape(K, shape), np.reshape(C, shape)
+
+
+def _worst(values) -> float:
+    """Largest magnitude, 0 when empty; NaN when any value is NaN, so it fails."""
+    return float(np.abs(values).max(initial=0))
+
+
+def _gap(lhs, *rhs) -> float:
+    """Largest |coefficient| of the term lhs minus the sum of the rhs terms.
+
+    Each term is a pair of broadcastable arrays (blade positions, coefficients)
+    with one single-blade term per grid element.  The coefficient of a blade is
+    the sum over the terms of the element that share it.
+    """
+    terms = [lhs, *((K, -C) for K, C in rhs)]
+    return _worst([_worst(sum(np.where(K == Ki, C, 0) for K, C in terms)) for Ki, _ in terms])
 
 
 def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = IDENTITY_DIM_CAP,
@@ -581,11 +587,13 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
     the wedge/interior dot expansion, double-interior associativity and
     antisymmetry, the interior-of-wedge expansion, and the triple-product
     equalities.  The suite tabulates the public ``wedge``, ``left_interior``,
-    ``right_interior`` and ``dot`` once on every pair of unit blades and runs
-    every identity against those tables, so it certifies the products the
-    rest of the package calls.  ``hodge`` and ``inv_hodge`` are interior
-    products with the volume blade, so they are covered through the
-    interiors.  Blade coefficients are integers, so residuals are exact.
+    ``right_interior`` and ``dot`` once on every pair of unit blades, into
+    integer arrays indexed by blade position, and evaluates each identity as
+    gathers over those arrays on the grid of blades it quantifies over.  So it
+    certifies the products the rest of the package calls.  ``hodge`` and
+    ``inv_hodge`` are interior products with the volume blade, so they are
+    covered through the interiors.  Blade coefficients are integers, so
+    residuals are exact; a NaN or infinite coefficient fails the run.
 
     ``wedge_sign_fn`` maps two index lists to (merged, sign) and replaces the
     wedge table; it exists so a test harness can inject a corrupted product
@@ -595,104 +603,77 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
     if dim > max_dim:
         raise ValueError(
             f"identity suite refused: dimension {dim} exceeds cap {max_dim}; raise max_dim explicitly")
-    blades_by_grade = [list(sig.index_lists(m)) for m in range(dim + 1)]
-    vectors = blades_by_grade[1]
-    units = {I: Multivector.blade(sig, I) for blades in blades_by_grade for I in blades}
+    # blades in grade order: the scalar at position 0, the vectors at 1..dim
+    blades = [I for m in range(dim + 1) for I in sig.index_lists(m)]
+    units = [Multivector.blade(sig, I) for I in blades]
+    position = {I: a for a, I in enumerate(blades)}
+    size = len(blades)
     if wedge_sign_fn is None:
-        wedge_t = _unit_blade_table(wedge, units)
+        Kw, Cw = _unit_products(wedge, blades, units, position)
     else:
-        wedge_t = {}
-        for I in units:
-            for J in units:
-                K, s = wedge_sign_fn(I, J)
-                if s:
-                    wedge_t[I, J] = (K, s)
-    lint_t = _unit_blade_table(left_interior, units)
-    rint_t = _unit_blade_table(right_interior, units)
-    dot_t = {(I, J): dot(u, v) for I, u in units.items() for J, v in units.items() if len(I) == len(J)}
-
-    def tabulated(table):
-        def product(I, J, scale=1):
-            K, c = table.get((I, J), ((), 0))
-            return K, c * scale
-        return product
-
-    wedge_b, lint, rint = tabulated(wedge_t), tabulated(lint_t), tabulated(rint_t)
-
-    def bdot(I, J, scale=1):
-        return dot_t.get((I, J), 0) * scale
-
-    def gap(lhs, *rhs):
-        """Largest |coefficient| of the term lhs minus the sum of the rhs terms."""
-        K, c = lhs
-        out = {K: c}
-        for K, c in rhs:
-            out[K] = out.get(K, 0) - c
-        return max(map(abs, out.values()))
-
-    residuals = {name: 0 for name in (
-        "wedge_skew", "interior_transpose", "wedge_dot_expansion",
-        "double_interior_assoc", "double_interior_antisym",
-        "interior_of_wedge", "triple_product")}
-    checks = 0
-
-    def bump(name, value):
-        nonlocal checks
-        checks += 1
-        value = abs(value)
-        if value > residuals[name]:
-            residuals[name] = value
+        signed = [wedge_sign_fn(I, J) for I in blades for J in blades]
+        Kw = np.reshape([position[K] if s else 0 for K, s in signed], (size, size))
+        Cw = np.reshape([s for _, s in signed], (size, size))
+    Kl, Cl = _unit_products(left_interior, blades, units, position)
+    Kr, Cr = _unit_products(right_interior, blades, units, position)
+    D = np.reshape([dot(u, v) if len(I) == len(J) else 0
+                    for I, u in zip(blades, units) for J, v in zip(blades, units)], (size, size))
+    grade = np.array([len(I) for I in blades])
+    sign = (-1) ** grade
+    vec = np.arange(1, dim + 1)
 
     # wedge skew-commutativity and interior transpose, over all blade pairs
-    for gu in range(dim + 1):
-        for gv in range(dim + 1):
-            swap_wedge = (-1) ** (gu * gv)
-            swap_int = (-1) ** (gu * (gu + gv))
-            for I in blades_by_grade[gu]:
-                for J in blades_by_grade[gv]:
-                    bump("wedge_skew", gap(wedge_b(I, J), wedge_b(J, I, swap_wedge)))
-                    bump("interior_transpose", gap(lint(I, J), rint(J, I, swap_int)))
+    gu, gv = grade[:, None], grade[None, :]
+    wedge_skew = _gap((Kw, Cw), (Kw.T, (-1) ** (gu * gv) * Cw.T))
+    interior_transpose = _gap((Kl, Cl), (Kr.T, (-1) ** (gu * (gu + gv)) * Cr.T))
 
-    # identities with one or two blades of every grade r and basis vectors
+    # basis vectors vi, vj and a blade W of every grade r
+    vi, W, vj = vec[:, None, None], np.arange(size)[:, None], vec
+    Li, ci = Kl[vi, W], Cl[vi, W]
+    # vi lint (vj ^ W) = (-1)^r (vi . vj) W + vj ^ (vi lint W)
+    K = Kw[vj, W]
+    interior_of_wedge = _gap((Kl[vi, K], Cl[vi, K] * Cw[vj, W]),
+                             (W, sign[W] * D[vi, vj]), (Kw[vj, Li], Cw[vj, Li] * ci))
+    # vi lint (W rint vj) = (vi lint W) rint vj
+    K = Kr[W, vj]
+    double_interior_assoc = _gap((Kl[vi, K], Cl[vi, K] * Cr[W, vj]), (Kr[Li, vj], Cr[Li, vj] * ci))
+    # vi lint (vj lint W) = -vj lint (vi lint W)
+    Lj, cj = Kl[vj, W], Cl[vj, W]
+    double_interior_antisym = _gap((Kl[vi, Lj], Cl[vi, Lj] * cj), (Kl[vj, Li], -Cl[vj, Li] * ci))
+
+    # basis vectors vi, vj and blades W, Wp of one grade r:
+    # (vi ^ W) . (Wp ^ vj) = (-1)^r (vi . vj)(W . Wp) + (vj lint W) . (Wp rint vi)
+    # (one grade at a time keeps the d^2 C(d, r)^2 grid small)
+    vi, vj = vec[:, None, None, None], vec[:, None, None]
+    per_grade = []
     for r in range(dim + 1):
-        r_blades = blades_by_grade[r]
-        sign_r = (-1) ** r
-        for vi in vectors:
-            for W in r_blades:
-                Li, ci = lint(vi, W)
-                for vj in vectors:
-                    # vi lint (vj ^ W) = (-1)^r (vi . vj) W + vj ^ (vi lint W)
-                    bump("interior_of_wedge", gap(lint(vi, *wedge_b(vj, W)),
-                                                  (W, sign_r * bdot(vi, vj)), wedge_b(vj, Li, ci)))
-                    # vi lint (W rint vj) = (vi lint W) rint vj
-                    bump("double_interior_assoc", gap(lint(vi, *rint(W, vj)), rint(Li, vj, ci)))
-                    # vi lint (vj lint W) = -vj lint (vi lint W)
-                    Lj, cj = lint(vj, W)
-                    bump("double_interior_antisym", gap(lint(vi, Lj, cj), lint(vj, Li, -ci)))
+        Wp = np.flatnonzero(grade == r)
+        W = Wp[:, None]
+        per_grade.append(_worst(
+            D[Kw[vi, W], Kw[Wp, vj]] * Cw[vi, W] * Cw[Wp, vj] - sign[W] * D[vi, vj] * D[W, Wp]
+            - D[Kl[vj, W], Kr[Wp, vi]] * Cl[vj, W] * Cr[Wp, vi]))
+    wedge_dot_expansion = _worst(per_grade)
 
-        # (vi ^ W) . (Wp ^ vj) = (-1)^r (vi . vj)(W . Wp) + (vj lint W) . (Wp rint vi)
-        for vi in vectors:
-            for vj in vectors:
-                dot_vv = sign_r * bdot(vi, vj)
-                for W in r_blades:
-                    Lj, cj = lint(vj, W)
-                    K1, s1 = wedge_b(vi, W)
-                    for Wp in r_blades:
-                        K2, s2 = wedge_b(Wp, vj)
-                        Rp, cp = rint(Wp, vi)
-                        bump("wedge_dot_expansion",
-                             bdot(K1, K2, s1 * s2) - dot_vv * bdot(W, Wp) - bdot(Lj, Rp, cj * cp))
+    # basis vector vi, V of grade r - 1 and W of grade r:
+    # (vi ^ V) . W = V . (W rint vi) = vi . (V lint W)
+    V, W = np.nonzero(gu + 1 == gv)
+    vi = vec[:, None]
+    lhs = D[Kw[vi, V], W] * Cw[vi, V]
+    triple_product = _worst([lhs - D[V, Kr[W, vi]] * Cr[W, vi], lhs - D[vi, Kl[V, W]] * Cl[V, W]])
 
-        # triple product: (vi ^ V) . W = V . (W rint vi) = vi . (V lint W)
-        if r >= 1:
-            for vi in vectors:
-                for V in blades_by_grade[r - 1]:
-                    K, s = wedge_b(vi, V)
-                    for W in r_blades:
-                        lhs = bdot(K, W, s)
-                        bump("triple_product", lhs - bdot(V, *rint(W, vi)))
-                        bump("triple_product", lhs - bdot(vi, *lint(V, W)))
-
+    residuals = {
+        "wedge_skew": wedge_skew,
+        "interior_transpose": interior_transpose,
+        "wedge_dot_expansion": wedge_dot_expansion,
+        "double_interior_assoc": double_interior_assoc,
+        "double_interior_antisym": double_interior_antisym,
+        "interior_of_wedge": interior_of_wedge,
+        "triple_product": triple_product,
+    }
+    # one check per element of each grid above, the triple product's counting
+    # twice: 2N^2 + sum_r [3d^2 C(d,r) + d^2 C(d,r)^2 + 2d C(d,r-1) C(d,r)],
+    # summed over r by Vandermonde's identity
+    checks = 2 * size ** 2 + dim ** 2 * (3 * size + math.comb(2 * dim, dim)) \
+        + 2 * dim * math.comb(2 * dim, dim + 1)
     passed = all(v <= tol for v in residuals.values())
-    return IdentityReport(signature=sig, residuals={k: float(v) for k, v in residuals.items()},
-                          checks=checks, passed=passed)
+    return IdentityReport(signature=sig, residuals=residuals, checks=checks, passed=passed)

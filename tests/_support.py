@@ -1,7 +1,8 @@
 """Test-only helpers: a reference index sort, a component bitensor field, a
 pointwise product-rule residual, a per-point reference evaluation of
-analytic mode fields, per-node reference quadratures and the dense slice
-flux.  None of these is used by the package."""
+analytic mode fields, per-node reference quadratures, the dense slice flux
+and the loop form of the identity suite.  None of these is used by the
+package."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from extcalc import algebra
 from extcalc.algebra import (
     Bitensor,
+    IdentityReport,
     Multivector,
     SpacetimeSignature,
     dot,
@@ -178,3 +181,122 @@ def reference_flux_T_direct(f_field, axis: int, coordinate: float, bounds,
         column = sum(c * dense[:, a] * dense[:, b] for a, b, c in triples)
         out[(i,)] = sign * float(weights @ column) if triples else 0.0
     return Multivector(sig, 1, out)
+
+
+def _reference_blade_table(product, units: dict) -> dict:
+    """Nonzero products of every ordered pair of unit blades, as {(I, J): (K, c)}."""
+    table = {}
+    for I, u in units.items():
+        for J, v in units.items():
+            terms = product(u, v).terms
+            if len(terms) > 1:
+                raise ValueError(f"{product.__name__}(e_{I}, e_{J}) is not a single blade: {terms}")
+            for K, c in terms.items():
+                table[I, J] = (K, c)
+    return table
+
+
+def reference_verify_identities(sig: SpacetimeSignature, tol: float = 0.0,
+                                wedge_sign_fn=None) -> IdentityReport:
+    """The identity suite as Python loops over blade tuples.
+
+    Tabulates the products through the ``extcalc.algebra`` module at call
+    time, so a monkeypatched product reaches it exactly as it reaches
+    ``verify_identities``; the two must agree residual for residual.
+    """
+    dim = sig.dim
+    blades_by_grade = [list(sig.index_lists(m)) for m in range(dim + 1)]
+    vectors = blades_by_grade[1]
+    units = {I: Multivector.blade(sig, I) for blades in blades_by_grade for I in blades}
+    if wedge_sign_fn is None:
+        wedge_t = _reference_blade_table(algebra.wedge, units)
+    else:
+        wedge_t = {}
+        for I in units:
+            for J in units:
+                K, s = wedge_sign_fn(I, J)
+                if s:
+                    wedge_t[I, J] = (K, s)
+    lint_t = _reference_blade_table(algebra.left_interior, units)
+    rint_t = _reference_blade_table(algebra.right_interior, units)
+    dot_t = {(I, J): algebra.dot(u, v)
+             for I, u in units.items() for J, v in units.items() if len(I) == len(J)}
+
+    def tabulated(table):
+        def product(I, J, scale=1):
+            K, c = table.get((I, J), ((), 0))
+            return K, c * scale
+        return product
+
+    wedge_b, lint, rint = tabulated(wedge_t), tabulated(lint_t), tabulated(rint_t)
+
+    def bdot(I, J, scale=1):
+        return dot_t.get((I, J), 0) * scale
+
+    def gap(lhs, *rhs):
+        """Largest |coefficient| of the term lhs minus the sum of the rhs terms."""
+        K, c = lhs
+        out = {K: c}
+        for K, c in rhs:
+            out[K] = out.get(K, 0) - c
+        return max(map(abs, out.values()))
+
+    residuals = {name: 0 for name in (
+        "wedge_skew", "interior_transpose", "wedge_dot_expansion",
+        "double_interior_assoc", "double_interior_antisym",
+        "interior_of_wedge", "triple_product")}
+    checks = 0
+
+    def bump(name, value):
+        nonlocal checks
+        checks += 1
+        value = abs(value)
+        if value > residuals[name]:
+            residuals[name] = value
+
+    for gu in range(dim + 1):
+        for gv in range(dim + 1):
+            swap_wedge = (-1) ** (gu * gv)
+            swap_int = (-1) ** (gu * (gu + gv))
+            for I in blades_by_grade[gu]:
+                for J in blades_by_grade[gv]:
+                    bump("wedge_skew", gap(wedge_b(I, J), wedge_b(J, I, swap_wedge)))
+                    bump("interior_transpose", gap(lint(I, J), rint(J, I, swap_int)))
+
+    for r in range(dim + 1):
+        r_blades = blades_by_grade[r]
+        sign_r = (-1) ** r
+        for vi in vectors:
+            for W in r_blades:
+                Li, ci = lint(vi, W)
+                for vj in vectors:
+                    bump("interior_of_wedge", gap(lint(vi, *wedge_b(vj, W)),
+                                                  (W, sign_r * bdot(vi, vj)), wedge_b(vj, Li, ci)))
+                    bump("double_interior_assoc", gap(lint(vi, *rint(W, vj)), rint(Li, vj, ci)))
+                    Lj, cj = lint(vj, W)
+                    bump("double_interior_antisym", gap(lint(vi, Lj, cj), lint(vj, Li, -ci)))
+
+        for vi in vectors:
+            for vj in vectors:
+                dot_vv = sign_r * bdot(vi, vj)
+                for W in r_blades:
+                    Lj, cj = lint(vj, W)
+                    K1, s1 = wedge_b(vi, W)
+                    for Wp in r_blades:
+                        K2, s2 = wedge_b(Wp, vj)
+                        Rp, cp = rint(Wp, vi)
+                        bump("wedge_dot_expansion",
+                             bdot(K1, K2, s1 * s2) - dot_vv * bdot(W, Wp) - bdot(Lj, Rp, cj * cp))
+
+        if r >= 1:
+            for vi in vectors:
+                for V in blades_by_grade[r - 1]:
+                    K, s = wedge_b(vi, V)
+                    for W in r_blades:
+                        lhs = bdot(K, W, s)
+                        bump("triple_product", lhs - bdot(V, *rint(W, vi)))
+                        bump("triple_product", lhs - bdot(vi, *lint(V, W)))
+
+    passed = all(v <= tol for v in residuals.values())
+    return IdentityReport(signature=sig, residuals={k: float(v) for k, v in residuals.items()},
+                          checks=checks, passed=passed)

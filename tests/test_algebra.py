@@ -23,7 +23,7 @@ from extcalc.algebra import (
     wedge,
 )
 
-from _support import sort_with_sign
+from _support import reference_verify_identities, sort_with_sign
 
 MINK = SpacetimeSignature(1, 3)
 EUC3 = SpacetimeSignature(0, 3)
@@ -366,6 +366,84 @@ def test_verify_identities_detects_corruption():
 
     report = verify_identities(SpacetimeSignature(1, 1), wedge_sign_fn=bad_wedge)
     assert not report.passed
+
+
+def _outcome(report):
+    return report.residuals, report.checks, report.passed
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(6) for n in range(6) if 1 <= k + n <= 5])
+def test_verify_identities_matches_loop_reference(k, n):
+    sig = SpacetimeSignature(k, n)
+    report = verify_identities(sig)
+    assert _outcome(report) == _outcome(reference_verify_identities(sig))
+    assert type(report.checks) is int
+    assert all(type(v) is float for v in report.residuals.values())
+
+
+def _flip_public(monkeypatch, name, grades):
+    from extcalc import algebra
+
+    public = getattr(algebra, name)
+
+    def flipped(u, v):
+        out = public(u, v)
+        return -out if (u.grade, v.grade) == grades else out
+
+    monkeypatch.setattr(algebra, name, flipped)
+
+
+def _flip_vector_wedge(I, J):
+    merged, sign = merge_with_sign(I, J)
+    return merged, -sign if len(I) == len(J) == 1 else sign
+
+
+# each corruption must move the same residuals by the same amounts in both forms
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 2)])
+@pytest.mark.parametrize("name,grades", [
+    ("wedge", (1, 2)),
+    ("left_interior", (1, 2)),
+    ("right_interior", (2, 1)),
+    ("dot", (2, 2)),
+    ("wedge_sign_fn", None),
+])
+def test_verify_identities_matches_loop_reference_under_corruption(monkeypatch, k, n, name, grades):
+    sig = SpacetimeSignature(k, n)
+    if grades is None:
+        report = verify_identities(sig, wedge_sign_fn=_flip_vector_wedge)
+        reference = reference_verify_identities(sig, wedge_sign_fn=_flip_vector_wedge)
+    else:
+        _flip_public(monkeypatch, name, grades)
+        report, reference = verify_identities(sig), reference_verify_identities(sig)
+    assert not report.passed
+    assert _outcome(report) == _outcome(reference)
+
+
+def test_verify_identities_fails_on_a_nan_product(monkeypatch):
+    # the loop form dropped a NaN residual and passed; the suite must fail closed
+    from extcalc import algebra
+
+    public = algebra.dot
+
+    def poisoned(u, v):
+        return math.nan if (u.grade, v.grade) == (2, 2) else public(u, v)
+
+    monkeypatch.setattr(algebra, "dot", poisoned)
+    report = verify_identities(SpacetimeSignature(1, 2))
+    assert not report.passed
+    assert math.isnan(report.residuals["wedge_dot_expansion"])
+    assert math.isnan(report.residuals["triple_product"])
+
+
+@pytest.mark.parametrize("k,n,checks", [(1, 0, 18), (1, 1, 120), (1, 3, 2848), (3, 3, 57872)])
+def test_verify_identities_check_counts(k, n, checks):
+    assert verify_identities(SpacetimeSignature(k, n)).checks == checks
+
+
+def test_verify_identities_seven_dimensions_on_request():
+    report = verify_identities(SpacetimeSignature(3, 4), max_dim=7)
+    assert report.passed and report.max_residual == 0
+    assert report.checks == 261794
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def _set(path, value):
 
 
 # integers nested in the signature and the field objects are validated the same
-# way, and so are flux-compare's intervals
+# way, and so are flux-compare's intervals and spectrum
 @pytest.mark.parametrize("command,path,value", [
     ("maxwell-check", ("signature", "k"), 1.5),
     ("maxwell-check", ("F", "grade"), 2.5),
@@ -260,11 +260,28 @@ def _set(path, value):
     ("flux-compare", ("signature", "n"), True),
     ("flux-compare", ("region", "1"), [1.6, 0.4]),
     ("flux-compare", ("slice_bounds", "1"), [3.0, -3.0]),
+    ("flux-compare", ("spectrum", "scale"), 0),
+    ("flux-compare", ("spectrum", "width"), 0),
+    ("flux-compare", ("spectrum", "width"), -0.15),
+    ("flux-compare", ("spectrum", "width"), math.nan),
+    ("flux-compare", ("spectrum", "center"), {"5": 1.0}),
+    ("flux-compare", ("spectrum", "center"), {"-1": 1.0}),
+    ("flux-compare", ("spectrum", "center", "1"), math.inf),
 ])
 def test_bad_nested_config_entries_exit_2(capsys, tmp_path, command, path, value):
     scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"
     config = _edited_vacuum(tmp_path, _set(path, value), scenario)
     assert_usage_error(*run(capsys, command, "--config", config))
+
+
+def test_flux_compare_vanishing_fourier_flux_fails(capsys, tmp_path):
+    # a bump centred far outside the region underflows to an exactly zero spectrum
+    config = _edited_vacuum(tmp_path, _set(("spectrum", "center", "1"), 1000.0), "flux_compare_11")
+    code, out, err = run(capsys, "flux-compare", "--config", config)
+    report = json.loads(out)
+    assert code == 1
+    assert report["flux_fourier"]["terms"] == [] and math.isnan(report["flux_rel_err"])
+    assert report["passed"] is False and "FAIL" in err
 
 
 def test_integral_floats_read_as_integers(capsys, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from extcalc.algebra import GradeError, Multivector, SpacetimeSignature, dot, hodge
+from extcalc.algebra import GradeError, Multivector, SpacetimeSignature, dot, hodge, wedge
 from extcalc.fields import (
     AnalyticField,
     Mode,
@@ -246,7 +246,7 @@ def test_fourier_residuals_zero_xi():
 def test_fourier_null_mode_solves():
     xi = Multivector.vector(MINKOWSKI, (1.0, 0.0, 0.0, 1.0))
     a_hat = Multivector.blade(MINKOWSKI, (2,))
-    f_hat = (2j * math.pi) * xi.wedge(a_hat)
+    f_hat = (2j * math.pi) * wedge(xi, a_hat)
     inhom, hom = fourier_maxwell_residuals(xi, f_hat)
     assert inhom.max_abs() < 1e-12
     assert hom.max_abs() < 1e-12
