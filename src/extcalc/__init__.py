@@ -54,7 +54,6 @@ from .fields import (
     exterior_derivative,
     exterior_derivative_field,
     interior_derivative,
-    interior_derivative_bitensor,
     interior_derivative_field,
     partial_derivative,
     plane_wave,

@@ -7,9 +7,11 @@ signed products over shared sublists off it).  Their agreement, the trace
 law, the structural derivative identities, and the conservation law are the
 module's verification surface.
 
-Since the tensor is quadratic in the field, its exact spatial derivative is
-available through the two-argument bitensor products applied to the field
-and its partial derivatives; no finite differencing is involved.
+Since the tensor is quadratic in the field, tensor fields contract the
+field's dense rows with tables of the two bitensor products on unit blades,
+filled by the public ``odot``/``owedge``; the interior derivative is the
+bilinear product rule on the field's partial rows, with no finite
+differencing of the tensor.
 
 Slice fluxes across a constant-coordinate surface come in two forms: direct
 quadrature of the tensor column over the slice, and the frequency-domain
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,14 +42,13 @@ from .algebra import (
     odot,
     owedge,
     right_interior,
-    wedge,
 )
 from .fields import (
     AnalyticField,
     Mode,
+    as_point,
     exterior_derivative,
     interior_derivative,
-    interior_derivative_bitensor,
 )
 from .integrate import DEFAULT_POINTS, HypersurfaceBox, gauss_legendre_rule
 
@@ -86,7 +87,7 @@ def lorentz_force(f: Multivector, j: Multivector) -> Multivector:
 
 def stress_tensor_def(f: Multivector) -> Bitensor:
     """Definition route: minus the sum of the two quadratic bitensors."""
-    return -1 * (odot(f, f) + owedge(f, f))
+    return _stress_product(f, f)
 
 
 @lru_cache(maxsize=None)
@@ -143,81 +144,92 @@ def trace_formula(f: Multivector) -> complex:
 # tensor fields with exact derivatives
 # ---------------------------------------------------------------------------
 
+def _stress_product(f: Multivector, g: Multivector) -> Bitensor:
+    return -1 * (odot(f, g) + owedge(f, g))
+
+
+_PRODUCTS = {"odot": odot, "owedge": owedge, "stress": _stress_product}
+
+
+@lru_cache(maxsize=None)
+def _bitensor_tables(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient arrays of one kind's quadratic bitensor, from the public products.
+
+    ``C[p, a, b]`` is component p (pairs i <= j in
+    ``combinations_with_replacement`` order) of the product of unit blades a
+    and b (``index_lists`` order), so by bilinearity the product of two
+    fields with dense rows u and v is sum_ab C[p, a, b] u_a v_b.
+    ``D[j, i, a, b]`` is C + C^T over (a, b) at the pair {i, j}: by the
+    product rule, sum_jab D[j, i, a, b] (d_j F)_a F_b is the interior
+    derivative sum_j d_j T_ij.
+    """
+    product = _PRODUCTS[kind]
+    units = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade)]
+    pairs = list(combinations_with_replacement(sig.axes(), 2))
+    table = np.zeros((len(pairs), len(units), len(units)))
+    for a, unit_a in enumerate(units):
+        for b, unit_b in enumerate(units):
+            t = product(unit_a, unit_b)
+            table[:, a, b] = [t.get(i, j) for i, j in pairs]
+    slot = {pair: p for p, pair in enumerate(pairs)}
+    sym = table + table.transpose(0, 2, 1)
+    div = np.array([[sym[slot[min(i, j), max(i, j)]] for i in sig.axes()] for j in sig.axes()])
+    # cached and shared by every caller
+    table.flags.writeable = div.flags.writeable = False
+    return table, div
+
+
 @dataclass(frozen=True)
 class QuadraticTensorField:
     """Bitensor field quadratic in one multivector field.
 
     ``kind`` selects the interior product bitensor, the exterior one, or the
-    full stress tensor.  Partial derivatives use the bilinear product rule on
-    the field and its exact partials.
+    full stress tensor.  Values and the interior derivative contract the
+    field's dense rows with the kind's ``_bitensor_tables``, which the public
+    ``odot``/``owedge`` fill; the derivative is the bilinear product rule on
+    the field's exact (or central-difference) partials.
     """
 
     field: object
     kind: str = "stress"
 
     def __post_init__(self):
-        if self.kind not in ("odot", "owedge", "stress"):
+        if self.kind not in _PRODUCTS:
             raise ValueError(f"unknown tensor kind {self.kind!r}")
 
     @property
     def signature(self) -> SpacetimeSignature:
         return self.field.signature
 
-    def _combine(self, a: Multivector, b: Multivector) -> Bitensor:
-        if self.kind == "odot":
-            return odot(a, b)
-        if self.kind == "owedge":
-            return owedge(a, b)
-        return -1 * (odot(a, b) + owedge(a, b))
+    def evaluate_components(self, points: np.ndarray) -> np.ndarray:
+        """Dense (npoints, npairs) values, pairs i <= j in
+        ``combinations_with_replacement`` order."""
+        rows = self.field.evaluate_components(points)
+        table, _ = _bitensor_tables(self.signature, self.field.grade, self.kind)
+        return np.einsum("pab,na,nb->np", table, rows, rows)
+
+    def divergence_components(self, points: np.ndarray) -> np.ndarray:
+        """Dense (npoints, dim) interior derivative sum_j d_j T_ij."""
+        return _divergences(self.field, (self.kind,), points)[0]
 
     def evaluate(self, x: Sequence[float]) -> Bitensor:
-        value = self.field.evaluate(x)
-        if self.kind == "stress":
-            return stress_tensor_explicit(value)
-        return self._combine(value, value)
-
-    def partial_at(self, axis: int, x: Sequence[float]) -> Bitensor:
-        value = self.field.evaluate(x)
-        slope = self.field.partial_at(axis, x)
-        return self._combine(slope, value) + self._combine(value, slope)
+        sig = self.signature
+        row = self.evaluate_components(as_point(sig, x)[None, :])[0]
+        return Bitensor(sig, zip(combinations_with_replacement(sig.axes(), 2), row.tolist()))
 
     def divergence(self, x: Sequence[float]) -> Multivector:
-        """Interior derivative of the tensor field at x, with cached contractions.
-
-        Same product rule as summing partial_at over axes, but the interior,
-        exterior, and frontier contractions of the field value are computed
-        once and reused across axes.
-        """
         sig = self.signature
-        value = self.field.evaluate(x)
-        basis = [Multivector.blade(sig, (i,)) for i in sig.axes()]
-        want_odot = self.kind in ("odot", "stress")
-        want_owedge = self.kind in ("owedge", "stress")
-        flip = -1 if self.kind == "stress" else 1
+        row = self.divergence_components(as_point(sig, x)[None, :])[0]
+        return Multivector.vector(sig, row.tolist())
 
-        def contractions(mv):
-            left_i = [left_interior(basis[i], mv) for i in sig.axes()] if want_odot else None
-            right_i = [right_interior(mv, basis[j]) for j in sig.axes()] if want_odot else None
-            left_w = [wedge(basis[i], mv) for i in sig.axes()] if want_owedge else None
-            right_w = [wedge(mv, basis[j]) for j in sig.axes()] if want_owedge else None
-            return left_i, right_i, left_w, right_w
 
-        v_li, v_ri, v_lw, v_rw = contractions(value)
-        out: dict[tuple[int, ...], complex] = {}
-        for j in sig.axes():
-            slope = self.field.partial_at(j, x)
-            s_li, s_ri, s_lw, s_rw = contractions(slope)
-            dj = sig.metric(j)
-            for i in sig.axes():
-                entry: complex = 0
-                if want_odot:
-                    entry += dot(s_li[i], v_ri[j]) + dot(v_li[i], s_ri[j])
-                if want_owedge:
-                    entry += dot(s_lw[i], v_rw[j]) + dot(v_lw[i], s_rw[j])
-                entry *= 0.5 * flip * sig.metric(i) * dj
-                if entry:
-                    out[(i,)] = out.get((i,), 0) + entry
-        return Multivector(sig, 1, out)
+def _divergences(field, kinds: Sequence[str], points: np.ndarray) -> list[np.ndarray]:
+    """Each kind's (npoints, dim) tensor divergence rows, from one evaluation
+    of the field's rows and partial rows at the points."""
+    rows = field.evaluate_components(points)
+    slopes = np.stack([field.partial_components(j, points) for j in field.signature.axes()])
+    return [np.einsum("jiab,jna,nb->ni", _bitensor_tables(field.signature, field.grade, kind)[1],
+                      slopes, rows) for kind in kinds]
 
 
 def StressTensorField(field) -> QuadraticTensorField:
@@ -232,7 +244,7 @@ def conservation_residual(f_field, j_field, x: Sequence[float]) -> Multivector:
     one supplied, so inconsistent pairs show a nonzero residual.
     """
     force = lorentz_force(f_field.evaluate(x), j_field.evaluate(x))
-    div_t = interior_derivative_bitensor(StressTensorField(f_field), x)
+    div_t = StressTensorField(f_field).divergence(x)
     return force + div_t
 
 
@@ -264,11 +276,12 @@ def tensor_identity_check(f_field, x: Sequence[float]) -> tuple[Multivector, Mul
     A single scalar profile makes A and B equal to the subtracted halves, so
     both residuals vanish; in general only their sum does.
     """
+    sig = f_field.signature
     value = f_field.evaluate(x)
-    res_odot = interior_derivative_bitensor(QuadraticTensorField(f_field, "odot"), x) \
-        - left_interior(interior_derivative(f_field, x), value)
-    res_owedge = interior_derivative_bitensor(QuadraticTensorField(f_field, "owedge"), x) \
-        - right_interior(exterior_derivative(f_field, x), value)
+    div_odot, div_owedge = (Multivector.vector(sig, rows[0].tolist()) for rows in
+                            _divergences(f_field, ("odot", "owedge"), as_point(sig, x)[None, :]))
+    res_odot = div_odot - left_interior(interior_derivative(f_field, x), value)
+    res_owedge = div_owedge - right_interior(exterior_derivative(f_field, x), value)
     return res_odot, res_owedge
 
 
@@ -282,7 +295,7 @@ def tensor_divergence_identity(f_field, x: Sequence[float]) -> Multivector:
     because the tensor derivative uses the bilinear product rule.
     """
     value = f_field.evaluate(x)
-    return interior_derivative_bitensor(StressTensorField(f_field), x) \
+    return StressTensorField(f_field).divergence(x) \
         + left_interior(interior_derivative(f_field, x), value) \
         + right_interior(exterior_derivative(f_field, x), value)
 

@@ -1,9 +1,10 @@
 """Multivector fields over (k, n) space-time and the differential operator.
 
 Two backends satisfy the same small protocol: ``signature``, ``grade``, the
-batched ``evaluate_components(points)`` giving dense ``(npoints, ncomp)``
-rows in ``component_lists()`` order, and the per-point ``evaluate`` (its
-one-row case, as a multivector) and ``partial_at``:
+batched ``evaluate_components(points)`` and ``partial_components(axis,
+points)`` giving dense ``(npoints, ncomp)`` rows in ``component_lists()``
+order, and their per-point one-row cases ``evaluate`` and ``partial_at``, as
+multivectors:
 
 * ``AnalyticField`` is a finite sum of modes, each the product of a constant
   multivector amplitude, a monomial, a cosine or complex-exponential waveform
@@ -41,7 +42,6 @@ __all__ = [
     "dalembertian",
     "exterior_derivative_field",
     "interior_derivative_field",
-    "interior_derivative_bitensor",
     "plane_wave",
     "polynomial_field",
     "constant_field",
@@ -197,6 +197,10 @@ class AnalyticField:
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         return self.partial_field(axis).evaluate(x)
+
+    def partial_components(self, axis: int, points: np.ndarray) -> np.ndarray:
+        """Dense (npoints, ncomp) exact partial along one axis."""
+        return self.partial_field(axis).evaluate_components(points)
 
     def component_lists(self) -> list[tuple[int, ...]]:
         return list(combinations(range(self.signature.dim), self.grade))
@@ -381,17 +385,23 @@ class GridField:
         row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
         return _dense_multivector(self.signature, self.grade, self._lists, row)
 
-    def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
-        point = as_point(self.signature, x)
-        site = tuple(int(s) for s in self._sites(point[None, :])[0])
-        if site[axis] - 1 < 0 or site[axis] + 1 >= self.values.shape[axis]:
+    def partial_components(self, axis: int, points: np.ndarray) -> np.ndarray:
+        """Dense (npoints, ncomp) central differences along one axis; the
+        first point whose neighbours leave the lattice raises."""
+        sites = self._sites(np.asarray(points, dtype=float))
+        bad = (sites[:, axis] < 1) | (sites[:, axis] + 1 >= self.values.shape[axis])
+        if bad.any():
+            site = tuple(int(s) for s in sites[bad.argmax()])
             raise FieldDomainError(f"axis {axis} neighbours of site {site} fall outside the lattice")
-        fwd = list(site)
-        bwd = list(site)
-        fwd[axis] += 1
-        bwd[axis] -= 1
-        dense = (self.values[tuple(fwd)] - self.values[tuple(bwd)]) / (2.0 * self.spacing[axis])
-        return _dense_multivector(self.signature, self.grade, self._lists, dense)
+        fwd = sites.copy()
+        bwd = sites.copy()
+        fwd[:, axis] += 1
+        bwd[:, axis] -= 1
+        return (self.values[tuple(fwd.T)] - self.values[tuple(bwd.T)]) / (2.0 * self.spacing[axis])
+
+    def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
+        row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
+        return _dense_multivector(self.signature, self.grade, self._lists, row)
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +478,3 @@ def interior_derivative_field(f: AnalyticField) -> AnalyticField:
             if amp:
                 modes.append(replace(mode, amplitude=amp))
     return AnalyticField(sig, f.grade - 1, modes)
-
-
-# ---------------------------------------------------------------------------
-# bitensor fields
-# ---------------------------------------------------------------------------
-
-def interior_derivative_bitensor(tf, x: Sequence[float]) -> Multivector:
-    """Interior derivative of a bitensor field: sum_{i,j} d_j T_ij e_i.
-
-    Defers to the field's own ``divergence`` when it provides one (quadratic
-    tensor fields share contractions across axes there)."""
-    fast = getattr(tf, "divergence", None)
-    if fast is not None:
-        return fast(x)
-    sig = tf.signature
-    out: dict[tuple[int, ...], complex] = {}
-    for j in sig.axes():
-        dj = tf.partial_at(j, x)
-        for i in sig.axes():
-            value = dj.get(i, j)
-            if value:
-                out[(i,)] = out.get((i,), 0) + value
-    return Multivector(sig, 1, out)

@@ -33,7 +33,7 @@ from .algebra import (
     left_interior,
     vec_interior_bitensor,
 )
-from .fields import exterior_derivative_field, interior_derivative_bitensor, interior_derivative_field
+from .fields import exterior_derivative_field, interior_derivative_field
 
 __all__ = [
     "HypersurfaceBox",
@@ -188,22 +188,18 @@ def bitensor_stokes_check(tf, box: HypersurfaceBox, points: int = DEFAULT_POINTS
                           panels: int = 1) -> tuple[Multivector, Multivector, float]:
     """Stokes identity for a symmetric bitensor field over a full-dimension box:
     each face's inverse-Hodge element contracted into the tensor integrated over
-    the face, against the integrated interior derivative (both node by node)."""
+    the face, against the integrated interior derivative.  The field supplies
+    batched ``evaluate_components`` rows (pairs i <= j in
+    ``combinations_with_replacement`` order) and ``divergence_components`` rows."""
     sig = box.signature
     if box.dim != sig.dim:
         raise GradeError("bitensor Stokes check requires a full-dimensional box")
     pairs = list(combinations_with_replacement(sig.axes(), 2))
-
-    def tensor_rows(nodes):
-        return np.array([[t.get(i, j) for i, j in pairs] for t in map(tf.evaluate, nodes)])
-
-    def divergence_rows(nodes):
-        return np.array([interior_derivative_bitensor(tf, x).vector_components() for x in nodes])
-
     lhs = Multivector.zero(sig, 1)
     for face in box.boundary_faces():
-        tensor = Bitensor(sig, zip(pairs, _integrate(tensor_rows, face, points, panels)))
+        tensor = Bitensor(sig, zip(pairs, _integrate(tf.evaluate_components, face, points, panels)))
         lhs = lhs + vec_interior_bitensor(inv_hodge(face.element_blade()), tensor)
     # inverse Hodge of the full-volume blade is the scalar orientation
-    rhs = Multivector.vector(sig, _integrate(divergence_rows, box, points, panels)) * box.orientation
+    rhs = Multivector.vector(sig, _integrate(tf.divergence_components, box, points, panels)) \
+        * box.orientation
     return lhs, rhs, (lhs - rhs).max_abs()

@@ -1,8 +1,8 @@
-"""Test-only helpers: a reference index sort, a component bitensor field, a
-pointwise product-rule residual, a per-point reference evaluation of
-analytic mode fields, per-node reference quadratures, the dense slice flux
-and the loop form of the identity suite.  None of these is used by the
-package."""
+"""Test-only helpers: a reference index sort, a component bitensor field, the
+per-point quadratic tensor divergence, a pointwise product-rule residual, a
+per-point reference evaluation of analytic mode fields, per-node reference
+quadratures, the dense slice flux and the loop form of the identity suite.
+None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ from extcalc.algebra import (
     inv_hodge,
     left_interior,
     merge_with_sign,
+    right_interior,
+    wedge,
 )
 from extcalc.energy import _stress_tables
 from extcalc.fields import AnalyticField, exterior_derivative, interior_derivative
@@ -76,9 +78,61 @@ class ComponentBitensorField:
         return Bitensor(self.signature,
                         {key: comp.evaluate(x).scalar_value() for key, comp in self.comps.items()})
 
-    def partial_at(self, axis: int, x: Sequence[float]) -> Bitensor:
-        return Bitensor(self.signature,
-                        {key: comp.partial_at(axis, x).scalar_value() for key, comp in self.comps.items()})
+    def _column(self, i: int, j: int, points: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """Component T_ij at the points, or its partial along ``axis``."""
+        comp = self.comps.get((min(i, j), max(i, j)))
+        if comp is None:
+            return np.zeros(len(points))
+        rows = comp.evaluate_components(points) if axis is None else comp.partial_components(axis, points)
+        return rows[:, 0]
+
+    def evaluate_components(self, points: np.ndarray) -> np.ndarray:
+        pairs = itertools.combinations_with_replacement(self.signature.axes(), 2)
+        return np.stack([self._column(i, j, points) for i, j in pairs], axis=1)
+
+    def divergence_components(self, points: np.ndarray) -> np.ndarray:
+        axes = self.signature.axes()
+        return np.stack([sum(self._column(i, j, points, j) for j in axes) for i in axes], axis=1)
+
+def reference_tensor_divergence(field, kind: str, x: Sequence[float]) -> Multivector:
+    """Interior derivative sum_j d_j T_ij of a quadratic tensor field at x.
+
+    The product rule written out from ``left_interior``, ``right_interior``,
+    ``wedge`` and ``dot`` on the field value and its partials, with the
+    contractions of each shared across axes; ``kind`` is "odot", "owedge" or
+    "stress" as in ``QuadraticTensorField``.
+    """
+    sig = field.signature
+    value = field.evaluate(x)
+    basis = [Multivector.blade(sig, (i,)) for i in sig.axes()]
+    want_odot = kind in ("odot", "stress")
+    want_owedge = kind in ("owedge", "stress")
+    flip = -1 if kind == "stress" else 1
+
+    def contractions(mv):
+        left_i = [left_interior(basis[i], mv) for i in sig.axes()] if want_odot else None
+        right_i = [right_interior(mv, basis[j]) for j in sig.axes()] if want_odot else None
+        left_w = [wedge(basis[i], mv) for i in sig.axes()] if want_owedge else None
+        right_w = [wedge(mv, basis[j]) for j in sig.axes()] if want_owedge else None
+        return left_i, right_i, left_w, right_w
+
+    v_li, v_ri, v_lw, v_rw = contractions(value)
+    out: dict[tuple[int, ...], complex] = {}
+    for j in sig.axes():
+        slope = field.partial_at(j, x)
+        s_li, s_ri, s_lw, s_rw = contractions(slope)
+        dj = sig.metric(j)
+        for i in sig.axes():
+            entry: complex = 0
+            if want_odot:
+                entry += dot(s_li[i], v_ri[j]) + dot(v_li[i], s_ri[j])
+            if want_owedge:
+                entry += dot(s_lw[i], v_rw[j]) + dot(v_lw[i], s_rw[j])
+            entry *= 0.5 * flip * sig.metric(i) * dj
+            if entry:
+                out[(i,)] = out.get((i,), 0) + entry
+    return Multivector(sig, 1, out)
+
 
 def product_rule_check(v, w, x: Sequence[float]) -> float:
     """Residual of the derivative product rule at one point.

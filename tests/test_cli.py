@@ -130,8 +130,8 @@ def test_classical_demo(capsys):
         assert name in sample["multivector_form"]
 
 
-def test_maxwell_check_grid_backend(capsys, tmp_path):
-    # grid-sampled fields are checked on interior lattice sites
+def _grid_scenario(tmp_path) -> str:
+    """A plane-wave vacuum F sampled on a lattice, as a scenario file."""
     from extcalc.algebra import Multivector, SpacetimeSignature
     from extcalc.fields import GridField, plane_wave
     from extcalc.maxwell import MINKOWSKI
@@ -155,10 +155,23 @@ def test_maxwell_check_grid_backend(capsys, tmp_path):
     }
     path = tmp_path / "grid.json"
     path.write_text(canonical_dumps(scenario))
-    code, out, _ = run(capsys, "maxwell-check", "--config", str(path))
+    return str(path)
+
+
+def test_maxwell_check_grid_backend(capsys, tmp_path):
+    # grid-sampled fields are checked on interior lattice sites
+    code, out, _ = run(capsys, "maxwell-check", "--config", _grid_scenario(tmp_path))
     assert code == 0
     report = json.loads(out)
     assert 0 < report["checks"]["differential"]["hom_max"] < 2e-3
+
+
+def test_stress_energy_grid_backend(capsys, tmp_path):
+    # the stress-tensor divergence takes the grid's batched central differences
+    code, out, _ = run(capsys, "stress-energy", "--config", _grid_scenario(tmp_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["conservation_residual_max"] < report["tol"]
 
 
 def test_classical_deterministic(capsys, tmp_path):

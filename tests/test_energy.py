@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from extcalc.algebra import (
 )
 from extcalc.energy import (
     GaugeViolation,
+    _bitensor_tables,
+    _stress_tables,
     QuadraticTensorField,
     StressTensorField,
     conservation_residual,
@@ -34,11 +37,12 @@ from extcalc.fields import (
     interior_derivative,
     interior_derivative_field,
     plane_wave,
+    polynomial_field,
 )
 from extcalc.integrate import HypersurfaceBox, bitensor_stokes_check, gauss_legendre_rule
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, classical_pack
 
-from _support import reference_flux_T_direct
+from _support import reference_flux_T_direct, reference_tensor_divergence
 
 EUC3 = SpacetimeSignature(0, 3)
 M11 = SpacetimeSignature(1, 1)
@@ -127,6 +131,30 @@ def test_stress_routes_agree():
             worst = max(abs(a.get(i, j) - b.get(i, j))
                         for i in sig.axes() for j in sig.axes())
             assert worst < 1e-12
+
+
+def _symmetrised(table):
+    return table + table.transpose(0, 2, 1)
+
+
+def test_stress_table_is_the_explicit_formula():
+    # the definition route's bilinear table, filled by the public odot and
+    # owedge, equals the explicit formula's triples as arrays: every
+    # coefficient is a multiple of 1/8, so the comparison is exact
+    cases = 0
+    for d in range(1, 6):
+        for k in range(d + 1):
+            sig = SpacetimeSignature(k, d - k)
+            slot = {pair: p for p, pair in enumerate(combinations_with_replacement(sig.axes(), 2))}
+            for r in range(d + 1):
+                table, _ = _bitensor_tables(sig, r, "stress")
+                explicit = np.zeros_like(table)
+                for pair, triples in _stress_tables(sig, r).items():
+                    for a, b, c in triples:
+                        explicit[slot[pair], a, b] += c
+                assert np.array_equal(_symmetrised(table), _symmetrised(explicit)), (k, d - k, r)
+                cases += 1
+    assert cases == 90
 
 
 def test_stress_zero_field():
@@ -481,14 +509,68 @@ def test_synthesized_potential_obeys_lorenz_gauge():
 def test_stress_field_partial_matches_finite_difference():
     rng = np.random.default_rng(12)
     f = random_cos_field(MINKOWSKI, 2, rng)
-    tf = QuadraticTensorField(f, "stress")
     x = rng.uniform(-1, 1, 4)
     h = 1e-6
-    for axis in range(4):
-        xp, xm = np.array(x), np.array(x)
-        xp[axis] += h
-        xm[axis] -= h
-        fd = (tf.evaluate(xp) - tf.evaluate(xm)) * (1.0 / (2 * h))
-        exact = tf.partial_at(axis, x)
-        worst = max(abs(fd.get(i, j) - exact.get(i, j)) for i in range(4) for j in range(4))
-        assert worst < 1e-6
+    slot = {pair: p for p, pair in enumerate(combinations_with_replacement(range(4), 2))}
+    for kind in ("odot", "owedge", "stress"):
+        tf = QuadraticTensorField(f, kind)
+        fd = np.zeros(4)
+        for axis in range(4):
+            step = h * np.eye(4)[axis]
+            ahead, behind = tf.evaluate_components(np.array([x + step, x - step]))
+            for i in range(4):
+                fd[i] += (ahead - behind)[slot[min(i, axis), max(i, axis)]] / (2 * h)
+        exact = tf.divergence_components(x[None, :])[0]
+        assert np.abs(fd - exact).max() < 1e-6
+
+
+def _divergence_fields(sig, r, rng):
+    """One field of each kind of mode: cos, exp, monomial, envelope, and their mix."""
+    def amp():
+        return random_mv(sig, r, rng)
+
+    def xi():
+        return tuple(rng.uniform(-0.7, 0.7, sig.dim))
+
+    envelope = GaussianEnvelope(center=tuple(rng.uniform(-0.5, 0.5, sig.dim)), width=0.9)
+    cos = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), phase=0.3),
+                                 Mode(amplitude=amp(), xi=xi(), phase=1.1)])
+    exp = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), waveform="exp"),
+                                 Mode(amplitude=amp(), xi=xi(), phase=0.4, waveform="exp")])
+    monomial = polynomial_field(amp(), tuple(rng.integers(0, 3, sig.dim))) \
+        + polynomial_field(amp(), tuple(rng.integers(0, 3, sig.dim)))
+    enveloped = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), envelope=envelope),
+                                       Mode(amplitude=amp(), envelope=envelope)])
+    mixed = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), poly=tuple(rng.integers(0, 2, sig.dim)),
+                                        envelope=envelope),
+                                   Mode(amplitude=amp(), xi=xi(), waveform="exp")])
+    return {"cos": cos, "exp": exp, "monomial": monomial, "envelope": enveloped, "mixed": mixed}
+
+
+def test_divergence_components_match_the_pointwise_reference():
+    rng = np.random.default_rng(14)
+    cases = 0
+    for d in range(1, 5):
+        for k in range(d + 1):
+            sig = SpacetimeSignature(k, d - k)
+            for r in range(d + 1):
+                points = rng.uniform(-1, 1, (2, d))
+                for name, f in _divergence_fields(sig, r, rng).items():
+                    for kind in ("odot", "owedge", "stress"):
+                        got = QuadraticTensorField(f, kind).divergence_components(points)
+                        want = np.array([reference_tensor_divergence(f, kind, x).vector_components()
+                                         for x in points])
+                        scale = max(1.0, np.abs(want).max())
+                        assert np.abs(got - want).max() < 1e-12 * scale, (k, d - k, r, name, kind)
+                        cases += 1
+    assert cases == 54 * 5 * 3
+
+
+def test_nan_amplitude_fails_closed_through_tensor_rows():
+    amp = Multivector(MINKOWSKI, 2, {(0, 1): math.nan, (2, 3): 1.0})
+    tf = StressTensorField(plane_wave(amp, (1.0, 0.0, 0.0, 1.0)))
+    rows = tf.divergence_components(np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]]))
+    assert np.isnan(rows).all()
+    box = HypersurfaceBox(MINKOWSKI, intervals={a: (0.0, 0.2) for a in range(4)}, fixed={})
+    _, _, residual = bitensor_stokes_check(tf, box, points=2)
+    assert math.isnan(residual)

@@ -15,7 +15,6 @@ from extcalc.fields import (
     exterior_derivative,
     exterior_derivative_field,
     interior_derivative,
-    interior_derivative_bitensor,
     interior_derivative_field,
     partial_derivative,
     plane_wave,
@@ -248,12 +247,24 @@ def test_grid_evaluate_and_errors():
         grid.evaluate((2.0, 0.0, 0.0))  # outside
     with pytest.raises(FieldDomainError):
         grid.partial_at(0, (-0.5, 0.0, 0.0))  # boundary site has no lower neighbour
+    # the batched partial raises the same message for the first edge site
+    with pytest.raises(FieldDomainError,
+                       match=r"axis 0 neighbours of site \(0, 2, 2\) fall outside the lattice"):
+        grid.partial_components(0, np.array([x, (-0.5, 0.0, 0.0), (0.5, 0.0, 0.0)]))
     # batched lattice reads: row by row equal to evaluate, in component_lists order
     sites = np.array([[-0.5, -0.5, -0.5], [0.5, 0.25, -0.25], x, [0.0, 0.5, 0.0]])
     rows = grid.evaluate_components(sites)
     assert rows.shape == (4, 3) and grid.component_lists() == [(0,), (1,), (2,)]
     for point, row in zip(sites, rows):
         assert row.tolist() == [grid.evaluate(point).coeff(idx) for idx in grid.component_lists()]
+    # batched central differences: row by row equal to partial_at on interior sites
+    inner = np.array([x, [0.25, -0.25, 0.0], [0.0, 0.25, 0.25]])
+    for axis in range(3):
+        slopes = grid.partial_components(axis, inner)
+        assert slopes.shape == (3, 3)
+        for point, row in zip(inner, slopes):
+            assert row.tolist() == [grid.partial_at(axis, point).coeff(idx)
+                                    for idx in grid.component_lists()]
     # the first bad point raises, off the lattice or out of range
     with pytest.raises(FieldDomainError, match=r"\[0\.1, 0\.0, 0\.0\] is not on the sampling lattice"):
         grid.evaluate_components(np.array([x, (0.1, 0.0, 0.0), (2.0, 0.0, 0.0)]))
@@ -303,8 +314,8 @@ def test_component_bitensor_field_interior_derivative():
         (1, 1): polynomial_field(Multivector.scalar(sig, 2.0), (1, 0)),
     }
     tf = ComponentBitensorField(sig, comps)
-    got = interior_derivative_bitensor(tf, (0.4, -0.3))
-    assert got.coeff((0,)) == pytest.approx(2.0)
-    assert got.coeff((1,)) == pytest.approx(0.0)
+    got = tf.divergence_components(np.array([(0.4, -0.3)]))[0]
+    assert got[0] == pytest.approx(2.0)
+    assert got[1] == pytest.approx(0.0)
     t = tf.evaluate((0.4, -0.3))
     assert t.get(1, 0) == pytest.approx(-0.3)
