@@ -32,16 +32,20 @@ from .energy import (
     QuadraticTensorField,
     StressTensorField,
     conservation_residual,
+    conservation_residual_components,
     flux_T_direct,
     flux_T_fourier,
     lorentz_force,
     stress_tensor_def,
     stress_tensor_explicit,
+    stress_tensor_explicit_components,
     synthesize_on_cone_potential,
     tensor_divergence_identity,
     tensor_identity_check,
     trace,
+    trace_components,
     trace_formula,
+    trace_formula_components,
 )
 from .fields import (
     AnalyticField,
@@ -52,8 +56,10 @@ from .fields import (
     constant_field,
     dalembertian,
     exterior_derivative,
+    exterior_derivative_components,
     exterior_derivative_field,
     interior_derivative,
+    interior_derivative_components,
     interior_derivative_field,
     partial_derivative,
     plane_wave,
@@ -74,6 +80,7 @@ from .maxwell import (
     charge_conservation_residual,
     classical_pack,
     classical_unpack,
+    classical_vector_residual_components,
     classical_vector_residuals,
     dof_count,
     field_from_potential,
@@ -81,6 +88,7 @@ from .maxwell import (
     harmonic_gauge_residual,
     integral_maxwell_check,
     lorenz_gauge_residual,
+    maxwell_residual_components,
     maxwell_residuals,
     null_frequency,
     null_support_violation,

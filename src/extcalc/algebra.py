@@ -163,6 +163,17 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    @classmethod
+    def _from_valid(cls, signature: SpacetimeSignature, grade: int,
+                    terms: dict[tuple[int, ...], complex]) -> "Multivector":
+        """Build from index lists already known to be valid for this grade,
+        such as those of existing operands: only the pruning is redone."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "signature", signature)
+        object.__setattr__(out, "grade", grade)
+        object.__setattr__(out, "terms", _prune(terms))
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -244,18 +255,19 @@ class Multivector:
         merged = dict(self.terms)
         for idx, c in other.terms.items():
             merged[idx] = merged.get(idx, 0) + c
-        return Multivector(self.signature, self.grade, merged)
+        return Multivector._from_valid(self.signature, self.grade, merged)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.signature, self.grade, {i: -c for i, c in self.terms.items()})
+        return Multivector._from_valid(self.signature, self.grade, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, factor: complex) -> "Multivector":
         if isinstance(factor, Multivector):
             return NotImplemented
-        return Multivector(self.signature, self.grade, {i: c * factor for i, c in self.terms.items()})
+        return Multivector._from_valid(self.signature, self.grade,
+                                       {i: c * factor for i, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -281,10 +293,8 @@ def _prune(terms: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], compl
     """
     if not terms:
         return {}
-    if math.isfinite(sum(map(abs, terms.values()))):
-        cut = PRUNE_REL * max(map(abs, terms.values()))
-    else:
-        cut = 0.0
+    mags = [abs(c) for c in terms.values()]
+    cut = PRUNE_REL * max(mags) if math.isfinite(sum(mags)) else 0.0
     return {i: c for i, c in sorted(terms.items()) if c != 0 and not abs(c) < cut}
 
 

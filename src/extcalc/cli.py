@@ -26,15 +26,18 @@ from .algebra import (
 )
 from .energy import (
     GaugeViolation,
+    StressTensorField,
+    conservation_residual_components,
     flux_T_direct,
     flux_T_fourier,
     lorentz_force,
-    stress_tensor_def,
     stress_tensor_explicit,
+    stress_tensor_explicit_components,
     synthesize_on_cone_potential,
-    conservation_residual,
     trace,
+    trace_components,
     trace_formula,
+    trace_formula_components,
 )
 from .fields import (
     AnalyticField,
@@ -42,7 +45,7 @@ from .fields import (
     GridField,
     Mode,
     exterior_derivative_field,
-    interior_derivative,
+    interior_derivative_components,
     interior_derivative_field,
 )
 from .integrate import HypersurfaceBox
@@ -51,12 +54,12 @@ from .maxwell import (
     ClassicalFields,
     MaxwellSystem,
     classical_pack,
-    classical_vector_residuals,
+    classical_vector_residual_components,
     fourier_maxwell_residuals,
     integral_maxwell_check,
+    maxwell_residual_components,
     maxwell_residuals,
     residuals_to_classical,
-    transverse_gauge_residuals,
 )
 from .serialize import (
     Scenario,
@@ -91,6 +94,11 @@ def _max(*values):
     The builtin keeps a NaN only when it comes first: max(0.0, nan) is 0.0.
     """
     return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
+def _worst(rows: np.ndarray) -> float:
+    """Largest |entry| of a residual array; NaN if any entry is, 0.0 if it has none."""
+    return float(np.abs(rows).max(initial=0.0))
 
 
 def _load_config(path: str) -> dict:
@@ -197,14 +205,29 @@ def cmd_verify_identities(args) -> int:
 # maxwell-check
 # ---------------------------------------------------------------------------
 
-def _check_differential(system: MaxwellSystem, points: np.ndarray) -> dict:
-    inhom_max = hom_max = charge_max = 0.0
-    for x in points:
-        inhom, hom = maxwell_residuals(system, x)
-        inhom_max = _max(inhom_max, inhom.max_abs())
-        hom_max = _max(hom_max, hom.max_abs())
-        charge_max = _max(charge_max, interior_derivative(system.J, x).max_abs())
-    return {"inhom_max": inhom_max, "hom_max": hom_max, "charge_conservation_max": charge_max}
+def _check_differential(system: MaxwellSystem, points: np.ndarray) -> tuple[dict, str | None]:
+    """The differential residuals over all points, and ``_locate``'s line."""
+    inhom, hom = maxwell_residual_components(system, points)
+    block = {"inhom_max": _worst(inhom), "hom_max": _worst(hom),
+             "charge_conservation_max": _worst(interior_derivative_components(system.J, points))}
+    return block, _locate(system, points, np.hstack([np.abs(inhom), np.abs(hom)]))
+
+
+def _locate(system: MaxwellSystem, points: np.ndarray, magnitudes: np.ndarray) -> str | None:
+    """Name the point holding the largest (or first NaN) differential residual
+    and, from ``maxwell_residuals`` there, its worst component; None when
+    every residual is zero."""
+    if _worst(magnitudes) == 0.0:
+        return None
+    x = points[int(np.argmax(magnitudes)) // magnitudes.shape[1]]
+    terms = [(abs(c), side, idx) for side, mv in zip(("inhom", "hom"), maxwell_residuals(system, x))
+             for idx, c in mv.terms.items()]
+    if not terms:
+        return None
+    size, side, idx = max(terms, key=lambda t: math.inf if math.isnan(t[0]) else t[0])
+    return (f"maxwell-check: differential worst residual {size:g} at point "
+            f"[{', '.join(f'{v:.6g}' for v in x)}], component "
+            f"{'e_' + ''.join(map(str, idx)) if idx else '1'} of {side}")
 
 
 def _random_box(sig: SpacetimeSignature, free_axes, rng: np.random.Generator) -> HypersurfaceBox:
@@ -252,18 +275,18 @@ def _check_fourier(system: MaxwellSystem) -> dict:
 def _check_gauge(scenario: Scenario, system: MaxwellSystem, points: np.ndarray) -> dict:
     if scenario.A is None:
         return {"skipped": "no potential in scenario"}
-    lorenz_max = time_max = space_max = consistency_max = 0.0
-    derived = exterior_derivative_field(scenario.A) if isinstance(scenario.A, AnalyticField) else None
-    for x in points:
-        lorenz_max = _max(lorenz_max, interior_derivative(scenario.A, x).max_abs())
-        t_res, s_res = transverse_gauge_residuals(scenario.A, x)
-        time_max = _max(time_max, t_res.max_abs())
-        space_max = _max(space_max, s_res.max_abs())
-        if derived is not None:
-            consistency_max = _max(consistency_max,
-                                   (derived.evaluate(x) - system.F.evaluate(x)).max_abs())
-    return {"lorenz_max": lorenz_max, "transverse_time_max": time_max,
-            "transverse_space_max": space_max, "potential_consistency_max": consistency_max}
+    sig = scenario.signature
+
+    def interior(axes=None):
+        return _worst(interior_derivative_components(scenario.A, points, axes))
+
+    consistency = 0.0
+    if isinstance(scenario.A, AnalyticField):
+        consistency = _worst(exterior_derivative_field(scenario.A).evaluate_components(points)
+                             - system.F.evaluate_components(points))
+    return {"lorenz_max": interior(), "transverse_time_max": interior(range(sig.k)),
+            "transverse_space_max": interior(range(sig.k, sig.dim)),
+            "potential_consistency_max": consistency}
 
 
 def cmd_maxwell_check(args) -> int:
@@ -274,8 +297,9 @@ def cmd_maxwell_check(args) -> int:
     quad_points = args.points if args.points is not None else 8
 
     checks: dict = {}
+    located = None
     if "differential" in scenario.checks:
-        checks["differential"] = _check_differential(system, points)
+        checks["differential"], located = _check_differential(system, points)
     if "integral" in scenario.checks:
         checks["integral"] = _check_integral(system, rng, quad_points)
     if "fourier" in scenario.checks:
@@ -301,6 +325,8 @@ def cmd_maxwell_check(args) -> int:
     _emit(report, args.out,
           f"maxwell-check: {'PASS' if passed else 'FAIL'}, max residual {worst:g} "
           f"(tol {scenario.tol:g})")
+    if located:
+        print(located, file=sys.stderr)
     return EXIT_PASS if passed else EXIT_NUMERICAL
 
 
@@ -319,19 +345,12 @@ def cmd_stress_energy(args) -> int:
     rng = np.random.default_rng(scenario.seed)
     points = _scenario_points(scenario, rng)
 
-    route_max = 0.0
-    trace_max = 0.0
-    conservation_max = 0.0
-    for x in points:
-        value = system.F.evaluate(x)
-        t_def = stress_tensor_def(value)
-        t_exp = stress_tensor_explicit(value)
-        route_max = _max(route_max, *(abs(t_def.get(i, j) - t_exp.get(i, j))
-                                      for i in scenario.signature.axes()
-                                      for j in scenario.signature.axes()))
-        trace_max = _max(trace_max, abs(trace(t_exp) - trace_formula(value)))
-        conservation_max = _max(conservation_max,
-                                conservation_residual(system.F, system.J, x).max_abs())
+    sig, r = scenario.signature, scenario.r
+    rows = system.F.evaluate_components(points)
+    explicit = stress_tensor_explicit_components(sig, r, rows)
+    route_max = _worst(StressTensorField(system.F).evaluate_components(points) - explicit)
+    trace_max = _worst(trace_components(sig, explicit) - trace_formula_components(sig, r, rows))
+    conservation_max = _worst(conservation_residual_components(system.F, system.J, points))
 
     x0 = points[0]
     value0 = system.F.evaluate(x0)
@@ -505,31 +524,14 @@ def cmd_classical(args) -> int:
     for _ in range(configs):
         cf = ClassicalFields(E=_random_spatial_field(rng), B=_random_spatial_field(rng),
                              rho=_random_spatial_field(rng, grade=0), j=_random_spatial_field(rng))
-        system = classical_pack(cf)
-        for x in _sample_points(rng, 4, samples):
-            inhom, hom = maxwell_residuals(system, x)
-            got = residuals_to_classical(inhom, hom)
-            want = classical_vector_residuals(cf, x)
-            diffs = [abs(got["gauss"] - want["gauss"]), abs(got["monopole"] - want["monopole"])]
-            diffs.extend(np.abs(got["faraday"] - want["faraday"]))
-            diffs.extend(np.abs(got["ampere"] - want["ampere"]))
-            agreement_max = _max(agreement_max, *map(float, diffs))
-            if first_sample is None:
-                first_sample = {
-                    "point": [float(v) for v in x],
-                    "vector_form": {
-                        "gauss": float(want["gauss"]),
-                        "faraday": [float(v) for v in want["faraday"]],
-                        "monopole": float(want["monopole"]),
-                        "ampere": [float(v) for v in want["ampere"]],
-                    },
-                    "multivector_form": {
-                        "gauss": float(got["gauss"]),
-                        "faraday": [float(v) for v in got["faraday"]],
-                        "monopole": float(got["monopole"]),
-                        "ampere": [float(v) for v in got["ampere"]],
-                    },
-                }
+        points = _sample_points(rng, 4, samples)
+        got = residuals_to_classical(*maxwell_residual_components(classical_pack(cf), points))
+        want = classical_vector_residual_components(cf, points)
+        agreement_max = _max(agreement_max, *(_worst(got[name] - want[name]) for name in got))
+        if first_sample is None:
+            first_sample = {"point": points[0].tolist(),
+                            "vector_form": {name: want[name][0].tolist() for name in want},
+                            "multivector_form": {name: got[name][0].tolist() for name in got}}
 
     # vacuum plane wave: both differential residuals vanish identically
     e_amp = Multivector.blade(MINKOWSKI, (1,))
@@ -539,10 +541,7 @@ def cmd_classical(args) -> int:
         E=AnalyticField(MINKOWSKI, 1, [Mode(amplitude=e_amp, xi=xi)]),
         B=AnalyticField(MINKOWSKI, 1, [Mode(amplitude=b_amp, xi=xi)]),
         rho=AnalyticField(MINKOWSKI, 0), j=AnalyticField(MINKOWSKI, 1)))
-    vacuum_max = 0.0
-    for x in _sample_points(rng, 4, samples):
-        inhom, hom = maxwell_residuals(vacuum, x)
-        vacuum_max = _max(vacuum_max, inhom.max_abs(), hom.max_abs())
+    vacuum_max = _max(*map(_worst, maxwell_residual_components(vacuum, _sample_points(rng, 4, samples))))
 
     worst = _max(agreement_max, vacuum_max)
     passed = worst <= tol

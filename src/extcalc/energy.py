@@ -44,11 +44,12 @@ from .algebra import (
     right_interior,
 )
 from .fields import (
+    EXTERIOR,
+    INTERIOR,
     AnalyticField,
     Mode,
+    _derivative_at,
     as_point,
-    exterior_derivative,
-    interior_derivative,
 )
 from .integrate import DEFAULT_POINTS, HypersurfaceBox, gauss_legendre_rule
 
@@ -56,11 +57,15 @@ __all__ = [
     "lorentz_force",
     "stress_tensor_def",
     "stress_tensor_explicit",
+    "stress_tensor_explicit_components",
     "trace",
+    "trace_components",
     "trace_formula",
+    "trace_formula_components",
     "QuadraticTensorField",
     "StressTensorField",
     "conservation_residual",
+    "conservation_residual_components",
     "tensor_identity_check",
     "tensor_divergence_identity",
     "flux_T_direct",
@@ -128,9 +133,28 @@ def stress_tensor_explicit(f: Multivector) -> Bitensor:
                           for pair, triples in _stress_tables(sig, f.grade).items()})
 
 
+def stress_tensor_explicit_components(sig: SpacetimeSignature, grade: int, rows: np.ndarray) -> np.ndarray:
+    """``stress_tensor_explicit`` on dense field rows (npoints, ncomp) in
+    ``index_lists`` order, with the same products summed in the same order:
+    (npoints, npairs) tensor rows, pairs i <= j in
+    ``combinations_with_replacement`` order."""
+    tables = _stress_tables(sig, grade)
+    out = np.zeros((len(rows), sig.dim * (sig.dim + 1) // 2), dtype=np.result_type(rows, float))
+    for p, pair in enumerate(combinations_with_replacement(sig.axes(), 2)):
+        out[:, p] = sum(c * rows[:, a] * rows[:, b] for a, b, c in tables.get(pair, ()))
+    return out
+
+
 def trace(t: Bitensor) -> complex:
     """Metric trace: sum of Delta_ii T_ii."""
     return sum(t.signature.metric(i) * t.get(i, i) for i in t.signature.axes())
+
+
+def trace_components(sig: SpacetimeSignature, tensor_rows: np.ndarray) -> np.ndarray:
+    """``trace`` of each (npairs,) tensor row, pairs in
+    ``combinations_with_replacement`` order."""
+    pairs = list(combinations_with_replacement(sig.axes(), 2))
+    return sum(sig.metric(i) * tensor_rows[:, pairs.index((i, i))] for i in sig.axes())
 
 
 def trace_formula(f: Multivector) -> complex:
@@ -138,6 +162,14 @@ def trace_formula(f: Multivector) -> complex:
     sig = f.signature
     r = f.grade
     return 0.5 * (-1) ** (r + 1) * (sig.dim - 2 * r) * dot(f, f)
+
+
+def trace_formula_components(sig: SpacetimeSignature, grade: int, rows: np.ndarray) -> np.ndarray:
+    """``trace_formula`` of each dense field row (npoints, ncomp) in
+    ``index_lists`` order."""
+    squares = sum(sig.metric_list(idx) * rows[:, a] * rows[:, a]
+                  for a, idx in enumerate(sig.index_lists(grade)))
+    return 0.5 * (-1) ** (grade + 1) * (sig.dim - 2 * grade) * squares
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +242,7 @@ class QuadraticTensorField:
 
     def divergence_components(self, points: np.ndarray) -> np.ndarray:
         """Dense (npoints, dim) interior derivative sum_j d_j T_ij."""
-        return _divergences(self.field, (self.kind,), points)[0]
+        return _divergence_rows(self.field, self.kind, *_field_rows(self.field, points))
 
     def evaluate(self, x: Sequence[float]) -> Bitensor:
         sig = self.signature
@@ -223,13 +255,17 @@ class QuadraticTensorField:
         return Multivector.vector(sig, row.tolist())
 
 
-def _divergences(field, kinds: Sequence[str], points: np.ndarray) -> list[np.ndarray]:
-    """Each kind's (npoints, dim) tensor divergence rows, from one evaluation
-    of the field's rows and partial rows at the points."""
+def _field_rows(field, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The field's (npoints, ncomp) rows and its (dim, npoints, ncomp) partial
+    rows at the points, each evaluated once."""
     rows = field.evaluate_components(points)
-    slopes = np.stack([field.partial_components(j, points) for j in field.signature.axes()])
-    return [np.einsum("jiab,jna,nb->ni", _bitensor_tables(field.signature, field.grade, kind)[1],
-                      slopes, rows) for kind in kinds]
+    return rows, np.stack([field.partial_components(j, points) for j in field.signature.axes()])
+
+
+def _divergence_rows(field, kind: str, rows: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """One kind's (npoints, dim) tensor divergence rows from ``_field_rows``."""
+    table = _bitensor_tables(field.signature, field.grade, kind)[1]
+    return np.einsum("jiab,jna,nb->ni", table, slopes, rows)
 
 
 def StressTensorField(field) -> QuadraticTensorField:
@@ -237,15 +273,43 @@ def StressTensorField(field) -> QuadraticTensorField:
     return QuadraticTensorField(field, "stress")
 
 
-def conservation_residual(f_field, j_field, x: Sequence[float]) -> Multivector:
-    """Lorentz force plus interior derivative of the stress tensor at x.
+@lru_cache(maxsize=None)
+def _force_table(sig: SpacetimeSignature, grade: int) -> np.ndarray:
+    """``L[a, b, c]``: component c of the Lorentz force of unit source blade a
+    (grade - 1) on unit field blade b (grade), filled by the public
+    ``left_interior``; the force of dense rows j and f is sum_ab L j_a f_b."""
+    sources = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade - 1)]
+    fields = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade)]
+    table = np.zeros((len(sources), len(fields), sig.dim))
+    for a, source in enumerate(sources):
+        for b, unit in enumerate(fields):
+            for (i,), c in left_interior(source, unit).terms.items():
+                table[a, b, i] = c
+    # cached and shared by every caller
+    table.flags.writeable = False
+    return table
+
+
+def conservation_residual_components(f_field, j_field, points: np.ndarray) -> np.ndarray:
+    """Lorentz force plus interior derivative of the stress tensor, as dense
+    (npoints, dim) rows.
 
     Vanishes when the field pair solves the Maxwell system; the source is the
     one supplied, so inconsistent pairs show a nonzero residual.
     """
-    force = lorentz_force(f_field.evaluate(x), j_field.evaluate(x))
-    div_t = StressTensorField(f_field).divergence(x)
-    return force + div_t
+    points = np.asarray(points, dtype=float)
+    rows, slopes = _field_rows(f_field, points)
+    force = np.einsum("abc,na,nb->nc", _force_table(f_field.signature, f_field.grade),
+                      j_field.evaluate_components(points), rows)
+    return force + _divergence_rows(f_field, "stress", rows, slopes)
+
+
+def conservation_residual(f_field, j_field, x: Sequence[float]) -> Multivector:
+    """The conservation residual at x: the one-row case of
+    ``conservation_residual_components``."""
+    sig = f_field.signature
+    row = conservation_residual_components(f_field, j_field, as_point(sig, x)[None, :])[0]
+    return Multivector.vector(sig, row.tolist())
 
 
 def tensor_identity_check(f_field, x: Sequence[float]) -> tuple[Multivector, Multivector]:
@@ -276,13 +340,8 @@ def tensor_identity_check(f_field, x: Sequence[float]) -> tuple[Multivector, Mul
     A single scalar profile makes A and B equal to the subtracted halves, so
     both residuals vanish; in general only their sum does.
     """
-    sig = f_field.signature
-    value = f_field.evaluate(x)
-    div_odot, div_owedge = (Multivector.vector(sig, rows[0].tolist()) for rows in
-                            _divergences(f_field, ("odot", "owedge"), as_point(sig, x)[None, :]))
-    res_odot = div_odot - left_interior(interior_derivative(f_field, x), value)
-    res_owedge = div_owedge - right_interior(exterior_derivative(f_field, x), value)
-    return res_odot, res_owedge
+    value, inner, outer, div_odot, div_owedge = _identity_terms(f_field, ("odot", "owedge"), x)
+    return div_odot - left_interior(inner, value), div_owedge - right_interior(outer, value)
 
 
 def tensor_divergence_identity(f_field, x: Sequence[float]) -> Multivector:
@@ -294,10 +353,21 @@ def tensor_divergence_identity(f_field, x: Sequence[float]) -> Multivector:
     not.  This is the sum of the two split identities and is exact here
     because the tensor derivative uses the bilinear product rule.
     """
-    value = f_field.evaluate(x)
-    return StressTensorField(f_field).divergence(x) \
-        + left_interior(interior_derivative(f_field, x), value) \
-        + right_interior(exterior_derivative(f_field, x), value)
+    value, inner, outer, div_t = _identity_terms(f_field, ("stress",), x)
+    return div_t + left_interior(inner, value) + right_interior(outer, value)
+
+
+def _identity_terms(f_field, kinds: Sequence[str], x: Sequence[float]) -> tuple:
+    """F(x), its interior and exterior derivatives at x, and each kind's
+    tensor divergence at x, as multivectors, from one evaluation of the
+    field's rows and partial rows."""
+    sig = f_field.signature
+    rows, slopes = _field_rows(f_field, as_point(sig, x)[None, :])
+    value = Multivector(sig, f_field.grade, zip(sig.index_lists(f_field.grade), rows[0].tolist()))
+    return (value, _derivative_at(f_field, INTERIOR, x, slopes=slopes),
+            _derivative_at(f_field, EXTERIOR, x, slopes=slopes),
+            *(Multivector.vector(sig, _divergence_rows(f_field, kind, rows, slopes)[0].tolist())
+              for kind in kinds))
 
 
 # ---------------------------------------------------------------------------

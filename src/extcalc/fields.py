@@ -13,6 +13,11 @@ multivectors:
 * ``GridField`` samples a field on a rectangular lattice and differentiates
   with second-order central differences.
 
+The exterior and interior derivatives are linear in the partials, so over a
+point array each is the sum over axes of the partial rows times a table of
+``wedge``/``left_interior`` on unit blades; the per-point forms are the
+one-row case.
+
 The wave phase is theta(x) = 2 pi sum_i Delta_ii xi_i x_i + phi, i.e. the
 metric dot product of the frequency covector with the position.  This is the
 pairing under which a complex-exponential mode turns the interior derivative
@@ -22,7 +27,8 @@ into the algebraic contraction j 2 pi xi applied to the amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -39,6 +45,8 @@ __all__ = [
     "partial_derivative",
     "exterior_derivative",
     "interior_derivative",
+    "exterior_derivative_components",
+    "interior_derivative_components",
     "dalembertian",
     "exterior_derivative_field",
     "interior_derivative_field",
@@ -116,30 +124,37 @@ class Mode:
     def derivative_modes(self, axis: int) -> list["Mode"]:
         """Exact partial derivative along one axis as a list of modes."""
         out: list[Mode] = []
+        poly = self.poly
         # monomial factor
-        p = self.poly[axis]
+        p = poly[axis]
         if p:
-            lowered = list(self.poly)
-            lowered[axis] = p - 1
-            out.append(replace(self, amplitude=self.amplitude * p, poly=tuple(lowered)))
+            out.append(self._with(amplitude=self.amplitude * p,
+                                  poly=poly[:axis] + (p - 1,) + poly[axis + 1:]))
         # waveform factor
         slope = self.phase_gradient(axis)
         if slope != 0.0:
             if self.waveform == WAVE_COS:
-                out.append(replace(self, amplitude=self.amplitude * slope,
-                                   phase=self.phase + 0.5 * math.pi))
+                out.append(self._with(amplitude=self.amplitude * slope,
+                                      phase=self.phase + 0.5 * math.pi))
             else:
-                out.append(replace(self, amplitude=self.amplitude * (1j * slope)))
+                out.append(self._with(amplitude=self.amplitude * (1j * slope)))
         # envelope factor: -(x_a - c_a)/w^2 splits over the monomial center
         if self.envelope is not None:
             w2 = self.envelope.width ** 2
-            raised = list(self.poly)
-            raised[axis] += 1
-            out.append(replace(self, amplitude=self.amplitude * (-1.0 / w2), poly=tuple(raised)))
+            out.append(self._with(amplitude=self.amplitude * (-1.0 / w2),
+                                  poly=poly[:axis] + (poly[axis] + 1,) + poly[axis + 1:]))
             shift = self.poly_center[axis] - self.envelope.center[axis]
             if shift:
-                out.append(replace(self, amplitude=self.amplitude * (-shift / w2)))
+                out.append(self._with(amplitude=self.amplitude * (-shift / w2)))
         return [m for m in out if m.amplitude]
+
+    def _with(self, **changes) -> "Mode":
+        """This mode with some fields replaced by values already in canonical
+        form: unlike ``dataclasses.replace`` it does not re-run __post_init__,
+        whose padding and checks this mode has passed."""
+        mode = object.__new__(Mode)
+        mode.__dict__.update(self.__dict__, **changes)
+        return mode
 
 
 def _pad(values: Iterable[float], dim: int) -> tuple[float, ...]:
@@ -176,7 +191,7 @@ class AnalyticField:
                 continue
             key = (mode.xi, mode.phase, mode.waveform, mode.poly, mode.poly_center, mode.envelope)
             held = merged.get(key)
-            merged[key] = mode if held is None else replace(held, amplitude=held.amplitude + mode.amplitude)
+            merged[key] = mode if held is None else held._with(amplitude=held.amplitude + mode.amplitude)
         self.modes = tuple(m for m in merged.values() if m.amplitude)
         self._partials: dict[int, AnalyticField] = {}
         self._arrays: tuple | None = None
@@ -294,7 +309,7 @@ class AnalyticField:
 
     def __mul__(self, factor: complex) -> "AnalyticField":
         return AnalyticField(self.signature, self.grade,
-                             [replace(m, amplitude=m.amplitude * factor) for m in self.modes])
+                             [m._with(amplitude=m.amplitude * factor) for m in self.modes])
 
     __rmul__ = __mul__
 
@@ -303,7 +318,7 @@ class AnalyticField:
 
     def map_amplitudes(self, fn, grade: int) -> "AnalyticField":
         """New field with every mode amplitude passed through a linear map."""
-        modes = [replace(m, amplitude=fn(m.amplitude)) for m in self.modes]
+        modes = [m._with(amplitude=fn(m.amplitude)) for m in self.modes]
         return AnalyticField(self.signature, grade, [m for m in modes if m.amplitude])
 
 
@@ -415,30 +430,95 @@ def partial_derivative(f, axis: int, x: Sequence[float]) -> Multivector:
     return f.partial_at(axis, x)
 
 
-def exterior_derivative(f, x: Sequence[float]) -> Multivector:
-    """Grade-raising derivative: sum_i Delta_ii e_i wedge (d_i f) at x."""
-    sig = f.signature
-    if f.grade >= sig.dim:
-        return Multivector.zero(sig, 0)
-    total = Multivector.zero(sig, f.grade + 1)
+EXTERIOR = "exterior"
+INTERIOR = "interior"
+
+
+@lru_cache(maxsize=None)
+def _derivative_table(sig: SpacetimeSignature, grade: int, kind: str) -> np.ndarray:
+    """``T[i, a, b]``: component b of Delta_ii e_i wedge (exterior) or
+    Delta_ii e_i interior (interior) unit blade a, filled by the public
+    ``wedge``/``left_interior``; blades in ``index_lists`` order.
+
+    By linearity the derivative of a field with partial rows P_i is
+    sum_i P_i @ T[i].  Shape (dim, ncomp(grade), ncomp(grade +- 1)).
+    """
+    product, out_grade = (wedge, grade + 1) if kind == EXTERIOR else (left_interior, grade - 1)
+    units = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade)]
+    slot = {idx: b for b, idx in enumerate(sig.index_lists(out_grade))}
+    table = np.zeros((sig.dim, len(units), len(slot)))
     for i in sig.axes():
-        part = f.partial_at(i, x)
-        if part:
-            total = total + sig.metric(i) * wedge(Multivector.blade(sig, (i,)), part)
+        basis = Multivector.blade(sig, (i,), sig.metric(i))
+        for a, unit in enumerate(units):
+            for idx, c in product(basis, unit).terms.items():
+                table[i, a, slot[idx]] = c
+    # cached and shared by every caller
+    table.flags.writeable = False
+    return table
+
+
+def _derivative_grade(f, kind: str) -> int | None:
+    """Grade of the field's exterior or interior derivative; None when it
+    leaves 0..dim and the derivative is identically zero."""
+    grade = f.grade + 1 if kind == EXTERIOR else f.grade - 1
+    return grade if 0 <= grade <= f.signature.dim else None
+
+
+def _derivative_rows(f, kind: str, points: np.ndarray, axes: Iterable[int] | None = None,
+                     slopes: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """Dense (npoints, ncomp) exterior or interior derivative rows: the sum over
+    ``axes`` (default all) of the partial rows along axis i times ``T[i]``.
+
+    ``slopes[i]`` may supply partial rows already evaluated at the points.  A
+    derivative that leaves the grade range has no components: (npoints, 0).
+    """
+    sig = f.signature
+    if _derivative_grade(f, kind) is None:
+        return np.zeros((len(points), 0))
+    table = _derivative_table(sig, f.grade, kind)
+    total = np.zeros((len(points), table.shape[2]))
+    for i in (sig.axes() if axes is None else axes):
+        total = total + (f.partial_components(i, points) if slopes is None else slopes[i]) @ table[i]
     return total
+
+
+def exterior_derivative_components(f, points: np.ndarray) -> np.ndarray:
+    """Grade-raising derivative sum_i Delta_ii e_i wedge (d_i f) as dense
+    (npoints, ncomp) rows in ``index_lists(grade + 1)`` order; (npoints, 0)
+    for a top-grade field."""
+    return _derivative_rows(f, EXTERIOR, np.asarray(points, dtype=float))
+
+
+def interior_derivative_components(f, points: np.ndarray,
+                                   axes: Iterable[int] | None = None) -> np.ndarray:
+    """Grade-lowering derivative sum_i Delta_ii e_i interior (d_i f) as dense
+    (npoints, ncomp) rows in ``index_lists(grade - 1)`` order; ``axes``
+    restricts the sum (time or space parts); (npoints, 0) for a scalar field."""
+    return _derivative_rows(f, INTERIOR, np.asarray(points, dtype=float), axes)
+
+
+def _derivative_at(f, kind: str, x: Sequence[float], axes: Iterable[int] | None = None,
+                   slopes: Sequence[np.ndarray] | None = None) -> Multivector:
+    """The one-row case of ``_derivative_rows`` as a multivector; the zero
+    scalar when the derivative leaves the grade range."""
+    sig = f.signature
+    grade = _derivative_grade(f, kind)
+    if grade is None:
+        return Multivector.zero(sig, 0)
+    row = _derivative_rows(f, kind, as_point(sig, x)[None, :], axes, slopes)[0]
+    return _dense_multivector(sig, grade, list(sig.index_lists(grade)), row)
+
+
+def exterior_derivative(f, x: Sequence[float]) -> Multivector:
+    """Grade-raising derivative at x: the one-row case of
+    ``exterior_derivative_components``."""
+    return _derivative_at(f, EXTERIOR, x)
 
 
 def interior_derivative(f, x: Sequence[float], axes: Iterable[int] | None = None) -> Multivector:
-    """Grade-lowering derivative; ``axes`` restricts the operator (time or space parts)."""
-    sig = f.signature
-    if f.grade == 0:
-        return Multivector.zero(sig, 0)
-    total = Multivector.zero(sig, f.grade - 1)
-    for i in (sig.axes() if axes is None else axes):
-        part = f.partial_at(i, x)
-        if part:
-            total = total + sig.metric(i) * left_interior(Multivector.blade(sig, (i,)), part)
-    return total
+    """Grade-lowering derivative at x; ``axes`` restricts the operator (time or
+    space parts).  The one-row case of ``interior_derivative_components``."""
+    return _derivative_at(f, INTERIOR, x, axes)
 
 
 def dalembertian(f: AnalyticField, x: Sequence[float]) -> Multivector:
@@ -461,7 +541,7 @@ def exterior_derivative_field(f: AnalyticField) -> AnalyticField:
         for mode in f.partial_field(i).modes:
             amp = wedge(basis, mode.amplitude)
             if amp:
-                modes.append(replace(mode, amplitude=amp))
+                modes.append(mode._with(amplitude=amp))
     return AnalyticField(sig, f.grade + 1, modes)
 
 
@@ -476,5 +556,5 @@ def interior_derivative_field(f: AnalyticField) -> AnalyticField:
         for mode in f.partial_field(i).modes:
             amp = left_interior(basis, mode.amplitude)
             if amp:
-                modes.append(replace(mode, amplitude=amp))
+                modes.append(mode._with(amplitude=amp))
     return AnalyticField(sig, f.grade - 1, modes)

@@ -1,7 +1,8 @@
 """Generalized Maxwell equations for a grade-r field with a grade-(r-1) source.
 
 The differential system is: interior derivative of F equals J, exterior
-derivative of F equals zero.  This module evaluates those residuals pointwise,
+derivative of F equals zero.  This module evaluates those residuals as dense
+rows over a point array (the per-point forms are the one-row case),
 handles potentials and gauge residuals, the per-mode Fourier (algebraic) form,
 the integral form over boxes, the degrees-of-freedom count, and the packing
 of classical (E, B, rho, j) data into the bivector form on (1, 3) space-time.
@@ -26,10 +27,13 @@ from .algebra import (
 )
 from .fields import (
     AnalyticField,
+    as_point,
     dalembertian,
     exterior_derivative,
+    exterior_derivative_components,
     exterior_derivative_field,
     interior_derivative,
+    interior_derivative_components,
 )
 from .integrate import DEFAULT_POINTS, HypersurfaceBox, circulation, flux
 
@@ -37,6 +41,7 @@ __all__ = [
     "MaxwellSystem",
     "ClassicalFields",
     "maxwell_residuals",
+    "maxwell_residual_components",
     "charge_conservation_residual",
     "field_from_potential",
     "lorenz_gauge_residual",
@@ -50,6 +55,7 @@ __all__ = [
     "classical_pack",
     "classical_unpack",
     "classical_vector_residuals",
+    "classical_vector_residual_components",
     "residuals_to_classical",
     "integral_maxwell_check",
 ]
@@ -83,6 +89,15 @@ def maxwell_residuals(system: MaxwellSystem, x: Sequence[float]) -> tuple[Multiv
     inhom = interior_derivative(system.F, x) - system.J.evaluate(x)
     hom = exterior_derivative(system.F, x)
     return inhom, hom
+
+
+def maxwell_residual_components(system: MaxwellSystem, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rows of (interior derivative of F minus J, exterior derivative of
+    F) at every point, in ``index_lists`` order of grades r - 1 and r + 1; the
+    second has no columns when r is the top grade."""
+    points = np.asarray(points, dtype=float)
+    inhom = interior_derivative_components(system.F, points) - system.J.evaluate_components(points)
+    return inhom, exterior_derivative_components(system.F, points)
 
 
 def charge_conservation_residual(system: MaxwellSystem, x: Sequence[float]) -> Multivector:
@@ -263,43 +278,57 @@ def classical_unpack(system: MaxwellSystem) -> ClassicalFields:
     return ClassicalFields(E=e_field, B=b_field, rho=rho, j=j_field)
 
 
-def classical_vector_residuals(cf: ClassicalFields, x: Sequence[float]) -> dict:
-    """The four vector-calculus Maxwell residuals evaluated independently.
+def classical_vector_residual_components(cf: ClassicalFields, points: np.ndarray) -> dict:
+    """The four vector-calculus Maxwell residuals at every point, evaluated
+    independently of the multivector form.
 
-    Returns gauss = div E - rho, faraday = curl E + dB/dt, monopole = div B,
-    ampere = curl B - j - dE/dt, using only per-component partial derivatives.
+    Returns gauss = div E - rho and monopole = div B as (npoints,) arrays,
+    faraday = curl E + dB/dt and ampere = curl B - j - dE/dt as (npoints, 3),
+    using only per-component partial derivatives.
     """
-    def comp(field, i):
-        return field.evaluate(x).coeff((i,))
+    points = np.asarray(points, dtype=float)
 
-    def dcomp(field, axis, i):
-        return field.partial_at(axis, x).coeff((i,))
+    def partials(field):
+        # d[axis][:, i] is the partial along axis of component e_i
+        return [field.partial_components(axis, points) for axis in MINKOWSKI.axes()]
 
-    def curl(field):
-        return np.array([
-            dcomp(field, 2, 3) - dcomp(field, 3, 2),
-            dcomp(field, 3, 1) - dcomp(field, 1, 3),
-            dcomp(field, 1, 2) - dcomp(field, 2, 1),
-        ])
+    def curl(d):
+        return np.stack([d[2][:, 3] - d[3][:, 2], d[3][:, 1] - d[1][:, 3], d[1][:, 2] - d[2][:, 1]], axis=1)
 
-    def div(field):
-        return sum(dcomp(field, i, i) for i in SPACE_AXES_3D)
+    def div(d):
+        return d[1][:, 1] + d[2][:, 2] + d[3][:, 3]
 
-    gauss = div(cf.E) - cf.rho.evaluate(x).scalar_value()
-    faraday = curl(cf.E) + np.array([dcomp(cf.B, 0, i) for i in SPACE_AXES_3D])
-    monopole = div(cf.B)
-    ampere = curl(cf.B) - np.array([comp(cf.j, i) for i in SPACE_AXES_3D]) \
-        - np.array([dcomp(cf.E, 0, i) for i in SPACE_AXES_3D])
-    return {"gauss": gauss, "faraday": faraday, "monopole": monopole, "ampere": ampere}
+    d_e, d_b = partials(cf.E), partials(cf.B)
+    return {
+        "gauss": div(d_e) - cf.rho.evaluate_components(points)[:, 0],
+        "faraday": curl(d_e) + d_b[0][:, 1:],
+        "monopole": div(d_b),
+        "ampere": curl(d_b) - cf.j.evaluate_components(points)[:, 1:] - d_e[0][:, 1:],
+    }
 
 
-def residuals_to_classical(inhom: Multivector, hom: Multivector) -> dict:
-    """Map the (1,3), r = 2 multivector residual pair onto the classical four."""
-    gauss = inhom.coeff((0,))
-    ampere = np.array([inhom.coeff((i,)) for i in SPACE_AXES_3D])
-    faraday = np.array([-hom.coeff((0, 2, 3)), hom.coeff((0, 1, 3)), -hom.coeff((0, 1, 2))])
-    monopole = hom.coeff((1, 2, 3))
-    return {"gauss": gauss, "faraday": faraday, "monopole": monopole, "ampere": ampere}
+def classical_vector_residuals(cf: ClassicalFields, x: Sequence[float]) -> dict:
+    """The four vector-calculus residuals at x: the one-row case of
+    ``classical_vector_residual_components``."""
+    rows = classical_vector_residual_components(cf, as_point(MINKOWSKI, x)[None, :])
+    return {name: value[0] for name, value in rows.items()}
+
+
+def residuals_to_classical(inhom, hom) -> dict:
+    """Map the (1,3), r = 2 residual pair onto the classical four.
+
+    Takes the pair as multivectors or as dense rows (npoints, ncomp) in
+    ``index_lists`` order, such as ``maxwell_residual_components`` returns;
+    rows give per-point arrays.
+    """
+    if isinstance(inhom, Multivector):
+        inhom, hom = (np.array([mv.coeff(idx) for idx in MINKOWSKI.index_lists(mv.grade)])
+                      for mv in (inhom, hom))
+    # hom columns: e_012, e_013, e_023, e_123
+    return {"gauss": inhom[..., 0],
+            "faraday": np.stack([-hom[..., 2], hom[..., 1], -hom[..., 0]], axis=-1),
+            "monopole": hom[..., 3],
+            "ampere": inhom[..., 1:4]}
 
 
 # ---------------------------------------------------------------------------

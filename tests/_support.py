@@ -1,12 +1,15 @@
 """Test-only helpers: a reference index sort, a component bitensor field, the
-per-point quadratic tensor divergence, a pointwise product-rule residual, a
-per-point reference evaluation of analytic mode fields, per-node reference
-quadratures, the dense slice flux and the loop form of the identity suite.
-None of these is used by the package."""
+per-point quadratic tensor divergence, the per-point exterior and interior
+derivatives, the per-point classical vector residuals, the derived modes built
+through ``dataclasses.replace``, one field of each kind of mode, a pointwise
+product-rule residual, a per-point reference evaluation of analytic mode
+fields, per-node reference quadratures, the dense slice flux and the loop form
+of the identity suite.  None of these is used by the package."""
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +31,14 @@ from extcalc.algebra import (
     wedge,
 )
 from extcalc.energy import _stress_tables
-from extcalc.fields import AnalyticField, exterior_derivative, interior_derivative
+from extcalc.fields import (
+    AnalyticField,
+    GaussianEnvelope,
+    Mode,
+    exterior_derivative,
+    interior_derivative,
+    polynomial_field,
+)
 from extcalc.integrate import HypersurfaceBox, gauss_legendre_rule
 
 
@@ -132,6 +142,113 @@ def reference_tensor_divergence(field, kind: str, x: Sequence[float]) -> Multive
             if entry:
                 out[(i,)] = out.get((i,), 0) + entry
     return Multivector(sig, 1, out)
+
+
+def reference_exterior_derivative(f, x: Sequence[float]) -> Multivector:
+    """sum_i Delta_ii e_i wedge (d_i f) at x, one ``partial_at`` multivector
+    per axis folded through ``wedge``."""
+    sig = f.signature
+    if f.grade >= sig.dim:
+        return Multivector.zero(sig, 0)
+    total = Multivector.zero(sig, f.grade + 1)
+    for i in sig.axes():
+        part = f.partial_at(i, x)
+        if part:
+            total = total + sig.metric(i) * wedge(Multivector.blade(sig, (i,)), part)
+    return total
+
+
+def reference_interior_derivative(f, x: Sequence[float], axes: Iterable[int] | None = None) -> Multivector:
+    """sum over ``axes`` (default all) of Delta_ii e_i interior (d_i f) at x,
+    folded through ``left_interior``."""
+    sig = f.signature
+    if f.grade == 0:
+        return Multivector.zero(sig, 0)
+    total = Multivector.zero(sig, f.grade - 1)
+    for i in (sig.axes() if axes is None else axes):
+        part = f.partial_at(i, x)
+        if part:
+            total = total + sig.metric(i) * left_interior(Multivector.blade(sig, (i,)), part)
+    return total
+
+
+def reference_classical_vector_residuals(cf, x: Sequence[float]) -> dict:
+    """gauss = div E - rho, faraday = curl E + dB/dt, monopole = div B and
+    ampere = curl B - j - dE/dt at x, one component coefficient at a time."""
+    def comp(field, i):
+        return field.evaluate(x).coeff((i,))
+
+    def dcomp(field, axis, i):
+        return field.partial_at(axis, x).coeff((i,))
+
+    def curl(field):
+        return np.array([
+            dcomp(field, 2, 3) - dcomp(field, 3, 2),
+            dcomp(field, 3, 1) - dcomp(field, 1, 3),
+            dcomp(field, 1, 2) - dcomp(field, 2, 1),
+        ])
+
+    def div(field):
+        return sum(dcomp(field, i, i) for i in (1, 2, 3))
+
+    gauss = div(cf.E) - cf.rho.evaluate(x).scalar_value()
+    faraday = curl(cf.E) + np.array([dcomp(cf.B, 0, i) for i in (1, 2, 3)])
+    monopole = div(cf.B)
+    ampere = curl(cf.B) - np.array([comp(cf.j, i) for i in (1, 2, 3)]) \
+        - np.array([dcomp(cf.E, 0, i) for i in (1, 2, 3)])
+    return {"gauss": gauss, "faraday": faraday, "monopole": monopole, "ampere": ampere}
+
+
+def reference_derivative_modes(mode: Mode, axis: int) -> list[Mode]:
+    """A mode's exact partial along one axis, each derived mode built by
+    ``dataclasses.replace`` (so ``Mode.__post_init__`` runs again) with an
+    amplitude scaled through ``Multivector.__mul__``."""
+    replace = dataclasses.replace
+    out = []
+    p = mode.poly[axis]
+    if p:
+        lowered = list(mode.poly)
+        lowered[axis] = p - 1
+        out.append(replace(mode, amplitude=mode.amplitude * p, poly=tuple(lowered)))
+    slope = mode.phase_gradient(axis)
+    if slope != 0.0:
+        if mode.waveform == "cos":
+            out.append(replace(mode, amplitude=mode.amplitude * slope, phase=mode.phase + 0.5 * math.pi))
+        else:
+            out.append(replace(mode, amplitude=mode.amplitude * (1j * slope)))
+    if mode.envelope is not None:
+        w2 = mode.envelope.width ** 2
+        raised = list(mode.poly)
+        raised[axis] += 1
+        out.append(replace(mode, amplitude=mode.amplitude * (-1.0 / w2), poly=tuple(raised)))
+        shift = mode.poly_center[axis] - mode.envelope.center[axis]
+        if shift:
+            out.append(replace(mode, amplitude=mode.amplitude * (-shift / w2)))
+    return [m for m in out if m.amplitude]
+
+
+def mode_family_fields(sig: SpacetimeSignature, r: int, rng) -> dict[str, AnalyticField]:
+    """One grade-r field of each kind of mode: cos, exp, monomial, envelope,
+    and their mix, with normal random amplitudes on every blade."""
+    def amp():
+        return Multivector(sig, r, {idx: float(rng.normal()) for idx in sig.index_lists(r)})
+
+    def xi():
+        return tuple(rng.uniform(-0.7, 0.7, sig.dim))
+
+    envelope = GaussianEnvelope(center=tuple(rng.uniform(-0.5, 0.5, sig.dim)), width=0.9)
+    cos = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), phase=0.3),
+                                 Mode(amplitude=amp(), xi=xi(), phase=1.1)])
+    exp = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), waveform="exp"),
+                                 Mode(amplitude=amp(), xi=xi(), phase=0.4, waveform="exp")])
+    monomial = polynomial_field(amp(), tuple(rng.integers(0, 3, sig.dim))) \
+        + polynomial_field(amp(), tuple(rng.integers(0, 3, sig.dim)))
+    enveloped = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), envelope=envelope),
+                                       Mode(amplitude=amp(), envelope=envelope)])
+    mixed = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), poly=tuple(rng.integers(0, 2, sig.dim)),
+                                        envelope=envelope),
+                                   Mode(amplitude=amp(), xi=xi(), waveform="exp")])
+    return {"cos": cos, "exp": exp, "monomial": monomial, "envelope": enveloped, "mixed": mixed}
 
 
 def product_rule_check(v, w, x: Sequence[float]) -> float:

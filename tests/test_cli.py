@@ -11,6 +11,8 @@ from extcalc.algebra import Multivector, SpacetimeSignature
 from extcalc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# stdout of the shipped runs, recorded before the pointwise checks were batched
+REPORTS = Path(__file__).resolve().parent / "reports"
 
 
 def run(capsys, *argv):
@@ -77,6 +79,84 @@ def test_maxwell_check_flags_nonconserved_source(capsys):
     report = json.loads(out)
     assert report["checks"]["differential"]["charge_conservation_max"] > 0.5
     assert "FAIL" in err
+
+
+def test_maxwell_check_locates_the_worst_residual(capsys):
+    code, out, err = run(capsys, "maxwell-check", "--config",
+                         str(SCENARIOS / "nonconserved_source.json"))
+    assert code == 1
+    assert out == (REPORTS / "maxwell-check-nonconserved_source.json").read_text()
+    summary, located = err.splitlines()
+    assert summary.startswith("maxwell-check: FAIL")
+    assert "differential" in located and "at point [" in located and "component e_0" in located
+    # a passing run with every residual zero has nothing to locate
+    code, _, err = run(capsys, "maxwell-check", "--config", str(SCENARIOS / "vacuum_plane_wave.json"))
+    assert code == 0 and len(err.splitlines()) == 1
+
+
+def _within(got, want, bound, where="report"):
+    """Same keys, verdicts and strings; every number within bound of the recorded one."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _within(got[key], want[key], bound, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _within(g, w, bound, f"{where}[{i}]")
+    elif isinstance(want, (bool, str)) or want is None:
+        assert got == want and type(got) is type(want), where
+    else:
+        assert abs(got - want) <= bound, (where, got, want)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("classical-seed-7", ("classical", "--seed", "7")),
+    ("maxwell-check-vacuum_plane_wave", ("maxwell-check", "--config",
+                                         str(SCENARIOS / "vacuum_plane_wave.json"))),
+    ("maxwell-check-nonconserved_source", ("maxwell-check", "--config",
+                                           str(SCENARIOS / "nonconserved_source.json"))),
+    ("stress-energy-vacuum_plane_wave", ("stress-energy", "--config",
+                                         str(SCENARIOS / "vacuum_plane_wave.json"))),
+])
+def test_shipped_reports_keep_their_recorded_values(capsys, name, argv):
+    want = json.loads((REPORTS / f"{name}.json").read_text())
+    code, out, _ = run(capsys, *argv)
+    assert code == (0 if want["passed"] else 1)
+    _within(json.loads(out), want, 1e-3 * want["tol"])
+
+
+def test_maxwell_check_nan_amplitude_fails(capsys, tmp_path):
+    def nan_amplitude(data):
+        data["F"]["modes"][0]["amplitude"]["terms"][0]["re"] = math.nan
+
+    code, out, err = run(capsys, "maxwell-check", "--config", _edited_vacuum(tmp_path, nan_amplitude))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and math.isnan(report["max_residual"])
+    assert math.isnan(report["checks"]["differential"]["inhom_max"])
+    assert "FAIL" in err and "worst residual nan" in err
+
+
+@pytest.mark.parametrize("signature,r", [((1, 2), 1), ((1, 2), 3), ((0, 2), 2)])
+def test_derivatives_out_of_the_grade_range_report_zero(capsys, tmp_path, signature, r):
+    # r = 1: the source is a scalar, whose interior derivative (the charge
+    # conservation residual) vanishes; r = k + n: F has no exterior derivative
+    from extcalc.fields import exterior_derivative_field, interior_derivative_field, polynomial_field
+    from extcalc.serialize import canonical_dumps, field_to_json
+
+    sig = SpacetimeSignature(*signature)
+    potential = polynomial_field(Multivector.blade(sig, tuple(range(r - 1)), 1.5), (2,) * sig.dim)
+    f_field = exterior_derivative_field(potential)
+    scenario = {"signature": {"k": sig.k, "n": sig.n}, "r": r, "F": field_to_json(f_field),
+                "J": field_to_json(interior_derivative_field(f_field)), "A": None,
+                "checks": ["differential"], "sample_points": 4, "seed": 2, "tol": 1e-10}
+    path = tmp_path / "edge.json"
+    path.write_text(canonical_dumps(scenario))
+    code, out, _ = run(capsys, "maxwell-check", "--config", str(path))
+    block = json.loads(out)["checks"]["differential"]
+    assert code == 0
+    assert block["charge_conservation_max" if r == 1 else "hom_max"] == 0.0
 
 
 def test_maxwell_check_malformed_config(capsys, tmp_path):

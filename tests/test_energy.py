@@ -18,15 +18,20 @@ from extcalc.energy import (
     QuadraticTensorField,
     StressTensorField,
     conservation_residual,
+    conservation_residual_components,
     flux_T_direct,
     flux_T_fourier,
     lorentz_force,
     stress_tensor_def,
     stress_tensor_explicit,
+    stress_tensor_explicit_components,
     synthesize_on_cone_potential,
+    tensor_divergence_identity,
     tensor_identity_check,
     trace,
+    trace_components,
     trace_formula,
+    trace_formula_components,
 )
 from extcalc.fields import (
     AnalyticField,
@@ -42,7 +47,7 @@ from extcalc.fields import (
 from extcalc.integrate import HypersurfaceBox, bitensor_stokes_check, gauss_legendre_rule
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, classical_pack
 
-from _support import reference_flux_T_direct, reference_tensor_divergence
+from _support import mode_family_fields, reference_flux_T_direct, reference_tensor_divergence
 
 EUC3 = SpacetimeSignature(0, 3)
 M11 = SpacetimeSignature(1, 1)
@@ -191,6 +196,22 @@ def test_trace_law():
             assert abs(trace(t)) < 1e-12
 
 
+def test_batched_explicit_route_and_trace_match_one_row():
+    rng = np.random.default_rng(16)
+    for sig, r in all_configs(5):
+        values = [random_mv(sig, r, rng) for _ in range(3)]
+        rows = np.array([[f.coeff(idx) for idx in sig.index_lists(r)] for f in values])
+        tensors = stress_tensor_explicit_components(sig, r, rows)
+        traces = trace_components(sig, tensors)
+        formulas = trace_formula_components(sig, r, rows)
+        pairs = list(combinations_with_replacement(sig.axes(), 2))
+        for f, tensor, tr, formula in zip(values, tensors, traces, formulas):
+            one = stress_tensor_explicit(f)
+            assert all(one.get(i, j) == tensor[p] for p, (i, j) in enumerate(pairs))
+            assert tr == pytest.approx(trace(one), abs=1e-12)
+            assert formula == pytest.approx(trace_formula(f), abs=1e-12)
+
+
 def test_trace_formula_example():
     # (0,3), r=1, F = e_2 (a unit space direction): (1/2)(3-2)(1) = 1/2
     f = Multivector.blade(EUC3, (2,))
@@ -246,6 +267,31 @@ def test_tensor_divergence_identity_arbitrary_fields():
         for _ in range(3):
             x = rng.uniform(-1, 1, sig.dim)
             assert tensor_divergence_identity(f, x).max_abs() < 1e-12
+
+
+class _CountingField:
+    """A field that counts its batched evaluations and partial evaluations."""
+
+    def __init__(self, field):
+        self.field, self.signature, self.grade = field, field.signature, field.grade
+        self.calls = {"evaluate": 0, "partial": 0}
+
+    def evaluate_components(self, points):
+        self.calls["evaluate"] += 1
+        return self.field.evaluate_components(points)
+
+    def partial_components(self, axis, points):
+        self.calls["partial"] += 1
+        return self.field.partial_components(axis, points)
+
+
+def test_identity_checks_evaluate_each_partial_once():
+    f = _CountingField(random_cos_field(MINKOWSKI, 2, np.random.default_rng(17)))
+    tensor_identity_check(f, (0.1, 0.2, 0.3, 0.4))
+    assert f.calls == {"evaluate": 1, "partial": 4}
+    f.calls = {"evaluate": 0, "partial": 0}
+    tensor_divergence_identity(f, (0.1, 0.2, 0.3, 0.4))
+    assert f.calls == {"evaluate": 1, "partial": 4}
 
 
 def test_split_residuals_cancel_for_non_maxwellian():
@@ -524,29 +570,6 @@ def test_stress_field_partial_matches_finite_difference():
         assert np.abs(fd - exact).max() < 1e-6
 
 
-def _divergence_fields(sig, r, rng):
-    """One field of each kind of mode: cos, exp, monomial, envelope, and their mix."""
-    def amp():
-        return random_mv(sig, r, rng)
-
-    def xi():
-        return tuple(rng.uniform(-0.7, 0.7, sig.dim))
-
-    envelope = GaussianEnvelope(center=tuple(rng.uniform(-0.5, 0.5, sig.dim)), width=0.9)
-    cos = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), phase=0.3),
-                                 Mode(amplitude=amp(), xi=xi(), phase=1.1)])
-    exp = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), waveform="exp"),
-                                 Mode(amplitude=amp(), xi=xi(), phase=0.4, waveform="exp")])
-    monomial = polynomial_field(amp(), tuple(rng.integers(0, 3, sig.dim))) \
-        + polynomial_field(amp(), tuple(rng.integers(0, 3, sig.dim)))
-    enveloped = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), envelope=envelope),
-                                       Mode(amplitude=amp(), envelope=envelope)])
-    mixed = AnalyticField(sig, r, [Mode(amplitude=amp(), xi=xi(), poly=tuple(rng.integers(0, 2, sig.dim)),
-                                        envelope=envelope),
-                                   Mode(amplitude=amp(), xi=xi(), waveform="exp")])
-    return {"cos": cos, "exp": exp, "monomial": monomial, "envelope": enveloped, "mixed": mixed}
-
-
 def test_divergence_components_match_the_pointwise_reference():
     rng = np.random.default_rng(14)
     cases = 0
@@ -555,7 +578,7 @@ def test_divergence_components_match_the_pointwise_reference():
             sig = SpacetimeSignature(k, d - k)
             for r in range(d + 1):
                 points = rng.uniform(-1, 1, (2, d))
-                for name, f in _divergence_fields(sig, r, rng).items():
+                for name, f in mode_family_fields(sig, r, rng).items():
                     for kind in ("odot", "owedge", "stress"):
                         got = QuadraticTensorField(f, kind).divergence_components(points)
                         want = np.array([reference_tensor_divergence(f, kind, x).vector_components()
@@ -564,6 +587,28 @@ def test_divergence_components_match_the_pointwise_reference():
                         assert np.abs(got - want).max() < 1e-12 * scale, (k, d - k, r, name, kind)
                         cases += 1
     assert cases == 54 * 5 * 3
+
+
+def test_conservation_components_match_the_pointwise_reference():
+    rng = np.random.default_rng(18)
+    cases = 0
+    for d in range(1, 5):
+        for k in range(d + 1):
+            sig = SpacetimeSignature(k, d - k)
+            for r in range(1, d + 1):
+                points = rng.uniform(-1, 1, (2, d))
+                source = mode_family_fields(sig, r - 1, rng)["mixed"]
+                for name, f in mode_family_fields(sig, r, rng).items():
+                    got = conservation_residual_components(f, source, points)
+                    want = np.array([(lorentz_force(f.evaluate(x), source.evaluate(x))
+                                      + reference_tensor_divergence(f, "stress", x)).vector_components()
+                                     for x in points])
+                    scale = max(1.0, np.abs(want).max())
+                    assert np.abs(got - want).max() < 1e-12 * scale, (k, d - k, r, name)
+                    assert conservation_residual(f, source, points[0]).vector_components() \
+                        == pytest.approx(got[0].tolist(), abs=1e-12 * scale)
+                    cases += 1
+    assert cases == 40 * 5
 
 
 def test_nan_amplitude_fails_closed_through_tensor_rows():

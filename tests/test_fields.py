@@ -12,16 +12,27 @@ from extcalc.fields import (
     Mode,
     constant_field,
     dalembertian,
+    _derivative_table,
     exterior_derivative,
+    exterior_derivative_components,
     exterior_derivative_field,
     interior_derivative,
+    interior_derivative_components,
     interior_derivative_field,
     partial_derivative,
     plane_wave,
     polynomial_field,
 )
 
-from _support import ComponentBitensorField, product_rule_check, reference_evaluate
+from _support import (
+    ComponentBitensorField,
+    mode_family_fields,
+    product_rule_check,
+    reference_derivative_modes,
+    reference_evaluate,
+    reference_exterior_derivative,
+    reference_interior_derivative,
+)
 
 EUC3 = SpacetimeSignature(0, 3)
 MINK = SpacetimeSignature(1, 3)
@@ -222,8 +233,95 @@ def test_product_rule_residual():
 def test_exterior_derivative_of_top_grade_is_zero():
     sig = SpacetimeSignature(0, 2)
     f = constant_field(Multivector.blade(sig, (0, 1), 3.0))
+    scalar = constant_field(Multivector.scalar(sig, 2.0))
     assert exterior_derivative(f, (0.0, 0.0)).is_zero()
-    assert interior_derivative(constant_field(Multivector.scalar(sig, 2.0)), (0.0, 0.0)).is_zero()
+    assert interior_derivative(scalar, (0.0, 0.0)).is_zero()
+    # the batched rows of a derivative out of the grade range have no columns
+    points = np.zeros((3, 2))
+    assert exterior_derivative_components(f, points).shape == (3, 0)
+    assert interior_derivative_components(scalar, points).shape == (3, 0)
+
+
+def _rows(mv, sig, grade, npoints):
+    """A reference multivector as the dense row of the batched derivative."""
+    if not 0 <= grade <= sig.dim:
+        assert mv.is_zero()
+        return np.zeros((npoints, 0))
+    return np.array([[mv.coeff(idx) for idx in sig.index_lists(grade)]])
+
+
+def test_derivative_components_match_the_pointwise_reference():
+    rng = np.random.default_rng(15)
+    cases = 0
+    for d in range(1, 5):
+        for k in range(d + 1):
+            sig = SpacetimeSignature(k, d - k)
+            restrictions = {"all": None, "time": range(k), "space": range(k, d)}
+            for r in range(d + 1):
+                fields = mode_family_fields(sig, r, rng)
+                counts = (9,) * d if d < 4 else (5,) * 4
+                fields["grid"] = GridField.sample(fields["cos"], (-1.0,) * d, (2.0 / (counts[0] - 1),) * d,
+                                                  counts)
+                sites = rng.integers(1, counts[0] - 1, size=(3, d))
+                for name, f in fields.items():
+                    points = -1.0 + sites * fields["grid"].spacing if name == "grid" \
+                        else rng.uniform(-1, 1, (3, d))
+                    got = exterior_derivative_components(f, points)
+                    want = np.vstack([_rows(reference_exterior_derivative(f, x), sig, r + 1, 1)
+                                      for x in points])
+                    scale = max(1.0, np.abs(want).max(initial=0.0))
+                    assert got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+                    for label, axes in restrictions.items():
+                        got = interior_derivative_components(f, points, axes)
+                        want = np.vstack([_rows(reference_interior_derivative(f, x, axes), sig, r - 1, 1)
+                                          for x in points])
+                        scale = max(1.0, np.abs(want).max(initial=0.0))
+                        assert got.shape == want.shape, (k, d - k, r, name, label)
+                        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale, (k, d - k, r, name, label)
+                    cases += 1
+    assert cases == 54 * 6
+
+
+def test_derivative_tables_anticommute():
+    # T_i T_j + T_j T_i = 0 for both kinds is d(d f) = 0 and the interior
+    # analogue for any field, whose second partials are symmetric in i, j
+    pairs = 0
+    for d in range(1, 6):
+        for k in range(d + 1):
+            sig = SpacetimeSignature(k, d - k)
+            for kind, step in (("exterior", 1), ("interior", -1)):
+                for grade in range(d + 1):
+                    if not 0 <= grade + 2 * step <= d:
+                        continue
+                    first = _derivative_table(sig, grade, kind)
+                    second = _derivative_table(sig, grade + step, kind)
+                    assert first.any() and second.any()
+                    for i in range(d):
+                        for j in range(i, d):
+                            assert not (first[i] @ second[j] + first[j] @ second[i]).any(), \
+                                (k, d - k, kind, grade, i, j)
+                    pairs += 1
+    assert pairs == 2 * sum((d + 1) * (d - 1) for d in range(2, 6))
+
+
+def test_partial_fields_keep_the_replace_construction():
+    rng = np.random.default_rng(16)
+    for kn in ((1, 3), (2, 2), (0, 3), (1, 1)):
+        sig = SpacetimeSignature(*kn)
+        for r in range(sig.dim + 1):
+            fields = mode_family_fields(sig, r, rng)
+            amp = Multivector(sig, r, {idx: float(rng.normal()) for idx in sig.index_lists(r)})
+            shifted = GaussianEnvelope(center=tuple(rng.uniform(-0.5, 0.5, sig.dim)), width=1.2)
+            fields["shifted"] = AnalyticField(sig, r, [Mode(
+                amplitude=amp, xi=tuple(rng.uniform(-0.7, 0.7, sig.dim)), poly=(1,) * sig.dim,
+                poly_center=tuple(rng.uniform(-0.5, 0.5, sig.dim)), envelope=shifted)])
+            for f in fields.values():
+                for axis in sig.axes():
+                    want = [reference_derivative_modes(mode, axis) for mode in f.modes]
+                    assert [list(map(repr, mode.derivative_modes(axis))) for mode in f.modes] == \
+                        [list(map(repr, modes)) for modes in want]
+                    merged = AnalyticField(sig, r, [m for modes in want for m in modes])
+                    assert list(map(repr, f.partial_field(axis).modes)) == list(map(repr, merged.modes))
 
 
 # ---------------------------------------------------------------------------

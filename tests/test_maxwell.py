@@ -6,10 +6,12 @@ import pytest
 from extcalc.algebra import GradeError, Multivector, SpacetimeSignature, dot, hodge, wedge
 from extcalc.fields import (
     AnalyticField,
+    GridField,
     Mode,
     constant_field,
     exterior_derivative,
     interior_derivative,
+    interior_derivative_field,
     plane_wave,
     polynomial_field,
 )
@@ -21,6 +23,7 @@ from extcalc.maxwell import (
     charge_conservation_residual,
     classical_pack,
     classical_unpack,
+    classical_vector_residual_components,
     classical_vector_residuals,
     dof_count,
     field_from_potential,
@@ -28,6 +31,7 @@ from extcalc.maxwell import (
     harmonic_gauge_residual,
     integral_maxwell_check,
     lorenz_gauge_residual,
+    maxwell_residual_components,
     maxwell_residuals,
     null_frequency,
     null_support_violation,
@@ -35,6 +39,8 @@ from extcalc.maxwell import (
     transverse_gauge_residuals,
     wave_equation_residual,
 )
+
+from _support import mode_family_fields, reference_classical_vector_residuals
 
 EUC3 = SpacetimeSignature(0, 3)
 
@@ -408,3 +414,50 @@ def test_interior_derivative_source_matches_residual():
         inhom, hom = maxwell_residuals(system, x)
         assert inhom.max_abs() < 1e-10
         assert hom.max_abs() < 1e-10
+
+
+def test_maxwell_residual_components_match_one_row():
+    # every grade on every signature with k + n <= 4, so r = 1 (a scalar
+    # source) and r = k + n (no homogeneous residual) are both included
+    rng = np.random.default_rng(10)
+    for d in range(1, 5):
+        for k in range(d + 1):
+            sig = SpacetimeSignature(k, d - k)
+            for r in range(1, d + 1):
+                fields = mode_family_fields(sig, r, rng)
+                f_field, source = fields["mixed"], mode_family_fields(sig, r - 1, rng)["cos"]
+                grid = GridField.sample(fields["cos"], (-1.0,) * d, (0.25,) * d,
+                                        (9,) * d if d < 4 else (5,) * 4)
+                for system, points in (
+                        (MaxwellSystem(sig, r, f_field, source), rng.uniform(-1, 1, (3, d))),
+                        (MaxwellSystem(sig, r, grid), -1.0 + 0.25 * rng.integers(1, 4, (3, d)))):
+                    inhom, hom = maxwell_residual_components(system, points)
+                    assert inhom.shape == (3, math.comb(d, r - 1))
+                    assert hom.shape == (3, math.comb(d, r + 1) if r < d else 0)
+                    for x, inhom_row, hom_row in zip(points, inhom, hom):
+                        want_inhom, want_hom = maxwell_residuals(system, x)
+                        for row, want in ((inhom_row, want_inhom), (hom_row, want_hom)):
+                            scale = max(1.0, want.max_abs())
+                            for idx, c in zip(sig.index_lists(want.grade), row):
+                                assert abs(c - want.coeff(idx)) <= 1e-12 * scale
+                        if r == d:
+                            assert want_hom.is_zero()
+
+
+def test_classical_vector_residual_components_match_the_pointwise_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        cf = random_classical(rng)
+        points = rng.uniform(-1, 1, (5, 4))
+        got = classical_vector_residual_components(cf, points)
+        assert got["gauss"].shape == got["monopole"].shape == (5,)
+        assert got["faraday"].shape == got["ampere"].shape == (5, 3)
+        for p, x in enumerate(points):
+            want = reference_classical_vector_residuals(cf, x)
+            for name in ("gauss", "faraday", "monopole", "ampere"):
+                scale = max(1.0, np.abs(want[name]).max())
+                assert np.abs(got[name][p] - want[name]).max() <= 1e-12 * scale
+        # the multivector rows map onto the same four, row by row
+        rows = residuals_to_classical(*maxwell_residual_components(classical_pack(cf), points))
+        for name in ("gauss", "faraday", "monopole", "ampere"):
+            assert np.abs(rows[name] - got[name]).max() < 1e-9
