@@ -40,10 +40,12 @@ from .energy import (
     trace_formula_components,
 )
 from .fields import (
+    INTERIOR,
     AnalyticField,
     FieldDomainError,
     GridField,
     Mode,
+    _derivative_rows,
     exterior_derivative_field,
     interior_derivative_components,
     interior_derivative_field,
@@ -205,29 +207,25 @@ def cmd_verify_identities(args) -> int:
 # maxwell-check
 # ---------------------------------------------------------------------------
 
-def _check_differential(system: MaxwellSystem, points: np.ndarray) -> tuple[dict, str | None]:
-    """The differential residuals over all points, and ``_locate``'s line."""
+def _check_differential(system: MaxwellSystem, points: np.ndarray, tol: float) -> tuple[dict, str | None]:
+    """The differential residuals over all points and, when they fail, a line
+    naming the point of the largest (or first NaN) residual and, from
+    ``maxwell_residuals`` there, its worst component."""
     inhom, hom = maxwell_residual_components(system, points)
     block = {"inhom_max": _worst(inhom), "hom_max": _worst(hom),
              "charge_conservation_max": _worst(interior_derivative_components(system.J, points))}
-    return block, _locate(system, points, np.hstack([np.abs(inhom), np.abs(hom)]))
-
-
-def _locate(system: MaxwellSystem, points: np.ndarray, magnitudes: np.ndarray) -> str | None:
-    """Name the point holding the largest (or first NaN) differential residual
-    and, from ``maxwell_residuals`` there, its worst component; None when
-    every residual is zero."""
-    if _worst(magnitudes) == 0.0:
-        return None
+    magnitudes = np.hstack([np.abs(inhom), np.abs(hom)])
+    if _max(*block.values()) <= tol or _worst(magnitudes) == 0.0:
+        return block, None
     x = points[int(np.argmax(magnitudes)) // magnitudes.shape[1]]
     terms = [(abs(c), side, idx) for side, mv in zip(("inhom", "hom"), maxwell_residuals(system, x))
              for idx, c in mv.terms.items()]
     if not terms:
-        return None
+        return block, None
     size, side, idx = max(terms, key=lambda t: math.inf if math.isnan(t[0]) else t[0])
-    return (f"maxwell-check: differential worst residual {size:g} at point "
-            f"[{', '.join(f'{v:.6g}' for v in x)}], component "
-            f"{'e_' + ''.join(map(str, idx)) if idx else '1'} of {side}")
+    return block, (f"maxwell-check: differential worst residual {size:g} at point "
+                   f"[{', '.join(f'{v:.6g}' for v in x)}], component "
+                   f"{'e_' + ''.join(map(str, idx)) if idx else '1'} of {side}")
 
 
 def _random_box(sig: SpacetimeSignature, free_axes, rng: np.random.Generator) -> HypersurfaceBox:
@@ -276,9 +274,11 @@ def _check_gauge(scenario: Scenario, system: MaxwellSystem, points: np.ndarray) 
     if scenario.A is None:
         return {"skipped": "no potential in scenario"}
     sig = scenario.signature
+    # A's partial rows, evaluated once for the three axis sets
+    slopes = [scenario.A.partial_components(i, points) for i in sig.axes()]
 
     def interior(axes=None):
-        return _worst(interior_derivative_components(scenario.A, points, axes))
+        return _worst(_derivative_rows(scenario.A, INTERIOR, points, axes, slopes))
 
     consistency = 0.0
     if isinstance(scenario.A, AnalyticField):
@@ -299,7 +299,7 @@ def cmd_maxwell_check(args) -> int:
     checks: dict = {}
     located = None
     if "differential" in scenario.checks:
-        checks["differential"], located = _check_differential(system, points)
+        checks["differential"], located = _check_differential(system, points, scenario.tol)
     if "integral" in scenario.checks:
         checks["integral"] = _check_integral(system, rng, quad_points)
     if "fourier" in scenario.checks:
@@ -515,16 +515,14 @@ def _random_spatial_field(rng: np.random.Generator, grade: int = 1, nmodes: int 
 def cmd_classical(args) -> int:
     seed = args.seed if args.seed is not None else 0
     tol = args.tol if args.tol is not None else 1e-9
-    configs = args.configs
-    samples = args.samples
     rng = np.random.default_rng(seed)
 
     agreement_max = 0.0
     first_sample = None
-    for _ in range(configs):
+    for _ in range(args.configs):
         cf = ClassicalFields(E=_random_spatial_field(rng), B=_random_spatial_field(rng),
                              rho=_random_spatial_field(rng, grade=0), j=_random_spatial_field(rng))
-        points = _sample_points(rng, 4, samples)
+        points = _sample_points(rng, 4, args.samples)
         got = residuals_to_classical(*maxwell_residual_components(classical_pack(cf), points))
         want = classical_vector_residual_components(cf, points)
         agreement_max = _max(agreement_max, *(_worst(got[name] - want[name]) for name in got))
@@ -541,7 +539,7 @@ def cmd_classical(args) -> int:
         E=AnalyticField(MINKOWSKI, 1, [Mode(amplitude=e_amp, xi=xi)]),
         B=AnalyticField(MINKOWSKI, 1, [Mode(amplitude=b_amp, xi=xi)]),
         rho=AnalyticField(MINKOWSKI, 0), j=AnalyticField(MINKOWSKI, 1)))
-    vacuum_max = _max(*map(_worst, maxwell_residual_components(vacuum, _sample_points(rng, 4, samples))))
+    vacuum_max = _max(*map(_worst, maxwell_residual_components(vacuum, _sample_points(rng, 4, args.samples))))
 
     worst = _max(agreement_max, vacuum_max)
     passed = worst <= tol
@@ -549,8 +547,8 @@ def cmd_classical(args) -> int:
         "command": "classical",
         "seed": seed,
         "tol": tol,
-        "configs": configs,
-        "samples": samples,
+        "configs": args.configs,
+        "samples": args.samples,
         "agreement_max": agreement_max,
         "vacuum_residual_max": vacuum_max,
         "first_sample": first_sample,

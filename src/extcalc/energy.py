@@ -125,17 +125,22 @@ def _stress_tables(sig: SpacetimeSignature, grade: int) -> dict:
     return tables
 
 
+def _dense_row(f: Multivector) -> np.ndarray:
+    """F's components in ``index_lists`` order as one (1, ncomp) row."""
+    return np.array([[f.terms.get(idx, 0) for idx in f.signature.index_lists(f.grade)]])
+
+
 def stress_tensor_explicit(f: Multivector) -> Bitensor:
-    """Explicit component route: the ``_stress_tables`` formula applied to F."""
+    """Explicit component route at one value: the one-row case of
+    ``stress_tensor_explicit_components``."""
     sig = f.signature
-    row = [f.terms.get(idx, 0) for idx in sig.index_lists(f.grade)]
-    return Bitensor(sig, {pair: sum(c * row[a] * row[b] for a, b, c in triples)
-                          for pair, triples in _stress_tables(sig, f.grade).items()})
+    row = stress_tensor_explicit_components(sig, f.grade, _dense_row(f))[0]
+    return Bitensor(sig, zip(combinations_with_replacement(sig.axes(), 2), row.tolist()))
 
 
 def stress_tensor_explicit_components(sig: SpacetimeSignature, grade: int, rows: np.ndarray) -> np.ndarray:
-    """``stress_tensor_explicit`` on dense field rows (npoints, ncomp) in
-    ``index_lists`` order, with the same products summed in the same order:
+    """Explicit component route: the ``_stress_tables`` formula applied to
+    dense field rows (npoints, ncomp) in ``index_lists`` order, giving
     (npoints, npairs) tensor rows, pairs i <= j in
     ``combinations_with_replacement`` order."""
     tables = _stress_tables(sig, grade)
@@ -158,15 +163,14 @@ def trace_components(sig: SpacetimeSignature, tensor_rows: np.ndarray) -> np.nda
 
 
 def trace_formula(f: Multivector) -> complex:
-    """Closed form ((-1)^(r+1) / 2)(k + n - 2r)(F . F)."""
-    sig = f.signature
-    r = f.grade
-    return 0.5 * (-1) ** (r + 1) * (sig.dim - 2 * r) * dot(f, f)
+    """The closed-form trace at one value: the one-row case of
+    ``trace_formula_components``."""
+    return trace_formula_components(f.signature, f.grade, _dense_row(f))[0].item()
 
 
 def trace_formula_components(sig: SpacetimeSignature, grade: int, rows: np.ndarray) -> np.ndarray:
-    """``trace_formula`` of each dense field row (npoints, ncomp) in
-    ``index_lists`` order."""
+    """Closed form ((-1)^(r+1) / 2)(k + n - 2r)(F . F) of each dense field row
+    (npoints, ncomp) in ``index_lists`` order."""
     squares = sum(sig.metric_list(idx) * rows[:, a] * rows[:, a]
                   for a, idx in enumerate(sig.index_lists(grade)))
     return 0.5 * (-1) ** (grade + 1) * (sig.dim - 2 * grade) * squares

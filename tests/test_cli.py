@@ -89,7 +89,7 @@ def test_maxwell_check_locates_the_worst_residual(capsys):
     summary, located = err.splitlines()
     assert summary.startswith("maxwell-check: FAIL")
     assert "differential" in located and "at point [" in located and "component e_0" in located
-    # a passing run with every residual zero has nothing to locate
+    # a passing run has nothing to locate
     code, _, err = run(capsys, "maxwell-check", "--config", str(SCENARIOS / "vacuum_plane_wave.json"))
     assert code == 0 and len(err.splitlines()) == 1
 
@@ -244,6 +244,13 @@ def test_maxwell_check_grid_backend(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert 0 < report["checks"]["differential"]["hom_max"] < 2e-3
+
+
+def test_passing_grid_check_prints_only_the_summary(capsys, tmp_path):
+    # discretisation error leaves nonzero residuals below tol: no located line
+    code, out, err = run(capsys, "maxwell-check", "--config", _grid_scenario(tmp_path))
+    assert code == 0 and json.loads(out)["checks"]["differential"]["inhom_max"] > 0
+    assert len(err.splitlines()) == 1 and err.startswith("maxwell-check: PASS")
 
 
 def test_stress_energy_grid_backend(capsys, tmp_path):
