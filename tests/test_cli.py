@@ -240,17 +240,12 @@ def _grid_scenario(tmp_path) -> str:
 
 def test_maxwell_check_grid_backend(capsys, tmp_path):
     # grid-sampled fields are checked on interior lattice sites
-    code, out, _ = run(capsys, "maxwell-check", "--config", _grid_scenario(tmp_path))
+    code, out, err = run(capsys, "maxwell-check", "--config", _grid_scenario(tmp_path))
     assert code == 0
     report = json.loads(out)
     assert 0 < report["checks"]["differential"]["hom_max"] < 2e-3
-
-
-def test_passing_grid_check_prints_only_the_summary(capsys, tmp_path):
-    # discretisation error leaves nonzero residuals below tol: no located line
-    code, out, err = run(capsys, "maxwell-check", "--config", _grid_scenario(tmp_path))
-    assert code == 0 and json.loads(out)["checks"]["differential"]["inhom_max"] > 0
-    assert len(err.splitlines()) == 1 and err.startswith("maxwell-check: PASS")
+    # a passing check has nothing to locate, however far from zero its residuals
+    assert len(err.splitlines()) == 1
 
 
 def test_stress_energy_grid_backend(capsys, tmp_path):
