@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -402,18 +403,18 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
         raise ScenarioError(f"spectrum center must map axes 0..{sig.dim - 1} to finite values, "
                             f"got {spec['center']}")
 
-    def bump(xi_plus: Multivector) -> float:
+    def bump(xi_plus: np.ndarray) -> np.ndarray:
         q = 0.0
         for a, c in center.items():
-            q += (xi_plus.coeff((a,)) - c) ** 2
-        return scale * math.exp(-q / (2.0 * width ** 2))
+            q = q + (xi_plus[:, a] - c) ** 2
+        return scale * np.exp(-q / (2.0 * width ** 2))
 
     if kind == "scalar":
         if r != 1:
             raise ScenarioError("scalar spectrum requires field grade 1")
 
         def a_hat(xi_plus):
-            return Multivector.scalar(sig, bump(xi_plus))
+            return bump(xi_plus)[:, None]
 
         return a_hat
     if kind == "spatial-transverse":
@@ -423,9 +424,7 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
 
         def a_hat(xi_plus):
             h = bump(xi_plus)
-            xi1 = xi_plus.coeff((1,))
-            xi2 = xi_plus.coeff((2,))
-            return Multivector(sig, 1, {(1,): -xi2 * h, (2,): xi1 * h})
+            return np.stack([np.zeros_like(h), -xi_plus[:, 2] * h, xi_plus[:, 1] * h], axis=1)
 
         return a_hat
     raise ScenarioError(f"unknown spectrum kind {kind!r}")
@@ -478,7 +477,7 @@ def cmd_flux_compare(args) -> int:
         "axis": axis,
         "coordinate": coordinate,
         "tol": tol,
-        "synth_modes": len(potential.modes),
+        "synth_modes": potential.mode_count,
         "T": None,
         "trace": None,
         "trace_formula": None,
@@ -613,9 +612,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args leaves the parser unchanged and returns a
+# fresh namespace, so no flag carries over from one call to the next
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for flag, least in (("points", 1), ("configs", 1), ("samples", 1), ("seed", 0)):
             value = getattr(args, flag, None)

@@ -47,8 +47,10 @@ from .fields import (
     EXTERIOR,
     INTERIOR,
     AnalyticField,
-    Mode,
+    _cosine_field,
     _derivative_at,
+    _derivative_table,
+    _pruned,
     as_point,
 )
 from .integrate import DEFAULT_POINTS, HypersurfaceBox, gauss_legendre_rule
@@ -449,7 +451,7 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
     given explicitly for fields without envelopes.
     """
     sig = f_field.signature
-    if getattr(f_field, "modes", None) is None:
+    if not isinstance(f_field, AnalyticField):
         raise ValueError("flux_T_direct needs an analytic field with modes; "
                          "grid-backed fields are not supported, with or without bounds")
     if f_field.is_complex():
@@ -485,29 +487,42 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
 def _cone_nodes(sig: SpacetimeSignature, axis: int, region: Mapping[int, tuple[float, float]],
                 points: int, panels: int):
     """Quadrature nodes over the transverse frequency box, with the null
-    completion on the fixed axis.  Nodes outside the cone region are skipped."""
+    completion on the fixed axis.
+
+    Returns the (npoints, dim) nodes xi_bar (0 on the fixed axis), the
+    null-completed xi_plus (chi on the fixed axis), chi and the weights, in
+    ``grid_points`` order; nodes outside the cone region are dropped.
+    """
     free = [a for a in sig.axes() if a != axis]
     if set(region) != set(free):
         raise ValueError("region must bound every axis except the flux axis")
     box = HypersurfaceBox(sig, intervals=dict(region), fixed={axis: 0.0})
-    delta_axis = sig.metric(axis)
-    for xi_bar, weight in box.quadrature(points, panels):
-        xi_sq = sum(sig.metric(a) * xi_bar[a] ** 2 for a in free)
-        radicand = -delta_axis * xi_sq
-        if radicand < 0:
-            continue
-        chi = math.sqrt(radicand)
-        yield xi_bar, chi, weight
+    nodes, weights = box.grid_points(points, panels)
+    xi_sq = 0.0
+    for a in free:
+        xi_sq = xi_sq + sig.metric(a) * nodes[:, a] ** 2
+    radicand = -sig.metric(axis) * xi_sq
+    inside = ~(radicand < 0)
+    nodes, weights = nodes[inside], weights[inside]
+    chi = np.sqrt(radicand[inside])
+    xi_plus = nodes.copy()
+    xi_plus[:, axis] = chi
+    return nodes, xi_plus, chi, weights
 
 
-def _xi_plus(sig: SpacetimeSignature, axis: int, xi_bar: np.ndarray, chi: float) -> Multivector:
-    comps = {(a,): xi_bar[a] for a in sig.axes() if xi_bar[a] != 0 and a != axis}
-    if chi != 0:
-        comps[(axis,)] = chi
-    return Multivector(sig, 1, comps)
+def _amplitude_rows(a_hat: Callable[[np.ndarray], np.ndarray], xi_plus: np.ndarray,
+                    sig: SpacetimeSignature, grade: int) -> np.ndarray:
+    """The spectrum's (npoints, ncomp) rows at the cone nodes, with the
+    relative prune a ``Multivector`` makes; a wrong shape is a grade error."""
+    ncomp = math.comb(sig.dim, grade)
+    rows = np.asarray(a_hat(xi_plus))
+    if rows.shape != (len(xi_plus), ncomp):
+        raise GradeError(f"amplitude rows have shape {rows.shape}; grade r - 1 = {grade} on "
+                         f"{len(xi_plus)} nodes needs ({len(xi_plus)}, {ncomp})")
+    return _pruned(rows.copy(), np.zeros(rows.shape, dtype=np.int8))[0]
 
 
-def flux_T_fourier(a_hat: Callable[[Multivector], Multivector], axis: int,
+def flux_T_fourier(a_hat: Callable[[np.ndarray], np.ndarray], axis: int,
                    region: Mapping[int, tuple[float, float]], sig: SpacetimeSignature,
                    grade: int, points: int = DEFAULT_POINTS, panels: int = 1,
                    gauge_tol: float = 1e-9) -> Multivector:
@@ -518,34 +533,52 @@ def flux_T_fourier(a_hat: Callable[[Multivector], Multivector], axis: int,
     of the amplitude with its conjugate and r = grade of the field the
     potential generates.  The amplitude must satisfy the Lorenz condition on
     the cone and vanish where chi degenerates.
+
+    ``a_hat`` is called once with the (npoints, dim) array of cone nodes
+    xi_plus (chi on the flux axis) and returns (npoints, ncomp) amplitude
+    rows of grade r - 1 in ``index_lists`` order, real or complex.  Over all
+    nodes at once, |A_hat|^2 contracts the rows with the metric of ``dot`` on
+    unit blades, and the Lorenz residual xi_plus interior A_hat contracts them
+    with the interior ``_derivative_table``.  The first node in grid order
+    that breaks a condition raises: ``ValueError`` where chi < CHI_EPS and
+    the amplitude is not below 1e-9 (a NaN or infinite amplitude included),
+    ``GaugeViolation`` where the Lorenz residual exceeds ``gauge_tol`` times
+    max(1, |A_hat|).
     """
     r = grade
-    sign = _axis_sign(sig, axis)
-    accum = np.zeros(sig.dim)
-    for xi_bar, chi, weight in _cone_nodes(sig, axis, region, points, panels):
-        xi_plus = _xi_plus(sig, axis, xi_bar, chi)
-        amp = a_hat(xi_plus)
-        if amp.grade != r - 1:
-            raise GradeError(f"amplitude grade {amp.grade} must be r - 1 = {r - 1}")
-        mod2 = dot(amp, amp.conjugate())
-        mod2 = mod2.real if isinstance(mod2, complex) else mod2
-        if chi < CHI_EPS:
-            if amp.max_abs() > 1e-9:
-                raise ValueError(
-                    f"amplitude must vanish near the chi = 0 degeneracy (chi={chi:.3g})")
-            continue
-        gauge = left_interior(xi_plus, amp).max_abs()
-        if gauge > gauge_tol * max(1.0, amp.max_abs()):
-            raise GaugeViolation(
-                f"Lorenz condition violated at xi_bar={xi_bar.tolist()}: residual {gauge:.3e}")
-        scale = weight * mod2 / chi
-        for a in sig.axes():
-            accum[a] += scale * (chi if a == axis else xi_bar[a])
-    prefactor = (-1) ** r * 2.0 * math.pi ** 2 * sign
+    nodes, xi_plus, chi, weights = _cone_nodes(sig, axis, region, points, panels)
+    rows = _amplitude_rows(a_hat, xi_plus, sig, r - 1)
+    magnitude = np.abs(rows).max(axis=1, initial=0.0)
+    degenerate = chi < CHI_EPS
+    if r - 1 >= 1:
+        table = _derivative_table(sig, r - 1, INTERIOR)
+        residual = sum((xi_plus[:, i] * sig.metric(i))[:, None] * (rows @ table[i]) for i in sig.axes())
+        gauge = np.abs(residual).max(axis=1)
+    else:
+        gauge = np.zeros(len(rows))
+    bad = np.flatnonzero(np.where(degenerate, ~(magnitude <= 1e-9),
+                                  gauge > gauge_tol * np.fmax(1.0, magnitude)))
+    if len(bad):
+        n = bad[0]
+        if degenerate[n]:
+            raise ValueError(f"amplitude must vanish near the chi = 0 degeneracy (chi={chi[n]:.3g})")
+        raise GaugeViolation(
+            f"Lorenz condition violated at xi_bar={nodes[n].tolist()}: residual {gauge[n]:.3e}")
+    regular = ~degenerate
+    # |A_hat|^2 = sum_a dot(e_a, e_a) |A_a|^2, summed over blades in order
+    mod2 = np.zeros(len(rows))
+    for a, idx in enumerate(sig.index_lists(r - 1)):
+        unit = Multivector.blade(sig, idx)
+        mod2 = mod2 + (rows[:, a].real ** 2 + rows[:, a].imag ** 2) * dot(unit, unit)
+    scale = weights[regular] * mod2[regular] / chi[regular]
+    # accumulated node by node in grid order
+    accum = np.cumsum(scale[:, None] * xi_plus[regular], axis=0)[-1] if regular.any() \
+        else np.zeros(sig.dim)
+    prefactor = (-1) ** r * 2.0 * math.pi ** 2 * _axis_sign(sig, axis)
     return Multivector(sig, 1, {(a,): prefactor * accum[a] for a in sig.axes() if accum[a] != 0.0})
 
 
-def synthesize_on_cone_potential(a_hat: Callable[[Multivector], Multivector], axis: int,
+def synthesize_on_cone_potential(a_hat: Callable[[np.ndarray], np.ndarray], axis: int,
                                  region: Mapping[int, tuple[float, float]],
                                  sig: SpacetimeSignature, grade: int,
                                  points: int = DEFAULT_POINTS, panels: int = 1) -> AnalyticField:
@@ -553,27 +586,22 @@ def synthesize_on_cone_potential(a_hat: Callable[[Multivector], Multivector], ax
 
     Quadrature of the inverse transform restricted to the cone: each node
     contributes cosine modes Re[A_hat(xi_plus) exp(j theta)] / chi, so the
-    result pairs with flux_T_fourier over the same region.  Returns a field
-    of the potential grade (r - 1).
+    result pairs with flux_T_fourier over the same region.  ``a_hat`` takes
+    the (npoints, dim) cone nodes and returns (npoints, ncomp) rows, as for
+    ``flux_T_fourier``.  Node by node in grid order, the mode table holds the
+    real part of the rows times weight / chi at phase 0 and, for complex
+    rows, the imaginary part at phase pi/2; nodes with chi < CHI_EPS are
+    skipped.  Returns a field of the potential grade (r - 1).
     """
-    modes: list[Mode] = []
-    for xi_bar, chi, weight in _cone_nodes(sig, axis, region, points, panels):
-        if chi < CHI_EPS:
-            continue
-        xi_plus = _xi_plus(sig, axis, xi_bar, chi)
-        amp = a_hat(xi_plus)
-        if not amp:
-            continue
-        xi_tuple = tuple(chi if a == axis else xi_bar[a] for a in sig.axes())
-        real_part = Multivector(sig, amp.grade,
-                                {idx: c.real if isinstance(c, complex) else c
-                                 for idx, c in amp.terms.items()})
-        imag_part = Multivector(sig, amp.grade,
-                                {idx: c.imag for idx, c in amp.terms.items()
-                                 if isinstance(c, complex)})
-        scale = weight / chi
-        if real_part:
-            modes.append(Mode(amplitude=real_part * scale, xi=xi_tuple, phase=0.0))
-        if imag_part:
-            modes.append(Mode(amplitude=imag_part * scale, xi=xi_tuple, phase=0.5 * math.pi))
-    return AnalyticField(sig, grade - 1, modes)
+    _, xi_plus, chi, weights = _cone_nodes(sig, axis, region, points, panels)
+    keep = ~(chi < CHI_EPS)
+    xi_plus = xi_plus[keep]
+    rows = _amplitude_rows(a_hat, xi_plus, sig, grade - 1)
+    scale = (weights[keep] / chi[keep])[:, None]
+    # the real part, then the imaginary part, of each node's rows, each pruned
+    # as a multivector before and after scaling
+    zeros = np.zeros(rows.shape, dtype=np.int8)
+    parts = [_pruned(_pruned(part.copy(), zeros.copy())[0] * scale, zeros.copy())[0]
+             for part in (rows.real, rows.imag)]
+    return _cosine_field(sig, grade - 1, np.stack(parts, axis=1).reshape(-1, rows.shape[1]),
+                         np.repeat(xi_plus, 2, axis=0), np.tile([0.0, 0.5 * math.pi], len(xi_plus)))

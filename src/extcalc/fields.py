@@ -9,7 +9,9 @@ multivectors:
 * ``AnalyticField`` is a finite sum of modes, each the product of a constant
   multivector amplitude, a monomial, a cosine or complex-exponential waveform
   in the metric pairing xi . x, and an optional Gaussian envelope.  The family
-  is closed under partial differentiation, so derivatives are exact.
+  is closed under partial differentiation, so derivatives are exact.  The
+  modes are held as one table of stacked arrays, and derived fields are
+  built by array operations on it.
 * ``GridField`` samples a field on a rectangular lattice and differentiates
   with second-order central differences.
 
@@ -30,11 +32,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, SpacetimeSignature, left_interior, wedge
+from .algebra import PRUNE_REL, Multivector, SpacetimeSignature, left_interior, wedge
 
 __all__ = [
     "FieldDomainError",
@@ -117,37 +119,6 @@ class Mode:
         if self.waveform not in (WAVE_COS, WAVE_EXP):
             raise ValueError(f"unknown waveform {self.waveform!r}")
 
-    def phase_gradient(self, axis: int) -> float:
-        sig = self.amplitude.signature
-        return 2.0 * math.pi * sig.metric(axis) * self.xi[axis]
-
-    def derivative_modes(self, axis: int) -> list["Mode"]:
-        """Exact partial derivative along one axis as a list of modes."""
-        out: list[Mode] = []
-        poly = self.poly
-        # monomial factor
-        p = poly[axis]
-        if p:
-            out.append(self._with(amplitude=self.amplitude * p,
-                                  poly=poly[:axis] + (p - 1,) + poly[axis + 1:]))
-        # waveform factor
-        slope = self.phase_gradient(axis)
-        if slope != 0.0:
-            if self.waveform == WAVE_COS:
-                out.append(self._with(amplitude=self.amplitude * slope,
-                                      phase=self.phase + 0.5 * math.pi))
-            else:
-                out.append(self._with(amplitude=self.amplitude * (1j * slope)))
-        # envelope factor: -(x_a - c_a)/w^2 splits over the monomial center
-        if self.envelope is not None:
-            w2 = self.envelope.width ** 2
-            out.append(self._with(amplitude=self.amplitude * (-1.0 / w2),
-                                  poly=poly[:axis] + (poly[axis] + 1,) + poly[axis + 1:]))
-            shift = self.poly_center[axis] - self.envelope.center[axis]
-            if shift:
-                out.append(self._with(amplitude=self.amplitude * (-shift / w2)))
-        return [m for m in out if m.amplitude]
-
     def _with(self, **changes) -> "Mode":
         """This mode with some fields replaced by values already in canonical
         form: unlike ``dataclasses.replace`` it does not re-run __post_init__,
@@ -172,43 +143,306 @@ def _dense_multivector(sig: SpacetimeSignature, grade: int, lists: Sequence[tupl
     return Multivector(sig, grade, zip(lists, row.tolist()))
 
 
-class AnalyticField:
-    """Fixed-grade multivector field given by a finite list of analytic modes."""
+# ---------------------------------------------------------------------------
+# the mode table
+#
+# An analytic field stores its modes as one table of stacked arrays, and
+# derives partial, exterior and interior derivative fields by array operations
+# on it.  Amplitude rows keep, per entry, the Python type the multivector
+# route would give the coefficient (int, float or complex), and every
+# operation reproduces Python's scalar arithmetic on it: a real operand of a
+# complex product or sum is promoted with a +0.0 imaginary part, and ``0 + c``
+# starts each sum, as in ``Multivector``.  So a derived table lists the same
+# modes, in the same order, with the same coefficients (signed zeros
+# included) as the per-mode ``Multivector`` algebra.
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("signature", "grade", "modes", "_partials", "_arrays")
+# Python type of an amplitude entry; an absent entry is an int 0
+_INT, _FLOAT, _COMPLEX = 0, 1, 2
+# columns of ``_ModeTable.data``: three scalars, then blocks of dim columns
+# (indexed by ``_XI`` to ``_ENV``), then Python's envelope ``width ** 2``
+_PHASE, _EXP, _WIDTH = 0, 1, 2
+_XI, _POLY, _CENTRE, _ENV = range(4)
+
+
+class _ModeTable(NamedTuple):
+    """M modes of one field as stacked arrays.
+
+    ``amp`` (M, ncomp) holds the amplitude rows in ``index_lists`` order,
+    float unless an entry is complex, and ``kind`` (M, ncomp) the Python type
+    of each entry.  ``data``
+    (M, 4 dim + 4) holds the rest of each mode: phase, exp flag (1.0 for an
+    exponential), envelope width (0.0 without an envelope), then the blocks
+    xi, monomial exponents, monomial centre and envelope centre, and last the
+    envelope's width ** 2 as Python computes it.
+    """
+
+    amp: np.ndarray
+    kind: np.ndarray
+    data: np.ndarray
+
+    def take(self, index) -> "_ModeTable":
+        return _ModeTable(self.amp[index], self.kind[index], self.data[index])
+
+    @staticmethod
+    def concat(tables: Sequence["_ModeTable"]) -> "_ModeTable":
+        return _ModeTable(*(np.concatenate(parts) for parts in zip(*tables)))
+
+    def column(self, block: int, axis: int) -> int:
+        """Index in ``data`` of one axis of a block."""
+        return 3 + block * (self.data.shape[1] - 4) // 4 + axis
+
+    def block(self, block: int) -> np.ndarray:
+        start = self.column(block, 0)
+        return self.data[:, start:start + (self.data.shape[1] - 4) // 4]
+
+
+def _table_of_modes(sig: SpacetimeSignature, grade: int, modes: Iterable[Mode]) -> _ModeTable:
+    """The table of the modes with a nonzero amplitude, in the order given."""
+    index = {idx: pos for pos, idx in enumerate(sig.index_lists(grade))}
+    amps, kinds, data = [], [], []
+    for mode in modes:
+        amplitude = mode.amplitude
+        if amplitude.signature != sig:
+            raise ValueError("mode amplitude signature does not match the field")
+        if amplitude.grade != grade:
+            raise ValueError(f"mode amplitude grade {amplitude.grade} != field grade {grade}")
+        if not amplitude:
+            continue
+        row = [0.0] * len(index)
+        kind = [_INT] * len(index)
+        for idx, c in amplitude.terms.items():
+            row[index[idx]] = c
+            kind[index[idx]] = _COMPLEX if isinstance(c, complex) else _INT if isinstance(c, int) else _FLOAT
+        env = mode.envelope
+        amps.append(row)
+        kinds.append(kind)
+        data.append((mode.phase, mode.waveform == WAVE_EXP, 0.0 if env is None else env.width,
+                     *mode.xi, *mode.poly, *mode.poly_center,
+                     *((0.0,) * sig.dim if env is None else env.center),
+                     0.0 if env is None else env.width ** 2))
+    kinds = np.array(kinds, dtype=np.int8).reshape(len(amps), len(index))
+    dtype = complex if np.count_nonzero(kinds == _COMPLEX) else float
+    return _ModeTable(np.array(amps, dtype=dtype).reshape(kinds.shape), kinds,
+                      np.array(data, dtype=float).reshape(len(amps), 4 * sig.dim + 4))
+
+
+def _pruned(amp: np.ndarray, kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``algebra._prune`` applied in place to every row of fresh arrays: zero
+    entries and entries below PRUNE_REL of the row's largest magnitude become
+    absent, and no relative cut is made in a row holding a NaN or infinite
+    entry (fail closed)."""
+    mags = np.abs(amp)
+    # a row whose magnitudes do not sum to a finite value gets no cut
+    cut = np.where(np.add.reduce(mags, axis=1) < np.inf,
+                   PRUNE_REL * np.maximum.reduce(mags, axis=1, initial=0.0), 0.0)
+    drop = mags < cut[:, None]
+    drop |= amp == 0
+    np.copyto(amp, 0, where=drop)
+    np.copyto(kind, _INT, where=drop)
+    return amp, kind
+
+
+def _typed(present: np.ndarray, re: np.ndarray, im: np.ndarray,
+           kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pruned complex rows from the parts Python's complex arithmetic gives:
+    absent entries stay absent and non-complex entries drop their imaginary
+    part."""
+    amp = np.empty(re.shape, dtype=complex)
+    amp.real = re
+    amp.imag = im
+    kind = np.where(present, kind, _INT)
+    amp[~present] = 0
+    amp.imag[kind != _COMPLEX] = 0.0
+    return _pruned(amp, kind)
+
+
+def _scaled(amp: np.ndarray, kind: np.ndarray, re, im, factor_kind) -> tuple[np.ndarray, np.ndarray]:
+    """Each row times its scalar factor re + j im, as ``Multivector.__mul__``;
+    the factor parts and type broadcast against (M, 1)."""
+    kind = np.maximum(kind, factor_kind)
+    if amp.dtype != complex and np.ndim(im) == 0 and im == 0.0:
+        return _pruned(amp * re, kind)
+    with np.errstate(invalid="ignore"):
+        return _typed(amp != 0, amp.real * re - amp.imag * im, amp.real * im + amp.imag * re, kind)
+
+
+def _summed(held: np.ndarray, held_kind: np.ndarray, other: np.ndarray,
+            other_kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``held + other`` as ``Multivector.__add__``: entries only in
+    held are kept as they are, every other entry is held (or 0) + other."""
+    if held.dtype != complex:
+        # real entries: adding an absent 0.0 changes nothing
+        return _pruned(held + other, np.maximum(held_kind, other_kind))
+    present = other != 0
+    kind = np.where(present, np.maximum(held_kind, other_kind), held_kind)
+    re = np.where(present, held.real + other.real, held.real)
+    im = np.where(present, held.imag + other.imag, held.imag)
+    return _typed((held != 0) | present, re, im, kind)
+
+
+def _merged(table: _ModeTable) -> _ModeTable:
+    """Modes sharing every field but the amplitude merged into their first
+    occurrence by sequential addition, as ``AnalyticField`` merges ``Mode``
+    objects; modes whose amplitude is or becomes zero are dropped.
+
+    Keys compare as Python floats, so 0.0 and -0.0 merge and NaN never does.
+    """
+    nonzero = np.logical_or.reduce(table.amp != 0, axis=1)
+    if np.count_nonzero(nonzero) < len(nonzero):
+        table = table.take(np.flatnonzero(nonzero))
+    seen: dict[tuple, int] = {}
+    group = [seen.setdefault(key, len(seen)) for key in map(tuple, table.data[:, :-1].tolist())]
+    if len(seen) == len(group):
+        return table
+    # groups are numbered by first occurrence; rank counts a member's predecessors
+    group = np.array(group)
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(len(seen)))
+    rank = np.empty_like(group)
+    rank[order] = np.arange(len(group)) - starts[group[order]]
+    lead = order[starts]
+    amp, kind = table.amp[lead], table.kind[lead]
+    for r in range(1, int(rank.max()) + 1):
+        members = np.flatnonzero(rank == r)
+        g = group[members]
+        amp[g], kind[g] = _summed(amp[g], kind[g], table.amp[members], table.kind[members])
+    merged = _ModeTable(amp, kind, table.data[lead])
+    return merged.take(np.flatnonzero(np.logical_or.reduce(amp != 0, axis=1)))
+
+
+def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.ndarray,
+                  phase: np.ndarray) -> "AnalyticField":
+    """The field sum_m amp[m] cos(theta_m), theta_m = 2 pi xi_m . x + phase[m],
+    from real (M, ncomp) amplitude rows; zero rows are dropped and equal
+    modes merged, as for any field."""
+    table = _ModeTable(amp, np.where(amp != 0, _FLOAT, _INT).astype(np.int8),
+                       np.zeros((len(amp), 4 * sig.dim + 4)))
+    table.data[:, _PHASE] = phase
+    table.block(_XI)[:] = xi
+    return AnalyticField._from_table(sig, grade, table)
+
+
+def _table_mode(sig: SpacetimeSignature, grade: int, lists: Sequence[tuple[int, ...]],
+                amp: list, kind: list, data: list) -> Mode:
+    """One table row as a ``Mode`` whose amplitude has the row's Python types."""
+    dim = sig.dim
+    phase, exp, width, rest = data[0], data[1], data[2], data[3:-1]
+    terms = {idx: (int(c.real) if k == _INT else c.real if k == _FLOAT else c)
+             for idx, c, k in zip(lists, amp, kind) if c != 0}
+    mode = object.__new__(Mode)
+    mode.__dict__.update(
+        amplitude=Multivector._from_valid(sig, grade, terms), xi=tuple(rest[:dim]), phase=phase,
+        waveform=WAVE_EXP if exp else WAVE_COS, poly=tuple(int(p) for p in rest[dim:2 * dim]),
+        poly_center=tuple(rest[2 * dim:3 * dim]),
+        envelope=GaussianEnvelope(tuple(rest[3 * dim:]), width) if width > 0 else None)
+    return mode
+
+
+class AnalyticField:
+    """Fixed-grade multivector field given by a finite list of analytic modes.
+
+    The modes are held as one ``_ModeTable``; ``modes`` is a tuple of ``Mode``
+    objects built from it on first access.
+    """
+
+    __slots__ = ("signature", "grade", "_table", "_modes", "_partials", "_arrays")
 
     def __init__(self, signature: SpacetimeSignature, grade: int, modes: Iterable[Mode] = ()):
+        # merge modes sharing every scalar factor; keeps derived fields compact
+        self._set(signature, grade, _table_of_modes(signature, grade, modes))
+
+    def _set(self, signature: SpacetimeSignature, grade: int, table: _ModeTable) -> None:
         self.signature = signature
         self.grade = grade
-        # merge modes sharing every scalar factor; keeps derived fields compact
-        merged: dict[tuple, Mode] = {}
-        for mode in modes:
-            if mode.amplitude.signature != signature:
-                raise ValueError("mode amplitude signature does not match the field")
-            if mode.amplitude.grade != grade:
-                raise ValueError(f"mode amplitude grade {mode.amplitude.grade} != field grade {grade}")
-            if not mode.amplitude:
-                continue
-            key = (mode.xi, mode.phase, mode.waveform, mode.poly, mode.poly_center, mode.envelope)
-            held = merged.get(key)
-            merged[key] = mode if held is None else held._with(amplitude=held.amplitude + mode.amplitude)
-        self.modes = tuple(m for m in merged.values() if m.amplitude)
+        self._table = _merged(table)
+        self._modes: tuple[Mode, ...] | None = None
         self._partials: dict[int, AnalyticField] = {}
         self._arrays: tuple | None = None
+
+    @classmethod
+    def _from_table(cls, signature: SpacetimeSignature, grade: int, table: _ModeTable) -> "AnalyticField":
+        field = object.__new__(cls)
+        field._set(signature, grade, table)
+        return field
+
+    @property
+    def modes(self) -> tuple[Mode, ...]:
+        """The modes as ``Mode`` objects, in table order."""
+        if self._modes is None:
+            t = self._table
+            lists = self.component_lists()
+            self._modes = tuple(_table_mode(self.signature, self.grade, lists, *row)
+                                for row in zip(t.amp.tolist(), t.kind.tolist(), t.data.tolist()))
+        return self._modes
+
+    @property
+    def mode_count(self) -> int:
+        return len(self._table.data)
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
         row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
         return _dense_multivector(self.signature, self.grade, self._mode_arrays()[0], row)
 
     def partial_field(self, axis: int) -> "AnalyticField":
-        cached = self._partials.get(axis)
-        if cached is None:
-            modes: list[Mode] = []
-            for mode in self.modes:
-                modes.extend(mode.derivative_modes(axis))
-            cached = AnalyticField(self.signature, self.grade, modes)
-            self._partials[axis] = cached
-        return cached
+        """The exact partial derivative along one axis.
+
+        Each mode gives up to four modes, in this order: its monomial factor
+        differentiated (amplitude times the exponent, exponent lowered), its
+        waveform (amplitude times the phase slope s, with the phase advanced
+        by pi/2 for a cosine and the factor j s for an exponential), and its
+        envelope's -(x_a - e_a) / w^2 split over the monomial centre c_a
+        (amplitude times -1/w^2 with the exponent raised, and amplitude times
+        -(c_a - e_a)/w^2).  The partials along every axis are built together,
+        from one pass over the table, and cached.
+        """
+        if not 0 <= axis < self.signature.dim:
+            raise IndexError(f"axis {axis} out of range")
+        if not self._partials:
+            sig, t = self.signature, self._table
+            data = t.data
+            count, dim = len(data), sig.dim
+            metric = np.array([sig.metric(i) for i in sig.axes()], dtype=float)
+            poly = t.block(_POLY)
+            slope = 2.0 * math.pi * metric * t.block(_XI)
+            exp = data[:, _EXP] != 0
+            has_env = np.broadcast_to((data[:, _WIDTH] > 0)[:, None], (count, dim))
+            shift = t.block(_CENTRE) - t.block(_ENV)
+            w2 = data[:, -1, None]
+            moved = has_env & (shift != 0)
+            exp_any = bool(np.count_nonzero(exp))
+            # candidate c of mode m along axis a, taken axis by axis, then
+            # mode by mode, then in candidate order
+            valid = np.stack([poly != 0, slope != 0.0, has_env, moved], axis=2)
+            factor = np.stack([
+                poly, np.where(exp[:, None], 0.0 * slope - 0.0, slope) if exp_any else slope,
+                np.divide(-1.0, w2, out=np.zeros((count, dim)), where=has_env),
+                np.divide(-shift, w2, out=np.zeros((count, dim)), where=moved)], axis=2)
+            mode, along, candidate = np.nonzero(valid)
+            order = np.argsort(along, kind="stable")
+            mode, along, candidate = mode[order], along[order], candidate[order]
+            kind = np.array([_INT, _FLOAT, _FLOAT, _FLOAT], dtype=np.int8)[candidate]
+            im = 0.0
+            if exp_any:
+                # Python's j s is (0.0 s - 0.0) + (0.0 + s) j
+                wave = (candidate == 1) & exp[mode]
+                im = np.where(wave, 0.0 + slope[mode, along], 0.0)[:, None]
+                kind[wave] = _COMPLEX
+            amp, kind = _scaled(t.amp[mode], t.kind[mode], factor[mode, along, candidate][:, None],
+                                im, kind[:, None])
+            changed = data[mode]
+            column = t.column(_POLY, 0) + along
+            for c, step in ((0, -1), (2, 1)):
+                rows = np.flatnonzero(candidate == c)
+                changed[rows, column[rows]] += step
+            rows = np.flatnonzero((candidate == 1) & ~exp[mode])
+            changed[rows, _PHASE] = changed[rows, _PHASE] + 0.5 * math.pi
+            bounds = np.searchsorted(along, np.arange(dim + 1))
+            for a in sig.axes():
+                part = slice(bounds[a], bounds[a + 1])
+                self._partials[a] = AnalyticField._from_table(
+                    sig, self.grade, _ModeTable(amp[part], kind[part], changed[part]))
+        return self._partials[axis]
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         return self.partial_field(axis).evaluate(x)
@@ -221,9 +455,7 @@ class AnalyticField:
         return list(combinations(range(self.signature.dim), self.grade))
 
     def is_complex(self) -> bool:
-        if any(m.waveform == WAVE_EXP for m in self.modes):
-            return True
-        return any(isinstance(c, complex) for m in self.modes for c in m.amplitude.terms.values())
+        return bool(self._table.data[:, _EXP].any() or (self._table.kind == _COMPLEX).any())
 
     def _mode_arrays(self) -> tuple:
         """Component lists, dtype and per-mode kernel arrays, built once per field.
@@ -232,22 +464,20 @@ class AnalyticField:
         (axis, exponent, centre) monomial factors, (centre, 2 w^2) or None).
         """
         if self._arrays is None:
-            sig = self.signature
-            lists = self.component_lists()
-            index = {idx: pos for pos, idx in enumerate(lists)}
+            sig, t = self.signature, self._table
             dtype = complex if self.is_complex() else float
+            rows = t.amp.real if dtype is float else t.amp.astype(complex, copy=False)
             metric = np.array([sig.metric(i) for i in sig.axes()], dtype=float)
+            slopes = 2.0 * math.pi * metric * t.block(_XI)
+            env_centres = t.block(_ENV)
             arrays = []
-            for mode in self.modes:
-                row = np.zeros(len(lists), dtype=dtype)
-                for idx, c in mode.amplitude.terms.items():
-                    row[index[idx]] = c
-                monomials = tuple((i, p, mode.poly_center[i]) for i, p in enumerate(mode.poly) if p)
-                env = mode.envelope
-                envelope = None if env is None else (np.asarray(env.center), 2.0 * env.width ** 2)
-                arrays.append((row, 2.0 * math.pi * metric * np.asarray(mode.xi), mode.phase,
-                               mode.waveform == WAVE_EXP, monomials, envelope))
-            self._arrays = (lists, dtype, tuple(arrays))
+            for m, (phase, exp, width, *rest) in enumerate(t.data.tolist()):
+                dim = sig.dim
+                monomials = tuple((i, int(p), c) for i, (p, c) in
+                                  enumerate(zip(rest[dim:2 * dim], rest[2 * dim:3 * dim])) if p)
+                envelope = (env_centres[m].copy(), 2.0 * rest[-1]) if width > 0 else None
+                arrays.append((rows[m].copy(), slopes[m].copy(), phase, bool(exp), monomials, envelope))
+            self._arrays = (self.component_lists(), dtype, tuple(arrays))
         return self._arrays
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
@@ -281,23 +511,25 @@ class AnalyticField:
         exp(j phi_m) with the same factors at the ``fixed`` coordinates, so
         c_m prod_a E_a[m, i_a] is mode m's exp(j theta) x monomial x envelope
         at the point with coordinates nodes[a][i_a]; for a cosine mode the
-        factor is its real part.
+        factor is its real part.  Every array is over all modes at once.
         """
-        lists, dtype, arrays = self._mode_arrays()
-        rows = np.array([row for row, *_ in arrays], dtype=dtype).reshape(len(arrays), len(lists))
+        sig, t = self.signature, self._table
+        data = t.data
+        rows = t.amp.astype(complex) if self.is_complex() else t.amp.real.copy()
+        has_env = data[:, _WIDTH] > 0
 
         def factors(axis: int, x: np.ndarray) -> np.ndarray:
-            out = np.exp(1j * np.multiply.outer([slope[axis] for _, slope, *_ in arrays], x))
-            for m, (*_, monomials, envelope) in enumerate(arrays):
-                for a, power, centre in monomials:
-                    if a == axis:
-                        out[m] *= (x - centre) ** power
-                if envelope is not None:
-                    centre, two_w2 = envelope
-                    out[m] *= np.exp(-(x - centre[axis]) ** 2 / two_w2)
+            slope = 2.0 * math.pi * sig.metric(axis) * data[:, t.column(_XI, axis)]
+            out = np.exp(1j * np.multiply.outer(slope, x))
+            powers = data[:, t.column(_POLY, axis)]
+            for power in np.unique(powers[powers > 0]).tolist():
+                hit = powers == power
+                out[hit] *= (x - data[hit, t.column(_CENTRE, axis), None]) ** int(power)
+            out[has_env] *= np.exp(-(x - data[has_env, t.column(_ENV, axis), None]) ** 2
+                                   / (2.0 * data[has_env, -1, None]))
             return out
 
-        const = np.exp(1j * np.array([phase for _, _, phase, *_ in arrays], dtype=float))
+        const = np.exp(1j * data[:, _PHASE])
         for axis, value in fixed.items():
             const *= factors(axis, np.array([value], dtype=float))[:, 0]
         return rows, const, {a: factors(a, np.asarray(x, dtype=float)) for a, x in nodes.items()}
@@ -305,11 +537,17 @@ class AnalyticField:
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         if self.signature != other.signature or self.grade != other.grade:
             raise ValueError("cannot add fields with different signature or grade")
-        return AnalyticField(self.signature, self.grade, self.modes + other.modes)
+        return AnalyticField._from_table(self.signature, self.grade,
+                                         _ModeTable.concat([self._table, other._table]))
 
     def __mul__(self, factor: complex) -> "AnalyticField":
-        return AnalyticField(self.signature, self.grade,
-                             [m._with(amplitude=m.amplitude * factor) for m in self.modes])
+        t = self._table
+        if isinstance(factor, complex):
+            amp, kind = _scaled(t.amp, t.kind, factor.real, factor.imag, _COMPLEX)
+        else:
+            amp, kind = _scaled(t.amp, t.kind, float(factor), 0.0,
+                                _INT if isinstance(factor, int) else _FLOAT)
+        return AnalyticField._from_table(self.signature, self.grade, _ModeTable(amp, kind, t.data))
 
     __rmul__ = __mul__
 
@@ -530,31 +768,54 @@ def dalembertian(f: AnalyticField, x: Sequence[float]) -> Multivector:
     return total
 
 
+@lru_cache(maxsize=None)
+def _derivative_gather(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_derivative_table`` as a signed gather: each column of T[i] holds at
+    most one entry, so output blade b along axis i is ``sign[i, b]`` times
+    input blade ``source[i, b]`` (sign 0 where nothing lands)."""
+    table = _derivative_table(sig, grade, kind)
+    source = np.abs(table).argmax(axis=1)
+    sign = np.take_along_axis(table, source[:, None, :], axis=1)[:, 0, :]
+    source.flags.writeable = sign.flags.writeable = False
+    return source, sign
+
+
+def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
+    """The exterior or interior derivative as a new analytic field.
+
+    Row by row this is sum_i P_i @ T[i] over the tables P_i of the partial
+    fields, with T the ``_derivative_table``: the rows of every P_i are
+    stacked and each is gathered through its axis's ``_derivative_gather``,
+    with the scalar arithmetic of the public products (``0 + sign * c``).
+    """
+    sig = f.signature
+    grade = _derivative_grade(f, kind)
+    if grade is None:
+        return AnalyticField(sig, 0)
+    parts = [f.partial_field(i)._table for i in sig.axes()]
+    stacked = _ModeTable.concat(parts)
+    source, sign = _derivative_gather(sig, f.grade, kind)
+    axis = np.repeat(np.arange(sig.dim), [len(part.data) for part in parts])
+    rows = np.arange(len(axis))[:, None]
+    amp = stacked.amp[rows, source[axis]]
+    kinds = stacked.kind[rows, source[axis]]
+    sign = sign[axis]
+    if amp.dtype != complex:
+        # for a real c, 0 + sign * c is sign * c
+        amp, kinds = _pruned(np.where(sign != 0, sign * amp, 0.0), kinds)
+    else:
+        with np.errstate(invalid="ignore"):
+            re = 0.0 + (sign * amp.real - 0.0 * amp.imag)
+            im = 0.0 + (sign * amp.imag + 0.0 * amp.real)
+        amp, kinds = _typed((amp != 0) & (sign != 0), re, im, kinds)
+    return AnalyticField._from_table(sig, grade, _ModeTable(amp, kinds, stacked.data))
+
+
 def exterior_derivative_field(f: AnalyticField) -> AnalyticField:
     """The exterior derivative as a new analytic field (exact mode algebra)."""
-    sig = f.signature
-    if f.grade >= sig.dim:
-        return AnalyticField(sig, 0)
-    modes: list[Mode] = []
-    for i in sig.axes():
-        basis = Multivector.blade(sig, (i,), sig.metric(i))
-        for mode in f.partial_field(i).modes:
-            amp = wedge(basis, mode.amplitude)
-            if amp:
-                modes.append(mode._with(amplitude=amp))
-    return AnalyticField(sig, f.grade + 1, modes)
+    return _derivative_field(f, EXTERIOR)
 
 
 def interior_derivative_field(f: AnalyticField) -> AnalyticField:
     """The interior derivative as a new analytic field (exact mode algebra)."""
-    sig = f.signature
-    if f.grade == 0:
-        return AnalyticField(sig, 0)
-    modes: list[Mode] = []
-    for i in sig.axes():
-        basis = Multivector.blade(sig, (i,), sig.metric(i))
-        for mode in f.partial_field(i).modes:
-            amp = left_interior(basis, mode.amplitude)
-            if amp:
-                modes.append(mode._with(amplitude=amp))
-    return AnalyticField(sig, f.grade - 1, modes)
+    return _derivative_field(f, INTERIOR)

@@ -18,6 +18,7 @@ with outward normal along the fixed axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Mapping
 
@@ -120,9 +121,18 @@ class HypersurfaceBox:
         return nodes, weights
 
 
+@lru_cache(maxsize=None)
+def _legendre_base(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(points)`` on [-1, 1], computed once per point count; the
+    arrays are shared by every caller, so they are read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(points)
+    base_nodes, base_weights = _legendre_base(points)
     edges = np.linspace(a, b, panels + 1)
     nodes = []
     weights = []

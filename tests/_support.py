@@ -3,8 +3,10 @@ per-point quadratic tensor divergence, the per-point exterior and interior
 derivatives, the per-point classical vector residuals, the derived modes built
 through ``dataclasses.replace``, one field of each kind of mode, a pointwise
 product-rule residual, a per-point reference evaluation of analytic mode
-fields, per-node reference quadratures, the dense slice flux and the loop form
-of the identity suite.  None of these is used by the package."""
+fields, per-node reference quadratures, the dense slice flux, the per-node
+frequency-domain flux and cone synthesis, the derived-field modes built by
+per-mode multivector algebra and the loop form of the identity suite.  None of
+these is used by the package."""
 
 from __future__ import annotations
 
@@ -210,7 +212,7 @@ def reference_derivative_modes(mode: Mode, axis: int) -> list[Mode]:
         lowered = list(mode.poly)
         lowered[axis] = p - 1
         out.append(replace(mode, amplitude=mode.amplitude * p, poly=tuple(lowered)))
-    slope = mode.phase_gradient(axis)
+    slope = 2.0 * math.pi * mode.amplitude.signature.metric(axis) * mode.xi[axis]
     if slope != 0.0:
         if mode.waveform == "cos":
             out.append(replace(mode, amplitude=mode.amplitude * slope, phase=mode.phase + 0.5 * math.pi))
@@ -225,6 +227,41 @@ def reference_derivative_modes(mode: Mode, axis: int) -> list[Mode]:
         if shift:
             out.append(replace(mode, amplitude=mode.amplitude * (-shift / w2)))
     return [m for m in out if m.amplitude]
+
+
+def reference_merged_modes(modes: Iterable[Mode]) -> list[Mode]:
+    """Modes sharing every field but the amplitude merged into their first
+    occurrence through ``Multivector.__add__``; zero amplitudes dropped."""
+    merged: dict[tuple, Mode] = {}
+    for mode in modes:
+        if not mode.amplitude:
+            continue
+        key = (mode.xi, mode.phase, mode.waveform, mode.poly, mode.poly_center, mode.envelope)
+        held = merged.get(key)
+        merged[key] = mode if held is None else dataclasses.replace(
+            held, amplitude=held.amplitude + mode.amplitude)
+    return [m for m in merged.values() if m.amplitude]
+
+
+def reference_partial_modes(modes: Sequence[Mode], axis: int) -> list[Mode]:
+    """The partial field's modes: every mode's derived modes, merged."""
+    return reference_merged_modes(m for mode in modes for m in reference_derivative_modes(mode, axis))
+
+
+def reference_derivative_field_modes(field: AnalyticField, kind: str) -> list[Mode]:
+    """The exterior ("exterior") or interior derivative field's modes: the
+    public ``wedge`` or ``left_interior`` of Delta_ii e_i with every mode of
+    each partial field, merged."""
+    sig = field.signature
+    product = wedge if kind == "exterior" else left_interior
+    out = []
+    for i in sig.axes():
+        basis = Multivector.blade(sig, (i,), sig.metric(i))
+        for mode in reference_partial_modes(field.modes, i):
+            amp = product(basis, mode.amplitude)
+            if amp:
+                out.append(dataclasses.replace(mode, amplitude=amp))
+    return reference_merged_modes(out)
 
 
 def mode_family_fields(sig: SpacetimeSignature, r: int, rng) -> dict[str, AnalyticField]:
@@ -352,6 +389,79 @@ def reference_flux_T_direct(f_field, axis: int, coordinate: float, bounds,
         column = sum(c * dense[:, a] * dense[:, b] for a, b, c in triples)
         out[(i,)] = sign * float(weights @ column) if triples else 0.0
     return Multivector(sig, 1, out)
+
+
+def _reference_cone_nodes(sig: SpacetimeSignature, axis: int, region, points: int, panels: int):
+    """(xi_bar, xi_plus, chi, weight) node by node over ``HypersurfaceBox.quadrature``,
+    xi_plus a multivector with chi on the flux axis; nodes off the cone skipped."""
+    free = [a for a in sig.axes() if a != axis]
+    box = HypersurfaceBox(sig, intervals=dict(region), fixed={axis: 0.0})
+    for xi_bar, weight in box.quadrature(points, panels):
+        radicand = -sig.metric(axis) * sum(sig.metric(a) * xi_bar[a] ** 2 for a in free)
+        if radicand < 0:
+            continue
+        chi = math.sqrt(radicand)
+        comps = {(a,): xi_bar[a] for a in free if xi_bar[a] != 0}
+        if chi != 0:
+            comps[(axis,)] = chi
+        yield xi_bar, Multivector(sig, 1, comps), chi, weight
+
+
+def _reference_amplitude(a_hat, xi_plus: Multivector, grade: int) -> Multivector:
+    """The array spectrum at one node, as a multivector."""
+    sig = xi_plus.signature
+    row = np.asarray(a_hat(np.array([xi_plus.vector_components()], dtype=float)))[0]
+    return Multivector(sig, grade, zip(sig.index_lists(grade), row.tolist()))
+
+
+def reference_flux_T_fourier(a_hat, axis: int, region, sig: SpacetimeSignature, grade: int,
+                             points: int = 8, panels: int = 1, gauge_tol: float = 1e-9) -> Multivector:
+    """The frequency-domain slice flux node by node: ``dot`` of the amplitude
+    with its conjugate, ``left_interior`` for the Lorenz residual, and the
+    first node that breaks a condition raising."""
+    from extcalc.energy import CHI_EPS, GaugeViolation
+
+    _, sign = merge_with_sign((axis,), tuple(a for a in sig.axes() if a != axis))
+    accum = np.zeros(sig.dim)
+    for xi_bar, xi_plus, chi, weight in _reference_cone_nodes(sig, axis, region, points, panels):
+        amp = _reference_amplitude(a_hat, xi_plus, grade - 1)
+        mod2 = dot(amp, amp.conjugate())
+        mod2 = mod2.real if isinstance(mod2, complex) else mod2
+        if chi < CHI_EPS:
+            if not amp.max_abs() <= 1e-9:
+                raise ValueError(f"amplitude must vanish near the chi = 0 degeneracy (chi={chi:.3g})")
+            continue
+        gauge = left_interior(xi_plus, amp).max_abs()
+        if gauge > gauge_tol * max(1.0, amp.max_abs()):
+            raise GaugeViolation(f"Lorenz condition violated at xi_bar={xi_bar.tolist()}: "
+                                 f"residual {gauge:.3e}")
+        scale = weight * mod2 / chi
+        for a in sig.axes():
+            accum[a] += scale * (chi if a == axis else xi_bar[a])
+    prefactor = (-1) ** grade * 2.0 * math.pi ** 2 * sign
+    return Multivector(sig, 1, {(a,): prefactor * accum[a] for a in sig.axes() if accum[a] != 0.0})
+
+
+def reference_synthesized_modes(a_hat, axis: int, region, sig: SpacetimeSignature, grade: int,
+                                points: int = 8, panels: int = 1) -> list[Mode]:
+    """The synthesized potential's modes node by node: the amplitude's real
+    part times weight / chi at phase 0, then its imaginary part at phase pi/2."""
+    from extcalc.energy import CHI_EPS
+
+    modes = []
+    for xi_bar, xi_plus, chi, weight in _reference_cone_nodes(sig, axis, region, points, panels):
+        if chi < CHI_EPS:
+            continue
+        amp = _reference_amplitude(a_hat, xi_plus, grade - 1)
+        xi = tuple(chi if a == axis else xi_bar[a] for a in sig.axes())
+        real = Multivector(sig, amp.grade, {i: c.real for i, c in amp.terms.items()})
+        imag = Multivector(sig, amp.grade, {i: c.imag for i, c in amp.terms.items()
+                                            if isinstance(c, complex)})
+        if real:
+            modes.append(Mode(amplitude=real * (weight / chi), xi=xi, phase=0.0))
+        if imag:
+            modes.append(Mode(amplitude=imag * (weight / chi), xi=xi, phase=0.5 * math.pi))
+    return reference_merged_modes(modes)
 
 
 def _reference_blade_table(product, units: dict) -> dict:

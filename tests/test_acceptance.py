@@ -419,8 +419,8 @@ def test_criterion_11_fourier_flux_capstone():
     sig11 = SpacetimeSignature(1, 1)
 
     def bump11(xi_plus):
-        xi1 = xi_plus.coeff((1,))
-        return Multivector.scalar(sig11, math.exp(-((xi1 - 1.0) ** 2) / (2 * 0.15 ** 2)))
+        xi1 = xi_plus[:, 1]
+        return np.exp(-((xi1 - 1.0) ** 2) / (2 * 0.15 ** 2))[:, None]
 
     region = {1: (0.4, 1.6)}
     fourier = flux_T_fourier(bump11, 0, region, sig11, grade=1, points=32, panels=4)
@@ -434,10 +434,10 @@ def test_criterion_11_fourier_flux_capstone():
     sig12 = SpacetimeSignature(1, 2)
 
     def bump12(xi_plus):
-        xi1 = xi_plus.coeff((1,))
-        xi2 = xi_plus.coeff((2,))
-        h = math.exp(-((xi1 - 1.1) ** 2 + xi2 ** 2) / (2 * 0.18 ** 2))
-        return Multivector(sig12, 1, {(1,): -xi2 * h, (2,): xi1 * h})
+        xi1 = xi_plus[:, 1]
+        xi2 = xi_plus[:, 2]
+        h = np.exp(-((xi1 - 1.1) ** 2 + xi2 ** 2) / (2 * 0.18 ** 2))
+        return np.stack([np.zeros_like(h), -xi2 * h, xi1 * h], axis=1)
 
     region = {1: (0.4, 1.8), 2: (-0.7, 0.7)}
     fourier = flux_T_fourier(bump12, 0, region, sig12, grade=2, points=18, panels=1)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extcalc.algebra import Multivector, SpacetimeSignature
-from extcalc.cli import main
+from extcalc import cli
+from extcalc.cli import build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # stdout of the shipped runs, recorded before the pointwise checks were batched
@@ -118,12 +119,40 @@ def _within(got, want, bound, where="report"):
                                            str(SCENARIOS / "nonconserved_source.json"))),
     ("stress-energy-vacuum_plane_wave", ("stress-energy", "--config",
                                          str(SCENARIOS / "vacuum_plane_wave.json"))),
+    ("flux-compare-flux_compare_11", ("flux-compare", "--config",
+                                      str(SCENARIOS / "flux_compare_11.json"))),
+    ("flux-compare-flux_compare_12", ("flux-compare", "--config",
+                                      str(SCENARIOS / "flux_compare_12.json"))),
 ])
 def test_shipped_reports_keep_their_recorded_values(capsys, name, argv):
     want = json.loads((REPORTS / f"{name}.json").read_text())
     code, out, _ = run(capsys, *argv)
     assert code == (0 if want["passed"] else 1)
-    _within(json.loads(out), want, 1e-3 * want["tol"])
+    got = json.loads(out)
+    _within(got, want, 1e-3 * want["tol"])
+    assert got.get("synth_modes") == want.get("synth_modes")
+
+
+def test_parser_is_built_once_and_keeps_no_flags(capsys):
+    # main reuses one parser; each call must read exactly its own flags
+    def fresh(*argv):
+        args = build_parser().parse_args(list(argv))
+        code = args.func(args)
+        return code, capsys.readouterr().out
+
+    vacuum = str(SCENARIOS / "vacuum_plane_wave.json")
+    calls = [("maxwell-check", "--config", vacuum, "--seed", "3", "--points", "5"),
+             ("maxwell-check", "--config", vacuum),
+             ("classical", "--seed", "4", "--samples", "2"),
+             ("stress-energy", "--config", vacuum)]
+    reports = []
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == fresh(*argv)
+        reports.append(json.loads(out))
+    assert reports[0]["seed"] == 3 and reports[1]["seed"] == reports[3]["seed"] != 3
+    assert reports[0] != reports[1]
+    assert cli._parser() is cli._parser()
 
 
 def test_maxwell_check_nan_amplitude_fails(capsys, tmp_path):

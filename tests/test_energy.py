@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -47,7 +48,13 @@ from extcalc.fields import (
 from extcalc.integrate import HypersurfaceBox, bitensor_stokes_check, gauss_legendre_rule
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, classical_pack
 
-from _support import mode_family_fields, reference_flux_T_direct, reference_tensor_divergence
+from _support import (
+    mode_family_fields,
+    reference_flux_T_direct,
+    reference_flux_T_fourier,
+    reference_synthesized_modes,
+    reference_tensor_divergence,
+)
 
 EUC3 = SpacetimeSignature(0, 3)
 M11 = SpacetimeSignature(1, 1)
@@ -494,13 +501,13 @@ BUMP_WIDTH = 0.15
 
 
 def scalar_bump_11(xi_plus):
-    xi1 = xi_plus.coeff((1,))
-    h = math.exp(-((xi1 - BUMP_CENTER) ** 2) / (2 * BUMP_WIDTH ** 2))
-    return Multivector.scalar(M11, h)
+    xi1 = xi_plus[:, 1]
+    h = np.exp(-((xi1 - BUMP_CENTER) ** 2) / (2 * BUMP_WIDTH ** 2))
+    return h[:, None]
 
 
 def test_fourier_flux_zero_amplitude():
-    got = flux_T_fourier(lambda xp: Multivector.zero(M11, 0), 0, {1: (0.4, 1.6)},
+    got = flux_T_fourier(lambda xp: np.zeros((len(xp), 1)), 0, {1: (0.4, 1.6)},
                          M11, grade=1, points=24)
     assert got.is_zero()
 
@@ -530,7 +537,7 @@ def test_capstone_11_direct_vs_fourier_vs_plancherel():
 def test_fourier_flux_gauge_violation_detected():
     # a grade-1 amplitude not orthogonal to xi_plus breaks the Lorenz condition
     def bad_amp(xi_plus):
-        return Multivector.blade(M12, (0,))
+        return np.tile([1.0, 0.0, 0.0], (len(xi_plus), 1))
 
     with pytest.raises(GaugeViolation):
         flux_T_fourier(bad_amp, 0, {1: (0.5, 1.5), 2: (-0.5, 0.5)}, M12, grade=2, points=8)
@@ -538,10 +545,10 @@ def test_fourier_flux_gauge_violation_detected():
 
 def test_synthesized_potential_obeys_lorenz_gauge():
     def amp(xi_plus):
-        xi1 = xi_plus.coeff((1,))
-        xi2 = xi_plus.coeff((2,))
-        h = math.exp(-((xi1 - 1.1) ** 2 + xi2 ** 2) / (2 * 0.18 ** 2))
-        return Multivector(M12, 1, {(1,): -xi2 * h, (2,): xi1 * h})
+        xi1 = xi_plus[:, 1]
+        xi2 = xi_plus[:, 2]
+        h = np.exp(-((xi1 - 1.1) ** 2 + xi2 ** 2) / (2 * 0.18 ** 2))
+        return np.stack([np.zeros_like(h), -xi2 * h, xi1 * h], axis=1)
 
     region = {1: (0.4, 1.8), 2: (-0.7, 0.7)}
     potential = synthesize_on_cone_potential(amp, 0, region, M12, grade=2, points=10, panels=2)
@@ -550,6 +557,87 @@ def test_synthesized_potential_obeys_lorenz_gauge():
     for _ in range(5):
         x = rng.uniform(-2, 2, 3)
         assert interior_derivative(potential, x).max_abs() < 1e-9 * scale
+
+
+def _bump(xi_plus, centre, width=0.25):
+    return np.exp(-sum((xi_plus[:, a] - c) ** 2 for a, c in centre.items()) / (2 * width ** 2))
+
+
+def _transverse(xi_plus, h):
+    out = np.zeros((len(xi_plus), xi_plus.shape[1]), dtype=h.dtype)
+    out[:, 1], out[:, 2] = -xi_plus[:, 2] * h, xi_plus[:, 1] * h
+    return out
+
+
+# (signature, flux axis, field grade, region, points, panels, spectrum)
+CONE_CASES = {
+    "scalar-11": ((1, 1), 0, 1, {1: (0.4, 1.6)}, 12, 2,
+                  lambda xp: _bump(xp, {1: 1.0})[:, None]),
+    "vanishing-at-chi-0": ((1, 1), 0, 1, {1: (-0.5, 0.5)}, 7, 1,
+                           lambda xp: (xp[:, 1] ** 2 * _bump(xp, {1: 0.2}))[:, None]),
+    "space-axis-12": ((1, 2), 1, 1, {0: (0.5, 1.5), 2: (-1.0, 1.0)}, 6, 1,
+                      lambda xp: _bump(xp, {0: 1.0, 2: 0.1})[:, None]),
+    "transverse-12": ((1, 2), 0, 2, {1: (0.4, 1.8), 2: (-0.7, 0.7)}, 8, 1,
+                      lambda xp: _transverse(xp, _bump(xp, {1: 1.1, 2: 0.0}))),
+    "complex-12": ((1, 2), 0, 2, {1: (0.4, 1.8), 2: (-0.7, 0.7)}, 6, 2,
+                   lambda xp: _transverse(xp, _bump(xp, {1: 1.1}) * np.exp(1j * xp[:, 1]))),
+    "transverse-13": ((1, 3), 0, 2, {1: (0.3, 1.5), 2: (-0.6, 0.6), 3: (-0.6, 0.6)}, 4, 1,
+                      lambda xp: _transverse(xp, _bump(xp, {1: 0.9}))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONE_CASES))
+def test_cone_flux_and_synthesis_match_the_per_node_reference(case):
+    kn, axis, grade, region, points, panels, a_hat = CONE_CASES[case]
+    sig = SpacetimeSignature(*kn)
+    got = flux_T_fourier(a_hat, axis, region, sig, grade, points=points, panels=panels)
+    want = reference_flux_T_fourier(a_hat, axis, region, sig, grade, points=points, panels=panels)
+    assert want.max_abs() > 0
+    assert (got - want).max_abs() <= 1e-12 * want.max_abs()
+    potential = synthesize_on_cone_potential(a_hat, axis, region, sig, grade, points=points, panels=panels)
+    modes = reference_synthesized_modes(a_hat, axis, region, sig, grade, points=points, panels=panels)
+    assert potential.mode_count == len(potential.modes) == len(modes)
+    scale = max(m.amplitude.max_abs() for m in modes)
+    for mode, ref in zip(potential.modes, modes):
+        assert mode.phase == ref.phase and mode.waveform == ref.waveform == "cos"
+        assert np.allclose(mode.xi, ref.xi, rtol=1e-12, atol=0)
+        assert (mode.amplitude - ref.amplitude).max_abs() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fourier_flux_fails_closed_at_degenerate_nodes(bad):
+    # (1,1) with 7 nodes per axis: the middle node is xi_1 = 0, where chi = 0
+    def spectrum(xi_plus):
+        h = _bump(xi_plus, {1: 0.3})
+        return np.where(xi_plus[:, 1] == 0.0, bad, h)[:, None]
+
+    for flux in (flux_T_fourier, reference_flux_T_fourier):
+        with pytest.raises(ValueError, match=r"must vanish near the chi = 0 degeneracy \(chi=0\)"):
+            flux(spectrum, 0, {1: (-0.5, 0.5)}, M11, 1, points=7)
+
+
+def test_fourier_flux_names_the_first_offending_node():
+    # 5 x 5 nodes, xi_1 slowest: the middle node is xi_bar = 0, where chi = 0
+    region = {1: (-0.5, 0.5), 2: (-0.5, 0.5)}
+
+    def spectrum(longitudinal_side):
+        def a_hat(xi_plus):
+            rows = _transverse(xi_plus, _bump(xi_plus, {1: 0.1}))
+            rows[:, 0] = np.where(longitudinal_side * xi_plus[:, 1] > 0.3, 1.0, 0.0)
+            return rows + np.where(xi_plus[:, 0] == 0.0, 1.0, 0.0)[:, None]
+        return a_hat
+
+    nodes, _ = gauss_legendre_rule(-0.5, 0.5, 5)
+    for side, error, message in (
+            (1, ValueError, r"must vanish near the chi = 0 degeneracy \(chi=0\)"),
+            (-1, GaugeViolation, re.escape(f"at xi_bar={[0.0, nodes[0].item(), nodes[0].item()]}: residual "))):
+        for flux in (flux_T_fourier, reference_flux_T_fourier):
+            with pytest.raises(error, match=message) as raised:
+                flux(spectrum(side), 0, region, M12, 2, points=5)
+            assert type(raised.value) is error
+    # a wrong number of components is a grade error
+    with pytest.raises(GradeError, match="grade r - 1 = 1"):
+        flux_T_fourier(lambda xp: np.zeros((len(xp), 1)), 0, region, M12, 2, points=4)
 
 
 def test_stress_field_partial_matches_finite_difference():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,9 @@ from _support import (
     ComponentBitensorField,
     mode_family_fields,
     product_rule_check,
-    reference_derivative_modes,
+    reference_derivative_field_modes,
+    reference_merged_modes,
+    reference_partial_modes,
     reference_evaluate,
     reference_exterior_derivative,
     reference_interior_derivative,
@@ -317,11 +320,55 @@ def test_partial_fields_keep_the_replace_construction():
                 poly_center=tuple(rng.uniform(-0.5, 0.5, sig.dim)), envelope=shifted)])
             for f in fields.values():
                 for axis in sig.axes():
-                    want = [reference_derivative_modes(mode, axis) for mode in f.modes]
-                    assert [list(map(repr, mode.derivative_modes(axis))) for mode in f.modes] == \
-                        [list(map(repr, modes)) for modes in want]
-                    merged = AnalyticField(sig, r, [m for modes in want for m in modes])
-                    assert list(map(repr, f.partial_field(axis).modes)) == list(map(repr, merged.modes))
+                    want = reference_partial_modes(f.modes, axis)
+                    assert list(map(repr, f.partial_field(axis).modes)) == list(map(repr, want))
+
+
+@pytest.mark.parametrize("k,n", [(k, d - k) for d in range(1, 5) for k in range(d + 1)])
+def test_derived_fields_match_the_multivector_route(k, n):
+    # the mode table's partial, exterior and interior derivative fields, sums,
+    # scalings and merges list the same modes in the same order with the same
+    # coefficients (Python types and signed zeros included) as per-mode
+    # multivector algebra
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng(10 * k + n)
+
+    def same(field, modes):
+        assert list(map(repr, field.modes)) == list(map(repr, modes))
+
+    for r in range(sig.dim + 1):
+        fields = mode_family_fields(sig, r, rng)
+        blade = next(iter(sig.index_lists(r)))
+        # integer and complex coefficients, repeated and cancelling modes
+        extra = [Mode(amplitude=Multivector.blade(sig, blade), poly=(2,) * sig.dim),
+                 Mode(amplitude=Multivector.blade(sig, blade, 3), poly=(2,) * sig.dim),
+                 Mode(amplitude=Multivector.blade(sig, blade, 0.5j), xi=(0.3,) * sig.dim, waveform="exp")]
+        blades = list(sig.index_lists(r))
+        if len(blades) > 1:
+            # a real sum whose second entry cancels below the relative prune,
+            # so the next term lands on an absent entry
+            pair = [Mode(amplitude=Multivector(sig, r, {blades[0]: 1.0, blades[1]: 0.1 + 1e-16}),
+                         poly=(3,) * sig.dim),
+                    Mode(amplitude=Multivector(sig, r, {blades[1]: -0.1}), poly=(3,) * sig.dim),
+                    Mode(amplitude=Multivector(sig, r, {blades[1]: 0.3}), poly=(3,) * sig.dim)]
+            same(AnalyticField(sig, r, pair), reference_merged_modes(pair))
+            extra += pair
+        modes = [m for f in fields.values() for m in f.modes] + extra
+        modes += modes[::2] + [dataclasses.replace(m, amplitude=-1 * m.amplitude) for m in modes[1::3]]
+        fields["merged"] = AnalyticField(sig, r, modes)
+        same(fields["merged"], reference_merged_modes(modes))
+        for factor in (2, -1, 0.5, 0.25 - 0.5j):
+            same(fields["merged"] * factor, reference_merged_modes(
+                dataclasses.replace(m, amplitude=m.amplitude * factor) for m in fields["merged"].modes))
+        same(fields["cos"] + fields["exp"], reference_merged_modes(fields["cos"].modes + fields["exp"].modes))
+        for f in fields.values():
+            for axis in sig.axes():
+                want = reference_partial_modes(f.modes, axis)
+                same(f.partial_field(axis), want)
+                same(f.partial_field(axis).partial_field(sig.dim - 1 - axis),
+                     reference_partial_modes(want, sig.dim - 1 - axis))
+            same(exterior_derivative_field(f), reference_derivative_field_modes(f, "exterior"))
+            same(interior_derivative_field(f), reference_derivative_field_modes(f, "interior"))
 
 
 # ---------------------------------------------------------------------------
