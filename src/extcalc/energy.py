@@ -519,6 +519,11 @@ def _amplitude_rows(a_hat: Callable[[np.ndarray], np.ndarray], xi_plus: np.ndarr
     if rows.shape != (len(xi_plus), ncomp):
         raise GradeError(f"amplitude rows have shape {rows.shape}; grade r - 1 = {grade} on "
                          f"{len(xi_plus)} nodes needs ({len(xi_plus)}, {ncomp})")
+    return _prune_rows(rows)
+
+
+def _prune_rows(rows: np.ndarray) -> np.ndarray:
+    """A copy of the rows with each row pruned as a ``Multivector``."""
     return _pruned(rows.copy(), np.zeros(rows.shape, dtype=np.int8))[0]
 
 
@@ -600,8 +605,6 @@ def synthesize_on_cone_potential(a_hat: Callable[[np.ndarray], np.ndarray], axis
     scale = (weights[keep] / chi[keep])[:, None]
     # the real part, then the imaginary part, of each node's rows, each pruned
     # as a multivector before and after scaling
-    zeros = np.zeros(rows.shape, dtype=np.int8)
-    parts = [_pruned(_pruned(part.copy(), zeros.copy())[0] * scale, zeros.copy())[0]
-             for part in (rows.real, rows.imag)]
+    parts = [_prune_rows(_prune_rows(part) * scale) for part in (rows.real, rows.imag)]
     return _cosine_field(sig, grade - 1, np.stack(parts, axis=1).reshape(-1, rows.shape[1]),
                          np.repeat(xi_plus, 2, axis=0), np.tile([0.0, 0.5 * math.pi], len(xi_plus)))
