@@ -197,10 +197,12 @@ class _ModeTable(NamedTuple):
         return self.data[:, start:start + (self.data.shape[1] - 4) // 4]
 
 
-def _table_of_modes(sig: SpacetimeSignature, grade: int, modes: Iterable[Mode]) -> _ModeTable:
-    """The table of the modes with a nonzero amplitude, in the order given."""
+def _table_of_modes(sig: SpacetimeSignature, grade: int,
+                    modes: Iterable[Mode]) -> tuple[_ModeTable, list[Mode]]:
+    """The table of the modes with a nonzero amplitude, in the order given,
+    and those modes."""
     index = {idx: pos for pos, idx in enumerate(sig.index_lists(grade))}
-    amps, kinds, data = [], [], []
+    kept, amps, kinds, data = [], [], [], []
     for mode in modes:
         amplitude = mode.amplitude
         if amplitude.signature != sig:
@@ -215,6 +217,7 @@ def _table_of_modes(sig: SpacetimeSignature, grade: int, modes: Iterable[Mode]) 
             row[index[idx]] = c
             kind[index[idx]] = _COMPLEX if isinstance(c, complex) else _INT if isinstance(c, int) else _FLOAT
         env = mode.envelope
+        kept.append(mode)
         amps.append(row)
         kinds.append(kind)
         data.append((mode.phase, mode.waveform == WAVE_EXP, 0.0 if env is None else env.width,
@@ -224,7 +227,7 @@ def _table_of_modes(sig: SpacetimeSignature, grade: int, modes: Iterable[Mode]) 
     kinds = np.array(kinds, dtype=np.int8).reshape(len(amps), len(index))
     dtype = complex if np.count_nonzero(kinds == _COMPLEX) else float
     return _ModeTable(np.array(amps, dtype=dtype).reshape(kinds.shape), kinds,
-                      np.array(data, dtype=float).reshape(len(amps), 4 * sig.dim + 4))
+                      np.array(data, dtype=float).reshape(len(amps), 4 * sig.dim + 4)), kept
 
 
 def _pruned(amp: np.ndarray, kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,31 +273,34 @@ def _scaled(amp: np.ndarray, kind: np.ndarray, re, im, factor_kind) -> tuple[np.
 def _summed(held: np.ndarray, held_kind: np.ndarray, other: np.ndarray,
             other_kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ``held + other`` as ``Multivector.__add__``: entries only in
-    held are kept as they are, every other entry is held (or 0) + other."""
-    if held.dtype != complex:
-        # real entries: adding an absent 0.0 changes nothing
-        return _pruned(held + other, np.maximum(held_kind, other_kind))
-    present = other != 0
-    kind = np.where(present, np.maximum(held_kind, other_kind), held_kind)
-    re = np.where(present, held.real + other.real, held.real)
-    im = np.where(present, held.imag + other.imag, held.imag)
-    return _typed((held != 0) | present, re, im, kind)
+    held are kept as they are, every other entry is held (or 0) + other.
+    Complex sums add parts, as Python does for a real and a complex operand."""
+    total = held + other
+    if held.dtype == complex:
+        # adding an absent +0.0 would turn a held -0.0 part into +0.0
+        total = np.where(other != 0, total, held)
+    return _pruned(total, np.maximum(held_kind, other_kind))
 
 
-def _merged(table: _ModeTable) -> _ModeTable:
+def _merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple[_ModeTable, np.ndarray]:
     """Modes sharing every field but the amplitude merged into their first
     occurrence by sequential addition, as ``AnalyticField`` merges ``Mode``
     objects; modes whose amplitude is or becomes zero are dropped.
 
-    Keys compare as Python floats, so 0.0 and -0.0 merge and NaN never does.
+    Rows of different ``part`` never merge; the parts of the rows kept are
+    returned with the table.  Keys compare as Python floats, so 0.0 and -0.0
+    merge and NaN never does.
     """
+    if part is None:
+        part = np.zeros(len(table.data), dtype=np.intp)
     nonzero = np.logical_or.reduce(table.amp != 0, axis=1)
     if np.count_nonzero(nonzero) < len(nonzero):
-        table = table.take(np.flatnonzero(nonzero))
+        table, part = table.take(nonzero), part[nonzero]
     seen: dict[tuple, int] = {}
-    group = [seen.setdefault(key, len(seen)) for key in map(tuple, table.data[:, :-1].tolist())]
+    group = [seen.setdefault(key, len(seen))
+             for key in zip(part.tolist(), map(tuple, table.data[:, :-1].tolist()))]
     if len(seen) == len(group):
-        return table
+        return table, part
     # groups are numbered by first occurrence; rank counts a member's predecessors
     group = np.array(group)
     order = np.argsort(group, kind="stable")
@@ -307,8 +313,8 @@ def _merged(table: _ModeTable) -> _ModeTable:
         members = np.flatnonzero(rank == r)
         g = group[members]
         amp[g], kind[g] = _summed(amp[g], kind[g], table.amp[members], table.kind[members])
-    merged = _ModeTable(amp, kind, table.data[lead])
-    return merged.take(np.flatnonzero(np.logical_or.reduce(amp != 0, axis=1)))
+    nonzero = np.logical_or.reduce(amp != 0, axis=1)
+    return _ModeTable(amp, kind, table.data[lead]).take(nonzero), part[lead][nonzero]
 
 
 def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.ndarray,
@@ -343,27 +349,34 @@ class AnalyticField:
     """Fixed-grade multivector field given by a finite list of analytic modes.
 
     The modes are held as one ``_ModeTable``; ``modes`` is a tuple of ``Mode``
-    objects built from it on first access.
+    objects: the given ones when none merged, else built from the table on
+    first access.
     """
 
     __slots__ = ("signature", "grade", "_table", "_modes", "_partials", "_arrays")
 
     def __init__(self, signature: SpacetimeSignature, grade: int, modes: Iterable[Mode] = ()):
+        table, kept = _table_of_modes(signature, grade, modes)
         # merge modes sharing every scalar factor; keeps derived fields compact
-        self._set(signature, grade, _table_of_modes(signature, grade, modes))
+        self._set(signature, grade, _merged(table)[0])
+        if len(self._table.data) == len(kept):
+            # nothing merged: the given modes are the view
+            self._modes = tuple(kept)
 
     def _set(self, signature: SpacetimeSignature, grade: int, table: _ModeTable) -> None:
+        """Hold an already merged table."""
         self.signature = signature
         self.grade = grade
-        self._table = _merged(table)
+        self._table = table
         self._modes: tuple[Mode, ...] | None = None
         self._partials: dict[int, AnalyticField] = {}
         self._arrays: tuple | None = None
 
     @classmethod
-    def _from_table(cls, signature: SpacetimeSignature, grade: int, table: _ModeTable) -> "AnalyticField":
+    def _from_table(cls, signature: SpacetimeSignature, grade: int, table: _ModeTable,
+                    merged: bool = False) -> "AnalyticField":
         field = object.__new__(cls)
-        field._set(signature, grade, table)
+        field._set(signature, grade, table if merged else _merged(table)[0])
         return field
 
     @property
@@ -437,11 +450,11 @@ class AnalyticField:
                 changed[rows, column[rows]] += step
             rows = np.flatnonzero((candidate == 1) & ~exp[mode])
             changed[rows, _PHASE] = changed[rows, _PHASE] + 0.5 * math.pi
+            table, along = _merged(_ModeTable(amp, kind, changed), along)
             bounds = np.searchsorted(along, np.arange(dim + 1))
             for a in sig.axes():
-                part = slice(bounds[a], bounds[a + 1])
                 self._partials[a] = AnalyticField._from_table(
-                    sig, self.grade, _ModeTable(amp[part], kind[part], changed[part]))
+                    sig, self.grade, table.take(slice(bounds[a], bounds[a + 1])), merged=True)
         return self._partials[axis]
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
