@@ -151,8 +151,8 @@ def _dense_multivector(sig: SpacetimeSignature, grade: int, lists: Sequence[tupl
 # on it.  Amplitude rows keep, per entry, the Python type the multivector
 # route would give the coefficient (int, float or complex), and every
 # operation reproduces Python's scalar arithmetic on it: a real operand of a
-# complex product or sum is promoted with a +0.0 imaginary part, and ``0 + c``
-# starts each sum, as in ``Multivector``.  So a derived table lists the same
+# complex product or sum is promoted with a +0.0 imaginary part (as Python
+# 3.10 to 3.13 do), and ``0 + c`` starts each sum, as in ``Multivector``.  So a derived table lists the same
 # modes, in the same order, with the same coefficients (signed zeros
 # included) as the per-mode ``Multivector`` algebra.
 # ---------------------------------------------------------------------------
@@ -170,11 +170,10 @@ class _ModeTable(NamedTuple):
 
     ``amp`` (M, ncomp) holds the amplitude rows in ``index_lists`` order,
     float unless an entry is complex, and ``kind`` (M, ncomp) the Python type
-    of each entry.  ``data``
-    (M, 4 dim + 4) holds the rest of each mode: phase, exp flag (1.0 for an
-    exponential), envelope width (0.0 without an envelope), then the blocks
-    xi, monomial exponents, monomial centre and envelope centre, and last the
-    envelope's width ** 2 as Python computes it.
+    of each entry.  ``data`` (M, 4 dim + 4) holds the rest of each mode:
+    phase, exp flag (1.0 for an exponential), envelope width (0.0 without an
+    envelope), then the blocks xi, monomial exponents, monomial centre and
+    envelope centre, and last the envelope's width ** 2 as Python computes it.
     """
 
     amp: np.ndarray
