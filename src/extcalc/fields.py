@@ -163,6 +163,18 @@ _INT, _FLOAT, _COMPLEX = 0, 1, 2
 # (indexed by ``_XI`` to ``_ENV``), then Python's envelope ``width ** 2``
 _PHASE, _EXP, _WIDTH = 0, 1, 2
 _XI, _POLY, _CENTRE, _ENV = range(4)
+# per derivative candidate (monomial, waveform, envelope, envelope shift): the
+# factor's Python type and the change of the monomial exponent
+_CANDIDATE_KIND = np.array([_INT, _FLOAT, _FLOAT, _FLOAT], dtype=np.int8)
+_CANDIDATE_STEP = np.array([-1.0, 0.0, 1.0, 0.0])
+
+
+@lru_cache(maxsize=None)
+def _metric(sig: SpacetimeSignature) -> np.ndarray:
+    """The diagonal metric as a read-only float array."""
+    metric = np.array([sig.metric(i) for i in sig.axes()], dtype=float)
+    metric.flags.writeable = False
+    return metric
 
 
 class _ModeTable(NamedTuple):
@@ -413,44 +425,44 @@ class AnalyticField:
         if not self._partials:
             sig, t = self.signature, self._table
             data = t.data
-            count, dim = len(data), sig.dim
-            metric = np.array([sig.metric(i) for i in sig.axes()], dtype=float)
             poly = t.block(_POLY)
-            slope = 2.0 * math.pi * metric * t.block(_XI)
+            slope = 2.0 * math.pi * _metric(sig) * t.block(_XI)
             exp = data[:, _EXP] != 0
-            has_env = np.broadcast_to((data[:, _WIDTH] > 0)[:, None], (count, dim))
-            shift = t.block(_CENTRE) - t.block(_ENV)
-            w2 = data[:, -1, None]
-            moved = has_env & (shift != 0)
             exp_any = bool(np.count_nonzero(exp))
-            # candidate c of mode m along axis a, taken axis by axis, then
-            # mode by mode, then in candidate order
-            valid = np.stack([poly != 0, slope != 0.0, has_env, moved], axis=2)
-            factor = np.stack([
-                poly, np.where(exp[:, None], 0.0 * slope - 0.0, slope) if exp_any else slope,
-                np.divide(-1.0, w2, out=np.zeros((count, dim)), where=has_env),
-                np.divide(-shift, w2, out=np.zeros((count, dim)), where=moved)], axis=2)
-            mode, along, candidate = np.nonzero(valid)
-            order = np.argsort(along, kind="stable")
-            mode, along, candidate = mode[order], along[order], candidate[order]
-            kind = np.array([_INT, _FLOAT, _FLOAT, _FLOAT], dtype=np.int8)[candidate]
+            # candidates c of mode m along axis a, as valid[a, m, c] and
+            # factor[a, m, c]: monomial, waveform, envelope, envelope shift
+            valid = np.zeros((sig.dim, len(data), 4), dtype=bool)
+            factor = np.zeros(valid.shape)
+            valid[:, :, 0] = poly.T != 0
+            factor[:, :, 0] = poly.T
+            valid[:, :, 1] = slope.T != 0.0
+            factor[:, :, 1] = (np.where(exp[:, None], 0.0 * slope - 0.0, slope) if exp_any else slope).T
+            has_env = data[:, _WIDTH] > 0
+            if np.count_nonzero(has_env):
+                w2 = data[:, -1]
+                shift = (t.block(_CENTRE) - t.block(_ENV)).T
+                valid[:, :, 2] = has_env
+                valid[:, :, 3] = has_env & (shift != 0)
+                np.divide(-1.0, w2, out=factor[:, :, 2], where=has_env)
+                np.divide(-shift, w2, out=factor[:, :, 3], where=valid[:, :, 3])
+            # axis by axis, then mode by mode, then in candidate order
+            along, mode, candidate = np.nonzero(valid)
+            kind = _CANDIDATE_KIND[candidate]
             im = 0.0
             if exp_any:
                 # Python's j s is (0.0 s - 0.0) + (0.0 + s) j
                 wave = (candidate == 1) & exp[mode]
                 im = np.where(wave, 0.0 + slope[mode, along], 0.0)[:, None]
                 kind[wave] = _COMPLEX
-            amp, kind = _scaled(t.amp[mode], t.kind[mode], factor[mode, along, candidate][:, None],
+            amp, kind = _scaled(t.amp[mode], t.kind[mode], factor[along, mode, candidate][:, None],
                                 im, kind[:, None])
             changed = data[mode]
-            column = t.column(_POLY, 0) + along
-            for c, step in ((0, -1), (2, 1)):
-                rows = np.flatnonzero(candidate == c)
-                changed[rows, column[rows]] += step
-            rows = np.flatnonzero((candidate == 1) & ~exp[mode])
-            changed[rows, _PHASE] = changed[rows, _PHASE] + 0.5 * math.pi
+            rows = np.arange(len(mode))
+            changed[rows, t.column(_POLY, 0) + along] += _CANDIDATE_STEP[candidate]
+            np.add(changed[:, _PHASE], 0.5 * math.pi, out=changed[:, _PHASE],
+                   where=(candidate == 1) & ~exp[mode])
             table, along = _merged(_ModeTable(amp, kind, changed), along)
-            bounds = np.searchsorted(along, np.arange(dim + 1))
+            bounds = np.searchsorted(along, np.arange(sig.dim + 1))
             for a in sig.axes():
                 self._partials[a] = AnalyticField._from_table(
                     sig, self.grade, table.take(slice(bounds[a], bounds[a + 1])), merged=True)
@@ -479,8 +491,7 @@ class AnalyticField:
             sig, t = self.signature, self._table
             dtype = complex if self.is_complex() else float
             rows = t.amp.real if dtype is float else t.amp.astype(complex, copy=False)
-            metric = np.array([sig.metric(i) for i in sig.axes()], dtype=float)
-            slopes = 2.0 * math.pi * metric * t.block(_XI)
+            slopes = 2.0 * math.pi * _metric(sig) * t.block(_XI)
             env_centres = t.block(_ENV)
             arrays = []
             for m, (phase, exp, width, *rest) in enumerate(t.data.tolist()):
