@@ -524,7 +524,7 @@ def _amplitude_rows(a_hat: Callable[[np.ndarray], np.ndarray], xi_plus: np.ndarr
 
 def _prune_rows(rows: np.ndarray) -> np.ndarray:
     """A copy of the rows with each row pruned as a ``Multivector``."""
-    return _pruned(rows.copy(), np.zeros(rows.shape, dtype=np.int8))[0]
+    return _pruned(rows.copy())
 
 
 def flux_T_fourier(a_hat: Callable[[np.ndarray], np.ndarray], axis: int,

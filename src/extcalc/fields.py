@@ -80,8 +80,8 @@ class GaussianEnvelope:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("envelope width must be positive")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"envelope width must be finite and positive, got {self.width}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def truncation_radius(self, cutoff: float = 1e-12) -> float:
@@ -109,23 +109,16 @@ class Mode:
     def __post_init__(self):
         dim = self.amplitude.signature.dim
         object.__setattr__(self, "xi", _pad(self.xi, dim))
-        object.__setattr__(self, "poly", tuple(int(p) for p in _pad(self.poly, dim)))
-        if any(p < 0 for p in self.poly):
-            raise ValueError("monomial exponents must be nonnegative")
+        poly = _pad(self.poly, dim)
+        if not all(p.is_integer() and p >= 0 for p in poly):
+            raise ValueError(f"monomial exponents must be nonnegative integers, got {poly}")
+        object.__setattr__(self, "poly", tuple(int(p) for p in poly))
         center = self.poly_center
         if not center and self.envelope is not None:
             center = self.envelope.center
         object.__setattr__(self, "poly_center", _pad(center, dim))
         if self.waveform not in (WAVE_COS, WAVE_EXP):
             raise ValueError(f"unknown waveform {self.waveform!r}")
-
-    def _with(self, **changes) -> "Mode":
-        """This mode with some fields replaced by values already in canonical
-        form: unlike ``dataclasses.replace`` it does not re-run __post_init__,
-        whose padding and checks this mode has passed."""
-        mode = object.__new__(Mode)
-        mode.__dict__.update(self.__dict__, **changes)
-        return mode
 
 
 def _pad(values: Iterable[float], dim: int) -> tuple[float, ...]:
@@ -148,24 +141,20 @@ def _dense_multivector(sig: SpacetimeSignature, grade: int, lists: Sequence[tupl
 #
 # An analytic field stores its modes as one table of stacked arrays, and
 # derives partial, exterior and interior derivative fields by array operations
-# on it.  Amplitude rows keep, per entry, the Python type the multivector
-# route would give the coefficient (int, float or complex), and every
-# operation reproduces Python's scalar arithmetic on it: a real operand of a
-# complex product or sum is promoted with a +0.0 imaginary part (as Python
-# 3.10 to 3.13 do), and ``0 + c`` starts each sum, as in ``Multivector``.  So a derived table lists the same
-# modes, in the same order, with the same coefficients (signed zeros
-# included) as the per-mode ``Multivector`` algebra.
+# on it.  The amplitudes are one float or complex array, and every operation
+# takes the per-mode ``Multivector`` algebra's steps in its order: the same
+# products and sums, the same merge order and a relative prune after each
+# addition.  So a derived table lists the same modes, in the same order, with
+# coefficients equal in value to that algebra's; Python's scalar types and
+# the signs of zeros are not kept.
 # ---------------------------------------------------------------------------
 
-# Python type of an amplitude entry; an absent entry is an int 0
-_INT, _FLOAT, _COMPLEX = 0, 1, 2
 # columns of ``_ModeTable.data``: three scalars, then blocks of dim columns
 # (indexed by ``_XI`` to ``_ENV``), then Python's envelope ``width ** 2``
 _PHASE, _EXP, _WIDTH = 0, 1, 2
 _XI, _POLY, _CENTRE, _ENV = range(4)
 # per derivative candidate (monomial, waveform, envelope, envelope shift): the
-# factor's Python type and the change of the monomial exponent
-_CANDIDATE_KIND = np.array([_INT, _FLOAT, _FLOAT, _FLOAT], dtype=np.int8)
+# change of the monomial exponent
 _CANDIDATE_STEP = np.array([-1.0, 0.0, 1.0, 0.0])
 
 
@@ -181,19 +170,18 @@ class _ModeTable(NamedTuple):
     """M modes of one field as stacked arrays.
 
     ``amp`` (M, ncomp) holds the amplitude rows in ``index_lists`` order,
-    float unless an entry is complex, and ``kind`` (M, ncomp) the Python type
-    of each entry.  ``data`` (M, 4 dim + 4) holds the rest of each mode:
-    phase, exp flag (1.0 for an exponential), envelope width (0.0 without an
-    envelope), then the blocks xi, monomial exponents, monomial centre and
-    envelope centre, and last the envelope's width ** 2 as Python computes it.
+    float unless an amplitude has a complex coefficient.  ``data`` (M, 4 dim
+    + 4) holds the rest of each mode: phase, exp flag (1.0 for an
+    exponential), envelope width (0.0 without an envelope), then the blocks
+    xi, monomial exponents, monomial centre and envelope centre, and last the
+    envelope's width ** 2 as Python computes it.
     """
 
     amp: np.ndarray
-    kind: np.ndarray
     data: np.ndarray
 
     def take(self, index) -> "_ModeTable":
-        return _ModeTable(self.amp[index], self.kind[index], self.data[index])
+        return _ModeTable(self.amp[index], self.data[index])
 
     @staticmethod
     def concat(tables: Sequence["_ModeTable"]) -> "_ModeTable":
@@ -213,7 +201,7 @@ def _table_of_modes(sig: SpacetimeSignature, grade: int,
     """The table of the modes with a nonzero amplitude, in the order given,
     and those modes."""
     index = {idx: pos for pos, idx in enumerate(sig.index_lists(grade))}
-    kept, amps, kinds, data = [], [], [], []
+    kept, amps, data = [], [], []
     for mode in modes:
         amplitude = mode.amplitude
         if amplitude.signature != sig:
@@ -222,26 +210,19 @@ def _table_of_modes(sig: SpacetimeSignature, grade: int,
             raise ValueError(f"mode amplitude grade {amplitude.grade} != field grade {grade}")
         if not amplitude:
             continue
-        row = [0.0] * len(index)
-        kind = [_INT] * len(index)
-        for idx, c in amplitude.terms.items():
-            row[index[idx]] = c
-            kind[index[idx]] = _COMPLEX if isinstance(c, complex) else _INT if isinstance(c, int) else _FLOAT
         env = mode.envelope
         kept.append(mode)
-        amps.append(row)
-        kinds.append(kind)
+        amps.append([amplitude.terms.get(idx, 0.0) for idx in index])
         data.append((mode.phase, mode.waveform == WAVE_EXP, 0.0 if env is None else env.width,
                      *mode.xi, *mode.poly, *mode.poly_center,
                      *((0.0,) * sig.dim if env is None else env.center),
                      0.0 if env is None else env.width ** 2))
-    kinds = np.array(kinds, dtype=np.int8).reshape(len(amps), len(index))
-    dtype = complex if np.count_nonzero(kinds == _COMPLEX) else float
-    return _ModeTable(np.array(amps, dtype=dtype).reshape(kinds.shape), kinds,
+    dtype = complex if any(isinstance(c, complex) for row in amps for c in row) else float
+    return _ModeTable(np.array(amps, dtype=dtype).reshape(len(amps), len(index)),
                       np.array(data, dtype=float).reshape(len(amps), 4 * sig.dim + 4)), kept
 
 
-def _pruned(amp: np.ndarray, kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pruned(amp: np.ndarray) -> np.ndarray:
     """``algebra._prune`` applied in place to every row of fresh arrays: zero
     entries and entries below PRUNE_REL of the row's largest magnitude become
     absent, and no relative cut is made in a row holding a NaN or infinite
@@ -253,44 +234,7 @@ def _pruned(amp: np.ndarray, kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     drop = mags < cut[:, None]
     drop |= amp == 0
     np.copyto(amp, 0, where=drop)
-    np.copyto(kind, _INT, where=drop)
-    return amp, kind
-
-
-def _typed(present: np.ndarray, re: np.ndarray, im: np.ndarray,
-           kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pruned complex rows from the parts Python's complex arithmetic gives:
-    absent entries stay absent and non-complex entries drop their imaginary
-    part."""
-    amp = np.empty(re.shape, dtype=complex)
-    amp.real = re
-    amp.imag = im
-    kind = np.where(present, kind, _INT)
-    amp[~present] = 0
-    amp.imag[kind != _COMPLEX] = 0.0
-    return _pruned(amp, kind)
-
-
-def _scaled(amp: np.ndarray, kind: np.ndarray, re, im, factor_kind) -> tuple[np.ndarray, np.ndarray]:
-    """Each row times its scalar factor re + j im, as ``Multivector.__mul__``;
-    the factor parts and type broadcast against (M, 1)."""
-    kind = np.maximum(kind, factor_kind)
-    if amp.dtype != complex and np.ndim(im) == 0 and im == 0.0:
-        return _pruned(amp * re, kind)
-    with np.errstate(invalid="ignore"):
-        return _typed(amp != 0, amp.real * re - amp.imag * im, amp.real * im + amp.imag * re, kind)
-
-
-def _summed(held: np.ndarray, held_kind: np.ndarray, other: np.ndarray,
-            other_kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``held + other`` as ``Multivector.__add__``: entries only in
-    held are kept as they are, every other entry is held (or 0) + other.
-    Complex sums add parts, as Python does for a real and a complex operand."""
-    total = held + other
-    if held.dtype == complex:
-        # adding an absent +0.0 would turn a held -0.0 part into +0.0
-        total = np.where(other != 0, total, held)
-    return _pruned(total, np.maximum(held_kind, other_kind))
+    return amp
 
 
 def _merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple[_ModeTable, np.ndarray]:
@@ -319,13 +263,13 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple[_ModeTab
     rank = np.empty_like(group)
     rank[order] = np.arange(len(group)) - starts[group[order]]
     lead = order[starts]
-    amp, kind = table.amp[lead], table.kind[lead]
+    amp = table.amp[lead]
     for r in range(1, int(rank.max()) + 1):
         members = np.flatnonzero(rank == r)
         g = group[members]
-        amp[g], kind[g] = _summed(amp[g], kind[g], table.amp[members], table.kind[members])
+        amp[g] = _pruned(amp[g] + table.amp[members])
     nonzero = np.logical_or.reduce(amp != 0, axis=1)
-    return _ModeTable(amp, kind, table.data[lead]).take(nonzero), part[lead][nonzero]
+    return _ModeTable(amp, table.data[lead]).take(nonzero), part[lead][nonzero]
 
 
 def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.ndarray,
@@ -333,20 +277,18 @@ def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.n
     """The field sum_m amp[m] cos(theta_m), theta_m = 2 pi xi_m . x + phase[m],
     from real (M, ncomp) amplitude rows; zero rows are dropped and equal
     modes merged, as for any field."""
-    table = _ModeTable(amp, np.where(amp != 0, _FLOAT, _INT).astype(np.int8),
-                       np.zeros((len(amp), 4 * sig.dim + 4)))
+    table = _ModeTable(amp, np.zeros((len(amp), 4 * sig.dim + 4)))
     table.data[:, _PHASE] = phase
     table.block(_XI)[:] = xi
     return AnalyticField._from_table(sig, grade, table)
 
 
 def _table_mode(sig: SpacetimeSignature, grade: int, lists: Sequence[tuple[int, ...]],
-                amp: list, kind: list, data: list) -> Mode:
-    """One table row as a ``Mode`` whose amplitude has the row's Python types."""
+                amp: list, data: list) -> Mode:
+    """One table row as a ``Mode``."""
     dim = sig.dim
     phase, exp, width, rest = data[0], data[1], data[2], data[3:-1]
-    terms = {idx: (int(c.real) if k == _INT else c.real if k == _FLOAT else c)
-             for idx, c, k in zip(lists, amp, kind) if c != 0}
+    terms = {idx: c for idx, c in zip(lists, amp) if c != 0}
     mode = object.__new__(Mode)
     mode.__dict__.update(
         amplitude=Multivector._from_valid(sig, grade, terms), xi=tuple(rest[:dim]), phase=phase,
@@ -397,7 +339,7 @@ class AnalyticField:
             t = self._table
             lists = self.component_lists()
             self._modes = tuple(_table_mode(self.signature, self.grade, lists, *row)
-                                for row in zip(t.amp.tolist(), t.kind.tolist(), t.data.tolist()))
+                                for row in zip(t.amp.tolist(), t.data.tolist()))
         return self._modes
 
     @property
@@ -428,7 +370,6 @@ class AnalyticField:
             poly = t.block(_POLY)
             slope = 2.0 * math.pi * _metric(sig) * t.block(_XI)
             exp = data[:, _EXP] != 0
-            exp_any = bool(np.count_nonzero(exp))
             # candidates c of mode m along axis a, as valid[a, m, c] and
             # factor[a, m, c]: monomial, waveform, envelope, envelope shift
             valid = np.zeros((sig.dim, len(data), 4), dtype=bool)
@@ -436,7 +377,7 @@ class AnalyticField:
             valid[:, :, 0] = poly.T != 0
             factor[:, :, 0] = poly.T
             valid[:, :, 1] = slope.T != 0.0
-            factor[:, :, 1] = (np.where(exp[:, None], 0.0 * slope - 0.0, slope) if exp_any else slope).T
+            factor[:, :, 1] = slope.T
             has_env = data[:, _WIDTH] > 0
             if np.count_nonzero(has_env):
                 w2 = data[:, -1]
@@ -445,23 +386,20 @@ class AnalyticField:
                 valid[:, :, 3] = has_env & (shift != 0)
                 np.divide(-1.0, w2, out=factor[:, :, 2], where=has_env)
                 np.divide(-shift, w2, out=factor[:, :, 3], where=valid[:, :, 3])
+            if np.count_nonzero(exp):
+                # an exponential's waveform factor is j s
+                factor = factor.astype(complex)
+                factor[:, exp, 1] *= 1j
             # axis by axis, then mode by mode, then in candidate order
             along, mode, candidate = np.nonzero(valid)
-            kind = _CANDIDATE_KIND[candidate]
-            im = 0.0
-            if exp_any:
-                # Python's j s is (0.0 s - 0.0) + (0.0 + s) j
-                wave = (candidate == 1) & exp[mode]
-                im = np.where(wave, 0.0 + slope[mode, along], 0.0)[:, None]
-                kind[wave] = _COMPLEX
-            amp, kind = _scaled(t.amp[mode], t.kind[mode], factor[along, mode, candidate][:, None],
-                                im, kind[:, None])
+            with np.errstate(invalid="ignore"):
+                amp = _pruned(t.amp[mode] * factor[along, mode, candidate][:, None])
             changed = data[mode]
             rows = np.arange(len(mode))
             changed[rows, t.column(_POLY, 0) + along] += _CANDIDATE_STEP[candidate]
             np.add(changed[:, _PHASE], 0.5 * math.pi, out=changed[:, _PHASE],
                    where=(candidate == 1) & ~exp[mode])
-            table, along = _merged(_ModeTable(amp, kind, changed), along)
+            table, along = _merged(_ModeTable(amp, changed), along)
             bounds = np.searchsorted(along, np.arange(sig.dim + 1))
             for a in sig.axes():
                 self._partials[a] = AnalyticField._from_table(
@@ -479,7 +417,7 @@ class AnalyticField:
         return list(combinations(range(self.signature.dim), self.grade))
 
     def is_complex(self) -> bool:
-        return bool(self._table.data[:, _EXP].any() or (self._table.kind == _COMPLEX).any())
+        return bool(self._table.amp.dtype == complex or self._table.data[:, _EXP].any())
 
     def _mode_arrays(self) -> tuple:
         """Component lists, dtype and per-mode kernel arrays, built once per field.
@@ -490,7 +428,7 @@ class AnalyticField:
         if self._arrays is None:
             sig, t = self.signature, self._table
             dtype = complex if self.is_complex() else float
-            rows = t.amp.real if dtype is float else t.amp.astype(complex, copy=False)
+            rows = t.amp.astype(dtype, copy=False)
             slopes = 2.0 * math.pi * _metric(sig) * t.block(_XI)
             env_centres = t.block(_ENV)
             arrays = []
@@ -538,7 +476,7 @@ class AnalyticField:
         """
         sig, t = self.signature, self._table
         data = t.data
-        rows = t.amp.astype(complex) if self.is_complex() else t.amp.real.copy()
+        rows = t.amp.astype(complex if self.is_complex() else float)
         has_env = data[:, _WIDTH] > 0
 
         def factors(axis: int, x: np.ndarray) -> np.ndarray:
@@ -565,12 +503,8 @@ class AnalyticField:
 
     def __mul__(self, factor: complex) -> "AnalyticField":
         t = self._table
-        if isinstance(factor, complex):
-            amp, kind = _scaled(t.amp, t.kind, factor.real, factor.imag, _COMPLEX)
-        else:
-            amp, kind = _scaled(t.amp, t.kind, float(factor), 0.0,
-                                _INT if isinstance(factor, int) else _FLOAT)
-        return AnalyticField._from_table(self.signature, self.grade, _ModeTable(amp, kind, t.data))
+        return AnalyticField._from_table(self.signature, self.grade,
+                                         _ModeTable(_pruned(t.amp * factor), t.data))
 
     __rmul__ = __mul__
 
@@ -578,9 +512,20 @@ class AnalyticField:
         return self * -1
 
     def map_amplitudes(self, fn, grade: int) -> "AnalyticField":
-        """New field with every mode amplitude passed through a linear map."""
-        modes = [m._with(amplitude=fn(m.amplitude)) for m in self.modes]
-        return AnalyticField(self.signature, grade, [m for m in modes if m.amplitude])
+        """New field with every mode amplitude passed through a linear ``fn``.
+
+        ``fn`` is called once per unit blade e_a, and each amplitude is mapped
+        by the table of those images: sum_a c_a fn(e_a), not ``fn`` of the
+        whole amplitude.  An image that is not a grade-``grade`` multivector
+        of this signature raises ``ValueError``."""
+        sig = self.signature
+        images = [fn(Multivector.blade(sig, idx)) for idx in sig.index_lists(self.grade)]
+        for image in images:
+            if not isinstance(image, Multivector) or image.signature != sig or image.grade != grade:
+                raise ValueError(f"map_amplitudes needs grade-{grade} images on {sig}, got {image!r}")
+        table = np.array([[image.coeff(idx) for idx in sig.index_lists(grade)] for image in images])
+        t = self._table
+        return AnalyticField._from_table(sig, grade, _ModeTable(_pruned(t.amp @ table), t.data))
 
 
 def constant_field(value: Multivector) -> AnalyticField:
@@ -808,8 +753,7 @@ def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
 
     Row by row this is sum_i P_i @ T[i] over the tables P_i of the partial
     fields, with T the ``_derivative_table``: the rows of every P_i are
-    stacked and each is gathered through its axis's ``_derivative_gather``,
-    with the scalar arithmetic of the public products (``0 + sign * c``).
+    stacked and each is gathered through its axis's ``_derivative_gather``.
     """
     sig = f.signature
     grade = _derivative_grade(f, kind)
@@ -819,19 +763,10 @@ def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
     stacked = _ModeTable.concat(parts)
     source, sign = _derivative_gather(sig, f.grade, kind)
     axis = np.repeat(np.arange(sig.dim), [len(part.data) for part in parts])
-    rows = np.arange(len(axis))[:, None]
-    amp = stacked.amp[rows, source[axis]]
-    kinds = stacked.kind[rows, source[axis]]
-    sign = sign[axis]
-    if amp.dtype != complex:
-        # for a real c, 0 + sign * c is sign * c
-        amp, kinds = _pruned(np.where(sign != 0, sign * amp, 0.0), kinds)
-    else:
-        with np.errstate(invalid="ignore"):
-            re = 0.0 + (sign * amp.real - 0.0 * amp.imag)
-            im = 0.0 + (sign * amp.imag + 0.0 * amp.real)
-        amp, kinds = _typed((amp != 0) & (sign != 0), re, im, kinds)
-    return AnalyticField._from_table(sig, grade, _ModeTable(amp, kinds, stacked.data))
+    amp, sign = stacked.amp[np.arange(len(axis))[:, None], source[axis]], sign[axis]
+    with np.errstate(invalid="ignore"):
+        amp = _pruned(np.where(sign != 0, sign * amp, 0))
+    return AnalyticField._from_table(sig, grade, _ModeTable(amp, stacked.data))
 
 
 def exterior_derivative_field(f: AnalyticField) -> AnalyticField:

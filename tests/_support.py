@@ -4,8 +4,9 @@ derivatives, the per-point classical vector residuals, the derived modes built
 through ``dataclasses.replace``, one field of each kind of mode, a pointwise
 product-rule residual, a per-point reference evaluation of analytic mode
 fields, per-node reference quadratures, the dense slice flux, the per-node
-frequency-domain flux and cone synthesis, the derived-field modes built by
-per-mode multivector algebra and the loop form of the identity suite.  None of
+frequency-domain flux and cone synthesis, the derived-field and mapped
+amplitude modes built by per-mode multivector algebra, a by-value comparison
+of modes and the loop form of the identity suite.  None of
 these is used by the package."""
 
 from __future__ import annotations
@@ -246,6 +247,19 @@ def reference_merged_modes(modes: Iterable[Mode]) -> list[Mode]:
 def reference_partial_modes(modes: Sequence[Mode], axis: int) -> list[Mode]:
     """The partial field's modes: every mode's derived modes, merged."""
     return reference_merged_modes(m for mode in modes for m in reference_derivative_modes(mode, axis))
+
+
+def reference_map_amplitudes(field: AnalyticField, fn, grade: int) -> list[Mode]:
+    """The modes of ``field.map_amplitudes(fn, grade)`` by the per-mode route:
+    ``fn`` applied to each whole amplitude, then merged."""
+    return reference_merged_modes(dataclasses.replace(m, amplitude=fn(m.amplitude)) for m in field.modes)
+
+
+def mode_values(modes: Iterable[Mode]) -> list[tuple]:
+    """Each mode's fields as a tuple that compares coefficients by value:
+    Python's scalar types and the signs of zeros are not compared."""
+    return [(m.amplitude.terms, m.xi, m.phase, m.waveform, m.poly, m.poly_center, m.envelope)
+            for m in modes]
 
 
 def reference_derivative_field_modes(field: AnalyticField, kind: str) -> list[Mode]:

@@ -398,6 +398,18 @@ def test_bad_nested_config_entries_exit_2(capsys, tmp_path, command, path, value
     assert_usage_error(*run(capsys, command, "--config", config))
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf])
+def test_non_finite_envelope_width_exits_2(capsys, tmp_path, width):
+    # such an envelope used to be dropped, and the check passed without it
+    def envelope(data):
+        for name in ("F", "A"):
+            data[name]["modes"][0]["envelope"] = {"type": "gaussian", "width": width, "center": [0.0] * 4}
+
+    code, out, err = run(capsys, "maxwell-check", "--config", _edited_vacuum(tmp_path, envelope))
+    assert_usage_error(code, out, err)
+    assert "envelope width must be finite and positive" in err
+
+
 def test_flux_compare_vanishing_fourier_flux_fails(capsys, tmp_path):
     # a bump centred far outside the region underflows to an exactly zero spectrum
     config = _edited_vacuum(tmp_path, _set(("spectrum", "center", "1"), 1000.0), "flux_compare_11")

@@ -28,6 +28,7 @@ from extcalc.fields import (
 from _support import (
     ComponentBitensorField,
     mode_family_fields,
+    mode_values,
     product_rule_check,
     reference_derivative_field_modes,
     reference_merged_modes,
@@ -307,6 +308,21 @@ def test_derivative_tables_anticommute():
     assert pairs == 2 * sum((d + 1) * (d - 1) for d in range(2, 6))
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_envelope_width_must_be_finite_and_positive(width):
+    # a NaN width would otherwise read as "no envelope" in the mode table
+    with pytest.raises(ValueError, match="envelope width must be finite and positive"):
+        GaussianEnvelope(center=(0.0, 0.0, 0.0), width=width)
+
+
+@pytest.mark.parametrize("poly", [(1.5, 0, 0), (0, -1, 0), (0, 0, math.nan), (math.inf, 0, 0)])
+def test_monomial_exponents_must_be_nonnegative_integers(poly):
+    with pytest.raises(ValueError, match="monomial exponents must be nonnegative integers"):
+        Mode(amplitude=Multivector.blade(EUC3, (0,)), poly=poly)
+    # integral floats are exponents
+    assert Mode(amplitude=Multivector.blade(EUC3, (0,)), poly=(2.0, 0, 1)).poly == (2, 0, 1)
+
+
 def test_partial_fields_keep_the_replace_construction():
     rng = np.random.default_rng(16)
     for kn in ((1, 3), (2, 2), (0, 3), (1, 1)):
@@ -321,20 +337,19 @@ def test_partial_fields_keep_the_replace_construction():
             for f in fields.values():
                 for axis in sig.axes():
                     want = reference_partial_modes(f.modes, axis)
-                    assert list(map(repr, f.partial_field(axis).modes)) == list(map(repr, want))
+                    assert mode_values(f.partial_field(axis).modes) == mode_values(want)
 
 
 @pytest.mark.parametrize("k,n", [(k, d - k) for d in range(1, 5) for k in range(d + 1)])
 def test_derived_fields_match_the_multivector_route(k, n):
     # the mode table's partial, exterior and interior derivative fields, sums,
-    # scalings and merges list the same modes in the same order with the same
-    # coefficients (Python types and signed zeros included) as per-mode
-    # multivector algebra
+    # scalings and merges list the same modes in the same order with
+    # coefficients equal in value to per-mode multivector algebra's
     sig = SpacetimeSignature(k, n)
     rng = np.random.default_rng(10 * k + n)
 
     def same(field, modes):
-        assert list(map(repr, field.modes)) == list(map(repr, modes))
+        assert mode_values(field.modes) == mode_values(modes)
 
     for r in range(sig.dim + 1):
         fields = mode_family_fields(sig, r, rng)

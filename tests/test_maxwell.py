@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from extcalc.algebra import GradeError, Multivector, SpacetimeSignature, dot, hodge, wedge
+from extcalc.algebra import (
+    GradeError,
+    Multivector,
+    SpacetimeSignature,
+    dot,
+    hodge,
+    left_interior,
+    right_interior,
+    wedge,
+)
 from extcalc.fields import (
     AnalyticField,
     GridField,
@@ -40,7 +49,12 @@ from extcalc.maxwell import (
     wave_equation_residual,
 )
 
-from _support import mode_family_fields, reference_classical_vector_residuals
+from _support import (
+    mode_family_fields,
+    mode_values,
+    reference_classical_vector_residuals,
+    reference_map_amplitudes,
+)
 
 EUC3 = SpacetimeSignature(0, 3)
 
@@ -315,6 +329,36 @@ def test_dof_count():
 # ---------------------------------------------------------------------------
 # classical bridge
 # ---------------------------------------------------------------------------
+
+def test_map_amplitudes_match_the_per_mode_route():
+    # the tabulated map against fn applied to every whole amplitude, on the
+    # maps of classical_pack and classical_unpack and the Hodge map
+    rng = np.random.default_rng(23)
+    e0 = Multivector.blade(MINKOWSKI, (0,))
+    e123 = Multivector.blade(MINKOWSKI, (1, 2, 3))
+    maps = {
+        0: [(lambda a: Multivector.blade(MINKOWSKI, (0,), a.scalar_value()), 1), (hodge, 4)],
+        1: [(lambda a: wedge(e0, a), 2), (lambda b: right_interior(e123, b), 2),
+            (lambda a: Multivector.scalar(MINKOWSKI, a.coeff((0,))), 0),
+            (lambda a: Multivector(MINKOWSKI, 1, {i: c for i, c in a.terms.items() if 0 not in i}), 1),
+            (hodge, 3)],
+        2: [(lambda a: left_interior(e0, a), 1), (lambda a: left_interior(a, e123), 1), (hodge, 2)],
+    }
+    for grade, grade_maps in maps.items():
+        fields = mode_family_fields(MINKOWSKI, grade, rng)
+        # complex amplitudes on cosine and exponential modes
+        fields["complex"] = fields["cos"] * (0.25 - 0.5j) + fields["exp"]
+        for field in fields.values():
+            for fn, out in grade_maps:
+                got = field.map_amplitudes(fn, out)
+                assert got.grade == out
+                assert mode_values(got.modes) == mode_values(reference_map_amplitudes(field, fn, out))
+    field = mode_family_fields(MINKOWSKI, 1, rng)["mixed"]
+    with pytest.raises(ValueError, match="grade-1 images"):
+        field.map_amplitudes(lambda a: wedge(e0, a), 1)
+    with pytest.raises(ValueError, match="grade-1 images"):
+        field.map_amplitudes(lambda a: Multivector.blade(EUC3, (0,)), 1)
+
 
 def test_classical_pack_unit_ex():
     cf = ClassicalFields(E=constant_field(Multivector.blade(MINKOWSKI, (1,))),
