@@ -512,20 +512,20 @@ class AnalyticField:
         return self * -1
 
     def map_amplitudes(self, fn, grade: int) -> "AnalyticField":
-        """New field with every mode amplitude passed through a linear ``fn``.
-
-        ``fn`` is called once per unit blade e_a, and each amplitude is mapped
-        by the table of those images: sum_a c_a fn(e_a), not ``fn`` of the
-        whole amplitude.  An image that is not a grade-``grade`` multivector
-        of this signature raises ``ValueError``."""
+        """New field with every mode amplitude passed through a linear ``fn``:
+        ``fn`` is called once per unit blade e_a, and an amplitude sum_a c_a e_a
+        maps to sum_a c_a fn(e_a).  An image that is not a grade-``grade``
+        multivector of this signature raises ``ValueError``."""
         sig = self.signature
         images = [fn(Multivector.blade(sig, idx)) for idx in sig.index_lists(self.grade)]
-        for image in images:
-            if not isinstance(image, Multivector) or image.signature != sig or image.grade != grade:
-                raise ValueError(f"map_amplitudes needs grade-{grade} images on {sig}, got {image!r}")
+        if not all(isinstance(i, Multivector) and i.signature == sig and i.grade == grade for i in images):
+            raise ValueError(f"map_amplitudes needs grade-{grade} images on {sig}")
         table = np.array([[image.coeff(idx) for idx in sig.index_lists(grade)] for image in images])
         t = self._table
-        return AnalyticField._from_table(sig, grade, _ModeTable(_pruned(t.amp @ table), t.data))
+        with np.errstate(invalid="ignore"):
+            # terms only where fn(e_a) has one, so an infinite c_a stays in its components
+            amp = np.where(table != 0, t.amp[:, :, None] * table, 0).sum(axis=1)
+        return AnalyticField._from_table(sig, grade, _ModeTable(_pruned(amp), t.data))
 
 
 def constant_field(value: Multivector) -> AnalyticField:

@@ -353,7 +353,11 @@ def test_map_amplitudes_match_the_per_mode_route():
                 got = field.map_amplitudes(fn, out)
                 assert got.grade == out
                 assert mode_values(got.modes) == mode_values(reference_map_amplitudes(field, fn, out))
-    field = mode_family_fields(MINKOWSKI, 1, rng)["mixed"]
+    # an infinite coefficient stays in its own components, as in fn(amplitude)
+    field = plane_wave(Multivector(MINKOWSKI, 1, {(1,): math.inf, (2,): 1.0}), (0.3, 0.1, 0.0, 0.0))
+    for fn, out in maps[1]:
+        assert mode_values(field.map_amplitudes(fn, out).modes) == \
+            mode_values(reference_map_amplitudes(field, fn, out))
     with pytest.raises(ValueError, match="grade-1 images"):
         field.map_amplitudes(lambda a: wedge(e0, a), 1)
     with pytest.raises(ValueError, match="grade-1 images"):
