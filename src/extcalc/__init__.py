@@ -19,7 +19,6 @@ from .algebra import (
     hodge,
     inv_hodge,
     left_interior,
-    merge_with_sign,
     odot,
     owedge,
     right_interior,

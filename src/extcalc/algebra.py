@@ -4,9 +4,14 @@ Everything here is built on flat (k, n) space-time: the first ``k`` canonical
 axes are time-like (squared norm -1), the remaining ``n`` are space-like
 (squared norm +1).  A grade-m multivector is a sparse association from
 strictly increasing index lists of length m to real or complex coefficients.
-Coefficients keep their Python numeric type, so basis-blade computations done
-with integers stay exact; this is what makes the exhaustive identity suite
-report residual zero rather than float dust.
+Coefficients keep their Python numeric type, so computations done with
+integers stay exact.
+
+Every product reads one cached table per signature: the result blade and the
+integer sign of the wedge and the two interior products on each ordered pair
+of unit blades, and the metric diagonal of the dot product, built once from
+blade bitmasks.  The exhaustive identity suite certifies those sign tables,
+in exact integer arithmetic, so its residuals are zero rather than float dust.
 
 All values are immutable after construction and every operation is a pure
 function, so the module is safe for unrestricted concurrent use.
@@ -15,7 +20,8 @@ function, so the module is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -26,7 +32,6 @@ __all__ = [
     "Multivector",
     "Bitensor",
     "IdentityReport",
-    "merge_with_sign",
     "dot",
     "wedge",
     "left_interior",
@@ -91,44 +96,76 @@ class SpacetimeSignature:
         return combinations(range(self.dim), grade)
 
 
-def merge_with_sign(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Merge two strictly increasing lists; sign of the interleaving permutation.
-
-    Linear time; returns sign 0 when the lists overlap.
-    """
-    merged: list[int] = []
-    sign = 1
-    a, b = 0, 0
-    while a < len(first) and b < len(second):
-        if first[a] < second[b]:
-            merged.append(first[a])
-            a += 1
-        elif first[a] > second[b]:
-            # second[b] jumps over the remaining elements of first
-            if (len(first) - a) % 2:
-                sign = -sign
-            merged.append(second[b])
-            b += 1
-        else:
-            return (), 0
-    merged.extend(first[a:])
-    merged.extend(second[b:])
-    return tuple(merged), sign
+def _reorder_sign(A: np.ndarray, B: np.ndarray, dim: int) -> np.ndarray:
+    """Sign of the canonical reordering of e_A e_B, elementwise over blade
+    bitmasks: -1 to the number of pairs i in A, j in B with i > j."""
+    parity = above = 0
+    for j in reversed(range(dim)):
+        parity = parity + (B >> j & 1) * above
+        above = above + (A >> j & 1)
+    return 1 - 2 * (parity & 1)
 
 
-def _difference(big: tuple[int, ...], small: tuple[int, ...]) -> tuple[int, ...] | None:
-    """big minus small, or None when small is not a subset of big."""
-    out: list[int] = []
-    it = iter(big)
-    for s in small:
-        for b in it:
-            if b == s:
-                break
-            out.append(b)
-        else:
-            return None
-    out.extend(it)
-    return tuple(out)
+@dataclass(frozen=True, eq=False)
+class _SignTables:
+    """Read-only unit-blade products of one signature, blades in grade order
+    (the scalar at position 0, the vectors at 1..dim): ``product(e_a, e_b) =
+    C[a, b] e_{K[a, b]}`` for the wedge (Kw, Cw), the left interior (Kl, Cl)
+    and the right interior (Kr, Cr), a zero product stored as (0, 0), and the
+    metric diagonal ``D[a, b] = e_a . e_b``."""
+
+    blades: tuple
+    Kw: np.ndarray
+    Cw: np.ndarray
+    Kl: np.ndarray
+    Cl: np.ndarray
+    Kr: np.ndarray
+    Cr: np.ndarray
+    D: np.ndarray
+    _lookup: dict = field(default_factory=dict, init=False, repr=False)
+
+    def lookup(self, product: str) -> dict:
+        """Python rows of one product, built on its first use: for "w", "l"
+        or "r", ``{I: {J: (K, c)}}`` over the nonzero entries; for "dot",
+        ``{I: Delta_II}``."""
+        rows = self._lookup.get(product)
+        if rows is None:
+            blades = self.blades
+            if product == "dot":
+                rows = dict(zip(blades, np.diagonal(self.D).tolist()))
+            else:
+                K, C = getattr(self, "K" + product).tolist(), getattr(self, "C" + product).tolist()
+                rows = {I: {blades[b]: (blades[k], c) for b, (k, c) in enumerate(zip(Ka, Ca)) if c}
+                        for I, Ka, Ca in zip(blades, K, C)}
+            self._lookup[product] = rows
+        return rows
+
+
+@lru_cache(maxsize=None)
+def _sign_tables(sig: SpacetimeSignature) -> _SignTables:
+    """The signature's unit-blade products from integer bit operations on
+    blade bitmasks: e_I ^ e_J = sigma(I, J) e_{I+J} when I and J are
+    disjoint, e_I lint e_J = Delta_II sigma(J\\I, I) e_{J\\I} when I is in J,
+    and e_I rint e_J = Delta_JJ sigma(J, I\\J) e_{I\\J} when J is in I."""
+    dim = sig.dim
+    blades = tuple(I for m in range(dim + 1) for I in sig.index_lists(m))
+    masks = np.array([sum(1 << i for i in I) for I in blades])
+    position = np.empty(len(blades), dtype=np.int8 if len(blades) <= 128 else np.int16)
+    position[masks] = np.arange(len(blades))
+    metric = (-1) ** sum((masks >> i & 1 for i in range(sig.k)), np.zeros_like(masks))
+    A, B = masks[:, None], masks[None, :]
+    rest = A ^ B
+    tables = []
+    # where each product is nonzero, its blade and its sign: wedge, left, right
+    for nonzero, blade, sign in (((A & B) == 0, A | B, _reorder_sign(A, B, dim)),
+                                 ((A & B) == A, rest, metric[:, None] * _reorder_sign(rest, A, dim)),
+                                 ((A & B) == B, rest, metric[None, :] * _reorder_sign(B, rest, dim))):
+        tables += [np.where(nonzero, position[blade], 0).astype(position.dtype),
+                   np.where(nonzero, sign, 0).astype(np.int8)]
+    tables.append(np.diag(metric).astype(np.int8))
+    for table in tables:
+        table.flags.writeable = False
+    return _SignTables(blades, *tables)
 
 
 class Multivector:
@@ -312,49 +349,45 @@ def dot(u: Multivector, v: Multivector) -> complex:
     u._check_same_space(v)
     if u.grade != v.grade:
         raise GradeError(f"dot requires equal grades, got {u.grade} and {v.grade}")
-    sig = u.signature
+    metric = _sign_tables(u.signature).lookup("dot")
     first, second = (u, v) if len(u.terms) <= len(v.terms) else (v, u)
     total: complex = 0
     for indices, c in first.terms.items():
         other = second.terms.get(indices)
         if other is not None:
-            total += c * other * sig.metric_list(indices)
+            total += c * other * metric[indices]
     return total
+
+
+def _table_product(product: str, u: Multivector, v: Multivector, grade: int) -> Multivector:
+    """The sum of c a b e_K over the terms a e_I of u and b e_J of v, u's in
+    the outer loop, (K, c) the sign-table entry of ``product`` on (I, J)."""
+    rows = _sign_tables(u.signature).lookup(product)
+    out: dict[tuple[int, ...], complex] = {}
+    for I, a in u.terms.items():
+        row = rows[I]
+        for J, b in v.terms.items():
+            if J in row:
+                K, sign = row[J]
+                out[K] = out.get(K, 0) + sign * a * b
+    return Multivector._from_valid(u.signature, grade, out)
 
 
 def wedge(u: Multivector, v: Multivector) -> Multivector:
     """Exterior product; grade adds, zero on overlapping index lists."""
     u._check_same_space(v)
-    sig = u.signature
-    grade = u.grade + v.grade
-    if grade > sig.dim:
-        return Multivector.zero(sig, 0)
-    out: dict[tuple[int, ...], complex] = {}
-    for I, a in u.terms.items():
-        for J, b in v.terms.items():
-            merged, sign = merge_with_sign(I, J)
-            if sign:
-                out[merged] = out.get(merged, 0) + sign * a * b
-    return Multivector(sig, grade, out)
+    if u.grade + v.grade > u.signature.dim:
+        return Multivector.zero(u.signature, 0)
+    return _table_product("w", u, v, u.grade + v.grade)
 
 
 def left_interior(u: Multivector, v: Multivector) -> Multivector:
-    """Left interior product u into v; lowers grade to gr(v) - gr(u)."""
+    """Left interior product u into v; lowers grade to gr(v) - gr(u):
+    e_I with e_J gives Delta_II sigma(J\\I, I) e_{J\\I}."""
     u._check_same_space(v)
-    sig = u.signature
     if u.grade > v.grade:
-        return Multivector.zero(sig, 0)
-    grade = v.grade - u.grade
-    out: dict[tuple[int, ...], complex] = {}
-    for I, a in u.terms.items():
-        delta = sig.metric_list(I)
-        for J, b in v.terms.items():
-            rest = _difference(J, I)
-            if rest is None:
-                continue
-            _, sign = merge_with_sign(rest, I)
-            out[rest] = out.get(rest, 0) + delta * sign * a * b
-    return Multivector(sig, grade, out)
+        return Multivector.zero(u.signature, 0)
+    return _table_product("l", u, v, v.grade - u.grade)
 
 
 def right_interior(u: Multivector, v: Multivector) -> Multivector:
@@ -363,17 +396,15 @@ def right_interior(u: Multivector, v: Multivector) -> Multivector:
     sig = u.signature
     if v.grade > u.grade:
         return Multivector.zero(sig, 0)
-    grade = u.grade - v.grade
+    rows = _sign_tables(sig).lookup("r")
     out: dict[tuple[int, ...], complex] = {}
     for J, b in v.terms.items():
-        delta = sig.metric_list(J)
         for I, a in u.terms.items():
-            rest = _difference(I, J)
-            if rest is None:
-                continue
-            _, sign = merge_with_sign(J, rest)
-            out[rest] = out.get(rest, 0) + delta * sign * a * b
-    return Multivector(sig, grade, out)
+            row = rows[I]
+            if J in row:
+                K, sign = row[J]
+                out[K] = out.get(K, 0) + sign * a * b
+    return Multivector._from_valid(sig, u.grade - v.grade, out)
 
 
 def hodge(v: Multivector) -> Multivector:
@@ -485,10 +516,6 @@ def vec_interior_bitensor(a: Multivector, t: Bitensor) -> Multivector:
     return Multivector(sig, 1, out)
 
 
-def _basis_vector(sig: SpacetimeSignature, i: int) -> Multivector:
-    return Multivector.blade(sig, (i,))
-
-
 def odot(f: Multivector, g: Multivector) -> Bitensor:
     """Interior-product bitensor with ordered components
     (1/2) Delta_ii Delta_jj (e_i interior f) . (g interior e_j), symmetrised.
@@ -497,21 +524,13 @@ def odot(f: Multivector, g: Multivector) -> Bitensor:
     with f == g the symmetrisation is the identity.  Complex arguments are not
     conjugated; the caller conjugates explicitly where needed.
     """
-    return _quadratic_bitensor(f, g, _odot_entry)
+    return _quadratic_bitensor(f, g, lambda ei, ej: dot(left_interior(ei, f), right_interior(g, ej)))
 
 
 def owedge(f: Multivector, g: Multivector) -> Bitensor:
     """Exterior-product bitensor with ordered components
     (1/2) Delta_ii Delta_jj (e_i wedge f) . (g wedge e_j), symmetrised."""
-    return _quadratic_bitensor(f, g, _owedge_entry)
-
-
-def _odot_entry(sig, ei, ej, f, g):
-    return dot(left_interior(ei, f), right_interior(g, ej))
-
-
-def _owedge_entry(sig, ei, ej, f, g):
-    return dot(wedge(ei, f), wedge(g, ej))
+    return _quadratic_bitensor(f, g, lambda ei, ej: dot(wedge(ei, f), wedge(g, ej)))
 
 
 def _quadratic_bitensor(f: Multivector, g: Multivector, entry) -> Bitensor:
@@ -519,17 +538,17 @@ def _quadratic_bitensor(f: Multivector, g: Multivector, entry) -> Bitensor:
     if f.grade != g.grade:
         raise GradeError(f"bitensor products require equal grades, got {f.grade} and {g.grade}")
     sig = f.signature
-    basis = [_basis_vector(sig, i) for i in sig.axes()]
+    basis = [Multivector.blade(sig, (i,)) for i in sig.axes()]
     out: dict[tuple[int, int], complex] = {}
     for i in sig.axes():
         di = sig.metric(i)
         for j in range(i, sig.dim):
             dj = sig.metric(j)
-            tau_ij = entry(sig, basis[i], basis[j], f, g)
+            tau_ij = entry(basis[i], basis[j])
             if i == j:
                 value = 0.5 * di * dj * tau_ij
             else:
-                tau_ji = entry(sig, basis[j], basis[i], f, g)
+                tau_ji = entry(basis[j], basis[i])
                 value = 0.25 * di * dj * (tau_ij + tau_ji)
             if value != 0:
                 out[(i, j)] = value
@@ -552,25 +571,6 @@ class IdentityReport:
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
-
-
-def _unit_products(product, blades: list, units: list, position: dict) -> tuple[np.ndarray, np.ndarray]:
-    """``product`` on every ordered pair of unit blades, as arrays K, C of blade
-    positions and coefficients with product(e_a, e_b) = C[a, b] e_{K[a, b]}.
-
-    A zero product is stored as (0, 0): the scalar blade with coefficient 0.
-    """
-    K, C = [], []
-    for I, u in zip(blades, units):
-        for J, v in zip(blades, units):
-            terms = product(u, v).terms
-            if len(terms) > 1:
-                raise ValueError(f"{product.__name__}(e_{I}, e_{J}) is not a single blade: {terms}")
-            L, c = next(iter(terms.items()), ((), 0))
-            K.append(position[L])
-            C.append(c)
-    shape = (len(blades), len(blades))
-    return np.reshape(K, shape), np.reshape(C, shape)
 
 
 def _worst(values) -> float:
@@ -596,14 +596,15 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
     Covers skew-commutativity of the wedge, the left/right interior relation,
     the wedge/interior dot expansion, double-interior associativity and
     antisymmetry, the interior-of-wedge expansion, and the triple-product
-    equalities.  The suite tabulates the public ``wedge``, ``left_interior``,
-    ``right_interior`` and ``dot`` once on every pair of unit blades, into
-    integer arrays indexed by blade position, and evaluates each identity as
-    gathers over those arrays on the grid of blades it quantifies over.  So it
-    certifies the products the rest of the package calls.  ``hodge`` and
-    ``inv_hodge`` are interior products with the volume blade, so they are
-    covered through the interiors.  Blade coefficients are integers, so
-    residuals are exact; a NaN or infinite coefficient fails the run.
+    equalities.  The suite reads ``wedge``, ``left_interior``,
+    ``right_interior`` and ``dot`` on every pair of unit blades from the
+    signature's sign tables, the integer arrays indexed by blade position that
+    those public products read, and evaluates each identity as gathers over
+    them on the grid of blades it quantifies over.  So it certifies the tables
+    the rest of the package calls through.  ``hodge`` and ``inv_hodge`` are
+    interior products with the volume blade, so they are covered through the
+    interiors.  Blade coefficients are integers, so residuals are exact; a NaN
+    or infinite coefficient fails the run.
 
     ``wedge_sign_fn`` maps two index lists to (merged, sign) and replaces the
     wedge table; it exists so a test harness can inject a corrupted product
@@ -613,21 +614,15 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
     if dim > max_dim:
         raise ValueError(
             f"identity suite refused: dimension {dim} exceeds cap {max_dim}; raise max_dim explicitly")
-    # blades in grade order: the scalar at position 0, the vectors at 1..dim
-    blades = [I for m in range(dim + 1) for I in sig.index_lists(m)]
-    units = [Multivector.blade(sig, I) for I in blades]
-    position = {I: a for a, I in enumerate(blades)}
-    size = len(blades)
-    if wedge_sign_fn is None:
-        Kw, Cw = _unit_products(wedge, blades, units, position)
-    else:
+    tables = _sign_tables(sig)
+    blades, size = tables.blades, len(tables.blades)
+    Kw, Cw, Kl, Cl, Kr, Cr, D = (tables.Kw, tables.Cw, tables.Kl, tables.Cl,
+                                 tables.Kr, tables.Cr, tables.D)
+    if wedge_sign_fn is not None:
+        position = {I: a for a, I in enumerate(blades)}
         signed = [wedge_sign_fn(I, J) for I in blades for J in blades]
         Kw = np.reshape([position[K] if s else 0 for K, s in signed], (size, size))
         Cw = np.reshape([s for _, s in signed], (size, size))
-    Kl, Cl = _unit_products(left_interior, blades, units, position)
-    Kr, Cr = _unit_products(right_interior, blades, units, position)
-    D = np.reshape([dot(u, v) if len(I) == len(J) else 0
-                    for I, u in zip(blades, units) for J, v in zip(blades, units)], (size, size))
     grade = np.array([len(I) for I in blades])
     sign = (-1) ** grade
     vec = np.arange(1, dim + 1)

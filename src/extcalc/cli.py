@@ -21,8 +21,8 @@ from .algebra import (
     IDENTITY_DIM_CAP,
     Multivector,
     SpacetimeSignature,
+    _sign_tables,
     dot as algebra_dot,
-    merge_with_sign,
     verify_identities,
 )
 from .energy import (
@@ -150,6 +150,16 @@ def _scenario_points(scenario: Scenario, rng: np.random.Generator) -> np.ndarray
 # verify-identities
 # ---------------------------------------------------------------------------
 
+def _flipped_vector_wedge(sig: SpacetimeSignature):
+    """The injected corruption: the sign-table wedge, flipped on vector pairs."""
+    rows = _sign_tables(sig).lookup("w")
+
+    def wedge_fn(I, J):
+        merged, sign = rows[I].get(J, ((), 0))
+        return merged, -sign if len(I) == len(J) == 1 else sign
+    return wedge_fn
+
+
 def cmd_verify_identities(args) -> int:
     # default run sweeps every (k, n) with k + n <= the dimension cap; the
     # axis flags restrict the sweep and may not jointly exceed the cap
@@ -165,21 +175,15 @@ def cmd_verify_identities(args) -> int:
         return EXIT_USAGE
     tol = args.tol if args.tol is not None else 0.0
 
-    wedge_fn = None
-    if args.self_test_corruption:
-        def wedge_fn(I, J):
-            merged, sign = merge_with_sign(I, J)
-            if sign and len(I) == 1 and len(J) == 1:
-                sign = -sign
-            return merged, sign
-
     entries = []
     worst = 0.0
     for k in range(kmax + 1):
         for n in range(nmax + 1):
             if not 1 <= k + n <= IDENTITY_DIM_CAP:
                 continue
-            report = verify_identities(SpacetimeSignature(k, n), tol=tol, wedge_sign_fn=wedge_fn)
+            sig = SpacetimeSignature(k, n)
+            wedge_fn = _flipped_vector_wedge(sig) if args.self_test_corruption else None
+            report = verify_identities(sig, tol=tol, wedge_sign_fn=wedge_fn)
             entries.append({
                 "k": k,
                 "n": n,

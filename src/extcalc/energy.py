@@ -36,9 +36,9 @@ from .algebra import (
     GradeError,
     Multivector,
     SpacetimeSignature,
+    _sign_tables,
     dot,
     left_interior,
-    merge_with_sign,
     odot,
     owedge,
     right_interior,
@@ -109,6 +109,7 @@ def _stress_tables(sig: SpacetimeSignature, grade: int) -> dict:
     (r-1)-sublist.  Components without a term are left out.
     """
     index = {idx: pos for pos, idx in enumerate(sig.index_lists(grade))}
+    wedge_rows = _sign_tables(sig).lookup("w")
     half = 0.5 * (-1) ** grade
     tables = {}
     for i in sig.axes():
@@ -119,8 +120,8 @@ def _stress_tables(sig: SpacetimeSignature, grade: int) -> dict:
         for sub in combinations(range(sig.dim), grade - 1) if grade >= 1 else ():
             if i in sub or j in sub:
                 continue
-            il, sign_li = merge_with_sign(sub, (i,))
-            jl, sign_jl = merge_with_sign((j,), sub)
+            il, sign_li = wedge_rows[sub][(i,)]
+            jl, sign_jl = wedge_rows[(j,)][sub]
             triples.append((index[il], index[jl], float(-sign_li * sign_jl * sig.metric_list(sub))))
         if triples:
             tables[(i, j)] = tuple(triples)
@@ -382,8 +383,7 @@ def _identity_terms(f_field, kinds: Sequence[str], x: Sequence[float]) -> tuple:
 
 def _axis_sign(sig: SpacetimeSignature, axis: int) -> int:
     comp = tuple(i for i in sig.axes() if i != axis)
-    _, sign = merge_with_sign((axis,), comp)
-    return sign
+    return _sign_tables(sig).lookup("w")[(axis,)][comp][1]
 
 
 def _envelope_bounds(field, axis: int, cutoff: float = 1e-12) -> dict[int, tuple[float, float]]:

@@ -1,4 +1,6 @@
-"""Test-only helpers: a reference index sort, a component bitensor field, the
+"""Test-only helpers: a reference index sort, the brute-force blade merge and
+difference the sign tables are checked against, the four products as loops
+over them, a component bitensor field, the
 per-point quadratic tensor divergence, the per-point exterior and interior
 derivatives, the per-point classical vector residuals, the derived modes built
 through ``dataclasses.replace``, one field of each kind of mode, a pointwise
@@ -29,7 +31,6 @@ from extcalc.algebra import (
     dot,
     inv_hodge,
     left_interior,
-    merge_with_sign,
     right_interior,
     wedge,
 )
@@ -71,6 +72,92 @@ def sort_with_sign(indices: Iterable[int], dim: int | None = None) -> tuple[tupl
         if here > 0 and seq[here - 1] == value:
             repeated = True
     return tuple(seq), 0 if repeated else sign
+
+
+def merge_with_sign(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Merge two strictly increasing lists; sign of the interleaving permutation.
+
+    Linear time; returns sign 0 when the lists overlap.
+    """
+    merged: list[int] = []
+    sign = 1
+    a, b = 0, 0
+    while a < len(first) and b < len(second):
+        if first[a] < second[b]:
+            merged.append(first[a])
+            a += 1
+        elif first[a] > second[b]:
+            # second[b] jumps over the remaining elements of first
+            if (len(first) - a) % 2:
+                sign = -sign
+            merged.append(second[b])
+            b += 1
+        else:
+            return (), 0
+    merged.extend(first[a:])
+    merged.extend(second[b:])
+    return tuple(merged), sign
+
+
+def _difference(big: tuple[int, ...], small: tuple[int, ...]) -> tuple[int, ...] | None:
+    """big minus small, or None when small is not a subset of big."""
+    out: list[int] = []
+    it = iter(big)
+    for s in small:
+        for b in it:
+            if b == s:
+                break
+            out.append(b)
+        else:
+            return None
+    out.extend(it)
+    return tuple(out)
+
+
+def reference_product(name: str, u: Multivector, v: Multivector):
+    """``dot``, ``wedge``, ``left_interior`` or ``right_interior`` as a loop
+    over the operands' terms that merges index lists with ``merge_with_sign``
+    and ``_difference``, in the package's term order and accumulation."""
+    sig = u.signature
+    if name == "dot":
+        first, second = (u, v) if len(u.terms) <= len(v.terms) else (v, u)
+        total = 0
+        for indices, c in first.terms.items():
+            other = second.terms.get(indices)
+            if other is not None:
+                total += c * other * sig.metric_list(indices)
+        return total
+    out = {}
+    if name == "wedge":
+        grade = u.grade + v.grade
+        if grade > sig.dim:
+            return Multivector.zero(sig, 0)
+        for I, a in u.terms.items():
+            for J, b in v.terms.items():
+                merged, sign = merge_with_sign(I, J)
+                if sign:
+                    out[merged] = out.get(merged, 0) + sign * a * b
+    elif name == "left_interior":
+        grade = v.grade - u.grade
+        if grade < 0:
+            return Multivector.zero(sig, 0)
+        for I, a in u.terms.items():
+            delta = sig.metric_list(I)
+            for J, b in v.terms.items():
+                rest = _difference(J, I)
+                if rest is not None:
+                    out[rest] = out.get(rest, 0) + delta * merge_with_sign(rest, I)[1] * a * b
+    else:
+        grade = u.grade - v.grade
+        if grade < 0:
+            return Multivector.zero(sig, 0)
+        for J, b in v.terms.items():
+            delta = sig.metric_list(J)
+            for I, a in u.terms.items():
+                rest = _difference(I, J)
+                if rest is not None:
+                    out[rest] = out.get(rest, 0) + delta * merge_with_sign(J, rest)[1] * a * b
+    return Multivector(sig, grade, out)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,6 @@ from extcalc.algebra import (
     hodge,
     inv_hodge,
     left_interior,
-    merge_with_sign,
     odot,
     owedge,
     right_interior,
@@ -23,7 +24,15 @@ from extcalc.algebra import (
     wedge,
 )
 
-from _support import reference_verify_identities, sort_with_sign
+from extcalc import algebra
+
+from _support import (
+    _difference,
+    merge_with_sign,
+    reference_product,
+    reference_verify_identities,
+    sort_with_sign,
+)
 
 MINK = SpacetimeSignature(1, 3)
 EUC3 = SpacetimeSignature(0, 3)
@@ -72,6 +81,28 @@ def test_merge_with_sign_matches_sort(first, second):
     assert sign == ref_sign
     if sign:
         assert merged == ref_sorted
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(7) for n in range(7) if 1 <= k + n <= 6])
+def test_sign_tables_match_brute_force(k, n):
+    sig = SpacetimeSignature(k, n)
+    tables = algebra._sign_tables(sig)
+    blades = tables.blades
+    assert blades == tuple(I for m in range(sig.dim + 1) for I in sig.index_lists(m))
+    names = ("Kw", "Cw", "Kl", "Cl", "Kr", "Cr", "D")
+    assert not any(getattr(tables, name).flags.writeable for name in names)
+    Kw, Cw, Kl, Cl, Kr, Cr, D = (getattr(tables, name).tolist() for name in names)
+    for a, I in enumerate(blades):
+        for b, J in enumerate(blades):
+            K, s = merge_with_sign(I, J)
+            assert (blades[Kw[a][b]], Cw[a][b]) == (K if s else (), s)
+            rest = _difference(J, I)
+            assert (blades[Kl[a][b]], Cl[a][b]) == (
+                ((), 0) if rest is None else (rest, sig.metric_list(I) * merge_with_sign(rest, I)[1]))
+            rest = _difference(I, J)
+            assert (blades[Kr[a][b]], Cr[a][b]) == (
+                ((), 0) if rest is None else (rest, sig.metric_list(J) * merge_with_sign(J, rest)[1]))
+            assert D[a][b] == (sig.metric_list(I) if a == b else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +212,33 @@ def test_interior_transpose_property(kn, gu, gv, data):
     lhs = left_interior(u, v)
     rhs = right_interior(v, u) * ((-1) ** (gu * (gu + gv)))
     assert (lhs - rhs).is_zero()
+
+
+def _exact(x):
+    """Grade, term order and coefficient reprs: equal only when bit for bit."""
+    return repr((x.grade, list(x.terms.items()))) if isinstance(x, Multivector) else repr(x)
+
+
+def _random_terms(sig, grade):
+    # finite parts stay below 1e100: abs() of a complex with parts near 1e308
+    # raises OverflowError when a Multivector is built
+    floats = st.floats(-1e100, 1e100) | st.sampled_from([math.inf, -math.inf, math.nan])
+    coefficients = st.one_of(st.integers(-3, 3), floats, st.builds(complex, floats, floats))
+    return st.dictionaries(st.sampled_from(list(sig.index_lists(grade))), coefficients).map(
+        lambda terms: Multivector(sig, grade, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(1, 1), (0, 3), (1, 3), (2, 2), (3, 3)]), st.integers(0, 6),
+       st.integers(0, 6), st.data())
+def test_products_match_the_brute_force_loops(kn, gu, gv, data):
+    # real, complex and integer terms, signed zeros, NaN and infinities
+    sig = SpacetimeSignature(*kn)
+    gu, gv = min(gu, sig.dim), min(gv, sig.dim)
+    u, v, w = (data.draw(_random_terms(sig, g)) for g in (gu, gv, gu))
+    for name in ("wedge", "left_interior", "right_interior"):
+        assert _exact(getattr(algebra, name)(u, v)) == _exact(reference_product(name, u, v))
+    assert _exact(dot(u, w)) == _exact(reference_product("dot", u, w))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +381,29 @@ def test_verify_identities_cap():
         verify_identities(SpacetimeSignature(3, 4))
 
 
+# the array of the sign tables that each public product reads
+PRODUCT_TABLES = {"wedge": "Cw", "left_interior": "Cl", "right_interior": "Cr", "dot": "D"}
+
+
+def _corrupt_table(monkeypatch, sig, name, grades, entry=None):
+    """Patch ``algebra._sign_tables`` to return, on ``sig``, a copy whose
+    first nonzero ``name`` entry on a blade pair of the given grades is
+    negated, or set to ``entry`` in a float copy; returns that pair's unit
+    blades and the product on them before the patch."""
+    tables = algebra._sign_tables(sig)
+    array = getattr(tables, PRODUCT_TABLES[name])
+    grade = np.array([len(I) for I in tables.blades])
+    a, b = np.argwhere((array != 0) & (grade[:, None] == grades[0]) & (grade == grades[1]))[0]
+    units = Multivector.blade(sig, tables.blades[a]), Multivector.blade(sig, tables.blades[b])
+    before = getattr(algebra, name)(*units)
+    corrupt = array.astype(float if entry is not None else array.dtype)
+    corrupt[a, b] = -corrupt[a, b] if entry is None else entry
+    patched = dataclasses.replace(tables, **{PRODUCT_TABLES[name]: corrupt})
+    clean = algebra._sign_tables
+    monkeypatch.setattr(algebra, "_sign_tables", lambda s: patched if s == sig else clean(s))
+    return units, before
+
+
 @pytest.mark.parametrize("name,grades", [
     ("wedge", (1, 2)),
     ("left_interior", (1, 2)),
@@ -330,31 +411,12 @@ def test_verify_identities_cap():
     ("dot", (2, 2)),
 ])
 def test_verify_identities_certifies_public_products(monkeypatch, name, grades):
-    # the suite must read the products the package calls, not a private copy
-    from extcalc import algebra
-
-    public = getattr(algebra, name)
-
-    def flipped(u, v):
-        out = public(u, v)
-        return -out if (u.grade, v.grade) == grades else out
-
-    monkeypatch.setattr(algebra, name, flipped)
-    assert not verify_identities(SpacetimeSignature(1, 3)).passed
-
-
-def test_verify_identities_rejects_a_product_that_is_not_a_blade(monkeypatch):
-    from extcalc import algebra
-
-    public = algebra.left_interior
-
-    def smeared(u, v):
-        out = public(u, v)
-        return out + Multivector.blade(u.signature, (3,)) if (u.grade, v.grade) == (1, 2) else out
-
-    monkeypatch.setattr(algebra, "left_interior", smeared)
-    with pytest.raises(ValueError, match="not a single blade"):
-        verify_identities(SpacetimeSignature(1, 3))
+    # the suite reads the table the public product reads: one flipped entry
+    # fails the suite and flips the product on that blade pair
+    sig = SpacetimeSignature(1, 3)
+    units, before = _corrupt_table(monkeypatch, sig, name, grades)
+    assert not verify_identities(sig).passed
+    assert getattr(algebra, name)(*units) == -before != 0
 
 
 def test_verify_identities_detects_corruption():
@@ -381,18 +443,6 @@ def test_verify_identities_matches_loop_reference(k, n):
     assert all(type(v) is float for v in report.residuals.values())
 
 
-def _flip_public(monkeypatch, name, grades):
-    from extcalc import algebra
-
-    public = getattr(algebra, name)
-
-    def flipped(u, v):
-        out = public(u, v)
-        return -out if (u.grade, v.grade) == grades else out
-
-    monkeypatch.setattr(algebra, name, flipped)
-
-
 def _flip_vector_wedge(I, J):
     merged, sign = merge_with_sign(I, J)
     return merged, -sign if len(I) == len(J) == 1 else sign
@@ -413,31 +463,37 @@ def test_verify_identities_matches_loop_reference_under_corruption(monkeypatch, 
         report = verify_identities(sig, wedge_sign_fn=_flip_vector_wedge)
         reference = reference_verify_identities(sig, wedge_sign_fn=_flip_vector_wedge)
     else:
-        _flip_public(monkeypatch, name, grades)
+        units, before = _corrupt_table(monkeypatch, sig, name, grades)
         report, reference = verify_identities(sig), reference_verify_identities(sig)
+        assert getattr(algebra, name)(*units) == -before != 0
     assert not report.passed
     assert _outcome(report) == _outcome(reference)
 
 
 def test_verify_identities_fails_on_a_nan_product(monkeypatch):
     # the loop form dropped a NaN residual and passed; the suite must fail closed
-    from extcalc import algebra
-
-    public = algebra.dot
-
-    def poisoned(u, v):
-        return math.nan if (u.grade, v.grade) == (2, 2) else public(u, v)
-
-    monkeypatch.setattr(algebra, "dot", poisoned)
-    report = verify_identities(SpacetimeSignature(1, 2))
+    sig = SpacetimeSignature(1, 2)
+    units, _ = _corrupt_table(monkeypatch, sig, "dot", (2, 2), entry=math.nan)
+    report = verify_identities(sig)
     assert not report.passed
     assert math.isnan(report.residuals["wedge_dot_expansion"])
     assert math.isnan(report.residuals["triple_product"])
+    assert math.isnan(dot(*units))
 
 
 @pytest.mark.parametrize("k,n,checks", [(1, 0, 18), (1, 1, 120), (1, 3, 2848), (3, 3, 57872)])
 def test_verify_identities_check_counts(k, n, checks):
     assert verify_identities(SpacetimeSignature(k, n)).checks == checks
+
+
+@pytest.mark.parametrize("k,n,checks", [(3, 4, 261794), (4, 4, 1186944)])
+def test_verify_identities_through_eight_dimensions(k, n, checks):
+    # 256 blades on (4, 4): the table positions no longer fit in int8
+    sig = SpacetimeSignature(k, n)
+    report = verify_identities(sig, max_dim=8)
+    assert report.passed and report.max_residual == 0
+    assert report.checks == checks
+    assert algebra._sign_tables(sig).Kw.dtype == (np.int16 if sig.dim == 8 else np.int8)
 
 
 def test_verify_identities_seven_dimensions_on_request():

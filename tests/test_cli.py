@@ -167,6 +167,26 @@ def test_maxwell_check_nan_amplitude_fails(capsys, tmp_path):
     assert "FAIL" in err and "worst residual nan" in err
 
 
+def test_maxwell_check_infinite_amplitude_fails_without_numpy_warnings(capsys, tmp_path):
+    # exp waveforms and an infinite amplitude make the integral check's
+    # quadrature NaN: it must reach the verdict, and stderr must hold only the
+    # summary and the located worst residual
+    def infinite_exp(data):
+        for name in ("A", "F"):
+            for mode in data[name]["modes"]:
+                mode["waveform"] = "exp"
+        data["F"]["modes"][0]["amplitude"]["terms"][0]["re"] = math.inf
+
+    code, out, err = run(capsys, "maxwell-check", "--config", _edited_vacuum(tmp_path, infinite_exp))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and math.isnan(report["max_residual"])
+    assert math.isnan(report["checks"]["integral"]["circulation_residual"])
+    summary, located = err.splitlines()
+    assert summary == "maxwell-check: FAIL, max residual nan (tol 1e-08)"
+    assert located.startswith("maxwell-check: differential worst residual nan at point [")
+
+
 @pytest.mark.parametrize("signature,r", [((1, 2), 1), ((1, 2), 3), ((0, 2), 2)])
 def test_derivatives_out_of_the_grade_range_report_zero(capsys, tmp_path, signature, r):
     # r = 1: the source is a scalar, whose interior derivative (the charge

@@ -10,7 +10,6 @@ from extcalc.algebra import (
     Multivector,
     SpacetimeSignature,
     dot,
-    merge_with_sign,
 )
 from extcalc.energy import (
     GaugeViolation,
@@ -49,6 +48,7 @@ from extcalc.integrate import HypersurfaceBox, bitensor_stokes_check, gauss_lege
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, classical_pack
 
 from _support import (
+    merge_with_sign,
     mode_family_fields,
     reference_flux_T_direct,
     reference_flux_T_fourier,
