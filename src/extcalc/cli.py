@@ -628,7 +628,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise ScenarioError(f"--{flag} must be at least {least}, got {value}")
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a NaN or inf reaches the verdict, not a numpy warning
+            return args.func(args)
     except (ScenarioError, GaugeViolation, FieldDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
