@@ -1,15 +1,15 @@
 """Test-only helpers: a reference index sort, the brute-force blade merge and
 difference the sign tables are checked against, the four products as loops
-over them, a component bitensor field, the
-per-point quadratic tensor divergence, the per-point exterior and interior
-derivatives, the per-point classical vector residuals, the derived modes built
-through ``dataclasses.replace``, one field of each kind of mode, a pointwise
+over them, a component bitensor field, the per-point quadratic tensor
+divergence, the per-point exterior and interior derivatives, the per-point
+classical vector residuals, the derived modes built through
+``dataclasses.replace``, one field of each kind of mode, a pointwise
 product-rule residual, a per-point reference evaluation of analytic mode
 fields, per-node reference quadratures, the dense slice flux, the per-node
 frequency-domain flux and cone synthesis, the derived-field and mapped
 amplitude modes built by per-mode multivector algebra, a by-value comparison
-of modes and the loop form of the identity suite.  None of
-these is used by the package."""
+of modes and the loop form of the identity suite.  None of these is used by
+the package."""
 
 from __future__ import annotations
 

@@ -228,7 +228,7 @@ def _random_terms(sig, grade):
         lambda terms: Multivector(sig, grade, terms))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.sampled_from([(1, 1), (0, 3), (1, 3), (2, 2), (3, 3)]), st.integers(0, 6),
        st.integers(0, 6), st.data())
 def test_products_match_the_brute_force_loops(kn, gu, gv, data):
