@@ -76,17 +76,14 @@ from .integrate import (
 from .maxwell import (
     ClassicalFields,
     MaxwellSystem,
-    charge_conservation_residual,
     classical_pack,
     classical_unpack,
     classical_vector_residual_components,
     classical_vector_residuals,
     dof_count,
-    field_from_potential,
     fourier_maxwell_residuals,
     harmonic_gauge_residual,
     integral_maxwell_check,
-    lorenz_gauge_residual,
     maxwell_residual_components,
     maxwell_residuals,
     null_frequency,

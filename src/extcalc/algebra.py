@@ -330,9 +330,19 @@ def _prune(terms: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], compl
     """
     if not terms:
         return {}
-    mags = [abs(c) for c in terms.values()]
+    mags = _magnitudes(terms.values())
     cut = PRUNE_REL * max(mags) if math.isfinite(sum(mags)) else 0.0
-    return {i: c for i, c in sorted(terms.items()) if c != 0 and not abs(c) < cut}
+    # with a cut every magnitude is finite, so abs() cannot overflow
+    return {i: c for i, c in sorted(terms.items()) if c != 0 and not (cut and abs(c) < cut)}
+
+
+def _magnitudes(values) -> list:
+    """abs() of each value, with inf where abs() raises OverflowError: a
+    complex whose finite parts give a magnitude beyond the float range."""
+    try:
+        return [abs(c) for c in values]
+    except OverflowError:
+        return [math.hypot(c.real, c.imag) if isinstance(c, complex) else abs(c) for c in values]
 
 
 def _max_abs(values) -> float:
@@ -340,7 +350,7 @@ def _max_abs(values) -> float:
 
     The builtin max() keeps a NaN only when it comes first.
     """
-    mags = [abs(c) for c in values]
+    mags = _magnitudes(values)
     return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
 
 

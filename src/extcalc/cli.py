@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -61,7 +62,6 @@ from .maxwell import (
     fourier_maxwell_residuals,
     integral_maxwell_check,
     maxwell_residual_components,
-    maxwell_residuals,
     residuals_to_classical,
 )
 from .serialize import (
@@ -81,14 +81,25 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 
-def _emit(report: dict, out_path: str | None, summary: str) -> None:
+def _finish(args, report: dict, detail: str, *notes: str | None) -> int:
+    """Write the canonical report to stdout or --out, then to stderr the line
+    "<command>: PASS|FAIL<detail>" and each located note; return the exit code.
+
+    A report that cannot be written is a usage error."""
     text = canonical_dumps(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ScenarioError(f"cannot write the report: {exc}") from exc
     else:
         print(text)
-    print(summary, file=sys.stderr)
+    passed = report["passed"]
+    print(f"{report['command']}: {'PASS' if passed else 'FAIL'}{detail}", file=sys.stderr)
+    for note in filter(None, notes):
+        print(note, file=sys.stderr)
+    return EXIT_PASS if passed else EXIT_NUMERICAL
 
 
 def _max(*values):
@@ -104,37 +115,33 @@ def _worst(rows: np.ndarray) -> float:
     return float(np.abs(rows).max(initial=0.0))
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError as exc:
-        raise ScenarioError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"config is not valid JSON: {exc}") from exc
-
-
-def _scenario(args) -> Scenario:
+def _load_config(args) -> dict:
     if not args.config:
         raise ScenarioError("--config PATH is required for this command")
-    scenario = scenario_from_json(_load_config(args.config))
-    if args.seed is not None:
-        scenario = Scenario(**{**scenario.__dict__, "seed": args.seed})
-    if args.tol is not None:
-        scenario = Scenario(**{**scenario.__dict__, "tol": args.tol})
-    return scenario
+    try:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError as exc:
+        raise ScenarioError(f"config file not found: {args.config}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"config is not valid JSON: {exc}") from exc
 
 
 def _sample_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(count, dim))
 
 
-def _scenario_points(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Sample points for residual evaluation.
+def _scenario_run(args) -> tuple[Scenario, MaxwellSystem, np.random.Generator, np.ndarray]:
+    """The scenario with its --seed and --tol overrides, its Maxwell system,
+    the rng seeded from it and the sample points first drawn from that rng.
 
     Analytic fields are sampled uniformly; grid-backed fields are sampled on
     interior lattice sites so that central differences stay in range.
     """
+    overrides = {flag: getattr(args, flag) for flag in ("seed", "tol") if getattr(args, flag) is not None}
+    scenario = dataclasses.replace(scenario_from_json(_load_config(args)), **overrides)
+    system = MaxwellSystem(scenario.signature, scenario.r, scenario.F, scenario.J)
+    rng = np.random.default_rng(scenario.seed)
     field = scenario.F
     if isinstance(field, GridField):
         shape = field.values.shape[:-1]
@@ -142,8 +149,16 @@ def _scenario_points(scenario: Scenario, rng: np.random.Generator) -> np.ndarray
             raise ScenarioError("grid fields need at least 3 sites per axis for derivatives")
         sites = np.stack([rng.integers(1, s - 1, size=scenario.sample_points) for s in shape],
                          axis=1)
-        return field.origin + sites * field.spacing
-    return _sample_points(rng, scenario.signature.dim, scenario.sample_points)
+        points = field.origin + sites * field.spacing
+    else:
+        points = _sample_points(rng, scenario.signature.dim, scenario.sample_points)
+    return scenario, system, rng, points
+
+
+def _header(command: str, scenario: Scenario) -> dict:
+    """The report keys maxwell-check and stress-energy share."""
+    return {"command": command, "signature": signature_to_json(scenario.signature),
+            "r": scenario.r, "seed": scenario.seed, "tol": scenario.tol}
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +180,12 @@ def cmd_verify_identities(args) -> int:
     # axis flags restrict the sweep and may not jointly exceed the cap
     if args.kmax is not None and args.nmax is not None \
             and args.kmax + args.nmax > IDENTITY_DIM_CAP:
-        print(f"error: kmax + nmax = {args.kmax + args.nmax} exceeds the dimension cap "
-              f"{IDENTITY_DIM_CAP}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ScenarioError(f"kmax + nmax = {args.kmax + args.nmax} exceeds the dimension cap "
+                            f"{IDENTITY_DIM_CAP}")
     kmax = args.kmax if args.kmax is not None else IDENTITY_DIM_CAP
     nmax = args.nmax if args.nmax is not None else IDENTITY_DIM_CAP
     if kmax < 0 or nmax < 0 or kmax + nmax < 1:
-        print(f"error: need kmax + nmax >= 1, got ({kmax}, {nmax})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ScenarioError(f"need kmax + nmax >= 1, got ({kmax}, {nmax})")
     tol = args.tol if args.tol is not None else 0.0
 
     entries = []
@@ -192,20 +205,10 @@ def cmd_verify_identities(args) -> int:
                 "passed": report.passed,
             })
             worst = _max(worst, report.max_residual)
-    passed = all(e["passed"] for e in entries)
-    report = {
-        "command": "verify-identities",
-        "kmax": kmax,
-        "nmax": nmax,
-        "tol": tol,
-        "signatures": entries,
-        "max_residual": worst,
-        "passed": passed,
-    }
-    _emit(report, args.out,
-          f"verify-identities: {'PASS' if passed else 'FAIL'} over {len(entries)} signatures, "
-          f"max residual {worst:g}")
-    return EXIT_PASS if passed else EXIT_NUMERICAL
+    report = {"command": "verify-identities", "kmax": kmax, "nmax": nmax, "tol": tol,
+              "signatures": entries, "max_residual": worst,
+              "passed": all(e["passed"] for e in entries)}
+    return _finish(args, report, f" over {len(entries)} signatures, max residual {worst:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +217,21 @@ def cmd_verify_identities(args) -> int:
 
 def _check_differential(system: MaxwellSystem, points: np.ndarray, tol: float) -> tuple[dict, str | None]:
     """The differential residuals over all points and, when they fail, a line
-    naming the point of the largest (or first NaN) residual and, from
-    ``maxwell_residuals`` there, its worst component."""
+    naming the point of the largest (or first NaN) residual entry and, in that
+    point's row, the largest (or first NaN or infinite) component."""
     inhom, hom = maxwell_residual_components(system, points)
     block = {"inhom_max": _worst(inhom), "hom_max": _worst(hom),
              "charge_conservation_max": _worst(interior_derivative_components(system.J, points))}
     magnitudes = np.hstack([np.abs(inhom), np.abs(hom)])
     if _max(*block.values()) <= tol or _worst(magnitudes) == 0.0:
         return block, None
-    x = points[int(np.argmax(magnitudes)) // magnitudes.shape[1]]
-    terms = [(abs(c), side, idx) for side, mv in zip(("inhom", "hom"), maxwell_residuals(system, x))
-             for idx, c in mv.terms.items()]
-    if not terms:
-        return block, None
-    size, side, idx = max(terms, key=lambda t: math.inf if math.isnan(t[0]) else t[0])
-    return block, (f"maxwell-check: differential worst residual {size:g} at point "
-                   f"[{', '.join(f'{v:.6g}' for v in x)}], component "
+    row = int(np.argmax(magnitudes)) // magnitudes.shape[1]
+    at = magnitudes[row]
+    column = int(np.argmax(np.where(np.isnan(at), math.inf, at)))
+    side, idx = [(side, idx) for side, grade in (("inhom", system.r - 1), ("hom", system.r + 1))
+                 for idx in system.signature.index_lists(grade)][column]
+    return block, (f"maxwell-check: differential worst residual {float(at[column]):g} at point "
+                   f"[{', '.join(f'{v:.6g}' for v in points[row])}], component "
                    f"{'e_' + ''.join(map(str, idx)) if idx else '1'} of {side}")
 
 
@@ -295,10 +297,7 @@ def _check_gauge(scenario: Scenario, system: MaxwellSystem, points: np.ndarray) 
 
 
 def cmd_maxwell_check(args) -> int:
-    scenario = _scenario(args)
-    system = MaxwellSystem(scenario.signature, scenario.r, scenario.F, scenario.J)
-    rng = np.random.default_rng(scenario.seed)
-    points = _scenario_points(scenario, rng)
+    scenario, system, rng, points = _scenario_run(args)
     quad_points = args.points if args.points is not None else 8
 
     checks: dict = {}
@@ -315,24 +314,9 @@ def cmd_maxwell_check(args) -> int:
     residuals = [value for block in checks.values() for key, value in block.items()
                  if isinstance(value, (int, float))]
     worst = _max(*residuals)
-    passed = worst <= scenario.tol
-    report = {
-        "command": "maxwell-check",
-        "signature": signature_to_json(scenario.signature),
-        "r": scenario.r,
-        "seed": scenario.seed,
-        "tol": scenario.tol,
-        "sample_points": scenario.sample_points,
-        "checks": checks,
-        "max_residual": worst,
-        "passed": passed,
-    }
-    _emit(report, args.out,
-          f"maxwell-check: {'PASS' if passed else 'FAIL'}, max residual {worst:g} "
-          f"(tol {scenario.tol:g})")
-    if located:
-        print(located, file=sys.stderr)
-    return EXIT_PASS if passed else EXIT_NUMERICAL
+    report = {**_header("maxwell-check", scenario), "sample_points": scenario.sample_points,
+              "checks": checks, "max_residual": worst, "passed": worst <= scenario.tol}
+    return _finish(args, report, f", max residual {worst:g} (tol {scenario.tol:g})", located)
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +324,11 @@ def cmd_maxwell_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_stress_energy(args) -> int:
-    scenario = _scenario(args)
-    is_complex = getattr(scenario.F, "is_complex", lambda: False)
-    if is_complex():
+    scenario, system, _, points = _scenario_run(args)
+    if getattr(scenario.F, "is_complex", lambda: False)():
         raise ScenarioError(
             "stress-energy checks need real fields (cosine modes); quadratic expressions "
             "in complex-exponential fields are not the physical quantities")
-    system = MaxwellSystem(scenario.signature, scenario.r, scenario.F, scenario.J)
-    rng = np.random.default_rng(scenario.seed)
-    points = _scenario_points(scenario, rng)
-
     sig, r = scenario.signature, scenario.r
     rows = system.F.evaluate_components(points)
     explicit = stress_tensor_explicit_components(sig, r, rows)
@@ -361,13 +340,8 @@ def cmd_stress_energy(args) -> int:
     value0 = system.F.evaluate(x0)
     tensor0 = stress_tensor_explicit(value0)
     worst = _max(route_max, trace_max, conservation_max)
-    passed = worst <= scenario.tol
     report = {
-        "command": "stress-energy",
-        "signature": signature_to_json(scenario.signature),
-        "r": scenario.r,
-        "seed": scenario.seed,
-        "tol": scenario.tol,
+        **_header("stress-energy", scenario),
         "point": [float(v) for v in x0],
         "T": bitensor_to_json(tensor0),
         "trace": float(trace(tensor0)),
@@ -380,12 +354,9 @@ def cmd_stress_energy(args) -> int:
         "flux_fourier": None,
         "flux_rel_err": None,
         "max_residual": worst,
-        "passed": passed,
+        "passed": worst <= scenario.tol,
     }
-    _emit(report, args.out,
-          f"stress-energy: {'PASS' if passed else 'FAIL'}, max residual {worst:g} "
-          f"(tol {scenario.tol:g})")
-    return EXIT_PASS if passed else EXIT_NUMERICAL
+    return _finish(args, report, f", max residual {worst:g} (tol {scenario.tol:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +406,7 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
 
 
 def cmd_flux_compare(args) -> int:
-    if not args.config:
-        raise ScenarioError("--config PATH is required for this command")
-    data = _load_config(args.config)
+    data = _load_config(args)
     try:
         sig = signature_from_json(data["signature"])
         r = json_int(data["r"], "r")
@@ -473,7 +442,6 @@ def cmd_flux_compare(args) -> int:
     divergence = interior_derivative_field(potential).evaluate_components(
         rng.uniform(-1.0, 1.0, size=(10, sig.dim)))
     gauge_max = float(np.abs(divergence).max())
-    passed = rel_err <= tol
     report = {
         "command": "flux-compare",
         "signature": signature_to_json(sig),
@@ -491,12 +459,9 @@ def cmd_flux_compare(args) -> int:
         "flux_fourier": multivector_to_json(fourier),
         "flux_rel_err": rel_err,
         "lorenz_residual_max": gauge_max,
-        "passed": passed,
+        "passed": rel_err <= tol,
     }
-    _emit(report, args.out,
-          f"flux-compare: {'PASS' if passed else 'FAIL'}, relative error {rel_err:.3e} "
-          f"(tol {tol:g})")
-    return EXIT_PASS if passed else EXIT_NUMERICAL
+    return _finish(args, report, f", relative error {rel_err:.3e} (tol {tol:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -545,23 +510,12 @@ def cmd_classical(args) -> int:
     vacuum_max = _max(*map(_worst, maxwell_residual_components(vacuum, _sample_points(rng, 4, args.samples))))
 
     worst = _max(agreement_max, vacuum_max)
-    passed = worst <= tol
-    report = {
-        "command": "classical",
-        "seed": seed,
-        "tol": tol,
-        "configs": args.configs,
-        "samples": args.samples,
-        "agreement_max": agreement_max,
-        "vacuum_residual_max": vacuum_max,
-        "first_sample": first_sample,
-        "max_residual": worst,
-        "passed": passed,
-    }
-    _emit(report, args.out,
-          f"classical: {'PASS' if passed else 'FAIL'}, reduction agreement {agreement_max:g}, "
-          f"vacuum residual {vacuum_max:g} (tol {tol:g})")
-    return EXIT_PASS if passed else EXIT_NUMERICAL
+    report = {"command": "classical", "seed": seed, "tol": tol, "configs": args.configs,
+              "samples": args.samples, "agreement_max": agreement_max,
+              "vacuum_residual_max": vacuum_max, "first_sample": first_sample,
+              "max_residual": worst, "passed": worst <= tol}
+    return _finish(args, report, f", reduction agreement {agreement_max:g}, "
+                                 f"vacuum residual {vacuum_max:g} (tol {tol:g})")
 
 
 # ---------------------------------------------------------------------------

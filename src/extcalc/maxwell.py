@@ -42,9 +42,6 @@ __all__ = [
     "ClassicalFields",
     "maxwell_residuals",
     "maxwell_residual_components",
-    "charge_conservation_residual",
-    "field_from_potential",
-    "lorenz_gauge_residual",
     "wave_equation_residual",
     "transverse_gauge_residuals",
     "harmonic_gauge_residual",
@@ -98,21 +95,6 @@ def maxwell_residual_components(system: MaxwellSystem, points: np.ndarray) -> tu
     points = np.asarray(points, dtype=float)
     inhom = interior_derivative_components(system.F, points) - system.J.evaluate_components(points)
     return inhom, exterior_derivative_components(system.F, points)
-
-
-def charge_conservation_residual(system: MaxwellSystem, x: Sequence[float]) -> Multivector:
-    """Interior derivative of the source at x; the zero scalar when r = 1."""
-    return interior_derivative(system.J, x)
-
-
-def field_from_potential(potential: AnalyticField) -> AnalyticField:
-    """F as the exterior derivative of a grade-(r-1) potential (exact modes)."""
-    return exterior_derivative_field(potential)
-
-
-def lorenz_gauge_residual(potential, x: Sequence[float]) -> Multivector:
-    """Interior derivative of the potential; zero in the Lorenz gauge."""
-    return interior_derivative(potential, x)
 
 
 def wave_equation_residual(potential: AnalyticField, source, x: Sequence[float]) -> Multivector:

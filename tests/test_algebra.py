@@ -220,9 +220,9 @@ def _exact(x):
 
 
 def _random_terms(sig, grade):
-    # finite parts stay below 1e100: abs() of a complex with parts near 1e308
-    # raises OverflowError when a Multivector is built
-    floats = st.floats(-1e100, 1e100) | st.sampled_from([math.inf, -math.inf, math.nan])
+    # finite parts span the whole float range, so products overflow to inf
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [math.inf, -math.inf, math.nan])
     coefficients = st.one_of(st.integers(-3, 3), floats, st.builds(complex, floats, floats))
     return st.dictionaries(st.sampled_from(list(sig.index_lists(grade))), coefficients).map(
         lambda terms: Multivector(sig, grade, terms))
@@ -524,6 +524,17 @@ def test_prune_keeps_non_finite_coefficients(bad):
             assert set(t.comps) == {(1, 1), (2, 2)}
             for value in (v.max_abs(), t.max_abs()):
                 assert math.isnan(value) if math.isnan(bad) else value == math.inf
+
+
+def test_complex_beyond_the_float_range_reaches_max_abs_as_inf():
+    # abs() of this coefficient raises OverflowError; its magnitude is inf, so
+    # it is kept like an infinite coefficient and reaches max_abs
+    big = complex(1.5e308, 1.5e308)
+    v = Multivector(MINK, 1, {(0,): big, (1,): 1.0})
+    assert v.terms == {(0,): big, (1,): 1.0}
+    t = Bitensor(MINK, {(0, 0): big, (1, 1): 1.0})
+    assert set(t.comps) == {(0, 0), (1, 1)}
+    assert v.max_abs() == t.max_abs() == math.inf
 
 
 def test_grade_zero_behaves_as_scalar():

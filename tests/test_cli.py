@@ -95,6 +95,26 @@ def test_maxwell_check_locates_the_worst_residual(capsys):
     assert code == 0 and len(err.splitlines()) == 1
 
 
+def test_maxwell_check_locates_a_worst_residual_of_the_hom_side(tmp_path, capsys):
+    # a plane wave e_0 cos(2 pi 0.3 x_1) on (0,2) is divergence-free but not
+    # closed: the worst residual is the e_01 component of d F, whose column
+    # follows the inhom block's in the residual rows
+    from extcalc.fields import plane_wave
+    from extcalc.serialize import canonical_dumps, field_to_json, signature_to_json
+
+    sig = SpacetimeSignature(0, 2)
+    scenario = {"signature": signature_to_json(sig), "r": 1,
+                "F": field_to_json(plane_wave(Multivector.blade(sig, (0,)), (0.0, 0.3))),
+                "J": None, "A": None, "checks": ["differential"], "sample_points": 7, "seed": 4,
+                "tol": 1e-8}
+    path = tmp_path / "hom.json"
+    path.write_text(canonical_dumps(scenario))
+    code, _, err = run(capsys, "maxwell-check", "--config", str(path))
+    assert code == 1
+    assert err.splitlines()[1] == ("maxwell-check: differential worst residual 1.88487 at point "
+                                   "[0.952487, -0.838328], component e_01 of hom")
+
+
 def _within(got, want, bound, where="report"):
     """Same keys, verdicts and strings; every number within bound of the recorded one."""
     if isinstance(want, dict):
@@ -185,6 +205,18 @@ def test_maxwell_check_infinite_amplitude_fails_without_numpy_warnings(capsys, t
     summary, located = err.splitlines()
     assert summary == "maxwell-check: FAIL, max residual nan (tol 1e-08)"
     assert located.startswith("maxwell-check: differential worst residual nan at point [")
+
+
+def test_maxwell_check_complex_amplitude_beyond_the_float_range_fails(capsys, tmp_path):
+    # abs() of this coefficient overflows; it must reach the verdict as a
+    # numerical failure, not exit 2 as a malformed configuration
+    def huge_complex(data):
+        data["F"]["modes"][0]["amplitude"]["terms"][0].update(re=1.5e308, im=1.5e308)
+
+    code, out, err = run(capsys, "maxwell-check", "--config", _edited_vacuum(tmp_path, huge_complex))
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert err.startswith("maxwell-check: FAIL")
 
 
 @pytest.mark.parametrize("signature,r", [((1, 2), 1), ((1, 2), 3), ((0, 2), 2)])
@@ -312,6 +344,20 @@ def test_classical_deterministic(capsys, tmp_path):
     assert main(["classical", "--seed", "11", "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_out_file_holds_the_stdout_report(capsys, tmp_path):
+    argv = ("maxwell-check", "--config", str(SCENARIOS / "nonconserved_source.json"))
+    code, out, err = run(capsys, *argv)
+    path = tmp_path / "r.json"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert path.read_text() == out
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "classical", "--seed", "7", "--out", str(tmp_path / "no" / "r.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write the report: ") and len(err.splitlines()) == 1
 
 
 def _edited_vacuum(tmp_path, edit, scenario="vacuum_plane_wave") -> str:
