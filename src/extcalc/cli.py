@@ -62,6 +62,7 @@ from .maxwell import (
     fourier_maxwell_residuals,
     integral_maxwell_check,
     maxwell_residual_components,
+    maxwell_residuals,
     residuals_to_classical,
 )
 from .serialize import (
@@ -217,21 +218,22 @@ def cmd_verify_identities(args) -> int:
 
 def _check_differential(system: MaxwellSystem, points: np.ndarray, tol: float) -> tuple[dict, str | None]:
     """The differential residuals over all points and, when they fail, a line
-    naming the point of the largest (or first NaN) residual entry and, in that
-    point's row, the largest (or first NaN or infinite) component."""
+    naming the point of the largest (or first NaN) residual and, from
+    ``maxwell_residuals`` there, its worst component."""
     inhom, hom = maxwell_residual_components(system, points)
     block = {"inhom_max": _worst(inhom), "hom_max": _worst(hom),
              "charge_conservation_max": _worst(interior_derivative_components(system.J, points))}
     magnitudes = np.hstack([np.abs(inhom), np.abs(hom)])
     if _max(*block.values()) <= tol or _worst(magnitudes) == 0.0:
         return block, None
-    row = int(np.argmax(magnitudes)) // magnitudes.shape[1]
-    at = magnitudes[row]
-    column = int(np.argmax(np.where(np.isnan(at), math.inf, at)))
-    side, idx = [(side, idx) for side, grade in (("inhom", system.r - 1), ("hom", system.r + 1))
-                 for idx in system.signature.index_lists(grade)][column]
-    return block, (f"maxwell-check: differential worst residual {float(at[column]):g} at point "
-                   f"[{', '.join(f'{v:.6g}' for v in points[row])}], component "
+    x = points[int(np.argmax(magnitudes)) // magnitudes.shape[1]]
+    terms = [(abs(c), side, idx) for side, mv in zip(("inhom", "hom"), maxwell_residuals(system, x))
+             for idx, c in mv.terms.items()]
+    if not terms:
+        return block, None
+    size, side, idx = max(terms, key=lambda t: math.inf if math.isnan(t[0]) else t[0])
+    return block, (f"maxwell-check: differential worst residual {size:g} at point "
+                   f"[{', '.join(f'{v:.6g}' for v in x)}], component "
                    f"{'e_' + ''.join(map(str, idx)) if idx else '1'} of {side}")
 
 

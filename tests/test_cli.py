@@ -97,8 +97,7 @@ def test_maxwell_check_locates_the_worst_residual(capsys):
 
 def test_maxwell_check_locates_a_worst_residual_of_the_hom_side(tmp_path, capsys):
     # a plane wave e_0 cos(2 pi 0.3 x_1) on (0,2) is divergence-free but not
-    # closed: the worst residual is the e_01 component of d F, whose column
-    # follows the inhom block's in the residual rows
+    # closed: the worst residual is the e_01 component of d F, on the hom side
     from extcalc.fields import plane_wave
     from extcalc.serialize import canonical_dumps, field_to_json, signature_to_json
 
