@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -31,6 +31,8 @@ __all__ = [
     "SpacetimeSignature",
     "Multivector",
     "Bitensor",
+    "GradeError",
+    "SignatureError",
     "IdentityReport",
     "dot",
     "wedge",
@@ -233,7 +235,18 @@ class Multivector:
             raise ValueError(f"expected {signature.dim} components, got {len(comps)}")
         return cls(signature, 1, {(i,): c for i, c in enumerate(comps) if c != 0})
 
+    @classmethod
+    def from_row(cls, signature: SpacetimeSignature, grade: int, row) -> "Multivector":
+        """The multivector whose components, in ``index_lists(grade)`` order,
+        are one dense row (an array or a list); zero components are absent."""
+        return cls._from_valid(signature, grade, dict(zip(signature.index_lists(grade),
+                                                          np.asarray(row).tolist())))
+
     # -- basic queries -----------------------------------------------------
+
+    def row(self) -> np.ndarray:
+        """The components as one dense row in ``index_lists(grade)`` order."""
+        return np.array([self.terms.get(idx, 0) for idx in self.signature.index_lists(self.grade)])
 
     def coeff(self, indices: Iterable[int]) -> complex:
         return self.terms.get(tuple(indices), 0)
@@ -470,6 +483,19 @@ class Bitensor:
     def zero(cls, signature: SpacetimeSignature) -> "Bitensor":
         return cls(signature)
 
+    @classmethod
+    def from_row(cls, signature: SpacetimeSignature, row) -> "Bitensor":
+        """The bitensor whose components T_ij, pairs i <= j in
+        ``combinations_with_replacement`` order, are one dense row."""
+        return cls(signature, zip(combinations_with_replacement(signature.axes(), 2),
+                                  np.asarray(row).tolist()))
+
+    def row(self) -> np.ndarray:
+        """The components T_ij as one dense row, pairs i <= j in
+        ``combinations_with_replacement`` order."""
+        pairs = combinations_with_replacement(self.signature.axes(), 2)
+        return np.array([self.get(i, j) for i, j in pairs])
+
     def get(self, i: int, j: int) -> complex:
         key = (i, j) if i <= j else (j, i)
         return self.comps.get(key, 0)
@@ -506,6 +532,20 @@ class Bitensor:
     def __repr__(self) -> str:
         body = ", ".join(f"T{i}{j}={c!r}" for (i, j), c in sorted(self.comps.items())) or "0"
         return f"<Bitensor ({self.signature.k},{self.signature.n}) {body}>"
+
+
+def unit_table(sig: SpacetimeSignature, fn: Callable[[Multivector], Multivector], grade: int,
+               out_grade: int) -> np.ndarray:
+    """``T[a, b]``: component b of ``fn(e_a)`` over the unit blades a of
+    ``grade`` and b of ``out_grade``, both in ``index_lists`` order; float
+    unless an image has a complex coefficient.  For a linear ``fn``, the image
+    of a dense row u is ``u @ T``.  An image that is not a grade-``out_grade``
+    multivector of this signature raises ``ValueError``."""
+    images = [fn(Multivector.blade(sig, idx)) for idx in sig.index_lists(grade)]
+    if not all(isinstance(i, Multivector) and i.signature == sig and i.grade == out_grade for i in images):
+        raise ValueError(f"unit table needs grade-{out_grade} images on {sig}")
+    table = np.array([image.row() for image in images])
+    return table if np.iscomplexobj(table) else table.astype(float)
 
 
 def vec_interior_bitensor(a: Multivector, t: Bitensor) -> Multivector:

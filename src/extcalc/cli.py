@@ -23,6 +23,7 @@ from .algebra import (
     Multivector,
     SpacetimeSignature,
     _sign_tables,
+    _worst,
     dot as algebra_dot,
     verify_identities,
 )
@@ -42,6 +43,7 @@ from .energy import (
     trace_formula_components,
 )
 from .fields import (
+    EXTERIOR,
     INTERIOR,
     AnalyticField,
     FieldDomainError,
@@ -101,19 +103,6 @@ def _finish(args, report: dict, detail: str, *notes: str | None) -> int:
     for note in filter(None, notes):
         print(note, file=sys.stderr)
     return EXIT_PASS if passed else EXIT_NUMERICAL
-
-
-def _max(*values):
-    """max() that propagates NaN, so a NaN residual fails; 0.0 when empty.
-
-    The builtin keeps a NaN only when it comes first: max(0.0, nan) is 0.0.
-    """
-    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
-
-
-def _worst(rows: np.ndarray) -> float:
-    """Largest |entry| of a residual array; NaN if any entry is, 0.0 if it has none."""
-    return float(np.abs(rows).max(initial=0.0))
 
 
 def _load_config(args) -> dict:
@@ -205,7 +194,7 @@ def cmd_verify_identities(args) -> int:
                 "checks": report.checks,
                 "passed": report.passed,
             })
-            worst = _max(worst, report.max_residual)
+            worst = _worst([worst, report.max_residual])
     report = {"command": "verify-identities", "kmax": kmax, "nmax": nmax, "tol": tol,
               "signatures": entries, "max_residual": worst,
               "passed": all(e["passed"] for e in entries)}
@@ -224,7 +213,7 @@ def _check_differential(system: MaxwellSystem, points: np.ndarray, tol: float) -
     block = {"inhom_max": _worst(inhom), "hom_max": _worst(hom),
              "charge_conservation_max": _worst(interior_derivative_components(system.J, points))}
     magnitudes = np.hstack([np.abs(inhom), np.abs(hom)])
-    if _max(*block.values()) <= tol or _worst(magnitudes) == 0.0:
+    if _worst(list(block.values())) <= tol or _worst(magnitudes) == 0.0:
         return block, None
     x = points[int(np.argmax(magnitudes)) // magnitudes.shape[1]]
     terms = [(abs(c), side, idx) for side, mv in zip(("inhom", "hom"), maxwell_residuals(system, x))
@@ -262,20 +251,20 @@ def _check_integral(system: MaxwellSystem, rng: np.random.Generator, quad_points
 
 
 def _check_fourier(system: MaxwellSystem) -> dict:
-    modes = getattr(system.F, "modes", None)
-    if modes is None:
+    if not isinstance(system.F, AnalyticField):
         return {"skipped": "grid-backed fields have no mode data"}
-    if any(getattr(system.J, "modes", ())):
+    # a grid-backed source has no modes either, but it is a source
+    if not (isinstance(system.J, AnalyticField) and system.J.mode_count == 0):
         return {"skipped": "algebraic source-free check needs a source-free scenario"}
     inhom_max = hom_max = 0.0
     worst_null = 0.0
-    for mode in modes:
+    for mode in system.F.modes:
         inhom, hom = fourier_maxwell_residuals(mode.xi, mode.amplitude)
-        inhom_max = _max(inhom_max, inhom.max_abs() / (2 * math.pi))
-        hom_max = _max(hom_max, hom.max_abs())
+        inhom_max = _worst([inhom_max, inhom.max_abs() / (2 * math.pi)])
+        hom_max = _worst([hom_max, hom.max_abs()])
         xi = Multivector.vector(system.signature, mode.xi)
         if inhom.max_abs() < 1e-9 and hom.max_abs() < 1e-9:
-            worst_null = _max(worst_null, abs(algebra_dot(xi, xi)) * mode.amplitude.max_abs())
+            worst_null = _worst([worst_null, abs(algebra_dot(xi, xi)) * mode.amplitude.max_abs()])
     return {"inhom_max": inhom_max, "hom_max": hom_max, "null_support_violation": worst_null}
 
 
@@ -283,19 +272,16 @@ def _check_gauge(scenario: Scenario, system: MaxwellSystem, points: np.ndarray) 
     if scenario.A is None:
         return {"skipped": "no potential in scenario"}
     sig = scenario.signature
-    # A's partial rows, evaluated once for the three axis sets
+    # A's partial rows, evaluated once for dA and the three interior axis sets
     slopes = [scenario.A.partial_components(i, points) for i in sig.axes()]
 
-    def interior(axes=None):
-        return _worst(_derivative_rows(scenario.A, INTERIOR, points, axes, slopes))
+    def rows(kind, axes=None):
+        return _derivative_rows(scenario.A, kind, points, axes, slopes)
 
-    consistency = 0.0
-    if isinstance(scenario.A, AnalyticField):
-        consistency = _worst(exterior_derivative_field(scenario.A).evaluate_components(points)
-                             - system.F.evaluate_components(points))
-    return {"lorenz_max": interior(), "transverse_time_max": interior(range(sig.k)),
-            "transverse_space_max": interior(range(sig.k, sig.dim)),
-            "potential_consistency_max": consistency}
+    return {"lorenz_max": _worst(rows(INTERIOR)),
+            "transverse_time_max": _worst(rows(INTERIOR, range(sig.k))),
+            "transverse_space_max": _worst(rows(INTERIOR, range(sig.k, sig.dim))),
+            "potential_consistency_max": _worst(rows(EXTERIOR) - system.F.evaluate_components(points))}
 
 
 def cmd_maxwell_check(args) -> int:
@@ -315,7 +301,7 @@ def cmd_maxwell_check(args) -> int:
 
     residuals = [value for block in checks.values() for key, value in block.items()
                  if isinstance(value, (int, float))]
-    worst = _max(*residuals)
+    worst = _worst(residuals)
     report = {**_header("maxwell-check", scenario), "sample_points": scenario.sample_points,
               "checks": checks, "max_residual": worst, "passed": worst <= scenario.tol}
     return _finish(args, report, f", max residual {worst:g} (tol {scenario.tol:g})", located)
@@ -341,7 +327,7 @@ def cmd_stress_energy(args) -> int:
     x0 = points[0]
     value0 = system.F.evaluate(x0)
     tensor0 = stress_tensor_explicit(value0)
-    worst = _max(route_max, trace_max, conservation_max)
+    worst = _worst([route_max, trace_max, conservation_max])
     report = {
         **_header("stress-energy", scenario),
         "point": [float(v) for v in x0],
@@ -443,7 +429,7 @@ def cmd_flux_compare(args) -> int:
     rng = np.random.default_rng(0)
     divergence = interior_derivative_field(potential).evaluate_components(
         rng.uniform(-1.0, 1.0, size=(10, sig.dim)))
-    gauge_max = float(np.abs(divergence).max())
+    gauge_max = _worst(divergence)
     report = {
         "command": "flux-compare",
         "signature": signature_to_json(sig),
@@ -495,7 +481,7 @@ def cmd_classical(args) -> int:
         points = _sample_points(rng, 4, args.samples)
         got = residuals_to_classical(*maxwell_residual_components(classical_pack(cf), points))
         want = classical_vector_residual_components(cf, points)
-        agreement_max = _max(agreement_max, *(_worst(got[name] - want[name]) for name in got))
+        agreement_max = _worst([agreement_max, *(_worst(got[name] - want[name]) for name in got)])
         if first_sample is None:
             first_sample = {"point": points[0].tolist(),
                             "vector_form": {name: want[name][0].tolist() for name in want},
@@ -509,9 +495,10 @@ def cmd_classical(args) -> int:
         E=AnalyticField(MINKOWSKI, 1, [Mode(amplitude=e_amp, xi=xi)]),
         B=AnalyticField(MINKOWSKI, 1, [Mode(amplitude=b_amp, xi=xi)]),
         rho=AnalyticField(MINKOWSKI, 0), j=AnalyticField(MINKOWSKI, 1)))
-    vacuum_max = _max(*map(_worst, maxwell_residual_components(vacuum, _sample_points(rng, 4, args.samples))))
+    vacuum_rows = maxwell_residual_components(vacuum, _sample_points(rng, 4, args.samples))
+    vacuum_max = _worst(list(map(_worst, vacuum_rows)))
 
-    worst = _max(agreement_max, vacuum_max)
+    worst = _worst([agreement_max, vacuum_max])
     report = {"command": "classical", "seed": seed, "tol": tol, "configs": args.configs,
               "samples": args.samples, "agreement_max": agreement_max,
               "vacuum_residual_max": vacuum_max, "first_sample": first_sample,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
@@ -37,11 +37,11 @@ from .algebra import (
     Multivector,
     SpacetimeSignature,
     _sign_tables,
-    dot,
     left_interior,
     odot,
     owedge,
     right_interior,
+    unit_table,
 )
 from .fields import (
     EXTERIOR,
@@ -128,17 +128,11 @@ def _stress_tables(sig: SpacetimeSignature, grade: int) -> dict:
     return tables
 
 
-def _dense_row(f: Multivector) -> np.ndarray:
-    """F's components in ``index_lists`` order as one (1, ncomp) row."""
-    return np.array([[f.terms.get(idx, 0) for idx in f.signature.index_lists(f.grade)]])
-
-
 def stress_tensor_explicit(f: Multivector) -> Bitensor:
     """Explicit component route at one value: the one-row case of
     ``stress_tensor_explicit_components``."""
     sig = f.signature
-    row = stress_tensor_explicit_components(sig, f.grade, _dense_row(f))[0]
-    return Bitensor(sig, zip(combinations_with_replacement(sig.axes(), 2), row.tolist()))
+    return Bitensor.from_row(sig, stress_tensor_explicit_components(sig, f.grade, f.row()[None, :])[0])
 
 
 def stress_tensor_explicit_components(sig: SpacetimeSignature, grade: int, rows: np.ndarray) -> np.ndarray:
@@ -168,7 +162,7 @@ def trace_components(sig: SpacetimeSignature, tensor_rows: np.ndarray) -> np.nda
 def trace_formula(f: Multivector) -> complex:
     """The closed-form trace at one value: the one-row case of
     ``trace_formula_components``."""
-    return trace_formula_components(f.signature, f.grade, _dense_row(f))[0].item()
+    return trace_formula_components(f.signature, f.grade, f.row()[None, :])[0].item()
 
 
 def trace_formula_components(sig: SpacetimeSignature, grade: int, rows: np.ndarray) -> np.ndarray:
@@ -204,13 +198,9 @@ def _bitensor_tables(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[np
     """
     product = _PRODUCTS[kind]
     units = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade)]
-    pairs = list(combinations_with_replacement(sig.axes(), 2))
-    table = np.zeros((len(pairs), len(units), len(units)))
-    for a, unit_a in enumerate(units):
-        for b, unit_b in enumerate(units):
-            t = product(unit_a, unit_b)
-            table[:, a, b] = [t.get(i, j) for i, j in pairs]
-    slot = {pair: p for p, pair in enumerate(pairs)}
+    table = np.array([[product(a, b).row() for b in units] for a in units], dtype=float)
+    table = np.ascontiguousarray(table.transpose(2, 0, 1))
+    slot = {pair: p for p, pair in enumerate(combinations_with_replacement(sig.axes(), 2))}
     sym = table + table.transpose(0, 2, 1)
     div = np.array([[sym[slot[min(i, j), max(i, j)]] for i in sig.axes()] for j in sig.axes()])
     # cached and shared by every caller
@@ -253,8 +243,7 @@ class QuadraticTensorField:
 
     def evaluate(self, x: Sequence[float]) -> Bitensor:
         sig = self.signature
-        row = self.evaluate_components(as_point(sig, x)[None, :])[0]
-        return Bitensor(sig, zip(combinations_with_replacement(sig.axes(), 2), row.tolist()))
+        return Bitensor.from_row(sig, self.evaluate_components(as_point(sig, x)[None, :])[0])
 
     def divergence(self, x: Sequence[float]) -> Multivector:
         sig = self.signature
@@ -284,14 +273,10 @@ def StressTensorField(field) -> QuadraticTensorField:
 def _force_table(sig: SpacetimeSignature, grade: int) -> np.ndarray:
     """``L[a, b, c]``: component c of the Lorentz force of unit source blade a
     (grade - 1) on unit field blade b (grade), filled by the public
-    ``left_interior``; the force of dense rows j and f is sum_ab L j_a f_b."""
+    ``left_interior`` (a ``unit_table`` per source blade); the force of dense
+    rows j and f is sum_ab L j_a f_b."""
     sources = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade - 1)]
-    fields = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade)]
-    table = np.zeros((len(sources), len(fields), sig.dim))
-    for a, source in enumerate(sources):
-        for b, unit in enumerate(fields):
-            for (i,), c in left_interior(source, unit).terms.items():
-                table[a, b, i] = c
+    table = np.stack([unit_table(sig, partial(left_interior, source), grade, 1) for source in sources])
     # cached and shared by every caller
     table.flags.writeable = False
     return table
@@ -370,7 +355,7 @@ def _identity_terms(f_field, kinds: Sequence[str], x: Sequence[float]) -> tuple:
     field's rows and partial rows."""
     sig = f_field.signature
     rows, slopes = _field_rows(f_field, as_point(sig, x)[None, :])
-    value = Multivector(sig, f_field.grade, zip(sig.index_lists(f_field.grade), rows[0].tolist()))
+    value = Multivector.from_row(sig, f_field.grade, rows[0])
     return (value, _derivative_at(f_field, INTERIOR, x, slopes=slopes),
             _derivative_at(f_field, EXTERIOR, x, slopes=slopes),
             *(Multivector.vector(sig, _divergence_rows(f_field, kind, rows, slopes)[0].tolist())
@@ -568,8 +553,7 @@ def flux_T_fourier(a_hat: Callable[[np.ndarray], np.ndarray], axis: int,
     # |A_hat|^2 = sum_a dot(e_a, e_a) |A_a|^2, summed over blades in order
     mod2 = np.zeros(len(rows))
     for a, idx in enumerate(sig.index_lists(r - 1)):
-        unit = Multivector.blade(sig, idx)
-        mod2 = mod2 + (rows[:, a].real ** 2 + rows[:, a].imag ** 2) * dot(unit, unit)
+        mod2 = mod2 + (rows[:, a].real ** 2 + rows[:, a].imag ** 2) * sig.metric_list(idx)
     scale = weights[regular] * mod2[regular] / chi[regular]
     # accumulated node by node in grid order
     accum = np.cumsum(scale[:, None] * xi_plus[regular], axis=0)[-1] if regular.any() \

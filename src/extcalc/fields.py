@@ -2,7 +2,7 @@
 
 Two backends satisfy the same small protocol: ``signature``, ``grade``, the
 batched ``evaluate_components(points)`` and ``partial_components(axis,
-points)`` giving dense ``(npoints, ncomp)`` rows in ``component_lists()``
+points)`` giving dense ``(npoints, ncomp)`` rows in ``index_lists(grade)``
 order, and their per-point one-row cases ``evaluate`` and ``partial_at``, as
 multivectors:
 
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import PRUNE_REL, Multivector, SpacetimeSignature, left_interior, wedge
+from .algebra import PRUNE_REL, Multivector, SpacetimeSignature, left_interior, unit_table, wedge
 
 __all__ = [
     "FieldDomainError",
@@ -44,7 +43,6 @@ __all__ = [
     "Mode",
     "AnalyticField",
     "GridField",
-    "partial_derivative",
     "exterior_derivative",
     "interior_derivative",
     "exterior_derivative_components",
@@ -130,12 +128,6 @@ def _pad(values: Iterable[float], dim: int) -> tuple[float, ...]:
     return out
 
 
-def _dense_multivector(sig: SpacetimeSignature, grade: int, lists: Sequence[tuple[int, ...]],
-                       row: np.ndarray) -> Multivector:
-    """The multivector whose components, in ``lists`` order, are one dense row."""
-    return Multivector(sig, grade, zip(lists, row.tolist()))
-
-
 # ---------------------------------------------------------------------------
 # the mode table
 #
@@ -200,7 +192,6 @@ def _table_of_modes(sig: SpacetimeSignature, grade: int,
                     modes: Iterable[Mode]) -> tuple[_ModeTable, list[Mode]]:
     """The table of the modes with a nonzero amplitude, in the order given,
     and those modes."""
-    index = {idx: pos for pos, idx in enumerate(sig.index_lists(grade))}
     kept, amps, data = [], [], []
     for mode in modes:
         amplitude = mode.amplitude
@@ -212,13 +203,13 @@ def _table_of_modes(sig: SpacetimeSignature, grade: int,
             continue
         env = mode.envelope
         kept.append(mode)
-        amps.append([amplitude.terms.get(idx, 0.0) for idx in index])
+        amps.append(amplitude.row())
         data.append((mode.phase, mode.waveform == WAVE_EXP, 0.0 if env is None else env.width,
                      *mode.xi, *mode.poly, *mode.poly_center,
                      *((0.0,) * sig.dim if env is None else env.center),
                      0.0 if env is None else env.width ** 2))
-    dtype = complex if any(isinstance(c, complex) for row in amps for c in row) else float
-    return _ModeTable(np.array(amps, dtype=dtype).reshape(len(amps), len(index)),
+    dtype = complex if any(map(np.iscomplexobj, amps)) else float
+    return _ModeTable(np.array(amps, dtype=dtype).reshape(len(amps), math.comb(sig.dim, grade)),
                       np.array(data, dtype=float).reshape(len(amps), 4 * sig.dim + 4)), kept
 
 
@@ -283,15 +274,13 @@ def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.n
     return AnalyticField._from_table(sig, grade, table)
 
 
-def _table_mode(sig: SpacetimeSignature, grade: int, lists: Sequence[tuple[int, ...]],
-                amp: list, data: list) -> Mode:
+def _table_mode(sig: SpacetimeSignature, grade: int, amp: np.ndarray, data: list) -> Mode:
     """One table row as a ``Mode``."""
     dim = sig.dim
     phase, exp, width, rest = data[0], data[1], data[2], data[3:-1]
-    terms = {idx: c for idx, c in zip(lists, amp) if c != 0}
     mode = object.__new__(Mode)
     mode.__dict__.update(
-        amplitude=Multivector._from_valid(sig, grade, terms), xi=tuple(rest[:dim]), phase=phase,
+        amplitude=Multivector.from_row(sig, grade, amp), xi=tuple(rest[:dim]), phase=phase,
         waveform=WAVE_EXP if exp else WAVE_COS, poly=tuple(int(p) for p in rest[dim:2 * dim]),
         poly_center=tuple(rest[2 * dim:3 * dim]),
         envelope=GaussianEnvelope(tuple(rest[3 * dim:]), width) if width > 0 else None)
@@ -337,9 +326,8 @@ class AnalyticField:
         """The modes as ``Mode`` objects, in table order."""
         if self._modes is None:
             t = self._table
-            lists = self.component_lists()
-            self._modes = tuple(_table_mode(self.signature, self.grade, lists, *row)
-                                for row in zip(t.amp.tolist(), t.data.tolist()))
+            self._modes = tuple(_table_mode(self.signature, self.grade, *row)
+                                for row in zip(t.amp, t.data.tolist()))
         return self._modes
 
     @property
@@ -348,7 +336,7 @@ class AnalyticField:
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
         row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
-        return _dense_multivector(self.signature, self.grade, self._mode_arrays()[0], row)
+        return Multivector.from_row(self.signature, self.grade, row)
 
     def partial_field(self, axis: int) -> "AnalyticField":
         """The exact partial derivative along one axis.
@@ -413,14 +401,11 @@ class AnalyticField:
         """Dense (npoints, ncomp) exact partial along one axis."""
         return self.partial_field(axis).evaluate_components(points)
 
-    def component_lists(self) -> list[tuple[int, ...]]:
-        return list(combinations(range(self.signature.dim), self.grade))
-
     def is_complex(self) -> bool:
         return bool(self._table.amp.dtype == complex or self._table.data[:, _EXP].any())
 
     def _mode_arrays(self) -> tuple:
-        """Component lists, dtype and per-mode kernel arrays, built once per field.
+        """Dtype and per-mode kernel arrays, built once per field.
 
         Each mode gives (dense amplitude row, 2 pi Delta xi, phase, exp flag,
         (axis, exponent, centre) monomial factors, (centre, 2 w^2) or None).
@@ -438,18 +423,18 @@ class AnalyticField:
                                   enumerate(zip(rest[dim:2 * dim], rest[2 * dim:3 * dim])) if p)
                 envelope = (env_centres[m].copy(), 2.0 * rest[-1]) if width > 0 else None
                 arrays.append((rows[m].copy(), slopes[m].copy(), phase, bool(exp), monomials, envelope))
-            self._arrays = (self.component_lists(), dtype, tuple(arrays))
+            self._arrays = (dtype, tuple(arrays))
         return self._arrays
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) evaluation in component_lists order.
+        """Dense (npoints, ncomp) evaluation in ``index_lists`` order.
 
         The one mode kernel: every mode adds its amplitude row times monomial
         x waveform x envelope, evaluated over all points at once.  Modes are
         looped over, not stacked, so memory stays at one column per point.
         """
-        lists, dtype, arrays = self._mode_arrays()
-        out = np.zeros((len(points), len(lists)), dtype=dtype)
+        dtype, arrays = self._mode_arrays()
+        out = np.zeros((len(points), self._table.amp.shape[1]), dtype=dtype)
         for row, slope, phase, is_exp, monomials, envelope in arrays:
             theta = points @ slope + phase
             factor = np.exp(1j * theta) if is_exp else np.cos(theta)
@@ -513,14 +498,12 @@ class AnalyticField:
 
     def map_amplitudes(self, fn, grade: int) -> "AnalyticField":
         """New field with every mode amplitude passed through a linear ``fn``:
-        ``fn`` is called once per unit blade e_a, and an amplitude sum_a c_a e_a
-        maps to sum_a c_a fn(e_a).  An image that is not a grade-``grade``
-        multivector of this signature raises ``ValueError``."""
+        ``fn`` is called once per unit blade e_a (``unit_table``), and an
+        amplitude sum_a c_a e_a maps to sum_a c_a fn(e_a).  An image that is
+        not a grade-``grade`` multivector of this signature raises
+        ``ValueError``."""
         sig = self.signature
-        images = [fn(Multivector.blade(sig, idx)) for idx in sig.index_lists(self.grade)]
-        if not all(isinstance(i, Multivector) and i.signature == sig and i.grade == grade for i in images):
-            raise ValueError(f"map_amplitudes needs grade-{grade} images on {sig}")
-        table = np.array([[image.coeff(idx) for idx in sig.index_lists(grade)] for image in images])
+        table = unit_table(sig, fn, self.grade, grade)
         t = self._table
         with np.errstate(invalid="ignore"):
             # terms only where fn(e_a) has one, so an infinite c_a stays in its components
@@ -547,7 +530,7 @@ def polynomial_field(amplitude: Multivector, exponents: Sequence[int],
 class GridField:
     """Field sampled on a rectangular lattice; central-difference derivatives."""
 
-    __slots__ = ("signature", "grade", "origin", "spacing", "values", "_lists")
+    __slots__ = ("signature", "grade", "origin", "spacing", "values")
 
     def __init__(self, signature: SpacetimeSignature, grade: int,
                  origin: Sequence[float], spacing: Sequence[float], values: np.ndarray):
@@ -559,13 +542,13 @@ class GridField:
             raise ValueError("origin and spacing must have one entry per axis")
         if np.any(self.spacing <= 0):
             raise ValueError("grid spacings must be positive")
-        self._lists = list(combinations(range(signature.dim), grade))
         values = np.asarray(values)
         if np.iscomplexobj(values) and np.any(values.imag != 0):
             raise ValueError("grid values must be real; these have a non-zero imaginary part")
         values = np.asarray(values.real, dtype=float)
-        if values.ndim != signature.dim + 1 or values.shape[-1] != len(self._lists):
-            raise ValueError(f"values must have shape (*sites, {len(self._lists)})")
+        ncomp = math.comb(signature.dim, grade)
+        if values.ndim != signature.dim + 1 or values.shape[-1] != ncomp:
+            raise ValueError(f"values must have shape (*sites, {ncomp})")
         self.values = values
 
     @classmethod
@@ -581,9 +564,6 @@ class GridField:
         dense = source.evaluate_components(points)
         return cls(sig, source.grade, origin, spacing, dense.reshape(*counts, -1))
 
-    def component_lists(self) -> list[tuple[int, ...]]:
-        return list(self._lists)
-
     def _sites(self, points: np.ndarray) -> np.ndarray:
         """Lattice sites of the points; the first point off the lattice or
         outside it raises."""
@@ -598,17 +578,19 @@ class GridField:
         return sites
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) lattice values in component_lists order."""
+        """Dense (npoints, ncomp) lattice values in ``index_lists`` order."""
         points = np.asarray(points, dtype=float)
         return self.values[tuple(self._sites(points).T)]
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
         row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
-        return _dense_multivector(self.signature, self.grade, self._lists, row)
+        return Multivector.from_row(self.signature, self.grade, row)
 
     def partial_components(self, axis: int, points: np.ndarray) -> np.ndarray:
         """Dense (npoints, ncomp) central differences along one axis; the
         first point whose neighbours leave the lattice raises."""
+        if not 0 <= axis < self.signature.dim:
+            raise IndexError(f"axis {axis} out of range")
         sites = self._sites(np.asarray(points, dtype=float))
         bad = (sites[:, axis] < 1) | (sites[:, axis] + 1 >= self.values.shape[axis])
         if bad.any():
@@ -622,19 +604,12 @@ class GridField:
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
-        return _dense_multivector(self.signature, self.grade, self._lists, row)
+        return Multivector.from_row(self.signature, self.grade, row)
 
 
 # ---------------------------------------------------------------------------
 # derivative operators
 # ---------------------------------------------------------------------------
-
-def partial_derivative(f, axis: int, x: Sequence[float]) -> Multivector:
-    """Partial derivative of the field along one axis, exact or central-difference."""
-    if not 0 <= axis < f.signature.dim:
-        raise IndexError(f"axis {axis} out of range")
-    return f.partial_at(axis, x)
-
 
 EXTERIOR = "exterior"
 INTERIOR = "interior"
@@ -643,21 +618,15 @@ INTERIOR = "interior"
 @lru_cache(maxsize=None)
 def _derivative_table(sig: SpacetimeSignature, grade: int, kind: str) -> np.ndarray:
     """``T[i, a, b]``: component b of Delta_ii e_i wedge (exterior) or
-    Delta_ii e_i interior (interior) unit blade a, filled by the public
-    ``wedge``/``left_interior``; blades in ``index_lists`` order.
+    Delta_ii e_i interior (interior) unit blade a, the ``unit_table`` of the
+    public ``wedge``/``left_interior``.
 
     By linearity the derivative of a field with partial rows P_i is
     sum_i P_i @ T[i].  Shape (dim, ncomp(grade), ncomp(grade +- 1)).
     """
     product, out_grade = (wedge, grade + 1) if kind == EXTERIOR else (left_interior, grade - 1)
-    units = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade)]
-    slot = {idx: b for b, idx in enumerate(sig.index_lists(out_grade))}
-    table = np.zeros((sig.dim, len(units), len(slot)))
-    for i in sig.axes():
-        basis = Multivector.blade(sig, (i,), sig.metric(i))
-        for a, unit in enumerate(units):
-            for idx, c in product(basis, unit).terms.items():
-                table[i, a, slot[idx]] = c
+    bases = [Multivector.blade(sig, (i,), sig.metric(i)) for i in sig.axes()]
+    table = np.stack([unit_table(sig, partial(product, basis), grade, out_grade) for basis in bases])
     # cached and shared by every caller
     table.flags.writeable = False
     return table
@@ -712,7 +681,7 @@ def _derivative_at(f, kind: str, x: Sequence[float], axes: Iterable[int] | None 
     if grade is None:
         return Multivector.zero(sig, 0)
     row = _derivative_rows(f, kind, as_point(sig, x)[None, :], axes, slopes)[0]
-    return _dense_multivector(sig, grade, list(sig.index_lists(grade)), row)
+    return Multivector.from_row(sig, grade, row)
 
 
 def exterior_derivative(f, x: Sequence[float]) -> Multivector:

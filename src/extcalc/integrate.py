@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Mapping
 
 import numpy as np
@@ -151,7 +150,7 @@ def _integrate(rows, box: HypersurfaceBox, points: int, panels: int) -> list:
 
 def _integrated_field(f, box: HypersurfaceBox, points: int, panels: int) -> Multivector:
     total = _integrate(f.evaluate_components, box, points, panels)
-    return Multivector(box.signature, f.grade, zip(f.component_lists(), total))
+    return Multivector.from_row(box.signature, f.grade, total)
 
 
 def circulation(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: int = 1) -> complex:
@@ -204,10 +203,9 @@ def bitensor_stokes_check(tf, box: HypersurfaceBox, points: int = DEFAULT_POINTS
     sig = box.signature
     if box.dim != sig.dim:
         raise GradeError("bitensor Stokes check requires a full-dimensional box")
-    pairs = list(combinations_with_replacement(sig.axes(), 2))
     lhs = Multivector.zero(sig, 1)
     for face in box.boundary_faces():
-        tensor = Bitensor(sig, zip(pairs, _integrate(tf.evaluate_components, face, points, panels)))
+        tensor = Bitensor.from_row(sig, _integrate(tf.evaluate_components, face, points, panels))
         lhs = lhs + vec_interior_bitensor(inv_hodge(face.element_blade()), tensor)
     # inverse Hodge of the full-volume blade is the scalar orientation
     rhs = Multivector.vector(sig, _integrate(tf.divergence_components, box, points, panels)) \

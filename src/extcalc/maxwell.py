@@ -304,8 +304,7 @@ def residuals_to_classical(inhom, hom) -> dict:
     rows give per-point arrays.
     """
     if isinstance(inhom, Multivector):
-        inhom, hom = (np.array([mv.coeff(idx) for idx in MINKOWSKI.index_lists(mv.grade)])
-                      for mv in (inhom, hom))
+        inhom, hom = inhom.row(), hom.row()
     # hom columns: e_012, e_013, e_023, e_123
     return {"gauss": inhom[..., 0],
             "faraday": np.stack([-hom[..., 2], hom[..., 1], -hom[..., 0]], axis=-1),

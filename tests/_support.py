@@ -512,7 +512,7 @@ def _reference_amplitude(a_hat, xi_plus: Multivector, grade: int) -> Multivector
     """The array spectrum at one node, as a multivector."""
     sig = xi_plus.signature
     row = np.asarray(a_hat(np.array([xi_plus.vector_components()], dtype=float)))[0]
-    return Multivector(sig, grade, zip(sig.index_lists(grade), row.tolist()))
+    return Multivector.from_row(sig, grade, row)
 
 
 def reference_flux_T_fourier(a_hat, axis: int, region, sig: SpacetimeSignature, grade: int,

@@ -19,6 +19,7 @@ from extcalc.algebra import (
     odot,
     owedge,
     right_interior,
+    unit_table,
     vec_interior_bitensor,
     verify_identities,
     wedge,
@@ -275,6 +276,36 @@ def test_cross_matches_classical():
         got = cross(u, v).vector_components()
         expected = np.cross(a, b)
         assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dense rows and unit-blade tables
+# ---------------------------------------------------------------------------
+
+def test_dense_rows_round_trip():
+    sig = SpacetimeSignature(1, 2)
+    mv = Multivector(sig, 2, {(0, 2): 3, (1, 2): -0.5})
+    # index_lists(2): e_01, e_02, e_12
+    assert mv.row().tolist() == [0, 3, -0.5]
+    assert Multivector.from_row(sig, 2, mv.row()) == mv
+    assert Multivector.from_row(sig, 2, [0.0, 0.0, 0.0]) == Multivector.zero(sig, 2)
+    t = Bitensor(sig, {(0, 0): 1.5, (2, 1): -2.0})
+    # pairs (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)
+    assert t.row().tolist() == [1.5, 0, 0, 0, -2.0, 0]
+    assert Bitensor.from_row(sig, t.row()) == t
+
+
+def test_unit_table_tabulates_a_linear_map_and_checks_its_images():
+    sig = SpacetimeSignature(1, 2)
+    e0 = Multivector.blade(sig, (0,))
+    # e_0 ^ e_0 = 0, e_0 ^ e_1 = e_01, e_0 ^ e_2 = e_02
+    table = unit_table(sig, lambda u: wedge(e0, u), 1, 2)
+    assert table.dtype == float and table.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert unit_table(sig, lambda u: 1j * u, 1, 1).tolist() == (1j * np.eye(3)).tolist()
+    with pytest.raises(ValueError, match="grade-1 images"):
+        unit_table(sig, lambda u: wedge(e0, u), 1, 1)
+    with pytest.raises(ValueError, match="grade-1 images"):
+        unit_table(sig, lambda u: Multivector.zero(EUC3, 1), 1, 1)
 
 
 # ---------------------------------------------------------------------------

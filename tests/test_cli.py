@@ -521,6 +521,56 @@ def test_mismatched_grid_source_exits_2(capsys, tmp_path):
     assert_usage_error(*run(capsys, "maxwell-check", "--config", str(path)))
 
 
+def test_fourier_check_skips_a_grid_backed_source(capsys, tmp_path):
+    # a sampled source has no modes, yet it is a source: the source-free
+    # algebra does not apply, as for the same source given as modes
+    from extcalc.fields import GridField, interior_derivative_field, plane_wave
+    from extcalc.serialize import canonical_dumps, field_to_json
+
+    sig = SpacetimeSignature(0, 2)
+    f_field = plane_wave(Multivector.blade(sig, (0, 1)), (0.3, 0.2))
+    j_field = interior_derivative_field(f_field)
+    for source in (GridField.sample(j_field, (-1.0, -1.0), (0.25, 0.25), (9, 9)), j_field):
+        scenario = {"signature": {"k": 0, "n": 2}, "r": 2, "F": field_to_json(f_field),
+                    "J": field_to_json(source), "A": None, "checks": ["fourier"],
+                    "sample_points": 5, "seed": 3, "tol": 1e-8}
+        path = tmp_path / "fourier.json"
+        path.write_text(canonical_dumps(scenario))
+        code, out, _ = run(capsys, "maxwell-check", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["checks"]["fourier"] == {
+            "skipped": "algebraic source-free check needs a source-free scenario"}
+
+
+def test_gauge_check_compares_a_grid_backed_potential_with_the_field(capsys, tmp_path):
+    # dA - F from A's central differences: 7 times the potential of F fails,
+    # and the potential itself leaves only the central-difference error
+    from extcalc.fields import GridField, exterior_derivative_field, plane_wave
+    from extcalc.serialize import canonical_dumps, field_to_json
+
+    sig = SpacetimeSignature(1, 2)
+    potential = plane_wave(Multivector.blade(sig, (2,)), (0.25, 0.25, 0.0))
+
+    def grid(field):
+        return field_to_json(GridField.sample(field, (-1.0,) * 3, (0.25,) * 3, (9,) * 3))
+
+    codes, consistency = [], []
+    for scale in (7, 1):
+        scenario = {"signature": {"k": 1, "n": 2}, "r": 2,
+                    "F": grid(exterior_derivative_field(potential)), "J": None,
+                    "A": grid(scale * potential), "checks": ["gauge"], "sample_points": 10,
+                    "seed": 2, "tol": 1e-2}
+        path = tmp_path / "gauge.json"
+        path.write_text(canonical_dumps(scenario))
+        code, out, _ = run(capsys, "maxwell-check", "--config", str(path))
+        report = json.loads(out)
+        codes.append(code)
+        consistency.append(report["checks"]["gauge"]["potential_consistency_max"])
+        assert report["max_residual"] == consistency[-1]
+    wrong, right = consistency
+    assert codes[0] == 1 and wrong > 5.0 and 0.0 < right < 0.1
+
+
 def test_grid_field_in_an_integral_check_exits_2(capsys, tmp_path):
     # quadrature nodes are off the lattice, so the batched lattice read fails closed
     from extcalc.fields import GridField, exterior_derivative_field, plane_wave

@@ -20,7 +20,6 @@ from extcalc.fields import (
     interior_derivative,
     interior_derivative_components,
     interior_derivative_field,
-    partial_derivative,
     plane_wave,
     polynomial_field,
 )
@@ -68,22 +67,22 @@ def random_cos_field(sig, grade, rng, nmodes=2):
 def test_partial_of_constant_is_zero():
     f = constant_field(Multivector.blade(EUC3, (0, 1), 2.5))
     for axis in range(3):
-        assert partial_derivative(f, axis, (0.3, -0.2, 1.0)).is_zero()
+        assert f.partial_at(axis, (0.3, -0.2, 1.0)).is_zero()
 
 
 def test_partial_cos_mode_examples():
     # cos(2 pi x_1) carried by e_2 (space axis, metric +1)
     f = plane_wave(Multivector.blade(EUC3, (2,)), xi=(0.0, 1.0, 0.0))
-    at_peak = partial_derivative(f, 1, (0.0, 0.0, 0.0))
+    at_peak = f.partial_at(1, (0.0, 0.0, 0.0))
     assert at_peak.is_zero(1e-15)
-    at_quarter = partial_derivative(f, 1, (0.0, 0.25, 0.0))
+    at_quarter = f.partial_at(1, (0.0, 0.25, 0.0))
     assert at_quarter.coeff((2,)) == pytest.approx(-2.0 * math.pi, abs=1e-12)
 
 
 def test_metric_pairing_in_phase():
     # on a time axis the phase gradient carries the metric sign
     f = plane_wave(Multivector.blade(MINK, (1,)), xi=(1.0, 0.0, 0.0, 0.0))
-    d0 = partial_derivative(f, 0, (0.25, 0.0, 0.0, 0.0))
+    d0 = f.partial_at(0, (0.25, 0.0, 0.0, 0.0))
     # theta = -2 pi t, derivative of cos at theta = -pi/2 is -sin * (-2 pi) = -2 pi... sign check:
     # d/dt cos(-2 pi t) = 2 pi sin(-2 pi t); at t = 0.25 this is 2 pi sin(-pi/2) = -2 pi
     assert d0.coeff((1,)) == pytest.approx(-2.0 * math.pi, abs=1e-12)
@@ -103,7 +102,7 @@ def test_partial_matches_finite_difference_for_envelope():
             xp[axis] += h
             xm[axis] -= h
             fd = (f.evaluate(xp).coeff((0,)) - f.evaluate(xm).coeff((0,))) / (2 * h)
-            exact = partial_derivative(f, axis, x).coeff((0,))
+            exact = f.partial_at(axis, x).coeff((0,))
             assert exact == pytest.approx(fd, abs=5e-7)
 
 
@@ -112,7 +111,7 @@ def test_evaluate_components_matches_pointwise():
     f = random_cos_field(MINK, 2, rng)
     points = rng.uniform(-1, 1, size=(11, 4))
     dense = f.evaluate_components(points)
-    lists = f.component_lists()
+    lists = list(MINK.index_lists(2))
     for p, x in enumerate(points):
         mv = f.evaluate(x)
         for pos, idx in enumerate(lists):
@@ -146,7 +145,7 @@ def test_mode_kernel_matches_reference(k, n, grade):
     f = mixed_mode_field(sig, grade, rng)
     assert {m.waveform for m in f.modes} == {"cos", "exp"}
     points = rng.uniform(-1, 1, size=(7, sig.dim))
-    lists = f.component_lists()
+    lists = list(sig.index_lists(grade))
     for field in [f] + [f.partial_field(axis) for axis in sig.axes()]:
         dense = field.evaluate_components(points)
         for p, x in enumerate(points):
@@ -173,7 +172,7 @@ def test_exterior_derivative_matches_classical_curl():
     v = random_polynomial_field(EUC3, 1, rng)
     for _ in range(5):
         x = rng.uniform(-1, 1, 3)
-        dv = {(i, j): partial_derivative(v, i, x).coeff((j,)) for i in range(3) for j in range(3)}
+        dv = {(i, j): v.partial_at(i, x).coeff((j,)) for i in range(3) for j in range(3)}
         curl = (dv[(1, 2)] - dv[(2, 1)], dv[(2, 0)] - dv[(0, 2)], dv[(0, 1)] - dv[(1, 0)])
         got = inv_hodge(exterior_derivative(v, x)).vector_components()
         assert max(abs(g - c) for g, c in zip(got, curl)) < 1e-10
@@ -184,7 +183,7 @@ def test_interior_derivative_matches_classical_divergence():
     v = random_polynomial_field(EUC3, 1, rng)
     for _ in range(5):
         x = rng.uniform(-1, 1, 3)
-        div = sum(partial_derivative(v, i, x).coeff((i,)) for i in range(3))
+        div = sum(v.partial_at(i, x).coeff((i,)) for i in range(3))
         got = interior_derivative(v, x).scalar_value()
         assert got == pytest.approx(div, abs=1e-10)
 
@@ -411,20 +410,20 @@ def test_grid_evaluate_and_errors():
     with pytest.raises(FieldDomainError,
                        match=r"axis 0 neighbours of site \(0, 2, 2\) fall outside the lattice"):
         grid.partial_components(0, np.array([x, (-0.5, 0.0, 0.0), (0.5, 0.0, 0.0)]))
-    # batched lattice reads: row by row equal to evaluate, in component_lists order
+    # batched lattice reads: row by row equal to evaluate, in index_lists order
+    lists = [(0,), (1,), (2,)]
     sites = np.array([[-0.5, -0.5, -0.5], [0.5, 0.25, -0.25], x, [0.0, 0.5, 0.0]])
     rows = grid.evaluate_components(sites)
-    assert rows.shape == (4, 3) and grid.component_lists() == [(0,), (1,), (2,)]
+    assert rows.shape == (4, 3)
     for point, row in zip(sites, rows):
-        assert row.tolist() == [grid.evaluate(point).coeff(idx) for idx in grid.component_lists()]
+        assert row.tolist() == [grid.evaluate(point).coeff(idx) for idx in lists]
     # batched central differences: row by row equal to partial_at on interior sites
     inner = np.array([x, [0.25, -0.25, 0.0], [0.0, 0.25, 0.25]])
     for axis in range(3):
         slopes = grid.partial_components(axis, inner)
         assert slopes.shape == (3, 3)
         for point, row in zip(inner, slopes):
-            assert row.tolist() == [grid.partial_at(axis, point).coeff(idx)
-                                    for idx in grid.component_lists()]
+            assert row.tolist() == [grid.partial_at(axis, point).coeff(idx) for idx in lists]
     # the first bad point raises, off the lattice or out of range
     with pytest.raises(FieldDomainError, match=r"\[0\.1, 0\.0, 0\.0\] is not on the sampling lattice"):
         grid.evaluate_components(np.array([x, (0.1, 0.0, 0.0), (2.0, 0.0, 0.0)]))
@@ -445,6 +444,19 @@ def test_grid_rejects_imaginary_parts():
     wave = plane_wave(Multivector.blade(EUC3, (0,)), xi=(0.3, 0.0, 0.0), waveform="exp")
     with pytest.raises(ValueError, match="imaginary"):
         GridField.sample(wave, origin=(0.0, 0.0, 0.0), spacing=(0.25, 0.25, 0.25), counts=(3, 3, 3))
+
+
+def test_grid_partial_rejects_an_axis_out_of_range():
+    # the axis is checked against the dimension, not the component count
+    grid = GridField.sample(constant_field(Multivector.blade(MINK, (0, 1))), origin=(0.0,) * 4,
+                            spacing=(0.5,) * 4, counts=(3,) * 4)
+    x = (0.5, 0.5, 0.5, 0.5)
+    assert grid.partial_components(3, np.array([x])).shape == (1, 6)
+    for axis in (-1, 4):
+        with pytest.raises(IndexError, match=f"axis {axis} out of range"):
+            grid.partial_components(axis, np.array([x]))
+        with pytest.raises(IndexError, match=f"axis {axis} out of range"):
+            grid.partial_at(axis, x)
 
 
 def test_grid_central_difference_second_order():

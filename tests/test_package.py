@@ -1,0 +1,39 @@
+"""The package surface: its public names and the README's library example."""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from extcalc import algebra, energy, fields, integrate, maxwell, serialize
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = (algebra, energy, fields, integrate, maxwell, serialize)
+
+
+def test_public_names_are_the_module_all_lists():
+    # a fresh interpreter, so that no submodule imported by another test
+    # (such as extcalc.cli) counts as a package name
+    code = ("import extcalc; print(*sorted(n for n in dir(extcalc) "
+            "if not n.startswith('__') or n == '__version__'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    names = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           check=True).stdout.split()
+    declared = [name for module in MODULES for name in module.__all__]
+    # each name is declared once, in the module that defines it
+    assert len(declared) == len(set(declared))
+    submodules = [module.__name__.rsplit(".", 1)[1] for module in MODULES]
+    assert sorted(names) == sorted(declared + submodules + ["__version__"])
+
+
+def test_readme_library_example_runs_verbatim():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert text.count("```python\n") == 1
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    # 2 pi^2 twice: the energy density of a null wave equals its flux
+    assert out.getvalue() == "19.739208802178716 19.739208802178716\n"
