@@ -253,6 +253,8 @@ def _check_integral(system: MaxwellSystem, rng: np.random.Generator, quad_points
 def _check_fourier(system: MaxwellSystem) -> dict:
     if not isinstance(system.F, AnalyticField):
         return {"skipped": "grid-backed fields have no mode data"}
+    if any(any(mode.poly) or mode.envelope is not None for mode in system.F.modes):
+        return {"skipped": "plane-wave algebra needs modes without monomial or envelope factors"}
     # a grid-backed source has no modes either, but it is a source
     if not (isinstance(system.J, AnalyticField) and system.J.mode_count == 0):
         return {"skipped": "algebraic source-free check needs a source-free scenario"}
@@ -301,6 +303,11 @@ def cmd_maxwell_check(args) -> int:
 
     residuals = [value for block in checks.values() for key, value in block.items()
                  if isinstance(value, (int, float))]
+    if not residuals:
+        # every requested check skipped: nothing was verified, so no verdict
+        reasons = "; ".join(f"{name}: {block.get('skipped', 'no residual')}"
+                            for name, block in checks.items())
+        raise ScenarioError(f"no requested check produced a residual ({reasons})")
     worst = _worst(residuals)
     report = {**_header("maxwell-check", scenario), "sample_points": scenario.sample_points,
               "checks": checks, "max_residual": worst, "passed": worst <= scenario.tol}
@@ -381,13 +388,18 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
 
         return a_hat
     if kind == "spatial-transverse":
-        if r != 2 or sig.k != 1 or sig.n != 2 or axis != 0:
-            raise ScenarioError(
-                "spatial-transverse spectrum requires grade 2 on a (1,2) space-time with axis 0")
+        if r != 2 or sig.k != 1 or sig.n < 2 or axis != 0:
+            raise ScenarioError("spatial-transverse spectrum requires grade 2 on a (1,n) "
+                                "space-time with n >= 2 and axis 0")
 
         def a_hat(xi_plus):
+            # h(xi) (0, -xi_2, xi_1, 0, ...) = h(xi) xi_bar interior (-e_12), so
+            # xi_bar interior A_hat = 0: the Lorenz condition holds by construction
             h = bump(xi_plus)
-            return np.stack([np.zeros_like(h), -xi_plus[:, 2] * h, xi_plus[:, 1] * h], axis=1)
+            rows = np.zeros((len(h), sig.dim))
+            rows[:, 1] = -xi_plus[:, 2] * h
+            rows[:, 2] = xi_plus[:, 1] * h
+            return rows
 
         return a_hat
     raise ScenarioError(f"unknown spectrum kind {kind!r}")

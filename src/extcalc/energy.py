@@ -47,6 +47,8 @@ from .fields import (
     EXTERIOR,
     INTERIOR,
     AnalyticField,
+    _ENV,
+    _WIDTH,
     _cosine_field,
     _derivative_at,
     _derivative_table,
@@ -79,6 +81,9 @@ __all__ = [
 CHI_EPS = 1e-8
 # modes per row block of the slice-flux Gram accumulation
 _GRAM_BLOCK = 16
+# cells of the distinct-key grid per mode up to which the slice flux sums
+# the modes into that grid
+_KRONECKER_CELLS = 4
 
 
 class GaugeViolation(ValueError):
@@ -371,48 +376,73 @@ def _axis_sign(sig: SpacetimeSignature, axis: int) -> int:
     return _sign_tables(sig).lookup("w")[(axis,)][comp][1]
 
 
-def _envelope_bounds(field, axis: int, cutoff: float = 1e-12) -> dict[int, tuple[float, float]]:
-    envelopes = []
-    for mode in field.modes:
-        if mode.envelope is None:
-            raise ValueError(
-                "flux_T_direct needs a decaying field: every mode must carry a Gaussian "
-                "envelope, or explicit bounds must be supplied")
-        envelopes.append(mode.envelope)
-    if not envelopes:
+def _envelope_bounds(field: AnalyticField, axis: int, cutoff: float = 1e-12) -> dict[int, tuple[float, float]]:
+    """Per free axis, the span of every mode's envelope out to its
+    ``GaussianEnvelope.truncation_radius``, read from the mode table."""
+    t = field._table
+    width = t.data[:, _WIDTH]
+    if not len(width):
         raise ValueError("flux_T_direct of an empty field needs explicit bounds")
-    bounds = {}
-    for a in field.signature.axes():
-        if a == axis:
-            continue
-        lo = min(e.center[a] - e.truncation_radius(cutoff) for e in envelopes)
-        hi = max(e.center[a] + e.truncation_radius(cutoff) for e in envelopes)
-        bounds[a] = (lo, hi)
-    return bounds
+    if not np.all(width > 0):
+        raise ValueError(
+            "flux_T_direct needs a decaying field: every mode must carry a Gaussian "
+            "envelope, or explicit bounds must be supplied")
+    radius = width * math.sqrt(2.0 * math.log(1.0 / cutoff))
+    centres = t.block(_ENV)
+    return {a: (float((centres[:, a] - radius).min()), float((centres[:, a] + radius).max()))
+            for a in field.signature.axes() if a != axis}
 
 
-def _slice_moments(rows: np.ndarray, const: np.ndarray, axes) -> np.ndarray:
+def _slice_moments(rows: np.ndarray, const: np.ndarray, grams) -> np.ndarray:
     """Q[p, q] = sum over the slice nodes of w F_p F_q, from per-axis Grams.
 
-    F = sum_m rows[m] Re(c_m prod_a E_a[m]) on the tensor-product rule whose
-    per-axis (factors E_a, weights w_a) pairs are ``axes``.  With
-    Re(u) Re(v) = Re(u v + u conj(v)) / 2 and the weight a product over axes,
-    each pair of modes integrates to
-    Re(c_m c_n prod_a G+_a[m, n] + conj(c_m) c_n prod_a conj(G-_a[m, n])) / 2
-    with G+_a = (E_a w_a) E_a^T and conj(G-_a) = conj(E_a w_a) E_a^T.  Rows
-    of modes are taken ``_GRAM_BLOCK`` at a time, so memory stays at one
-    block times the mode count.
+    F = sum_m rows[m] Re(c_m prod_a E_a[inverse_a[m]]) on the tensor-product
+    rule whose per-axis distinct factor rows E_a and weights w_a give the
+    ``grams`` (G+_a, conj(G-_a), inverse_a), with G+_a = (E_a w_a) E_a^T and
+    conj(G-_a) = conj(E_a w_a) E_a^T.  With Re(u) Re(v) = Re(u v + u conj(v))
+    / 2 and the weight a product over axes, each pair of modes integrates to
+    Re(c_m c_n prod_a G+_a[m', n'] + conj(c_m) c_n prod_a conj(G-_a[m', n'])) / 2,
+    where m' = inverse_a[m] and n' = inverse_a[n].
+
+    When the grid of distinct keys has at most ``_KRONECKER_CELLS`` cells per
+    mode, the modes are summed into it and the pair sum is the Kronecker
+    contraction ``_kronecker_moments``; otherwise ``_blocked_moments`` sums
+    the pairs directly.
     """
+    shape = tuple(len(plus) for plus, _, _ in grams)
+    if math.prod(shape) <= _KRONECKER_CELLS * len(rows):
+        return _kronecker_moments(rows, const, grams, shape)
+    return _blocked_moments(rows, const, grams)
+
+
+def _kronecker_moments(rows: np.ndarray, const: np.ndarray, grams, shape: tuple) -> np.ndarray:
+    """The pair sum over the (u_1 x ... x u_d x ncomp) grid C of c_m rows[m]
+    scattered on each mode's distinct keys: each axis's Gram is applied along
+    its grid axis, and Q = Re(C^T (G+ C) + C^H (conj(G-) C)) / 2."""
+    ncomp = rows.shape[1]
+    cells = np.zeros((math.prod(shape), ncomp), dtype=complex)
+    np.add.at(cells, np.ravel_multi_index([inverse for *_, inverse in grams], shape),
+              const[:, None] * rows)
+    plus = minus = cells.reshape(*shape, ncomp)
+    for i, (gram_plus, gram_minus, _) in enumerate(grams):
+        plus = np.moveaxis(np.tensordot(gram_plus, plus, axes=(1, i)), 0, i)
+        minus = np.moveaxis(np.tensordot(gram_minus, minus, axes=(1, i)), 0, i)
+    return 0.5 * (cells.T @ plus.reshape(-1, ncomp) + cells.conj().T @ minus.reshape(-1, ncomp)).real
+
+
+def _blocked_moments(rows: np.ndarray, const: np.ndarray, grams) -> np.ndarray:
+    """The pair sum over every pair of modes, with each axis's Grams gathered
+    onto the modes; rows of modes are taken ``_GRAM_BLOCK`` at a time, so
+    memory stays at one block times the mode count."""
     nmodes, ncomp = rows.shape
     moments = np.zeros((ncomp, ncomp))
     for lo in range(0, nmodes, _GRAM_BLOCK):
         blk = slice(lo, lo + _GRAM_BLOCK)
         plus = np.ones((len(const[blk]), nmodes), dtype=complex)
         minus = np.ones_like(plus)
-        for factors, weights in axes:
-            left = factors[blk] * weights
-            plus *= left @ factors.T
-            minus *= left.conj() @ factors.T
+        for gram_plus, gram_minus, inverse in grams:
+            plus *= gram_plus[inverse[blk, None], inverse]
+            minus *= gram_minus[inverse[blk, None], inverse]
         pair = 0.5 * (const * (const[blk, None] * plus + const[blk, None].conj() * minus)).real
         moments += rows[blk].T @ (pair @ rows)
     return moments
@@ -429,11 +459,13 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
     column is quadratic in the field, so the rule is applied once to every
     component product, Q[p, q] = sum w F_p F_q, and the ``_stress_tables``
     triples of ``stress_tensor_explicit`` are applied to Q.  Every mode is a
-    product of one-axis factors, so Q is a per-axis Gram contraction of the
-    field's mode data (``AnalyticField.axis_factors``), not a node-by-node
-    evaluation.  The field must be analytic and real (cosine modes, real
-    amplitudes).  Bounds default to the envelope truncation radii and must be
-    given explicitly for fields without envelopes.
+    product of one-axis factors, so Q is a contraction of per-axis Grams of
+    the distinct factor rows (``AnalyticField.axis_factors``), not a
+    node-by-node evaluation; when modes share their keys, as synthesized
+    modes on a grid of cone nodes do, it is a Kronecker product of those
+    Grams (``_slice_moments``).  The field must be analytic and real (cosine
+    modes, real amplitudes).  Bounds default to the envelope truncation radii
+    and must be given explicitly for fields without envelopes.
     """
     sig = f_field.signature
     if not isinstance(f_field, AnalyticField):
@@ -450,7 +482,12 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
              for a in slice_box.free_axes}
     rows, const, factors = f_field.axis_factors(slice_box.fixed,
                                                 {a: nodes for a, (nodes, _) in rules.items()})
-    moments = _slice_moments(rows, const, [(factors[a], rules[a][1]) for a in slice_box.free_axes])
+    grams = []
+    for a in slice_box.free_axes:
+        distinct, inverse = factors[a]
+        left = distinct * rules[a][1]
+        grams.append((left @ distinct.T, left.conj() @ distinct.T, inverse))
+    moments = _slice_moments(rows, const, grams)
     sign = _axis_sign(sig, axis)
     tables = _stress_tables(sig, f_field.grade)
     out = {}

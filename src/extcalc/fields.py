@@ -274,6 +274,65 @@ def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.n
     return AnalyticField._from_table(sig, grade, table)
 
 
+# points x modes entries per work array of ``evaluate_components``
+_KERNEL_ENTRIES = 1 << 16
+
+
+class _Kernel(NamedTuple):
+    """A field's mode kernel as stacked arrays: the dtype, the (M, ncomp)
+    amplitude rows, the (dim, M) phase slopes 2 pi Delta xi, the (M,) phases,
+    the ``_columns`` of the exponential modes, the monomials' (dim, M)
+    exponents and centres, and the envelopes' (columns, (E, dim) centres,
+    2 w^2); None where no mode has that factor."""
+
+    dtype: type
+    rows: np.ndarray
+    slopes: np.ndarray
+    phase: np.ndarray
+    exp: np.ndarray | slice | None
+    monomial: tuple | None
+    envelope: tuple | None
+
+
+def _columns(flags: np.ndarray):
+    """The modes whose flag is nonzero: None for none, a full slice for all
+    (no gather needed), else their indices."""
+    count = np.count_nonzero(flags)
+    if not count:
+        return None
+    return slice(None) if count == len(flags) else np.flatnonzero(flags)
+
+
+def _kernel_rows(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
+    """The (len(x), ncomp) rows of ``AnalyticField.evaluate_components`` at
+    one chunk of points."""
+    theta = x @ kernel.slopes + kernel.phase
+    factor = np.cos(theta).astype(kernel.dtype, copy=False)
+    if kernel.exp is not None:
+        factor[:, kernel.exp] = np.exp(1j * theta[:, kernel.exp])
+    if kernel.monomial is not None:
+        powers, centres = kernel.monomial
+        factor *= np.prod((x[:, :, None] - centres) ** powers, axis=1)
+    if kernel.envelope is not None:
+        hit, centre, two_w2 = kernel.envelope
+        d = x[:, None, :] - centre
+        factor[:, hit] *= np.exp(-(d * d).sum(axis=2) / two_w2)
+    return factor @ kernel.rows
+
+
+def _factor_rows(sig: SpacetimeSignature, axis: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(len(keys), len(x)) factors exp(j s x) (x - c)^p exp(-(x - e)^2 / 2 w^2)
+    along one axis, one row per ``AnalyticField._axis_keys`` row."""
+    xi, power, centre, width, env, w2 = keys.T
+    out = np.exp(1j * np.multiply.outer(2.0 * math.pi * sig.metric(axis) * xi, x))
+    for p in np.unique(power[power > 0]).tolist():
+        hit = power == p
+        out[hit] *= (x - centre[hit, None]) ** int(p)
+    has_env = width > 0
+    out[has_env] *= np.exp(-(x - env[has_env, None]) ** 2 / (2.0 * w2[has_env, None]))
+    return out
+
+
 def _table_mode(sig: SpacetimeSignature, grade: int, amp: np.ndarray, data: list) -> Mode:
     """One table row as a ``Mode``."""
     dim = sig.dim
@@ -312,7 +371,7 @@ class AnalyticField:
         self._table = table
         self._modes: tuple[Mode, ...] | None = None
         self._partials: dict[int, AnalyticField] = {}
-        self._arrays: tuple | None = None
+        self._arrays: _Kernel | None = None
 
     @classmethod
     def _from_table(cls, signature: SpacetimeSignature, grade: int, table: _ModeTable,
@@ -404,81 +463,74 @@ class AnalyticField:
     def is_complex(self) -> bool:
         return bool(self._table.amp.dtype == complex or self._table.data[:, _EXP].any())
 
-    def _mode_arrays(self) -> tuple:
-        """Dtype and per-mode kernel arrays, built once per field.
-
-        Each mode gives (dense amplitude row, 2 pi Delta xi, phase, exp flag,
-        (axis, exponent, centre) monomial factors, (centre, 2 w^2) or None).
-        """
+    def _mode_arrays(self) -> _Kernel:
+        """The mode kernel's stacked arrays, built once per field."""
         if self._arrays is None:
             sig, t = self.signature, self._table
+            data = t.data
             dtype = complex if self.is_complex() else float
-            rows = t.amp.astype(dtype, copy=False)
-            slopes = 2.0 * math.pi * _metric(sig) * t.block(_XI)
-            env_centres = t.block(_ENV)
-            arrays = []
-            for m, (phase, exp, width, *rest) in enumerate(t.data.tolist()):
-                dim = sig.dim
-                monomials = tuple((i, int(p), c) for i, (p, c) in
-                                  enumerate(zip(rest[dim:2 * dim], rest[2 * dim:3 * dim])) if p)
-                envelope = (env_centres[m].copy(), 2.0 * rest[-1]) if width > 0 else None
-                arrays.append((rows[m].copy(), slopes[m].copy(), phase, bool(exp), monomials, envelope))
-            self._arrays = (dtype, tuple(arrays))
+            poly = t.block(_POLY)
+            env = _columns(data[:, _WIDTH])
+            self._arrays = _Kernel(
+                dtype, t.amp.astype(dtype),
+                (2.0 * math.pi * _metric(sig) * t.block(_XI)).T,
+                data[:, _PHASE].copy(), _columns(data[:, _EXP]),
+                (poly.T.copy(), t.block(_CENTRE).T.copy()) if np.count_nonzero(poly) else None,
+                None if env is None else (env, t.block(_ENV)[env], 2.0 * data[env, -1]))
         return self._arrays
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
         """Dense (npoints, ncomp) evaluation in ``index_lists`` order.
 
-        The one mode kernel: every mode adds its amplitude row times monomial
-        x waveform x envelope, evaluated over all points at once.  Modes are
-        looped over, not stacked, so memory stays at one column per point.
+        The one mode kernel, over all modes at once: theta = points @ slopes
+        + phase gives the (npoints, nmodes) waveform factors (cos, or exp(j
+        theta) in the exponential columns), the monomial and envelope factors
+        multiply in column-wise, and the result is factor @ amplitude rows.
+        Points go through in chunks, so the work array stays near
+        ``_KERNEL_ENTRIES`` entries however many modes and points there are.
         """
-        dtype, arrays = self._mode_arrays()
-        out = np.zeros((len(points), self._table.amp.shape[1]), dtype=dtype)
-        for row, slope, phase, is_exp, monomials, envelope in arrays:
-            theta = points @ slope + phase
-            factor = np.exp(1j * theta) if is_exp else np.cos(theta)
-            for axis, power, centre in monomials:
-                factor *= (points[:, axis] - centre) ** power
-            if envelope is not None:
-                centre, two_w2 = envelope
-                d = points - centre
-                factor *= np.exp(-np.einsum("pi,pi->p", d, d) / two_w2)
-            out += np.outer(factor, row)
-        return out
+        kernel = self._mode_arrays()
+        step = max(1, _KERNEL_ENTRIES // max(1, len(kernel.rows)))
+        chunks = [_kernel_rows(kernel, points[lo:lo + step])
+                  for lo in range(0, max(1, len(points)), step)]
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+    def _axis_keys(self, axis: int) -> np.ndarray:
+        """(nmodes, 6) columns that fix each mode's factor along one axis: xi,
+        monomial exponent and centre (0 without a monomial on the axis),
+        envelope width (0 without one), envelope centre and w^2."""
+        t = self._table
+        data = t.data
+        power = data[:, t.column(_POLY, axis)]
+        centre = np.where(power > 0, data[:, t.column(_CENTRE, axis)], 0.0)
+        return np.stack([data[:, t.column(_XI, axis)], power, centre, data[:, _WIDTH],
+                         data[:, t.column(_ENV, axis)], data[:, -1]], axis=1)
 
     def axis_factors(self, fixed: Mapping[int, float], nodes: Mapping[int, np.ndarray]):
         """The mode kernel split over axes, for a tensor-product point set.
 
         Returns the (nmodes, ncomp) amplitude rows, a per-mode complex
-        constant c, and for each axis a in ``nodes`` the (nmodes, len(nodes[a]))
-        factors E_a[m] = exp(j s_ma x) (x - c_ma)^p_ma exp(-(x - e_ma)^2 / 2 w_m^2)
-        of mode m's slope, monomial and envelope on that axis.  c folds
+        constant c, and for each axis a in ``nodes`` a pair (E_a, inverse):
+        the factor rows E_a[u] = exp(j s x) (x - c)^p exp(-(x - e)^2 / 2 w^2)
+        of the axis's distinct ``_axis_keys`` (slope s, monomial, envelope)
+        over x = nodes[a], and each mode's row index into E_a.  c folds
         exp(j phi_m) with the same factors at the ``fixed`` coordinates, so
-        c_m prod_a E_a[m, i_a] is mode m's exp(j theta) x monomial x envelope
-        at the point with coordinates nodes[a][i_a]; for a cosine mode the
-        factor is its real part.  Every array is over all modes at once.
+        c_m prod_a E_a[inverse_a[m], i_a] is mode m's exp(j theta) x monomial
+        x envelope at the point with coordinates nodes[a][i_a]; for a cosine
+        mode the factor is its real part.  Modes sharing an axis key share
+        its factor row, which is built once.
         """
         sig, t = self.signature, self._table
-        data = t.data
         rows = t.amp.astype(complex if self.is_complex() else float)
-        has_env = data[:, _WIDTH] > 0
-
-        def factors(axis: int, x: np.ndarray) -> np.ndarray:
-            slope = 2.0 * math.pi * sig.metric(axis) * data[:, t.column(_XI, axis)]
-            out = np.exp(1j * np.multiply.outer(slope, x))
-            powers = data[:, t.column(_POLY, axis)]
-            for power in np.unique(powers[powers > 0]).tolist():
-                hit = powers == power
-                out[hit] *= (x - data[hit, t.column(_CENTRE, axis), None]) ** int(power)
-            out[has_env] *= np.exp(-(x - data[has_env, t.column(_ENV, axis), None]) ** 2
-                                   / (2.0 * data[has_env, -1, None]))
-            return out
-
-        const = np.exp(1j * data[:, _PHASE])
+        const = np.exp(1j * t.data[:, _PHASE])
         for axis, value in fixed.items():
-            const *= factors(axis, np.array([value], dtype=float))[:, 0]
-        return rows, const, {a: factors(a, np.asarray(x, dtype=float)) for a, x in nodes.items()}
+            const *= _factor_rows(sig, axis, self._axis_keys(axis), np.array([value], dtype=float))[:, 0]
+        factors = {}
+        for axis, x in nodes.items():
+            keys, inverse = np.unique(self._axis_keys(axis), axis=0, return_inverse=True)
+            factors[axis] = (_factor_rows(sig, axis, keys, np.asarray(x, dtype=float)),
+                             inverse.reshape(-1))
+        return rows, const, factors
 
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         if self.signature != other.signature or self.grade != other.grade:

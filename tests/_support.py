@@ -5,7 +5,7 @@ divergence, the per-point exterior and interior derivatives, the per-point
 classical vector residuals, the derived modes built through
 ``dataclasses.replace``, one field of each kind of mode, a pointwise
 product-rule residual, a per-point reference evaluation of analytic mode
-fields, per-node reference quadratures, the dense slice flux, the per-node
+fields, the mode kernel as a loop over modes, per-node reference quadratures, the dense slice flux, the per-node
 frequency-domain flux and cone synthesis, the derived-field and mapped
 amplitude modes built by per-mode multivector algebra, a by-value comparison
 of modes and the loop form of the identity suite.  None of these is used by
@@ -434,6 +434,27 @@ def reference_evaluate(field: AnalyticField, x: Sequence[float]) -> Multivector:
     for mode in field.modes:
         total = total + mode.amplitude * reference_mode_factor(mode, x)
     return total
+
+
+def reference_mode_kernel(field: AnalyticField, points: np.ndarray) -> np.ndarray:
+    """Dense (npoints, ncomp) rows as a loop over the modes: each adds its
+    amplitude row times monomial x waveform x envelope, evaluated over all
+    points at once."""
+    sig = field.signature
+    dtype = complex if field.is_complex() else float
+    out = np.zeros((len(points), math.comb(sig.dim, field.grade)), dtype=dtype)
+    metric = np.array([sig.metric(i) for i in sig.axes()])
+    for mode in field.modes:
+        theta = points @ (2.0 * math.pi * metric * np.array(mode.xi)) + mode.phase
+        factor = np.exp(1j * theta) if mode.waveform == "exp" else np.cos(theta)
+        for axis, (power, centre) in enumerate(zip(mode.poly, mode.poly_center)):
+            if power:
+                factor = factor * (points[:, axis] - centre) ** power
+        if mode.envelope is not None:
+            d = points - np.array(mode.envelope.center)
+            factor = factor * np.exp(-np.einsum("pi,pi->p", d, d) / (2.0 * mode.envelope.width ** 2))
+        out += np.outer(factor, mode.amplitude.row())
+    return out
 
 
 def reference_grid(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:

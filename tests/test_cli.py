@@ -142,6 +142,8 @@ def _within(got, want, bound, where="report"):
                                       str(SCENARIOS / "flux_compare_11.json"))),
     ("flux-compare-flux_compare_12", ("flux-compare", "--config",
                                       str(SCENARIOS / "flux_compare_12.json"))),
+    ("flux-compare-flux_compare_13", ("flux-compare", "--config",
+                                      str(SCENARIOS / "flux_compare_13.json"))),
 ])
 def test_shipped_reports_keep_their_recorded_values(capsys, name, argv):
     want = json.loads((REPORTS / f"{name}.json").read_text())
@@ -523,7 +525,8 @@ def test_mismatched_grid_source_exits_2(capsys, tmp_path):
 
 def test_fourier_check_skips_a_grid_backed_source(capsys, tmp_path):
     # a sampled source has no modes, yet it is a source: the source-free
-    # algebra does not apply, as for the same source given as modes
+    # algebra does not apply, as for the same source given as modes; with
+    # no other check requested nothing is verified, which is a usage error
     from extcalc.fields import GridField, interior_derivative_field, plane_wave
     from extcalc.serialize import canonical_dumps, field_to_json
 
@@ -536,10 +539,46 @@ def test_fourier_check_skips_a_grid_backed_source(capsys, tmp_path):
                     "sample_points": 5, "seed": 3, "tol": 1e-8}
         path = tmp_path / "fourier.json"
         path.write_text(canonical_dumps(scenario))
-        code, out, _ = run(capsys, "maxwell-check", "--config", str(path))
-        assert code == 0
-        assert json.loads(out)["checks"]["fourier"] == {
-            "skipped": "algebraic source-free check needs a source-free scenario"}
+        code, out, err = run(capsys, "maxwell-check", "--config", str(path))
+        assert_usage_error(code, out, err)
+        assert "fourier: algebraic source-free check needs a source-free scenario" in err
+
+
+def test_fourier_check_skips_a_field_that_is_not_plane_waves(capsys, tmp_path):
+    # x_0 times the shipped plane wave is not a plane wave: the per-mode algebra
+    # on its wave vector would read 0, while the monomial's product-rule term
+    # leaves the differential check a residual of about 6.25
+    def polynomial(checks):
+        def edit(data):
+            data["A"] = None
+            data["F"]["modes"][0].update(poly=[1, 0, 0, 0], poly_center=[0, 0, 0, 0])
+            data["checks"] = checks
+        return edit
+
+    code, out, err = run(capsys, "maxwell-check", "--config",
+                         _edited_vacuum(tmp_path, polynomial(["fourier"])))
+    assert_usage_error(code, out, err)
+    assert "fourier: plane-wave algebra needs modes without monomial or envelope factors" in err
+    code, out, _ = run(capsys, "maxwell-check", "--config",
+                       _edited_vacuum(tmp_path, polynomial(["fourier", "differential"])))
+    report = json.loads(out)
+    assert code == 1 and report["checks"]["fourier"] == {
+        "skipped": "plane-wave algebra needs modes without monomial or envelope factors"}
+    assert report["checks"]["differential"]["hom_max"] > 1
+
+
+def test_maxwell_check_with_every_check_skipped_exits_2(capsys, tmp_path):
+    # the shipped non-conserved scenario has a source, so its only requested
+    # check is skipped; it used to pass with max residual 0
+    def fourier_and_gauge(data):
+        data["checks"] = ["fourier", "gauge"]
+
+    code, out, err = run(capsys, "maxwell-check", "--config",
+                         _edited_vacuum(tmp_path, fourier_and_gauge, "nonconserved_source"))
+    assert_usage_error(code, out, err)
+    assert err == ("error: no requested check produced a residual (fourier: algebraic "
+                   "source-free check needs a source-free scenario; gauge: no potential in "
+                   "scenario)\n")
 
 
 def test_gauge_check_compares_a_grid_backed_potential_with_the_field(capsys, tmp_path):

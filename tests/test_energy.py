@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from itertools import combinations_with_replacement
@@ -5,6 +6,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from extcalc import cli, energy
 from extcalc.algebra import (
     GradeError,
     Multivector,
@@ -446,12 +448,22 @@ def random_slice_field(sig, grade, rng, kind, nmodes=3):
     return AnalyticField(sig, grade, modes)
 
 
-def assert_matches_dense_flux(f, axis, bounds, points, panels):
-    got = flux_T_direct(f, axis, 0.3, bounds=bounds, points=points, panels=panels)
+def assert_matches_dense_flux(f, axis, bounds, points, panels, route=None):
+    """The direct flux against the dense reference at 1e-12 relative; with
+    ``route``, also that the moments took that route ("kronecker" or
+    "blocked")."""
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("kronecker", "blocked"):
+            inner = getattr(energy, f"_{name}_moments")
+            patch.setattr(energy, f"_{name}_moments",
+                          lambda *args, inner=inner, name=name: taken.append(name) or inner(*args))
+        got = flux_T_direct(f, axis, 0.3, bounds=bounds, points=points, panels=panels)
     want = reference_flux_T_direct(f, axis, 0.3, bounds, points=points, panels=panels)
     scale = want.max_abs()
     assert scale > 0
     assert (got - want).max_abs() <= 1e-12 * scale
+    assert len(taken) == 1 and route in (None, taken[0])
 
 
 @pytest.mark.parametrize("kind", ["cos", "monomial", "envelope", "mixed"])
@@ -471,7 +483,47 @@ def test_flux_direct_matches_the_dense_reference_across_mode_blocks():
     rng = np.random.default_rng(61)
     f = random_slice_field(M12, 2, rng, "mixed", nmodes=60)
     assert len(f.modes) == 60
-    assert_matches_dense_flux(f, 1, {0: (-1.5, 1.0), 2: (-1.0, 1.2)}, points=5, panels=3)
+    assert_matches_dense_flux(f, 1, {0: (-1.5, 1.0), 2: (-1.0, 1.2)}, points=5, panels=3,
+                              route="blocked")
+
+
+@pytest.mark.parametrize("k,n,r", [(1, 1, 1), (1, 2, 2), (1, 3, 2)])
+def test_flux_direct_matches_the_dense_reference_on_synthesized_fields(k, n, r):
+    # modes on the grid of cone nodes share their factor rows: the Kronecker route
+    sig = SpacetimeSignature(k, n)
+    spectrum = {"kind": "scalar" if r == 1 else "spatial-transverse", "width": 0.3,
+                "center": {a: 1.1 if a == 1 else 0.0 for a in range(1, sig.dim)}}
+    a_hat = cli._bump_factory(spectrum, sig, 0, r)
+    region = {a: (0.4, 1.8) if a == 1 else (-0.7, 0.7) for a in range(1, sig.dim)}
+    potential = synthesize_on_cone_potential(a_hat, 0, region, sig, grade=r, points=4)
+    assert potential.mode_count == 4 ** (sig.dim - 1)
+    f = exterior_derivative_field(potential)
+    assert_matches_dense_flux(f, 0, {a: (-2.0, 2.5) for a in range(1, sig.dim)}, points=4,
+                              panels=2, route="kronecker")
+
+
+@pytest.mark.parametrize("k,n,route", [(1, 1, "kronecker"), (1, 2, "kronecker"), (1, 3, "blocked")])
+def test_flux_direct_takes_the_route_the_distinct_keys_call_for(k, n, route):
+    # three generic modes share no keys: d free axes give 3 ** d cells, so the
+    # Kronecker grid serves only while that is at most 4 cells per mode
+    sig = SpacetimeSignature(k, n)
+    f = random_slice_field(sig, 2 if n > 1 else 1, np.random.default_rng([k, n]), "mixed")
+    bounds = {a: (-1.0, 1.2) for a in sig.axes() if a != 0}
+    assert_matches_dense_flux(f, 0, bounds, points=4, panels=1, route=route)
+
+
+def test_flux_direct_envelope_bounds_are_the_truncation_radii():
+    rng = np.random.default_rng(9)
+    f = random_slice_field(M12, 2, rng, "envelope")
+    envelopes = [mode.envelope for mode in f.modes]
+    bounds = {a: (min(e.center[a] - e.truncation_radius() for e in envelopes),
+                  max(e.center[a] + e.truncation_radius() for e in envelopes)) for a in (0, 2)}
+    assert flux_T_direct(f, 1, 0.3, points=5) == flux_T_direct(f, 1, 0.3, bounds=bounds, points=5)
+    with pytest.raises(ValueError, match="empty field needs explicit bounds"):
+        flux_T_direct(AnalyticField(M12, 2), 1, 0.3)
+    bare = AnalyticField(M12, 2, f.modes + (dataclasses.replace(f.modes[0], envelope=None),))
+    with pytest.raises(ValueError, match="every mode must carry a Gaussian envelope"):
+        flux_T_direct(bare, 1, 0.3)
 
 
 def test_flux_direct_rejects_grid_fields():

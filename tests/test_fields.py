@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from extcalc import fields
 from extcalc.algebra import Multivector, SpacetimeSignature, dot, inv_hodge
 from extcalc.fields import (
     AnalyticField,
@@ -35,6 +36,8 @@ from _support import (
     reference_evaluate,
     reference_exterior_derivative,
     reference_interior_derivative,
+    reference_mode_factor,
+    reference_mode_kernel,
 )
 
 EUC3 = SpacetimeSignature(0, 3)
@@ -155,6 +158,127 @@ def test_mode_kernel_matches_reference(k, n, grade):
             assert (got - want).max_abs() <= 1e-12 * scale
             for pos, idx in enumerate(lists):
                 assert abs(dense[p, pos] - want.coeff(idx)) <= 1e-12 * scale
+
+
+def kernel_fields(sig, grade, rng):
+    """One field per waveform, monomial and envelope mix, each of five modes,
+    the mixed field and its partials."""
+    def field(waveforms, monomial, envelope):
+        modes = []
+        for m in range(5):
+            amp = Multivector(sig, grade, {idx: float(rng.normal()) for idx in sig.index_lists(grade)})
+            modes.append(Mode(
+                amplitude=amp, xi=tuple(rng.uniform(-1, 1, sig.dim)), phase=float(rng.uniform(0, 6)),
+                waveform=waveforms[m % len(waveforms)],
+                poly=tuple(int(p) for p in rng.integers(0, 4, sig.dim)) if monomial else (),
+                poly_center=tuple(rng.uniform(-0.5, 0.5, sig.dim)) if monomial else (),
+                envelope=GaussianEnvelope(center=tuple(rng.uniform(-0.3, 0.3, sig.dim)),
+                                          width=float(rng.uniform(0.6, 1.2)))
+                if envelope and m % 2 == 0 else None))
+        return AnalyticField(sig, grade, modes)
+
+    out = {f"{'+'.join(waves)}-{monomial}-{envelope}": field(waves, monomial, envelope)
+           for waves in (("cos",), ("exp",), ("cos", "exp"))
+           for monomial in (False, True) for envelope in (False, True)}
+    mixed = mixed_mode_field(sig, grade, rng)
+    out.update({"mixed": mixed}, **{f"mixed-d{a}": mixed.partial_field(a) for a in sig.axes()})
+    return out
+
+
+@pytest.mark.parametrize("k,n,grade", [(1, 1, 1), (0, 3, 2), (1, 3, 2)])
+def test_stacked_mode_kernel_matches_the_per_mode_loop(k, n, grade):
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng([k, n, grade])
+    points = rng.uniform(-1, 1, size=(13, sig.dim))
+    for name, field in kernel_fields(sig, grade, rng).items():
+        got = field.evaluate_components(points)
+        want = reference_mode_kernel(field, points)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+
+
+def test_stacked_mode_kernel_of_the_empty_field():
+    for field in (AnalyticField(MINK, 2), AnalyticField(MINK, 2, [Mode(amplitude=Multivector.zero(MINK, 2))])):
+        assert field.mode_count == 0
+        for npoints in (0, 3):
+            got = field.evaluate_components(np.zeros((npoints, 4)))
+            assert got.shape == (npoints, 6) and not got.any()
+
+
+def test_stacked_mode_kernel_across_chunk_boundaries(monkeypatch):
+    # 40 modes and a bound of 100 entries: chunks of 2 points, the last one partial
+    rng = np.random.default_rng(7)
+    field = sum((mixed_mode_field(MINK, 2, rng) for _ in range(10)), AnalyticField(MINK, 2))
+    assert field.mode_count == 40
+    points = rng.uniform(-1, 1, size=(9, 4))
+    whole = field.evaluate_components(points)
+    monkeypatch.setattr(fields, "_KERNEL_ENTRIES", 100)
+    chunked = field.evaluate_components(points)
+    want = reference_mode_kernel(field, points)
+    for got in (whole, chunked):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stacked_mode_kernel_fails_closed_on_nan():
+    # a NaN amplitude or point gives NaN rows, not zeros or a dropped mode
+    rng = np.random.default_rng(11)
+    field = mixed_mode_field(MINK, 1, rng)
+    points = rng.uniform(-1, 1, size=(5, 4))
+    points[2, 1] = math.nan
+    got = field.evaluate_components(points)
+    assert np.isnan(got[2]).all() and not np.isnan(np.delete(got, 2, axis=0)).any()
+    bad = Mode(amplitude=Multivector(MINK, 1, {(0,): math.nan, (3,): 1.0}), xi=(0.1, 0.2, 0.0, 0.0))
+    nan_field = field + AnalyticField(MINK, 1, [bad])
+    got = nan_field.evaluate_components(np.delete(points, 2, axis=0))
+    assert np.isnan(got[:, 0]).all() and not np.isnan(got[:, 1:]).any()
+
+
+def test_axis_factors_rebuild_each_mode_factor():
+    # c_m prod_a E_a[inverse_a[m], i_a] is the mode's complex factor at the node
+    rng = np.random.default_rng(3)
+    field = mixed_mode_field(MINK, 2, rng)
+    nodes = {1: np.array([-0.4, 0.1]), 3: np.array([0.3, 0.7, -0.2])}
+    rows, const, factors = field.axis_factors({0: 0.25, 2: -0.6}, nodes)
+    assert np.array_equal(rows, field._table.amp)
+    for m, mode in enumerate(field.modes):
+        for i, x1 in enumerate(nodes[1]):
+            for j, x3 in enumerate(nodes[3]):
+                got = const[m] * factors[1][0][factors[1][1][m], i] * factors[3][0][factors[3][1][m], j]
+                want = reference_mode_factor(mode, (0.25, x1, -0.6, x3))
+                if mode.waveform == "cos":
+                    got = got.real
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_axis_factors_share_a_row_exactly_when_the_axis_keys_agree():
+    # axis 1 is free and axes 0 and 2 fixed; each variant of the base mode changes one thing
+    sig = SpacetimeSignature(1, 2)
+    env = GaussianEnvelope(center=(0.1, -0.2, 0.3), width=0.8)
+    base = Mode(amplitude=Multivector.blade(sig, (1,)), xi=(0.5, 0.7, -0.3), phase=0.2,
+                poly=(1, 2, 0), poly_center=(0.1, 0.4, -0.1), envelope=env)
+
+    def shared(mode=base, **changes):
+        field = AnalyticField(sig, 1, [mode, dataclasses.replace(mode, **changes)])
+        assert field.mode_count == 2
+        distinct, inverse = field.axis_factors({0: 0.4, 2: -0.1}, {1: np.array([-0.5, 0.5])})[2][1]
+        return len(distinct) == 1 and inverse.tolist() == [0, 0]
+
+    def moved(values, axis, by=0.25):
+        return tuple(v + by if a == axis else v for a, v in enumerate(values))
+
+    for changes in ({"xi": moved(base.xi, 1)}, {"poly": moved(base.poly, 1, 1)},
+                    {"poly_center": moved(base.poly_center, 1)},
+                    {"envelope": GaussianEnvelope(moved(env.center, 1), env.width)},
+                    {"envelope": GaussianEnvelope(env.center, 0.9)}, {"envelope": None}):
+        assert not shared(**changes), changes
+    for changes in ({"phase": 1.1}, {"phase": 1.1, "amplitude": 3 * base.amplitude},
+                    {"xi": moved(base.xi, 0)}, {"xi": moved(base.xi, 2)},
+                    {"poly": moved(base.poly, 0, 1)}, {"poly_center": moved(base.poly_center, 0)},
+                    {"envelope": GaussianEnvelope(moved(env.center, 0), env.width)}):
+        assert shared(**changes), changes
+    # with no monomial on the axis, the monomial centre there does not matter
+    flat = dataclasses.replace(base, poly=(1, 0, 0))
+    assert shared(flat, poly_center=moved(flat.poly_center, 1))
 
 
 # ---------------------------------------------------------------------------
