@@ -274,23 +274,27 @@ def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.n
     return AnalyticField._from_table(sig, grade, table)
 
 
-# points x modes entries per work array of ``evaluate_components``
-_KERNEL_ENTRIES = 1 << 16
+# modes x points entries per work array of ``evaluate_components``: small
+# enough that its matrix products stay under the sizes at which OpenBLAS
+# splits a call over threads, since a split call can wait milliseconds for a
+# busy core
+_KERNEL_ENTRIES = 4000
 
 
 class _Kernel(NamedTuple):
     """A field's mode kernel as stacked arrays: the dtype, the (M, ncomp)
-    amplitude rows, the (dim, M) phase slopes 2 pi Delta xi, the (M,) phases,
-    the ``_columns`` of the exponential modes, the monomials' (dim, M)
-    exponents and centres, and the envelopes' (columns, (E, dim) centres,
-    2 w^2); None where no mode has that factor."""
+    amplitude rows, the (M, dim) phase slopes 2 pi Delta xi, the (M, 1) phases,
+    the ``_columns`` of the exponential modes (None for none), one (axis,
+    exponent, modes, (k, 1) centres) entry per axis and distinct nonzero
+    monomial exponent, and the envelopes' (modes, (dim, E, 1) centres, (E, 1)
+    2 w^2) (None for none)."""
 
     dtype: type
     rows: np.ndarray
     slopes: np.ndarray
     phase: np.ndarray
     exp: np.ndarray | slice | None
-    monomial: tuple | None
+    monomials: tuple
     envelope: tuple | None
 
 
@@ -305,19 +309,22 @@ def _columns(flags: np.ndarray):
 
 def _kernel_rows(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
     """The (len(x), ncomp) rows of ``AnalyticField.evaluate_components`` at
-    one chunk of points."""
-    theta = x @ kernel.slopes + kernel.phase
+    one chunk of points, from the (nmodes, npoints) factors: one row per mode,
+    so a factor that only some modes carry updates whole rows."""
+    coords = x.T
+    theta = kernel.slopes @ coords + kernel.phase
     factor = np.cos(theta).astype(kernel.dtype, copy=False)
     if kernel.exp is not None:
-        factor[:, kernel.exp] = np.exp(1j * theta[:, kernel.exp])
-    if kernel.monomial is not None:
-        powers, centres = kernel.monomial
-        factor *= np.prod((x[:, :, None] - centres) ** powers, axis=1)
+        factor[kernel.exp] = np.exp(1j * theta[kernel.exp])
+    for axis, power, hit, centre in kernel.monomials:
+        factor[hit] *= (coords[axis] - centre) ** power
     if kernel.envelope is not None:
         hit, centre, two_w2 = kernel.envelope
-        d = x[:, None, :] - centre
-        factor[:, hit] *= np.exp(-(d * d).sum(axis=2) / two_w2)
-    return factor @ kernel.rows
+        dist2 = 0.0
+        for axis, c in enumerate(centre):
+            dist2 = dist2 + (coords[axis] - c) ** 2
+        factor[hit] *= np.exp(-dist2 / two_w2)
+    return factor.T @ kernel.rows
 
 
 def _factor_rows(sig: SpacetimeSignature, axis: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -469,14 +476,18 @@ class AnalyticField:
             sig, t = self.signature, self._table
             data = t.data
             dtype = complex if self.is_complex() else float
-            poly = t.block(_POLY)
+            poly, centre = t.block(_POLY), t.block(_CENTRE)
+            monomials = []
+            if np.count_nonzero(poly):
+                for axis, column in enumerate(poly.T):
+                    for power in sorted(set(column.tolist()) - {0.0}):
+                        hit = _columns(column == power)
+                        monomials.append((axis, int(power), hit, centre[hit, axis, None]))
             env = _columns(data[:, _WIDTH])
             self._arrays = _Kernel(
-                dtype, t.amp.astype(dtype),
-                (2.0 * math.pi * _metric(sig) * t.block(_XI)).T,
-                data[:, _PHASE].copy(), _columns(data[:, _EXP]),
-                (poly.T.copy(), t.block(_CENTRE).T.copy()) if np.count_nonzero(poly) else None,
-                None if env is None else (env, t.block(_ENV)[env], 2.0 * data[env, -1]))
+                dtype, t.amp.astype(dtype), 2.0 * math.pi * _metric(sig) * t.block(_XI),
+                data[:, _PHASE, None].copy(), _columns(data[:, _EXP]), tuple(monomials),
+                None if env is None else (env, t.block(_ENV)[env].T[:, :, None], 2.0 * data[env, -1, None]))
         return self._arrays
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
