@@ -284,7 +284,7 @@ _KERNEL_ENTRIES = 4000
 class _Kernel(NamedTuple):
     """A field's mode kernel as stacked arrays: the dtype, the (M, ncomp)
     amplitude rows, the (M, dim) phase slopes 2 pi Delta xi, the (M, 1) phases,
-    the ``_columns`` of the exponential modes (None for none), one (axis,
+    the ``_selection`` of the exponential modes (None for none), one (axis,
     exponent, modes, (k, 1) centres) entry per axis and distinct nonzero
     monomial exponent, and the envelopes' (modes, (dim, E, 1) centres, (E, 1)
     2 w^2) (None for none)."""
@@ -298,7 +298,7 @@ class _Kernel(NamedTuple):
     envelope: tuple | None
 
 
-def _columns(flags: np.ndarray):
+def _selection(flags: np.ndarray):
     """The modes whose flag is nonzero: None for none, a full slice for all
     (no gather needed), else their indices."""
     count = np.count_nonzero(flags)
@@ -481,24 +481,25 @@ class AnalyticField:
             if np.count_nonzero(poly):
                 for axis, column in enumerate(poly.T):
                     for power in sorted(set(column.tolist()) - {0.0}):
-                        hit = _columns(column == power)
+                        hit = _selection(column == power)
                         monomials.append((axis, int(power), hit, centre[hit, axis, None]))
-            env = _columns(data[:, _WIDTH])
+            env = _selection(data[:, _WIDTH])
             self._arrays = _Kernel(
                 dtype, t.amp.astype(dtype), 2.0 * math.pi * _metric(sig) * t.block(_XI),
-                data[:, _PHASE, None].copy(), _columns(data[:, _EXP]), tuple(monomials),
+                data[:, _PHASE, None].copy(), _selection(data[:, _EXP]), tuple(monomials),
                 None if env is None else (env, t.block(_ENV)[env].T[:, :, None], 2.0 * data[env, -1, None]))
         return self._arrays
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
         """Dense (npoints, ncomp) evaluation in ``index_lists`` order.
 
-        The one mode kernel, over all modes at once: theta = points @ slopes
-        + phase gives the (npoints, nmodes) waveform factors (cos, or exp(j
-        theta) in the exponential columns), the monomial and envelope factors
-        multiply in column-wise, and the result is factor @ amplitude rows.
-        Points go through in chunks, so the work array stays near
-        ``_KERNEL_ENTRIES`` entries however many modes and points there are.
+        The one mode kernel, over all modes at once: theta = slopes @ points
+        + phase gives the (nmodes, npoints) waveform factors (cos, or exp(j
+        theta) in the exponential modes' rows), the monomial and envelope
+        factors multiply into the rows of the modes that carry them, and the
+        result is factor^T @ amplitude rows.  Points go through in chunks, so
+        the work array stays near ``_KERNEL_ENTRIES`` entries however many
+        modes and points there are.
         """
         kernel = self._mode_arrays()
         step = max(1, _KERNEL_ENTRIES // max(1, len(kernel.rows)))

@@ -5,11 +5,11 @@ divergence, the per-point exterior and interior derivatives, the per-point
 classical vector residuals, the derived modes built through
 ``dataclasses.replace``, one field of each kind of mode, a pointwise
 product-rule residual, a per-point reference evaluation of analytic mode
-fields, the mode kernel as a loop over modes, per-node reference quadratures, the dense slice flux, the per-node
-frequency-domain flux and cone synthesis, the derived-field and mapped
-amplitude modes built by per-mode multivector algebra, a by-value comparison
-of modes and the loop form of the identity suite.  None of these is used by
-the package."""
+fields, the mode kernel as a loop over modes, per-node reference
+quadratures, the dense slice flux, the per-node frequency-domain flux and
+cone synthesis, the derived-field and mapped amplitude modes built by
+per-mode multivector algebra, a by-value comparison of modes and the loop
+form of the identity suite.  None of these is used by the package."""
 
 from __future__ import annotations
 
