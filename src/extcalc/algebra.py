@@ -420,18 +420,9 @@ def left_interior(u: Multivector, v: Multivector) -> Multivector:
 def right_interior(u: Multivector, v: Multivector) -> Multivector:
     """Right interior product: e_I with e_J gives Delta_JJ sigma(J, I\\J) e_{I\\J}."""
     u._check_same_space(v)
-    sig = u.signature
     if v.grade > u.grade:
-        return Multivector.zero(sig, 0)
-    rows = _sign_tables(sig).lookup("r")
-    out: dict[tuple[int, ...], complex] = {}
-    for J, b in v.terms.items():
-        for I, a in u.terms.items():
-            row = rows[I]
-            if J in row:
-                K, sign = row[J]
-                out[K] = out.get(K, 0) + sign * a * b
-    return Multivector._from_valid(sig, u.grade - v.grade, out)
+        return Multivector.zero(u.signature, 0)
+    return _table_product("r", u, v, u.grade - v.grade)
 
 
 def hodge(v: Multivector) -> Multivector:
@@ -478,10 +469,6 @@ class Bitensor:
 
     def __setattr__(self, name, value):
         raise AttributeError("Bitensor is immutable")
-
-    @classmethod
-    def zero(cls, signature: SpacetimeSignature) -> "Bitensor":
-        return cls(signature)
 
     @classmethod
     def from_row(cls, signature: SpacetimeSignature, row) -> "Bitensor":
@@ -644,7 +631,7 @@ def _gap(lhs, *rhs) -> float:
 
 
 def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = IDENTITY_DIM_CAP,
-                      wedge_sign_fn: Callable[[tuple, tuple], tuple] | None = None) -> IdentityReport:
+                      tables: _SignTables | None = None) -> IdentityReport:
     """Exhaustively check the product identities over every basis blade.
 
     Covers skew-commutativity of the wedge, the left/right interior relation,
@@ -660,23 +647,17 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
     interiors.  Blade coefficients are integers, so residuals are exact; a NaN
     or infinite coefficient fails the run.
 
-    ``wedge_sign_fn`` maps two index lists to (merged, sign) and replaces the
-    wedge table; it exists so a test harness can inject a corrupted product
-    and confirm detection.
+    ``tables`` replaces the signature's sign tables, so a self-test can hand
+    the suite a corrupted copy and confirm detection.
     """
     dim = sig.dim
     if dim > max_dim:
         raise ValueError(
             f"identity suite refused: dimension {dim} exceeds cap {max_dim}; raise max_dim explicitly")
-    tables = _sign_tables(sig)
+    tables = _sign_tables(sig) if tables is None else tables
     blades, size = tables.blades, len(tables.blades)
     Kw, Cw, Kl, Cl, Kr, Cr, D = (tables.Kw, tables.Cw, tables.Kl, tables.Cl,
                                  tables.Kr, tables.Cr, tables.D)
-    if wedge_sign_fn is not None:
-        position = {I: a for a, I in enumerate(blades)}
-        signed = [wedge_sign_fn(I, J) for I in blades for J in blades]
-        Kw = np.reshape([position[K] if s else 0 for K, s in signed], (size, size))
-        Cw = np.reshape([s for _, s in signed], (size, size))
     grade = np.array([len(I) for I in blades])
     sign = (-1) ** grade
     vec = np.arange(1, dim + 1)

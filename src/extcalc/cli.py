@@ -70,6 +70,7 @@ from .maxwell import (
 from .serialize import (
     Scenario,
     ScenarioError,
+    _reading,
     bitensor_to_json,
     canonical_dumps,
     json_int,
@@ -156,13 +157,12 @@ def _header(command: str, scenario: Scenario) -> dict:
 # ---------------------------------------------------------------------------
 
 def _flipped_vector_wedge(sig: SpacetimeSignature):
-    """The injected corruption: the sign-table wedge, flipped on vector pairs."""
-    rows = _sign_tables(sig).lookup("w")
-
-    def wedge_fn(I, J):
-        merged, sign = rows[I].get(J, ((), 0))
-        return merged, -sign if len(I) == len(J) == 1 else sign
-    return wedge_fn
+    """The injected corruption: the signature's sign tables with the wedge
+    sign negated on every pair of basis vectors."""
+    tables = _sign_tables(sig)
+    flipped = tables.Cw.copy()
+    flipped[1:sig.dim + 1, 1:sig.dim + 1] *= -1
+    return dataclasses.replace(tables, Cw=flipped)
 
 
 def cmd_verify_identities(args) -> int:
@@ -185,8 +185,8 @@ def cmd_verify_identities(args) -> int:
             if not 1 <= k + n <= IDENTITY_DIM_CAP:
                 continue
             sig = SpacetimeSignature(k, n)
-            wedge_fn = _flipped_vector_wedge(sig) if args.self_test_corruption else None
-            report = verify_identities(sig, tol=tol, wedge_sign_fn=wedge_fn)
+            tables = _flipped_vector_wedge(sig) if args.self_test_corruption else None
+            report = verify_identities(sig, tol=tol, tables=tables)
             entries.append({
                 "k": k,
                 "n": n,
@@ -407,7 +407,7 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
 
 def cmd_flux_compare(args) -> int:
     data = _load_config(args)
-    try:
+    with _reading("flux-compare config"):
         sig = signature_from_json(data["signature"])
         r = json_int(data["r"], "r")
         axis = json_int(data["axis"], "axis")
@@ -424,8 +424,6 @@ def cmd_flux_compare(args) -> int:
             (("freq_points", 24), ("freq_panels", 2), ("slice_points", 8), ("slice_panels", 16)))
         tol = args.tol if args.tol is not None else float(data.get("tol", 0.01))
         a_hat = _bump_factory(data["spectrum"], sig, axis, r)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad flux-compare config: {exc}") from exc
 
     fourier = flux_T_fourier(a_hat, axis, region, sig, grade=r,
                              points=freq_points, panels=freq_panels)

@@ -47,8 +47,6 @@ from .fields import (
     EXTERIOR,
     INTERIOR,
     AnalyticField,
-    _ENV,
-    _WIDTH,
     _cosine_field,
     _derivative_at,
     _derivative_table,
@@ -79,6 +77,8 @@ __all__ = [
 ]
 
 CHI_EPS = 1e-8
+# Lorenz residual of the on-cone amplitude allowed per unit max(1, |A_hat|)
+GAUGE_TOL = 1e-9
 # modes per row block of the slice-flux Gram accumulation
 _GRAM_BLOCK = 16
 # cells of the distinct-key grid per mode up to which the slice flux sums
@@ -376,23 +376,6 @@ def _axis_sign(sig: SpacetimeSignature, axis: int) -> int:
     return _sign_tables(sig).lookup("w")[(axis,)][comp][1]
 
 
-def _envelope_bounds(field: AnalyticField, axis: int, cutoff: float = 1e-12) -> dict[int, tuple[float, float]]:
-    """Per free axis, the span of every mode's envelope out to its
-    ``GaussianEnvelope.truncation_radius``, read from the mode table."""
-    t = field._table
-    width = t.data[:, _WIDTH]
-    if not len(width):
-        raise ValueError("flux_T_direct of an empty field needs explicit bounds")
-    if not np.all(width > 0):
-        raise ValueError(
-            "flux_T_direct needs a decaying field: every mode must carry a Gaussian "
-            "envelope, or explicit bounds must be supplied")
-    radius = width * math.sqrt(2.0 * math.log(1.0 / cutoff))
-    centres = t.block(_ENV)
-    return {a: (float((centres[:, a] - radius).min()), float((centres[:, a] + radius).max()))
-            for a in field.signature.axes() if a != axis}
-
-
 def _slice_moments(rows: np.ndarray, const: np.ndarray, grams) -> np.ndarray:
     """Q[p, q] = sum over the slice nodes of w F_p F_q, from per-axis Grams.
 
@@ -474,7 +457,7 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
     if f_field.is_complex():
         raise ValueError("flux_T_direct expects a real field; use cosine modes")
     if bounds is None:
-        bounds = _envelope_bounds(f_field, axis)
+        bounds = f_field._envelope_bounds(axis)
     slice_box = HypersurfaceBox(sig, intervals=dict(bounds), fixed={axis: coordinate})
     if slice_box.dim != sig.dim - 1:
         raise ValueError("slice bounds must cover every axis except the fixed one")
@@ -546,8 +529,7 @@ def _amplitude_rows(a_hat: Callable[[np.ndarray], np.ndarray], xi_plus: np.ndarr
 
 def flux_T_fourier(a_hat: Callable[[np.ndarray], np.ndarray], axis: int,
                    region: Mapping[int, tuple[float, float]], sig: SpacetimeSignature,
-                   grade: int, points: int = DEFAULT_POINTS, panels: int = 1,
-                   gauge_tol: float = 1e-9) -> Multivector:
+                   grade: int, points: int = DEFAULT_POINTS, panels: int = 1) -> Multivector:
     """Frequency-domain stress-tensor flux across a constant-coordinate slice.
 
     Integrates (-1)^r 2 pi^2 sign(axis) (xi_plus / chi) |A_hat(xi_plus)|^2
@@ -564,7 +546,7 @@ def flux_T_fourier(a_hat: Callable[[np.ndarray], np.ndarray], axis: int,
     with the interior ``_derivative_table``.  The first node in grid order
     that breaks a condition raises: ``ValueError`` where chi < CHI_EPS and
     the amplitude is not below 1e-9 (a NaN or infinite amplitude included),
-    ``GaugeViolation`` where the Lorenz residual exceeds ``gauge_tol`` times
+    ``GaugeViolation`` where the Lorenz residual exceeds ``GAUGE_TOL`` times
     max(1, |A_hat|).
     """
     r = grade
@@ -579,7 +561,7 @@ def flux_T_fourier(a_hat: Callable[[np.ndarray], np.ndarray], axis: int,
     else:
         gauge = np.zeros(len(rows))
     bad = np.flatnonzero(np.where(degenerate, ~(magnitude <= 1e-9),
-                                  gauge > gauge_tol * np.fmax(1.0, magnitude)))
+                                  gauge > GAUGE_TOL * np.fmax(1.0, magnitude)))
     if len(bad):
         n = bad[0]
         if degenerate[n]:

@@ -84,7 +84,13 @@ class GaussianEnvelope:
 
     def truncation_radius(self, cutoff: float = 1e-12) -> float:
         """Distance from the center beyond which the envelope drops below cutoff."""
-        return self.width * math.sqrt(2.0 * math.log(1.0 / cutoff))
+        return _truncation_radius(self.width, cutoff)
+
+
+def _truncation_radius(width, cutoff: float = 1e-12):
+    """``GaussianEnvelope.truncation_radius`` of a width or, elementwise, of
+    an array of widths."""
+    return width * math.sqrt(2.0 * math.log(1.0 / cutoff))
 
 
 @dataclass(frozen=True)
@@ -543,6 +549,22 @@ class AnalyticField:
             factors[axis] = (_factor_rows(sig, axis, keys, np.asarray(x, dtype=float)),
                              inverse.reshape(-1))
         return rows, const, factors
+
+    def _envelope_bounds(self, axis: int) -> dict[int, tuple[float, float]]:
+        """Per axis other than ``axis``, the span of every mode's envelope out
+        to its ``GaussianEnvelope.truncation_radius``, read from the mode table."""
+        t = self._table
+        width = t.data[:, _WIDTH]
+        if not len(width):
+            raise ValueError("flux_T_direct of an empty field needs explicit bounds")
+        if not np.all(width > 0):
+            raise ValueError(
+                "flux_T_direct needs a decaying field: every mode must carry a Gaussian "
+                "envelope, or explicit bounds must be supplied")
+        radius = _truncation_radius(width)
+        centres = t.block(_ENV)
+        return {a: (float((centres[:, a] - radius).min()), float((centres[:, a] + radius).max()))
+                for a in self.signature.axes() if a != axis}
 
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         if self.signature != other.signature or self.grade != other.grade:

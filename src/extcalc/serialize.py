@@ -8,6 +8,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -32,6 +33,19 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """Malformed scenario or field description."""
+
+
+@contextmanager
+def _reading(what: str):
+    """Reads one JSON object: a ScenarioError from a nested reader passes
+    unchanged, and any error a value of the wrong type or shape raises
+    becomes ``ScenarioError("bad <what>: ...")``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {what}: {exc}") from exc
 
 
 def json_int(value, name: str, least: int | None = None) -> int:
@@ -70,10 +84,8 @@ def signature_to_json(sig: SpacetimeSignature) -> dict:
 
 
 def signature_from_json(data: Mapping) -> SpacetimeSignature:
-    try:
+    with _reading("signature object"):
         return SpacetimeSignature(json_int(data["k"], "k"), json_int(data["n"], "n"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad signature object: {exc}") from exc
 
 
 def multivector_to_json(mv: Multivector) -> dict:
@@ -92,7 +104,7 @@ def multivector_to_json(mv: Multivector) -> dict:
 
 
 def multivector_from_json(data: Mapping, sig: SpacetimeSignature | None = None) -> Multivector:
-    try:
+    with _reading("multivector object"):
         if sig is None:
             sig = signature_from_json(data["signature"])
         grade = json_int(data["grade"], "grade")
@@ -103,10 +115,6 @@ def multivector_from_json(data: Mapping, sig: SpacetimeSignature | None = None) 
             im = float(entry.get("im", 0.0))
             terms[indices] = complex(re, im) if im else re
         return Multivector(sig, grade, terms)
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ScenarioError(f"bad multivector object: {exc}") from exc
 
 
 def _envelope_to_json(env: GaussianEnvelope | None):
@@ -155,7 +163,7 @@ def field_to_json(field) -> dict:
 
 
 def field_from_json(data: Mapping, sig: SpacetimeSignature):
-    try:
+    with _reading("field object"):
         grade = json_int(data["grade"], "grade")
         backend = data.get("backend", "modes")
         if backend == "modes":
@@ -179,10 +187,6 @@ def field_from_json(data: Mapping, sig: SpacetimeSignature):
             values = np.asarray(grid["values"], dtype=float)
             return GridField(sig, grade, grid["origin"], grid["spacing"], values)
         raise ScenarioError(f"unknown field backend {backend!r}")
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad field object: {exc}") from exc
 
 
 def bitensor_to_json(t: Bitensor) -> list:
@@ -212,7 +216,7 @@ VALID_CHECKS = ("differential", "integral", "fourier", "gauge")
 
 
 def scenario_from_json(data: Mapping) -> Scenario:
-    try:
+    with _reading("scenario object"):
         sig = signature_from_json(data["signature"])
         r = json_int(data["r"], "r")
         f_field = field_from_json(data["F"], sig)
@@ -242,7 +246,3 @@ def scenario_from_json(data: Mapping) -> Scenario:
             seed=seed,
             tol=float(data.get("tol", 1e-8)),
         )
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad scenario object: {exc}") from exc

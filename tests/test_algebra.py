@@ -26,6 +26,7 @@ from extcalc.algebra import (
 )
 
 from extcalc import algebra
+from extcalc.cli import _flipped_vector_wedge
 
 from _support import (
     _difference,
@@ -451,13 +452,8 @@ def test_verify_identities_certifies_public_products(monkeypatch, name, grades):
 
 
 def test_verify_identities_detects_corruption():
-    def bad_wedge(I, J):
-        merged, sign = merge_with_sign(I, J)
-        if sign and len(I) == 1 and len(J) == 1:
-            sign = -sign
-        return merged, sign
-
-    report = verify_identities(SpacetimeSignature(1, 1), wedge_sign_fn=bad_wedge)
+    sig = SpacetimeSignature(1, 1)
+    report = verify_identities(sig, tables=_flipped_vector_wedge(sig))
     assert not report.passed
 
 
@@ -479,6 +475,21 @@ def _flip_vector_wedge(I, J):
     return merged, -sign if len(I) == len(J) == 1 else sign
 
 
+def test_flipped_vector_wedge_is_the_reference_corruption():
+    # the self-test's flipped table holds the wedge the reference callback gives
+    for k, n in [(k, n) for k in range(7) for n in range(7) if 1 <= k + n <= 6]:
+        sig = SpacetimeSignature(k, n)
+        tables, flipped = algebra._sign_tables(sig), _flipped_vector_wedge(sig)
+        position = {I: a for a, I in enumerate(tables.blades)}
+        signed = [_flip_vector_wedge(I, J) for I in tables.blades for J in tables.blades]
+        size = len(tables.blades)
+        assert np.array_equal(flipped.Kw, np.reshape([position[K] if s else 0 for K, s in signed],
+                                                     (size, size)))
+        assert np.array_equal(flipped.Cw, np.reshape([s for _, s in signed], (size, size)))
+        assert all(getattr(flipped, name) is getattr(tables, name)
+                   for name in ("blades", "Kw", "Kl", "Cl", "Kr", "Cr", "D"))
+
+
 # each corruption must move the same residuals by the same amounts in both forms
 @pytest.mark.parametrize("k,n", [(1, 3), (2, 2)])
 @pytest.mark.parametrize("name,grades", [
@@ -491,7 +502,7 @@ def _flip_vector_wedge(I, J):
 def test_verify_identities_matches_loop_reference_under_corruption(monkeypatch, k, n, name, grades):
     sig = SpacetimeSignature(k, n)
     if grades is None:
-        report = verify_identities(sig, wedge_sign_fn=_flip_vector_wedge)
+        report = verify_identities(sig, tables=_flipped_vector_wedge(sig))
         reference = reference_verify_identities(sig, wedge_sign_fn=_flip_vector_wedge)
     else:
         units, before = _corrupt_table(monkeypatch, sig, name, grades)

@@ -458,6 +458,12 @@ def _set(path, value):
     ("flux-compare", ("spectrum", "center"), {"5": 1.0}),
     ("flux-compare", ("spectrum", "center"), {"-1": 1.0}),
     ("flux-compare", ("spectrum", "center", "1"), math.inf),
+    # values of the wrong JSON type
+    ("maxwell-check", ("F", "modes", 0, "envelope"), [1.0]),
+    ("flux-compare", ("region",), [0, 1]),
+    ("flux-compare", ("slice_bounds",), [0, 1]),
+    ("flux-compare", ("spectrum",), "gaussian"),
+    ("flux-compare", ("spectrum", "center"), [1.0, 0.0]),
 ])
 def test_bad_nested_config_entries_exit_2(capsys, tmp_path, command, path, value):
     scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"
