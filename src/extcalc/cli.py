@@ -52,7 +52,6 @@ from .fields import (
     _derivative_rows,
     exterior_derivative_field,
     interior_derivative_components,
-    interior_derivative_field,
 )
 from .integrate import HypersurfaceBox
 from .maxwell import (
@@ -275,7 +274,7 @@ def _check_gauge(scenario: Scenario, system: MaxwellSystem, points: np.ndarray) 
         return {"skipped": "no potential in scenario"}
     sig = scenario.signature
     # A's partial rows, evaluated once for dA and the three interior axis sets
-    slopes = [scenario.A.partial_components(i, points) for i in sig.axes()]
+    slopes = scenario.A.jet(points)[1]
 
     def rows(kind, axes=None):
         return _derivative_rows(scenario.A, kind, points, axes, slopes)
@@ -363,14 +362,16 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
     width = float(spec["width"])
     scale = float(spec.get("scale", 1.0))
     center = {int(a): float(c) for a, c in spec["center"].items()}
-    # a width that is not positive, a zero scale or a centre on an axis the
-    # space-time lacks would compare a vanishing or different spectrum
+    # a width that is not positive, a zero scale, or a centre that is empty (a
+    # scalar bump) or on an axis the space-time lacks would compare a vanishing
+    # or different spectrum
     if not (math.isfinite(width) and width > 0):
         raise ScenarioError(f"spectrum width must be finite and positive, got {width}")
     if not (math.isfinite(scale) and scale != 0):
         raise ScenarioError(f"spectrum scale must be finite and nonzero, got {scale}")
-    if any(a not in sig.axes() for a in center) or not all(map(math.isfinite, center.values())):
-        raise ScenarioError(f"spectrum center must map axes 0..{sig.dim - 1} to finite values, "
+    if not center or any(a not in sig.axes() for a in center) \
+            or not all(map(math.isfinite, center.values())):
+        raise ScenarioError(f"spectrum center must map one or more axes 0..{sig.dim - 1} to finite values, "
                             f"got {spec['center']}")
 
     def bump(xi_plus: np.ndarray) -> np.ndarray:
@@ -437,8 +438,7 @@ def cmd_flux_compare(args) -> int:
     rel_err = (direct - fourier).max_abs() / scale if scale > 0 else math.nan
     # pointwise Lorenz residual of the synthesized potential, for the record
     rng = np.random.default_rng(0)
-    divergence = interior_derivative_field(potential).evaluate_components(
-        rng.uniform(-1.0, 1.0, size=(10, sig.dim)))
+    divergence = interior_derivative_components(potential, rng.uniform(-1.0, 1.0, size=(10, sig.dim)))
     gauge_max = _worst(divergence)
     report = {
         "command": "flux-compare",

@@ -244,7 +244,7 @@ class QuadraticTensorField:
 
     def divergence_components(self, points: np.ndarray) -> np.ndarray:
         """Dense (npoints, dim) interior derivative sum_j d_j T_ij."""
-        return _divergence_rows(self.field, self.kind, *_field_rows(self.field, points))
+        return _divergence_rows(self.field, self.kind, *self.field.jet(points))
 
     def evaluate(self, x: Sequence[float]) -> Bitensor:
         sig = self.signature
@@ -256,15 +256,8 @@ class QuadraticTensorField:
         return Multivector.vector(sig, row.tolist())
 
 
-def _field_rows(field, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The field's (npoints, ncomp) rows and its (dim, npoints, ncomp) partial
-    rows at the points, each evaluated once."""
-    rows = field.evaluate_components(points)
-    return rows, np.stack([field.partial_components(j, points) for j in field.signature.axes()])
-
-
 def _divergence_rows(field, kind: str, rows: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """One kind's (npoints, dim) tensor divergence rows from ``_field_rows``."""
+    """One kind's (npoints, dim) tensor divergence rows from the field's ``jet``."""
     table = _bitensor_tables(field.signature, field.grade, kind)[1]
     return np.einsum("jiab,jna,nb->ni", table, slopes, rows)
 
@@ -295,7 +288,7 @@ def conservation_residual_components(f_field, j_field, points: np.ndarray) -> np
     one supplied, so inconsistent pairs show a nonzero residual.
     """
     points = np.asarray(points, dtype=float)
-    rows, slopes = _field_rows(f_field, points)
+    rows, slopes = f_field.jet(points)
     force = np.einsum("abc,na,nb->nc", _force_table(f_field.signature, f_field.grade),
                       j_field.evaluate_components(points), rows)
     return force + _divergence_rows(f_field, "stress", rows, slopes)
@@ -359,7 +352,7 @@ def _identity_terms(f_field, kinds: Sequence[str], x: Sequence[float]) -> tuple:
     tensor divergence at x, as multivectors, from one evaluation of the
     field's rows and partial rows."""
     sig = f_field.signature
-    rows, slopes = _field_rows(f_field, as_point(sig, x)[None, :])
+    rows, slopes = f_field.jet(as_point(sig, x)[None, :])
     value = Multivector.from_row(sig, f_field.grade, rows[0])
     return (value, _derivative_at(f_field, INTERIOR, x, slopes=slopes),
             _derivative_at(f_field, EXTERIOR, x, slopes=slopes),

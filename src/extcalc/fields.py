@@ -1,10 +1,11 @@
 """Multivector fields over (k, n) space-time and the differential operator.
 
 Two backends satisfy the same small protocol: ``signature``, ``grade``, the
-batched ``evaluate_components(points)`` and ``partial_components(axis,
-points)`` giving dense ``(npoints, ncomp)`` rows in ``index_lists(grade)``
-order, and their per-point one-row cases ``evaluate`` and ``partial_at``, as
-multivectors:
+batched ``evaluate_components(points)`` giving dense ``(npoints, ncomp)`` rows
+in ``index_lists(grade)`` order, ``jet(points)`` giving those rows and the
+``(dim, npoints, ncomp)`` partial rows along every axis from one pass, its
+slice ``partial_components(axis, points)``, and the per-point one-row cases
+``evaluate`` and ``partial_at``, as multivectors:
 
 * ``AnalyticField`` is a finite sum of modes, each the product of a constant
   multivector amplitude, a monomial, a cosine or complex-exponential waveform
@@ -16,7 +17,7 @@ multivectors:
   with second-order central differences.
 
 The exterior and interior derivatives are linear in the partials, so over a
-point array each is the sum over axes of the partial rows times a table of
+point array each is the sum over axes of the jet's partial rows times a table of
 ``wedge``/``left_interior`` on unit blades; the per-point forms are the
 one-row case.
 
@@ -280,7 +281,7 @@ def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.n
     return AnalyticField._from_table(sig, grade, table)
 
 
-# modes x points entries per work array of ``evaluate_components``: small
+# planes x modes x points entries per work array of the mode kernel: small
 # enough that its matrix products stay under the sizes at which OpenBLAS
 # splits a call over threads, since a split call can wait milliseconds for a
 # busy core
@@ -313,24 +314,45 @@ def _selection(flags: np.ndarray):
     return slice(None) if count == len(flags) else np.flatnonzero(flags)
 
 
-def _kernel_rows(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
-    """The (len(x), ncomp) rows of ``AnalyticField.evaluate_components`` at
-    one chunk of points, from the (nmodes, npoints) factors: one row per mode,
-    so a factor that only some modes carry updates whole rows."""
+def _kernel_jet(kernel: _Kernel, x: np.ndarray, order: int) -> np.ndarray:
+    """(1 + order dim, len(x), ncomp) rows at one chunk of points: plane 0 the
+    value, plane 1 + a the partial along axis a.  Each plane is (nmodes,
+    npoints) factors, one row per mode.  A factor f enters by the product rule:
+    every plane times f, then plane 1 + a gains d_a f times the old value plane,
+    with d_a f = p (x_a - c)^(p - 1) for a monomial (nothing divides by x_a - c)
+    and -f (x_a - e_a) / w^2 for an envelope."""
     coords = x.T
     theta = kernel.slopes @ coords + kernel.phase
-    factor = np.cos(theta).astype(kernel.dtype, copy=False)
+    planes = np.cos(theta)[None]
+    if order:
+        planes = np.concatenate([planes, -np.sin(theta) * kernel.slopes.T[:, :, None]])
+    planes = planes.astype(kernel.dtype, copy=False)
     if kernel.exp is not None:
-        factor[kernel.exp] = np.exp(1j * theta[kernel.exp])
+        wave = np.exp(1j * theta[kernel.exp])
+        planes[0, kernel.exp] = wave
+        if order:
+            planes[1:, kernel.exp] = 1j * wave * kernel.slopes[kernel.exp].T[:, :, None]
     for axis, power, hit, centre in kernel.monomials:
-        factor[hit] *= (coords[axis] - centre) ** power
+        base = coords[axis] - centre
+        rows = planes[:, hit]
+        if order:
+            lowered = rows[0] * (power * base ** (power - 1))
+        rows *= base ** power
+        if order:
+            rows[1 + axis] += lowered
+        planes[:, hit] = rows
     if kernel.envelope is not None:
         hit, centre, two_w2 = kernel.envelope
+        offset = coords[:, None, :] - centre
         dist2 = 0.0
-        for axis, c in enumerate(centre):
-            dist2 = dist2 + (coords[axis] - c) ** 2
-        factor[hit] *= np.exp(-dist2 / two_w2)
-    return factor.T @ kernel.rows
+        for along in offset:
+            dist2 = dist2 + along ** 2
+        rows = planes[:, hit]
+        rows *= np.exp(-dist2 / two_w2)
+        if order:
+            rows[1:] -= rows[0] * (2.0 * offset / two_w2)
+        planes[:, hit] = rows
+    return planes.transpose(0, 2, 1) @ kernel.rows
 
 
 def _factor_rows(sig: SpacetimeSignature, axis: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -467,11 +489,15 @@ class AnalyticField:
         return self._partials[axis]
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
-        return self.partial_field(axis).evaluate(x)
+        row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
+        return Multivector.from_row(self.signature, self.grade, row)
 
     def partial_components(self, axis: int, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) exact partial along one axis."""
-        return self.partial_field(axis).evaluate_components(points)
+        """Dense (npoints, ncomp) exact partial along one axis: a slice of the
+        ``jet``."""
+        if not 0 <= axis < self.signature.dim:
+            raise IndexError(f"axis {axis} out of range")
+        return self.jet(points)[1][axis]
 
     def is_complex(self) -> bool:
         return bool(self._table.amp.dtype == complex or self._table.data[:, _EXP].any())
@@ -497,21 +523,28 @@ class AnalyticField:
         return self._arrays
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) evaluation in ``index_lists`` order.
+        """Dense (npoints, ncomp) evaluation in ``index_lists`` order: the value
+        plane of the mode kernel, theta = slopes @ points + phase giving cos
+        theta (exp(j theta) in exponential modes) times the monomial and
+        envelope factors, then factor^T @ amplitude rows."""
+        return self._jet(points, 0)[0]
 
-        The one mode kernel, over all modes at once: theta = slopes @ points
-        + phase gives the (nmodes, npoints) waveform factors (cos, or exp(j
-        theta) in the exponential modes' rows), the monomial and envelope
-        factors multiply into the rows of the modes that carry them, and the
-        result is factor^T @ amplitude rows.  Points go through in chunks, so
-        the work array stays near ``_KERNEL_ENTRIES`` entries however many
-        modes and points there are.
-        """
+    def jet(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (npoints, ncomp) rows and the (dim, npoints, ncomp) exact partial
+        rows, from one pass of the mode kernel (forward-mode first-order jet):
+        theta is shared, and the waveform's derivative is -sin theta, or j
+        exp(j theta), times the phase slope."""
+        planes = self._jet(np.asarray(points, dtype=float), 1)
+        return planes[0], planes[1:]
+
+    def _jet(self, points: np.ndarray, order: int) -> np.ndarray:
+        """``_kernel_jet`` in chunks of near ``_KERNEL_ENTRIES`` entries."""
         kernel = self._mode_arrays()
-        step = max(1, _KERNEL_ENTRIES // max(1, len(kernel.rows)))
-        chunks = [_kernel_rows(kernel, points[lo:lo + step])
+        planes = 1 + order * self.signature.dim
+        step = max(1, _KERNEL_ENTRIES // max(1, planes * len(kernel.rows)))
+        chunks = [_kernel_jet(kernel, points[lo:lo + step], order)
                   for lo in range(0, max(1, len(points)), step)]
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
 
     def _axis_keys(self, axis: int) -> np.ndarray:
         """(nmodes, 6) columns that fix each mode's factor along one axis: xi,
@@ -672,21 +705,33 @@ class GridField:
         row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
         return Multivector.from_row(self.signature, self.grade, row)
 
+    def jet(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (npoints, ncomp) lattice values and the (dim, npoints, ncomp)
+        central differences along every axis, from one lattice lookup."""
+        return self._jet(points, self.signature.axes())
+
+    def _jet(self, points: np.ndarray, axes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The values and the central differences along ``axes``; the first point
+        off the lattice raises, then, axis by axis, the first whose neighbours leave it."""
+        sites = self._sites(np.asarray(points, dtype=float))
+        rows = self.values[tuple(sites.T)]
+        slopes = np.empty((len(axes), *rows.shape))
+        for out, axis in zip(slopes, axes):
+            bad = (sites[:, axis] < 1) | (sites[:, axis] + 1 >= self.values.shape[axis])
+            if bad.any():
+                site = tuple(int(s) for s in sites[bad.argmax()])
+                raise FieldDomainError(f"axis {axis} neighbours of site {site} fall outside the lattice")
+            step = np.eye(len(self.spacing), dtype=int)[axis]
+            ahead, behind = self.values[tuple((sites + step).T)], self.values[tuple((sites - step).T)]
+            out[:] = (ahead - behind) / (2.0 * self.spacing[axis])
+        return rows, slopes
+
     def partial_components(self, axis: int, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) central differences along one axis; the
-        first point whose neighbours leave the lattice raises."""
+        """Dense (npoints, ncomp) central differences along one axis: the
+        ``jet`` restricted to that axis, so its domain is the axis's own."""
         if not 0 <= axis < self.signature.dim:
             raise IndexError(f"axis {axis} out of range")
-        sites = self._sites(np.asarray(points, dtype=float))
-        bad = (sites[:, axis] < 1) | (sites[:, axis] + 1 >= self.values.shape[axis])
-        if bad.any():
-            site = tuple(int(s) for s in sites[bad.argmax()])
-            raise FieldDomainError(f"axis {axis} neighbours of site {site} fall outside the lattice")
-        fwd = sites.copy()
-        bwd = sites.copy()
-        fwd[:, axis] += 1
-        bwd[:, axis] -= 1
-        return (self.values[tuple(fwd.T)] - self.values[tuple(bwd.T)]) / (2.0 * self.spacing[axis])
+        return self._jet(points, (axis,))[1][0]
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
@@ -730,16 +775,19 @@ def _derivative_rows(f, kind: str, points: np.ndarray, axes: Iterable[int] | Non
     """Dense (npoints, ncomp) exterior or interior derivative rows: the sum over
     ``axes`` (default all) of the partial rows along axis i times ``T[i]``.
 
-    ``slopes[i]`` may supply partial rows already evaluated at the points.  A
-    derivative that leaves the grade range has no components: (npoints, 0).
+    The partial rows are the field's ``jet``, unless ``slopes`` supplies them
+    already evaluated at the points.  A derivative that leaves the grade range
+    has no components: (npoints, 0).
     """
     sig = f.signature
     if _derivative_grade(f, kind) is None:
         return np.zeros((len(points), 0))
+    if slopes is None:
+        slopes = f.jet(points)[1]
     table = _derivative_table(sig, f.grade, kind)
     total = np.zeros((len(points), table.shape[2]))
     for i in (sig.axes() if axes is None else axes):
-        total = total + (f.partial_components(i, points) if slopes is None else slopes[i]) @ table[i]
+        total = total + slopes[i] @ table[i]
     return total
 
 

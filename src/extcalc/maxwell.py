@@ -26,14 +26,15 @@ from .algebra import (
     wedge,
 )
 from .fields import (
+    EXTERIOR,
+    INTERIOR,
     AnalyticField,
+    _derivative_rows,
     as_point,
     dalembertian,
     exterior_derivative,
-    exterior_derivative_components,
     exterior_derivative_field,
     interior_derivative,
-    interior_derivative_components,
 )
 from .integrate import DEFAULT_POINTS, HypersurfaceBox, circulation, flux
 
@@ -93,8 +94,9 @@ def maxwell_residual_components(system: MaxwellSystem, points: np.ndarray) -> tu
     F) at every point, in ``index_lists`` order of grades r - 1 and r + 1; the
     second has no columns when r is the top grade."""
     points = np.asarray(points, dtype=float)
-    inhom = interior_derivative_components(system.F, points) - system.J.evaluate_components(points)
-    return inhom, exterior_derivative_components(system.F, points)
+    slopes = system.F.jet(points)[1]
+    inhom, hom = (_derivative_rows(system.F, kind, points, slopes=slopes) for kind in (INTERIOR, EXTERIOR))
+    return inhom - system.J.evaluate_components(points), hom
 
 
 def wave_equation_residual(potential: AnalyticField, source, x: Sequence[float]) -> Multivector:
@@ -270,17 +272,14 @@ def classical_vector_residual_components(cf: ClassicalFields, points: np.ndarray
     """
     points = np.asarray(points, dtype=float)
 
-    def partials(field):
-        # d[axis][:, i] is the partial along axis of component e_i
-        return [field.partial_components(axis, points) for axis in MINKOWSKI.axes()]
-
     def curl(d):
         return np.stack([d[2][:, 3] - d[3][:, 2], d[3][:, 1] - d[1][:, 3], d[1][:, 2] - d[2][:, 1]], axis=1)
 
     def div(d):
         return d[1][:, 1] + d[2][:, 2] + d[3][:, 3]
 
-    d_e, d_b = partials(cf.E), partials(cf.B)
+    # d[axis][:, i] is the partial along axis of component e_i
+    d_e, d_b = cf.E.jet(points)[1], cf.B.jet(points)[1]
     return {
         "gauss": div(d_e) - cf.rho.evaluate_components(points)[:, 0],
         "faraday": curl(d_e) + d_b[0][:, 1:],

@@ -464,6 +464,8 @@ def _set(path, value):
     ("flux-compare", ("slice_bounds",), [0, 1]),
     ("flux-compare", ("spectrum",), "gaussian"),
     ("flux-compare", ("spectrum", "center"), [1.0, 0.0]),
+    # an empty centre makes the bump a scalar, not one value per frequency
+    ("flux-compare", ("spectrum", "center"), {}),
 ])
 def test_bad_nested_config_entries_exit_2(capsys, tmp_path, command, path, value):
     scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"

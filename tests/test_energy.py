@@ -279,11 +279,16 @@ def test_tensor_divergence_identity_arbitrary_fields():
 
 
 class _CountingField:
-    """A field that counts its batched evaluations and partial evaluations."""
+    """A field that counts its evaluations: the jet (rows and every partial
+    row at once) and the separate value and partial reads."""
 
     def __init__(self, field):
         self.field, self.signature, self.grade = field, field.signature, field.grade
-        self.calls = {"evaluate": 0, "partial": 0}
+        self.calls = {"jet": 0, "evaluate": 0, "partial": 0}
+
+    def jet(self, points):
+        self.calls["jet"] += 1
+        return self.field.jet(points)
 
     def evaluate_components(self, points):
         self.calls["evaluate"] += 1
@@ -295,12 +300,13 @@ class _CountingField:
 
 
 def test_identity_checks_evaluate_each_partial_once():
+    # one jet holds the value and every partial: each is evaluated once
     f = _CountingField(random_cos_field(MINKOWSKI, 2, np.random.default_rng(17)))
     tensor_identity_check(f, (0.1, 0.2, 0.3, 0.4))
-    assert f.calls == {"evaluate": 1, "partial": 4}
-    f.calls = {"evaluate": 0, "partial": 0}
+    assert f.calls == {"jet": 1, "evaluate": 0, "partial": 0}
+    f.calls = {"jet": 0, "evaluate": 0, "partial": 0}
     tensor_divergence_identity(f, (0.1, 0.2, 0.3, 0.4))
-    assert f.calls == {"evaluate": 1, "partial": 4}
+    assert f.calls == {"jet": 1, "evaluate": 0, "partial": 0}
 
 
 def test_split_residuals_cancel_for_non_maxwellian():

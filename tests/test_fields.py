@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,87 @@ def test_stacked_mode_kernel_fails_closed_on_nan():
     nan_field = field + AnalyticField(MINK, 1, [bad])
     got = nan_field.evaluate_components(np.delete(points, 2, axis=0))
     assert np.isnan(got[:, 0]).all() and not np.isnan(got[:, 1:]).any()
+
+
+def centred_field(sig, grade, rng, waveforms):
+    """Six modes with monomial exponents 1, 2 and 3 around one centre c, and
+    the centre c itself; modes 0 and 3 carry an envelope at c (no shift),
+    modes 1 and 4 one at e (shifted), returned as the third value."""
+    centre = tuple(rng.uniform(-0.5, 0.5, sig.dim))
+    shifted = tuple(rng.uniform(-0.3, 0.3, sig.dim))
+    modes = []
+    for m in range(6):
+        poly = [0] * sig.dim
+        poly[m % sig.dim] = 1 + m % 3
+        poly[(m + 1) % sig.dim] += 1
+        env = (None, GaussianEnvelope(centre, 0.8), GaussianEnvelope(shifted, 0.7))[(m + 1) % 3]
+        modes.append(Mode(
+            amplitude=Multivector(sig, grade, {idx: float(rng.normal()) for idx in sig.index_lists(grade)}),
+            xi=tuple(rng.uniform(-1, 1, sig.dim)), phase=float(rng.uniform(0, 6)),
+            waveform=waveforms[m % len(waveforms)], poly=tuple(poly), poly_center=centre, envelope=env))
+    return AnalyticField(sig, grade, modes), centre, shifted
+
+
+@pytest.mark.parametrize("k,n,grade", [(1, 1, 1), (0, 3, 2), (1, 3, 2), (2, 2, 2)])
+def test_jet_matches_the_partial_fields(k, n, grade):
+    # the one-pass jet against the derived partial fields, on every waveform,
+    # monomial and envelope mix, at sample points on a monomial and an envelope centre
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng([k, n, grade, 17])
+    cases = kernel_fields(sig, grade, rng)
+    points = [rng.uniform(-1, 1, size=(11, sig.dim))]
+    for waves in (("cos",), ("exp",), ("cos", "exp")):
+        cases["centred-" + "+".join(waves)], centre, shifted = centred_field(sig, grade, rng, waves)
+        points.append(np.array([centre, shifted]))
+    points = np.vstack(points)
+    for name, field in cases.items():
+        rows, slopes = field.jet(points)
+        values = field.evaluate_components(points)
+        assert rows.shape == values.shape and slopes.shape == (sig.dim, *values.shape), name
+        assert np.abs(rows - values).max() <= 1e-12 * np.abs(values).max(), name
+        for axis in sig.axes():
+            want = field.partial_field(axis).evaluate_components(points)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(slopes[axis] - want) <= 1e-12 * scale), (name, axis)
+            assert np.array_equal(field.partial_components(axis, points), slopes[axis])
+
+
+def test_jet_across_chunk_boundaries(monkeypatch):
+    # 40 modes and a bound of 500 entries: 5 planes of 40 modes take 2 points a chunk
+    rng = np.random.default_rng(8)
+    field = sum((mixed_mode_field(MINK, 2, rng) for _ in range(10)), AnalyticField(MINK, 2))
+    assert field.mode_count == 40
+    points = rng.uniform(-1, 1, size=(9, 4))
+    whole = field.jet(points)
+    monkeypatch.setattr(fields, "_KERNEL_ENTRIES", 500)
+    chunked = field.jet(points)
+    for got, want in zip(chunked, whole):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_jet_of_the_empty_field():
+    for npoints in (0, 3):
+        rows, slopes = AnalyticField(MINK, 2).jet(np.zeros((npoints, 4)))
+        assert rows.shape == (npoints, 6) and slopes.shape == (4, npoints, 6)
+        assert not rows.any() and not slopes.any()
+
+
+def test_jet_fails_closed_on_nan():
+    # a NaN amplitude gives NaN in its component of every plane, even along an
+    # axis its mode does not vary on; a NaN point gives NaN rows in every plane
+    rng = np.random.default_rng(12)
+    field = mixed_mode_field(MINK, 1, rng)
+    bad = Mode(amplitude=Multivector(MINK, 1, {(0,): math.nan, (3,): 1.0}), xi=(0.1, 0.2, 0.0, 0.0))
+    points = rng.uniform(-1, 1, size=(5, 4))
+    rows, slopes = (field + AnalyticField(MINK, 1, [bad])).jet(points)
+    assert np.isnan(rows[:, 0]).all() and np.isnan(slopes[:, :, 0]).all()
+    assert not np.isnan(rows[:, 1:]).any() and not np.isnan(slopes[:, :, 1:]).any()
+    points[2, 1] = math.nan
+    rows, slopes = field.jet(points)
+    assert np.isnan(rows[2]).all() and np.isnan(slopes[:, 2]).all()
+    assert not np.isnan(np.delete(rows, 2, axis=0)).any()
+    assert not np.isnan(np.delete(slopes, 2, axis=1)).any()
 
 
 def test_axis_factors_rebuild_each_mode_factor():
@@ -581,6 +663,26 @@ def test_grid_partial_rejects_an_axis_out_of_range():
             grid.partial_components(axis, np.array([x]))
         with pytest.raises(IndexError, match=f"axis {axis} out of range"):
             grid.partial_at(axis, x)
+
+
+def test_grid_jet_is_the_values_and_every_central_difference():
+    source = smooth_source()
+    grid = GridField.sample(source, origin=(-0.5, -0.5, -0.5), spacing=(0.25, 0.25, 0.25), counts=(5, 5, 5))
+    inner = np.array([(-0.25, 0.0, 0.25), (0.25, -0.25, 0.0), (0.0, 0.25, 0.25)])
+    rows, slopes = grid.jet(inner)
+    assert rows.tobytes() == grid.evaluate_components(inner).tobytes()
+    want = np.stack([grid.partial_components(axis, inner) for axis in range(3)])
+    assert slopes.shape == want.shape and slopes.tobytes() == want.tobytes()
+    # the first bad point raises as the values, then the partials axis by axis, would
+    for bad in ([(0.1, 0.0, 0.0), (2.0, 0.0, 0.0)], [(0.0, -0.5, 0.0), (0.0, 0.0, 0.5), (-0.5, 0.0, 0.0)],
+                [(0.0, 0.0, 0.5), (0.0, 0.5, 0.0)], [(0.0, 0.0, 2.0), (0.0, 0.5, 0.0)]):
+        points = np.vstack([inner, bad])
+        with pytest.raises(FieldDomainError) as want_error:
+            grid.evaluate_components(points)
+            for axis in range(3):
+                grid.partial_components(axis, points)
+        with pytest.raises(FieldDomainError, match=re.escape(str(want_error.value))):
+            grid.jet(points)
 
 
 def test_grid_central_difference_second_order():
