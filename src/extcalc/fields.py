@@ -334,24 +334,24 @@ def _kernel_jet(kernel: _Kernel, x: np.ndarray, order: int) -> np.ndarray:
             planes[1:, kernel.exp] = 1j * wave * kernel.slopes[kernel.exp].T[:, :, None]
     for axis, power, hit, centre in kernel.monomials:
         base = coords[axis] - centre
-        rows = planes[:, hit]
+        carrying = planes[:, hit]
         if order:
-            lowered = rows[0] * (power * base ** (power - 1))
-        rows *= base ** power
+            lowered = carrying[0] * (power * base ** (power - 1))
+        carrying *= base ** power
         if order:
-            rows[1 + axis] += lowered
-        planes[:, hit] = rows
+            carrying[1 + axis] += lowered
+        planes[:, hit] = carrying
     if kernel.envelope is not None:
         hit, centre, two_w2 = kernel.envelope
         offset = coords[:, None, :] - centre
         dist2 = 0.0
         for along in offset:
             dist2 = dist2 + along ** 2
-        rows = planes[:, hit]
-        rows *= np.exp(-dist2 / two_w2)
+        carrying = planes[:, hit]
+        carrying *= np.exp(-dist2 / two_w2)
         if order:
-            rows[1:] -= rows[0] * (2.0 * offset / two_w2)
-        planes[:, hit] = rows
+            carrying[1:] -= carrying[0] * (2.0 * offset / two_w2)
+        planes[:, hit] = carrying
     return planes.transpose(0, 2, 1) @ kernel.rows
 
 
@@ -540,8 +540,8 @@ class AnalyticField:
     def _jet(self, points: np.ndarray, order: int) -> np.ndarray:
         """``_kernel_jet`` in chunks of near ``_KERNEL_ENTRIES`` entries."""
         kernel = self._mode_arrays()
-        planes = 1 + order * self.signature.dim
-        step = max(1, _KERNEL_ENTRIES // max(1, planes * len(kernel.rows)))
+        nplanes = 1 + order * self.signature.dim
+        step = max(1, _KERNEL_ENTRIES // max(1, nplanes * len(kernel.rows)))
         chunks = [_kernel_jet(kernel, points[lo:lo + step], order)
                   for lo in range(0, max(1, len(points)), step)]
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
