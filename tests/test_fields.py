@@ -204,6 +204,9 @@ def test_stacked_mode_kernel_of_the_empty_field():
         for npoints in (0, 3):
             got = field.evaluate_components(np.zeros((npoints, 4)))
             assert got.shape == (npoints, 6) and not got.any()
+            rows, slopes = field.jet(np.zeros((npoints, 4)))
+            assert rows.shape == (npoints, 6) and slopes.shape == (4, npoints, 6)
+            assert not rows.any() and not slopes.any()
 
 
 def test_stacked_mode_kernel_across_chunk_boundaries(monkeypatch):
@@ -213,11 +216,16 @@ def test_stacked_mode_kernel_across_chunk_boundaries(monkeypatch):
     assert field.mode_count == 40
     points = rng.uniform(-1, 1, size=(9, 4))
     whole = field.evaluate_components(points)
+    whole_jet = field.jet(points)
     monkeypatch.setattr(fields, "_KERNEL_ENTRIES", 100)
     chunked = field.evaluate_components(points)
     want = reference_mode_kernel(field, points)
     for got in (whole, chunked):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the jet's 5 planes of 40 modes take one point a chunk
+    for got, want in zip(field.jet(points), whole_jet):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_stacked_mode_kernel_fails_closed_on_nan():
@@ -232,6 +240,13 @@ def test_stacked_mode_kernel_fails_closed_on_nan():
     nan_field = field + AnalyticField(MINK, 1, [bad])
     got = nan_field.evaluate_components(np.delete(points, 2, axis=0))
     assert np.isnan(got[:, 0]).all() and not np.isnan(got[:, 1:]).any()
+    # the jet likewise, in every plane: the NaN amplitude reaches its
+    # component's partials also along the axes its mode does not vary on
+    rows, slopes = field.jet(points)
+    assert np.isnan(rows[2]).all() and np.isnan(slopes[:, 2]).all()
+    assert not np.isnan(np.delete(slopes, 2, axis=1)).any()
+    rows, slopes = nan_field.jet(np.delete(points, 2, axis=0))
+    assert np.isnan(slopes[:, :, 0]).all() and not np.isnan(slopes[:, :, 1:]).any()
 
 
 def centred_field(sig, grade, rng, waveforms):
@@ -275,44 +290,6 @@ def test_jet_matches_the_partial_fields(k, n, grade):
             scale = np.abs(want).max(axis=1, keepdims=True)
             assert np.all(np.abs(slopes[axis] - want) <= 1e-12 * scale), (name, axis)
             assert np.array_equal(field.partial_components(axis, points), slopes[axis])
-
-
-def test_jet_across_chunk_boundaries(monkeypatch):
-    # 40 modes and a bound of 500 entries: 5 planes of 40 modes take 2 points a chunk
-    rng = np.random.default_rng(8)
-    field = sum((mixed_mode_field(MINK, 2, rng) for _ in range(10)), AnalyticField(MINK, 2))
-    assert field.mode_count == 40
-    points = rng.uniform(-1, 1, size=(9, 4))
-    whole = field.jet(points)
-    monkeypatch.setattr(fields, "_KERNEL_ENTRIES", 500)
-    chunked = field.jet(points)
-    for got, want in zip(chunked, whole):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-def test_jet_of_the_empty_field():
-    for npoints in (0, 3):
-        rows, slopes = AnalyticField(MINK, 2).jet(np.zeros((npoints, 4)))
-        assert rows.shape == (npoints, 6) and slopes.shape == (4, npoints, 6)
-        assert not rows.any() and not slopes.any()
-
-
-def test_jet_fails_closed_on_nan():
-    # a NaN amplitude gives NaN in its component of every plane, even along an
-    # axis its mode does not vary on; a NaN point gives NaN rows in every plane
-    rng = np.random.default_rng(12)
-    field = mixed_mode_field(MINK, 1, rng)
-    bad = Mode(amplitude=Multivector(MINK, 1, {(0,): math.nan, (3,): 1.0}), xi=(0.1, 0.2, 0.0, 0.0))
-    points = rng.uniform(-1, 1, size=(5, 4))
-    rows, slopes = (field + AnalyticField(MINK, 1, [bad])).jet(points)
-    assert np.isnan(rows[:, 0]).all() and np.isnan(slopes[:, :, 0]).all()
-    assert not np.isnan(rows[:, 1:]).any() and not np.isnan(slopes[:, :, 1:]).any()
-    points[2, 1] = math.nan
-    rows, slopes = field.jet(points)
-    assert np.isnan(rows[2]).all() and np.isnan(slopes[:, 2]).all()
-    assert not np.isnan(np.delete(rows, 2, axis=0)).any()
-    assert not np.isnan(np.delete(slopes, 2, axis=1)).any()
 
 
 def test_axis_factors_rebuild_each_mode_factor():
