@@ -53,7 +53,7 @@ from .fields import (
     _pruned,
     as_point,
 )
-from .integrate import DEFAULT_POINTS, HypersurfaceBox, gauss_legendre_rule
+from .integrate import DEFAULT_POINTS, HypersurfaceBox, _composite_rule
 
 __all__ = [
     "lorentz_force",
@@ -454,7 +454,7 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
     slice_box = HypersurfaceBox(sig, intervals=dict(bounds), fixed={axis: coordinate})
     if slice_box.dim != sig.dim - 1:
         raise ValueError("slice bounds must cover every axis except the fixed one")
-    rules = {a: gauss_legendre_rule(*slice_box.intervals[a], points, panels)
+    rules = {a: _composite_rule(*slice_box.intervals[a], points, panels)
              for a in slice_box.free_axes}
     rows, const, factors = f_field.axis_factors(slice_box.fixed,
                                                 {a: nodes for a, (nodes, _) in rules.items()})

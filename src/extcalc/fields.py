@@ -235,29 +235,60 @@ def _pruned(amp: np.ndarray) -> np.ndarray:
     return amp
 
 
+# tables of at most this many rows are grouped through a dict of Python key
+# tuples, larger ones by sorting: per call the dict is the faster up to about
+# 32 rows and the sort from about 48 (captured merges of the benchmark
+# workloads, truncated to each size)
+_DICT_ROWS = 32
+
+
+def _groups(part: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each row's group, the groups numbered by first occurrence, and their
+    count.  Rows group when their part and every key compare equal as
+    floats, so 0.0 and -0.0 group and a row holding NaN is a group of its own."""
+    if len(part) <= _DICT_ROWS:
+        seen: dict[tuple, int] = {}
+        group = [seen.setdefault(key, len(seen)) for key in zip(part.tolist(), map(tuple, keys.tolist()))]
+        return np.array(group, dtype=np.intp), len(seen)
+    keys = np.column_stack([part, keys])
+    keys = keys[:, np.logical_or.reduce(keys != keys[0], axis=0)]
+    if not keys.shape[1]:
+        return np.zeros(len(part), dtype=np.intp), 1
+    # a stable sort brings equal rows together, first occurrence first; a
+    # group starts wherever adjacent rows differ (NaN differs from itself)
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    start = np.ones(len(keys), dtype=bool)
+    np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1, out=start[1:])
+    lead = order[start]
+    number = np.empty(len(lead), dtype=np.intp)
+    number[np.argsort(lead)] = np.arange(len(lead))
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = number[np.cumsum(start) - 1]
+    return group, len(lead)
+
+
 def _merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple[_ModeTable, np.ndarray]:
     """Modes sharing every field but the amplitude merged into their first
     occurrence by sequential addition, as ``AnalyticField`` merges ``Mode``
     objects; modes whose amplitude is or becomes zero are dropped.
 
     Rows of different ``part`` never merge; the parts of the rows kept are
-    returned with the table.  Keys compare as Python floats, so 0.0 and -0.0
-    merge and NaN never does.
+    returned with the table.  Keys compare as floats (``_groups``).
     """
     if part is None:
         part = np.zeros(len(table.data), dtype=np.intp)
     nonzero = np.logical_or.reduce(table.amp != 0, axis=1)
     if np.count_nonzero(nonzero) < len(nonzero):
         table, part = table.take(nonzero), part[nonzero]
-    seen: dict[tuple, int] = {}
-    group = [seen.setdefault(key, len(seen))
-             for key in zip(part.tolist(), map(tuple, table.data[:, :-1].tolist()))]
-    if len(seen) == len(group):
+    if len(part) < 2:
         return table, part
-    # groups are numbered by first occurrence; rank counts a member's predecessors
-    group = np.array(group)
+    group, count = _groups(part, table.data[:, :-1])
+    if count == len(group):
+        return table, part
+    # rank counts a member's predecessors in its group
     order = np.argsort(group, kind="stable")
-    starts = np.searchsorted(group[order], np.arange(len(seen)))
+    starts = np.searchsorted(group[order], np.arange(count))
     rank = np.empty_like(group)
     rank[order] = np.arange(len(group)) - starts[group[order]]
     lead = order[starts]
@@ -605,10 +636,16 @@ class AnalyticField:
         return AnalyticField._from_table(self.signature, self.grade,
                                          _ModeTable.concat([self._table, other._table]))
 
+    def _with_amplitudes(self, grade: int, amp: np.ndarray) -> "AnalyticField":
+        """This field's modes with new amplitude rows: no two keys were equal,
+        so none become equal, and only the rows now zero are dropped."""
+        amp = _pruned(amp)
+        nonzero = np.logical_or.reduce(amp != 0, axis=1)
+        return AnalyticField._from_table(self.signature, grade,
+                                         _ModeTable(amp, self._table.data).take(nonzero), merged=True)
+
     def __mul__(self, factor: complex) -> "AnalyticField":
-        t = self._table
-        return AnalyticField._from_table(self.signature, self.grade,
-                                         _ModeTable(_pruned(t.amp * factor), t.data))
+        return self._with_amplitudes(self.grade, self._table.amp * factor)
 
     __rmul__ = __mul__
 
@@ -627,7 +664,7 @@ class AnalyticField:
         with np.errstate(invalid="ignore"):
             # terms only where fn(e_a) has one, so an infinite c_a stays in its components
             amp = np.where(table != 0, t.amp[:, :, None] * table, 0).sum(axis=1)
-        return AnalyticField._from_table(sig, grade, _ModeTable(_pruned(amp), t.data))
+        return self._with_amplitudes(grade, amp)
 
 
 def constant_field(value: Multivector) -> AnalyticField:

@@ -109,14 +109,17 @@ class HypersurfaceBox:
     def grid_points(self, points: int = DEFAULT_POINTS, panels: int = 1):
         """Tensor-product (nodes, weights) arrays, last free axis fastest; each
         weight multiplies its per-axis weights in free-axis order from 1.0."""
-        rules = [gauss_legendre_rule(*self.intervals[a], points, panels) for a in self.free_axes]
+        rules = [_composite_rule(*self.intervals[a], points, panels) for a in self.free_axes]
         weights = np.ones(1)
         for _, axis_weights in rules:
             weights = np.multiply.outer(weights, axis_weights).ravel()
         nodes = np.empty((len(weights), self.signature.dim))
         nodes[:, list(self.fixed)] = list(self.fixed.values())
-        for a, axis_nodes in zip(self.free_axes, np.meshgrid(*(r[0] for r in rules), indexing="ij")):
-            nodes[:, a] = axis_nodes.ravel()
+        # the nodes as a (*per-axis counts, dim) grid; each free axis's column
+        # broadcasts its rule's nodes along that axis of the grid
+        grid = nodes.reshape(*(len(axis_nodes) for axis_nodes, _ in rules), -1)
+        for position, (a, (axis_nodes, _)) in enumerate(zip(self.free_axes, rules)):
+            grid[..., a] = axis_nodes.reshape((-1,) + (1,) * (len(rules) - 1 - position))
         return nodes, weights
 
 
@@ -129,17 +132,25 @@ def _legendre_base(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
+@lru_cache(maxsize=1024)
+def _composite_rule(a: float, b: float, points: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [a, b]: on each of the
+    ``panels`` equal panels [lo, hi], the base rule scaled by (hi - lo) / 2
+    about (hi + lo) / 2.  Cached and shared by every caller, so read-only."""
     base_nodes, base_weights = _legendre_base(points)
     edges = np.linspace(a, b, panels + 1)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * base_nodes + 0.5 * (hi + lo))
-        weights.append(half * base_weights)
-    return np.concatenate(nodes), np.concatenate(weights)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    nodes = (half * base_nodes + 0.5 * (hi + lo)).ravel()
+    weights = (half * base_weights).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
+    """Composite Gauss-Legendre nodes and weights on [a, b], as new arrays."""
+    nodes, weights = _composite_rule(float(a), float(b), points, panels)
+    return nodes.copy(), weights.copy()
 
 
 def _integrate(rows, box: HypersurfaceBox, points: int, panels: int) -> list:

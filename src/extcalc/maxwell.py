@@ -29,10 +29,10 @@ from .fields import (
     EXTERIOR,
     INTERIOR,
     AnalyticField,
+    _derivative_at,
     _derivative_rows,
     as_point,
     dalembertian,
-    exterior_derivative,
     exterior_derivative_field,
     interior_derivative,
 )
@@ -83,9 +83,11 @@ class MaxwellSystem:
 
 
 def maxwell_residuals(system: MaxwellSystem, x: Sequence[float]) -> tuple[Multivector, Multivector]:
-    """(interior derivative of F minus J, exterior derivative of F) at x."""
-    inhom = interior_derivative(system.F, x) - system.J.evaluate(x)
-    hom = exterior_derivative(system.F, x)
+    """(interior derivative of F minus J, exterior derivative of F) at x, both
+    from one jet of F."""
+    slopes = system.F.jet(as_point(system.signature, x)[None, :])[1]
+    inhom = _derivative_at(system.F, INTERIOR, x, slopes=slopes) - system.J.evaluate(x)
+    hom = _derivative_at(system.F, EXTERIOR, x, slopes=slopes)
     return inhom, hom
 
 
@@ -109,10 +111,13 @@ def wave_equation_residual(potential: AnalyticField, source, x: Sequence[float])
 
 
 def transverse_gauge_residuals(potential, x: Sequence[float]) -> tuple[Multivector, Multivector]:
-    """Time-restricted and space-restricted interior derivatives of the potential."""
+    """Time-restricted and space-restricted interior derivatives of the
+    potential, both from one jet (none for a scalar potential, whose interior
+    derivative is zero)."""
     sig = potential.signature
-    time_part = interior_derivative(potential, x, axes=range(sig.k))
-    space_part = interior_derivative(potential, x, axes=range(sig.k, sig.dim))
+    slopes = potential.jet(as_point(sig, x)[None, :])[1] if potential.grade else None
+    time_part = _derivative_at(potential, INTERIOR, x, range(sig.k), slopes)
+    space_part = _derivative_at(potential, INTERIOR, x, range(sig.k, sig.dim), slopes)
     return time_part, space_part
 
 

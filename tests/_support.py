@@ -8,8 +8,10 @@ product-rule residual, a per-point reference evaluation of analytic mode
 fields, the mode kernel as a loop over modes, per-node reference
 quadratures, the dense slice flux, the per-node frequency-domain flux and
 cone synthesis, the derived-field and mapped amplitude modes built by
-per-mode multivector algebra, a by-value comparison of modes and the loop
-form of the identity suite.  None of these is used by the package."""
+per-mode multivector algebra, the mode-table merge through a dict of
+Python key tuples, the meshgrid construction of quadrature nodes, a
+by-value comparison of modes and the loop form of the identity suite.
+None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -39,6 +41,8 @@ from extcalc.fields import (
     AnalyticField,
     GaussianEnvelope,
     Mode,
+    _ModeTable,
+    _pruned,
     exterior_derivative,
     interior_derivative,
     polynomial_field,
@@ -331,6 +335,36 @@ def reference_merged_modes(modes: Iterable[Mode]) -> list[Mode]:
     return [m for m in merged.values() if m.amplitude]
 
 
+def reference_merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple[_ModeTable, np.ndarray]:
+    """``fields._merged`` through a dict keyed by each row's part and its
+    ``data[:, :-1]`` entries as a tuple of Python floats (equal keys compare
+    equal, so 0.0 matches -0.0 and a fresh NaN matches nothing); the groups'
+    members are then added in order with the relative prune."""
+    if part is None:
+        part = np.zeros(len(table.data), dtype=np.intp)
+    nonzero = np.logical_or.reduce(table.amp != 0, axis=1)
+    if np.count_nonzero(nonzero) < len(nonzero):
+        table, part = table.take(nonzero), part[nonzero]
+    seen: dict[tuple, int] = {}
+    group = [seen.setdefault(key, len(seen))
+             for key in zip(part.tolist(), map(tuple, table.data[:, :-1].tolist()))]
+    if len(seen) == len(group):
+        return table, part
+    group = np.array(group)
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(len(seen)))
+    rank = np.empty_like(group)
+    rank[order] = np.arange(len(group)) - starts[group[order]]
+    lead = order[starts]
+    amp = table.amp[lead]
+    for r in range(1, int(rank.max()) + 1):
+        members = np.flatnonzero(rank == r)
+        g = group[members]
+        amp[g] = _pruned(amp[g] + table.amp[members])
+    nonzero = np.logical_or.reduce(amp != 0, axis=1)
+    return _ModeTable(amp, table.data[lead]).take(nonzero), part[lead][nonzero]
+
+
 def reference_partial_modes(modes: Sequence[Mode], axis: int) -> list[Mode]:
     """The partial field's modes: every mode's derived modes, merged."""
     return reference_merged_modes(m for mode in modes for m in reference_derivative_modes(mode, axis))
@@ -475,6 +509,21 @@ def reference_grid(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.nd
         nodes.append(x)
         weights.append(w)
     return np.array(nodes), np.array(weights)
+
+
+def reference_grid_points(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The box's nodes and weights as ``HypersurfaceBox.grid_points`` built
+    them with ``np.meshgrid``: each free axis's column the raveled "ij" mesh
+    of the per-axis rules, the fixed columns their coordinates."""
+    rules = [gauss_legendre_rule(*box.intervals[a], points, panels) for a in box.free_axes]
+    weights = np.ones(1)
+    for _, axis_weights in rules:
+        weights = np.multiply.outer(weights, axis_weights).ravel()
+    nodes = np.empty((len(weights), box.signature.dim))
+    nodes[:, list(box.fixed)] = list(box.fixed.values())
+    for a, axis_nodes in zip(box.free_axes, np.meshgrid(*(r[0] for r in rules), indexing="ij")):
+        nodes[:, a] = axis_nodes.ravel()
+    return nodes, weights
 
 
 def reference_circulation(f, box, points: int = 8, panels: int = 1) -> complex:

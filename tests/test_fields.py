@@ -32,6 +32,7 @@ from _support import (
     mode_values,
     product_rule_check,
     reference_derivative_field_modes,
+    reference_merged,
     reference_merged_modes,
     reference_partial_modes,
     reference_evaluate,
@@ -554,7 +555,8 @@ def test_derived_fields_match_the_multivector_route(k, n):
         modes += modes[::2] + [dataclasses.replace(m, amplitude=-1 * m.amplitude) for m in modes[1::3]]
         fields["merged"] = AnalyticField(sig, r, modes)
         same(fields["merged"], reference_merged_modes(modes))
-        for factor in (2, -1, 0.5, 0.25 - 0.5j):
+        # a factor of 0 zeroes every row; the table keeps its keys, so no row is regrouped
+        for factor in (2, -1, 0.5, 0.25 - 0.5j, 0):
             same(fields["merged"] * factor, reference_merged_modes(
                 dataclasses.replace(m, amplitude=m.amplitude * factor) for m in fields["merged"].modes))
         same(fields["cos"] + fields["exp"], reference_merged_modes(fields["cos"].modes + fields["exp"].modes))
@@ -566,6 +568,53 @@ def test_derived_fields_match_the_multivector_route(k, n):
                      reference_partial_modes(want, sig.dim - 1 - axis))
             same(exterior_derivative_field(f), reference_derivative_field_modes(f, "exterior"))
             same(interior_derivative_field(f), reference_derivative_field_modes(f, "interior"))
+
+
+def adversarial_tables(rng, count):
+    """Mode tables whose key rows repeat, mix 0.0 with -0.0 and hold NaN and
+    +-inf, with real or complex amplitudes that repeat, cancel or are
+    non-finite, one to three parts (or none), and every size from empty to
+    beyond ``_DICT_ROWS``; the last few are all-equal tables."""
+    specials = np.array([0.0, -0.0, 0.5, -1.25, 3.0, math.nan, math.inf, -math.inf])
+    odds = np.array([6, 6, 4, 4, 4, 1, 1, 1], dtype=float)
+    for i in range(count):
+        dim = int(rng.integers(1, 4))
+        ncomp = int(rng.integers(1, 4))
+        rows = int(rng.choice([0, 1, 2, 3, 5, 8, 20, 32, 33, 40, 64, 150]))
+        pool = specials[rng.choice(len(specials), size=(int(rng.integers(1, rows + 2)), 4 * dim + 4),
+                                   p=odds / odds.sum())]
+        if i >= count - 8:
+            # all-equal: one finite key row, repeated
+            pool = np.nan_to_num(pool[:1], nan=0.5, posinf=3.0, neginf=-1.25)
+        data = pool[rng.integers(len(pool), size=rows)]
+        flip = (data == 0) & (rng.random(data.shape) < 0.5)
+        data[flip] = -data[flip]
+        amp = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, 0.25, math.nan, math.inf, -math.inf],
+                         size=(rows, ncomp), p=[0.2, 0.1, 0.2, 0.2, 0.1, 0.1, 0.04, 0.03, 0.03])
+        if rng.random() < 0.4:
+            amp = amp.astype(complex)
+            amp.imag = rng.choice([0.0, 1.0, -1.0, math.inf], size=amp.shape, p=[0.4, 0.3, 0.27, 0.03])
+        nparts = int(rng.integers(0, 4))
+        part = rng.integers(nparts, size=rows).astype(np.intp) if nparts else None
+        yield fields._ModeTable(amp, data), part
+
+
+@pytest.mark.parametrize("dict_rows", [fields._DICT_ROWS, 0])
+def test_merge_matches_the_dict_of_key_tuples(monkeypatch, dict_rows):
+    # bit for bit the dict route: amplitudes with their dtype, data, parts
+    # and order; a dict_rows of 0 sends every table of two or more rows
+    # through the sorted grouping
+    monkeypatch.setattr(fields, "_DICT_ROWS", dict_rows)
+    rng = np.random.default_rng(18)
+    for table, part in adversarial_tables(rng, 1500):
+        copy = None if part is None else part.copy()
+        with np.errstate(invalid="ignore"):
+            got, got_part = fields._merged(table, part)
+            want, want_part = reference_merged(table, copy)
+        assert got.amp.dtype == want.amp.dtype and got.amp.shape == want.amp.shape
+        assert got.amp.tobytes() == want.amp.tobytes()
+        assert got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
+        assert got_part.dtype == want_part.dtype and got_part.tobytes() == want_part.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,13 @@ from extcalc.integrate import (
     stokes_flux_check,
 )
 
-from _support import ComponentBitensorField, reference_circulation, reference_flux, reference_grid
+from _support import (
+    ComponentBitensorField,
+    reference_circulation,
+    reference_flux,
+    reference_grid,
+    reference_grid_points,
+)
 
 EUC2 = SpacetimeSignature(0, 2)
 EUC3 = SpacetimeSignature(0, 3)
@@ -48,6 +55,23 @@ def test_grid_points_match_the_product_reference(free):
     pairs = list(box.quadrature(points=3, panels=2))
     assert np.array_equal([x for x, _ in pairs], ref_nodes)
     assert np.array_equal([w for _, w in pairs], ref_weights)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_points_match_the_meshgrid_construction(n):
+    # every set of free axes, from none to all, on (1, n), with 1 to 3 panels
+    sig = SpacetimeSignature(1, n)
+    for count in range(sig.dim + 1):
+        for free in itertools.combinations(sig.axes(), count):
+            intervals = {a: (-0.7 + 0.3 * a, 0.2 + 0.45 * a) for a in free}
+            fixed = {a: 0.15 * a - 0.4 for a in sig.axes() if a not in free}
+            box = HypersurfaceBox(sig, intervals=intervals, fixed=fixed)
+            for panels in (1, 2, 3):
+                nodes, weights = box.grid_points(points=2, panels=panels)
+                ref_nodes, ref_weights = reference_grid_points(box, points=2, panels=panels)
+                assert nodes.shape == ref_nodes.shape == ((2 * panels) ** count, sig.dim)
+                assert nodes.tobytes() == ref_nodes.tobytes()
+                assert weights.tobytes() == ref_weights.tobytes()
 
 
 def test_gauss_legendre_rule_integrates_polynomials_exactly():

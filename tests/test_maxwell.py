@@ -345,6 +345,11 @@ def test_map_amplitudes_match_the_per_mode_route():
         fields = mode_family_fields(MINKOWSKI, grade, rng)
         # complex amplitudes on cosine and exponential modes
         fields["complex"] = fields["cos"] * (0.25 - 0.5j) + fields["exp"]
+        # one unit-blade mode per blade, so a map that kills a blade zeroes
+        # exactly its rows, which are dropped with the table order kept
+        fields["blades"] = AnalyticField(MINKOWSKI, grade, [
+            Mode(amplitude=Multivector.blade(MINKOWSKI, blade, 1.5), xi=(0.1 * i, 0.2, 0.0, 0.3))
+            for i, blade in enumerate(MINKOWSKI.index_lists(grade))])
         for field in fields.values():
             for fn, out in grade_maps:
                 got = field.map_amplitudes(fn, out)
