@@ -9,9 +9,8 @@ fields, the mode kernel as a loop over modes, per-node reference
 quadratures, the dense slice flux, the per-node frequency-domain flux and
 cone synthesis, the derived-field and mapped amplitude modes built by
 per-mode multivector algebra, the mode-table merge through a dict of
-Python key tuples, the meshgrid construction of quadrature nodes, a
-by-value comparison of modes and the loop form of the identity suite.
-None of these is used by the package."""
+Python key tuples, a by-value comparison of modes and the loop form of the
+identity suite.  None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -509,21 +508,6 @@ def reference_grid(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.nd
         nodes.append(x)
         weights.append(w)
     return np.array(nodes), np.array(weights)
-
-
-def reference_grid_points(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The box's nodes and weights as ``HypersurfaceBox.grid_points`` built
-    them with ``np.meshgrid``: each free axis's column the raveled "ij" mesh
-    of the per-axis rules, the fixed columns their coordinates."""
-    rules = [gauss_legendre_rule(*box.intervals[a], points, panels) for a in box.free_axes]
-    weights = np.ones(1)
-    for _, axis_weights in rules:
-        weights = np.multiply.outer(weights, axis_weights).ravel()
-    nodes = np.empty((len(weights), box.signature.dim))
-    nodes[:, list(box.fixed)] = list(box.fixed.values())
-    for a, axis_nodes in zip(box.free_axes, np.meshgrid(*(r[0] for r in rules), indexing="ij")):
-        nodes[:, a] = axis_nodes.ravel()
-    return nodes, weights
 
 
 def reference_circulation(f, box, points: int = 8, panels: int = 1) -> complex:
