@@ -235,10 +235,22 @@ def _pruned(amp: np.ndarray) -> np.ndarray:
     return amp
 
 
+# tables of at most this many rows are grouped through a dict of Python key
+# tuples, larger ones by sorting: per call the dict is the faster up to about
+# 32 rows and the sort from about 48 (captured merges of the benchmark
+# workloads, truncated to each size), and sorting every table slows a run of
+# small-table checks end to end (BENCH_18.json, sort_only)
+_DICT_ROWS = 32
+
+
 def _groups(part: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Each row's group, the groups numbered by first occurrence, and their
     count.  Rows group when their part and every key compare equal as
     floats, so 0.0 and -0.0 group and a row holding NaN is a group of its own."""
+    if len(part) <= _DICT_ROWS:
+        seen: dict[tuple, int] = {}
+        group = [seen.setdefault(key, len(seen)) for key in zip(part.tolist(), map(tuple, keys.tolist()))]
+        return np.array(group, dtype=np.intp), len(seen)
     keys = np.column_stack([part, keys])
     keys = keys[:, np.logical_or.reduce(keys != keys[0], axis=0)]
     if not keys.shape[1]:

@@ -574,7 +574,7 @@ def adversarial_tables(rng, count):
     """Mode tables whose key rows repeat, mix 0.0 with -0.0 and hold NaN and
     +-inf, with real or complex amplitudes that repeat, cancel or are
     non-finite, one to three parts (or none), and every size from empty to
-    150 rows; the last few are all-equal tables."""
+    beyond ``_DICT_ROWS``; the last few are all-equal tables."""
     specials = np.array([0.0, -0.0, 0.5, -1.25, 3.0, math.nan, math.inf, -math.inf])
     odds = np.array([6, 6, 4, 4, 4, 1, 1, 1], dtype=float)
     for i in range(count):
@@ -599,9 +599,12 @@ def adversarial_tables(rng, count):
         yield fields._ModeTable(amp, data), part
 
 
-def test_merge_matches_the_dict_of_key_tuples():
+@pytest.mark.parametrize("dict_rows", [fields._DICT_ROWS, 0])
+def test_merge_matches_the_dict_of_key_tuples(monkeypatch, dict_rows):
     # bit for bit the dict route: amplitudes with their dtype, data, parts
-    # and order
+    # and order; a dict_rows of 0 sends every table of two or more rows
+    # through the sorted grouping
+    monkeypatch.setattr(fields, "_DICT_ROWS", dict_rows)
     rng = np.random.default_rng(18)
     for table, part in adversarial_tables(rng, 1500):
         copy = None if part is None else part.copy()
