@@ -182,10 +182,6 @@ class _ModeTable(NamedTuple):
     def take(self, index) -> "_ModeTable":
         return _ModeTable(self.amp[index], self.data[index])
 
-    @staticmethod
-    def concat(tables: Sequence["_ModeTable"]) -> "_ModeTable":
-        return _ModeTable(*(np.concatenate(parts) for parts in zip(*tables)))
-
     def column(self, block: int, axis: int) -> int:
         """Index in ``data`` of one axis of a block."""
         return 3 + block * (self.data.shape[1] - 4) // 4 + axis
@@ -251,8 +247,9 @@ def _groups(part: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
         seen: dict[tuple, int] = {}
         group = [seen.setdefault(key, len(seen)) for key in zip(part.tolist(), map(tuple, keys.tolist()))]
         return np.array(group, dtype=np.intp), len(seen)
-    keys = np.column_stack([part, keys])
     keys = keys[:, np.logical_or.reduce(keys != keys[0], axis=0)]
+    if np.count_nonzero(part != part[0]):
+        keys = np.column_stack([part, keys])
     if not keys.shape[1]:
         return np.zeros(len(part), dtype=np.intp), 1
     # a stable sort brings equal rows together, first occurrence first; a
@@ -294,10 +291,11 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple[_ModeTab
     rank[order] = np.arange(len(group)) - starts[group[order]]
     lead = order[starts]
     amp = table.amp[lead]
-    for r in range(1, int(rank.max()) + 1):
-        members = np.flatnonzero(rank == r)
-        g = group[members]
-        amp[g] = _pruned(amp[g] + table.amp[members])
+    with np.errstate(invalid="ignore"):
+        for r in range(1, int(rank.max()) + 1):
+            members = np.flatnonzero(rank == r)
+            g = group[members]
+            amp[g] = _pruned(amp[g] + table.amp[members])
     nonzero = np.logical_or.reduce(amp != 0, axis=1)
     return _ModeTable(amp, table.data[lead]).take(nonzero), part[lead][nonzero]
 
@@ -437,7 +435,7 @@ class AnalyticField:
         self.grade = grade
         self._table = table
         self._modes: tuple[Mode, ...] | None = None
-        self._partials: dict[int, AnalyticField] = {}
+        self._partials: tuple[_ModeTable, np.ndarray] | None = None
         self._arrays: _Kernel | None = None
 
     @classmethod
@@ -465,20 +463,24 @@ class AnalyticField:
         return Multivector.from_row(self.signature, self.grade, row)
 
     def partial_field(self, axis: int) -> "AnalyticField":
-        """The exact partial derivative along one axis.
+        """The exact partial derivative along one axis: a new field viewing its rows of ``_partial_table``."""
+        if not 0 <= axis < self.signature.dim:
+            raise IndexError(f"axis {axis} out of range")
+        table, along = self._partial_table()
+        lo, hi = np.searchsorted(along, [axis, axis + 1]).tolist()
+        return AnalyticField._from_table(self.signature, self.grade, table.take(slice(lo, hi)), merged=True)
 
-        Each mode gives up to four modes, in this order: its monomial factor
+    def _partial_table(self) -> tuple[_ModeTable, np.ndarray]:
+        """The partials along every axis as one merged table, axis by axis, and
+        each row's axis, built from one pass over the table and cached.  Each
+        mode gives up to four modes, in this order: its monomial factor
         differentiated (amplitude times the exponent, exponent lowered), its
         waveform (amplitude times the phase slope s, with the phase advanced
         by pi/2 for a cosine and the factor j s for an exponential), and its
         envelope's -(x_a - e_a) / w^2 split over the monomial centre c_a
         (amplitude times -1/w^2 with the exponent raised, and amplitude times
-        -(c_a - e_a)/w^2).  The partials along every axis are built together,
-        from one pass over the table, and cached.
-        """
-        if not 0 <= axis < self.signature.dim:
-            raise IndexError(f"axis {axis} out of range")
-        if not self._partials:
+        -(c_a - e_a)/w^2)."""
+        if self._partials is None:
             sig, t = self.signature, self._table
             data = t.data
             poly = t.block(_POLY)
@@ -513,12 +515,8 @@ class AnalyticField:
             changed[rows, t.column(_POLY, 0) + along] += _CANDIDATE_STEP[candidate]
             np.add(changed[:, _PHASE], 0.5 * math.pi, out=changed[:, _PHASE],
                    where=(candidate == 1) & ~exp[mode])
-            table, along = _merged(_ModeTable(amp, changed), along)
-            bounds = np.searchsorted(along, np.arange(sig.dim + 1))
-            for a in sig.axes():
-                self._partials[a] = AnalyticField._from_table(
-                    sig, self.grade, table.take(slice(bounds[a], bounds[a + 1])), merged=True)
-        return self._partials[axis]
+            self._partials = _merged(_ModeTable(amp, changed), along)
+        return self._partials
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
@@ -634,8 +632,8 @@ class AnalyticField:
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         if self.signature != other.signature or self.grade != other.grade:
             raise ValueError("cannot add fields with different signature or grade")
-        return AnalyticField._from_table(self.signature, self.grade,
-                                         _ModeTable.concat([self._table, other._table]))
+        return AnalyticField._from_table(self.signature, self.grade, _ModeTable(
+            *(np.concatenate(pair) for pair in zip(self._table, other._table))))
 
     def _with_amplitudes(self, grade: int, amp: np.ndarray) -> "AnalyticField":
         """This field's modes with new amplitude rows: no two keys were equal,
@@ -892,22 +890,21 @@ def _derivative_gather(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[
 def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
     """The exterior or interior derivative as a new analytic field.
 
-    Row by row this is sum_i P_i @ T[i] over the tables P_i of the partial
-    fields, with T the ``_derivative_table``: the rows of every P_i are
-    stacked and each is gathered through its axis's ``_derivative_gather``.
+    Row by row this is sum_i P_i @ T[i] over the partial tables P_i, with T
+    the ``_derivative_table``: each row of the field's ``_partial_table`` is
+    gathered through its axis's ``_derivative_gather`` and signed in place.
     """
     sig = f.signature
     grade = _derivative_grade(f, kind)
     if grade is None:
         return AnalyticField(sig, 0)
-    parts = [f.partial_field(i)._table for i in sig.axes()]
-    stacked = _ModeTable.concat(parts)
+    table, along = f._partial_table()
     source, sign = _derivative_gather(sig, f.grade, kind)
-    axis = np.repeat(np.arange(sig.dim), [len(part.data) for part in parts])
-    amp, sign = stacked.amp[np.arange(len(axis))[:, None], source[axis]], sign[axis]
+    amp, sign = table.amp[np.arange(len(along))[:, None], source[along]], sign[along]
+    np.copyto(amp, 0, where=sign == 0)
     with np.errstate(invalid="ignore"):
-        amp = _pruned(np.where(sign != 0, sign * amp, 0))
-    return AnalyticField._from_table(sig, grade, _ModeTable(amp, stacked.data))
+        amp = _pruned(np.multiply(sign, amp, out=amp))
+    return AnalyticField._from_table(sig, grade, _ModeTable(amp, table.data))
 
 
 def exterior_derivative_field(f: AnalyticField) -> AnalyticField:

@@ -144,6 +144,8 @@ def _within(got, want, bound, where="report"):
                                       str(SCENARIOS / "flux_compare_12.json"))),
     ("flux-compare-flux_compare_13", ("flux-compare", "--config",
                                       str(SCENARIOS / "flux_compare_13.json"))),
+    ("flux-compare-flux_compare_14", ("flux-compare", "--config",
+                                      str(SCENARIOS / "flux_compare_14.json"))),
 ])
 def test_shipped_reports_keep_their_recorded_values(capsys, name, argv):
     want = json.loads((REPORTS / f"{name}.json").read_text())
