@@ -239,6 +239,27 @@ def _pruned(amp: np.ndarray) -> np.ndarray:
 _DICT_ROWS = 32
 
 
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable lexicographic order of the rows, first column first, and where
+    in it each run of equal rows starts.  Rows are equal when every column
+    compares equal as floats, so 0.0 and -0.0 match and NaN matches nothing."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    start = np.ones(len(keys), dtype=bool)
+    np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1, out=start[1:])
+    return order, start
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order and each row's index among
+    them, as ``np.unique(keys, axis=0, return_inverse=True)`` gives them
+    without NaN, from one lexsort (``_sorted_runs``)."""
+    order, start = _sorted_runs(keys)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return keys[order[start]], inverse
+
+
 def _groups(part: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Each row's group, the groups numbered by first occurrence, and their
     count.  Rows group when their part and every key compare equal as
@@ -252,12 +273,7 @@ def _groups(part: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
         keys = np.column_stack([part, keys])
     if not keys.shape[1]:
         return np.zeros(len(part), dtype=np.intp), 1
-    # a stable sort brings equal rows together, first occurrence first; a
-    # group starts wherever adjacent rows differ (NaN differs from itself)
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    start = np.ones(len(keys), dtype=bool)
-    np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1, out=start[1:])
+    order, start = _sorted_runs(keys)
     lead = order[start]
     number = np.empty(len(lead), dtype=np.intp)
     number[np.argsort(lead)] = np.arange(len(lead))
@@ -608,9 +624,8 @@ class AnalyticField:
             const *= _factor_rows(sig, axis, self._axis_keys(axis), np.array([value], dtype=float))[:, 0]
         factors = {}
         for axis, x in nodes.items():
-            keys, inverse = np.unique(self._axis_keys(axis), axis=0, return_inverse=True)
-            factors[axis] = (_factor_rows(sig, axis, keys, np.asarray(x, dtype=float)),
-                             inverse.reshape(-1))
+            keys, inverse = _distinct_rows(self._axis_keys(axis))
+            factors[axis] = (_factor_rows(sig, axis, keys, np.asarray(x, dtype=float)), inverse)
         return rows, const, factors
 
     def _envelope_bounds(self, axis: int) -> dict[int, tuple[float, float]]:
@@ -695,8 +710,10 @@ class GridField:
         self.spacing = np.asarray(spacing, dtype=float)
         if self.origin.shape != (signature.dim,) or self.spacing.shape != (signature.dim,):
             raise ValueError("origin and spacing must have one entry per axis")
-        if np.any(self.spacing <= 0):
-            raise ValueError("grid spacings must be positive")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("grid origin must be finite")
+        if not np.all((self.spacing > 0) & np.isfinite(self.spacing)):
+            raise ValueError("grid spacings must be finite and positive")
         values = np.asarray(values)
         if np.iscomplexobj(values) and np.any(values.imag != 0):
             raise ValueError("grid values must be real; these have a non-zero imaginary part")
@@ -704,6 +721,8 @@ class GridField:
         ncomp = math.comb(signature.dim, grade)
         if values.ndim != signature.dim + 1 or values.shape[-1] != ncomp:
             raise ValueError(f"values must have shape (*sites, {ncomp})")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must be finite")
         self.values = values
 
     @classmethod

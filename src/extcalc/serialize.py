@@ -7,9 +7,11 @@ identical bytes.
 
 from __future__ import annotations
 
-import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Mapping
 
 from .algebra import Bitensor, Multivector, SpacetimeSignature
@@ -75,8 +77,84 @@ def _jsonify(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _encode(key, 0)
+    return _escape(key)
+
+
+def _finite_floats(items, inner: str) -> str | None:
+    """The items of a list of finite floats, or of a list of non-empty lists
+    of them (the last two levels of grid values), each list in one join, with
+    ``inner`` the newline and indent before each item; None for any other list.
+    Of the texts float.__repr__ gives, only nan and inf hold an "n"."""
+    sep = "," + inner
+    first = items[0]
+    try:
+        if isinstance(first, float):
+            text = sep.join(map(float.__repr__, items))
+        elif type(first) is list and first and isinstance(first[0], float) \
+                and set(map(type, items)) == {list} and all(items):
+            deeper = inner + "  "
+            rows = map(("," + deeper).join, map(map, repeat(float.__repr__), items))
+            text = "[" + deeper + (inner + "]" + sep + "[" + deeper).join(rows) + inner + "]"
+        else:
+            return None
+    except TypeError:
+        return None
+    return None if "n" in text else text
+
+
+def _encode(value, level: int) -> str:
+    """The text of ``value`` nested ``level`` containers deep."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        text = _finite_floats(value, inner)
+        if text is None:
+            text = ("," + inner).join([_encode(item, level + 1) for item in value])
+        return "[" + inner + text + inner[:-2] + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        return "{" + inner + ("," + inner).join(
+            [_key_text(key) + ": " + _encode(item, level + 1)
+             for key, item in sorted(value.items())]) + inner[:-2] + "}"
+    return _encode(_jsonify(value), level)
+
+
 def canonical_dumps(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonify)
+    """The text the stdlib's ``json.dumps`` gives ``payload`` with sorted keys,
+    an indent of 2 and ``_jsonify`` as its default, NaN and infinity literals
+    included, built with one join per container: with an indent, the stdlib
+    encodes in Python chunk by chunk.  A value json rejects raises TypeError."""
+    return _encode(payload, 0)
 
 
 def signature_to_json(sig: SpacetimeSignature) -> dict:
@@ -185,7 +263,12 @@ def field_from_json(data: Mapping, sig: SpacetimeSignature):
 
             grid = data["grid"]
             values = np.asarray(grid["values"], dtype=float)
-            return GridField(sig, grade, grid["origin"], grid["spacing"], values)
+            field = GridField(sig, grade, grid["origin"], grid["spacing"], values)
+            shape = [json_int(count, "shape") for count in grid["shape"]]
+            if shape != list(values.shape[:-1]):
+                raise ValueError(f"grid shape {shape} does not match the {list(values.shape[:-1])} "
+                                 "sites of its values")
+            return field
         raise ScenarioError(f"unknown field backend {backend!r}")
 
 

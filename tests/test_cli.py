@@ -294,8 +294,9 @@ def test_classical_demo(capsys):
         assert name in sample["multivector_form"]
 
 
-def _grid_scenario(tmp_path) -> str:
-    """A plane-wave vacuum F sampled on a lattice, as a scenario file."""
+def _grid_scenario(tmp_path, edit=None) -> str:
+    """A plane-wave vacuum F sampled on a lattice, as a scenario file, edited
+    by ``edit`` when it is given."""
     from extcalc.algebra import Multivector, SpacetimeSignature
     from extcalc.fields import GridField, plane_wave
     from extcalc.maxwell import MINKOWSKI
@@ -317,6 +318,8 @@ def _grid_scenario(tmp_path) -> str:
         "seed": 5,
         "tol": 2e-3,  # central differences at h = 0.02 on a unit-frequency wave
     }
+    if edit is not None:
+        edit(scenario)
     path = tmp_path / "grid.json"
     path.write_text(canonical_dumps(scenario))
     return str(path)
@@ -441,6 +444,15 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """An edit deleting the entry at a key path."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return edit
+
+
 # integers nested in the signature and the field objects are validated the same
 # way, and so are flux-compare's intervals and spectrum
 @pytest.mark.parametrize("command,path,value", [
@@ -531,6 +543,24 @@ def test_mismatched_grid_source_exits_2(capsys, tmp_path):
     path = tmp_path / "mismatched.json"
     path.write_text(canonical_dumps(scenario))
     assert_usage_error(*run(capsys, "maxwell-check", "--config", str(path)))
+
+
+# no stencil reads a corner site such as values[0][0][0][0], so a NaN there once passed
+@pytest.mark.parametrize("edit", [
+    _set(("F", "grid", "spacing", 0), math.nan),
+    _set(("F", "grid", "spacing", 1), math.inf),
+    _set(("F", "grid", "origin", 2), -math.inf),
+    _set(("F", "grid", "values", 0, 0, 0, 0, 0), math.nan),
+    _set(("F", "grid", "values", 10, 0, 0, 0, 5), math.inf),
+    _set(("F", "grid", "shape"), [11, 11, 11, 10]),
+    _set(("F", "grid", "shape"), [11, 11, 11]),
+    _drop(("F", "grid", "shape")),
+], ids=["nan-spacing", "inf-spacing", "inf-origin", "nan-corner-value", "inf-corner-value",
+        "wrong-shape", "short-shape", "missing-shape"])
+def test_non_finite_or_misshapen_grid_exits_2(capsys, tmp_path, edit):
+    code, out, err = run(capsys, "maxwell-check", "--config", _grid_scenario(tmp_path, edit))
+    assert_usage_error(code, out, err)
+    assert err.startswith("error: bad field object: ")
 
 
 def test_fourier_check_skips_a_grid_backed_source(capsys, tmp_path):

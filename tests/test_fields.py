@@ -310,6 +310,24 @@ def test_axis_factors_rebuild_each_mode_factor():
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_distinct_rows_match_numpy_unique():
+    # the lexsort route against np.unique(axis=0) on repeated rows, 0.0 beside
+    # -0.0 (equal as floats), one row and all rows equal
+    rng = np.random.default_rng(20)
+    tables = [np.array([[0.5, 1.0, 0.0, 0.0, 0.0, 2.0]]), np.tile([0.25, 0.0, -0.0, 1.0, 0.5, 3.0], (7, 1))]
+    for _ in range(300):
+        pool = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(rng.integers(1, 8), 6))
+        tables.append(pool[rng.integers(len(pool), size=rng.integers(1, 60))])
+    for keys in tables:
+        got, inverse = fields._distinct_rows(keys)
+        want, want_inverse = np.unique(keys, axis=0, return_inverse=True)
+        assert np.array_equal(got, want) and np.array_equal(inverse, want_inverse.reshape(-1))
+    # a row holding NaN is distinct from every row, itself included
+    keys = np.array([[np.nan, 1.0], [0.0, 1.0], [np.nan, 1.0], [-0.0, 1.0]])
+    got, inverse = fields._distinct_rows(keys)
+    assert len(got) == 3 and np.array_equal(got[inverse], keys, equal_nan=True)
+
+
 def test_axis_factors_share_a_row_exactly_when_the_axis_keys_agree():
     # axis 1 is free and axes 0 and 2 fixed; each variant of the base mode changes one thing
     sig = SpacetimeSignature(1, 2)
@@ -683,6 +701,16 @@ def test_grid_evaluate_and_errors():
         grid.evaluate_components(np.array([x, (0.1, 0.0, 0.0), (2.0, 0.0, 0.0)]))
     with pytest.raises(FieldDomainError, match=r"\[2\.0, 0\.0, 0\.0\] lies outside the sampled lattice"):
         grid.evaluate_components(np.array([x, (2.0, 0.0, 0.0), (0.1, 0.0, 0.0)]))
+    # a non-finite origin, spacing or value is refused, whether a stencil would read it or not
+    for origin, spacing in (((math.nan, -0.5, -0.5), grid.spacing), (grid.origin, (0.25, math.nan, 0.25)),
+                            (grid.origin, (0.25, 0.25, math.inf))):
+        with pytest.raises(ValueError, match="must be finite"):
+            GridField(grid.signature, grid.grade, origin, spacing, grid.values)
+    for value in (math.nan, math.inf, -math.inf):
+        values = grid.values.copy()
+        values[0, 0, 0, 0] = value
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            GridField(grid.signature, grid.grade, grid.origin, grid.spacing, values)
 
 
 def test_grid_rejects_imaginary_parts():

@@ -1,13 +1,17 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extcalc.algebra import Multivector, SpacetimeSignature
 from extcalc.fields import AnalyticField, GaussianEnvelope, GridField, Mode, plane_wave
 from extcalc.serialize import (
     Scenario,
     ScenarioError,
+    _jsonify,
     canonical_dumps,
     field_from_json,
     field_to_json,
@@ -17,6 +21,8 @@ from extcalc.serialize import (
 )
 
 MINK = SpacetimeSignature(1, 3)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+REPORTS = Path(__file__).resolve().parent / "reports"
 
 
 def test_multivector_round_trip():
@@ -112,3 +118,71 @@ def test_canonical_dumps_is_deterministic():
     two = canonical_dumps(json.loads(one))
     assert one == two
     assert '"y": 0.25' in one
+
+
+def _stdlib_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonify)
+
+
+def _outcome(dumps, payload):
+    try:
+        return dumps(payload)
+    except TypeError:
+        return TypeError
+
+
+_STRINGS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", " é", "\U0001f600", ""]))
+_INTS = st.one_of(st.integers(), st.sampled_from([2 ** 63, -(2 ** 64), -(10 ** 40), 10 ** 300]))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308]))
+_NUMPY = st.one_of(
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_SCALARS = st.one_of(_STRINGS, _INTS, _FLOATS, st.booleans(), st.none(), _NUMPY)
+
+
+def _containers(children):
+    rows = st.lists(st.lists(_FLOATS, max_size=3), min_size=1, max_size=4)
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        # a float first and anything after it, and rows of floats with anything after them
+        st.tuples(_FLOATS, st.lists(children, max_size=4)).map(lambda t: [t[0], *t[1]]),
+        st.tuples(rows, st.lists(children, max_size=2)).map(lambda t: t[0] + t[1]),
+        # each dict's keys are of kinds that sort against each other
+        st.dictionaries(_STRINGS, children, max_size=5),
+        st.dictionaries(st.one_of(_INTS, _FLOATS, st.booleans()), children, max_size=5),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=30))
+def test_canonical_dumps_matches_the_stdlib_encoder(payload):
+    assert _outcome(canonical_dumps, payload) == _outcome(_stdlib_dumps, payload)
+
+
+@pytest.mark.parametrize("path", sorted([*REPORTS.glob("*.json"), *SCENARIOS.glob("*.json")]),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_shipped_json_files_encode_to_their_own_bytes(path):
+    text = path.read_text(encoding="utf-8")
+    assert canonical_dumps(json.loads(text)) + "\n" == text
+
+
+@pytest.mark.parametrize("payload", [
+    {"grid": np.zeros(2)},
+    [1.0, {0.5}],
+    [[0.5], np.ones(1)],
+    [[0.5], {0.5}],
+    {"a": 1, 2: 3},
+    {None: 1, "a": 2},
+    {np.int64(1): 0},
+    {(1, 2): 0},
+])
+def test_canonical_dumps_rejects_what_json_rejects(payload):
+    with pytest.raises(TypeError):
+        _stdlib_dumps(payload)
+    with pytest.raises(TypeError):
+        canonical_dumps(payload)
