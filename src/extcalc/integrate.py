@@ -5,14 +5,17 @@ fixed coordinates on the remaining axes, and an overall orientation sign.
 Integrals are tensor-product Gauss-Legendre quadratures (composite when
 ``panels`` is raised) taken in one ``weights @ rows(nodes)`` step over dense
 component rows.  Each integrand is a product linear in the field with a fixed
-volume differential, so the product is applied once, after integration.
+volume differential, so the product is applied once, after integration, as a
+signed gather over the integrated row read off the sign tables.
 
 Boundary faces carry the induced orientation: the face fixing free axis q at
 its upper end is weighted by the sign of the permutation moving q in front of
 the remaining free axes, and the lower end by its negative.  With this rule
 the circulation, flux, and bitensor Stokes identities all hold on boxes; on a
 half space it reproduces the constant-coordinate slice element of the paper
-with outward normal along the fixed axis.
+with outward normal along the fixed axis.  A boundary is integrated in one
+evaluation over all its faces' nodes, each face's oriented element applied
+as a signed gather; no face box is built.
 """
 
 from __future__ import annotations
@@ -23,27 +26,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import (
-    Bitensor,
-    GradeError,
-    Multivector,
-    SpacetimeSignature,
-    dot,
-    inv_hodge,
-    left_interior,
-    vec_interior_bitensor,
-)
+from .algebra import Bitensor, GradeError, Multivector, SpacetimeSignature, _prune, _sign_tables, inv_hodge
 from .fields import exterior_derivative_field, interior_derivative_field
 
-__all__ = [
-    "HypersurfaceBox",
-    "gauss_legendre_rule",
-    "circulation",
-    "flux",
-    "stokes_circulation_check",
-    "stokes_flux_check",
-    "bitensor_stokes_check",
-]
+__all__ = ["HypersurfaceBox", "gauss_legendre_rule", "circulation", "flux",
+           "stokes_circulation_check", "stokes_flux_check", "bitensor_stokes_check"]
 
 DEFAULT_POINTS = 8
 
@@ -60,10 +47,9 @@ class HypersurfaceBox:
     def __post_init__(self):
         intervals = {int(a): (float(lo), float(hi)) for a, (lo, hi) in dict(self.intervals).items()}
         fixed = {int(a): float(v) for a, v in dict(self.fixed).items()}
-        free = set(intervals)
-        if free & set(fixed):
+        if set(intervals) & set(fixed):
             raise ValueError("an axis cannot be both free and fixed")
-        if free | set(fixed) != set(self.signature.axes()):
+        if set(intervals) | set(fixed) != set(self.signature.axes()):
             raise ValueError("every axis needs an interval or a fixed coordinate")
         for a, (lo, hi) in intervals.items():
             if not lo < hi:
@@ -81,26 +67,13 @@ class HypersurfaceBox:
     def dim(self) -> int:
         return len(self.intervals)
 
-    def element_blade(self) -> Multivector:
-        """The oriented blade e_S carried by the differential of this box."""
-        return Multivector.blade(self.signature, self.free_axes, self.orientation)
-
     def boundary_faces(self) -> list["HypersurfaceBox"]:
-        """The 2*dim oriented faces, induced orientation included."""
-        faces = []
+        """The 2*dim oriented faces, upper then lower on each free axis, induced orientation included."""
         free = self.free_axes
-        for position, axis in enumerate(free):
-            lo, hi = self.intervals[axis]
-            induced = (-1) ** position * self.orientation
-            rest = {a: self.intervals[a] for a in free if a != axis}
-            for value, side in ((hi, +1), (lo, -1)):
-                faces.append(HypersurfaceBox(
-                    signature=self.signature,
-                    intervals=rest,
-                    fixed={**self.fixed, axis: value},
-                    orientation=side * induced,
-                ))
-        return faces
+        return [HypersurfaceBox(self.signature, {a: self.intervals[a] for a in free if a != axis},
+                                {**self.fixed, axis: value}, side * ((-1) ** position * self.orientation))
+                for position, axis in enumerate(free)
+                for value, side in zip(self.intervals[axis][::-1], (1, -1))]
 
     def quadrature(self, points: int = DEFAULT_POINTS, panels: int = 1):
         """(point, weight) pairs, the rows of ``grid_points``."""
@@ -110,23 +83,26 @@ class HypersurfaceBox:
         """Tensor-product (nodes, weights) arrays, last free axis fastest; each
         weight multiplies its per-axis weights in free-axis order from 1.0."""
         rules = [_composite_rule(*self.intervals[a], points, panels) for a in self.free_axes]
-        weights = np.ones(1)
-        for _, axis_weights in rules:
-            weights = np.multiply.outer(weights, axis_weights).ravel()
-        nodes = np.empty((len(weights), self.signature.dim))
-        nodes[:, list(self.fixed)] = list(self.fixed.values())
-        # the nodes as a (*per-axis counts, dim) grid; each free axis's column
-        # broadcasts its rule's nodes along that axis of the grid
-        grid = nodes.reshape(*(len(axis_nodes) for axis_nodes, _ in rules), -1)
-        for position, (a, (axis_nodes, _)) in enumerate(zip(self.free_axes, rules)):
-            grid[..., a] = axis_nodes.reshape((-1,) + (1,) * (len(rules) - 1 - position))
-        return nodes, weights
+        return _grid(self.signature, self.fixed, self.free_axes, rules)
+
+
+def _grid(sig: SpacetimeSignature, fixed: Mapping[int, float], free, rules, copies: int = 1):
+    """``copies`` stacked ``grid_points`` nodes, (copies * count, dim), and the weights."""
+    weights = np.ones(1)
+    for _, axis_weights in rules:
+        weights = np.multiply.outer(weights, axis_weights).ravel()
+    nodes = np.empty((copies * len(weights), sig.dim))
+    nodes[:, list(fixed)] = list(fixed.values())
+    # in the (copies, *per-axis counts, dim) grid, each axis's column broadcasts its rule's nodes
+    grid = nodes.reshape(copies, *(len(axis_nodes) for axis_nodes, _ in rules), -1)
+    for position, (a, (axis_nodes, _)) in enumerate(zip(free, rules)):
+        grid[..., a] = axis_nodes.reshape((-1,) + (1,) * (len(rules) - 1 - position))
+    return nodes, weights
 
 
 @lru_cache(maxsize=None)
 def _legendre_base(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """``leggauss(points)`` on [-1, 1], computed once per point count; the
-    arrays are shared by every caller, so they are read-only."""
+    """``leggauss(points)`` on [-1, 1], computed once per point count and read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(points)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -134,9 +110,8 @@ def _legendre_base(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=1024)
 def _composite_rule(a: float, b: float, points: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [a, b]: on each of the
-    ``panels`` equal panels [lo, hi], the base rule scaled by (hi - lo) / 2
-    about (hi + lo) / 2.  Cached and shared by every caller, so read-only."""
+    """Composite Gauss-Legendre nodes and weights on [a, b]: on each of ``panels`` equal panels
+    [lo, hi], the base rule scaled by (hi - lo) / 2 about (hi + lo) / 2.  Cached, so read-only."""
     base_nodes, base_weights = _legendre_base(points)
     edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
@@ -149,19 +124,55 @@ def _composite_rule(a: float, b: float, points: int, panels: int) -> tuple[np.nd
 
 def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
     """Composite Gauss-Legendre nodes and weights on [a, b], as new arrays."""
-    nodes, weights = _composite_rule(float(a), float(b), points, panels)
-    return nodes.copy(), weights.copy()
+    return tuple(array.copy() for array in _composite_rule(float(a), float(b), points, panels))
 
 
-def _integrate(rows, box: HypersurfaceBox, points: int, panels: int) -> list:
-    """The one quadrature step: weights @ rows(nodes), as Python scalars."""
-    nodes, weights = box.grid_points(points, panels)
-    return (weights @ rows(nodes)).tolist()
+@lru_cache(maxsize=None)
+def _element_product(sig: SpacetimeSignature, grade: int, axes: tuple, orientation: int, form: str):
+    """dot(e, .), left_interior(inv_hodge(e), .) or vec_interior_bitensor(inv_hodge(e), .) by ``form``,
+    e = orientation e_axes, on an integrated row of Python scalars: a signed gather read off the
+    sign tables once, applied with the operands, order and pruning of that product."""
+    keys = tuple(sig.index_lists(grade))
+    if form == "circulation":
+        metric = _sign_tables(sig).lookup("dot")[axes]
+        # dot's one term, (coefficient * value) * metric, then circulation's + 0.0
+        return lambda row: (0 if (b := _prune(dict(zip(keys, row))).get(axes)) is None
+                            else 0 + orientation * b * metric) + 0.0
+    ((I, a),) = inv_hodge(Multivector.blade(sig, axes, orientation)).terms.items()
+    if form == "flux":
+        out_grade, read = grade - len(I), lambda row: _prune(dict(zip(keys, row)))
+        table = _sign_tables(sig).lookup("l")[I]
+        gather = {J: (K, sign * a) for J, (K, sign) in table.items() if len(J) == grade}
+    else:
+        (h,), out_grade, read = I, 1, lambda row: Bitensor.from_row(sig, row).comps
+        gather = {(min(h, x), max(h, x)): ((x,), sig.metric(h) * a) for x in sig.axes()}
+    return lambda row: Multivector._from_valid(
+        sig, out_grade, {gather[J][0]: 0 + gather[J][1] * b for J, b in read(row).items() if J in gather})
 
 
-def _integrated_field(f, box: HypersurfaceBox, points: int, panels: int) -> Multivector:
-    total = _integrate(f.evaluate_components, box, points, panels)
-    return Multivector.from_row(box.signature, f.grade, total)
+def _integral(rows, box: HypersurfaceBox, points: int, panels: int, grade: int, form: str, faces=False):
+    """The one quadrature step: the sum of each piece's ``_element_product`` with its ``weights @
+    rows[segment]``, from one ``rows`` call over the pieces' ``grid_points`` nodes: the box, or
+    with ``faces`` its faces in ``boundary_faces`` order, two of a free axis sharing weights."""
+    sig, free = box.signature, box.free_axes
+    if form == "flux" and grade + len(free) - faces < sig.dim:  # zero, with no evaluation
+        return Multivector.zero(sig, 0)
+    rules = [_composite_rule(*box.intervals[a], points, panels) for a in free]
+    nodes, pieces = [], []
+    for position, axis in enumerate(free if faces else ()):
+        rest = free[:position] + free[position + 1:]
+        pair, weights = _grid(sig, box.fixed, rest, rules[:position] + rules[position + 1:], 2)
+        pair.reshape(2, -1, sig.dim)[..., axis] = np.reshape(box.intervals[axis][::-1], (2, 1))
+        nodes.append(pair)
+        induced = (-1) ** position * box.orientation
+        pieces += [(_element_product(sig, grade, rest, side * induced, form), weights) for side in (1, -1)]
+    if not faces:
+        nodes, weights = box.grid_points(points, panels)
+        nodes, pieces = [nodes], [(_element_product(sig, grade, free, box.orientation, form), weights)]
+    values = rows(np.concatenate(nodes)).reshape(len(pieces), len(weights), -1)
+    # multivectors add from the zero scalar, which the first term replaces
+    return sum((product((weights @ block).tolist()) for (product, weights), block in zip(pieces, values)),
+               0 if form == "circulation" else Multivector.zero(sig, 0))
 
 
 def circulation(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: int = 1) -> complex:
@@ -169,18 +180,13 @@ def circulation(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: i
     product of the oriented volume differential e_S with the integrated field."""
     if box.dim != f.grade:
         raise GradeError(f"circulation needs box dimension {f.grade}, got {box.dim}")
-    # dot gives the integer 0 when no component meets e_S; keep a float
-    return dot(box.element_blade(), _integrated_field(f, box, points, panels)) + 0.0
+    return _integral(f.evaluate_components, box, points, panels, f.grade, "circulation")
 
 
 def flux(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS, panels: int = 1) -> Multivector:
-    """Flux of the field across the box: the interior product of the inverse-Hodge
-    volume differential with the integrated field; the zero scalar when the box
-    dimension is smaller than k + n - grade."""
-    sig = box.signature
-    if f.grade + box.dim < sig.dim:
-        return Multivector.zero(sig, 0)
-    return left_interior(inv_hodge(box.element_blade()), _integrated_field(f, box, points, panels))
+    """Flux of the field across the box: the interior product of the inverse-Hodge volume
+    differential with the integrated field; the zero scalar when dim < k + n - grade."""
+    return _integral(f.evaluate_components, box, points, panels, f.grade, "flux")
 
 
 def stokes_circulation_check(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS,
@@ -189,36 +195,30 @@ def stokes_circulation_check(f, box: HypersurfaceBox, points: int = DEFAULT_POIN
     derivative; returns (lhs, rhs, |lhs - rhs|).  Needs an analytic field."""
     if box.dim != f.grade + 1:
         raise GradeError(f"circulation Stokes check needs box dimension {f.grade + 1}, got {box.dim}")
-    lhs = sum(circulation(f, face, points, panels) for face in box.boundary_faces())
+    lhs = _integral(f.evaluate_components, box, points, panels, f.grade, "circulation", faces=True)
     rhs = circulation(exterior_derivative_field(f), box, points, panels)
     return lhs, rhs, abs(lhs - rhs)
 
 
 def stokes_flux_check(f, box: HypersurfaceBox, points: int = DEFAULT_POINTS,
                       panels: int = 1) -> tuple[Multivector, Multivector, float]:
-    """Boundary flux of f against interior flux of its interior derivative.
-    Needs an analytic field."""
-    terms = [flux(f, face, points, panels) for face in box.boundary_faces()]
-    lhs = sum(terms[1:], terms[0])
+    """Boundary flux of f against interior flux of its interior derivative; needs an analytic field."""
+    lhs = _integral(f.evaluate_components, box, points, panels, f.grade, "flux", faces=True)
     rhs = flux(interior_derivative_field(f), box, points, panels)
     return lhs, rhs, (lhs - rhs).max_abs()
 
 
 def bitensor_stokes_check(tf, box: HypersurfaceBox, points: int = DEFAULT_POINTS,
                           panels: int = 1) -> tuple[Multivector, Multivector, float]:
-    """Stokes identity for a symmetric bitensor field over a full-dimension box:
-    each face's inverse-Hodge element contracted into the tensor integrated over
-    the face, against the integrated interior derivative.  The field supplies
-    batched ``evaluate_components`` rows (pairs i <= j in
-    ``combinations_with_replacement`` order) and ``divergence_components`` rows."""
+    """Stokes identity for a symmetric bitensor field over a full-dimension box: each face's
+    inverse-Hodge element contracted into the field's integrated ``evaluate_components`` rows
+    (pairs i <= j in ``combinations_with_replacement`` order), against its integrated
+    ``divergence_components`` rows, the interior derivative."""
     sig = box.signature
     if box.dim != sig.dim:
         raise GradeError("bitensor Stokes check requires a full-dimensional box")
-    lhs = Multivector.zero(sig, 1)
-    for face in box.boundary_faces():
-        tensor = Bitensor.from_row(sig, _integrate(tf.evaluate_components, face, points, panels))
-        lhs = lhs + vec_interior_bitensor(inv_hodge(face.element_blade()), tensor)
+    lhs = _integral(tf.evaluate_components, box, points, panels, 1, "bitensor", faces=True)
     # inverse Hodge of the full-volume blade is the scalar orientation
-    rhs = Multivector.vector(sig, _integrate(tf.divergence_components, box, points, panels)) \
-        * box.orientation
+    nodes, weights = box.grid_points(points, panels)
+    rhs = Multivector.vector(sig, (weights @ tf.divergence_components(nodes)).tolist()) * box.orientation
     return lhs, rhs, (lhs - rhs).max_abs()

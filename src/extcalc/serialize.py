@@ -21,6 +21,7 @@ __all__ = [
     "ScenarioError",
     "Scenario",
     "json_int",
+    "json_float",
     "signature_to_json",
     "signature_from_json",
     "multivector_to_json",
@@ -63,6 +64,14 @@ def json_int(value, name: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ScenarioError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def json_float(value, name: str) -> float:
+    """A JSON number as a float: an int or a float, NaN and infinities
+    included.  Bools, strings and any other type raise ScenarioError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _jsonify(value):
@@ -189,8 +198,8 @@ def multivector_from_json(data: Mapping, sig: SpacetimeSignature | None = None) 
         terms = {}
         for entry in data.get("terms", []):
             indices = tuple(json_int(i, "index") for i in entry["indices"])
-            re = float(entry.get("re", 0.0))
-            im = float(entry.get("im", 0.0))
+            re = json_float(entry.get("re", 0.0), "re")
+            im = json_float(entry.get("im", 0.0), "im")
             terms[indices] = complex(re, im) if im else re
         return Multivector(sig, grade, terms)
 
@@ -207,7 +216,8 @@ def _envelope_from_json(data, dim: int) -> GaussianEnvelope | None:
     if data.get("type") != "gaussian":
         raise ScenarioError(f"unknown envelope type {data.get('type')!r}")
     center = data.get("center", [0.0] * dim)
-    return GaussianEnvelope(center=tuple(float(c) for c in center), width=float(data["width"]))
+    return GaussianEnvelope(center=tuple(json_float(c, "envelope center") for c in center),
+                            width=json_float(data["width"], "envelope width"))
 
 
 def field_to_json(field) -> dict:
@@ -250,11 +260,11 @@ def field_from_json(data: Mapping, sig: SpacetimeSignature):
                 amplitude = multivector_from_json(entry["amplitude"], sig)
                 modes.append(Mode(
                     amplitude=amplitude,
-                    xi=tuple(float(v) for v in entry.get("xi", [0.0] * sig.dim)),
-                    phase=float(entry.get("phase", 0.0)),
+                    xi=tuple(json_float(v, "xi") for v in entry.get("xi", [0.0] * sig.dim)),
+                    phase=json_float(entry.get("phase", 0.0), "phase"),
                     waveform=entry.get("waveform", "cos"),
                     poly=tuple(json_int(p, "poly") for p in entry.get("poly", [])),
-                    poly_center=tuple(float(c) for c in entry.get("poly_center", [])),
+                    poly_center=tuple(json_float(c, "poly_center") for c in entry.get("poly_center", [])),
                     envelope=_envelope_from_json(entry.get("envelope"), sig.dim),
                 ))
             return AnalyticField(sig, grade, modes)
@@ -262,8 +272,15 @@ def field_from_json(data: Mapping, sig: SpacetimeSignature):
             import numpy as np
 
             grid = data["grid"]
-            values = np.asarray(grid["values"], dtype=float)
-            field = GridField(sig, grade, grid["origin"], grid["spacing"], values)
+            # the dtype numpy infers: strings (kind U), bools (b), nulls or mixed objects (O) are no numbers
+            values = np.array(grid["values"])
+            if values.dtype.kind not in "iuf":
+                raise ScenarioError(f"grid values must hold only numbers, got {values.dtype} entries")
+            # one number per axis, each checked on its own: the dtype of a list
+            # that mixes a bool with floats is float
+            origin, spacing = ([json_float(v, f"grid {key}") for v in grid[key]]
+                               for key in ("origin", "spacing"))
+            field = GridField(sig, grade, origin, spacing, values)
             shape = [json_int(count, "shape") for count in grid["shape"]]
             if shape != list(values.shape[:-1]):
                 raise ValueError(f"grid shape {shape} does not match the {list(values.shape[:-1])} "
@@ -327,5 +344,5 @@ def scenario_from_json(data: Mapping) -> Scenario:
             checks=checks,
             sample_points=sample_points,
             seed=seed,
-            tol=float(data.get("tol", 1e-8)),
+            tol=json_float(data.get("tol", 1e-8), "tol"),
         )

@@ -6,11 +6,12 @@ classical vector residuals, the derived modes built through
 ``dataclasses.replace``, one field of each kind of mode, a pointwise
 product-rule residual, a per-point reference evaluation of analytic mode
 fields, the mode kernel as a loop over modes, per-node reference
-quadratures, the dense slice flux, the per-node frequency-domain flux and
-cone synthesis, the derived-field and mapped amplitude modes built by
-per-mode multivector algebra, the mode-table merge through a dict of
-Python key tuples, a by-value comparison of modes and the loop form of the
-identity suite.  None of these is used by the package."""
+quadratures, the face-by-face boundary integrals with a point-by-point
+field wrapper and an exact-bits key, the dense slice flux, the per-node
+frequency-domain flux and cone synthesis, the derived-field and mapped
+amplitude modes built by per-mode multivector algebra, the mode-table merge
+through a dict of Python key tuples, a by-value comparison of modes and the
+loop form of the identity suite.  None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,6 +35,7 @@ from extcalc.algebra import (
     inv_hodge,
     left_interior,
     right_interior,
+    vec_interior_bitensor,
     wedge,
 )
 from extcalc.energy import _stress_tables
@@ -490,6 +493,11 @@ def reference_mode_kernel(field: AnalyticField, points: np.ndarray) -> np.ndarra
     return out
 
 
+def element_blade(box) -> Multivector:
+    """The oriented blade e_S carried by a box's differential."""
+    return Multivector.blade(box.signature, box.free_axes, box.orientation)
+
+
 def reference_grid(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The box's quadrature nodes and weights built one node at a time over
     itertools.product of the per-axis rules, last free axis fastest, each
@@ -512,19 +520,108 @@ def reference_grid(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.nd
 
 def reference_circulation(f, box, points: int = 8, panels: int = 1) -> complex:
     """Sum over nodes of w dot(e_S, F(x))."""
-    blade = box.element_blade()
+    blade = element_blade(box)
     return sum(w * dot(blade, f.evaluate(x)) for x, w in zip(*reference_grid(box, points, panels)))
 
 
 def reference_flux(f, box, points: int = 8, panels: int = 1) -> Multivector:
     """Sum over nodes of w left_interior(inv_hodge(e_S), F(x))."""
-    element = inv_hodge(box.element_blade())
+    element = inv_hodge(element_blade(box))
     terms = [left_interior(element, f.evaluate(x)) * w
              for x, w in zip(*reference_grid(box, points, panels))]
     total = terms[0]
     for term in terms[1:]:
         total = total + term
     return total
+
+
+def _reference_integrated(rows, box, points: int, panels: int) -> list:
+    """One box's integrated row as ``grid_points`` gives it: weights @ rows(nodes)."""
+    nodes, weights = box.grid_points(points, panels)
+    return (weights @ rows(nodes)).tolist()
+
+
+def reference_box_circulation(f, box, points: int = 8, panels: int = 1) -> complex:
+    """``circulation`` as the multivector product dot(e_S, integrated field) + 0.0."""
+    total = _reference_integrated(f.evaluate_components, box, points, panels)
+    return dot(element_blade(box), Multivector.from_row(box.signature, f.grade, total)) + 0.0
+
+
+def reference_box_flux(f, box, points: int = 8, panels: int = 1) -> Multivector:
+    """``flux`` as the multivector product left_interior(inv_hodge(e_S), integrated field)."""
+    sig = box.signature
+    if f.grade + box.dim < sig.dim:
+        return Multivector.zero(sig, 0)
+    total = _reference_integrated(f.evaluate_components, box, points, panels)
+    return left_interior(inv_hodge(element_blade(box)), Multivector.from_row(sig, f.grade, total))
+
+
+def reference_box_vector(tf, box, points: int = 8, panels: int = 1) -> Multivector:
+    """A full-dimension box's integrated ``divergence_components`` as a vector times its orientation."""
+    rows = _reference_integrated(tf.divergence_components, box, points, panels)
+    return Multivector.vector(box.signature, rows) * box.orientation
+
+
+def reference_boundary_circulation(f, box, points: int = 8, panels: int = 1) -> complex:
+    """The boundary circulation face by face, the route of ``reference_circulation``
+    on face boxes: one ``boundary_faces`` box, evaluation and
+    ``reference_box_circulation`` per face, summed from 0."""
+    return sum(reference_box_circulation(f, face, points, panels) for face in box.boundary_faces())
+
+
+def reference_boundary_flux(f, box, points: int = 8, panels: int = 1) -> Multivector:
+    """The boundary flux face by face, the route of ``reference_flux`` on face
+    boxes: one ``reference_box_flux`` per ``boundary_faces`` box, added in order."""
+    terms = [reference_box_flux(f, face, points, panels) for face in box.boundary_faces()]
+    return sum(terms[1:], terms[0])
+
+
+def reference_boundary_bitensor(tf, box, points: int = 8, panels: int = 1) -> Multivector:
+    """The bitensor boundary term face by face: each face box's integrated
+    tensor contracted with its inverse-Hodge element by
+    ``vec_interior_bitensor``, added from the zero vector."""
+    sig = box.signature
+    total = Multivector.zero(sig, 1)
+    for face in box.boundary_faces():
+        tensor = Bitensor.from_row(sig, _reference_integrated(tf.evaluate_components, face, points, panels))
+        total = total + vec_interior_bitensor(inv_hodge(element_blade(face)), tensor)
+    return total
+
+
+class PointByPoint:
+    """A field, or a quadratic tensor field, whose batched rows are its
+    one-point rows stacked.  A batched matrix product may round a row
+    differently with its place in the batch, so only through this wrapper do
+    a boundary's stacked evaluation and its face-by-face reference see the
+    same rows bit for bit."""
+
+    def __init__(self, field):
+        self.field = field
+        self.signature = field.signature
+        self.grade = getattr(field, "grade", None)
+
+    def _stacked(self, method: str, points: np.ndarray) -> np.ndarray:
+        call = getattr(self.field, method)
+        return np.concatenate([call(point[None, :]) for point in np.asarray(points, dtype=float)])
+
+    def evaluate_components(self, points: np.ndarray) -> np.ndarray:
+        return self._stacked("evaluate_components", points)
+
+    def divergence_components(self, points: np.ndarray) -> np.ndarray:
+        return self._stacked("divergence_components", points)
+
+
+def exact_bits(value):
+    """A result's exact content: a scalar, or a multivector's grade and its
+    terms in order, each float part as its IEEE bytes (so -0.0, NaN and the
+    sign of a NaN all count)."""
+    def bits(c):
+        if isinstance(c, complex):
+            return "complex", struct.pack("<dd", c.real, c.imag)
+        return type(c).__name__, struct.pack("<d", c) if isinstance(c, float) else c
+    if isinstance(value, Multivector):
+        return value.grade, [(idx, bits(c)) for idx, c in value.terms.items()]
+    return bits(value)
 
 
 def reference_flux_T_direct(f_field, axis: int, coordinate: float, bounds,

@@ -563,6 +563,65 @@ def test_non_finite_or_misshapen_grid_exits_2(capsys, tmp_path, edit):
     assert err.startswith("error: bad field object: ")
 
 
+def _with_mode_extras(**extras):
+    """An edit giving F's first mode extra entries, such as a monomial or an envelope."""
+    def edit(data):
+        data["F"]["modes"][0].update(extras)
+    return edit
+
+
+def _grid_values_of(value):
+    """An edit setting every grid value of F to ``value``."""
+    def leaves(values):
+        return [leaves(v) for v in values] if isinstance(values, list) else value
+
+    def edit(data):
+        data["F"]["grid"]["values"] = leaves(data["F"]["grid"]["values"])
+    return edit
+
+
+TERM = ("F", "modes", 0, "amplitude", "terms", 0)
+ENVELOPE = {"type": "gaussian", "width": 0.5, "center": [0.0] * 4}
+
+
+# each float a reader takes is a JSON number: a string or a bool where one
+# belongs exits 2 (a grid with string spacings used to run to PASS)
+@pytest.mark.parametrize("edit,message", [
+    (_set(TERM + ("re",), "6.28"), "re must be a number, got '6.28'"),
+    (_set(TERM + ("re",), True), "re must be a number, got True"),
+    (_set(TERM + ("im",), "1"), "im must be a number, got '1'"),
+    (_set(("F", "modes", 0, "xi", 0), "1.0"), "xi must be a number, got '1.0'"),
+    (_set(("F", "modes", 0, "xi", 3), False), "xi must be a number, got False"),
+    (_set(("F", "modes", 0, "phase"), "0.5"), "phase must be a number, got '0.5'"),
+    (_set(("F", "modes", 0, "phase"), True), "phase must be a number, got True"),
+    (_with_mode_extras(poly=[1, 0, 0, 0], poly_center=["0.1", 0, 0, 0]), "poly_center must be a number"),
+    (_with_mode_extras(envelope={**ENVELOPE, "center": [0.0, True, 0.0, 0.0]}),
+     "envelope center must be a number"),
+    (_with_mode_extras(envelope={**ENVELOPE, "width": "0.5"}), "envelope width must be a number"),
+    (_set(("tol",), "1e-8"), "tol must be a number, got '1e-8'"),
+    (_set(("tol",), True), "tol must be a number, got True"),
+], ids=["re-str", "re-bool", "im-str", "xi-str", "xi-bool", "phase-str", "phase-bool", "poly-center-str",
+        "envelope-center-bool", "envelope-width-str", "tol-str", "tol-bool"])
+def test_strings_and_bools_where_numbers_belong_exit_2(capsys, tmp_path, edit, message):
+    code, out, err = run(capsys, "maxwell-check", "--config", _edited_vacuum(tmp_path, edit))
+    assert_usage_error(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set(("F", "grid", "origin", 1), "-0.1"), "grid origin must be a number, got '-0.1'"),
+    (_set(("F", "grid", "spacing"), ["0.02"] * 4), "grid spacing must be a number, got '0.02'"),
+    (_set(("F", "grid", "spacing", 2), True), "grid spacing must be a number, got True"),
+    (_set(("F", "grid", "values", 0, 0, 0, 0, 0), "0.5"), "grid values must hold only numbers"),
+    (_grid_values_of(True), "grid values must hold only numbers, got bool entries"),
+    (_set(("F", "grid", "values", 3, 1, 4, 1, 5), None), "grid values must hold only numbers, got object"),
+], ids=["origin-str", "spacing-strs", "spacing-bool", "value-str", "values-bool", "value-null"])
+def test_grid_strings_bools_and_nulls_exit_2(capsys, tmp_path, edit, message):
+    code, out, err = run(capsys, "maxwell-check", "--config", _grid_scenario(tmp_path, edit))
+    assert_usage_error(code, out, err)
+    assert message in err
+
+
 def test_fourier_check_skips_a_grid_backed_source(capsys, tmp_path):
     # a sampled source has no modes, yet it is a source: the source-free
     # algebra does not apply, as for the same source given as modes; with

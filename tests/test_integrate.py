@@ -1,13 +1,18 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from extcalc.algebra import GradeError, Multivector, SpacetimeSignature, dot, right_interior
+from extcalc.energy import QuadraticTensorField, StressTensorField
 from extcalc.fields import (
     AnalyticField,
+    FieldDomainError,
     GaussianEnvelope,
+    GridField,
     Mode,
     constant_field,
     plane_wave,
@@ -15,6 +20,7 @@ from extcalc.fields import (
 )
 from extcalc.integrate import (
     HypersurfaceBox,
+    _integral,
     _legendre_base,
     bitensor_stokes_check,
     circulation,
@@ -23,9 +29,20 @@ from extcalc.integrate import (
     stokes_circulation_check,
     stokes_flux_check,
 )
+from extcalc.maxwell import MaxwellSystem, integral_maxwell_check
 
 from _support import (
     ComponentBitensorField,
+    PointByPoint,
+    element_blade,
+    exact_bits,
+    mode_family_fields,
+    reference_boundary_bitensor,
+    reference_boundary_circulation,
+    reference_boundary_flux,
+    reference_box_circulation,
+    reference_box_flux,
+    reference_box_vector,
     reference_circulation,
     reference_flux,
     reference_grid,
@@ -117,7 +134,7 @@ def test_circulation_right_interior_form_agrees():
     rng = np.random.default_rng(2)
     amp = Multivector(EUC3, 2, {idx: float(rng.normal()) for idx in EUC3.index_lists(2)})
     box = HypersurfaceBox(EUC3, intervals={0: (0, 1), 2: (-0.5, 0.5)}, fixed={1: 0.25})
-    for blade in (box.element_blade(), -1 * box.element_blade()):
+    for blade in (element_blade(box), -1 * element_blade(box)):
         assert dot(blade, amp) == right_interior(blade, amp).scalar_value()
 
 
@@ -342,3 +359,183 @@ def test_gauss_legendre_rule_reuses_one_read_only_base_rule(points, panels):
     assert _legendre_base(points)[0].tobytes() == base_nodes.tobytes()
     assert gauss_legendre_rule(-0.3, 1.1, points, panels)[0].tobytes() == want_nodes.tobytes()
 
+
+# ---------------------------------------------------------------------------
+# the boundary step against the face-by-face route
+# ---------------------------------------------------------------------------
+
+BOUNDARY_SIGNATURES = [SpacetimeSignature(1, n) for n in range(1, 5)] + [SpacetimeSignature(2, 2)]
+# real and complex amplitudes that are not finite; inf * 0 would make a NaN
+# of the complex one wherever a dense product multiplied it by a zero entry
+POISONS = [math.nan, -math.inf, complex(0.3, math.inf), complex(math.nan, -1.0)]
+
+
+def _poisoned(f, value, rng):
+    """f with one amplitude component of its first mode set to ``value``."""
+    first, *rest = f.modes
+    terms = dict(first.amplitude.terms)
+    terms[sorted(terms)[int(rng.integers(len(terms)))]] = value
+    amplitude = Multivector(f.signature, f.grade, terms)
+    return AnalyticField(f.signature, f.grade, [dataclasses.replace(first, amplitude=amplitude), *rest])
+
+
+def _random_box(sig, dim, rng):
+    """A box with ``dim`` random free axes, random intervals and either orientation."""
+    free = sorted(rng.choice(sig.dim, dim, replace=False).tolist())
+    centre, half = rng.uniform(-0.4, 0.4, sig.dim), rng.uniform(0.1, 0.3, sig.dim)
+    return HypersurfaceBox(sig, {a: (centre[a] - half[a], centre[a] + half[a]) for a in free},
+                           {a: centre[a] for a in sig.axes() if a not in free}, int(rng.choice([-1, 1])))
+
+
+def _rule(face_dim, rng):
+    """(points, panels), panels 1 to 3, with at most 27 nodes per face."""
+    options = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3) if (p * q) ** face_dim <= 27]
+    return options[int(rng.integers(len(options)))]
+
+
+def _assert_same(got, want):
+    assert exact_bits(got) == exact_bits(want), (got, want)
+
+
+def _boundary(f, box, points, panels, form):
+    """The boundary step on a field's ``evaluate_components``."""
+    return _integral(f.evaluate_components, box, points, panels, f.grade, form, faces=True)
+
+
+@pytest.mark.parametrize("sig", BOUNDARY_SIGNATURES, ids=str)
+def test_boundary_step_is_the_face_by_face_route_bit_for_bit(sig):
+    """Every boundary form, every grade, 1-3 panels, both orientations, finite
+    and non-finite real and complex amplitudes: the one stacked evaluation
+    with signed gathers gives the bits of a face box, an evaluation and a
+    multivector product per face.  The rows go through ``PointByPoint`` so
+    both routes integrate the same rows."""
+    rng = np.random.default_rng([21, sig.k, sig.n])
+    with np.errstate(all="ignore"):
+        for grade in range(sig.dim + 1):
+            family = mode_family_fields(sig, grade, rng)
+            fields = [family["mixed"], family["cos"]]
+            fields += [_poisoned(family[("cos", "exp")[i % 2]], value, rng) for i, value in enumerate(POISONS)]
+            for f in map(PointByPoint, fields):
+                if grade < sig.dim:
+                    box = _random_box(sig, grade + 1, rng)
+                    points, panels = _rule(grade, rng)
+                    _assert_same(_boundary(f, box, points, panels, "circulation"),
+                                 reference_boundary_circulation(f, box, points, panels))
+                    face = box.boundary_faces()[int(rng.integers(2 * box.dim))]
+                    _assert_same(circulation(f, face, points, panels),
+                                 reference_box_circulation(f, face, points, panels))
+                box = _random_box(sig, int(rng.integers(1, sig.dim + 1)), rng)
+                points, panels = _rule(box.dim - 1, rng)
+                _assert_same(_boundary(f, box, points, panels, "flux"),
+                             reference_boundary_flux(f, box, points, panels))
+                _assert_same(flux(f, box, points, panels), reference_box_flux(f, box, points, panels))
+                box = _random_box(sig, sig.dim, rng)
+                points, panels = _rule(sig.dim - 1, rng)
+                tf = PointByPoint(QuadraticTensorField(f.field, str(rng.choice(["stress", "odot", "owedge"]))))
+                lhs, rhs, _ = bitensor_stokes_check(tf, box, points, panels)
+                _assert_same(lhs, reference_boundary_bitensor(tf, box, points, panels))
+                _assert_same(rhs, reference_box_vector(tf, box, points, panels))
+
+
+def _lattice_box(sig, dim, rng, spacing, panels):
+    """A box on the lattice from -1 by ``spacing`` whose faces and one-point
+    panel midpoints are sites: each free interval spans 2 steps per panel."""
+    free = sorted(rng.choice(sig.dim, dim, replace=False).tolist())
+    start = rng.integers(0, 2, sig.dim)
+    lo = -1 + spacing * start
+    return HypersurfaceBox(sig, {a: (lo[a], lo[a] + 2 * panels * spacing) for a in free},
+                           {a: lo[a] for a in sig.axes() if a not in free},
+                           int(rng.choice([-1, 1])))
+
+
+@pytest.mark.parametrize("sig", BOUNDARY_SIGNATURES, ids=str)
+def test_boundary_step_on_a_grid_is_the_face_by_face_route_bit_for_bit(sig):
+    """The same comparison on the ``GridField`` backend, batched directly:
+    one-point panels on lattice-aligned boxes, so every node is a site."""
+    rng = np.random.default_rng([22, sig.k, sig.n])
+    spacing = 0.25
+    for grade in range(sig.dim + 1):
+        family = mode_family_fields(sig, grade, rng)
+        f = GridField.sample(family["cos"] + family["envelope"], [-1.0] * sig.dim, [spacing] * sig.dim,
+                             [8] * sig.dim)
+        panels = int(rng.integers(1, 4))
+        if grade < sig.dim:
+            box = _lattice_box(sig, grade + 1, rng, spacing, panels)
+            _assert_same(_boundary(f, box, 1, panels, "circulation"),
+                         reference_boundary_circulation(f, box, 1, panels))
+        box = _lattice_box(sig, int(rng.integers(1, sig.dim + 1)), rng, spacing, panels)
+        _assert_same(_boundary(f, box, 1, panels, "flux"), reference_boundary_flux(f, box, 1, panels))
+        box = _lattice_box(sig, sig.dim, rng, spacing, panels)
+        tf = PointByPoint(StressTensorField(f))
+        _assert_same(bitensor_stokes_check(tf, box, 1, panels)[0],
+                     reference_boundary_bitensor(tf, box, 1, panels))
+
+
+def test_boundary_step_fails_on_the_same_node_as_the_face_by_face_route():
+    sig = SpacetimeSignature(1, 2)
+    f = GridField.sample(plane_wave(Multivector.blade(sig, (0, 1)), (0.2, 0.1, 0.3)), [-1.0] * 3, [0.25] * 3,
+                         [9] * 3)
+    box = HypersurfaceBox(sig, {0: (-0.5, 0.5), 1: (-0.5, 0.5), 2: (-0.5, 0.5)}, {})
+    with pytest.raises(FieldDomainError) as want:
+        reference_boundary_flux(f, box, 3)
+    with pytest.raises(FieldDomainError, match=re.escape(str(want.value))):
+        _boundary(f, box, 3, 1, "flux")
+
+
+@pytest.mark.parametrize("sig", BOUNDARY_SIGNATURES, ids=str)
+def test_stokes_checks_match_the_face_by_face_route_on_batched_fields(sig):
+    """Unwrapped analytic fields: a batched product may round a row by its
+    place in the batch, so the public checks agree with the face-by-face
+    route to rounding."""
+    rng = np.random.default_rng([23, sig.k, sig.n])
+    for grade in range(1, sig.dim):
+        f = mode_family_fields(sig, grade, rng)["mixed"]
+        box = _random_box(sig, grade + 1, rng)
+        lhs, rhs, _ = stokes_circulation_check(f, box, 3, 2)
+        assert lhs == pytest.approx(reference_boundary_circulation(f, box, 3, 2), rel=1e-13, abs=1e-13)
+        box = _random_box(sig, sig.dim, rng)
+        lhs, _, _ = stokes_flux_check(f, box, 2, 2)
+        want = reference_boundary_flux(f, box, 2, 2)
+        assert (lhs - want).max_abs() <= 1e-13 * max(1.0, want.max_abs())
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append((name, self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_each_boundary_is_one_evaluation_and_no_face_box(monkeypatch):
+    sig = SpacetimeSignature(1, 3)
+    rng = np.random.default_rng(24)
+    f = mode_family_fields(sig, 2, rng)["mixed"]
+    tf = StressTensorField(f)
+    circ_box, flux_box, full_box = (_random_box(sig, d, rng) for d in (3, 3, 4))
+    system = MaxwellSystem(sig, 2, f, mode_family_fields(sig, 1, rng)["cos"])
+    calls = []
+    for owner, name in ((AnalyticField, "evaluate_components"), (QuadraticTensorField, "evaluate_components"),
+                        (QuadraticTensorField, "divergence_components"), (HypersurfaceBox, "__post_init__")):
+        _counting(monkeypatch, owner, name, calls)
+
+    def made(run):
+        """The calls ``run`` makes, each with the field it evaluates: F, its
+        stress tensor T, the source J or another one."""
+        calls.clear()
+        run()
+        who = {id(f): "F", id(tf): "T", id(system.J): "J"}
+        return [(name, who.get(id(self), "other")) for name, self in calls]
+
+    # a built box would show as a __post_init__ call; the right-hand sides
+    # integrate the derivative fields
+    assert made(lambda: stokes_flux_check(f, flux_box, 3)) == [("evaluate_components", "F"),
+                                                                ("evaluate_components", "other")]
+    assert made(lambda: stokes_circulation_check(f, circ_box, 3)) == [("evaluate_components", "F"),
+                                                                       ("evaluate_components", "other")]
+    assert made(lambda: bitensor_stokes_check(tf, full_box, 2)) == [
+        ("evaluate_components", "T"), ("evaluate_components", "F"), ("divergence_components", "T")]
+    assert made(lambda: integral_maxwell_check(system, circ_box, flux_box, 3)) == [
+        ("evaluate_components", "F"), ("evaluate_components", "F"), ("evaluate_components", "J")]
