@@ -367,7 +367,7 @@ def test_gauss_legendre_rule_reuses_one_read_only_base_rule(points, panels):
 BOUNDARY_SIGNATURES = [SpacetimeSignature(1, n) for n in range(1, 5)] + [SpacetimeSignature(2, 2)]
 # real and complex amplitudes that are not finite; inf * 0 would make a NaN
 # of the complex one wherever a dense product multiplied it by a zero entry
-POISONS = [math.nan, -math.inf, complex(0.3, math.inf), complex(math.nan, -1.0)]
+POISONS = [math.nan, math.inf, -math.inf, complex(0.3, math.inf), complex(math.nan, -1.0)]
 
 
 def _poisoned(f, value, rng):
@@ -435,6 +435,21 @@ def test_boundary_step_is_the_face_by_face_route_bit_for_bit(sig):
                 lhs, rhs, _ = bitensor_stokes_check(tf, box, points, panels)
                 _assert_same(lhs, reference_boundary_bitensor(tf, box, points, panels))
                 _assert_same(rhs, reference_box_vector(tf, box, points, panels))
+
+
+def test_gathers_prune_the_integrated_row_as_the_products_do():
+    """An integrated component below ``PRUNE_REL`` of the row's largest one is
+    dropped before the gather, as ``from_row`` drops it before the product,
+    also where the gather keeps only that component."""
+    sig = SpacetimeSignature(1, 2)
+    tiny = plane_wave(Multivector.blade(sig, (2,), 1e-17), (0.0, 0.1, 0.0))
+    f = constant_field(Multivector.blade(sig, (0,))) + tiny
+    flux_box = HypersurfaceBox(sig, {0: (0.0, 1.0), 1: (0.0, 1.0)}, {2: 0.0}, orientation=-1)
+    line = HypersurfaceBox(sig, {2: (0.0, 1.0)}, {0: 0.0, 1: 0.0})
+    for got, want in ((flux(f, flux_box), reference_box_flux(f, flux_box)),
+                      (circulation(f, line), reference_box_circulation(f, line))):
+        assert not want
+        _assert_same(got, want)
 
 
 def _lattice_box(sig, dim, rng, spacing, panels):
