@@ -130,8 +130,8 @@ def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
 @lru_cache(maxsize=None)
 def _element_product(sig: SpacetimeSignature, grade: int, axes: tuple, orientation: int, form: str):
     """dot(e, .), left_interior(inv_hodge(e), .) or vec_interior_bitensor(inv_hodge(e), .) by ``form``,
-    e = orientation e_axes, on an integrated row of Python scalars: a signed gather read off the
-    sign tables once, applied with the operands, order and pruning of that product."""
+    e = orientation e_axes, on an integrated row of Python scalars: a signed gather built once from
+    the sign tables and metric, applied with the operands, order and pruning of that product."""
     keys = tuple(sig.index_lists(grade))
     if form == "circulation":
         metric = _sign_tables(sig).lookup("dot")[axes]
