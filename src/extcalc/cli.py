@@ -24,7 +24,7 @@ from .algebra import (
     SpacetimeSignature,
     _sign_tables,
     _worst,
-    dot as algebra_dot,
+    dot as algebra_dot,  # noqa: F401 - a binding benchmarks/test_benchmark.py checks the tracer wraps
     verify_identities,
 )
 from .energy import (
@@ -60,10 +60,10 @@ from .maxwell import (
     MaxwellSystem,
     classical_pack,
     classical_vector_residual_components,
-    fourier_maxwell_residuals,
     integral_maxwell_check,
     maxwell_residual_components,
     maxwell_residuals,
+    null_support_violation,
     residuals_to_classical,
 )
 from .serialize import (
@@ -72,6 +72,7 @@ from .serialize import (
     _reading,
     bitensor_to_json,
     canonical_dumps,
+    json_float,
     json_int,
     multivector_to_json,
     scenario_from_json,
@@ -82,6 +83,13 @@ from .serialize import (
 EXIT_PASS = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
+
+# a Fourier mode whose normalized residuals are within this counts as a solution
+NULL_SUPPORT_TOL = 1e-9
+
+# the report keys stress-energy and flux-compare share, each null in the other's report
+STRESS_KEYS = ("T", "trace", "trace_formula", "force", "conservation_residual_max")
+FLUX_KEYS = ("flux_direct", "flux_fourier", "flux_rel_err")
 
 
 def _finish(args, report: dict, detail: str, *notes: str | None) -> int:
@@ -236,16 +244,11 @@ def _random_box(sig: SpacetimeSignature, free_axes, rng: np.random.Generator) ->
 def _check_integral(system: MaxwellSystem, rng: np.random.Generator, quad_points: int) -> dict:
     sig = system.signature
     out = {}
-    circ_dim = system.r + 1
-    if circ_dim <= sig.dim:
-        box = _random_box(sig, list(rng.permutation(sig.dim))[:circ_dim], rng)
-        circ, _ = integral_maxwell_check(system, box, None, points=quad_points)
-        out["circulation_residual"] = circ
-    flux_dim = sig.dim - system.r + 1
-    if 1 <= flux_dim <= sig.dim:
-        box = _random_box(sig, list(rng.permutation(sig.dim))[:flux_dim], rng)
-        _, flx = integral_maxwell_check(system, None, box, points=quad_points)
-        out["flux_residual"] = flx
+    for i, (name, box_dim) in enumerate((("circulation", system.r + 1), ("flux", sig.dim - system.r + 1))):
+        if box_dim <= sig.dim:
+            box = _random_box(sig, list(rng.permutation(sig.dim))[:box_dim], rng)
+            out[f"{name}_residual"] = integral_maxwell_check(system, **{f"{name}_box": box},
+                                                             points=quad_points)[i]
     return out
 
 
@@ -257,16 +260,9 @@ def _check_fourier(system: MaxwellSystem) -> dict:
     # a grid-backed source has no modes either, but it is a source
     if not (isinstance(system.J, AnalyticField) and system.J.mode_count == 0):
         return {"skipped": "algebraic source-free check needs a source-free scenario"}
-    inhom_max = hom_max = 0.0
-    worst_null = 0.0
-    for mode in system.F.modes:
-        inhom, hom = fourier_maxwell_residuals(mode.xi, mode.amplitude)
-        inhom_max = _worst([inhom_max, inhom.max_abs() / (2 * math.pi)])
-        hom_max = _worst([hom_max, hom.max_abs()])
-        xi = Multivector.vector(system.signature, mode.xi)
-        if inhom.max_abs() < 1e-9 and hom.max_abs() < 1e-9:
-            worst_null = _worst([worst_null, abs(algebra_dot(xi, xi)) * mode.amplitude.max_abs()])
-    return {"inhom_max": inhom_max, "hom_max": hom_max, "null_support_violation": worst_null}
+    modes = [null_support_violation(mode.xi, mode.amplitude, NULL_SUPPORT_TOL) for mode in system.F.modes]
+    return {name: _worst([mode[key] for mode in modes]) for name, key in
+            (("inhom_max", "inhom_max"), ("hom_max", "hom_max"), ("null_support_violation", "violation"))}
 
 
 def _check_gauge(scenario: Scenario, system: MaxwellSystem, points: np.ndarray) -> dict:
@@ -344,9 +340,7 @@ def cmd_stress_energy(args) -> int:
         "conservation_residual_max": conservation_max,
         "route_max_diff": route_max,
         "trace_max_diff": trace_max,
-        "flux_direct": None,
-        "flux_fourier": None,
-        "flux_rel_err": None,
+        **dict.fromkeys(FLUX_KEYS),
         "max_residual": worst,
         "passed": worst <= scenario.tol,
     }
@@ -359,9 +353,9 @@ def cmd_stress_energy(args) -> int:
 
 def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
     kind = spec.get("kind", "scalar")
-    width = float(spec["width"])
-    scale = float(spec.get("scale", 1.0))
-    center = {int(a): float(c) for a, c in spec["center"].items()}
+    width = json_float(spec["width"], "spectrum width")
+    scale = json_float(spec.get("scale", 1.0), "spectrum scale")
+    center = {int(a): json_float(c, "spectrum center") for a, c in spec["center"].items()}
     # a width that is not positive, a zero scale, or a centre that is empty (a
     # scalar bump) or on an axis the space-time lacks would compare a vanishing
     # or different spectrum
@@ -412,9 +406,9 @@ def cmd_flux_compare(args) -> int:
         sig = signature_from_json(data["signature"])
         r = json_int(data["r"], "r")
         axis = json_int(data["axis"], "axis")
-        coordinate = float(data.get("coordinate", 0.0))
-        region = {int(a): (float(lo), float(hi)) for a, (lo, hi) in data["region"].items()}
-        slice_bounds = {int(a): (float(lo), float(hi)) for a, (lo, hi) in data["slice_bounds"].items()}
+        coordinate = json_float(data.get("coordinate", 0.0), "coordinate")
+        region, slice_bounds = ({int(a): (json_float(lo, key), json_float(hi, key))
+                                 for a, (lo, hi) in data[key].items()} for key in ("region", "slice_bounds"))
         others = set(sig.axes()) - {axis}
         if axis not in sig.axes() or set(region) != others or set(slice_bounds) != others \
                 or any(not lo < hi for lo, hi in (*region.values(), *slice_bounds.values())):
@@ -423,7 +417,7 @@ def cmd_flux_compare(args) -> int:
         freq_points, freq_panels, slice_points, slice_panels = (
             json_int(data.get(key, default), key, least=1) for key, default in
             (("freq_points", 24), ("freq_panels", 2), ("slice_points", 8), ("slice_panels", 16)))
-        tol = args.tol if args.tol is not None else float(data.get("tol", 0.01))
+        tol = args.tol if args.tol is not None else json_float(data.get("tol", 0.01), "tol")
         a_hat = _bump_factory(data["spectrum"], sig, axis, r)
 
     fourier = flux_T_fourier(a_hat, axis, region, sig, grade=r,
@@ -448,11 +442,7 @@ def cmd_flux_compare(args) -> int:
         "coordinate": coordinate,
         "tol": tol,
         "synth_modes": potential.mode_count,
-        "T": None,
-        "trace": None,
-        "trace_formula": None,
-        "force": None,
-        "conservation_residual_max": None,
+        **dict.fromkeys(STRESS_KEYS),
         "flux_direct": multivector_to_json(direct),
         "flux_fourier": multivector_to_json(fourier),
         "flux_rel_err": rel_err,

@@ -452,8 +452,6 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
     if bounds is None:
         bounds = f_field._envelope_bounds(axis)
     slice_box = HypersurfaceBox(sig, intervals=dict(bounds), fixed={axis: coordinate})
-    if slice_box.dim != sig.dim - 1:
-        raise ValueError("slice bounds must cover every axis except the fixed one")
     rules = {a: _composite_rule(*slice_box.intervals[a], points, panels)
              for a in slice_box.free_axes}
     rows, const, factors = f_field.axis_factors(slice_box.fixed,

@@ -67,14 +67,6 @@ class HypersurfaceBox:
     def dim(self) -> int:
         return len(self.intervals)
 
-    def boundary_faces(self) -> list["HypersurfaceBox"]:
-        """The 2*dim oriented faces, upper then lower on each free axis, induced orientation included."""
-        free = self.free_axes
-        return [HypersurfaceBox(self.signature, {a: self.intervals[a] for a in free if a != axis},
-                                {**self.fixed, axis: value}, side * ((-1) ** position * self.orientation))
-                for position, axis in enumerate(free)
-                for value, side in zip(self.intervals[axis][::-1], (1, -1))]
-
     def quadrature(self, points: int = DEFAULT_POINTS, panels: int = 1):
         """(point, weight) pairs, the rows of ``grid_points``."""
         return zip(*self.grid_points(points, panels))
@@ -153,7 +145,7 @@ def _element_product(sig: SpacetimeSignature, grade: int, axes: tuple, orientati
 def _integral(rows, box: HypersurfaceBox, points: int, panels: int, grade: int, form: str, faces=False):
     """The one quadrature step: the sum of each piece's ``_element_product`` with its ``weights @
     rows[segment]``, from one ``rows`` call over the pieces' ``grid_points`` nodes: the box, or
-    with ``faces`` its faces in ``boundary_faces`` order, two of a free axis sharing weights."""
+    with ``faces`` its faces, upper then lower on each free axis, the two of an axis sharing weights."""
     sig, free = box.signature, box.free_axes
     if form == "flux" and grade + len(free) - faces < sig.dim:  # zero, with no evaluation
         return Multivector.zero(sig, 0)

@@ -153,15 +153,19 @@ def fourier_maxwell_residuals(xi, f_hat: Multivector,
 
 def null_support_violation(xi, f_hat: Multivector, tol: float = 1e-10) -> dict:
     """Check that a source-free mode with both residuals below tol sits on the
-    null cone.  Reports the contradiction magnitude |xi . xi| * |F_hat|."""
+    null cone.  Reports the largest residual components, the inhomogeneous one
+    divided by 2 pi, and the contradiction magnitude |xi . xi| * |F_hat|."""
     sig = f_hat.signature
     cov = _as_covector(sig, xi)
     inhom, hom = fourier_maxwell_residuals(cov, f_hat)
+    inhom_max, hom_max = inhom.max_abs() / (2 * math.pi), hom.max_abs()
     xi_sq = dot(cov, cov)
-    satisfied = inhom.max_abs() <= tol * 2 * math.pi and hom.max_abs() <= tol
+    satisfied = inhom_max <= tol and hom_max <= tol
     violation = abs(xi_sq) * f_hat.max_abs() if satisfied else 0.0
     return {
         "xi_dot_xi": xi_sq,
+        "inhom_max": inhom_max,
+        "hom_max": hom_max,
         "residuals_satisfied": satisfied,
         "violation": violation,
         "consistent": (not satisfied) or violation <= tol,

@@ -6,12 +6,13 @@ classical vector residuals, the derived modes built through
 ``dataclasses.replace``, one field of each kind of mode, a pointwise
 product-rule residual, a per-point reference evaluation of analytic mode
 fields, the mode kernel as a loop over modes, per-node reference
-quadratures, the face-by-face boundary integrals with a point-by-point
-field wrapper and an exact-bits key, the dense slice flux, the per-node
-frequency-domain flux and cone synthesis, the derived-field and mapped
-amplitude modes built by per-mode multivector algebra, the mode-table merge
-through a dict of Python key tuples, a by-value comparison of modes and the
-loop form of the identity suite.  None of these is used by the package."""
+quadratures, the oriented boundary faces of a box, the face-by-face
+boundary integrals with a point-by-point field wrapper and an exact-bits
+key, the dense slice flux, the per-node frequency-domain flux and cone
+synthesis, the derived-field and mapped amplitude modes built by per-mode
+multivector algebra, the mode-table merge through a dict of Python key
+tuples, a by-value comparison of modes and the loop form of the identity
+suite.  None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -498,6 +499,22 @@ def element_blade(box) -> Multivector:
     return Multivector.blade(box.signature, box.free_axes, box.orientation)
 
 
+def boundary_faces(box) -> list[HypersurfaceBox]:
+    """The 2 * dim oriented face boxes, upper then lower on each free axis.  The
+    face fixing free axis q at its upper end carries the box's orientation times
+    the sign of the permutation moving q in front of the other free axes, the
+    lower end its negative: the induced orientation."""
+    faces = []
+    for axis in box.free_axes:
+        rest = [a for a in box.free_axes if a != axis]
+        induced = sort_with_sign([axis, *rest])[1] * box.orientation
+        lo, hi = box.intervals[axis]
+        faces += [HypersurfaceBox(box.signature, {a: box.intervals[a] for a in rest},
+                                  {**box.fixed, axis: value}, side * induced)
+                  for value, side in ((hi, 1), (lo, -1))]
+    return faces
+
+
 def reference_grid(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The box's quadrature nodes and weights built one node at a time over
     itertools.product of the per-axis rules, last free axis fastest, each
@@ -566,13 +583,13 @@ def reference_boundary_circulation(f, box, points: int = 8, panels: int = 1) -> 
     """The boundary circulation face by face, the route of ``reference_circulation``
     on face boxes: one ``boundary_faces`` box, evaluation and
     ``reference_box_circulation`` per face, summed from 0."""
-    return sum(reference_box_circulation(f, face, points, panels) for face in box.boundary_faces())
+    return sum(reference_box_circulation(f, face, points, panels) for face in boundary_faces(box))
 
 
 def reference_boundary_flux(f, box, points: int = 8, panels: int = 1) -> Multivector:
     """The boundary flux face by face, the route of ``reference_flux`` on face
     boxes: one ``reference_box_flux`` per ``boundary_faces`` box, added in order."""
-    terms = [reference_box_flux(f, face, points, panels) for face in box.boundary_faces()]
+    terms = [reference_box_flux(f, face, points, panels) for face in boundary_faces(box)]
     return sum(terms[1:], terms[0])
 
 
@@ -582,7 +599,7 @@ def reference_boundary_bitensor(tf, box, points: int = 8, panels: int = 1) -> Mu
     ``vec_interior_bitensor``, added from the zero vector."""
     sig = box.signature
     total = Multivector.zero(sig, 1)
-    for face in box.boundary_faces():
+    for face in boundary_faces(box):
         tensor = Bitensor.from_row(sig, _reference_integrated(tf.evaluate_components, face, points, panels))
         total = total + vec_interior_bitensor(inv_hodge(element_blade(face)), tensor)
     return total

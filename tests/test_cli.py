@@ -480,6 +480,18 @@ def _drop(path):
     ("flux-compare", ("spectrum", "center"), [1.0, 0.0]),
     # an empty centre makes the bump a scalar, not one value per frequency
     ("flux-compare", ("spectrum", "center"), {}),
+    # every flux-compare number is a JSON number: strings and bools once read as floats
+    ("flux-compare", ("coordinate",), "0.0"),
+    ("flux-compare", ("coordinate",), True),
+    ("flux-compare", ("region", "1"), ["0.4", 1.6]),
+    ("flux-compare", ("slice_bounds", "1"), [-7.9, "7.9"]),
+    ("flux-compare", ("tol",), "0.01"),
+    ("flux-compare", ("spectrum", "width"), "0.15"),
+    ("flux-compare", ("spectrum", "width"), True),
+    ("flux-compare", ("spectrum", "scale"), "1.0"),
+    ("flux-compare", ("spectrum", "scale"), True),
+    ("flux-compare", ("spectrum", "center", "1"), "1.0"),
+    ("flux-compare", ("spectrum", "center", "1"), True),
 ])
 def test_bad_nested_config_entries_exit_2(capsys, tmp_path, command, path, value):
     scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"
@@ -664,6 +676,31 @@ def test_fourier_check_skips_a_field_that_is_not_plane_waves(capsys, tmp_path):
     assert code == 1 and report["checks"]["fourier"] == {
         "skipped": "plane-wave algebra needs modes without monomial or envelope factors"}
     assert report["checks"]["differential"]["hom_max"] > 1
+
+
+def test_fourier_null_support_follows_the_maxwell_rule(capsys, tmp_path):
+    # a (1,3) mode off the null cone, so small that its inhomogeneous residual is
+    # within 1e-9 once divided by 2 pi but not before: it counts as a solution,
+    # and its |xi . xi| |F_hat| is the reported violation
+    from extcalc.maxwell import fourier_maxwell_residuals, null_support_violation
+    from extcalc.serialize import multivector_from_json
+
+    def tiny_mode(data):
+        mode = json.loads(json.dumps(data["F"]["modes"][0]))
+        mode["xi"] = [0.6, 0.8, 0.0, 0.0]
+        mode["amplitude"]["terms"] = [{"indices": [0, 1], "re": 5e-10}]
+        data["F"]["modes"].append(mode)
+        data["checks"] = ["fourier"]
+
+    config = _edited_vacuum(tmp_path, tiny_mode)
+    code, out, _ = run(capsys, "maxwell-check", "--config", config)
+    modes = [(mode["xi"], multivector_from_json(mode["amplitude"]))
+             for mode in json.loads(Path(config).read_text())["F"]["modes"]]
+    raw_inhom = fourier_maxwell_residuals(*modes[1])[0].max_abs()
+    assert 1e-9 <= raw_inhom < 2 * math.pi * 1e-9
+    want = max(null_support_violation(xi, amplitude, 1e-9)["violation"] for xi, amplitude in modes)
+    assert want > 0
+    assert code == 0 and json.loads(out)["checks"]["fourier"]["null_support_violation"] == want
 
 
 def test_maxwell_check_with_every_check_skipped_exits_2(capsys, tmp_path):
