@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
@@ -611,7 +611,7 @@ class IdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        return _worst(list(self.residuals.values()))
 
 
 def _worst(values) -> float:
@@ -620,16 +620,41 @@ def _worst(values) -> float:
 
 
 def _gap(lhs, *rhs) -> float:
-    """Largest |coefficient| of the term lhs minus the sum of the rhs terms.
-
-    Each term is a pair of broadcastable arrays (blade positions, coefficients)
-    with one single-blade term per grid element.  The coefficient of a blade is
-    the sum over the terms of the element that share it.
-    """
+    """Largest |coefficient| of the term lhs minus the sum of the rhs terms, each
+    a pair of broadcastable arrays (blade positions, coefficients), one blade per
+    grid element.  A blade's coefficient sums the element's terms on it, with one
+    comparison per pair of terms; ``np.maximum`` folds the magnitudes, keeping NaN."""
     terms = [lhs, *((K, -C) for K, C in rhs)]
-    return _worst([_worst(sum(np.where(K == Ki, C, 0) for K, C in terms)) for Ki, _ in terms])
+    sums = [C for _, C in terms]
+    for (i, (Ki, Ci)), (j, (Kj, Cj)) in combinations(enumerate(terms), 2):
+        same = Ki == Kj
+        sums[i], sums[j] = sums[i] + np.where(same, Cj, 0), sums[j] + np.where(same, Ci, 0)
+    return _worst(reduce(np.maximum, map(np.abs, sums)))
 
 
+def _gather(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``table[rows, cols]`` over broadcast in-range index arrays, as one gather
+    from the flat table: several times faster than numpy's two-array indexing."""
+    flat, stride = table.ravel(), table.shape[1]
+    return lambda rows, cols: flat[np.multiply(rows, stride, dtype=np.intp) + cols]
+
+
+@lru_cache(maxsize=None)
+def _grade_grids(dim: int) -> tuple:
+    """The suite's read-only arrays that depend on the dimension alone: basis
+    vector positions; (-1)^grade and the wedge skew and interior transpose signs
+    on blade pairs, as int16 (exact for sums of int8 table products, a quarter of
+    int64's memory); the blade pairs of grades (r, r) and (r - 1, r)."""
+    grade = np.repeat(np.arange(dim + 1, dtype=np.int16), [math.comb(dim, r) for r in range(dim + 1)])
+    gu, gv = grade[:, None], grade
+    grids = (np.arange(1, dim + 1), (-1) ** grade, (-1) ** (gu * gv), (-1) ** (gu * (gu + gv)),
+             *np.nonzero(gu == gv), *np.nonzero(gu + 1 == gv))
+    for array in grids:
+        array.flags.writeable = False
+    return grids
+
+
+@np.errstate(invalid="ignore")  # 0 * inf and inf - inf give the NaN that fails the run
 def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = IDENTITY_DIM_CAP,
                       tables: _SignTables | None = None) -> IdentityReport:
     """Exhaustively check the product identities over every basis blade.
@@ -637,83 +662,57 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
     Covers skew-commutativity of the wedge, the left/right interior relation,
     the wedge/interior dot expansion, double-interior associativity and
     antisymmetry, the interior-of-wedge expansion, and the triple-product
-    equalities.  The suite reads ``wedge``, ``left_interior``,
-    ``right_interior`` and ``dot`` on every pair of unit blades from the
-    signature's sign tables, the integer arrays indexed by blade position that
-    those public products read, and evaluates each identity as gathers over
-    them on the grid of blades it quantifies over.  So it certifies the tables
-    the rest of the package calls through.  ``hodge`` and ``inv_hodge`` are
-    interior products with the volume blade, so they are covered through the
-    interiors.  Blade coefficients are integers, so residuals are exact; a NaN
-    or infinite coefficient fails the run.
-
-    ``tables`` replaces the signature's sign tables, so a self-test can hand
-    the suite a corrupted copy and confirm detection.
+    equalities.  Each identity is gathers, over one grid of the blades it
+    quantifies over (all grades at once), from the signature's sign tables:
+    the integer arrays that ``wedge``, ``left_interior``, ``right_interior``
+    and ``dot`` read.  So the suite certifies the tables the package calls
+    through, and ``hodge`` and ``inv_hodge``, interior products with the
+    volume blade, with them.  Residuals are exact integers; a NaN or infinite
+    coefficient fails the run.  Only structural index and sign arrays are
+    cached, per dimension; the tables are read on every call.  ``tables``
+    replaces the sign tables, so a self-test can hand in a corrupted copy.
     """
-    dim = sig.dim
-    if dim > max_dim:
+    if sig.dim > max_dim:
         raise ValueError(
-            f"identity suite refused: dimension {dim} exceeds cap {max_dim}; raise max_dim explicitly")
+            f"identity suite refused: dimension {sig.dim} exceeds cap {max_dim}; raise max_dim explicitly")
     tables = _sign_tables(sig) if tables is None else tables
-    blades, size = tables.blades, len(tables.blades)
-    Kw, Cw, Kl, Cl, Kr, Cr, D = (tables.Kw, tables.Cw, tables.Kl, tables.Cl,
-                                 tables.Kr, tables.Cr, tables.D)
-    grade = np.array([len(I) for I in blades])
-    sign = (-1) ** grade
-    vec = np.arange(1, dim + 1)
+    vec, sign, skew, transpose, *pairs = _grade_grids(sig.dim)
 
     # wedge skew-commutativity and interior transpose, over all blade pairs
-    gu, gv = grade[:, None], grade[None, :]
-    wedge_skew = _gap((Kw, Cw), (Kw.T, (-1) ** (gu * gv) * Cw.T))
-    interior_transpose = _gap((Kl, Cl), (Kr.T, (-1) ** (gu * (gu + gv)) * Cr.T))
+    residuals = {"wedge_skew": _gap((tables.Kw, tables.Cw), (tables.Kw.T, skew * tables.Cw.T)),
+                 "interior_transpose": _gap((tables.Kl, tables.Cl), (tables.Kr.T, transpose * tables.Cr.T))}
+    Kw, Cw, Kl, Cl, Kr, Cr, D = map(_gather, (tables.Kw, tables.Cw, tables.Kl, tables.Cl,
+                                              tables.Kr, tables.Cr, tables.D))
+
+    # basis vectors vi, vj and blades W, Wp of one grade r, all grades at once:
+    # (vi ^ W) . (Wp ^ vj) = (-1)^r (vi . vj)(W . Wp) + (vj lint W) . (Wp rint vi)
+    (W, Wp), vi, vj = pairs[:2], vec[:, None, None], vec[:, None]
+    residuals["wedge_dot_expansion"] = _worst(
+        D(Kw(vi, W), Kw(Wp, vj)) * Cw(vi, W) * Cw(Wp, vj) - sign[W] * D(W, Wp) * D(vi, vj)
+        - D(Kl(vj, W), Kr(Wp, vi)) * Cl(vj, W) * Cr(Wp, vi))
 
     # basis vectors vi, vj and a blade W of every grade r
-    vi, W, vj = vec[:, None, None], np.arange(size)[:, None], vec
-    Li, ci = Kl[vi, W], Cl[vi, W]
-    # vi lint (vj ^ W) = (-1)^r (vi . vj) W + vj ^ (vi lint W)
-    K = Kw[vj, W]
-    interior_of_wedge = _gap((Kl[vi, K], Cl[vi, K] * Cw[vj, W]),
-                             (W, sign[W] * D[vi, vj]), (Kw[vj, Li], Cw[vj, Li] * ci))
+    vi, W, vj = vec[:, None, None], np.arange(len(sign))[:, None], vec
+    Li, ci = Kl(vi, W), Cl(vi, W)
     # vi lint (W rint vj) = (vi lint W) rint vj
-    K = Kr[W, vj]
-    double_interior_assoc = _gap((Kl[vi, K], Cl[vi, K] * Cr[W, vj]), (Kr[Li, vj], Cr[Li, vj] * ci))
+    K = Kr(W, vj)
+    residuals["double_interior_assoc"] = _gap((Kl(vi, K), Cl(vi, K) * Cr(W, vj)),
+                                              (Kr(Li, vj), Cr(Li, vj) * ci))
     # vi lint (vj lint W) = -vj lint (vi lint W)
-    Lj, cj = Kl[vj, W], Cl[vj, W]
-    double_interior_antisym = _gap((Kl[vi, Lj], Cl[vi, Lj] * cj), (Kl[vj, Li], -Cl[vj, Li] * ci))
-
-    # basis vectors vi, vj and blades W, Wp of one grade r:
-    # (vi ^ W) . (Wp ^ vj) = (-1)^r (vi . vj)(W . Wp) + (vj lint W) . (Wp rint vi)
-    # (one grade at a time keeps the d^2 C(d, r)^2 grid small)
-    vi, vj = vec[:, None, None, None], vec[:, None, None]
-    per_grade = []
-    for r in range(dim + 1):
-        Wp = np.flatnonzero(grade == r)
-        W = Wp[:, None]
-        per_grade.append(_worst(
-            D[Kw[vi, W], Kw[Wp, vj]] * Cw[vi, W] * Cw[Wp, vj] - sign[W] * D[vi, vj] * D[W, Wp]
-            - D[Kl[vj, W], Kr[Wp, vi]] * Cl[vj, W] * Cr[Wp, vi]))
-    wedge_dot_expansion = _worst(per_grade)
+    Lj, cj = Kl(vj, W), Cl(vj, W)
+    residuals["double_interior_antisym"] = _gap((Kl(vi, Lj), Cl(vi, Lj) * cj), (Kl(vj, Li), -Cl(vj, Li) * ci))
+    # vi lint (vj ^ W) = (-1)^r (vi . vj) W + vj ^ (vi lint W)
+    K = Kw(vj, W)
+    residuals["interior_of_wedge"] = _gap((Kl(vi, K), Cl(vi, K) * Cw(vj, W)),
+                                          (W, sign[W] * D(vi, vj)), (Kw(vj, Li), Cw(vj, Li) * ci))
 
     # basis vector vi, V of grade r - 1 and W of grade r:
     # (vi ^ V) . W = V . (W rint vi) = vi . (V lint W)
-    V, W = np.nonzero(gu + 1 == gv)
-    vi = vec[:, None]
-    lhs = D[Kw[vi, V], W] * Cw[vi, V]
-    triple_product = _worst([lhs - D[V, Kr[W, vi]] * Cr[W, vi], lhs - D[vi, Kl[V, W]] * Cl[V, W]])
+    (V, W), vi = pairs[2:], vec[:, None]
+    lhs = D(Kw(vi, V), W) * Cw(vi, V)
+    residuals["triple_product"] = _worst([lhs - D(V, Kr(W, vi)) * Cr(W, vi), lhs - D(vi, Kl(V, W)) * Cl(V, W)])
 
-    residuals = {
-        "wedge_skew": wedge_skew,
-        "interior_transpose": interior_transpose,
-        "wedge_dot_expansion": wedge_dot_expansion,
-        "double_interior_assoc": double_interior_assoc,
-        "double_interior_antisym": double_interior_antisym,
-        "interior_of_wedge": interior_of_wedge,
-        "triple_product": triple_product,
-    }
-    # one check per element of each grid above, the triple product's counting
-    # twice: 2N^2 + sum_r [3d^2 C(d,r) + d^2 C(d,r)^2 + 2d C(d,r-1) C(d,r)],
-    # summed over r by Vandermonde's identity
-    checks = 2 * size ** 2 + dim ** 2 * (3 * size + math.comb(2 * dim, dim)) \
-        + 2 * dim * math.comb(2 * dim, dim + 1)
+    # one check per element of each grid above, the triple product's counting twice
+    checks = 2 * len(sign) ** 2 + len(vec) ** 2 * (3 * len(sign) + len(Wp)) + 2 * len(vec) * len(V)
     passed = all(v <= tol for v in residuals.values())
     return IdentityReport(signature=sig, residuals=residuals, checks=checks, passed=passed)

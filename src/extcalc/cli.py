@@ -72,6 +72,7 @@ from .serialize import (
     _reading,
     bitensor_to_json,
     canonical_dumps,
+    json_axis,
     json_float,
     json_int,
     multivector_to_json,
@@ -355,7 +356,8 @@ def _bump_factory(spec: dict, sig: SpacetimeSignature, axis: int, r: int):
     kind = spec.get("kind", "scalar")
     width = json_float(spec["width"], "spectrum width")
     scale = json_float(spec.get("scale", 1.0), "spectrum scale")
-    center = {int(a): json_float(c, "spectrum center") for a, c in spec["center"].items()}
+    center = {json_axis(a, "spectrum center"): json_float(c, "spectrum center")
+              for a, c in spec["center"].items()}
     # a width that is not positive, a zero scale, or a centre that is empty (a
     # scalar bump) or on an axis the space-time lacks would compare a vanishing
     # or different spectrum
@@ -407,7 +409,7 @@ def cmd_flux_compare(args) -> int:
         r = json_int(data["r"], "r")
         axis = json_int(data["axis"], "axis")
         coordinate = json_float(data.get("coordinate", 0.0), "coordinate")
-        region, slice_bounds = ({int(a): (json_float(lo, key), json_float(hi, key))
+        region, slice_bounds = ({json_axis(a, key): (json_float(lo, key), json_float(hi, key))
                                  for a, (lo, hi) in data[key].items()} for key in ("region", "slice_bounds"))
         others = set(sig.axes()) - {axis}
         if axis not in sig.axes() or set(region) != others or set(slice_bounds) != others \

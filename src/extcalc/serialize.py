@@ -8,6 +8,7 @@ identical bytes.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -22,6 +23,7 @@ __all__ = [
     "Scenario",
     "json_int",
     "json_float",
+    "json_axis",
     "signature_to_json",
     "signature_from_json",
     "multivector_to_json",
@@ -72,6 +74,16 @@ def json_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def json_axis(key, name: str) -> int:
+    """A JSON object key naming an axis, written as the canonical decimal
+    text of a non-negative integer: "0" or "12", but not "01", "+1", " 1 ",
+    "1.0" or "0_1", which ``int()`` also reads.  Anything else raises
+    ScenarioError."""
+    if not (isinstance(key, str) and re.fullmatch("0|[1-9][0-9]*", key)):
+        raise ScenarioError(f"{name} axis must be a decimal integer such as \"1\", got {key!r}")
+    return int(key)
 
 
 def _jsonify(value):

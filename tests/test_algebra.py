@@ -461,7 +461,7 @@ def _outcome(report):
     return report.residuals, report.checks, report.passed
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for k in range(6) for n in range(6) if 1 <= k + n <= 5])
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(7) for n in range(7) if 1 <= k + n <= 6])
 def test_verify_identities_matches_loop_reference(k, n):
     sig = SpacetimeSignature(k, n)
     report = verify_identities(sig)
@@ -510,6 +510,60 @@ def test_verify_identities_matches_loop_reference_under_corruption(monkeypatch, 
         assert getattr(algebra, name)(*units) == -before != 0
     assert not report.passed
     assert _outcome(report) == _outcome(reference)
+
+
+# one signature per dimension; on (1, 0) no two vectors have a nonzero wedge,
+# so the flipped table is the clean one and both forms pass
+@pytest.mark.parametrize("k,n", [(1, 0), (1, 1), (2, 1), (1, 3), (3, 2), (3, 3)])
+def test_flipped_vector_wedge_matches_loop_reference_in_every_dimension(k, n):
+    sig = SpacetimeSignature(k, n)
+    report = verify_identities(sig, tables=_flipped_vector_wedge(sig))
+    assert _outcome(report) == _outcome(reference_verify_identities(sig, wedge_sign_fn=_flip_vector_wedge))
+    assert report.passed == (sig.dim == 1)
+
+
+def test_verify_identities_reads_the_tables_on_every_call():
+    # only structural arrays are cached: clean, flipped and clean tables in turn
+    sig = SpacetimeSignature(1, 3)
+    flipped = _flipped_vector_wedge(sig)
+    verdicts = [verify_identities(sig, tables=tables).passed for tables in (None, flipped, None)]
+    assert verdicts == [True, False, True]
+
+
+def test_identity_report_max_residual_keeps_a_nan():
+    # the builtin max() dropped a NaN that did not come first, giving 0.0
+    sig = SpacetimeSignature(1, 2)
+    tables = algebra._sign_tables(sig)
+    D = tables.D.astype(float)
+    D[3, 3] = math.nan
+    report = verify_identities(sig, tables=dataclasses.replace(tables, D=D))
+    assert not report.passed
+    assert not math.isnan(next(iter(report.residuals.values())))
+    assert math.isnan(report.max_residual)
+    assert math.isnan(algebra.IdentityReport(sig, {"a": 0.0, "b": math.nan}, 1, False).max_residual)
+    assert algebra.IdentityReport(sig, {}, 0, True).max_residual == 0.0
+
+
+# the identities that read a vector-bivector entry of each product's table
+READERS = {
+    "wedge": {"wedge_skew", "wedge_dot_expansion", "interior_of_wedge", "triple_product"},
+    "left_interior": {"interior_transpose", "wedge_dot_expansion", "double_interior_assoc",
+                      "double_interior_antisym", "interior_of_wedge", "triple_product"},
+    "right_interior": {"interior_transpose", "wedge_dot_expansion", "double_interior_assoc",
+                       "triple_product"},
+}
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,grades", [("wedge", (1, 2)), ("left_interior", (1, 2)),
+                                         ("right_interior", (2, 1))])
+def test_verify_identities_fails_closed_on_a_non_finite_entry(monkeypatch, name, grades, entry):
+    sig = SpacetimeSignature(1, 3)
+    _corrupt_table(monkeypatch, sig, name, grades, entry=entry)
+    report = verify_identities(sig)
+    assert not report.passed
+    assert {key for key, value in report.residuals.items() if not math.isfinite(value)} == READERS[name]
+    assert all(value == 0 for key, value in report.residuals.items() if key not in READERS[name])
 
 
 def test_verify_identities_fails_on_a_nan_product(monkeypatch):

@@ -492,6 +492,10 @@ def _drop(path):
     ("flux-compare", ("spectrum", "scale"), True),
     ("flux-compare", ("spectrum", "center", "1"), "1.0"),
     ("flux-compare", ("spectrum", "center", "1"), True),
+    # an axis key other than "1" that int() reads as axis 1 (all but "1.0"): such runs went on to PASS
+    *[("flux-compare", path, {key: value}) for key in ("0_1", " 1 ", "01", "+1", "1.0")
+      for path, value in ((("region",), [0.4, 1.6]), (("slice_bounds",), [-7.9, 7.9]),
+                          (("spectrum", "center"), 1.0))],
 ])
 def test_bad_nested_config_entries_exit_2(capsys, tmp_path, command, path, value):
     scenario = "flux_compare_11" if command == "flux-compare" else "vacuum_plane_wave"

@@ -497,8 +497,9 @@ def test_flux_direct_matches_the_dense_reference_across_mode_blocks():
 def test_flux_direct_matches_the_dense_reference_on_synthesized_fields(k, n, r):
     # modes on the grid of cone nodes share their factor rows: the Kronecker route
     sig = SpacetimeSignature(k, n)
+    # a spectrum as a config holds it: JSON object keys are strings
     spectrum = {"kind": "scalar" if r == 1 else "spatial-transverse", "width": 0.3,
-                "center": {a: 1.1 if a == 1 else 0.0 for a in range(1, sig.dim)}}
+                "center": {str(a): 1.1 if a == 1 else 0.0 for a in range(1, sig.dim)}}
     a_hat = cli._bump_factory(spectrum, sig, 0, r)
     region = {a: (0.4, 1.8) if a == 1 else (-0.7, 0.7) for a in range(1, sig.dim)}
     potential = synthesize_on_cone_potential(a_hat, 0, region, sig, grade=r, points=4)

@@ -15,6 +15,7 @@ from extcalc.serialize import (
     canonical_dumps,
     field_from_json,
     field_to_json,
+    json_axis,
     multivector_from_json,
     multivector_to_json,
     scenario_from_json,
@@ -23,6 +24,14 @@ from extcalc.serialize import (
 MINK = SpacetimeSignature(1, 3)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 REPORTS = Path(__file__).resolve().parent / "reports"
+
+
+def test_json_axis_reads_only_canonical_decimal_keys():
+    assert [json_axis(key, "region") for key in ("0", "7", "12")] == [0, 7, 12]
+    # int() reads all but "1.0", "" and the int as integers, the Arabic-Indic digit one included
+    for key in ("01", "+1", " 1 ", "1.0", "0_1", "-1", "", "1\n", "\u0661", 1):
+        with pytest.raises(ScenarioError, match="region axis"):
+            json_axis(key, "region")
 
 
 def test_multivector_round_trip():
