@@ -11,7 +11,8 @@ Since the tensor is quadratic in the field, tensor fields contract the
 field's dense rows with tables of the two bitensor products on unit blades,
 filled by the public ``odot``/``owedge``; the interior derivative is the
 bilinear product rule on the field's partial rows, with no finite
-differencing of the tensor.
+differencing of the tensor; the conservation residual is batched over
+points the same way (one point is a one-row array).
 
 Slice fluxes across a constant-coordinate surface come in two forms: direct
 quadrature of the tensor column over the slice, and the frequency-domain
@@ -66,7 +67,6 @@ __all__ = [
     "trace_formula_components",
     "QuadraticTensorField",
     "StressTensorField",
-    "conservation_residual",
     "conservation_residual_components",
     "tensor_identity_check",
     "tensor_divergence_identity",
@@ -292,14 +292,6 @@ def conservation_residual_components(f_field, j_field, points: np.ndarray) -> np
     force = np.einsum("abc,na,nb->nc", _force_table(f_field.signature, f_field.grade),
                       j_field.evaluate_components(points), rows)
     return force + _divergence_rows(f_field, "stress", rows, slopes)
-
-
-def conservation_residual(f_field, j_field, x: Sequence[float]) -> Multivector:
-    """The conservation residual at x: the one-row case of
-    ``conservation_residual_components``."""
-    sig = f_field.signature
-    row = conservation_residual_components(f_field, j_field, as_point(sig, x)[None, :])[0]
-    return Multivector.vector(sig, row.tolist())
 
 
 def tensor_identity_check(f_field, x: Sequence[float]) -> tuple[Multivector, Multivector]:

@@ -59,6 +59,10 @@ __all__ = [
 WAVE_COS = "cos"
 WAVE_EXP = "exp"
 
+# an envelope below this fraction of its peak is treated as zero
+ENVELOPE_CUTOFF = 1e-12
+_CUTOFF_WIDTHS = math.sqrt(2.0 * math.log(1.0 / ENVELOPE_CUTOFF))
+
 
 class FieldDomainError(ValueError):
     """Evaluation requested outside the domain a backend can serve."""
@@ -83,15 +87,9 @@ class GaussianEnvelope:
             raise ValueError(f"envelope width must be finite and positive, got {self.width}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def truncation_radius(self, cutoff: float = 1e-12) -> float:
-        """Distance from the center beyond which the envelope drops below cutoff."""
-        return _truncation_radius(self.width, cutoff)
-
-
-def _truncation_radius(width, cutoff: float = 1e-12):
-    """``GaussianEnvelope.truncation_radius`` of a width or, elementwise, of
-    an array of widths."""
-    return width * math.sqrt(2.0 * math.log(1.0 / cutoff))
+    def truncation_radius(self) -> float:
+        """Distance from the center beyond which the envelope drops below ENVELOPE_CUTOFF."""
+        return self.width * _CUTOFF_WIDTHS
 
 
 @dataclass(frozen=True)
@@ -639,7 +637,7 @@ class AnalyticField:
             raise ValueError(
                 "flux_T_direct needs a decaying field: every mode must carry a Gaussian "
                 "envelope, or explicit bounds must be supplied")
-        radius = _truncation_radius(width)
+        radius = width * _CUTOFF_WIDTHS
         centres = t.block(_ENV)
         return {a: (float((centres[:, a] - radius).min()), float((centres[:, a] + radius).max()))
                 for a in self.signature.axes() if a != axis}

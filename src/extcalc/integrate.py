@@ -5,8 +5,9 @@ fixed coordinates on the remaining axes, and an overall orientation sign.
 Integrals are tensor-product Gauss-Legendre quadratures (composite when
 ``panels`` is raised) taken in one ``weights @ rows(nodes)`` step over dense
 component rows.  Each integrand is a product linear in the field with a fixed
-volume differential, so the product is applied once, after integration, as a
-signed gather over the integrated row read off the sign tables.
+volume differential, so the product is applied once, after integration: the
+public ``dot``, ``left_interior`` or ``vec_interior_bitensor`` of the element
+with the integrated row read back as a multivector or bitensor.
 
 Boundary faces carry the induced orientation: the face fixing free axis q at
 its upper end is weighted by the sign of the permutation moving q in front of
@@ -15,7 +16,7 @@ the circulation, flux, and bitensor Stokes identities all hold on boxes; on a
 half space it reproduces the constant-coordinate slice element of the paper
 with outward normal along the fixed axis.  A boundary is integrated in one
 evaluation over all its faces' nodes, each face's oriented element applied
-as a signed gather; no face box is built.
+to its integrated row; no face box is built.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import Bitensor, GradeError, Multivector, SpacetimeSignature, _prune, _sign_tables, inv_hodge
+from .algebra import (Bitensor, GradeError, Multivector, SpacetimeSignature, dot, inv_hodge, left_interior,
+                      vec_interior_bitensor)
 from .fields import exterior_derivative_field, interior_derivative_field
 
 __all__ = ["HypersurfaceBox", "gauss_legendre_rule", "circulation", "flux",
@@ -120,31 +122,24 @@ def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
 
 
 @lru_cache(maxsize=None)
-def _element_product(sig: SpacetimeSignature, grade: int, axes: tuple, orientation: int, form: str):
-    """dot(e, .), left_interior(inv_hodge(e), .) or vec_interior_bitensor(inv_hodge(e), .) by ``form``,
-    e = orientation e_axes, on an integrated row of Python scalars: a signed gather built once from
-    the sign tables and metric, applied with the operands, order and pruning of that product."""
-    keys = tuple(sig.index_lists(grade))
-    if form == "circulation":
-        metric = _sign_tables(sig).lookup("dot")[axes]
-        # dot's one term, (coefficient * value) * metric, then circulation's + 0.0
-        return lambda row: (0 if (b := _prune(dict(zip(keys, row))).get(axes)) is None
-                            else 0 + orientation * b * metric) + 0.0
-    ((I, a),) = inv_hodge(Multivector.blade(sig, axes, orientation)).terms.items()
-    if form == "flux":
-        out_grade, read = grade - len(I), lambda row: _prune(dict(zip(keys, row)))
-        table = _sign_tables(sig).lookup("l")[I]
-        gather = {J: (K, sign * a) for J, (K, sign) in table.items() if len(J) == grade}
-    else:
-        (h,), out_grade, read = I, 1, lambda row: Bitensor.from_row(sig, row).comps
-        gather = {(min(h, x), max(h, x)): ((x,), sig.metric(h) * a) for x in sig.axes()}
-    return lambda row: Multivector._from_valid(
-        sig, out_grade, {gather[J][0]: 0 + gather[J][1] * b for J, b in read(row).items() if J in gather})
+def _element(sig: SpacetimeSignature, axes: tuple, orientation: int, form: str) -> Multivector:
+    """The element e = orientation e_axes of a ``form`` integral, or inv_hodge(e) for flux and bitensor."""
+    blade = Multivector.blade(sig, axes, orientation)
+    return blade if form == "circulation" else inv_hodge(blade)
+
+
+def _element_product(element: Multivector, grade: int, form: str, row: np.ndarray):
+    """dot + 0.0, left_interior or vec_interior_bitensor by ``form`` of ``_element`` and an integrated row."""
+    sig = element.signature
+    if form == "bitensor":
+        return vec_interior_bitensor(element, Bitensor.from_row(sig, row))
+    field = Multivector.from_row(sig, grade, row)
+    return dot(element, field) + 0.0 if form == "circulation" else left_interior(element, field)
 
 
 def _integral(rows, box: HypersurfaceBox, points: int, panels: int, grade: int, form: str, faces=False):
-    """The one quadrature step: the sum of each piece's ``_element_product`` with its ``weights @
-    rows[segment]``, from one ``rows`` call over the pieces' ``grid_points`` nodes: the box, or
+    """The one quadrature step: the sum of each piece's ``_element_product`` of its element and its
+    ``weights @ rows[segment]``, from one ``rows`` call over the pieces' ``grid_points`` nodes: the box, or
     with ``faces`` its faces, upper then lower on each free axis, the two of an axis sharing weights."""
     sig, free = box.signature, box.free_axes
     if form == "flux" and grade + len(free) - faces < sig.dim:  # zero, with no evaluation
@@ -157,13 +152,14 @@ def _integral(rows, box: HypersurfaceBox, points: int, panels: int, grade: int, 
         pair.reshape(2, -1, sig.dim)[..., axis] = np.reshape(box.intervals[axis][::-1], (2, 1))
         nodes.append(pair)
         induced = (-1) ** position * box.orientation
-        pieces += [(_element_product(sig, grade, rest, side * induced, form), weights) for side in (1, -1)]
+        pieces += [(_element(sig, rest, side * induced, form), weights) for side in (1, -1)]
     if not faces:
         nodes, weights = box.grid_points(points, panels)
-        nodes, pieces = [nodes], [(_element_product(sig, grade, free, box.orientation, form), weights)]
+        nodes, pieces = [nodes], [(_element(sig, free, box.orientation, form), weights)]
     values = rows(np.concatenate(nodes)).reshape(len(pieces), len(weights), -1)
     # multivectors add from the zero scalar, which the first term replaces
-    return sum((product((weights @ block).tolist()) for (product, weights), block in zip(pieces, values)),
+    return sum((_element_product(element, grade, form, weights @ block)
+                for (element, weights), block in zip(pieces, values)),
                0 if form == "circulation" else Multivector.zero(sig, 0))
 
 

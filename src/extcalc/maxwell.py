@@ -2,10 +2,11 @@
 
 The differential system is: interior derivative of F equals J, exterior
 derivative of F equals zero.  This module evaluates those residuals as dense
-rows over a point array (the per-point forms are the one-row case),
-handles potentials and gauge residuals, the per-mode Fourier (algebraic) form,
-the integral form over boxes, the degrees-of-freedom count, and the packing
-of classical (E, B, rho, j) data into the bivector form on (1, 3) space-time.
+rows over a point array (``maxwell_residuals`` is the one-row case), the wave
+equation of a potential (gauge residuals are ``fields.interior_derivative``),
+the per-mode Fourier (algebraic) form, the integral form over boxes, the
+degrees-of-freedom count, and the packing of classical (E, B, rho, j) data
+into the bivector form on (1, 3) space-time.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .fields import (
     _derivative_rows,
     as_point,
     dalembertian,
-    exterior_derivative_field,
-    interior_derivative,
 )
 from .integrate import DEFAULT_POINTS, HypersurfaceBox, _integral, flux
 
@@ -44,15 +43,12 @@ __all__ = [
     "maxwell_residuals",
     "maxwell_residual_components",
     "wave_equation_residual",
-    "transverse_gauge_residuals",
-    "harmonic_gauge_residual",
     "fourier_maxwell_residuals",
     "null_support_violation",
     "null_frequency",
     "dof_count",
     "classical_pack",
     "classical_unpack",
-    "classical_vector_residuals",
     "classical_vector_residual_components",
     "residuals_to_classical",
     "integral_maxwell_check",
@@ -60,6 +56,9 @@ __all__ = [
 
 MINKOWSKI = SpacetimeSignature(1, 3)
 SPACE_AXES_3D = (1, 2, 3)
+
+# a Fourier mode whose normalized residuals are within this counts as a solution
+NULL_SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,23 +109,6 @@ def wave_equation_residual(potential: AnalyticField, source, x: Sequence[float])
     return value
 
 
-def transverse_gauge_residuals(potential, x: Sequence[float]) -> tuple[Multivector, Multivector]:
-    """Time-restricted and space-restricted interior derivatives of the
-    potential, both from one jet (none for a scalar potential, whose interior
-    derivative is zero)."""
-    sig = potential.signature
-    slopes = potential.jet(as_point(sig, x)[None, :])[1] if potential.grade else None
-    time_part = _derivative_at(potential, INTERIOR, x, range(sig.k), slopes)
-    space_part = _derivative_at(potential, INTERIOR, x, range(sig.k, sig.dim), slopes)
-    return time_part, space_part
-
-
-def harmonic_gauge_residual(gauge: AnalyticField, x: Sequence[float]) -> Multivector:
-    """Interior of exterior derivative of a gauge field; zero when it is harmonic
-    and the gauge preserves the Lorenz condition (exact for grade-0 gauge)."""
-    return interior_derivative(exterior_derivative_field(gauge), x)
-
-
 # ---------------------------------------------------------------------------
 # Fourier (algebraic) form
 # ---------------------------------------------------------------------------
@@ -151,16 +133,16 @@ def fourier_maxwell_residuals(xi, f_hat: Multivector,
     return inhom, hom
 
 
-def null_support_violation(xi, f_hat: Multivector, tol: float = 1e-10) -> dict:
-    """Check that a source-free mode with both residuals below tol sits on the
-    null cone.  Reports the largest residual components, the inhomogeneous one
+def null_support_violation(xi, f_hat: Multivector) -> dict:
+    """Check that a source-free mode with both residuals within NULL_SUPPORT_TOL sits on
+    the null cone.  Reports the largest residual components, the inhomogeneous one
     divided by 2 pi, and the contradiction magnitude |xi . xi| * |F_hat|."""
     sig = f_hat.signature
     cov = _as_covector(sig, xi)
     inhom, hom = fourier_maxwell_residuals(cov, f_hat)
     inhom_max, hom_max = inhom.max_abs() / (2 * math.pi), hom.max_abs()
     xi_sq = dot(cov, cov)
-    satisfied = inhom_max <= tol and hom_max <= tol
+    satisfied = inhom_max <= NULL_SUPPORT_TOL and hom_max <= NULL_SUPPORT_TOL
     violation = abs(xi_sq) * f_hat.max_abs() if satisfied else 0.0
     return {
         "xi_dot_xi": xi_sq,
@@ -168,7 +150,7 @@ def null_support_violation(xi, f_hat: Multivector, tol: float = 1e-10) -> dict:
         "hom_max": hom_max,
         "residuals_satisfied": satisfied,
         "violation": violation,
-        "consistent": (not satisfied) or violation <= tol,
+        "consistent": (not satisfied) or violation <= NULL_SUPPORT_TOL,
     }
 
 
@@ -295,13 +277,6 @@ def classical_vector_residual_components(cf: ClassicalFields, points: np.ndarray
         "monopole": div(d_b),
         "ampere": curl(d_b) - cf.j.evaluate_components(points)[:, 1:] - d_e[0][:, 1:],
     }
-
-
-def classical_vector_residuals(cf: ClassicalFields, x: Sequence[float]) -> dict:
-    """The four vector-calculus residuals at x: the one-row case of
-    ``classical_vector_residual_components``."""
-    rows = classical_vector_residual_components(cf, as_point(MINKOWSKI, x)[None, :])
-    return {name: value[0] for name, value in rows.items()}
 
 
 def residuals_to_classical(inhom, hom) -> dict:

@@ -284,12 +284,13 @@ def field_from_json(data: Mapping, sig: SpacetimeSignature):
             import numpy as np
 
             grid = data["grid"]
-            # the dtype numpy infers: strings (kind U), bools (b), nulls or mixed objects (O) are no numbers
-            values = np.array(grid["values"])
-            if values.dtype.kind not in "iuf":
-                raise ScenarioError(f"grid values must hold only numbers, got {values.dtype} entries")
-            # one number per axis, each checked on its own: the dtype of a list
-            # that mixes a bool with floats is float
+            # json_float's rule on every entry: a bool (even among floats), string, null or ragged row fails
+            values = np.array(grid["values"], dtype=object)
+            others = set(map(type, values.flat)) - {int, float}
+            if others:
+                names = ", ".join(sorted(kind.__name__ for kind in others))
+                raise ScenarioError(f"grid values must hold only numbers, got {names} entries")
+            values = values.astype(float)
             origin, spacing = ([json_float(v, f"grid {key}") for v in grid[key]]
                                for key in ("origin", "spacing"))
             field = GridField(sig, grade, origin, spacing, values)

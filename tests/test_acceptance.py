@@ -26,7 +26,7 @@ from extcalc.algebra import (
     wedge,
 )
 from extcalc.energy import (
-    conservation_residual,
+    conservation_residual_components,
     flux_T_direct,
     flux_T_fourier,
     stress_tensor_def,
@@ -58,11 +58,10 @@ from extcalc.maxwell import (
     MINKOWSKI,
     ClassicalFields,
     classical_pack,
-    classical_vector_residuals,
+    classical_vector_residual_components,
     dof_count,
     maxwell_residuals,
     residuals_to_classical,
-    transverse_gauge_residuals,
 )
 
 
@@ -169,10 +168,10 @@ def test_criterion_04_classical_reduction():
         for x in rng.uniform(-1, 1, size=(5, 4)):
             inhom, hom = maxwell_residuals(system, x)
             got = residuals_to_classical(inhom, hom)
-            want = classical_vector_residuals(cf, x)
+            want = classical_vector_residual_components(cf, [x])
             worst = max(worst,
-                        abs(got["gauss"] - want["gauss"]),
-                        abs(got["monopole"] - want["monopole"]),
+                        float(np.max(np.abs(got["gauss"] - want["gauss"]))),
+                        float(np.max(np.abs(got["monopole"] - want["monopole"]))),
                         float(np.max(np.abs(got["faraday"] - want["faraday"]))),
                         float(np.max(np.abs(got["ampere"] - want["ampere"]))))
     elapsed = time.monotonic() - start
@@ -335,7 +334,7 @@ def test_criterion_08_conservation_law():
     for sig, xi, amp_idx in cases:
         f_field, j_field = _vacuum_solution(sig, xi, amp_idx, scale=1.3, phase=0.4)
         for x in rng.uniform(-1, 1, size=(100, sig.dim)):
-            worst = max(worst, conservation_residual(f_field, j_field, x).max_abs())
+            worst = max(worst, float(np.abs(conservation_residual_components(f_field, j_field, [x])).max()))
     report(8, worst < 1e-9, f"conservation residual {worst:.3e} over plane-wave vacua (tol 1e-9)")
     assert worst < 1e-9
 
@@ -465,7 +464,7 @@ def test_criterion_12_degrees_of_freedom():
     rng = np.random.default_rng(900)
     for potential in basis:
         for x in rng.uniform(-1, 1, size=(10, 4)):
-            t_res, s_res = transverse_gauge_residuals(potential, x)
+            t_res, s_res = (interior_derivative(potential, x, axes) for axes in (range(1), range(1, 4)))
             worst = max(worst, t_res.max_abs(), s_res.max_abs())
     ok = worst < 1e-12
     report(12, ok, f"two transverse polarizations, residuals {worst:.3e} (tol 1e-12)")

@@ -630,8 +630,12 @@ def test_strings_and_bools_where_numbers_belong_exit_2(capsys, tmp_path, edit, m
     (_set(("F", "grid", "spacing", 2), True), "grid spacing must be a number, got True"),
     (_set(("F", "grid", "values", 0, 0, 0, 0, 0), "0.5"), "grid values must hold only numbers"),
     (_grid_values_of(True), "grid values must hold only numbers, got bool entries"),
-    (_set(("F", "grid", "values", 3, 1, 4, 1, 5), None), "grid values must hold only numbers, got object"),
-], ids=["origin-str", "spacing-strs", "spacing-bool", "value-str", "values-bool", "value-null"])
+    (_set(("F", "grid", "values", 3, 1, 4, 1, 5), True), "grid values must hold only numbers, got bool entries"),
+    (_set(("F", "grid", "values", 3, 1, 4, 1, 5), None),
+     "grid values must hold only numbers, got NoneType entries"),
+    (_drop(("F", "grid", "values", 3, 1, 4, 1, 5)), "grid values must hold only numbers, got list entries"),
+], ids=["origin-str", "spacing-strs", "spacing-bool", "value-str", "values-bool", "value-bool-among-floats",
+        "value-null", "values-ragged"])
 def test_grid_strings_bools_and_nulls_exit_2(capsys, tmp_path, edit, message):
     code, out, err = run(capsys, "maxwell-check", "--config", _grid_scenario(tmp_path, edit))
     assert_usage_error(code, out, err)
@@ -702,7 +706,7 @@ def test_fourier_null_support_follows_the_maxwell_rule(capsys, tmp_path):
              for mode in json.loads(Path(config).read_text())["F"]["modes"]]
     raw_inhom = fourier_maxwell_residuals(*modes[1])[0].max_abs()
     assert 1e-9 <= raw_inhom < 2 * math.pi * 1e-9
-    want = max(null_support_violation(xi, amplitude, 1e-9)["violation"] for xi, amplitude in modes)
+    want = max(null_support_violation(xi, amplitude)["violation"] for xi, amplitude in modes)
     assert want > 0
     assert code == 0 and json.loads(out)["checks"]["fourier"]["null_support_violation"] == want
 

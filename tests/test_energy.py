@@ -19,7 +19,6 @@ from extcalc.energy import (
     _stress_tables,
     QuadraticTensorField,
     StressTensorField,
-    conservation_residual,
     conservation_residual_components,
     flux_T_direct,
     flux_T_fourier,
@@ -339,14 +338,14 @@ def test_conservation_on_vacuum_solutions(sig, r, xi, amp_idx):
     rng = np.random.default_rng(10)
     for _ in range(10):
         x = rng.uniform(-1, 1, sig.dim)
-        res = conservation_residual(f_field, j_field, x)
-        assert res.max_abs() < 1e-9
+        res = conservation_residual_components(f_field, j_field, [x])
+        assert np.abs(res).max() < 1e-9
 
 
 def test_conservation_zero_field():
     f = AnalyticField(MINKOWSKI, 2)
     j = AnalyticField(MINKOWSKI, 1)
-    assert conservation_residual(f, j, (0, 0, 0, 0)).is_zero()
+    assert not conservation_residual_components(f, j, [(0, 0, 0, 0)]).any()
 
 
 def test_conservation_detects_non_maxwellian_field():
@@ -361,10 +360,10 @@ def test_conservation_detects_non_maxwellian_field():
     x = rng.uniform(-1, 1, 4)
     hom = exterior_derivative(f, x)
     assert hom.max_abs() > 1e-3
-    res = conservation_residual(f, j, x)
+    res = conservation_residual_components(f, j, [x])[0]
     expect = -1 * right_interior(hom, f.evaluate(x))
-    assert res.max_abs() > 1e-3
-    assert (res - expect).max_abs() < 1e-12
+    assert np.abs(res).max() > 1e-3
+    assert np.abs(res - expect.row()).max() < 1e-12
 
 
 def test_bitensor_stokes_with_stress_field():
@@ -752,7 +751,7 @@ def test_conservation_components_match_the_pointwise_reference():
                                      for x in points])
                     scale = max(1.0, np.abs(want).max())
                     assert np.abs(got - want).max() < 1e-12 * scale, (k, d - k, r, name)
-                    assert conservation_residual(f, source, points[0]).vector_components() \
+                    assert conservation_residual_components(f, source, points[:1])[0].tolist() \
                         == pytest.approx(got[0].tolist(), abs=1e-12 * scale)
                     cases += 1
     assert cases == 40 * 5

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from extcalc import integrate
 from extcalc.algebra import GradeError, Multivector, SpacetimeSignature, dot, right_interior
 from extcalc.energy import QuadraticTensorField, StressTensorField
 from extcalc.fields import (
@@ -534,24 +535,33 @@ def test_each_boundary_is_one_evaluation_and_no_face_box(monkeypatch):
     system = MaxwellSystem(sig, 2, f, mode_family_fields(sig, 1, rng)["cos"])
     calls = []
     for owner, name in ((AnalyticField, "evaluate_components"), (QuadraticTensorField, "evaluate_components"),
-                        (QuadraticTensorField, "divergence_components"), (HypersurfaceBox, "__post_init__")):
+                        (QuadraticTensorField, "divergence_components"), (HypersurfaceBox, "__post_init__"),
+                        (integrate, "dot"), (integrate, "left_interior"), (integrate, "vec_interior_bitensor")):
         _counting(monkeypatch, owner, name, calls)
 
     def made(run):
         """The calls ``run`` makes, each with the field it evaluates: F, its
-        stress tensor T, the source J or another one."""
+        stress tensor T, the source J or another one; a product's first
+        operand, the element, is another one."""
         calls.clear()
         run()
         who = {id(f): "F", id(tf): "T", id(system.J): "J"}
         return [(name, who.get(id(self), "other")) for name, self in calls]
 
-    # a built box would show as a __post_init__ call; the right-hand sides
-    # integrate the derivative fields
-    assert made(lambda: stokes_flux_check(f, flux_box, 3)) == [("evaluate_components", "F"),
-                                                                ("evaluate_components", "other")]
-    assert made(lambda: stokes_circulation_check(f, circ_box, 3)) == [("evaluate_components", "F"),
-                                                                       ("evaluate_components", "other")]
+    def products(name, count):
+        return [(name, "other")] * count
+
+    # a built box would show as a __post_init__ call; each face, and each box
+    # on the right-hand sides, takes one public product of its integrated row
+    circ_faces = products("dot", 6)
+    flux_faces = products("left_interior", 6)
+    assert made(lambda: stokes_flux_check(f, flux_box, 3)) == [
+        ("evaluate_components", "F"), *flux_faces, ("evaluate_components", "other"), ("left_interior", "other")]
+    assert made(lambda: stokes_circulation_check(f, circ_box, 3)) == [
+        ("evaluate_components", "F"), *circ_faces, ("evaluate_components", "other"), ("dot", "other")]
     assert made(lambda: bitensor_stokes_check(tf, full_box, 2)) == [
-        ("evaluate_components", "T"), ("evaluate_components", "F"), ("divergence_components", "T")]
+        ("evaluate_components", "T"), ("evaluate_components", "F"), *products("vec_interior_bitensor", 8),
+        ("divergence_components", "T")]
     assert made(lambda: integral_maxwell_check(system, circ_box, flux_box, 3)) == [
-        ("evaluate_components", "F"), ("evaluate_components", "F"), ("evaluate_components", "J")]
+        ("evaluate_components", "F"), *circ_faces, ("evaluate_components", "F"), *flux_faces,
+        ("evaluate_components", "J"), ("left_interior", "other")]
