@@ -48,8 +48,12 @@ from .fields import (
     AnalyticField,
     FieldDomainError,
     GridField,
-    Mode,
+    _POLY,
+    _WIDTH,
+    _XI,
+    _cosine_field,
     _derivative_rows,
+    _pruned,
     exterior_derivative_field,
     interior_derivative_components,
 )
@@ -251,14 +255,17 @@ def _check_integral(system: MaxwellSystem, rng: np.random.Generator, quad_points
 
 
 def _check_fourier(system: MaxwellSystem) -> dict:
-    if not isinstance(system.F, AnalyticField):
+    f_field = system.F
+    if not isinstance(f_field, AnalyticField):
         return {"skipped": "grid-backed fields have no mode data"}
-    if any(any(mode.poly) or mode.envelope is not None for mode in system.F.modes):
+    table = f_field._table
+    if np.any(table.block(_POLY)) or np.any(table.data[:, _WIDTH]):
         return {"skipped": "plane-wave algebra needs modes without monomial or envelope factors"}
     # a grid-backed source has no modes either, but it is a source
     if not (isinstance(system.J, AnalyticField) and system.J.mode_count == 0):
         return {"skipped": "algebraic source-free check needs a source-free scenario"}
-    modes = [null_support_violation(mode.xi, mode.amplitude) for mode in system.F.modes]
+    modes = [null_support_violation(xi, Multivector.from_row(f_field.signature, f_field.grade, amp))
+             for xi, amp in zip(table.block(_XI).tolist(), table.amp)]
     return {name: _worst([mode[key] for mode in modes]) for name, key in
             (("inhom_max", "inhom_max"), ("hom_max", "hom_max"), ("null_support_violation", "violation"))}
 
@@ -456,15 +463,15 @@ def cmd_flux_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _random_spatial_field(rng: np.random.Generator, grade: int = 1, nmodes: int = 2) -> AnalyticField:
-    modes = []
-    for _ in range(nmodes):
-        if grade == 0:
-            amp = Multivector.scalar(MINKOWSKI, float(rng.normal()))
-        else:
-            amp = Multivector(MINKOWSKI, 1, {(i,): float(rng.normal()) for i in (1, 2, 3)})
-        modes.append(Mode(amplitude=amp, xi=tuple(rng.uniform(-0.7, 0.7, 4)),
-                          phase=float(rng.uniform(0, 2 * math.pi))))
-    return AnalyticField(MINKOWSKI, grade, modes)
+    """Cosine modes with normal amplitudes on the spatial blades (the scalar
+    for grade 0), each mode's amplitude, then xi, then phase drawn in turn."""
+    amp = np.zeros((nmodes, 4 if grade else 1))
+    xi, phase = np.empty((nmodes, 4)), np.empty(nmodes)
+    for m in range(nmodes):
+        amp[m, grade:] = [rng.normal() for _ in range(3 if grade else 1)]
+        xi[m] = rng.uniform(-0.7, 0.7, 4)
+        phase[m] = rng.uniform(0, 2 * math.pi)
+    return _cosine_field(MINKOWSKI, grade, _pruned(amp), xi, phase)
 
 
 def cmd_classical(args) -> int:
@@ -487,12 +494,10 @@ def cmd_classical(args) -> int:
                             "multivector_form": {name: got[name][0].tolist() for name in got}}
 
     # vacuum plane wave: both differential residuals vanish identically
-    e_amp = Multivector.blade(MINKOWSKI, (1,))
-    b_amp = Multivector.blade(MINKOWSKI, (2,))
-    xi = (1.0, 0.0, 0.0, 1.0)
+    xi, phase = np.array([[1.0, 0.0, 0.0, 1.0]]), np.zeros(1)
     vacuum = classical_pack(ClassicalFields(
-        E=AnalyticField(MINKOWSKI, 1, [Mode(amplitude=e_amp, xi=xi)]),
-        B=AnalyticField(MINKOWSKI, 1, [Mode(amplitude=b_amp, xi=xi)]),
+        E=_cosine_field(MINKOWSKI, 1, np.array([[0.0, 1.0, 0.0, 0.0]]), xi, phase),
+        B=_cosine_field(MINKOWSKI, 1, np.array([[0.0, 0.0, 1.0, 0.0]]), xi, phase),
         rho=AnalyticField(MINKOWSKI, 0), j=AnalyticField(MINKOWSKI, 1)))
     vacuum_rows = maxwell_residual_components(vacuum, _sample_points(rng, 4, args.samples))
     vacuum_max = _worst(list(map(_worst, vacuum_rows)))

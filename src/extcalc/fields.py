@@ -111,26 +111,39 @@ class Mode:
 
     def __post_init__(self):
         dim = self.amplitude.signature.dim
-        object.__setattr__(self, "xi", _pad(self.xi, dim))
-        poly = _pad(self.poly, dim)
-        if not all(p.is_integer() and p >= 0 for p in poly):
-            raise ValueError(f"monomial exponents must be nonnegative integers, got {poly}")
-        object.__setattr__(self, "poly", tuple(int(p) for p in poly))
-        center = self.poly_center
-        if not center and self.envelope is not None:
-            center = self.envelope.center
-        object.__setattr__(self, "poly_center", _pad(center, dim))
-        if self.waveform not in (WAVE_COS, WAVE_EXP):
-            raise ValueError(f"unknown waveform {self.waveform!r}")
+        row = _mode_row(dim, self.phase, self.waveform, self.xi, self.poly, self.poly_center, self.envelope)
+        self.__dict__.update(xi=row[3:3 + dim], poly=row[3 + dim:3 + 2 * dim],
+                             poly_center=row[3 + 2 * dim:3 + 3 * dim])
 
 
 def _pad(values: Iterable[float], dim: int) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
+    out = tuple(map(float, values))
     if not out:
         return (0.0,) * dim
     if len(out) != dim:
         raise ValueError(f"expected {dim} entries, got {len(out)}")
     return out
+
+
+def _mode_row(dim: int, phase: float, waveform: str, xi, poly, poly_center,
+              envelope: GaussianEnvelope | None) -> tuple:
+    """One row of ``_ModeTable.data`` from a mode's values: xi, monomial
+    exponents and monomial centre padded to ``dim`` entries (none given reads
+    as zeros, and the centre defaults to the envelope's), after checking them,
+    the envelope centre and the waveform in that order."""
+    xi = _pad(xi, dim)
+    poly = _pad(poly, dim)
+    if not all(p.is_integer() and p >= 0 for p in poly):
+        raise ValueError(f"monomial exponents must be nonnegative integers, got {poly}")
+    if not poly_center and envelope is not None:
+        poly_center = envelope.center
+    poly_center = _pad(poly_center, dim)
+    width, env = (0.0, (0.0,) * dim) if envelope is None else (envelope.width, envelope.center)
+    if len(env) != dim:
+        raise ValueError(f"expected {dim} entries, got {len(env)}")
+    if waveform not in (WAVE_COS, WAVE_EXP):
+        raise ValueError(f"unknown waveform {waveform!r}")
+    return (phase, waveform == WAVE_EXP, width, *xi, *map(int, poly), *poly_center, *env, width ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,40 +202,29 @@ class _ModeTable(NamedTuple):
         return self.data[:, start:start + (self.data.shape[1] - 4) // 4]
 
 
-def _table_of_modes(sig: SpacetimeSignature, grade: int,
-                    modes: Iterable[Mode]) -> tuple[_ModeTable, list[Mode]]:
-    """The table of the modes with a nonzero amplitude, in the order given,
-    and those modes."""
-    kept, amps, data = [], [], []
-    for mode in modes:
-        amplitude = mode.amplitude
-        if amplitude.signature != sig:
-            raise ValueError("mode amplitude signature does not match the field")
-        if amplitude.grade != grade:
-            raise ValueError(f"mode amplitude grade {amplitude.grade} != field grade {grade}")
-        if not amplitude:
-            continue
-        env = mode.envelope
-        kept.append(mode)
-        amps.append(amplitude.row())
-        data.append((mode.phase, mode.waveform == WAVE_EXP, 0.0 if env is None else env.width,
-                     *mode.xi, *mode.poly, *mode.poly_center,
-                     *((0.0,) * sig.dim if env is None else env.center),
-                     0.0 if env is None else env.width ** 2))
-    dtype = complex if any(map(np.iscomplexobj, amps)) else float
+def _stacked(sig: SpacetimeSignature, grade: int, amps: list, data: list[tuple], dtype: type) -> _ModeTable:
+    """The table of amplitude rows and ``_mode_row`` rows, one per mode; a
+    ``dtype`` of None takes the rows' own."""
     return _ModeTable(np.array(amps, dtype=dtype).reshape(len(amps), math.comb(sig.dim, grade)),
-                      np.array(data, dtype=float).reshape(len(amps), 4 * sig.dim + 4)), kept
+                      np.array(data, dtype=float).reshape(len(data), 4 * sig.dim + 4))
+
+
+def _check_grade(found: int, grade: int) -> None:
+    if found != grade:
+        raise ValueError(f"mode amplitude grade {found} != field grade {grade}")
 
 
 def _pruned(amp: np.ndarray) -> np.ndarray:
     """``algebra._prune`` applied in place to every row of fresh arrays: zero
     entries and entries below PRUNE_REL of the row's largest magnitude become
     absent, and no relative cut is made in a row holding a NaN or infinite
-    entry (fail closed)."""
-    mags = np.abs(amp)
-    # a row whose magnitudes do not sum to a finite value gets no cut
-    cut = np.where(np.add.reduce(mags, axis=1) < np.inf,
-                   PRUNE_REL * np.maximum.reduce(mags, axis=1, initial=0.0), 0.0)
+    entry (fail closed); magnitudes and sums beyond the float range are
+    infinite, without a warning, as ``algebra._magnitudes`` makes them."""
+    with np.errstate(over="ignore"):
+        mags = np.abs(amp)
+        # a row whose magnitudes do not sum to a finite value gets no cut
+        cut = np.where(np.add.reduce(mags, axis=1) < np.inf,
+                       PRUNE_REL * np.maximum.reduce(mags, axis=1, initial=0.0), 0.0)
     drop = mags < cut[:, None]
     drop |= amp == 0
     np.copyto(amp, 0, where=drop)
@@ -412,36 +414,30 @@ def _factor_rows(sig: SpacetimeSignature, axis: int, keys: np.ndarray, x: np.nda
     return out
 
 
-def _table_mode(sig: SpacetimeSignature, grade: int, amp: np.ndarray, data: list) -> Mode:
-    """One table row as a ``Mode``."""
-    dim = sig.dim
-    phase, exp, width, rest = data[0], data[1], data[2], data[3:-1]
-    mode = object.__new__(Mode)
-    mode.__dict__.update(
-        amplitude=Multivector.from_row(sig, grade, amp), xi=tuple(rest[:dim]), phase=phase,
-        waveform=WAVE_EXP if exp else WAVE_COS, poly=tuple(int(p) for p in rest[dim:2 * dim]),
-        poly_center=tuple(rest[2 * dim:3 * dim]),
-        envelope=GaussianEnvelope(tuple(rest[3 * dim:]), width) if width > 0 else None)
-    return mode
-
-
 class AnalyticField:
     """Fixed-grade multivector field given by a finite list of analytic modes.
 
-    The modes are held as one ``_ModeTable``; ``modes`` is a tuple of ``Mode``
-    objects: the given ones when none merged, else built from the table on
-    first access.
+    The modes are held as one ``_ModeTable``, of the given modes with a
+    nonzero amplitude in the order given; ``modes`` is a tuple of ``Mode``
+    objects built from the table on first access.
     """
 
     __slots__ = ("signature", "grade", "_table", "_modes", "_partials", "_arrays")
 
     def __init__(self, signature: SpacetimeSignature, grade: int, modes: Iterable[Mode] = ()):
-        table, kept = _table_of_modes(signature, grade, modes)
+        amps, data = [], []
+        for mode in modes:
+            amplitude = mode.amplitude
+            if amplitude.signature != signature:
+                raise ValueError("mode amplitude signature does not match the field")
+            _check_grade(amplitude.grade, grade)
+            if amplitude:
+                amps.append(amplitude.row())
+                data.append(_mode_row(signature.dim, mode.phase, mode.waveform, mode.xi, mode.poly,
+                                      mode.poly_center, mode.envelope))
+        dtype = complex if any(map(np.iscomplexobj, amps)) else float
         # merge modes sharing every scalar factor; keeps derived fields compact
-        self._set(signature, grade, _merged(table)[0])
-        if len(self._table.data) == len(kept):
-            # nothing merged: the given modes are the view
-            self._modes = tuple(kept)
+        self._set(signature, grade, _merged(_stacked(signature, grade, amps, data, dtype))[0])
 
     def _set(self, signature: SpacetimeSignature, grade: int, table: _ModeTable) -> None:
         """Hold an already merged table."""
@@ -463,9 +459,13 @@ class AnalyticField:
     def modes(self) -> tuple[Mode, ...]:
         """The modes as ``Mode`` objects, in table order."""
         if self._modes is None:
-            t = self._table
-            self._modes = tuple(_table_mode(self.signature, self.grade, *row)
-                                for row in zip(t.amp, t.data.tolist()))
+            sig, dim, t = self.signature, self.signature.dim, self._table
+            self._modes = tuple(
+                Mode(Multivector.from_row(sig, self.grade, amp), tuple(row[3:3 + dim]), row[_PHASE],
+                     WAVE_EXP if row[_EXP] else WAVE_COS, tuple(row[3 + dim:3 + 2 * dim]),
+                     tuple(row[3 + 2 * dim:3 + 3 * dim]),
+                     GaussianEnvelope(tuple(row[3 + 3 * dim:-1]), row[_WIDTH]) if row[_WIDTH] > 0 else None)
+                for amp, row in zip(t.amp, t.data.tolist()))
         return self._modes
 
     @property
@@ -670,12 +670,13 @@ class AnalyticField:
         amplitude sum_a c_a e_a maps to sum_a c_a fn(e_a).  An image that is
         not a grade-``grade`` multivector of this signature raises
         ``ValueError``."""
-        sig = self.signature
-        table = unit_table(sig, fn, self.grade, grade)
-        t = self._table
+        return self._mapped(unit_table(self.signature, fn, self.grade, grade), grade)
+
+    def _mapped(self, table: np.ndarray, grade: int) -> "AnalyticField":
+        """``map_amplitudes`` through a ``unit_table`` already built."""
         with np.errstate(invalid="ignore"):
             # terms only where fn(e_a) has one, so an infinite c_a stays in its components
-            amp = np.where(table != 0, t.amp[:, :, None] * table, 0).sum(axis=1)
+            amp = np.where(table != 0, self._table.amp[:, :, None] * table, 0).sum(axis=1)
         return self._with_amplitudes(grade, amp)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .algebra import (
     dot,
     left_interior,
     right_interior,
+    unit_table,
     wedge,
 )
 from .fields import (
@@ -192,10 +194,9 @@ def dof_count(r: int, k: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _require_spatial(field, name: str):
-    for mode in field.modes:
-        for indices in mode.amplitude.terms:
-            if 0 in indices:
-                raise ValueError(f"{name} must have purely spatial components")
+    temporal = [0 in indices for indices in field.signature.index_lists(field.grade)]
+    if np.any(field._table.amp[:, temporal] != 0):
+        raise ValueError(f"{name} must have purely spatial components")
 
 
 @dataclass(frozen=True)
@@ -227,13 +228,24 @@ class ClassicalFields:
 _E123 = Multivector.blade(MINKOWSKI, SPACE_AXES_3D)
 
 
+@lru_cache(maxsize=None)
+def _pack_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``unit_table``s of ``classical_pack``'s amplitude maps E -> e_0
+    wedge E, B -> its spatial Hodge and rho -> rho e_0, built once and shared."""
+    e0 = Multivector.blade(MINKOWSKI, (0,))
+    tables = (unit_table(MINKOWSKI, lambda a: wedge(e0, a), 1, 2),
+              unit_table(MINKOWSKI, lambda b: right_interior(_E123, b), 1, 2),
+              unit_table(MINKOWSKI, lambda a: Multivector.blade(MINKOWSKI, (0,), a.scalar_value()), 0, 1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def classical_pack(cf: ClassicalFields) -> MaxwellSystem:
     """Build the grade-2 system F = e_0 wedge E + spatial Hodge of B, J = rho e_0 + j."""
-    e0 = Multivector.blade(MINKOWSKI, (0,))
-    f_field = (cf.E.map_amplitudes(lambda a: wedge(e0, a), 2)
-               + cf.B.map_amplitudes(lambda b: right_interior(_E123, b), 2))
-    j_field = cf.rho.map_amplitudes(lambda a: Multivector.blade(MINKOWSKI, (0,), a.scalar_value()), 1) + cf.j
-    return MaxwellSystem(signature=MINKOWSKI, r=2, F=f_field, J=j_field)
+    of_e, of_b, of_rho = _pack_tables()
+    f_field = cf.E._mapped(of_e, 2) + cf.B._mapped(of_b, 2)
+    return MaxwellSystem(signature=MINKOWSKI, r=2, F=f_field, J=cf.rho._mapped(of_rho, 1) + cf.j)
 
 
 def classical_unpack(system: MaxwellSystem) -> ClassicalFields:

@@ -11,12 +11,16 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Mapping
 
+import numpy as np
+
 from .algebra import Bitensor, Multivector, SpacetimeSignature
-from .fields import AnalyticField, GaussianEnvelope, GridField, Mode
+from .fields import (_EXP, _PHASE, _WIDTH, WAVE_COS, WAVE_EXP, AnalyticField, GaussianEnvelope, GridField,
+                     _check_grade, _mode_row, _pruned, _stacked)
 
 __all__ = [
     "ScenarioError",
@@ -59,10 +63,11 @@ def json_int(value, name: str, least: int | None = None) -> int:
     Bools, other floats (2.5, NaN, infinities) and any other type raise
     ScenarioError, as does a value below ``least`` when it is given.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or isinstance(value, float) and not value.is_integer():
-        raise ScenarioError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or isinstance(value, float) and not value.is_integer():
+            raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if least is not None and value < least:
         raise ScenarioError(f"{name} must be at least {least}, got {value}")
     return value
@@ -71,6 +76,8 @@ def json_int(value, name: str, least: int | None = None) -> int:
 def json_float(value, name: str) -> float:
     """A JSON number as a float: an int or a float, NaN and infinities
     included.  Bools, strings and any other type raise ScenarioError."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{name} must be a number, got {value!r}")
     return float(value)
@@ -87,8 +94,6 @@ def json_axis(key, name: str) -> int:
 
 
 def _jsonify(value):
-    import numpy as np
-
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -187,39 +192,59 @@ def signature_from_json(data: Mapping) -> SpacetimeSignature:
         return SpacetimeSignature(json_int(data["k"], "k"), json_int(data["n"], "n"))
 
 
+def _term_to_json(indices, c) -> dict:
+    entry = {"indices": list(indices), "re": float(c.real)}
+    if c.imag:
+        entry["im"] = float(c.imag)
+    return entry
+
+
 def multivector_to_json(mv: Multivector) -> dict:
-    terms = []
-    for indices in sorted(mv.terms):
-        c = mv.terms[indices]
-        entry = {"indices": list(indices), "re": float(c.real if isinstance(c, complex) else c)}
-        if isinstance(c, complex) and c.imag != 0:
-            entry["im"] = float(c.imag)
-        terms.append(entry)
     return {
         "signature": signature_to_json(mv.signature),
         "grade": mv.grade,
-        "terms": terms,
+        "terms": [_term_to_json(indices, mv.terms[indices]) for indices in sorted(mv.terms)],
     }
 
 
-def multivector_from_json(data: Mapping, sig: SpacetimeSignature | None = None) -> Multivector:
+@lru_cache(maxsize=None)
+def _columns(dim: int, grade: int) -> dict[tuple[int, ...], int]:
+    """Each index list of ``grade`` over ``dim`` axes and its column, in
+    ``index_lists`` order; none for a grade out of range."""
+    lists = SpacetimeSignature(0, dim).index_lists(grade) if 0 <= grade <= dim else ()
+    return {indices: column for column, indices in enumerate(lists)}
+
+
+def _terms_from_json(data: Mapping, sig: SpacetimeSignature) -> tuple[int, dict]:
+    """The grade and terms of a multivector object on ``sig``, checked as
+    ``Multivector`` checks them: a signature it states (not null) must be
+    ``sig``, and a repeated index list keeps its last coefficient."""
     with _reading("multivector object"):
-        if sig is None:
-            sig = signature_from_json(data["signature"])
         grade = json_int(data["grade"], "grade")
+        # a stated signature must read as sig; one of plain ints equal to sig's passes as it stands
+        stated = data.get("signature")
+        if stated is not None and not (stated == signature_to_json(sig) and type(stated["k"]) is int
+                                       and type(stated["n"]) is int):
+            if (found := signature_from_json(stated)) != sig:
+                raise ScenarioError(f"amplitude signature ({found.k},{found.n}) does not match the "
+                                    f"field's ({sig.k},{sig.n})")
         terms = {}
         for entry in data.get("terms", []):
             indices = tuple(json_int(i, "index") for i in entry["indices"])
             re = json_float(entry.get("re", 0.0), "re")
             im = json_float(entry.get("im", 0.0), "im")
             terms[indices] = complex(re, im) if im else re
-        return Multivector(sig, grade, terms)
+        columns = _columns(sig.dim, grade)
+        if not columns or not columns.keys() >= terms.keys():
+            Multivector(sig, grade, terms)  # raises the constructor's error for the grade or an index list
+        return grade, terms
 
 
-def _envelope_to_json(env: GaussianEnvelope | None):
-    if env is None:
-        return None
-    return {"type": "gaussian", "width": env.width, "center": list(env.center)}
+def multivector_from_json(data: Mapping, sig: SpacetimeSignature | None = None) -> Multivector:
+    with _reading("multivector object"):
+        if sig is None:
+            sig = signature_from_json(data["signature"])
+        return Multivector(sig, *_terms_from_json(data, sig))
 
 
 def _envelope_from_json(data, dim: int) -> GaussianEnvelope | None:
@@ -234,20 +259,25 @@ def _envelope_from_json(data, dim: int) -> GaussianEnvelope | None:
 
 def field_to_json(field) -> dict:
     if isinstance(field, AnalyticField):
+        # from the table, each amplitude pruned as Multivector prunes it
+        sig, grade, table = field.signature, field.grade, field._table
+        dim, blades = sig.dim, _columns(sig.dim, grade)
         modes = []
-        for mode in field.modes:
+        for amp, row in zip(_pruned(table.amp.copy()).tolist(), table.data.tolist()):
+            xi, poly, centre, env = (row[3 + b * dim:3 + (b + 1) * dim] for b in range(4))
             entry = {
-                "xi": list(mode.xi),
-                "phase": mode.phase,
-                "waveform": mode.waveform,
-                "envelope": _envelope_to_json(mode.envelope),
-                "amplitude": multivector_to_json(mode.amplitude),
+                "xi": xi,
+                "phase": row[_PHASE],
+                "waveform": WAVE_EXP if row[_EXP] else WAVE_COS,
+                "envelope": {"type": "gaussian", "width": row[_WIDTH], "center": env} if row[_WIDTH] else None,
+                "amplitude": {"signature": signature_to_json(sig), "grade": grade,
+                              "terms": [_term_to_json(indices, c) for indices, c in zip(blades, amp) if c]},
             }
-            if any(mode.poly):
-                entry["poly"] = list(mode.poly)
-                entry["poly_center"] = list(mode.poly_center)
+            if any(poly):
+                entry["poly"] = list(map(int, poly))
+                entry["poly_center"] = centre
             modes.append(entry)
-        return {"grade": field.grade, "backend": "modes", "modes": modes}
+        return {"grade": grade, "backend": "modes", "modes": modes}
     if isinstance(field, GridField):
         return {
             "grade": field.grade,
@@ -262,27 +292,43 @@ def field_to_json(field) -> dict:
     raise ScenarioError(f"cannot serialize field of type {type(field).__name__}")
 
 
+def _modes_from_json(entries, sig: SpacetimeSignature, grade: int) -> AnalyticField:
+    """The field of a list of mode objects, read into its table with the
+    checks, in order, of building a ``Mode`` of each multivector amplitude and
+    then the field of those modes: rows pruned by ``_pruned``, modes merged."""
+    dim = sig.dim
+    grades, amps, data = [], [], []
+    for entry in entries:
+        amp_grade, terms = _terms_from_json(entry["amplitude"], sig)
+        columns = _columns(dim, amp_grade)
+        xi = [json_float(v, "xi") for v in entry.get("xi", ())]
+        phase = json_float(entry.get("phase", 0.0), "phase")
+        waveform = entry.get("waveform", WAVE_COS)
+        poly = [json_int(p, "poly") for p in entry.get("poly", ())]
+        centre = [json_float(c, "poly_center") for c in entry.get("poly_center", ())]
+        envelope = _envelope_from_json(entry.get("envelope"), dim)
+        data.append(_mode_row(dim, phase, waveform, xi, poly, centre, envelope))
+        grades.append(amp_grade)
+        amps.append(row := [0.0] * len(columns))
+        for indices, c in terms.items():
+            row[columns[indices]] = c
+    for found in grades:
+        _check_grade(found, grade)
+    table = _stacked(sig, grade, amps, data, None)
+    amp = _pruned(table.amp)
+    if amp.dtype == complex and not np.any(amp.imag):
+        # as a Multivector row: complex only while a kept coefficient is
+        table = table._replace(amp=amp.real.copy())
+    return AnalyticField._from_table(sig, grade, table)
+
+
 def field_from_json(data: Mapping, sig: SpacetimeSignature):
     with _reading("field object"):
         grade = json_int(data["grade"], "grade")
         backend = data.get("backend", "modes")
         if backend == "modes":
-            modes = []
-            for entry in data.get("modes", []):
-                amplitude = multivector_from_json(entry["amplitude"], sig)
-                modes.append(Mode(
-                    amplitude=amplitude,
-                    xi=tuple(json_float(v, "xi") for v in entry.get("xi", [0.0] * sig.dim)),
-                    phase=json_float(entry.get("phase", 0.0), "phase"),
-                    waveform=entry.get("waveform", "cos"),
-                    poly=tuple(json_int(p, "poly") for p in entry.get("poly", [])),
-                    poly_center=tuple(json_float(c, "poly_center") for c in entry.get("poly_center", [])),
-                    envelope=_envelope_from_json(entry.get("envelope"), sig.dim),
-                ))
-            return AnalyticField(sig, grade, modes)
+            return _modes_from_json(data.get("modes", []), sig, grade)
         if backend == "grid":
-            import numpy as np
-
             grid = data["grid"]
             # json_float's rule on every entry: a bool (even among floats), string, null or ragged row fails
             values = np.array(grid["values"], dtype=object)

@@ -11,8 +11,9 @@ boundary integrals with a point-by-point field wrapper and an exact-bits
 key, the dense slice flux, the per-node frequency-domain flux and cone
 synthesis, the derived-field and mapped amplitude modes built by per-mode
 multivector algebra, the mode-table merge through a dict of Python key
-tuples, a by-value comparison of modes and the loop form of the identity
-suite.  None of these is used by the package."""
+tuples, a by-value comparison of modes, the analytic field reader through
+``Multivector`` and ``Mode`` objects with an exact key of mode tables, and the
+loop form of the identity suite.  None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from extcalc.fields import (
     polynomial_field,
 )
 from extcalc.integrate import HypersurfaceBox, gauss_legendre_rule
+from extcalc.serialize import ScenarioError, _reading, json_float, json_int
 
 
 def sort_with_sign(indices: Iterable[int], dim: int | None = None) -> tuple[tuple[int, ...], int]:
@@ -639,6 +641,55 @@ def exact_bits(value):
     if isinstance(value, Multivector):
         return value.grade, [(idx, bits(c)) for idx, c in value.terms.items()]
     return bits(value)
+
+
+def reference_field_from_json(data, sig: SpacetimeSignature) -> tuple[AnalyticField, list[Mode]]:
+    """The analytic field reader through objects: each amplitude read into a
+    ``Multivector``, each mode into a ``Mode``, then the ``AnalyticField`` of
+    those modes, under the reader's error wrapping.  Returns the field and the
+    modes with a nonzero amplitude, which were its ``modes`` view when none
+    merged."""
+    with _reading("field object"):
+        grade = json_int(data["grade"], "grade")
+        modes = []
+        for entry in data.get("modes", []):
+            amplitude = entry["amplitude"]
+            with _reading("multivector object"):
+                amp_grade = json_int(amplitude["grade"], "grade")
+                terms = {}
+                for term in amplitude.get("terms", []):
+                    indices = tuple(json_int(i, "index") for i in term["indices"])
+                    re = json_float(term.get("re", 0.0), "re")
+                    im = json_float(term.get("im", 0.0), "im")
+                    terms[indices] = complex(re, im) if im else re
+                amplitude = Multivector(sig, amp_grade, terms)
+            modes.append(Mode(
+                amplitude=amplitude,
+                xi=tuple(json_float(v, "xi") for v in entry.get("xi", [0.0] * sig.dim)),
+                phase=json_float(entry.get("phase", 0.0), "phase"),
+                waveform=entry.get("waveform", "cos"),
+                poly=tuple(json_int(p, "poly") for p in entry.get("poly", [])),
+                poly_center=tuple(json_float(c, "poly_center") for c in entry.get("poly_center", [])),
+                envelope=_reference_envelope(entry.get("envelope"), sig.dim),
+            ))
+        return AnalyticField(sig, grade, modes), [mode for mode in modes if mode.amplitude]
+
+
+def _reference_envelope(data, dim: int) -> GaussianEnvelope | None:
+    if data is None:
+        return None
+    if data.get("type") != "gaussian":
+        raise ScenarioError(f"unknown envelope type {data.get('type')!r}")
+    center = data.get("center", [0.0] * dim)
+    return GaussianEnvelope(center=tuple(json_float(c, "envelope center") for c in center),
+                            width=json_float(data["width"], "envelope width"))
+
+
+def table_bits(field: AnalyticField) -> tuple:
+    """A field's mode table exactly: the mode count, and each array's dtype,
+    shape and bytes (so -0.0 and NaN payloads count)."""
+    table = field._table
+    return field.mode_count, *((a.dtype.str, a.shape, a.tobytes()) for a in (table.amp, table.data))
 
 
 def reference_flux_T_direct(f_field, axis: int, coordinate: float, bounds,

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -622,6 +623,58 @@ def test_strings_and_bools_where_numbers_belong_exit_2(capsys, tmp_path, edit, m
     code, out, err = run(capsys, "maxwell-check", "--config", _edited_vacuum(tmp_path, edit))
     assert_usage_error(code, out, err)
     assert message in err
+
+
+# a mode entry of the wrong length names the lengths, the envelope centre as
+# xi and poly do (a centre of 3 or 5 entries beside a given poly_center once
+# exited with numpy's reshape message)
+@pytest.mark.parametrize("edit,message", [
+    (_set(("F", "modes", 0, "xi"), [1.0, 0.0, 0.0]), "expected 4 entries, got 3"),
+    (_with_mode_extras(poly=[1, 0, 0, 0, 0]), "expected 4 entries, got 5"),
+    (_with_mode_extras(poly=[1, 0, 0, 0], poly_center=[0.0] * 4, envelope={**ENVELOPE, "center": [0.0] * 3}),
+     "expected 4 entries, got 3"),
+    (_with_mode_extras(poly=[1, 0, 0, 0], poly_center=[0.0] * 4, envelope={**ENVELOPE, "center": [0.0] * 5}),
+     "expected 4 entries, got 5"),
+    (_with_mode_extras(envelope={**ENVELOPE, "center": [0.0] * 3}), "expected 4 entries, got 3"),
+], ids=["xi-3", "poly-5", "envelope-center-3", "envelope-center-5", "envelope-center-3-implied"])
+def test_mode_entries_of_the_wrong_length_exit_2(capsys, tmp_path, edit, message):
+    code, out, err = run(capsys, "maxwell-check", "--config", _edited_vacuum(tmp_path, edit))
+    assert_usage_error(code, out, err)
+    assert err == f"error: bad field object: {message}\n"
+
+
+def test_foreign_amplitude_signature_exits_2(capsys, tmp_path):
+    # the amplitude's stated signature was ignored: a (2,2) one read as (1,3) and passed
+    code, out, err = run(capsys, "maxwell-check", "--config",
+                         _edited_vacuum(tmp_path, _set(("F", "modes", 0, "amplitude", "signature"),
+                                                       {"k": 2, "n": 2})))
+    assert_usage_error(code, out, err)
+    assert err == "error: amplitude signature (2,2) does not match the field's (1,3)\n"
+    # without the key the amplitude is read on the scenario's signature
+    want = run(capsys, "maxwell-check", "--config", str(SCENARIOS / "vacuum_plane_wave.json"))
+    got = run(capsys, "maxwell-check", "--config",
+              _edited_vacuum(tmp_path, lambda data: [mode["amplitude"].pop("signature")
+                                                     for name in ("F", "A") for mode in data[name]["modes"]]))
+    assert want[0] == 0 and got == want
+
+
+# sha256 of the classical report (stdout) for each seed, recorded when its
+# random fields were built from Mode objects
+CLASSICAL_REPORTS = {
+    0: "dd36eb616e282fd2e3a8efe1cacd8c99abf2e69cd21ff2550ee8d748b07c40e3",
+    1: "b9f8a813e80fa92c2136f1eb970f9b27c780927276ae6634a90546eab369349d",
+    2: "2673e8a4329a9dd4d2b0816db0ccbf8a3292c4ed012175e9083b5149df1510bb",
+    7: "cb2d0f649926ff24d238fbf72115d596a118da6150e481abf65865b669af41a2",
+    11: "9369f3b28223bb52253b5b159e43e9d519bb60e18e070f1ce7b19f1dced72c65",
+    12345: "c0ff0b33d1963bdb9219d4ab4fc989257695dc56327935e36e8c0f029d9f09c8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CLASSICAL_REPORTS))
+def test_classical_reports_keep_their_recorded_bytes(capsys, seed):
+    code, out, _ = run(capsys, "classical", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSICAL_REPORTS[seed]
 
 
 @pytest.mark.parametrize("edit,message", [

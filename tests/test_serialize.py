@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extcalc.algebra import Multivector, SpacetimeSignature
-from extcalc.fields import AnalyticField, GaussianEnvelope, GridField, Mode, plane_wave
+from extcalc.fields import (
+    AnalyticField,
+    GaussianEnvelope,
+    GridField,
+    Mode,
+    _cosine_field,
+    exterior_derivative_field,
+    interior_derivative_field,
+    plane_wave,
+)
 from extcalc.serialize import (
     Scenario,
     ScenarioError,
@@ -19,7 +28,10 @@ from extcalc.serialize import (
     multivector_from_json,
     multivector_to_json,
     scenario_from_json,
+    signature_from_json,
 )
+
+from _support import mode_values, reference_field_from_json, table_bits
 
 MINK = SpacetimeSignature(1, 3)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -195,3 +207,217 @@ def test_canonical_dumps_rejects_what_json_rejects(payload):
         _stdlib_dumps(payload)
     with pytest.raises(TypeError):
         canonical_dumps(payload)
+
+
+# the signatures and grades the direct mode reader is compared on, bit for bit,
+# with the reader through Multivector and Mode objects
+READER_CASES = [(k, n, grade) for k, n in ((0, 3), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2))
+                for grade in range(k + n + 1)]
+
+
+def _amplitude_json(sig, grade, rng, special=None, complex_term=False, tiny=False, duplicate=False):
+    """A multivector object over a random nonempty subset of the blades: normal
+    coefficients, optionally one complex, one below PRUNE_REL of the rest, one
+    index list given twice, or one special value (NaN, an infinity, 0.0, -0.0)."""
+    blades = list(sig.index_lists(grade))
+    picked = [blades[int(i)] for i in sorted(rng.choice(len(blades), size=int(rng.integers(1, len(blades) + 1)),
+                                                         replace=False))]
+    terms = [{"indices": list(idx), "re": round(float(rng.normal()), 6)} for idx in picked]
+    if complex_term:
+        terms[-1]["im"] = round(float(rng.normal()), 6)
+    if tiny:
+        terms.append({"indices": list(picked[0]), "re": 1e-17 * terms[0]["re"]} if len(picked) == 1
+                     else {**terms[-1], "re": 3e-15 * terms[0]["re"]})
+    if duplicate:
+        terms.append({"indices": [float(i) for i in picked[0]], "re": round(float(rng.normal()), 6)})
+    if special is not None:
+        terms[int(rng.integers(len(terms)))]["re"] = special
+    return {"signature": {"k": sig.k, "n": sig.n}, "grade": grade, "terms": terms}
+
+
+def _field_json(sig, grade, rng, special=None) -> dict:
+    """Mode objects of every kind the reader meets: real and complex
+    amplitudes, repeated index lists, coefficients below PRUNE_REL, zero and
+    empty amplitudes, modes that merge (some to zero), monomials with a given
+    or an implied centre, envelopes with and without a centre, and absent
+    optional entries."""
+    dim = sig.dim
+
+    def xi():
+        return [round(float(v), 3) for v in rng.uniform(-0.8, 0.8, dim)]
+
+    def envelope(with_center=True):
+        env = {"type": "gaussian", "width": round(float(rng.uniform(0.5, 1.5)), 3)}
+        if with_center:
+            env["center"] = [round(float(c), 3) for c in rng.uniform(-0.3, 0.3, dim)]
+        return env
+
+    poly = [int(p) for p in rng.integers(0, 3, dim)]
+    first = {"amplitude": _amplitude_json(sig, grade, rng), "xi": xi(), "phase": 0.25, "waveform": "cos",
+             "envelope": None}
+    modes = [
+        first,
+        {"amplitude": _amplitude_json(sig, grade, rng, complex_term=True), "xi": xi(), "waveform": "exp"},
+        {"amplitude": _amplitude_json(sig, grade, rng, tiny=True, duplicate=True), "xi": xi(),
+         "phase": round(float(rng.uniform(0, 6)), 6)},
+        {"amplitude": {"grade": grade, "terms": [{"indices": list(next(sig.index_lists(grade))), "re": -0.0},
+                                                 {"indices": list(next(sig.index_lists(grade))), "re": 0.0}]}},
+        {"amplitude": {"grade": grade}, "xi": xi()},
+        {**first, "amplitude": _amplitude_json(sig, grade, rng)},
+        {"amplitude": _amplitude_json(sig, grade, rng), "xi": xi(), "poly": poly,
+         "poly_center": [0.1] * dim, "envelope": envelope()},
+        {"amplitude": _amplitude_json(sig, grade, rng), "poly": poly, "envelope": envelope(with_center=False)},
+        {"amplitude": _amplitude_json(sig, grade, rng, complex_term=True), "poly": poly, "envelope": envelope()},
+        {"amplitude": _amplitude_json(sig, grade, rng), "poly": poly, "xi": []},
+        {**first, "amplitude": {**first["amplitude"],
+                                "terms": [{**t, "re": -t["re"]} for t in first["amplitude"]["terms"]]}},
+    ]
+    if special is not None:
+        modes.append({"amplitude": _amplitude_json(sig, grade, rng, special=special), "xi": xi()})
+        modes.append({**modes[-1], "amplitude": _amplitude_json(sig, grade, rng)})
+    return {"grade": grade, "backend": "modes", "modes": modes}
+
+
+@pytest.mark.parametrize("k,n,grade", READER_CASES)
+def test_direct_mode_reader_matches_the_mode_route_bit_for_bit(k, n, grade):
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng([k, n, grade])
+    for special in (None, math.nan, math.inf, -math.inf):
+        data = _field_json(sig, grade, rng, special)
+        want, given = reference_field_from_json(data, sig)
+        got = field_from_json(data, sig)
+        assert table_bits(got) == table_bits(want)
+        if special is None:
+            # the view the Mode route built: its own modes when none merged
+            view = given if want.mode_count == len(given) else want.modes
+            assert mode_values(got.modes) == mode_values(view)
+            unmerged = {**data, "modes": [m for m in data["modes"] if "phase" not in m or m["phase"] != 0.25]}
+            want, given = reference_field_from_json(unmerged, sig)
+            assert want.mode_count == len(given)
+            assert mode_values(field_from_json(unmerged, sig).modes) == mode_values(given)
+    # a complex coefficient pruned away leaves the table real, as it leaves a Multivector row real
+    blades = [list(idx) for idx in sig.index_lists(grade)]
+    if len(blades) > 1:
+        data = {"grade": grade, "modes": [{"amplitude": {"grade": grade, "terms": [
+            {"indices": blades[0], "re": 1.0}, {"indices": blades[1], "re": 1e-15, "im": 1e-16}]}}]}
+        assert table_bits(field_from_json(data, sig)) == table_bits(reference_field_from_json(data, sig)[0])
+        # magnitudes summing past the float range make no cut (the 1.0 stays), without a numpy warning
+        data["modes"][0]["amplitude"]["terms"] = [{"indices": blades[0], "re": 1e308}, {"indices": blades[1], "re": -1e308},
+                                                  *[{"indices": idx, "re": 1.0} for idx in blades[2:3]]]
+        assert table_bits(field_from_json(data, sig)) == table_bits(reference_field_from_json(data, sig)[0])
+    # enough modes that the merge groups rows by sorting, not through a dict
+    data = _field_json(sig, grade, rng)
+    data["modes"] = [{**m, "amplitude": _amplitude_json(sig, grade, rng)} if "amplitude" in m else m
+                     for _ in range(4) for m in data["modes"]]
+    want, given = reference_field_from_json(data, sig)
+    assert table_bits(field_from_json(data, sig)) == table_bits(want)
+    assert len(given) > 32
+
+
+def _with(path, value):
+    """An edit setting the entry at a key path of a field object, or deleting it for ``...``."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        if value is ...:
+            del data[path[-1]]
+        else:
+            data[path[-1]] = value
+    return edit
+
+
+AMP = ("modes", 0, "amplitude")
+TERM0 = AMP + ("terms", 0)
+ENV = {"type": "gaussian", "width": 0.5, "center": [0.0] * 4}
+
+
+# each malformed entry the Mode route rejects is rejected by the direct reader
+# with the same message; several faults report the one the Mode route meets first
+@pytest.mark.parametrize("edits", [
+    [_with(AMP + ("grade",), 5)], [_with(AMP + ("grade",), -1)], [_with(AMP + ("grade",), 2.5)],
+    [_with(AMP + ("grade",), True)], [_with(AMP + ("grade",), ...)], [_with(AMP, [1.0])],
+    [_with(AMP + ("terms",), 3)], [_with(TERM0 + ("indices",), [0, 9])], [_with(TERM0 + ("indices",), [2, 1])],
+    [_with(TERM0 + ("indices",), [1])], [_with(TERM0 + ("indices",), [0.5, 2])],
+    [_with(TERM0 + ("indices",), [0, True])], [_with(TERM0 + ("indices",), ...)],
+    [_with(TERM0 + ("re",), "6.28")], [_with(TERM0 + ("im",), False)],
+    [_with(("modes", 0, "xi"), [1.0, 0.0, 0.0])], [_with(("modes", 0, "xi"), [1.0] * 5)],
+    [_with(("modes", 0, "xi"), 1.0)], [_with(("modes", 0, "xi", 2), None)],
+    [_with(("modes", 0, "phase"), "0.5")], [_with(("modes", 0, "waveform"), "sin")],
+    [_with(("modes", 0, "poly"), [-1, 0, 0, 0])], [_with(("modes", 0, "poly"), [0.5, 0, 0, 0])],
+    [_with(("modes", 0, "poly"), [1, 0, 0])],
+    [_with(("modes", 0, "poly"), [1, 0, 0, 0]), _with(("modes", 0, "poly_center"), [0.0] * 3)],
+    [_with(("modes", 0, "envelope"), {**ENV, "type": "lorentz"})],
+    [_with(("modes", 0, "envelope"), {**ENV, "width": 0.0})],
+    [_with(("modes", 0, "envelope"), {**ENV, "width": math.nan})],
+    [_with(("modes", 0, "envelope"), {"type": "gaussian"})],
+    [_with(("modes", 0, "envelope"), {**ENV, "center": [0.0, "0", 0.0, 0.0]})],
+    [_with(("modes", 0, "envelope"), {**ENV, "center": [0.0] * 3})],
+    [_with(("modes", 0, "envelope"), {**ENV, "center": [0.0] * 5}),
+     _with(("modes", 0, "poly_center"), [0.0] * 4)],
+    [_with(("modes", 0, "envelope"), [1.0])], [_with(("modes", 0, "amplitude"), ...)],
+    [_with(("modes", 0), [1.0])], [_with(("modes",), 7)], [_with(("grade",), 1)],
+    [_with(AMP + ("grade",), 1), _with(AMP + ("terms",), [{"indices": [1], "re": 1.0}])],
+    [_with(AMP + ("grade",), 1), _with(AMP + ("terms",), []), _with(("modes", 1, "xi"), [0.0])],
+    [_with(("modes", 1, "xi"), [0.0]), _with(("modes", 0, "waveform"), "sin")],
+], ids=lambda edits: None)
+def test_direct_mode_reader_keeps_the_mode_route_errors(edits):
+    data = json.loads((SCENARIOS / "vacuum_plane_wave.json").read_text())["F"]
+    data["modes"].append(json.loads(json.dumps(data["modes"][0])))
+    for edit in edits:
+        edit(data)
+    messages = []
+    for read in (lambda: reference_field_from_json(data, MINK), lambda: field_from_json(data, MINK)):
+        with pytest.raises(ScenarioError) as info:
+            read()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_a_foreign_amplitude_signature_is_an_error():
+    data = json.loads((SCENARIOS / "vacuum_plane_wave.json").read_text())["F"]
+    amplitude = data["modes"][0]["amplitude"]
+    for stated in ({"k": 2, "n": 2}, {"k": 1, "n": 3.0}, {"k": 1, "n": 3, "note": 0}, None):
+        amplitude["signature"] = stated
+        if stated not in ({"k": 2, "n": 2},):
+            assert table_bits(field_from_json(data, MINK)) == table_bits(reference_field_from_json(data, MINK)[0])
+    amplitude["signature"] = {"k": 2, "n": 2}
+    for read in (lambda: field_from_json(data, MINK), lambda: multivector_from_json(amplitude, MINK)):
+        with pytest.raises(ScenarioError, match=r"amplitude signature \(2,2\) does not match the field's \(1,3\)"):
+            read()
+    amplitude["signature"] = {"k": True, "n": 3}
+    with pytest.raises(ScenarioError, match="k must be an integer, got True"):
+        field_from_json(data, MINK)
+    del amplitude["signature"]
+    assert field_from_json(data, MINK).mode_count == 1
+
+
+def _reference_field_to_json(field) -> dict:
+    """The mode writer through the ``modes`` view."""
+    modes = []
+    for mode in field.modes:
+        entry = {"xi": list(mode.xi), "phase": mode.phase, "waveform": mode.waveform,
+                 "envelope": None if mode.envelope is None else {
+                     "type": "gaussian", "width": mode.envelope.width, "center": list(mode.envelope.center)},
+                 "amplitude": multivector_to_json(mode.amplitude)}
+        if any(mode.poly):
+            entry["poly"] = list(mode.poly)
+            entry["poly_center"] = list(mode.poly_center)
+        modes.append(entry)
+    return {"grade": field.grade, "backend": "modes", "modes": modes}
+
+
+@pytest.mark.parametrize("k,n,grade", READER_CASES)
+def test_field_to_json_writes_the_modes_view_from_the_table(k, n, grade):
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng([k, n, grade, 1])
+    field = field_from_json(_field_json(sig, grade, rng), sig)
+    unpruned = _cosine_field(sig, grade, np.array([[1.0, *[1e-16] * (math.comb(sig.dim, grade) - 1)]]),
+                             np.zeros((1, sig.dim)), np.zeros(1))
+    for f in (field, field * 1j, unpruned, *(exterior_derivative_field(field), interior_derivative_field(field))):
+        assert canonical_dumps(field_to_json(f)) == canonical_dumps(_reference_field_to_json(f))
+    for path in SCENARIOS.glob("*.json"):
+        data = json.loads(path.read_text())
+        for name in ("F", "J", "A"):
+            if data.get(name) and data[name].get("backend") == "modes":
+                sig = signature_from_json(data["signature"])
+                assert field_to_json(field_from_json(data[name], sig)) == data[name]
