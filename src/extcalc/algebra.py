@@ -12,6 +12,8 @@ integer sign of the wedge and the two interior products on each ordered pair
 of unit blades, and the metric diagonal of the dot product, built once from
 blade bitmasks.  The exhaustive identity suite certifies those sign tables,
 in exact integer arithmetic, so its residuals are zero rather than float dust.
+The two quadratic product bitensors read one cached table per signature and
+grade, contracted from the unit tables of those certified products.
 
 All values are immutable after construction and every operation is a pure
 function, so the module is safe for unrestricted concurrent use.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
@@ -490,25 +492,6 @@ class Bitensor:
     def max_abs(self) -> float:
         return _max_abs(self.comps.values())
 
-    def __add__(self, other: "Bitensor") -> "Bitensor":
-        if self.signature != other.signature:
-            raise SignatureError("bitensor signatures differ")
-        merged = dict(self.comps)
-        for key, c in other.comps.items():
-            merged[key] = merged.get(key, 0) + c
-        return Bitensor(self.signature, merged)
-
-    def __sub__(self, other: "Bitensor") -> "Bitensor":
-        return self + (-other)
-
-    def __neg__(self) -> "Bitensor":
-        return Bitensor(self.signature, {k: -c for k, c in self.comps.items()})
-
-    def __mul__(self, factor: complex) -> "Bitensor":
-        return Bitensor(self.signature, {k: c * factor for k, c in self.comps.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Bitensor) and self.signature == other.signature
                 and self.comps == other.comps)
@@ -565,35 +548,52 @@ def odot(f: Multivector, g: Multivector) -> Bitensor:
     with f == g the symmetrisation is the identity.  Complex arguments are not
     conjugated; the caller conjugates explicitly where needed.
     """
-    return _quadratic_bitensor(f, g, lambda ei, ej: dot(left_interior(ei, f), right_interior(g, ej)))
+    return _table_bitensor(_quadratic_table(f.signature, f.grade, "odot"), f, g)
 
 
 def owedge(f: Multivector, g: Multivector) -> Bitensor:
     """Exterior-product bitensor with ordered components
     (1/2) Delta_ii Delta_jj (e_i wedge f) . (g wedge e_j), symmetrised."""
-    return _quadratic_bitensor(f, g, lambda ei, ej: dot(wedge(ei, f), wedge(g, ej)))
+    return _table_bitensor(_quadratic_table(f.signature, f.grade, "owedge"), f, g)
 
 
-def _quadratic_bitensor(f: Multivector, g: Multivector, entry) -> Bitensor:
+def _table_bitensor(table: np.ndarray, f: Multivector, g: Multivector) -> Bitensor:
+    """The bitensor sum_ab C[p, a, b] f_a g_b of a ``_quadratic_table``-shaped
+    table C, at one pair of equal-grade values."""
     f._check_same_space(g)
     if f.grade != g.grade:
         raise GradeError(f"bitensor products require equal grades, got {f.grade} and {g.grade}")
-    sig = f.signature
-    basis = [Multivector.blade(sig, (i,)) for i in sig.axes()]
-    out: dict[tuple[int, int], complex] = {}
-    for i in sig.axes():
-        di = sig.metric(i)
-        for j in range(i, sig.dim):
-            dj = sig.metric(j)
-            tau_ij = entry(basis[i], basis[j])
-            if i == j:
-                value = 0.5 * di * dj * tau_ij
-            else:
-                tau_ji = entry(basis[j], basis[i])
-                value = 0.25 * di * dj * (tau_ij + tau_ji)
-            if value != 0:
-                out[(i, j)] = value
-    return Bitensor(sig, out)
+    return Bitensor.from_row(f.signature, np.einsum("pab,a,b->p", table, f.row(), g.row()))
+
+
+@lru_cache(maxsize=None)
+def _quadratic_table(sig: SpacetimeSignature, grade: int, kind: str) -> np.ndarray:
+    """``C[p, a, b]``: component p (pairs i <= j in
+    ``combinations_with_replacement`` order) of the ``kind`` bitensor of unit
+    blades a and b of ``grade`` (``index_lists`` order).
+
+    tau_ij[a, b] = sum_K L_i[a, K] R_j[b, K] Delta_KK, with L_i the
+    ``unit_table`` of ``left_interior(e_i, .)`` and R_j that of
+    ``right_interior(., e_j)`` for "odot" (of ``wedge(e_i, .)`` and
+    ``wedge(., e_j)`` for "owedge"), and C at (i, j) is
+    (1/4) Delta_ii Delta_jj (tau_ij + tau_ji): exact multiples of 1/4, zeros +0.0.
+    """
+    left, right, step = {"odot": (left_interior, right_interior, -1), "owedge": (wedge, wedge, 1)}[kind]
+    out, ncomp = grade + step, math.comb(sig.dim, grade)
+    tau = np.zeros((sig.dim, sig.dim, ncomp, ncomp))
+    # a product out of the grade range is zero
+    if 0 <= out <= sig.dim:
+        basis = [Multivector.blade(sig, (i,)) for i in sig.axes()]
+        lefts = np.stack([unit_table(sig, partial(left, e), grade, out) for e in basis])
+        rights = np.stack([unit_table(sig, lambda u, e=e: right(u, e), grade, out) for e in basis])
+        metric = np.array([sig.metric_list(idx) for idx in sig.index_lists(out)])
+        tau = np.einsum("iaK,jbK->ijab", lefts * metric, rights)
+    delta = np.array([sig.metric(i) for i in sig.axes()])
+    i, j = np.triu_indices(sig.dim)
+    table = 0.25 * (delta[i] * delta[j])[:, None, None] * (tau[i, j] + tau[j, i]) + 0.0
+    # cached and shared by every caller
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

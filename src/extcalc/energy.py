@@ -9,7 +9,8 @@ module's verification surface.
 
 Since the tensor is quadratic in the field, tensor fields contract the
 field's dense rows with tables of the two bitensor products on unit blades,
-filled by the public ``odot``/``owedge``; the interior derivative is the
+contracted from the unit tables of the identity-certified products (the
+tables ``odot``/``owedge`` read); the interior derivative is the
 bilinear product rule on the field's partial rows, with no finite
 differencing of the tensor; the conservation residual is batched over
 points the same way (one point is a one-row array).
@@ -37,10 +38,10 @@ from .algebra import (
     GradeError,
     Multivector,
     SpacetimeSignature,
+    _quadratic_table,
     _sign_tables,
+    _table_bitensor,
     left_interior,
-    odot,
-    owedge,
     right_interior,
     unit_table,
 )
@@ -98,8 +99,9 @@ def lorentz_force(f: Multivector, j: Multivector) -> Multivector:
 
 
 def stress_tensor_def(f: Multivector) -> Bitensor:
-    """Definition route: minus the sum of the two quadratic bitensors."""
-    return _stress_product(f, f)
+    """Definition route: minus the sum of the two quadratic bitensors, the
+    one-row case of the ``stress`` table."""
+    return _table_bitensor(_bitensor_tables(f.signature, f.grade, "stress")[0], f, f)
 
 
 @lru_cache(maxsize=None)
@@ -182,29 +184,24 @@ def trace_formula_components(sig: SpacetimeSignature, grade: int, rows: np.ndarr
 # tensor fields with exact derivatives
 # ---------------------------------------------------------------------------
 
-def _stress_product(f: Multivector, g: Multivector) -> Bitensor:
-    return -1 * (odot(f, g) + owedge(f, g))
-
-
-_PRODUCTS = {"odot": odot, "owedge": owedge, "stress": _stress_product}
+_PRODUCTS = ("odot", "owedge", "stress")
 
 
 @lru_cache(maxsize=None)
 def _bitensor_tables(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient arrays of one kind's quadratic bitensor, from the public products.
+    """Coefficient arrays of one kind's quadratic bitensor.
 
-    ``C[p, a, b]`` is component p (pairs i <= j in
-    ``combinations_with_replacement`` order) of the product of unit blades a
-    and b (``index_lists`` order), so by bilinearity the product of two
-    fields with dense rows u and v is sum_ab C[p, a, b] u_a v_b.
-    ``D[j, i, a, b]`` is C + C^T over (a, b) at the pair {i, j}: by the
-    product rule, sum_jab D[j, i, a, b] (d_j F)_a F_b is the interior
-    derivative sum_j d_j T_ij.
+    ``C[p, a, b]`` is the ``_quadratic_table`` of odot or owedge, or minus
+    their sum (zeros +0.0) for the stress tensor: the kind's tensor of dense
+    field rows u and v is sum_ab C[p, a, b] u_a v_b.  ``D[j, i, a, b]`` is
+    C + C^T over (a, b) at the pair {i, j}: by the product rule,
+    sum_jab D[j, i, a, b] (d_j F)_a F_b is the interior derivative
+    sum_j d_j T_ij.
     """
-    product = _PRODUCTS[kind]
-    units = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade)]
-    table = np.array([[product(a, b).row() for b in units] for a in units], dtype=float)
-    table = np.ascontiguousarray(table.transpose(2, 0, 1))
+    if kind == "stress":
+        table = -(_quadratic_table(sig, grade, "odot") + _quadratic_table(sig, grade, "owedge")) + 0.0
+    else:
+        table = _quadratic_table(sig, grade, kind)
     slot = {pair: p for p, pair in enumerate(combinations_with_replacement(sig.axes(), 2))}
     sym = table + table.transpose(0, 2, 1)
     div = np.array([[sym[slot[min(i, j), max(i, j)]] for i in sig.axes()] for j in sig.axes()])
@@ -219,9 +216,10 @@ class QuadraticTensorField:
 
     ``kind`` selects the interior product bitensor, the exterior one, or the
     full stress tensor.  Values and the interior derivative contract the
-    field's dense rows with the kind's ``_bitensor_tables``, which the public
-    ``odot``/``owedge`` fill; the derivative is the bilinear product rule on
-    the field's exact (or central-difference) partials.
+    field's dense rows with the kind's ``_bitensor_tables``, the tables that
+    ``odot``, ``owedge`` and ``stress_tensor_def`` read at one value; the
+    derivative is the bilinear product rule on the field's exact (or
+    central-difference) partials.
     """
 
     field: object

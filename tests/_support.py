@@ -1,8 +1,9 @@
 """Test-only helpers: a reference index sort, the brute-force blade merge and
 difference the sign tables are checked against, the four products as loops
-over them, a component bitensor field, the per-point quadratic tensor
-divergence, the per-point exterior and interior derivatives, the per-point
-classical vector residuals, the derived modes built through
+over them, the quadratic bitensors as loops over axis pairs and the product
+tables built from them, a component bitensor field, the per-point quadratic
+tensor divergence, the per-point exterior and interior derivatives, the
+per-point classical vector residuals, the derived modes built through
 ``dataclasses.replace``, one field of each kind of mode, a pointwise
 product-rule residual, a per-point reference evaluation of analytic mode
 fields, the mode kernel as a loop over modes, per-node reference
@@ -40,7 +41,7 @@ from extcalc.algebra import (
     vec_interior_bitensor,
     wedge,
 )
-from extcalc.energy import _stress_tables
+from extcalc.energy import _bitensor_tables, _stress_tables
 from extcalc.fields import (
     AnalyticField,
     GaussianEnvelope,
@@ -167,6 +168,61 @@ def reference_product(name: str, u: Multivector, v: Multivector):
                 if rest is not None:
                     out[rest] = out.get(rest, 0) + delta * merge_with_sign(J, rest)[1] * a * b
     return Multivector(sig, grade, out)
+
+
+def reference_quadratic_bitensor(f: Multivector, g: Multivector, kind: str) -> Bitensor:
+    """``odot`` (kind "odot") or ``owedge`` (kind "owedge") of f and g as a
+    loop over the axis pairs i <= j: tau_ij is
+    dot(left_interior(e_i, f), right_interior(g, e_j)), or
+    dot(wedge(e_i, f), wedge(g, e_j)), and the component is
+    (1/2) Delta_ii Delta_jj tau_ii on the diagonal and
+    (1/4) Delta_ii Delta_jj (tau_ij + tau_ji) off it."""
+    if kind == "odot":
+        def entry(ei, ej):
+            return dot(left_interior(ei, f), right_interior(g, ej))
+    else:
+        def entry(ei, ej):
+            return dot(wedge(ei, f), wedge(g, ej))
+    sig = f.signature
+    basis = [Multivector.blade(sig, (i,)) for i in sig.axes()]
+    out: dict[tuple[int, int], complex] = {}
+    for i in sig.axes():
+        di = sig.metric(i)
+        for j in range(i, sig.dim):
+            dj = sig.metric(j)
+            tau_ij = entry(basis[i], basis[j])
+            if i == j:
+                value = 0.5 * di * dj * tau_ij
+            else:
+                tau_ji = entry(basis[j], basis[i])
+                value = 0.25 * di * dj * (tau_ij + tau_ji)
+            if value != 0:
+                out[(i, j)] = value
+    return Bitensor(sig, out)
+
+
+def reference_bitensor_tables(sig: SpacetimeSignature, grade: int) -> dict[str, np.ndarray]:
+    """The ``C[p, a, b]`` table of each kind of ``_bitensor_tables``, filled
+    by ``reference_quadratic_bitensor`` on every pair of unit blades; the
+    stress table is -(odot + owedge) + 0.0 on those rows."""
+    units = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade)]
+    rows = {kind: np.array([[reference_quadratic_bitensor(a, b, kind).row() for b in units]
+                            for a in units], dtype=float) for kind in ("odot", "owedge")}
+    rows["stress"] = -(rows["odot"] + rows["owedge"]) + 0.0
+    return {kind: np.ascontiguousarray(table.transpose(2, 0, 1)) for kind, table in rows.items()}
+
+
+def bitensor_table_mismatches(sig: SpacetimeSignature) -> list[tuple[int, str]]:
+    """The (grade, kind) pairs whose ``_bitensor_tables`` table differs from
+    ``reference_bitensor_tables`` in a value or in the sign of a zero."""
+    mismatches = []
+    for grade in range(sig.dim + 1):
+        for kind, want in reference_bitensor_tables(sig, grade).items():
+            got, _ = _bitensor_tables(sig, grade, kind)
+            if not (got.shape == want.shape and np.array_equal(got, want)
+                    and np.array_equal(np.signbit(got), np.signbit(want))):
+                mismatches.append((grade, kind))
+    return mismatches
 
 
 @dataclass(frozen=True)

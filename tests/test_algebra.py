@@ -27,6 +27,7 @@ from extcalc.algebra import (
 
 from extcalc import algebra
 from extcalc.cli import _flipped_vector_wedge
+from extcalc.energy import stress_tensor_def
 
 from _support import (
     _difference,
@@ -349,8 +350,7 @@ def test_odot_owedge_zero_and_symmetry():
 def test_energy_density_unit_ex():
     # F = e_01 is a unit electric field along x; energy density is 1/2
     f = Multivector.blade(MINK, (0, 1))
-    total = -1 * (odot(f, f) + owedge(f, f))
-    assert total.get(0, 0) == pytest.approx(0.5)
+    assert stress_tensor_def(f).get(0, 0) == pytest.approx(0.5)
 
 
 def test_odot_two_argument_matches_transpose_rule():

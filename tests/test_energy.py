@@ -12,6 +12,8 @@ from extcalc.algebra import (
     Multivector,
     SpacetimeSignature,
     dot,
+    odot,
+    owedge,
 )
 from extcalc.energy import (
     GaugeViolation,
@@ -49,10 +51,12 @@ from extcalc.integrate import HypersurfaceBox, bitensor_stokes_check, gauss_lege
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, classical_pack
 
 from _support import (
+    bitensor_table_mismatches,
     merge_with_sign,
     mode_family_fields,
     reference_flux_T_direct,
     reference_flux_T_fourier,
+    reference_quadratic_bitensor,
     reference_synthesized_modes,
     reference_tensor_divergence,
 )
@@ -151,9 +155,10 @@ def _symmetrised(table):
 
 
 def test_stress_table_is_the_explicit_formula():
-    # the definition route's bilinear table, filled by the public odot and
-    # owedge, equals the explicit formula's triples as arrays: every
-    # coefficient is a multiple of 1/8, so the comparison is exact
+    # the definition route's bilinear table, the contraction of the public
+    # products' unit tables that odot and owedge read, equals the explicit
+    # formula's triples as arrays: every coefficient is a multiple of 1/8,
+    # so the comparison is exact
     cases = 0
     for d in range(1, 6):
         for k in range(d + 1):
@@ -168,6 +173,45 @@ def test_stress_table_is_the_explicit_formula():
                 assert np.array_equal(_symmetrised(table), _symmetrised(explicit)), (k, d - k, r)
                 cases += 1
     assert cases == 90
+
+
+def test_bitensor_tables_are_the_reference_loop_bit_for_bit():
+    # values and signs of zeros of the odot, owedge and stress tables on
+    # every grade; the seven signatures with k + n = 6 run in CI, at 7 s
+    cases = 0
+    for d in range(1, 6):
+        for k in range(d + 1):
+            assert bitensor_table_mismatches(SpacetimeSignature(k, d - k)) == [], (k, d - k)
+            cases += 1
+    assert cases == 20
+
+
+def test_two_argument_products_match_the_reference_loop():
+    # the table sums its products in another order than the loop, so the
+    # last bits may differ: 1e-15 of the sum of the magnitudes bounds them
+    rng = np.random.default_rng(26)
+    cases = 0
+    for d in range(1, 6):
+        for k in range(d + 1):
+            sig = SpacetimeSignature(k, d - k)
+            for r in range(d + 1):
+                real = [random_mv(sig, r, rng) for _ in range(2)]
+                imag = [random_mv(sig, r, rng) for _ in range(2)]
+                for f, g in (real, [u + 1j * v for u, v in zip(real, imag)]):
+                    scale = np.abs(f.row()).sum() * np.abs(g.row()).sum()
+                    for kind, product in (("odot", odot), ("owedge", owedge)):
+                        got = product(f, g).row()
+                        want = reference_quadratic_bitensor(f, g, kind).row()
+                        assert np.abs(got - want).max() <= 1e-15 * scale, (k, d - k, r, kind)
+                        cases += 1
+    assert cases == 90 * 2 * 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_field_gives_non_finite_bitensors(bad):
+    f = Multivector(MINKOWSKI, 2, {(0, 1): bad, (2, 3): 1.0})
+    for tensor in (stress_tensor_def(f), odot(f, f), owedge(f, f)):
+        assert not math.isfinite(tensor.max_abs())
 
 
 def test_stress_zero_field():
