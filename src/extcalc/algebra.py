@@ -12,8 +12,12 @@ integer sign of the wedge and the two interior products on each ordered pair
 of unit blades, and the metric diagonal of the dot product, built once from
 blade bitmasks.  The exhaustive identity suite certifies those sign tables,
 in exact integer arithmetic, so its residuals are zero rather than float dust.
-The two quadratic product bitensors read one cached table per signature and
-grade, contracted from the unit tables of those certified products.
+Every dense table of the wedge or an interior product, over the unit blades
+of two grades, comes from one cached function, ``_product_table``, that
+fills it through those certified products; the other modules' derivative,
+force and classical-bridge tables are slices of it.  The two quadratic
+product bitensors read one cached table per signature and grade, contracted
+from it.
 
 All values are immutable after construction and every operation is a pure
 function, so the module is safe for unrestricted concurrent use.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
@@ -504,18 +508,26 @@ class Bitensor:
         return f"<Bitensor ({self.signature.k},{self.signature.n}) {body}>"
 
 
-def unit_table(sig: SpacetimeSignature, fn: Callable[[Multivector], Multivector], grade: int,
-               out_grade: int) -> np.ndarray:
-    """``T[a, b]``: component b of ``fn(e_a)`` over the unit blades a of
-    ``grade`` and b of ``out_grade``, both in ``index_lists`` order; float
-    unless an image has a complex coefficient.  For a linear ``fn``, the image
-    of a dense row u is ``u @ T``.  An image that is not a grade-``out_grade``
-    multivector of this signature raises ``ValueError``."""
-    images = [fn(Multivector.blade(sig, idx)) for idx in sig.index_lists(grade)]
-    if not all(isinstance(i, Multivector) and i.signature == sig and i.grade == out_grade for i in images):
-        raise ValueError(f"unit table needs grade-{out_grade} images on {sig}")
-    table = np.array([image.row() for image in images])
-    return table if np.iscomplexobj(table) else table.astype(float)
+@lru_cache(maxsize=None)
+def _product_table(sig: SpacetimeSignature, product: str, u_grade: int, v_grade: int) -> np.ndarray:
+    """``P[a, b, c]``: component c of ``product(e_a, e_b)`` over the unit
+    blades a of ``u_grade``, b of ``v_grade`` and c of the product's grade,
+    each in ``index_lists`` order, for ``product`` "w" (``wedge``), "l"
+    (``left_interior``) or "r" (``right_interior``), filled by that public
+    product on every unit-blade pair.  A product that leaves the grade range
+    has no columns.  Dense rows u and v of the operand grades give
+    ``product(u, v)`` as ``einsum("abc,a,b->c", P, u, v)``."""
+    fn, out = {"w": (wedge, u_grade + v_grade), "l": (left_interior, v_grade - u_grade),
+               "r": (right_interior, u_grade - v_grade)}[product]
+    us = [Multivector.blade(sig, idx) for idx in sig.index_lists(u_grade)]
+    vs = [Multivector.blade(sig, idx) for idx in sig.index_lists(v_grade)]
+    if 0 <= out <= sig.dim:
+        table = np.array([[fn(u, v).row() for v in vs] for u in us], dtype=float)
+    else:
+        table = np.zeros((len(us), len(vs), 0))
+    # cached and shared by every caller
+    table.flags.writeable = False
+    return table
 
 
 def vec_interior_bitensor(a: Multivector, t: Bitensor) -> Multivector:
@@ -572,22 +584,20 @@ def _quadratic_table(sig: SpacetimeSignature, grade: int, kind: str) -> np.ndarr
     ``combinations_with_replacement`` order) of the ``kind`` bitensor of unit
     blades a and b of ``grade`` (``index_lists`` order).
 
-    tau_ij[a, b] = sum_K L_i[a, K] R_j[b, K] Delta_KK, with L_i the
-    ``unit_table`` of ``left_interior(e_i, .)`` and R_j that of
-    ``right_interior(., e_j)`` for "odot" (of ``wedge(e_i, .)`` and
-    ``wedge(., e_j)`` for "owedge"), and C at (i, j) is
+    tau_ij[a, b] = sum_K L[i, a, K] R[b, j, K] Delta_KK, with L the
+    ``_product_table`` of ``left_interior`` on (e_i, e_a) and R that of
+    ``right_interior`` on (e_b, e_j) for "odot" (of ``wedge`` on both for
+    "owedge"), and C at (i, j) is
     (1/4) Delta_ii Delta_jj (tau_ij + tau_ji): exact multiples of 1/4, zeros +0.0.
     """
-    left, right, step = {"odot": (left_interior, right_interior, -1), "owedge": (wedge, wedge, 1)}[kind]
+    left, right, step = {"odot": ("l", "r", -1), "owedge": ("w", "w", 1)}[kind]
     out, ncomp = grade + step, math.comb(sig.dim, grade)
     tau = np.zeros((sig.dim, sig.dim, ncomp, ncomp))
     # a product out of the grade range is zero
     if 0 <= out <= sig.dim:
-        basis = [Multivector.blade(sig, (i,)) for i in sig.axes()]
-        lefts = np.stack([unit_table(sig, partial(left, e), grade, out) for e in basis])
-        rights = np.stack([unit_table(sig, lambda u, e=e: right(u, e), grade, out) for e in basis])
         metric = np.array([sig.metric_list(idx) for idx in sig.index_lists(out)])
-        tau = np.einsum("iaK,jbK->ijab", lefts * metric, rights)
+        tau = np.einsum("iaK,bjK->ijab", _product_table(sig, left, 1, grade) * metric,
+                        _product_table(sig, right, grade, 1))
     delta = np.array([sig.metric(i) for i in sig.axes()])
     i, j = np.triu_indices(sig.dim)
     table = 0.25 * (delta[i] * delta[j])[:, None, None] * (tau[i, j] + tau[j, i]) + 0.0

@@ -147,11 +147,14 @@ def _scenario_run(args) -> tuple[Scenario, MaxwellSystem, np.random.Generator, n
         shape = field.values.shape[:-1]
         if any(s < 3 for s in shape):
             raise ScenarioError("grid fields need at least 3 sites per axis for derivatives")
-        sites = np.stack([rng.integers(1, s - 1, size=scenario.sample_points) for s in shape],
-                         axis=1)
-        points = field.origin + sites * field.spacing
-    else:
-        points = _sample_points(rng, scenario.signature.dim, scenario.sample_points)
+    # a count beyond what numpy can shape is a bad scenario, not a failed check
+    with _reading("sample_points"):
+        if isinstance(field, GridField):
+            sites = np.stack([rng.integers(1, s - 1, size=scenario.sample_points) for s in shape],
+                             axis=1)
+            points = field.origin + sites * field.spacing
+        else:
+            points = _sample_points(rng, scenario.signature.dim, scenario.sample_points)
     return scenario, system, rng, points
 
 

@@ -9,8 +9,8 @@ module's verification surface.
 
 Since the tensor is quadratic in the field, tensor fields contract the
 field's dense rows with tables of the two bitensor products on unit blades,
-contracted from the unit tables of the identity-certified products (the
-tables ``odot``/``owedge`` read); the interior derivative is the
+contracted from the ``_product_table``s of the identity-certified products
+(the tables ``odot``/``owedge`` read); the interior derivative is the
 bilinear product rule on the field's partial rows, with no finite
 differencing of the tensor; the conservation residual is batched over
 points the same way (one point is a one-row array).
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
@@ -38,12 +38,12 @@ from .algebra import (
     GradeError,
     Multivector,
     SpacetimeSignature,
+    _product_table,
     _quadratic_table,
     _sign_tables,
     _table_bitensor,
     left_interior,
     right_interior,
-    unit_table,
 )
 from .fields import (
     EXTERIOR,
@@ -265,17 +265,12 @@ def StressTensorField(field) -> QuadraticTensorField:
     return QuadraticTensorField(field, "stress")
 
 
-@lru_cache(maxsize=None)
 def _force_table(sig: SpacetimeSignature, grade: int) -> np.ndarray:
     """``L[a, b, c]``: component c of the Lorentz force of unit source blade a
-    (grade - 1) on unit field blade b (grade), filled by the public
-    ``left_interior`` (a ``unit_table`` per source blade); the force of dense
-    rows j and f is sum_ab L j_a f_b."""
-    sources = [Multivector.blade(sig, idx) for idx in sig.index_lists(grade - 1)]
-    table = np.stack([unit_table(sig, partial(left_interior, source), grade, 1) for source in sources])
-    # cached and shared by every caller
-    table.flags.writeable = False
-    return table
+    (grade - 1) on unit field blade b (grade), the ``_product_table`` of the
+    public ``left_interior``; the force of dense rows j and f is
+    sum_ab L j_a f_b."""
+    return _product_table(sig, "l", grade - 1, grade)
 
 
 def conservation_residual_components(f_field, j_field, points: np.ndarray) -> np.ndarray:

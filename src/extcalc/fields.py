@@ -18,7 +18,8 @@ slice ``partial_components(axis, points)``, and the per-point one-row cases
 
 The exterior and interior derivatives are linear in the partials, so over a
 point array each is the sum over axes of the jet's partial rows times a table of
-``wedge``/``left_interior`` on unit blades; the per-point forms are the
+``wedge``/``left_interior`` on unit blades, a slice of the one cached table
+of those products, ``algebra._product_table``; the per-point forms are the
 one-row case.
 
 The wave phase is theta(x) = 2 pi sum_i Delta_ii xi_i x_i + phi, i.e. the
@@ -31,12 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import PRUNE_REL, Multivector, SpacetimeSignature, left_interior, unit_table, wedge
+from .algebra import PRUNE_REL, Multivector, SpacetimeSignature, _product_table
+# re-exported: the benchmark tracer wraps every module binding of wedge, this one included
+from .algebra import wedge  # noqa: F401
 
 __all__ = [
     "FieldDomainError",
@@ -664,18 +667,13 @@ class AnalyticField:
     def __neg__(self) -> "AnalyticField":
         return self * -1
 
-    def map_amplitudes(self, fn, grade: int) -> "AnalyticField":
-        """New field with every mode amplitude passed through a linear ``fn``:
-        ``fn`` is called once per unit blade e_a (``unit_table``), and an
-        amplitude sum_a c_a e_a maps to sum_a c_a fn(e_a).  An image that is
-        not a grade-``grade`` multivector of this signature raises
-        ``ValueError``."""
-        return self._mapped(unit_table(self.signature, fn, self.grade, grade), grade)
-
     def _mapped(self, table: np.ndarray, grade: int) -> "AnalyticField":
-        """``map_amplitudes`` through a ``unit_table`` already built."""
+        """New field with every mode amplitude passed through a linear map:
+        ``table[a, b]`` is component b of the image of unit blade a (a slice
+        of ``_product_table``, or a selection of components), so an amplitude
+        sum_a c_a e_a maps to sum_a c_a table[a]."""
         with np.errstate(invalid="ignore"):
-            # terms only where fn(e_a) has one, so an infinite c_a stays in its components
+            # terms only where the image of e_a has one, so an infinite c_a stays in its components
             amp = np.where(table != 0, self._table.amp[:, :, None] * table, 0).sum(axis=1)
         return self._with_amplitudes(grade, amp)
 
@@ -803,15 +801,15 @@ INTERIOR = "interior"
 @lru_cache(maxsize=None)
 def _derivative_table(sig: SpacetimeSignature, grade: int, kind: str) -> np.ndarray:
     """``T[i, a, b]``: component b of Delta_ii e_i wedge (exterior) or
-    Delta_ii e_i interior (interior) unit blade a, the ``unit_table`` of the
-    public ``wedge``/``left_interior``.
+    Delta_ii e_i interior (interior) unit blade a, the metric times the
+    ``_product_table`` of the public ``wedge``/``left_interior`` on (e_i, e_a).
 
     By linearity the derivative of a field with partial rows P_i is
-    sum_i P_i @ T[i].  Shape (dim, ncomp(grade), ncomp(grade +- 1)).
+    sum_i P_i @ T[i].  Shape (dim, ncomp(grade), ncomp(grade +- 1)), with
+    no columns when the derivative leaves the grade range.
     """
-    product, out_grade = (wedge, grade + 1) if kind == EXTERIOR else (left_interior, grade - 1)
-    bases = [Multivector.blade(sig, (i,), sig.metric(i)) for i in sig.axes()]
-    table = np.stack([unit_table(sig, partial(product, basis), grade, out_grade) for basis in bases])
+    product = "w" if kind == EXTERIOR else "l"
+    table = _metric(sig)[:, None, None] * _product_table(sig, product, 1, grade) + 0.0
     # cached and shared by every caller
     table.flags.writeable = False
     return table

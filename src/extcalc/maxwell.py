@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +21,9 @@ from .algebra import (
     GradeError,
     Multivector,
     SpacetimeSignature,
+    _product_table,
     dot,
     left_interior,
-    right_interior,
-    unit_table,
     wedge,
 )
 from .fields import (
@@ -223,46 +221,31 @@ class ClassicalFields:
         _require_spatial(self.j, "j")
 
 
-# spatial volume blade: the spatial Hodge maps of (1, 3) are the interior
-# products right_interior(_E123, v) and left_interior(b, _E123)
-_E123 = Multivector.blade(MINKOWSKI, SPACE_AXES_3D)
-
-
-@lru_cache(maxsize=None)
-def _pack_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``unit_table``s of ``classical_pack``'s amplitude maps E -> e_0
-    wedge E, B -> its spatial Hodge and rho -> rho e_0, built once and shared."""
-    e0 = Multivector.blade(MINKOWSKI, (0,))
-    tables = (unit_table(MINKOWSKI, lambda a: wedge(e0, a), 1, 2),
-              unit_table(MINKOWSKI, lambda b: right_interior(_E123, b), 1, 2),
-              unit_table(MINKOWSKI, lambda a: Multivector.blade(MINKOWSKI, (0,), a.scalar_value()), 0, 1))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+# position of the spatial volume blade e_123 among the grade-3 blades: the
+# spatial Hodge maps of (1, 3) are right_interior(e_123, v) and left_interior(b, e_123)
+_E123 = list(MINKOWSKI.index_lists(3)).index(SPACE_AXES_3D)
 
 
 def classical_pack(cf: ClassicalFields) -> MaxwellSystem:
-    """Build the grade-2 system F = e_0 wedge E + spatial Hodge of B, J = rho e_0 + j."""
-    of_e, of_b, of_rho = _pack_tables()
-    f_field = cf.E._mapped(of_e, 2) + cf.B._mapped(of_b, 2)
-    return MaxwellSystem(signature=MINKOWSKI, r=2, F=f_field, J=cf.rho._mapped(of_rho, 1) + cf.j)
+    """Build the grade-2 system F = e_0 wedge E + spatial Hodge of B, J = rho e_0 + j.
+
+    Each amplitude map is a table on unit blades: slices of ``_product_table``
+    for E and B, the time column for rho."""
+    f_field = (cf.E._mapped(_product_table(MINKOWSKI, "w", 1, 1)[0], 2)
+               + cf.B._mapped(_product_table(MINKOWSKI, "r", 3, 1)[_E123], 2))
+    rho = cf.rho._mapped(np.eye(MINKOWSKI.dim)[:1], 1)
+    return MaxwellSystem(signature=MINKOWSKI, r=2, F=f_field, J=rho + cf.j)
 
 
 def classical_unpack(system: MaxwellSystem) -> ClassicalFields:
-    """Split a (1,3) grade-2 system back into E, B, rho, j."""
+    """Split a (1,3) grade-2 system back into E = e_0 interior F, B = F
+    interior e_123, and rho and j, the time and space components of J."""
     if system.signature != MINKOWSKI or system.r != 2:
         raise GradeError("classical_unpack requires signature (1,3) and r = 2")
-    e0 = Multivector.blade(MINKOWSKI, (0,))
-
-    def spatial_part(a: Multivector) -> Multivector:
-        return Multivector(a.signature, a.grade,
-                           {idx: c for idx, c in a.terms.items() if 0 not in idx})
-
-    e_field = system.F.map_amplitudes(lambda a: left_interior(e0, a), 1)
-    b_field = system.F.map_amplitudes(lambda a: left_interior(a, _E123), 1)
-    rho = system.J.map_amplitudes(lambda a: Multivector.scalar(MINKOWSKI, a.coeff((0,))), 0)
-    j_field = system.J.map_amplitudes(spatial_part, 1)
-    return ClassicalFields(E=e_field, B=b_field, rho=rho, j=j_field)
+    return ClassicalFields(E=system.F._mapped(_product_table(MINKOWSKI, "l", 1, 2)[0], 1),
+                           B=system.F._mapped(_product_table(MINKOWSKI, "l", 2, 3)[:, _E123], 1),
+                           rho=system.J._mapped(np.eye(MINKOWSKI.dim)[:, :1], 0),
+                           j=system.J._mapped(np.diag([0.0, 1.0, 1.0, 1.0]), 1))
 
 
 def classical_vector_residual_components(cf: ClassicalFields, points: np.ndarray) -> dict:

@@ -1,20 +1,22 @@
 """Test-only helpers: a reference index sort, the brute-force blade merge and
 difference the sign tables are checked against, the four products as loops
 over them, the quadratic bitensors as loops over axis pairs and the product
-tables built from them, a component bitensor field, the per-point quadratic
-tensor divergence, the per-point exterior and interior derivatives, the
-per-point classical vector residuals, the derived modes built through
-``dataclasses.replace``, one field of each kind of mode, a pointwise
-product-rule residual, a per-point reference evaluation of analytic mode
-fields, the mode kernel as a loop over modes, per-node reference
-quadratures, the oriented boundary faces of a box, the face-by-face
-boundary integrals with a point-by-point field wrapper and an exact-bits
-key, the dense slice flux, the per-node frequency-domain flux and cone
-synthesis, the derived-field and mapped amplitude modes built by per-mode
-multivector algebra, the mode-table merge through a dict of Python key
-tuples, a by-value comparison of modes, the analytic field reader through
-``Multivector`` and ``Mode`` objects with an exact key of mode tables, and the
-loop form of the identity suite.  None of these is used by the package."""
+tables built from them, a linear map tabulated on unit blades and the
+derivative, force and classical-bridge tables built from it, a component
+bitensor field, the per-point quadratic tensor divergence, the per-point
+exterior and interior derivatives, the per-point classical vector residuals,
+the derived modes built through ``dataclasses.replace``, one field of each
+kind of mode, a pointwise product-rule residual, a per-point reference
+evaluation of analytic mode fields, the mode kernel as a loop over modes,
+per-node reference quadratures, the oriented boundary faces of a box, the
+face-by-face boundary integrals with a point-by-point field wrapper and an
+exact-bits key, the dense slice flux, the per-node frequency-domain flux and
+cone synthesis, the derived-field and mapped amplitude modes built by
+per-mode multivector algebra, the mode-table merge through a dict of Python
+key tuples, a by-value comparison of modes, the analytic field reader
+through ``Multivector`` and ``Mode`` objects with an exact key of mode
+tables, and the loop form of the identity suite.  None of these is used by
+the package."""
 
 from __future__ import annotations
 
@@ -41,17 +43,22 @@ from extcalc.algebra import (
     vec_interior_bitensor,
     wedge,
 )
-from extcalc.energy import _bitensor_tables, _stress_tables
+from extcalc.energy import _bitensor_tables, _force_table, _stress_tables
 from extcalc.fields import (
+    EXTERIOR,
+    INTERIOR,
     AnalyticField,
     GaussianEnvelope,
     Mode,
+    _derivative_table,
     _ModeTable,
     _pruned,
+    constant_field,
     exterior_derivative,
     interior_derivative,
     polynomial_field,
 )
+from extcalc.maxwell import MINKOWSKI, ClassicalFields, MaxwellSystem, classical_pack, classical_unpack
 from extcalc.integrate import HypersurfaceBox, gauss_legendre_rule
 from extcalc.serialize import ScenarioError, _reading, json_float, json_int
 
@@ -222,6 +229,88 @@ def bitensor_table_mismatches(sig: SpacetimeSignature) -> list[tuple[int, str]]:
             if not (got.shape == want.shape and np.array_equal(got, want)
                     and np.array_equal(np.signbit(got), np.signbit(want))):
                 mismatches.append((grade, kind))
+    return mismatches
+
+
+def reference_unit_table(sig: SpacetimeSignature, fn, grade: int, out_grade: int) -> np.ndarray:
+    """``T[a, b]``: component b of ``fn(e_a)`` over the unit blades a of
+    ``grade`` and b of ``out_grade``, both in ``index_lists`` order; float
+    unless an image has a complex coefficient.  For a linear ``fn``, the image
+    of a dense row u is ``u @ T``.  An image that is not a grade-``out_grade``
+    multivector of this signature raises ``ValueError``."""
+    images = [fn(Multivector.blade(sig, idx)) for idx in sig.index_lists(grade)]
+    if not all(isinstance(i, Multivector) and i.signature == sig and i.grade == out_grade for i in images):
+        raise ValueError(f"unit table needs grade-{out_grade} images on {sig}")
+    table = np.array([image.row() for image in images])
+    return table if np.iscomplexobj(table) else table.astype(float)
+
+
+def _mapped_tables(call) -> list[np.ndarray]:
+    """The tables that ``call()`` hands to ``AnalyticField._mapped``, in call order."""
+    seen, original = [], AnalyticField._mapped
+
+    def recording(self, table, grade):
+        seen.append(table)
+        return original(self, table, grade)
+
+    AnalyticField._mapped = recording
+    try:
+        call()
+    finally:
+        AnalyticField._mapped = original
+    return seen
+
+
+def _bridge_reference_tables() -> dict[str, list[np.ndarray]]:
+    """The ``reference_unit_table`` of each amplitude map of ``classical_pack``
+    and ``classical_unpack``, in the order they apply them."""
+    sig = MINKOWSKI
+    e0, e123 = Multivector.blade(sig, (0,)), Multivector.blade(sig, (1, 2, 3))
+    return {
+        "pack": [reference_unit_table(sig, lambda a: wedge(e0, a), 1, 2),
+                 reference_unit_table(sig, lambda b: right_interior(e123, b), 1, 2),
+                 reference_unit_table(sig, lambda a: Multivector.blade(sig, (0,), a.scalar_value()), 0, 1)],
+        "unpack": [reference_unit_table(sig, lambda a: left_interior(e0, a), 2, 1),
+                   reference_unit_table(sig, lambda a: left_interior(a, e123), 2, 1),
+                   reference_unit_table(sig, lambda a: Multivector.scalar(sig, a.coeff((0,))), 1, 0),
+                   reference_unit_table(sig, lambda a: Multivector(sig, 1, {i: c for i, c in a.terms.items()
+                                                                             if 0 not in i}), 1, 1)],
+    }
+
+
+def product_table_mismatches(sig: SpacetimeSignature) -> list[tuple]:
+    """The derivative (grade, kind), force (grade) and, on (1,3), classical
+    pack and unpack (position) tables that differ from the
+    ``reference_unit_table`` stack of their product maps in shape, dtype, a
+    value or the sign of a zero.  The pack and unpack tables are the ones
+    ``classical_pack`` and ``classical_unpack`` hand to ``_mapped``."""
+    def differ(got, want):
+        return not (got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
+                    and np.array_equal(np.signbit(got), np.signbit(want)))
+
+    mismatches = []
+    for grade in range(sig.dim + 1):
+        for kind, product, out in ((EXTERIOR, wedge, grade + 1), (INTERIOR, left_interior, grade - 1)):
+            if 0 <= out <= sig.dim:
+                want = np.stack([reference_unit_table(sig, lambda a, i=i: product(
+                    Multivector.blade(sig, (i,), sig.metric(i)), a), grade, out) for i in sig.axes()])
+                if differ(_derivative_table(sig, grade, kind), want):
+                    mismatches.append(("derivative", grade, kind))
+        if grade >= 1:
+            want = np.stack([reference_unit_table(sig, lambda a, s=s: left_interior(Multivector.blade(sig, s), a),
+                                                  grade, 1) for s in sig.index_lists(grade - 1)])
+            if differ(_force_table(sig, grade), want):
+                mismatches.append(("force", grade))
+    if sig == MINKOWSKI:
+        cf = ClassicalFields(E=AnalyticField(sig, 1), B=AnalyticField(sig, 1), rho=AnalyticField(sig, 0),
+                             j=AnalyticField(sig, 1))
+        system = MaxwellSystem(sig, 2, constant_field(Multivector.blade(sig, (0, 1))))
+        got = {"pack": _mapped_tables(lambda: classical_pack(cf)),
+               "unpack": _mapped_tables(lambda: classical_unpack(system))}
+        for name, tables in _bridge_reference_tables().items():
+            if len(got[name]) != len(tables):
+                mismatches.append((name, "count"))
+            mismatches += [(name, n) for n, (g, w) in enumerate(zip(got[name], tables)) if differ(g, w)]
     return mismatches
 
 
@@ -432,8 +521,9 @@ def reference_partial_modes(modes: Sequence[Mode], axis: int) -> list[Mode]:
 
 
 def reference_map_amplitudes(field: AnalyticField, fn, grade: int) -> list[Mode]:
-    """The modes of ``field.map_amplitudes(fn, grade)`` by the per-mode route:
-    ``fn`` applied to each whole amplitude, then merged."""
+    """The modes of ``field`` with the linear ``fn`` mapping every amplitude
+    to grade ``grade``, by the per-mode route: ``fn`` applied to each whole
+    amplitude, then merged."""
     return reference_merged_modes(dataclasses.replace(m, amplitude=fn(m.amplitude)) for m in field.modes)
 
 

@@ -19,7 +19,6 @@ from extcalc.algebra import (
     odot,
     owedge,
     right_interior,
-    unit_table,
     vec_interior_bitensor,
     verify_identities,
     wedge,
@@ -32,6 +31,7 @@ from extcalc.energy import stress_tensor_def
 from _support import (
     _difference,
     merge_with_sign,
+    product_table_mismatches,
     reference_product,
     reference_verify_identities,
     sort_with_sign,
@@ -297,17 +297,30 @@ def test_dense_rows_round_trip():
     assert Bitensor.from_row(sig, t.row()) == t
 
 
-def test_unit_table_tabulates_a_linear_map_and_checks_its_images():
+def test_product_table_lays_out_unit_blade_products():
     sig = SpacetimeSignature(1, 2)
-    e0 = Multivector.blade(sig, (0,))
     # e_0 ^ e_0 = 0, e_0 ^ e_1 = e_01, e_0 ^ e_2 = e_02
-    table = unit_table(sig, lambda u: wedge(e0, u), 1, 2)
-    assert table.dtype == float and table.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-    assert unit_table(sig, lambda u: 1j * u, 1, 1).tolist() == (1j * np.eye(3)).tolist()
-    with pytest.raises(ValueError, match="grade-1 images"):
-        unit_table(sig, lambda u: wedge(e0, u), 1, 1)
-    with pytest.raises(ValueError, match="grade-1 images"):
-        unit_table(sig, lambda u: Multivector.zero(EUC3, 1), 1, 1)
+    table = algebra._product_table(sig, "w", 1, 1)
+    assert table.dtype == float and table.shape == (3, 3, 3)
+    assert table[0].tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    # a product that leaves the grade range has no columns
+    assert algebra._product_table(sig, "w", 2, 2).shape == (3, 3, 0)
+    assert algebra._product_table(sig, "l", 2, 1).shape == (3, 3, 0)
+    # cached and shared, so read-only
+    assert algebra._product_table(sig, "w", 1, 1) is table
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
+def test_product_tables_are_the_reference_unit_tables_bit_for_bit():
+    # derivative, force and classical pack and unpack tables against the
+    # reference stack of their product maps; the k + n = 6 signatures run in CI
+    cases = 0
+    for d in range(1, 6):
+        for k in range(d + 1):
+            assert product_table_mismatches(SpacetimeSignature(k, d - k)) == [], (k, d - k)
+            cases += 1
+    assert cases == 20
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,8 @@ def test_shipped_reports_keep_their_recorded_values(capsys, name, argv):
     got = json.loads(out)
     _within(got, want, 1e-3 * want["tol"])
     assert got.get("synth_modes") == want.get("synth_modes")
-    if name == "stress-energy-vacuum_plane_wave":
-        # the run reads the stress table, which must keep every report byte
+    if name in ("stress-energy-vacuum_plane_wave", "maxwell-check-nonconserved_source"):
+        # the runs read the stress table and the derivative tables, which must keep every report byte
         assert out == recorded
 
 
@@ -423,6 +423,9 @@ def assert_usage_error(code, out, err):
     ("maxwell-check", "seed", True),
     ("stress-energy", "seed", 1.5),
     ("maxwell-check", "sample_points", "3"),
+    # more points than numpy can shape: refused before any allocation
+    ("maxwell-check", "sample_points", 1e18),
+    ("stress-energy", "sample_points", 1e20),
     ("flux-compare", "slice_points", 8.7),
     ("flux-compare", "freq_panels", True),
     ("flux-compare", "r", 1.5),

@@ -156,7 +156,7 @@ def _symmetrised(table):
 
 def test_stress_table_is_the_explicit_formula():
     # the definition route's bilinear table, the contraction of the public
-    # products' unit tables that odot and owedge read, equals the explicit
+    # products' unit-blade tables that odot and owedge read, equals the explicit
     # formula's triples as arrays: every coefficient is a multiple of 1/8,
     # so the comparison is exact
     cases = 0
