@@ -289,9 +289,19 @@ def _check_gauge(scenario: Scenario, system: MaxwellSystem, points: np.ndarray) 
             "potential_consistency_max": _worst(rows(EXTERIOR) - system.F.evaluate_components(points))}
 
 
+def _rule_shape(points: int, panels: int, names: str) -> None:
+    """Refuse, as a bad configuration, a composite rule numpy cannot shape:
+    one whose points x panels nodes or panels + 1 edges per axis do not fit
+    an index, which would end in an OverflowError or IndexError traceback."""
+    if max(points * panels, panels + 1) > np.iinfo(np.intp).max:
+        raise ScenarioError(f"{names}: {points} points on {panels} panels per axis "
+                            f"are more than numpy can shape")
+
+
 def cmd_maxwell_check(args) -> int:
     scenario, system, rng, points = _scenario_run(args)
     quad_points = args.points if args.points is not None else 8
+    _rule_shape(quad_points, 1, "--points")
 
     checks: dict = {}
     located = None
@@ -426,6 +436,8 @@ def cmd_flux_compare(args) -> int:
         freq_points, freq_panels, slice_points, slice_panels = (
             json_int(data.get(key, default), key, least=1) for key, default in
             (("freq_points", 24), ("freq_panels", 2), ("slice_points", 8), ("slice_panels", 16)))
+        _rule_shape(freq_points, freq_panels, "freq_points and freq_panels")
+        _rule_shape(slice_points, slice_panels, "slice_points and slice_panels")
         tol = args.tol if args.tol is not None else json_float(data.get("tol", 0.01), "tol")
         a_hat = _bump_factory(data["spectrum"], sig, axis, r)
 

@@ -354,48 +354,92 @@ def _axis_sign(sig: SpacetimeSignature, axis: int) -> int:
     return _sign_tables(sig).lookup("w")[(axis,)][comp][1]
 
 
-def _slice_moments(rows: np.ndarray, const: np.ndarray, grams) -> np.ndarray:
-    """Q[p, q] = sum over the slice nodes of w F_p F_q, from per-axis Grams.
+def _slice_moments(rows: np.ndarray, const: np.ndarray, axes) -> np.ndarray:
+    """Q[p, q] = sum over the slice nodes of w F_p F_q, from per-axis factors.
 
     F = sum_m rows[m] Re(c_m prod_a E_a[inverse_a[m]]) on the tensor-product
-    rule whose per-axis distinct factor rows E_a and weights w_a give the
-    ``grams`` (G+_a, conj(G-_a), inverse_a), with G+_a = (E_a w_a) E_a^T and
-    conj(G-_a) = conj(E_a w_a) E_a^T.  With Re(u) Re(v) = Re(u v + u conj(v))
-    / 2 and the weight a product over axes, each pair of modes integrates to
+    rule whose per-axis distinct factor rows E_a and weights w_a are the
+    ``axes`` (E_a, w_a, inverse_a).  With Re(u) Re(v) = Re(u v + u conj(v)) / 2
+    and the weight a product over axes, each pair of modes integrates to
     Re(c_m c_n prod_a G+_a[m', n'] + conj(c_m) c_n prod_a conj(G-_a[m', n'])) / 2,
-    where m' = inverse_a[m] and n' = inverse_a[n].
+    where m' = inverse_a[m], n' = inverse_a[n] and the Grams are
+    ``_axis_grams``: G+_a = (E_a w_a) E_a^T and conj(G-_a) = conj(E_a w_a) E_a^T.
 
     When the grid of distinct keys has at most ``_KRONECKER_CELLS`` cells per
     mode, the modes are summed into it and the pair sum is the Kronecker
-    contraction ``_kronecker_moments``; otherwise ``_blocked_moments`` sums
-    the pairs directly.
+    contraction ``_kronecker_moments``, which takes each axis in node or Gram
+    form, whichever is cheaper; otherwise ``_blocked_moments`` sums the pairs
+    directly, with every axis's Grams.
     """
-    shape = tuple(len(plus) for plus, _, _ in grams)
+    shape = tuple(len(distinct) for distinct, _, _ in axes)
     if math.prod(shape) <= _KRONECKER_CELLS * len(rows):
-        return _kronecker_moments(rows, const, grams, shape)
-    return _blocked_moments(rows, const, grams)
+        return _kronecker_moments(rows, const, axes, shape)
+    return _blocked_moments(rows, const, axes)
 
 
-def _kronecker_moments(rows: np.ndarray, const: np.ndarray, grams, shape: tuple) -> np.ndarray:
+def _axis_grams(distinct: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G+ = (E w) E^T and conj(G-) = conj(E w) E^T of one axis's distinct
+    factor rows E and rule weights w."""
+    left = distinct * weights
+    return left @ distinct.T, left.conj() @ distinct.T
+
+
+def _node_axes(axes, ncomp: int) -> list[int]:
+    """The axes ``_kronecker_moments`` takes in node form.
+
+    Taken in turn, axis a is in node form where rest, the product of the
+    grid's other current sizes (ncomp included), is below its u_a distinct
+    keys: moving the grid to the nodes costs u_a n_a rest, and building the
+    Grams u_a^2 n_a.  A node-form axis then counts its n_a nodes.  No size
+    is divided by, so an empty grid (a field without modes) is no special
+    case: every axis keeps Gram form."""
+    sizes = [len(distinct) for distinct, _, _ in axes] + [ncomp]
+    node = []
+    for i, (distinct, weights, _) in enumerate(axes):
+        if math.prod(sizes[:i] + sizes[i + 1:]) < len(distinct):
+            sizes[i] = len(weights)
+            node.append(i)
+    return node
+
+
+def _kronecker_moments(rows: np.ndarray, const: np.ndarray, axes, shape: tuple) -> np.ndarray:
     """The pair sum over the (u_1 x ... x u_d x ncomp) grid C of c_m rows[m]
-    scattered on each mode's distinct keys: each axis's Gram is applied along
-    its grid axis, and Q = Re(C^T (G+ C) + C^H (conj(G-) C)) / 2."""
+    scattered on each mode's distinct keys, Q = Re(C^T (G+ C) + C^H (conj(G-) C)) / 2
+    with G+ and conj(G-) the Kronecker products of the axes' Grams.
+
+    Each axis takes one of two exact forms, chosen by ``_node_axes``.  In
+    node form E_a^T is applied along its grid axis, which then runs over the
+    axis's n_a nodes, and the weights w_a take the place of both Grams, since
+    C^T (E w E^T) C = V^T w V and C^H (conj(E) w E^T) C = V^H w V with
+    V = E^T C.  In Gram form the axis's two Grams are applied along it.
+    """
     ncomp = rows.shape[1]
     cells = np.zeros((math.prod(shape), ncomp), dtype=complex)
-    np.add.at(cells, np.ravel_multi_index([inverse for *_, inverse in grams], shape),
+    np.add.at(cells, np.ravel_multi_index([inverse for *_, inverse in axes], shape),
               const[:, None] * rows)
-    plus = minus = cells.reshape(*shape, ncomp)
-    for i, (gram_plus, gram_minus, _) in enumerate(grams):
-        plus = np.moveaxis(np.tensordot(gram_plus, plus, axes=(1, i)), 0, i)
-        minus = np.moveaxis(np.tensordot(gram_minus, minus, axes=(1, i)), 0, i)
+    cells = cells.reshape(*shape, ncomp)
+    node_axes = _node_axes(axes, ncomp)
+    for i in node_axes:
+        cells = np.moveaxis(np.tensordot(axes[i][0], cells, axes=(0, i)), 0, i)
+    plus = cells
+    for i in node_axes:
+        plus = plus * np.expand_dims(axes[i][1], [j for j in range(cells.ndim) if j != i])
+    minus = plus
+    for i, (distinct, weights, _) in enumerate(axes):
+        if i not in node_axes:
+            gram_plus, gram_minus = _axis_grams(distinct, weights)
+            plus = np.moveaxis(np.tensordot(gram_plus, plus, axes=(1, i)), 0, i)
+            minus = np.moveaxis(np.tensordot(gram_minus, minus, axes=(1, i)), 0, i)
+    cells = cells.reshape(-1, ncomp)
     return 0.5 * (cells.T @ plus.reshape(-1, ncomp) + cells.conj().T @ minus.reshape(-1, ncomp)).real
 
 
-def _blocked_moments(rows: np.ndarray, const: np.ndarray, grams) -> np.ndarray:
+def _blocked_moments(rows: np.ndarray, const: np.ndarray, axes) -> np.ndarray:
     """The pair sum over every pair of modes, with each axis's Grams gathered
     onto the modes; rows of modes are taken ``_GRAM_BLOCK`` at a time, so
     memory stays at one block times the mode count."""
     nmodes, ncomp = rows.shape
+    grams = [(*_axis_grams(distinct, weights), inverse) for distinct, weights, inverse in axes]
     moments = np.zeros((ncomp, ncomp))
     for lo in range(0, nmodes, _GRAM_BLOCK):
         blk = slice(lo, lo + _GRAM_BLOCK)
@@ -420,11 +464,14 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
     column is quadratic in the field, so the rule is applied once to every
     component product, Q[p, q] = sum w F_p F_q, and the ``_stress_tables``
     triples of ``stress_tensor_explicit`` are applied to Q.  Every mode is a
-    product of one-axis factors, so Q is a contraction of per-axis Grams of
-    the distinct factor rows (``AnalyticField.axis_factors``), not a
+    product of one-axis factors, so Q is a contraction of each axis's
+    distinct factor rows (``AnalyticField.axis_factors``), not a
     node-by-node evaluation; when modes share their keys, as synthesized
-    modes on a grid of cone nodes do, it is a Kronecker product of those
-    Grams (``_slice_moments``).  The field must be analytic and real (cosine
+    modes on a grid of cone nodes do, it is a Kronecker product in which
+    each axis takes the cheaper exact form: node form, the factor rows at
+    the axis's nodes with its weights, where its distinct keys outnumber the
+    grid's other sizes times the component count, and Gram form otherwise
+    (``_slice_moments``).  The field must be analytic and real (cosine
     modes, real amplitudes).  Bounds default to the envelope truncation radii
     and must be given explicitly for fields without envelopes.
     """
@@ -441,12 +488,8 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
              for a in slice_box.free_axes}
     rows, const, factors = f_field.axis_factors(slice_box.fixed,
                                                 {a: nodes for a, (nodes, _) in rules.items()})
-    grams = []
-    for a in slice_box.free_axes:
-        distinct, inverse = factors[a]
-        left = distinct * rules[a][1]
-        grams.append((left @ distinct.T, left.conj() @ distinct.T, inverse))
-    moments = _slice_moments(rows, const, grams)
+    moments = _slice_moments(rows, const, [(factors[a][0], rules[a][1], factors[a][1])
+                                           for a in slice_box.free_axes])
     sign = _axis_sign(sig, axis)
     tables = _stress_tables(sig, f_field.grade)
     out = {}

@@ -156,8 +156,10 @@ def test_shipped_reports_keep_their_recorded_values(capsys, name, argv):
     got = json.loads(out)
     _within(got, want, 1e-3 * want["tol"])
     assert got.get("synth_modes") == want.get("synth_modes")
-    if name in ("stress-energy-vacuum_plane_wave", "maxwell-check-nonconserved_source"):
-        # the runs read the stress table and the derivative tables, which must keep every report byte
+    if name in ("stress-energy-vacuum_plane_wave", "maxwell-check-nonconserved_source",
+                "flux-compare-flux_compare_14"):
+        # the runs read the stress table and the derivative tables, which must keep every report
+        # byte, and the (1,4) slice flux takes Gram form on each of its four axes
         assert out == recorded
 
 
@@ -426,6 +428,13 @@ def assert_usage_error(code, out, err):
     # more points than numpy can shape: refused before any allocation
     ("maxwell-check", "sample_points", 1e18),
     ("stress-energy", "sample_points", 1e20),
+    # quadrature counts from 2 ** 63 up do not fit an index: refused before any allocation
+    ("maxwell-check", "--points", 10 ** 20),
+    ("maxwell-check", "--points", 2 ** 63),
+    ("flux-compare", "slice_points", 1e20),
+    ("flux-compare", "freq_points", 1e20),
+    ("flux-compare", "slice_panels", 2 ** 63),
+    ("flux-compare", "freq_panels", 2 ** 64),
     ("flux-compare", "slice_points", 8.7),
     ("flux-compare", "freq_panels", True),
     ("flux-compare", "r", 1.5),

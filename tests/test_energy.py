@@ -41,6 +41,7 @@ from extcalc.fields import (
     GaussianEnvelope,
     GridField,
     Mode,
+    _cosine_field,
     exterior_derivative_field,
     interior_derivative,
     interior_derivative_field,
@@ -497,22 +498,30 @@ def random_slice_field(sig, grade, rng, kind, nmodes=3):
     return AnalyticField(sig, grade, modes)
 
 
-def assert_matches_dense_flux(f, axis, bounds, points, panels, route=None):
-    """The direct flux against the dense reference at 1e-12 relative; with
-    ``route``, also that the moments took that route ("kronecker" or
-    "blocked")."""
-    taken = []
+def assert_matches_dense_flux(f, axis, bounds, points, panels, route=None, forms=None):
+    """The direct flux against the dense reference at 1e-12 relative (exactly,
+    for a field without modes); with ``route``, also that the moments took
+    that route ("kronecker" or "blocked"), and with ``forms``, that each free
+    axis took that form ("node" or "gram"; the blocked route takes Gram form
+    on every axis)."""
+    taken, node_axes = [], []
     with pytest.MonkeyPatch.context() as patch:
         for name in ("kronecker", "blocked"):
             inner = getattr(energy, f"_{name}_moments")
             patch.setattr(energy, f"_{name}_moments",
                           lambda *args, inner=inner, name=name: taken.append(name) or inner(*args))
+        patch.setattr(energy, "_node_axes", lambda *args, inner=energy._node_axes:
+                      node_axes.append(inner(*args)) or node_axes[-1])
         got = flux_T_direct(f, axis, 0.3, bounds=bounds, points=points, panels=panels)
     want = reference_flux_T_direct(f, axis, 0.3, bounds, points=points, panels=panels)
     scale = want.max_abs()
-    assert scale > 0
+    assert (scale > 0) == (f.mode_count > 0)
     assert (got - want).max_abs() <= 1e-12 * scale
     assert len(taken) == 1 and route in (None, taken[0])
+    assert len(node_axes) == (taken[0] == "kronecker")
+    node = node_axes[0] if node_axes else []
+    taken_forms = tuple("node" if i in node else "gram" for i in range(len(bounds)))
+    assert forms in (None, taken_forms)
 
 
 @pytest.mark.parametrize("kind", ["cos", "monomial", "envelope", "mixed"])
@@ -536,9 +545,11 @@ def test_flux_direct_matches_the_dense_reference_across_mode_blocks():
                               route="blocked")
 
 
-@pytest.mark.parametrize("k,n,r", [(1, 1, 1), (1, 2, 2), (1, 3, 2)])
-def test_flux_direct_matches_the_dense_reference_on_synthesized_fields(k, n, r):
-    # modes on the grid of cone nodes share their factor rows: the Kronecker route
+@pytest.mark.parametrize("k,n,r,forms", [(1, 1, 1, ("node",)), (1, 2, 2, ("gram",) * 2),
+                                         (1, 3, 2, ("gram",) * 3)])
+def test_flux_direct_matches_the_dense_reference_on_synthesized_fields(k, n, r, forms):
+    # modes on the grid of cone nodes share their factor rows: the Kronecker route;
+    # on (1,1) the 4 distinct keys outnumber the 2 components, so node form
     sig = SpacetimeSignature(k, n)
     # a spectrum as a config holds it: JSON object keys are strings
     spectrum = {"kind": "scalar" if r == 1 else "spatial-transverse", "width": 0.3,
@@ -549,7 +560,29 @@ def test_flux_direct_matches_the_dense_reference_on_synthesized_fields(k, n, r):
     assert potential.mode_count == 4 ** (sig.dim - 1)
     f = exterior_derivative_field(potential)
     assert_matches_dense_flux(f, 0, {a: (-2.0, 2.5) for a in range(1, sig.dim)}, points=4,
-                              panels=2, route="kronecker")
+                              panels=2, route="kronecker", forms=forms)
+
+
+def test_flux_direct_takes_node_form_on_one_axis_and_gram_form_on_the_other():
+    # 64 distinct xi_1 against 2 xi_2 x 3 components: axis 1 in node form; axis 2's
+    # 2 keys against axis 1's 10 nodes x 3 components: Gram form
+    rng = np.random.default_rng(28)
+    xi = np.zeros((64, 3))
+    xi[:, 1] = rng.uniform(-0.9, 0.9, 64)
+    xi[:, 2] = np.where(np.arange(64) % 2, 0.4, -0.3)
+    f = _cosine_field(M12, 1, rng.normal(size=(64, 3)), xi, rng.uniform(0, 2 * math.pi, 64))
+    assert f.mode_count == 64
+    assert_matches_dense_flux(f, 0, {1: (-1.0, 1.2), 2: (-0.8, 1.0)}, points=5, panels=2,
+                              route="kronecker", forms=("node", "gram"))
+
+
+@pytest.mark.parametrize("k,n,r", [(1, 1, 1), (1, 2, 2)])
+def test_flux_direct_of_a_field_without_modes_is_zero(k, n, r):
+    # an empty distinct-key grid: every axis in Gram form, and no division by its size
+    sig = SpacetimeSignature(k, n)
+    f = AnalyticField(sig, r)
+    assert_matches_dense_flux(f, 0, {a: (-1.0, 1.2) for a in range(1, sig.dim)}, points=4,
+                              panels=2, route="kronecker", forms=("gram",) * n)
 
 
 @pytest.mark.parametrize("k,n,route", [(1, 1, "kronecker"), (1, 2, "kronecker"), (1, 3, "blocked")])
