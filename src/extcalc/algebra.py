@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -642,24 +642,25 @@ def _gap(lhs, *rhs) -> float:
     return _worst(reduce(np.maximum, map(np.abs, sums)))
 
 
-def _gather(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``table[rows, cols]`` over broadcast in-range index arrays, as one gather
-    from the flat table: several times faster than numpy's two-array indexing."""
-    flat, stride = table.ravel(), table.shape[1]
-    return lambda rows, cols: flat[np.multiply(rows, stride, dtype=np.intp) + cols]
-
-
 @lru_cache(maxsize=None)
-def _grade_grids(dim: int) -> tuple:
-    """The suite's read-only arrays that depend on the dimension alone: basis
-    vector positions; (-1)^grade and the wedge skew and interior transpose signs
-    on blade pairs, as int16 (exact for sums of int8 table products, a quarter of
-    int64's memory); the blade pairs of grades (r, r) and (r - 1, r)."""
+def _suite_grids(dim: int) -> tuple:
+    """The suite's read-only arrays that depend on the dimension alone: the
+    wedge skew and interior transpose signs on blade pairs, as int16 (exact for
+    sums of int8 table products); per grid, the flat indices of its lookups on
+    basis vectors and blades, its row offsets and columns, and (-1)^grade."""
     grade = np.repeat(np.arange(dim + 1, dtype=np.int16), [math.comb(dim, r) for r in range(dim + 1)])
-    gu, gv = grade[:, None], grade
-    grids = (np.arange(1, dim + 1), (-1) ** grade, (-1) ** (gu * gv), (-1) ** (gu * (gu + gv)),
-             *np.nonzero(gu == gv), *np.nonzero(gu + 1 == gv))
-    for array in grids:
+    gu, gv, sign, N = grade[:, None], grade, (-1) ** grade, len(grade)
+    (W, Wp), (V, U), vec = np.nonzero(gu == gv), np.nonzero(gu + 1 == gv), np.arange(1, dim + 1)
+    v3, v2, B = vec[:, None, None], vec[:, None], np.arange(N)[:, None]
+    vjW, Wpvj = v2 * N + W, Wp * N + v2
+    grids = ((-1) ** (gu * gv), (-1) ** (gu * (gu + gv)),
+             # vi (dim, 1, 1), vj (dim, 1), and the pairs W, Wp of grades (r, r) on the last axis
+             (vjW[:, None], Wpvj, vjW, Wpvj[:, None], W * N + Wp, v3 * N + v2, sign[W]),
+             # vi (dim, 1, 1), every blade W (N, 1), vj (dim,)
+             (v3 * N + B, B * N + vec, vec * N + B, v3 * N + vec, v3 * N, vec * N, vec, B, sign[B]),
+             # vi (dim, 1), and the pairs V, U of grades (r - 1, r) on the last axis
+             (v2 * N + V, U * N + v2, V * N + U, v2 * N, V * N, U))
+    for array in (*grids[:2], *grids[2], *grids[3], *grids[4]):
         array.flags.writeable = False
     return grids
 
@@ -673,56 +674,55 @@ def verify_identities(sig: SpacetimeSignature, tol: float = 0.0, max_dim: int = 
     the wedge/interior dot expansion, double-interior associativity and
     antisymmetry, the interior-of-wedge expansion, and the triple-product
     equalities.  Each identity is gathers, over one grid of the blades it
-    quantifies over (all grades at once), from the signature's sign tables:
-    the integer arrays that ``wedge``, ``left_interior``, ``right_interior``
-    and ``dot`` read.  So the suite certifies the tables the package calls
-    through, and ``hodge`` and ``inv_hodge``, interior products with the
-    volume blade, with them.  Residuals are exact integers; a NaN or infinite
-    coefficient fails the run.  Only structural index and sign arrays are
-    cached, per dimension; the tables are read on every call.  ``tables``
-    replaces the sign tables, so a self-test can hand in a corrupted copy.
+    quantifies over (all grades at once), from the signature's sign tables: the
+    integer arrays that ``wedge``, ``left_interior``, ``right_interior`` and
+    ``dot`` read.  So the suite certifies the tables the package calls through,
+    and ``hodge`` and ``inv_hodge``, interior products with the volume blade,
+    with them.  Residuals are exact integers; a NaN or infinite coefficient
+    fails the run.  The tables are read on every call: the flat indices of the
+    lookups on basis vectors and grid blades are cached per dimension, those on
+    a blade read from a table are computed per call.  ``tables`` replaces the
+    sign tables, so a self-test can hand in a corrupted copy.
     """
     if sig.dim > max_dim:
         raise ValueError(
             f"identity suite refused: dimension {sig.dim} exceeds cap {max_dim}; raise max_dim explicitly")
     tables = _sign_tables(sig) if tables is None else tables
-    vec, sign, skew, transpose, *pairs = _grade_grids(sig.dim)
+    size, (skew, transpose, pairs, blades, steps) = len(tables.blades), _suite_grids(sig.dim)
 
     # wedge skew-commutativity and interior transpose, over all blade pairs
     residuals = {"wedge_skew": _gap((tables.Kw, tables.Cw), (tables.Kw.T, skew * tables.Cw.T)),
                  "interior_transpose": _gap((tables.Kl, tables.Cl), (tables.Kr.T, transpose * tables.Cr.T))}
-    Kw, Cw, Kl, Cl, Kr, Cr, D = map(_gather, (tables.Kw, tables.Cw, tables.Kl, tables.Cl,
-                                              tables.Kr, tables.Cr, tables.D))
+    Kw, Cw, Kl, Cl, Kr, Cr, D = (getattr(tables, name).ravel() for name in "Kw Cw Kl Cl Kr Cr D".split())
+    def at(rows, cols):  # the flat index of a lookup on a blade read from a table
+        return np.multiply(rows, size, dtype=np.intp) + cols
 
     # basis vectors vi, vj and blades W, Wp of one grade r, all grades at once:
     # (vi ^ W) . (Wp ^ vj) = (-1)^r (vi . vj)(W . Wp) + (vj lint W) . (Wp rint vi)
-    (W, Wp), vi, vj = pairs[:2], vec[:, None, None], vec[:, None]
+    viW, Wpvj, vjW, Wpvi, WWp, vivj, sign = pairs
     residuals["wedge_dot_expansion"] = _worst(
-        D(Kw(vi, W), Kw(Wp, vj)) * Cw(vi, W) * Cw(Wp, vj) - sign[W] * D(W, Wp) * D(vi, vj)
-        - D(Kl(vj, W), Kr(Wp, vi)) * Cl(vj, W) * Cr(Wp, vi))
+        D[at(Kw[viW], Kw[Wpvj])] * Cw[viW] * Cw[Wpvj] - sign * D[WWp] * D[vivj]
+        - D[at(Kl[vjW], Kr[Wpvi])] * Cl[vjW] * Cr[Wpvi])
 
     # basis vectors vi, vj and a blade W of every grade r
-    vi, W, vj = vec[:, None, None], np.arange(len(sign))[:, None], vec
-    Li, ci = Kl(vi, W), Cl(vi, W)
+    viW, Wvj, vjW, vivj, viN, vjN, vj, W, sign = blades
+    Li, ci = Kl[viW], Cl[viW]
     # vi lint (W rint vj) = (vi lint W) rint vj
-    K = Kr(W, vj)
-    residuals["double_interior_assoc"] = _gap((Kl(vi, K), Cl(vi, K) * Cr(W, vj)),
-                                              (Kr(Li, vj), Cr(Li, vj) * ci))
+    vi_K, Li_vj = viN + Kr[Wvj], at(Li, vj)
+    residuals["double_interior_assoc"] = _gap((Kl[vi_K], Cl[vi_K] * Cr[Wvj]), (Kr[Li_vj], Cr[Li_vj] * ci))
     # vi lint (vj lint W) = -vj lint (vi lint W)
-    Lj, cj = Kl(vj, W), Cl(vj, W)
-    residuals["double_interior_antisym"] = _gap((Kl(vi, Lj), Cl(vi, Lj) * cj), (Kl(vj, Li), -Cl(vj, Li) * ci))
+    vi_Lj, vj_Li = viN + Kl[vjW], vjN + Li
+    residuals["double_interior_antisym"] = _gap((Kl[vi_Lj], Cl[vi_Lj] * Cl[vjW]), (Kl[vj_Li], -Cl[vj_Li] * ci))
     # vi lint (vj ^ W) = (-1)^r (vi . vj) W + vj ^ (vi lint W)
-    K = Kw(vj, W)
-    residuals["interior_of_wedge"] = _gap((Kl(vi, K), Cl(vi, K) * Cw(vj, W)),
-                                          (W, sign[W] * D(vi, vj)), (Kw(vj, Li), Cw(vj, Li) * ci))
+    vi_K = viN + Kw[vjW]
+    residuals["interior_of_wedge"] = _gap((Kl[vi_K], Cl[vi_K] * Cw[vjW]), (W, sign * D[vivj]),
+                                          (Kw[vj_Li], Cw[vj_Li] * ci))
 
-    # basis vector vi, V of grade r - 1 and W of grade r:
-    # (vi ^ V) . W = V . (W rint vi) = vi . (V lint W)
-    (V, W), vi = pairs[2:], vec[:, None]
-    lhs = D(Kw(vi, V), W) * Cw(vi, V)
-    residuals["triple_product"] = _worst([lhs - D(V, Kr(W, vi)) * Cr(W, vi), lhs - D(vi, Kl(V, W)) * Cl(V, W)])
+    # basis vector vi, V of grade r - 1, U of grade r: (vi ^ V) . U = V . (U rint vi) = vi . (V lint U)
+    viV, Uvi, VU, viN, VN, U = steps
+    lhs = D[at(Kw[viV], U)] * Cw[viV]
+    residuals["triple_product"] = _worst([lhs - D[VN + Kr[Uvi]] * Cr[Uvi], lhs - D[viN + Kl[VU]] * Cl[VU]])
 
     # one check per element of each grid above, the triple product's counting twice
-    checks = 2 * len(sign) ** 2 + len(vec) ** 2 * (3 * len(sign) + len(Wp)) + 2 * len(vec) * len(V)
-    passed = all(v <= tol for v in residuals.values())
-    return IdentityReport(signature=sig, residuals=residuals, checks=checks, passed=passed)
+    checks = 2 * size ** 2 + sig.dim ** 2 * (3 * size + len(WWp)) + 2 * sig.dim * len(VU)
+    return IdentityReport(sig, residuals, checks, all(v <= tol for v in residuals.values()))

@@ -188,13 +188,18 @@ def cmd_verify_identities(args) -> int:
     nmax = args.nmax if args.nmax is not None else IDENTITY_DIM_CAP
     if kmax < 0 or nmax < 0 or kmax + nmax < 1:
         raise ScenarioError(f"need kmax + nmax >= 1, got ({kmax}, {nmax})")
+    # on one axis the only pair of basis vectors is e_0 ^ e_0 = 0: the flip would corrupt nothing
+    if args.self_test_corruption and kmax + nmax < 2:
+        raise ScenarioError("--self-test-corruption needs a signature with k + n >= 2 in the sweep, "
+                            f"got kmax + nmax = {kmax + nmax}")
     tol = args.tol if args.tol is not None else 0.0
 
     entries = []
     worst = 0.0
-    for k in range(kmax + 1):
-        for n in range(nmax + 1):
-            if not 1 <= k + n <= IDENTITY_DIM_CAP:
+    # no signature beyond the cap is swept, however large the flag
+    for k in range(min(kmax, IDENTITY_DIM_CAP) + 1):
+        for n in range(min(nmax, IDENTITY_DIM_CAP - k) + 1):
+            if k + n < 1:
                 continue
             sig = SpacetimeSignature(k, n)
             tables = _flipped_vector_wedge(sig) if args.self_test_corruption else None

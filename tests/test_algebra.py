@@ -543,6 +543,31 @@ def test_verify_identities_reads_the_tables_on_every_call():
     assert verdicts == [True, False, True]
 
 
+def _suite_arrays(dim):
+    """Every array the identity suite caches for a dimension."""
+    skew, transpose, *grids = algebra._suite_grids(dim)
+    return [skew, transpose, *(array for grid in grids for array in grid)]
+
+
+def test_suite_cache_holds_structure_only():
+    # the cached arrays are read-only and no run writes a table value into them:
+    # clean, flipped, NaN-dot and clean tables in turn on one signature
+    sig = SpacetimeSignature(1, 3)
+    before = [array.copy() for array in _suite_arrays(sig.dim)]
+    tables = algebra._sign_tables(sig)
+    D = tables.D.astype(float)
+    D[3, 3] = math.nan
+    runs = [verify_identities(sig, tables=t) for t in (None, _flipped_vector_wedge(sig),
+                                                        dataclasses.replace(tables, D=D), None)]
+    assert [report.passed for report in runs] == [True, False, False, True]
+    assert math.isnan(runs[2].max_residual)
+    cached = _suite_arrays(sig.dim)
+    assert all(not array.flags.writeable for array in cached)
+    assert len(cached) == len(before)
+    assert all(array.dtype == old.dtype and np.array_equal(array, old) for array, old in zip(cached, before))
+    assert _outcome(runs[3]) == _outcome(runs[0])
+
+
 def test_identity_report_max_residual_keeps_a_nan():
     # the builtin max() dropped a NaN that did not come first, giving 0.0
     sig = SpacetimeSignature(1, 2)

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,33 @@ def test_verify_identities_detects_injected_corruption(capsys):
                        "--self-test-corruption")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize("kmax,nmax", [("1", "0"), ("0", "1")])
+def test_self_test_corruption_refuses_a_one_dimensional_sweep(capsys, kmax, nmax):
+    # e_0 ^ e_0 = 0 is the only vector pair on one axis, so the flip corrupts
+    # nothing and the self-test would pass
+    code, out, err = run(capsys, "verify-identities", "--kmax", kmax, "--nmax", nmax,
+                         "--self-test-corruption")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "k + n >= 2" in err
+
+
+def test_verify_identities_sweep_ends_for_a_huge_axis_flag(tmp_path):
+    # in a subprocess with a timeout, so that a sweep that never ends fails
+    # this test instead of stopping the suite
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    huge = "100000000000000000000"
+    done = subprocess.run([sys.executable, "-m", "extcalc.cli", "verify-identities", "--kmax", huge],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["kmax"], report["nmax"]) == (int(huge), 6)
+    code = main(["verify-identities", "--out", str(tmp_path / "default.json")])
+    assert code == 0
+    default = json.loads((tmp_path / "default.json").read_text(encoding="utf-8"))
+    assert report["signatures"] == default["signatures"]
 
 
 def test_maxwell_check_vacuum(capsys):
