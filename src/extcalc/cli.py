@@ -147,7 +147,7 @@ def _scenario_run(args) -> tuple[Scenario, MaxwellSystem, np.random.Generator, n
         shape = field.values.shape[:-1]
         if any(s < 3 for s in shape):
             raise ScenarioError("grid fields need at least 3 sites per axis for derivatives")
-    # a count beyond what numpy can shape is a bad scenario, not a failed check
+    # a count beyond what numpy can shape or allocate is a bad scenario, not a failed check
     with _reading("sample_points"):
         if isinstance(field, GridField):
             sites = np.stack([rng.integers(1, s - 1, size=scenario.sample_points) for s in shape],
@@ -233,6 +233,8 @@ def _check_differential(system: MaxwellSystem, points: np.ndarray, tol: float) -
     if _worst(list(block.values())) <= tol or _worst(magnitudes) == 0.0:
         return block, None
     x = points[int(np.argmax(magnitudes)) // magnitudes.shape[1]]
+    # re-evaluated alone: its J.evaluate(x) is the per-point evaluation behind the traced
+    # maxwell-check's fields.point_evals > 0 in benchmarks/test_benchmark.py's tracer test
     terms = [(abs(c), side, idx) for side, mv in zip(("inhom", "hom"), maxwell_residuals(system, x))
              for idx, c in mv.terms.items()]
     if not terms:

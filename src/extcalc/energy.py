@@ -303,14 +303,15 @@ def tensor_identity_check(f_field, x: Sequence[float]) -> tuple[Multivector, Mul
     (x_1^2, x_0) has a divergence-free interior derivative, yet the
     interior-product bitensor has nonzero divergence (x_0 x_1, x_1^2 / 2).
 
-    Exact form for any smooth field, with d_j F the partial along axis j:
+    Exact form for any smooth field, with d_j F the partial along axis j and
+    dF, delta F the exterior and interior derivatives:
 
         A_i = (1/2) Delta_ii sum_j Delta_jj
               dot(left_interior(e_i, d_j F), right_interior(F, e_j))
         B_i = (1/2) Delta_ii sum_j Delta_jj dot(wedge(e_i, d_j F), wedge(F, e_j))
 
-        res_odot   = A - (1/2) left_interior(interior_derivative(F), F)
-        res_owedge = B - (1/2) right_interior(exterior_derivative(F), F)
+        res_odot   = A - (1/2) left_interior(delta F, F)
+        res_owedge = B - (1/2) right_interior(dF, F)
 
     A single scalar profile makes A and B equal to the subtracted halves, so
     both residuals vanish; in general only their sum does.

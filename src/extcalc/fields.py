@@ -16,11 +16,11 @@ slice ``partial_components(axis, points)``, and the per-point one-row cases
 * ``GridField`` samples a field on a rectangular lattice and differentiates
   with second-order central differences.
 
-The exterior and interior derivatives are linear in the partials, so over a
-point array each is the sum over axes of the jet's partial rows times a table of
-``wedge``/``left_interior`` on unit blades, a slice of the one cached table
-of those products, ``algebra._product_table``; the per-point forms are the
-one-row case.
+The exterior and interior derivatives are linear in the partials and come
+in two forms: rows over a point array (``*_components``), the jet's partial
+rows times a table of ``wedge``/``left_interior`` on unit blades summed over
+axes, a slice of the one cached ``algebra._product_table``; and exact
+analytic fields (``*_field``), the merged partial table gathered through it.
 
 The wave phase is theta(x) = 2 pi sum_i Delta_ii xi_i x_i + phi, i.e. the
 metric dot product of the frequency covector with the position.  This is the
@@ -47,11 +47,8 @@ __all__ = [
     "Mode",
     "AnalyticField",
     "GridField",
-    "exterior_derivative",
-    "interior_derivative",
     "exterior_derivative_components",
     "interior_derivative_components",
-    "dalembertian",
     "exterior_derivative_field",
     "interior_derivative_field",
     "plane_wave",
@@ -153,13 +150,13 @@ def _mode_row(dim: int, phase: float, waveform: str, xi, poly, poly_center,
 # the mode table
 #
 # An analytic field stores its modes as one table of stacked arrays, and
-# derives partial, exterior and interior derivative fields by array operations
-# on it.  The amplitudes are one float or complex array, and every operation
-# takes the per-mode ``Multivector`` algebra's steps in its order: the same
-# products and sums, the same merge order and a relative prune after each
-# addition.  So a derived table lists the same modes, in the same order, with
-# coefficients equal in value to that algebra's; Python's scalar types and
-# the signs of zeros are not kept.
+# derives its partial table and exterior and interior derivative fields by
+# array operations on it.  The amplitudes are one float or complex array, and
+# every operation takes the per-mode ``Multivector`` algebra's steps in its
+# order: the same products and sums, the same merge order and a relative
+# prune after each addition.  So a derived table lists the same modes, in the
+# same order, with coefficients equal in value to that algebra's; Python's
+# scalar types and the signs of zeros are not kept.
 # ---------------------------------------------------------------------------
 
 # columns of ``_ModeTable.data``: three scalars, then blocks of dim columns
@@ -425,7 +422,7 @@ class AnalyticField:
     objects built from the table on first access.
     """
 
-    __slots__ = ("signature", "grade", "_table", "_modes", "_partials", "_arrays")
+    __slots__ = ("signature", "grade", "_table", "_modes", "_arrays")
 
     def __init__(self, signature: SpacetimeSignature, grade: int, modes: Iterable[Mode] = ()):
         amps, data = [], []
@@ -448,7 +445,6 @@ class AnalyticField:
         self.grade = grade
         self._table = table
         self._modes: tuple[Mode, ...] | None = None
-        self._partials: tuple[_ModeTable, np.ndarray] | None = None
         self._arrays: _Kernel | None = None
 
     @classmethod
@@ -479,61 +475,51 @@ class AnalyticField:
         row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
         return Multivector.from_row(self.signature, self.grade, row)
 
-    def partial_field(self, axis: int) -> "AnalyticField":
-        """The exact partial derivative along one axis: a new field viewing its rows of ``_partial_table``."""
-        if not 0 <= axis < self.signature.dim:
-            raise IndexError(f"axis {axis} out of range")
-        table, along = self._partial_table()
-        lo, hi = np.searchsorted(along, [axis, axis + 1]).tolist()
-        return AnalyticField._from_table(self.signature, self.grade, table.take(slice(lo, hi)), merged=True)
-
     def _partial_table(self) -> tuple[_ModeTable, np.ndarray]:
         """The partials along every axis as one merged table, axis by axis, and
-        each row's axis, built from one pass over the table and cached.  Each
-        mode gives up to four modes, in this order: its monomial factor
-        differentiated (amplitude times the exponent, exponent lowered), its
-        waveform (amplitude times the phase slope s, with the phase advanced
-        by pi/2 for a cosine and the factor j s for an exponential), and its
+        each row's axis, built from one pass over the table.  Each mode gives
+        up to four modes, in this order: its monomial factor differentiated
+        (amplitude times the exponent, exponent lowered), its waveform
+        (amplitude times the phase slope s, with the phase advanced by pi/2
+        for a cosine and the factor j s for an exponential), and its
         envelope's -(x_a - e_a) / w^2 split over the monomial centre c_a
         (amplitude times -1/w^2 with the exponent raised, and amplitude times
         -(c_a - e_a)/w^2)."""
-        if self._partials is None:
-            sig, t = self.signature, self._table
-            data = t.data
-            poly = t.block(_POLY)
-            slope = 2.0 * math.pi * _metric(sig) * t.block(_XI)
-            exp = data[:, _EXP] != 0
-            # candidates c of mode m along axis a, as valid[a, m, c] and
-            # factor[a, m, c]: monomial, waveform, envelope, envelope shift
-            valid = np.zeros((sig.dim, len(data), 4), dtype=bool)
-            factor = np.zeros(valid.shape)
-            valid[:, :, 0] = poly.T != 0
-            factor[:, :, 0] = poly.T
-            valid[:, :, 1] = slope.T != 0.0
-            factor[:, :, 1] = slope.T
-            has_env = data[:, _WIDTH] > 0
-            if np.count_nonzero(has_env):
-                w2 = data[:, -1]
-                shift = (t.block(_CENTRE) - t.block(_ENV)).T
-                valid[:, :, 2] = has_env
-                valid[:, :, 3] = has_env & (shift != 0)
-                np.divide(-1.0, w2, out=factor[:, :, 2], where=has_env)
-                np.divide(-shift, w2, out=factor[:, :, 3], where=valid[:, :, 3])
-            if np.count_nonzero(exp):
-                # an exponential's waveform factor is j s
-                factor = factor.astype(complex)
-                factor[:, exp, 1] *= 1j
-            # axis by axis, then mode by mode, then in candidate order
-            along, mode, candidate = np.nonzero(valid)
-            with np.errstate(invalid="ignore"):
-                amp = _pruned(t.amp[mode] * factor[along, mode, candidate][:, None])
-            changed = data[mode]
-            rows = np.arange(len(mode))
-            changed[rows, t.column(_POLY, 0) + along] += _CANDIDATE_STEP[candidate]
-            np.add(changed[:, _PHASE], 0.5 * math.pi, out=changed[:, _PHASE],
-                   where=(candidate == 1) & ~exp[mode])
-            self._partials = _merged(_ModeTable(amp, changed), along)
-        return self._partials
+        sig, t = self.signature, self._table
+        data = t.data
+        poly = t.block(_POLY)
+        slope = 2.0 * math.pi * _metric(sig) * t.block(_XI)
+        exp = data[:, _EXP] != 0
+        # candidates c of mode m along axis a, as valid[a, m, c] and
+        # factor[a, m, c]: monomial, waveform, envelope, envelope shift
+        valid = np.zeros((sig.dim, len(data), 4), dtype=bool)
+        factor = np.zeros(valid.shape)
+        valid[:, :, 0] = poly.T != 0
+        factor[:, :, 0] = poly.T
+        valid[:, :, 1] = slope.T != 0.0
+        factor[:, :, 1] = slope.T
+        has_env = data[:, _WIDTH] > 0
+        if np.count_nonzero(has_env):
+            w2 = data[:, -1]
+            shift = (t.block(_CENTRE) - t.block(_ENV)).T
+            valid[:, :, 2] = has_env
+            valid[:, :, 3] = has_env & (shift != 0)
+            np.divide(-1.0, w2, out=factor[:, :, 2], where=has_env)
+            np.divide(-shift, w2, out=factor[:, :, 3], where=valid[:, :, 3])
+        if np.count_nonzero(exp):
+            # an exponential's waveform factor is j s
+            factor = factor.astype(complex)
+            factor[:, exp, 1] *= 1j
+        # axis by axis, then mode by mode, then in candidate order
+        along, mode, candidate = np.nonzero(valid)
+        with np.errstate(invalid="ignore"):
+            amp = _pruned(t.amp[mode] * factor[along, mode, candidate][:, None])
+        changed = data[mode]
+        rows = np.arange(len(mode))
+        changed[rows, t.column(_POLY, 0) + along] += _CANDIDATE_STEP[candidate]
+        np.add(changed[:, _PHASE], 0.5 * math.pi, out=changed[:, _PHASE],
+               where=(candidate == 1) & ~exp[mode])
+        return _merged(_ModeTable(amp, changed), along)
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
@@ -858,37 +844,15 @@ def interior_derivative_components(f, points: np.ndarray,
     return _derivative_rows(f, INTERIOR, np.asarray(points, dtype=float), axes)
 
 
-def _derivative_at(f, kind: str, x: Sequence[float], axes: Iterable[int] | None = None,
-                   slopes: Sequence[np.ndarray] | None = None) -> Multivector:
+def _derivative_at(f, kind: str, x: Sequence[float], slopes: Sequence[np.ndarray] | None = None) -> Multivector:
     """The one-row case of ``_derivative_rows`` as a multivector; the zero
     scalar when the derivative leaves the grade range."""
     sig = f.signature
     grade = _derivative_grade(f, kind)
     if grade is None:
         return Multivector.zero(sig, 0)
-    row = _derivative_rows(f, kind, as_point(sig, x)[None, :], axes, slopes)[0]
+    row = _derivative_rows(f, kind, as_point(sig, x)[None, :], slopes=slopes)[0]
     return Multivector.from_row(sig, grade, row)
-
-
-def exterior_derivative(f, x: Sequence[float]) -> Multivector:
-    """Grade-raising derivative at x: the one-row case of
-    ``exterior_derivative_components``."""
-    return _derivative_at(f, EXTERIOR, x)
-
-
-def interior_derivative(f, x: Sequence[float], axes: Iterable[int] | None = None) -> Multivector:
-    """Grade-lowering derivative at x; ``axes`` restricts the operator (time or
-    space parts).  The one-row case of ``interior_derivative_components``."""
-    return _derivative_at(f, INTERIOR, x, axes)
-
-
-def dalembertian(f: AnalyticField, x: Sequence[float]) -> Multivector:
-    """The scalar wave operator sum_i Delta_ii d_i d_i applied to the field."""
-    sig = f.signature
-    total = Multivector.zero(sig, f.grade)
-    for i in sig.axes():
-        total = total + sig.metric(i) * f.partial_field(i).partial_at(i, x)
-    return total
 
 
 @lru_cache(maxsize=None)

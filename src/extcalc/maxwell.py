@@ -3,10 +3,11 @@
 The differential system is: interior derivative of F equals J, exterior
 derivative of F equals zero.  This module evaluates those residuals as dense
 rows over a point array (``maxwell_residuals`` is the one-row case), the wave
-equation of a potential (gauge residuals are ``fields.interior_derivative``),
-the per-mode Fourier (algebraic) form, the integral form over boxes, the
-degrees-of-freedom count, and the packing of classical (E, B, rho, j) data
-into the bivector form on (1, 3) space-time.
+equation of a potential as delta d A - d delta A - J (gauge residuals are
+``fields.interior_derivative_components``), the per-mode Fourier
+(algebraic) form, the integral form over boxes, the degrees-of-freedom
+count, and the packing of classical (E, B, rho, j) data into the bivector
+form on (1, 3) space-time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .fields import (
     _derivative_at,
     _derivative_rows,
     as_point,
-    dalembertian,
+    exterior_derivative_field,
+    interior_derivative_field,
 )
 from .integrate import DEFAULT_POINTS, HypersurfaceBox, _integral, flux
 
@@ -101,9 +103,11 @@ def maxwell_residual_components(system: MaxwellSystem, points: np.ndarray) -> tu
 
 
 def wave_equation_residual(potential: AnalyticField, source, x: Sequence[float]) -> Multivector:
-    """(-1)^(r-1) (wave operator) A - J at x; the Maxwell residual under Lorenz gauge."""
-    r = potential.grade + 1
-    value = ((-1) ** (r - 1)) * dalembertian(potential, x)
+    """delta d A - d delta A - J at x: (-1)^(r-1) (wave operator) A - J for A of
+    grade r - 1, and under Lorenz gauge (delta A = 0) delta F - J of F = dA."""
+    value = _derivative_at(exterior_derivative_field(potential), INTERIOR, x)
+    if potential.grade:  # a scalar's delta A vanishes, and d of it would be a grade-1 zero
+        value = value - _derivative_at(interior_derivative_field(potential), EXTERIOR, x)
     if source is not None:
         value = value - source.evaluate(x)
     return value

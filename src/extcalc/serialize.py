@@ -47,13 +47,13 @@ class ScenarioError(ValueError):
 @contextmanager
 def _reading(what: str):
     """Reads one JSON object: a ScenarioError from a nested reader passes
-    unchanged, and any error a value of the wrong type or shape raises
-    becomes ``ScenarioError("bad <what>: ...")``."""
+    unchanged, and any error a value of the wrong type or shape raises, or an
+    allocation numpy refuses for it, becomes ``ScenarioError("bad <what>: ...")``."""
     try:
         yield
     except ScenarioError:
         raise
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, MemoryError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad {what}: {exc}") from exc
 
 

@@ -5,13 +5,14 @@ tables built from them, a linear map tabulated on unit blades and the
 derivative, force and classical-bridge tables built from it, a component
 bitensor field, the per-point quadratic tensor divergence, the per-point
 exterior and interior derivatives, the per-point classical vector residuals,
-the derived modes built through ``dataclasses.replace``, one field of each
-kind of mode, a pointwise product-rule residual, a per-point reference
-evaluation of analytic mode fields, the mode kernel as a loop over modes,
-per-node reference quadratures, the oriented boundary faces of a box, the
-face-by-face boundary integrals with a point-by-point field wrapper and an
-exact-bits key, the dense slice flux, the per-node frequency-domain flux and
-cone synthesis, the derived-field and mapped amplitude modes built by
+the derived modes built through ``dataclasses.replace``, one axis of the
+partial table as a field, the wave operator from twice-derived modes, one
+field of each kind of mode, a pointwise product-rule residual, a per-point
+reference evaluation of analytic mode fields, the mode kernel as a loop over
+modes, per-node reference quadratures, the oriented boundary faces of a box,
+the face-by-face boundary integrals with a point-by-point field wrapper and
+an exact-bits key, the dense slice flux, the per-node frequency-domain flux
+and cone synthesis, the derived-field and mapped amplitude modes built by
 per-mode multivector algebra, the mode-table merge through a dict of Python
 key tuples, a by-value comparison of modes, the analytic field reader
 through ``Multivector`` and ``Mode`` objects with an exact key of mode
@@ -50,12 +51,11 @@ from extcalc.fields import (
     AnalyticField,
     GaussianEnvelope,
     Mode,
+    _derivative_at,
     _derivative_table,
     _ModeTable,
     _pruned,
     constant_field,
-    exterior_derivative,
-    interior_derivative,
     polynomial_field,
 )
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, MaxwellSystem, classical_pack, classical_unpack
@@ -520,6 +520,25 @@ def reference_partial_modes(modes: Sequence[Mode], axis: int) -> list[Mode]:
     return reference_merged_modes(m for mode in modes for m in reference_derivative_modes(mode, axis))
 
 
+def axis_partial_field(field: AnalyticField, axis: int) -> AnalyticField:
+    """The exact partial along one axis: that axis's rows of the field's
+    ``_partial_table``, held as a field without merging them again."""
+    table, along = field._partial_table()
+    lo, hi = np.searchsorted(along, [axis, axis + 1]).tolist()
+    return AnalyticField._from_table(field.signature, field.grade, table.take(slice(lo, hi)), merged=True)
+
+
+def reference_dalembertian(field: AnalyticField, x: Sequence[float]) -> Multivector:
+    """sum_i Delta_ii d_i d_i f at x: each axis's second partial built by
+    ``reference_partial_modes`` applied twice, made a field and evaluated."""
+    sig = field.signature
+    total = Multivector.zero(sig, field.grade)
+    for i in sig.axes():
+        second = reference_partial_modes(reference_partial_modes(field.modes, i), i)
+        total = total + sig.metric(i) * AnalyticField(sig, field.grade, second).evaluate(x)
+    return total
+
+
 def reference_map_amplitudes(field: AnalyticField, fn, grade: int) -> list[Mode]:
     """The modes of ``field`` with the linear ``fn`` mapping every amplitude
     to grade ``grade``, by the per-mode route: ``fn`` applied to each whole
@@ -592,8 +611,8 @@ def product_rule_check(v, w, x: Sequence[float]) -> float:
         du = left_interior(v.partial_at(i, x), wx) + left_interior(vx, w.partial_at(i, x))
         contracted = left_interior(Multivector.blade(sig, (i,)), du)
         div_u += sig.metric(i) * contracted.scalar_value()
-    term1 = dot(exterior_derivative(v, x), wx)
-    term2 = (-1) ** v.grade * dot(interior_derivative(w, x), vx)
+    term1 = dot(_derivative_at(v, EXTERIOR, x), wx)
+    term2 = (-1) ** v.grade * dot(_derivative_at(w, INTERIOR, x), vx)
     return abs(div_u - term1 - term2)
 
 

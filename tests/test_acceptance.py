@@ -38,12 +38,14 @@ from extcalc.energy import (
     StressTensorField,
 )
 from extcalc.fields import (
+    EXTERIOR,
+    INTERIOR,
     AnalyticField,
     GaussianEnvelope,
     Mode,
-    exterior_derivative,
+    _derivative_at,
     exterior_derivative_field,
-    interior_derivative,
+    interior_derivative_components,
     interior_derivative_field,
     plane_wave,
     polynomial_field,
@@ -232,10 +234,11 @@ def test_criterion_06_trace_law():
 
 
 def _expected_split_residuals(field, x):
-    """What the two split residuals equal for any smooth field:
+    """What the two split residuals equal for any smooth field, with dF and
+    delta F its exterior and interior derivatives:
 
-    res_odot   = A - (1/2) left_interior(interior_derivative(F), F)
-    res_owedge = B - (1/2) right_interior(exterior_derivative(F), F)
+    res_odot   = A - (1/2) left_interior(delta F, F)
+    res_owedge = B - (1/2) right_interior(dF, F)
     A_i = (1/2) Delta_ii sum_j Delta_jj dot(left_interior(e_i, d_j F), right_interior(F, e_j))
     B_i = (1/2) Delta_ii sum_j Delta_jj dot(wedge(e_i, d_j F), wedge(F, e_j))
 
@@ -258,9 +261,9 @@ def _expected_split_residuals(field, x):
             b_terms[(i,)] = b_terms.get((i,), 0) + \
                 weight * dot(wedge(basis[i], slope), value_ext)
     want_odot = Multivector(sig, 1, a_terms) \
-        - 0.5 * left_interior(interior_derivative(field, x), value)
+        - 0.5 * left_interior(_derivative_at(field, INTERIOR, x), value)
     want_owedge = Multivector(sig, 1, b_terms) \
-        - 0.5 * right_interior(exterior_derivative(field, x), value)
+        - 0.5 * right_interior(_derivative_at(field, EXTERIOR, x), value)
     return want_odot, want_owedge
 
 
@@ -309,9 +312,9 @@ def test_criterion_07_split_tensor_identities():
                   f"{worst_sum:.3e} (tol 1e-9)")
     assert worst_single < 1e-9, "a split identity fails on a single-profile field"
     assert worst_odot < 1e-9, \
-        "interior-product residual differs from A - (1/2) left_interior(interior_derivative(F), F)"
+        "interior-product residual differs from A - (1/2) left_interior(delta F, F)"
     assert worst_owedge < 1e-9, \
-        "exterior-product residual differs from B - (1/2) right_interior(exterior_derivative(F), F)"
+        "exterior-product residual differs from B - (1/2) right_interior(dF, F)"
     assert worst_sum < 1e-9, "the two split residuals do not cancel"
 
 
@@ -462,10 +465,10 @@ def test_criterion_12_degrees_of_freedom():
     assert len(basis) == dof_count(2, 1, 3)
     worst = 0.0
     rng = np.random.default_rng(900)
+    points = rng.uniform(-1, 1, size=(10, 4))
     for potential in basis:
-        for x in rng.uniform(-1, 1, size=(10, 4)):
-            t_res, s_res = (interior_derivative(potential, x, axes) for axes in (range(1), range(1, 4)))
-            worst = max(worst, t_res.max_abs(), s_res.max_abs())
+        for axes in (range(1), range(1, 4)):
+            worst = max(worst, np.abs(interior_derivative_components(potential, points, axes)).max())
     ok = worst < 1e-12
     report(12, ok, f"two transverse polarizations, residuals {worst:.3e} (tol 1e-12)")
     assert worst < 1e-12

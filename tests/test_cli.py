@@ -428,7 +428,8 @@ def assert_usage_error(code, out, err):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-# a key starting with "--" is a command-line flag, any other key a config entry
+# a key starting with "--" is a command-line flag, one starting with "grid:" an
+# entry of the grid-backed ``_grid_scenario``, any other key a config entry
 @pytest.mark.parametrize("command,key,value", [
     ("stress-energy", "sample_points", 0),
     ("stress-energy", "sample_points", -3),
@@ -458,6 +459,8 @@ def assert_usage_error(code, out, err):
     # more points than numpy can shape: refused before any allocation
     ("maxwell-check", "sample_points", 1e18),
     ("stress-energy", "sample_points", 1e20),
+    # on a lattice the sites are drawn per axis: an array numpy refuses to allocate
+    ("maxwell-check", "grid:sample_points", 1e18),
     # quadrature counts from 2 ** 63 up do not fit an index: refused before any allocation
     ("maxwell-check", "--points", 10 ** 20),
     ("maxwell-check", "--points", 2 ** 63),
@@ -477,6 +480,8 @@ def test_bad_scenario_numbers_exit_2(capsys, tmp_path, command, key, value):
     if key.startswith("--"):
         argv = [key, str(value)] if command == "classical" else \
             [key, str(value), "--config", str(SCENARIOS / f"{scenario}.json")]
+    elif key.startswith("grid:"):
+        argv = ["--config", _grid_scenario(tmp_path, lambda data: data.update({key[5:]: value}))]
     else:
         argv = ["--config", _edited_vacuum(tmp_path, lambda data: data.update({key: value}), scenario)]
     assert_usage_error(*run(capsys, command, *argv))

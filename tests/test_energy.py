@@ -37,13 +37,15 @@ from extcalc.energy import (
     trace_formula_components,
 )
 from extcalc.fields import (
+    EXTERIOR,
+    INTERIOR,
     AnalyticField,
     GaussianEnvelope,
     GridField,
     Mode,
     _cosine_field,
+    _derivative_at,
     exterior_derivative_field,
-    interior_derivative,
     interior_derivative_field,
     plane_wave,
     polynomial_field,
@@ -358,8 +360,7 @@ def test_split_residuals_cancel_for_non_maxwellian():
     rng = np.random.default_rng(9)
     f = random_cos_field(sig, 2, rng)
     x = rng.uniform(-1, 1, 4)
-    from extcalc.fields import exterior_derivative
-    assert exterior_derivative(f, x).max_abs() > 1e-3  # not a solution
+    assert _derivative_at(f, EXTERIOR, x).max_abs() > 1e-3  # not a solution
     res_odot, res_owedge = tensor_identity_check(f, x)
     assert (res_odot + res_owedge).max_abs() < 1e-12
 
@@ -400,10 +401,9 @@ def test_conservation_detects_non_maxwellian_field():
     f = random_cos_field(MINKOWSKI, 2, rng)
     j = interior_derivative_field(f)
     from extcalc.algebra import right_interior
-    from extcalc.fields import exterior_derivative
 
     x = rng.uniform(-1, 1, 4)
-    hom = exterior_derivative(f, x)
+    hom = _derivative_at(f, EXTERIOR, x)
     assert hom.max_abs() > 1e-3
     res = conservation_residual_components(f, j, [x])[0]
     expect = -1 * right_interior(hom, f.evaluate(x))
@@ -691,7 +691,7 @@ def test_synthesized_potential_obeys_lorenz_gauge():
     scale = max(potential.evaluate(rng.uniform(-1, 1, 3)).max_abs(), 1e-6)
     for _ in range(5):
         x = rng.uniform(-2, 2, 3)
-        assert interior_derivative(potential, x).max_abs() < 1e-9 * scale
+        assert _derivative_at(potential, INTERIOR, x).max_abs() < 1e-9 * scale
 
 
 def _bump(xi_plus, centre, width=0.25):

@@ -8,18 +8,18 @@ import pytest
 from extcalc import fields
 from extcalc.algebra import Multivector, SpacetimeSignature, dot, inv_hodge
 from extcalc.fields import (
+    EXTERIOR,
+    INTERIOR,
     AnalyticField,
     FieldDomainError,
     GaussianEnvelope,
     GridField,
     Mode,
     constant_field,
-    dalembertian,
+    _derivative_at,
     _derivative_table,
-    exterior_derivative,
     exterior_derivative_components,
     exterior_derivative_field,
-    interior_derivative,
     interior_derivative_components,
     interior_derivative_field,
     plane_wave,
@@ -28,9 +28,11 @@ from extcalc.fields import (
 
 from _support import (
     ComponentBitensorField,
+    axis_partial_field,
     mode_family_fields,
     mode_values,
     product_rule_check,
+    reference_dalembertian,
     reference_derivative_field_modes,
     reference_merged,
     reference_merged_modes,
@@ -143,15 +145,16 @@ def mixed_mode_field(sig, grade, rng):
 @pytest.mark.parametrize("k,n", [(0, 3), (1, 3), (2, 2)])
 @pytest.mark.parametrize("grade", [1, 2])
 def test_mode_kernel_matches_reference(k, n, grade):
-    # evaluate and evaluate_components (and the derived partial fields, whose
-    # modes mix every factor) against the per-point formula in _support
+    # evaluate and evaluate_components (and the fields of each axis's rows of
+    # the partial table, whose modes mix every factor) against the per-point
+    # formula in _support
     sig = SpacetimeSignature(k, n)
     rng = np.random.default_rng(100 * k + 10 * n + grade)
     f = mixed_mode_field(sig, grade, rng)
     assert {m.waveform for m in f.modes} == {"cos", "exp"}
     points = rng.uniform(-1, 1, size=(7, sig.dim))
     lists = list(sig.index_lists(grade))
-    for field in [f] + [f.partial_field(axis) for axis in sig.axes()]:
+    for field in [f] + [axis_partial_field(f, axis) for axis in sig.axes()]:
         dense = field.evaluate_components(points)
         for p, x in enumerate(points):
             want = reference_evaluate(field, x)
@@ -183,7 +186,7 @@ def kernel_fields(sig, grade, rng):
            for waves in (("cos",), ("exp",), ("cos", "exp"))
            for monomial in (False, True) for envelope in (False, True)}
     mixed = mixed_mode_field(sig, grade, rng)
-    out.update({"mixed": mixed}, **{f"mixed-d{a}": mixed.partial_field(a) for a in sig.axes()})
+    out.update({"mixed": mixed}, **{f"mixed-d{a}": axis_partial_field(mixed, a) for a in sig.axes()})
     return out
 
 
@@ -271,7 +274,7 @@ def centred_field(sig, grade, rng, waveforms):
 
 @pytest.mark.parametrize("k,n,grade", [(1, 1, 1), (0, 3, 2), (1, 3, 2), (2, 2, 2)])
 def test_jet_matches_the_partial_fields(k, n, grade):
-    # the one-pass jet against the derived partial fields, on every waveform,
+    # the one-pass jet against each axis's partial table rows, on every waveform,
     # monomial and envelope mix, at sample points on a monomial and an envelope centre
     sig = SpacetimeSignature(k, n)
     rng = np.random.default_rng([k, n, grade, 17])
@@ -287,7 +290,7 @@ def test_jet_matches_the_partial_fields(k, n, grade):
         assert rows.shape == values.shape and slopes.shape == (sig.dim, *values.shape), name
         assert np.abs(rows - values).max() <= 1e-12 * np.abs(values).max(), name
         for axis in sig.axes():
-            want = field.partial_field(axis).evaluate_components(points)
+            want = axis_partial_field(field, axis).evaluate_components(points)
             scale = np.abs(want).max(axis=1, keepdims=True)
             assert np.all(np.abs(slopes[axis] - want) <= 1e-12 * scale), (name, axis)
             assert np.array_equal(field.partial_components(axis, points), slopes[axis])
@@ -365,7 +368,7 @@ def test_axis_factors_share_a_row_exactly_when_the_axis_keys_agree():
 
 def test_gradient_of_coordinate():
     omega = polynomial_field(Multivector.scalar(EUC3, 1.0), (0, 1, 0))
-    grad = exterior_derivative(omega, (0.7, 0.1, -0.4))
+    grad = _derivative_at(omega, EXTERIOR, (0.7, 0.1, -0.4))
     assert grad == Multivector.blade(EUC3, (1,), 1.0)
 
 
@@ -376,7 +379,7 @@ def test_exterior_derivative_matches_classical_curl():
         x = rng.uniform(-1, 1, 3)
         dv = {(i, j): v.partial_at(i, x).coeff((j,)) for i in range(3) for j in range(3)}
         curl = (dv[(1, 2)] - dv[(2, 1)], dv[(2, 0)] - dv[(0, 2)], dv[(0, 1)] - dv[(1, 0)])
-        got = inv_hodge(exterior_derivative(v, x)).vector_components()
+        got = inv_hodge(_derivative_at(v, EXTERIOR, x)).vector_components()
         assert max(abs(g - c) for g, c in zip(got, curl)) < 1e-10
 
 
@@ -386,7 +389,7 @@ def test_interior_derivative_matches_classical_divergence():
     for _ in range(5):
         x = rng.uniform(-1, 1, 3)
         div = sum(v.partial_at(i, x).coeff((i,)) for i in range(3))
-        got = interior_derivative(v, x).scalar_value()
+        got = _derivative_at(v, INTERIOR, x).scalar_value()
         assert got == pytest.approx(div, abs=1e-10)
 
 
@@ -397,21 +400,23 @@ def test_nilpotency_pointwise(kn, grade):
     f = random_cos_field(sig, grade, rng) + random_polynomial_field(sig, grade, rng)
     for _ in range(10):
         x = rng.uniform(-1, 1, sig.dim)
-        ddf = exterior_derivative(exterior_derivative_field(f), x)
+        ddf = _derivative_at(exterior_derivative_field(f), EXTERIOR, x)
         assert ddf.max_abs() < 1e-10
-        iif = interior_derivative(interior_derivative_field(f), x)
+        iif = _derivative_at(interior_derivative_field(f), INTERIOR, x)
         assert iif.max_abs() < 1e-10
 
 
 def test_second_derivative_identity():
-    # interior of exterior = (-1)^grade dalembertian + exterior of interior
+    # interior of exterior = (-1)^grade (wave operator) + exterior of interior,
+    # the wave operator from twice-derived reference modes
     sig = SpacetimeSignature(2, 2)
     rng = np.random.default_rng(21)
     f = random_cos_field(sig, 2, rng)
     for _ in range(10):
         x = rng.uniform(-1, 1, sig.dim)
-        lhs = interior_derivative(exterior_derivative_field(f), x)
-        rhs = ((-1) ** f.grade) * dalembertian(f, x) + exterior_derivative(interior_derivative_field(f), x)
+        lhs = _derivative_at(exterior_derivative_field(f), INTERIOR, x)
+        rhs = ((-1) ** f.grade) * reference_dalembertian(f, x) \
+            + _derivative_at(interior_derivative_field(f), EXTERIOR, x)
         assert (lhs - rhs).max_abs() < 1e-10
 
 
@@ -420,8 +425,8 @@ def test_derivative_field_agrees_with_pointwise():
     f = random_cos_field(MINK, 2, rng)
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
-        assert (exterior_derivative_field(f).evaluate(x) - exterior_derivative(f, x)).max_abs() < 1e-12
-        assert (interior_derivative_field(f).evaluate(x) - interior_derivative(f, x)).max_abs() < 1e-12
+        assert (exterior_derivative_field(f).evaluate(x) - _derivative_at(f, EXTERIOR, x)).max_abs() < 1e-12
+        assert (interior_derivative_field(f).evaluate(x) - _derivative_at(f, INTERIOR, x)).max_abs() < 1e-12
 
 
 def test_product_rule_residual():
@@ -439,8 +444,8 @@ def test_exterior_derivative_of_top_grade_is_zero():
     sig = SpacetimeSignature(0, 2)
     f = constant_field(Multivector.blade(sig, (0, 1), 3.0))
     scalar = constant_field(Multivector.scalar(sig, 2.0))
-    assert exterior_derivative(f, (0.0, 0.0)).is_zero()
-    assert interior_derivative(scalar, (0.0, 0.0)).is_zero()
+    assert _derivative_at(f, EXTERIOR, (0.0, 0.0)).is_zero()
+    assert _derivative_at(scalar, INTERIOR, (0.0, 0.0)).is_zero()
     # the batched rows of a derivative out of the grade range have no columns
     points = np.zeros((3, 2))
     assert exterior_derivative_components(f, points).shape == (3, 0)
@@ -538,14 +543,14 @@ def test_partial_fields_keep_the_replace_construction():
             for f in fields.values():
                 for axis in sig.axes():
                     want = reference_partial_modes(f.modes, axis)
-                    assert mode_values(f.partial_field(axis).modes) == mode_values(want)
+                    assert mode_values(axis_partial_field(f, axis).modes) == mode_values(want)
 
 
 @pytest.mark.parametrize("k,n", [(k, d - k) for d in range(1, 5) for k in range(d + 1)])
 def test_derived_fields_match_the_multivector_route(k, n):
-    # the mode table's partial, exterior and interior derivative fields, sums,
-    # scalings and merges list the same modes in the same order with
-    # coefficients equal in value to per-mode multivector algebra's
+    # the mode table's per-axis partial rows, exterior and interior derivative
+    # fields, sums, scalings and merges list the same modes in the same order
+    # with coefficients equal in value to per-mode multivector algebra's
     sig = SpacetimeSignature(k, n)
     rng = np.random.default_rng(10 * k + n)
 
@@ -579,25 +584,11 @@ def test_derived_fields_match_the_multivector_route(k, n):
                 dataclasses.replace(m, amplitude=m.amplitude * factor) for m in fields["merged"].modes))
         same(fields["cos"] + fields["exp"], reference_merged_modes(fields["cos"].modes + fields["exp"].modes))
 
-        def partials(f):
+        for f in fields.values():
             for axis in sig.axes():
-                want = reference_partial_modes(f.modes, axis)
-                same(f.partial_field(axis), want)
-                same(f.partial_field(axis).partial_field(sig.dim - 1 - axis),
-                     reference_partial_modes(want, sig.dim - 1 - axis))
-
-        def derivatives(f):
+                same(axis_partial_field(f, axis), reference_partial_modes(f.modes, axis))
             same(exterior_derivative_field(f), reference_derivative_field_modes(f, "exterior"))
             same(interior_derivative_field(f), reference_derivative_field_modes(f, "interior"))
-
-        for f in fields.values():
-            partials(f)
-            derivatives(f)
-        # fresh copies, whose derivative fields build the partial table before
-        # any partial field views it
-        for f in [AnalyticField(sig, r, f.modes) for f in fields.values()]:
-            derivatives(f)
-            partials(f)
 
 
 def test_merging_opposite_infinities_warns_of_nothing():

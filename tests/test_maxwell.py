@@ -14,13 +14,15 @@ from extcalc.algebra import (
     wedge,
 )
 from extcalc.fields import (
+    EXTERIOR,
+    INTERIOR,
     AnalyticField,
     GridField,
     Mode,
     constant_field,
-    exterior_derivative,
+    _derivative_at,
     exterior_derivative_field,
-    interior_derivative,
+    interior_derivative_components,
     interior_derivative_field,
     plane_wave,
     polynomial_field,
@@ -48,6 +50,7 @@ from _support import (
     mode_family_fields,
     mode_values,
     reference_classical_vector_residuals,
+    reference_dalembertian,
     reference_map_amplitudes,
     reference_unit_table,
 )
@@ -147,13 +150,13 @@ def test_charge_conservation():
     conserved = MaxwellSystem(MINKOWSKI, 2, system.F, j_field)
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
-        assert interior_derivative(conserved.J, x).max_abs() < 1e-10
+        assert _derivative_at(conserved.J, INTERIOR, x).max_abs() < 1e-10
 
     # J = x_0 e_0 is not conserved: the interior derivative is the constant 1
     # (metric signs cancel, matching the continuity form d_t rho + div j)
     bad_j = polynomial_field(Multivector.blade(MINKOWSKI, (0,)), (1, 0, 0, 0))
     bad = MaxwellSystem(MINKOWSKI, 2, AnalyticField(MINKOWSKI, 2), bad_j)
-    res = interior_derivative(bad.J, (0.3, 0.1, 0.2, -0.4))
+    res = _derivative_at(bad.J, INTERIOR, (0.3, 0.1, 0.2, -0.4))
     assert res.scalar_value() == pytest.approx(1.0)
     assert abs(res.scalar_value()) > 0.5  # detector fires either way
 
@@ -161,7 +164,7 @@ def test_charge_conservation():
 def test_charge_conservation_constant_source():
     j_field = constant_field(Multivector.blade(MINKOWSKI, (2,), 3.0))
     system = MaxwellSystem(MINKOWSKI, 2, AnalyticField(MINKOWSKI, 2), j_field)
-    assert interior_derivative(system.J, (0.1, 0.2, 0.3, 0.4)).is_zero()
+    assert _derivative_at(system.J, INTERIOR, (0.1, 0.2, 0.3, 0.4)).is_zero()
 
 
 def test_field_from_potential_constant_is_zero():
@@ -173,7 +176,7 @@ def test_field_from_potential_constant_is_zero():
 def test_charge_conservation_r1_returns_zero():
     f = constant_field(Multivector.blade(EUC3, (0,)))
     system = MaxwellSystem(EUC3, 1, f, constant_field(Multivector.scalar(EUC3, 1.0)))
-    assert interior_derivative(system.J, (0, 0, 0)).is_zero()
+    assert _derivative_at(system.J, INTERIOR, (0, 0, 0)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +190,7 @@ def test_field_from_potential_kills_homogeneous_residual():
     f_field = exterior_derivative_field(potential)
     for _ in range(10):
         x = rng.uniform(-1, 1, 4)
-        assert exterior_derivative(f_field, x).max_abs() < 1e-10
+        assert _derivative_at(f_field, EXTERIOR, x).max_abs() < 1e-10
 
 
 def test_gauge_invariance_of_field():
@@ -219,32 +222,62 @@ def test_lorenz_gauge_and_wave_equation_null_mode():
     rng = np.random.default_rng(4)
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
-        assert interior_derivative(potential, x).max_abs() < 1e-12
+        assert _derivative_at(potential, INTERIOR, x).max_abs() < 1e-12
         assert wave_equation_residual(potential, None, x).max_abs() < 1e-10
 
 
 def test_wave_equation_constant_potential():
     potential = constant_field(Multivector.blade(MINKOWSKI, (1,), 2.0))
     assert wave_equation_residual(potential, None, (0, 0, 0, 0)).is_zero()
-    assert interior_derivative(potential, (0, 0, 0, 0)).is_zero()
+    assert _derivative_at(potential, INTERIOR, (0, 0, 0, 0)).is_zero()
+    # a scalar potential's residual keeps grade 0 where it vanishes
+    scalar = polynomial_field(Multivector.scalar(MINKOWSKI, 1.0), (1, 1, 0, 0))
+    residual = wave_equation_residual(scalar, None, (0.1, 0.2, 0.3, 0.4))
+    assert residual.is_zero() and residual.grade == 0
+
+
+@pytest.mark.parametrize("sourced", [False, True])
+@pytest.mark.parametrize("k,n", [(0, 3), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+def test_wave_equation_residual_is_the_wave_operator(k, n, sourced):
+    # delta d A - d delta A - J against (-1)^g sum_i Delta_ii d_i^2 A - J, the
+    # second partials built from reference modes derived twice, on every grade
+    # and every kind of mode
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng([k, n, 31])
+    cases = 0
+    for g in range(sig.dim + 1):
+        fields = mode_family_fields(sig, g, rng)
+        names = list(fields)
+        for pos, name in enumerate(names):
+            potential = fields[name]
+            source = fields[names[pos - 1]] if sourced else None
+            for x in rng.uniform(-1, 1, size=(3, sig.dim)):
+                want = (-1) ** g * reference_dalembertian(potential, x)
+                if source is not None:
+                    want = want - source.evaluate(x)
+                got = wave_equation_residual(potential, source, x)
+                assert got.grade == g, (g, name)
+                assert (got - want).max_abs() <= 1e-12 * max(1.0, want.max_abs()), (g, name)
+                cases += 1
+    assert cases == 15 * (sig.dim + 1)
 
 
 def test_transverse_gauge_residuals():
     xi = (1.0, 0.0, 0.0, 1.0)
     for amp_idx in ((1,), (2,)):
         potential = plane_wave(Multivector.blade(MINKOWSKI, amp_idx), xi)
-        t_res, s_res = (interior_derivative(potential, (0.2, 0.1, -0.3, 0.4), axes)
+        t_res, s_res = (interior_derivative_components(potential, [(0.2, 0.1, -0.3, 0.4)], axes)
                         for axes in (range(1), range(1, 4)))
-        assert t_res.max_abs() < 1e-12
-        assert s_res.max_abs() < 1e-12
+        assert np.abs(t_res).max() < 1e-12
+        assert np.abs(s_res).max() < 1e-12
 
 
 def test_harmonic_gauge_residual():
     # harmonic gauge fields keep the Lorenz condition: scalar G with null covector
     gauge = plane_wave(Multivector.scalar(MINKOWSKI, 1.0), (1.0, 0.0, 0.0, 1.0))
-    assert interior_derivative(exterior_derivative_field(gauge), (0.1, 0.2, 0.3, 0.4)).max_abs() < 1e-10
+    assert _derivative_at(exterior_derivative_field(gauge), INTERIOR, (0.1, 0.2, 0.3, 0.4)).max_abs() < 1e-10
     bad = plane_wave(Multivector.scalar(MINKOWSKI, 1.0), (1.0, 0.0, 0.0, 0.0))
-    assert interior_derivative(exterior_derivative_field(bad), (0.3, 0.0, 0.0, 0.0)).max_abs() > 1.0
+    assert _derivative_at(exterior_derivative_field(bad), INTERIOR, (0.3, 0.0, 0.0, 0.0)).max_abs() > 1.0
 
 
 # ---------------------------------------------------------------------------
