@@ -624,5 +624,7 @@ def synthesize_on_cone_potential(a_hat: Callable[[np.ndarray], np.ndarray], axis
     # the real part, then the imaginary part, of each node's rows, each pruned
     # as a multivector before and after scaling
     parts = [_pruned(_pruned(part.copy()) * scale) for part in (rows.real, rows.imag)]
+    # distinct cone nodes times the phases 0 and pi/2: no two modes share a key
     return _cosine_field(sig, grade - 1, np.stack(parts, axis=1).reshape(-1, rows.shape[1]),
-                         np.repeat(xi_plus, 2, axis=0), np.tile([0.0, 0.5 * math.pi], len(xi_plus)))
+                         np.repeat(xi_plus, 2, axis=0), np.tile([0.0, 0.5 * math.pi], len(xi_plus)),
+                         distinct=True)

@@ -282,48 +282,82 @@ def _groups(part: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
     return group, len(lead)
 
 
-def _merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple[_ModeTable, np.ndarray]:
+def _nonzero_rows(amp: np.ndarray, *aligned: np.ndarray) -> tuple:
+    """The amplitude rows that are not all zero, with the same rows of each
+    ``aligned`` array; the arrays themselves when every row is kept."""
+    nonzero = np.logical_or.reduce(amp != 0, axis=1)
+    if np.count_nonzero(nonzero) == len(nonzero):
+        return (amp, *aligned)
+    return tuple(column[nonzero] for column in (amp, *aligned))
+
+
+def _merged(table: _ModeTable, part: np.ndarray | None = None,
+            source: np.ndarray | None = None) -> tuple[_ModeTable, np.ndarray]:
     """Modes sharing every field but the amplitude merged into their first
     occurrence by sequential addition, as ``AnalyticField`` merges ``Mode``
     objects; modes whose amplitude is or becomes zero are dropped.
 
     Rows of different ``part`` never merge; the parts of the rows kept are
-    returned with the table.  Keys compare as floats (``_groups``).
+    returned with the table.  Keys compare as floats (``_groups``).  A caller
+    that knows which rows share a key from how it built them gives each
+    row's ``source`` instead, and ``table.data`` then holds one key row per
+    source: rows merge when their sources are equal, and no key is compared.
+    The merged table holds one data row per mode either way.
     """
     if part is None:
-        part = np.zeros(len(table.data), dtype=np.intp)
-    nonzero = np.logical_or.reduce(table.amp != 0, axis=1)
-    if np.count_nonzero(nonzero) < len(nonzero):
-        table, part = table.take(nonzero), part[nonzero]
-    if len(part) < 2:
-        return table, part
-    group, count = _groups(part, table.data[:, :-1])
-    if count == len(group):
-        return table, part
-    # rank counts a member's predecessors in its group
-    order = np.argsort(group, kind="stable")
-    starts = np.searchsorted(group[order], np.arange(count))
-    rank = np.empty_like(group)
-    rank[order] = np.arange(len(group)) - starts[group[order]]
-    lead = order[starts]
-    amp = table.amp[lead]
-    with np.errstate(invalid="ignore"):
-        for r in range(1, int(rank.max()) + 1):
-            members = np.flatnonzero(rank == r)
-            g = group[members]
-            amp[g] = _pruned(amp[g] + table.amp[members])
-    nonzero = np.logical_or.reduce(amp != 0, axis=1)
-    return _ModeTable(amp, table.data[lead]).take(nonzero), part[lead][nonzero]
+        part = np.zeros(len(table.amp), dtype=np.intp)
+    if source is None:
+        amp, part, data = _nonzero_rows(table.amp, part, table.data)
+        keys = data[:, :-1]
+    else:
+        amp, part, source = _nonzero_rows(table.amp, part, source)
+        data, keys = table.data, source[:, None]
+    lead = slice(None)
+    group, count = _groups(part, keys) if len(part) > 1 else (None, len(part))
+    if count < len(part):
+        # rank counts a member's predecessors in its group
+        order = np.argsort(group, kind="stable")
+        starts = np.searchsorted(group[order], np.arange(count))
+        rank = np.empty_like(group)
+        rank[order] = np.arange(len(group)) - starts[group[order]]
+        lead = order[starts]
+        merged = amp[lead]
+        with np.errstate(invalid="ignore"):
+            for r in range(1, int(rank.max()) + 1):
+                members = np.flatnonzero(rank == r)
+                g = group[members]
+                merged[g] = _pruned(merged[g] + amp[members])
+        amp, part, lead = _nonzero_rows(merged, part[lead], lead)
+    return _ModeTable(amp, data[lead] if source is None else data[source[lead]]), part
+
+
+def _waves_only(table: _ModeTable, exp: np.ndarray) -> bool:
+    """Whether the partials of a table cannot share keys across modes: no
+    mode has a monomial (every exponent +0.0, which the exponent step of
+    ``_partial_table`` keeps) or an envelope, no key holds a NaN (which
+    matches nothing, so its rows never merge), and no two distinct cosine
+    phases round to one phase after the pi/2 step.  Rounding is monotone, so
+    only neighbours among the sorted phases can meet, as 0.0 and 1e-17 do."""
+    data, poly = table.data, table.block(_POLY)
+    if np.count_nonzero(poly) or np.signbit(poly).any() or np.count_nonzero(data[:, _WIDTH] > 0) \
+            or np.isnan(data[:, :-1]).any():
+        return False
+    phase = np.sort(data[~exp, _PHASE])
+    stepped = phase + 0.5 * math.pi
+    return not np.count_nonzero((stepped[1:] == stepped[:-1]) & (phase[1:] != phase[:-1]))
 
 
 def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.ndarray,
-                  phase: np.ndarray) -> "AnalyticField":
+                  phase: np.ndarray, distinct: bool = False) -> "AnalyticField":
     """The field sum_m amp[m] cos(theta_m), theta_m = 2 pi xi_m . x + phase[m],
     from real (M, ncomp) amplitude rows; zero rows are dropped and equal
-    modes merged, as for any field."""
+    modes merged, as for any field, unless the caller knows the (xi, phase)
+    rows ``distinct``: rows whose keys cannot collide are not grouped."""
     table = _ModeTable(amp, np.zeros((len(amp), 4 * sig.dim + 4)))
     table.data[:, _PHASE] = phase
     table.block(_XI)[:] = xi
+    if distinct:
+        return AnalyticField._from_table(sig, grade, _ModeTable(*_nonzero_rows(*table)), merged=True)
     return AnalyticField._from_table(sig, grade, table)
 
 
@@ -401,11 +435,22 @@ def _kernel_jet(kernel: _Kernel, x: np.ndarray, order: int) -> np.ndarray:
     return planes.transpose(0, 2, 1) @ kernel.rows
 
 
+def _cis(angle: np.ndarray) -> np.ndarray:
+    """exp(j angle) bit for bit, written as cos and sin into a complex array:
+    ``np.exp(1j * angle)`` gives a +0.0 imaginary part at -0.0, as the sum
+    with 0.0 makes it, and NaN parts at an infinite or NaN angle."""
+    out = np.empty(np.shape(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    out.imag += 0.0
+    return out
+
+
 def _factor_rows(sig: SpacetimeSignature, axis: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(len(keys), len(x)) factors exp(j s x) (x - c)^p exp(-(x - e)^2 / 2 w^2)
     along one axis, one row per ``AnalyticField._axis_keys`` row."""
     xi, power, centre, width, env, w2 = keys.T
-    out = np.exp(1j * np.multiply.outer(2.0 * math.pi * sig.metric(axis) * xi, x))
+    out = _cis(np.multiply.outer(2.0 * math.pi * sig.metric(axis) * xi, x))
     for p in np.unique(power[power > 0]).tolist():
         hit = power == p
         out[hit] *= (x - centre[hit, None]) ** int(p)
@@ -475,16 +520,26 @@ class AnalyticField:
         row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
         return Multivector.from_row(self.signature, self.grade, row)
 
-    def _partial_table(self) -> tuple[_ModeTable, np.ndarray]:
-        """The partials along every axis as one merged table, axis by axis, and
-        each row's axis, built from one pass over the table.  Each mode gives
-        up to four modes, in this order: its monomial factor differentiated
-        (amplitude times the exponent, exponent lowered), its waveform
-        (amplitude times the phase slope s, with the phase advanced by pi/2
-        for a cosine and the factor j s for an exponential), and its
+    def _partial_table(self) -> tuple[_ModeTable, np.ndarray, np.ndarray | None]:
+        """The partials along every axis as one merged table, axis by axis,
+        each row's axis, and each row's source mode where no two rows can
+        share a key (else None), built from one pass over the table.  Each
+        mode gives up to four modes, in this order: its monomial factor
+        differentiated (amplitude times the exponent, exponent lowered), its
+        waveform (amplitude times the phase slope s, with the phase advanced
+        by pi/2 for a cosine and the factor j s for an exponential), and its
         envelope's -(x_a - e_a) / w^2 split over the monomial centre c_a
         (amplitude times -1/w^2 with the exponent raised, and amplitude times
-        -(c_a - e_a)/w^2)."""
+        -(c_a - e_a)/w^2).
+
+        A row whose key cannot collide is not grouped.  With no monomial and
+        no envelope a mode's one candidate is its waveform, whose row keeps
+        the mode's key but for the cosine's pi/2 step.  Where that step keeps
+        distinct keys distinct (``_waves_only``), the rows along one axis are
+        as distinct as the modes, so only zero rows are dropped, and the rows
+        of one mode along different axes share its key and no other row's:
+        the table then holds one data row per mode, ``data[mode]`` keying the
+        rows, as ``_merged`` takes them by source."""
         sig, t = self.signature, self._table
         data = t.data
         poly = t.block(_POLY)
@@ -514,12 +569,17 @@ class AnalyticField:
         along, mode, candidate = np.nonzero(valid)
         with np.errstate(invalid="ignore"):
             amp = _pruned(t.amp[mode] * factor[along, mode, candidate][:, None])
+        if _waves_only(t, exp):
+            stepped = data.copy()
+            np.add(stepped[:, _PHASE], 0.5 * math.pi, out=stepped[:, _PHASE], where=~exp)
+            amp, along, mode = _nonzero_rows(amp, along, mode)
+            return _ModeTable(amp, stepped), along, mode
         changed = data[mode]
         rows = np.arange(len(mode))
         changed[rows, t.column(_POLY, 0) + along] += _CANDIDATE_STEP[candidate]
         np.add(changed[:, _PHASE], 0.5 * math.pi, out=changed[:, _PHASE],
                where=(candidate == 1) & ~exp[mode])
-        return _merged(_ModeTable(amp, changed), along)
+        return (*_merged(_ModeTable(amp, changed), along), None)
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
         row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
@@ -606,7 +666,7 @@ class AnalyticField:
         """
         sig, t = self.signature, self._table
         rows = t.amp.astype(complex if self.is_complex() else float)
-        const = np.exp(1j * t.data[:, _PHASE])
+        const = _cis(t.data[:, _PHASE])
         for axis, value in fixed.items():
             const *= _factor_rows(sig, axis, self._axis_keys(axis), np.array([value], dtype=float))[:, 0]
         factors = {}
@@ -878,13 +938,19 @@ def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
     grade = _derivative_grade(f, kind)
     if grade is None:
         return AnalyticField(sig, 0)
-    table, along = f._partial_table()
+    table, along, mode = f._partial_table()
     source, sign = _derivative_gather(sig, f.grade, kind)
-    amp, sign = table.amp[np.arange(len(along))[:, None], source[along]], sign[along]
-    np.copyto(amp, 0, where=sign == 0)
+    amp = np.empty((len(along), sign.shape[1]), dtype=table.amp.dtype)
+    # the rows come axis by axis
+    bounds = np.searchsorted(along, np.arange(sig.dim + 1)).tolist()
     with np.errstate(invalid="ignore"):
-        amp = _pruned(np.multiply(sign, amp, out=amp))
-    return AnalyticField._from_table(sig, grade, _ModeTable(amp, table.data))
+        for axis, lo, hi in zip(sig.axes(), bounds, bounds[1:]):
+            block = np.take(table.amp[lo:hi], source[axis], axis=1, out=amp[lo:hi])
+            np.copyto(block, 0, where=sign[axis] == 0)
+            np.multiply(sign[axis], block, out=block)
+        amp = _pruned(amp)
+    return AnalyticField._from_table(sig, grade, _merged(_ModeTable(amp, table.data), source=mode)[0],
+                                     merged=True)
 
 
 def exterior_derivative_field(f: AnalyticField) -> AnalyticField:

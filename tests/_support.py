@@ -6,10 +6,11 @@ derivative, force and classical-bridge tables built from it, a component
 bitensor field, the per-point quadratic tensor divergence, the per-point
 exterior and interior derivatives, the per-point classical vector residuals,
 the derived modes built through ``dataclasses.replace``, one axis of the
-partial table as a field, the wave operator from twice-derived modes, one
-field of each kind of mode, a pointwise product-rule residual, a per-point
-reference evaluation of analytic mode fields, the mode kernel as a loop over
-modes, per-node reference quadratures, the oriented boundary faces of a box,
+partial table as a field, the derivative field by the keyed grouping alone,
+the wave operator from twice-derived modes, one field of each kind of mode, a
+pointwise product-rule residual, a per-point reference evaluation of analytic
+mode fields, the mode kernel as a loop over modes, per-node reference
+quadratures, the oriented boundary faces of a box,
 the face-by-face boundary integrals with a point-by-point field wrapper and
 an exact-bits key, the dense slice flux, the per-node frequency-domain flux
 and cone synthesis, the derived-field and mapped amplitude modes built by
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from extcalc import algebra
+from extcalc import algebra, fields
 from extcalc.algebra import (
     Bitensor,
     IdentityReport,
@@ -523,9 +524,56 @@ def reference_partial_modes(modes: Sequence[Mode], axis: int) -> list[Mode]:
 def axis_partial_field(field: AnalyticField, axis: int) -> AnalyticField:
     """The exact partial along one axis: that axis's rows of the field's
     ``_partial_table``, held as a field without merging them again."""
-    table, along = field._partial_table()
+    table, along, mode = field._partial_table()
+    if mode is not None:
+        table = _ModeTable(table.amp, table.data[mode])
     lo, hi = np.searchsorted(along, [axis, axis + 1]).tolist()
     return AnalyticField._from_table(field.signature, field.grade, table.take(slice(lo, hi)), merged=True)
+
+
+def reference_keyed_derivative(field: AnalyticField, kind: str) -> AnalyticField:
+    """The exterior ("exterior") or interior derivative field by the keyed
+    grouping alone: every candidate partial row of every mode with a data row
+    of its own, merged per axis by ``fields._merged`` on the keys
+    (``_groups``), each row gathered and signed through ``_derivative_gather``,
+    then merged on the keys again.  No row is merged by its source mode."""
+    sig, t = field.signature, field._table
+    grade = field.grade + 1 if kind == EXTERIOR else field.grade - 1
+    if not 0 <= grade <= sig.dim:
+        return AnalyticField(sig, 0)
+    data, dim = t.data, sig.dim
+    poly = t.block(fields._POLY)
+    slope = 2.0 * math.pi * fields._metric(sig) * t.block(fields._XI)
+    exp = data[:, fields._EXP] != 0
+    valid = np.zeros((dim, len(data), 4), dtype=bool)
+    factor = np.zeros(valid.shape)
+    valid[:, :, 0], factor[:, :, 0] = poly.T != 0, poly.T
+    valid[:, :, 1], factor[:, :, 1] = slope.T != 0.0, slope.T
+    has_env = data[:, fields._WIDTH] > 0
+    if np.count_nonzero(has_env):
+        w2 = data[:, -1]
+        shift = (t.block(fields._CENTRE) - t.block(fields._ENV)).T
+        valid[:, :, 2] = has_env
+        valid[:, :, 3] = has_env & (shift != 0)
+        np.divide(-1.0, w2, out=factor[:, :, 2], where=has_env)
+        np.divide(-shift, w2, out=factor[:, :, 3], where=valid[:, :, 3])
+    if np.count_nonzero(exp):
+        factor = factor.astype(complex)
+        factor[:, exp, 1] *= 1j
+    along, mode, candidate = np.nonzero(valid)
+    with np.errstate(invalid="ignore"):
+        amp = _pruned(t.amp[mode] * factor[along, mode, candidate][:, None])
+    changed = data[mode]
+    changed[np.arange(len(mode)), t.column(fields._POLY, 0) + along] += fields._CANDIDATE_STEP[candidate]
+    np.add(changed[:, fields._PHASE], 0.5 * math.pi, out=changed[:, fields._PHASE],
+           where=(candidate == 1) & ~exp[mode])
+    partial, along = fields._merged(_ModeTable(amp, changed), along)
+    source, sign = fields._derivative_gather(sig, field.grade, kind)
+    amp, sign = partial.amp[np.arange(len(along))[:, None], source[along]], sign[along]
+    np.copyto(amp, 0, where=sign == 0)
+    with np.errstate(invalid="ignore"):
+        amp = _pruned(np.multiply(sign, amp, out=amp))
+    return AnalyticField._from_table(sig, grade, fields._merged(_ModeTable(amp, partial.data))[0], merged=True)
 
 
 def reference_dalembertian(field: AnalyticField, x: Sequence[float]) -> Multivector:

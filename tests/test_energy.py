@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import math
 import re
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extcalc import cli, energy
+from extcalc import cli, energy, fields
 from extcalc.algebra import (
     GradeError,
     Multivector,
@@ -62,6 +64,7 @@ from _support import (
     reference_quadratic_bitensor,
     reference_synthesized_modes,
     reference_tensor_divergence,
+    table_bits,
 )
 
 EUC3 = SpacetimeSignature(0, 3)
@@ -737,6 +740,34 @@ def test_cone_flux_and_synthesis_match_the_per_node_reference(case):
         assert mode.phase == ref.phase and mode.waveform == ref.waveform == "cos"
         assert np.allclose(mode.xi, ref.xi, rtol=1e-12, atol=0)
         assert (mode.amplitude - ref.amplitude).max_abs() <= 1e-12 * scale
+
+
+def assert_no_two_modes_share_a_key(potential):
+    # synthesis drops zero rows and groups nothing: a keyed merge finds no pair
+    table = potential._table
+    count = potential.mode_count
+    assert fields._groups(np.zeros(count, dtype=np.intp), table.data[:, :-1])[1] == count
+    assert table_bits(AnalyticField._from_table(potential.signature, potential.grade,
+                                                fields._merged(table)[0], merged=True)) == table_bits(potential)
+
+
+@pytest.mark.parametrize("case", sorted(CONE_CASES))
+def test_synthesized_modes_share_no_key(case):
+    kn, axis, grade, region, points, panels, a_hat = CONE_CASES[case]
+    sig = SpacetimeSignature(*kn)
+    assert_no_two_modes_share_a_key(synthesize_on_cone_potential(a_hat, axis, region, sig, grade,
+                                                                 points=points, panels=panels))
+
+
+@pytest.mark.parametrize("name", ["flux_compare_11", "flux_compare_12", "flux_compare_13"])
+def test_shipped_synthesized_modes_share_no_key(name):
+    spec = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json").read_text())
+    sig = SpacetimeSignature(spec["signature"]["k"], spec["signature"]["n"])
+    r, axis = spec["r"], spec["axis"]
+    region = {int(a): tuple(bounds) for a, bounds in spec["region"].items()}
+    a_hat = cli._bump_factory(spec["spectrum"], sig, axis, r)
+    assert_no_two_modes_share_a_key(synthesize_on_cone_potential(
+        a_hat, axis, region, sig, grade=r, points=spec["freq_points"], panels=spec["freq_panels"]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -40,8 +40,10 @@ from _support import (
     reference_evaluate,
     reference_exterior_derivative,
     reference_interior_derivative,
+    reference_keyed_derivative,
     reference_mode_factor,
     reference_mode_kernel,
+    table_bits,
 )
 
 EUC3 = SpacetimeSignature(0, 3)
@@ -646,6 +648,119 @@ def test_merge_matches_the_dict_of_key_tuples(monkeypatch, dict_rows):
         assert got.amp.tobytes() == want.amp.tobytes()
         assert got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
         assert got_part.dtype == want_part.dtype and got_part.tobytes() == want_part.tobytes()
+
+
+def test_merge_by_source_matches_the_keyed_merge():
+    # rows whose key is their source's data row merge as the keyed grouping
+    # merges them: amplitudes, data, parts and order
+    rng = np.random.default_rng(34)
+    for table, part in adversarial_tables(rng, 600):
+        # no NaN, which matches nothing, and the last column, which is no key, zero
+        data = np.nan_to_num(table.data, nan=7.0)
+        data[:, -1] = 0.0
+        keys, source = fields._distinct_rows(data)
+        with np.errstate(invalid="ignore"):
+            got, got_part = fields._merged(fields._ModeTable(table.amp, keys), part, source=source)
+            want, want_part = fields._merged(fields._ModeTable(table.amp, keys[source]), part)
+        assert table_bits(AnalyticField._from_table(EUC3, 0, got, merged=True)) \
+            == table_bits(AnalyticField._from_table(EUC3, 0, want, merged=True))
+        assert got_part.tobytes() == want_part.tobytes()
+
+
+WAVE_SIGNATURES = [(0, 3), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]
+
+
+def random_wave_field(sig, grade, rng, nmodes):
+    """Modes with no monomial and no envelope, cosine or exponential: normal
+    amplitudes, complex in some fields, xi from three rows (so modes repeat
+    them) with about a third of the entries zero, and phases from five
+    values, 0.0 and -0.0 among them."""
+    complex_amplitudes = rng.random() < 0.4
+    xis = np.where(rng.random((3, sig.dim)) < 0.3, 0.0, rng.uniform(-1.0, 1.0, (3, sig.dim)))
+    phases = [0.0, -0.0, 0.5 * math.pi, 3.0, float(rng.uniform(0.0, 2.0 * math.pi))]
+    modes = []
+    for _ in range(nmodes):
+        terms = {idx: complex(rng.normal(), rng.normal()) if complex_amplitudes else float(rng.normal())
+                 for idx in sig.index_lists(grade) if rng.random() < 0.8}
+        modes.append(Mode(Multivector(sig, grade, terms), tuple(xis[rng.integers(3)]),
+                          phases[rng.integers(len(phases))], "exp" if rng.random() < 0.3 else "cos"))
+    return AnalyticField(sig, grade, modes)
+
+
+def assert_derivatives_match_the_keyed_grouping(f):
+    for kind in (EXTERIOR, INTERIOR):
+        got = fields._derivative_field(f, kind)
+        want = reference_keyed_derivative(f, kind)
+        assert got.grade == want.grade and table_bits(got) == table_bits(want)
+
+
+@pytest.mark.parametrize("k,n", WAVE_SIGNATURES)
+def test_wave_field_derivatives_match_the_keyed_grouping(k, n):
+    # no monomial and no envelope: the rows merge by source mode, with the
+    # bytes and order of the keyed grouping, on both sides of _DICT_ROWS
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng([k, n, 32])
+    for grade in range(sig.dim):
+        for nmodes in (1, 3, 12, 40):
+            f = random_wave_field(sig, grade, rng, nmodes)
+            assert f._partial_table()[2] is not None
+            assert_derivatives_match_the_keyed_grouping(f)
+
+
+def test_phases_meeting_after_the_step_take_the_keyed_grouping():
+    # 0.0 and 1e-17 are distinct keys that both step to pi/2, so their
+    # partials share a key: one mode, as the keyed grouping merges them
+    amplitude = Multivector.blade(MINK, (1,), 1.0)
+    f = AnalyticField(MINK, 1, [Mode(amplitude, (0.3, 0.2, 0.0, 0.1), phase) for phase in (0.0, 1e-17)])
+    assert f.mode_count == 2 and f._partial_table()[2] is None
+    for kind in (EXTERIOR, INTERIOR):
+        assert fields._derivative_field(f, kind).mode_count == 1
+    assert_derivatives_match_the_keyed_grouping(f)
+
+
+def test_monomial_envelope_and_nan_keys_take_the_keyed_grouping():
+    # one such mode among plain ones sends the whole table the keyed way
+    rng = np.random.default_rng(33)
+    for k, n in WAVE_SIGNATURES:
+        sig = SpacetimeSignature(k, n)
+        dim = sig.dim
+        for grade in range(dim):
+            waves = random_wave_field(sig, grade, rng, 8).modes
+            amplitude = Multivector.blade(sig, tuple(range(grade)), 1.5)
+            xi = tuple(rng.uniform(-1.0, 1.0, dim))
+            for extra in (Mode(amplitude, xi, 0.2, poly=(1,) + (0,) * (dim - 1)),
+                          Mode(amplitude, xi, 0.2, envelope=GaussianEnvelope((0.1,) * dim, 0.8)),
+                          Mode(amplitude, (math.nan,) + xi[1:], 0.2)):
+                f = AnalyticField(sig, grade, [*waves, extra])
+                assert f._partial_table()[2] is None
+                with np.errstate(invalid="ignore"):
+                    assert_derivatives_match_the_keyed_grouping(f)
+            # an exponent of -0.0, which the exponent step turns into +0.0
+            table = AnalyticField(sig, grade, waves)._table
+            table.data[0, table.column(fields._POLY, 0)] = -0.0
+            f = AnalyticField._from_table(sig, grade, table, merged=True)
+            assert f._partial_table()[2] is None
+            assert_derivatives_match_the_keyed_grouping(f)
+
+
+def test_cis_is_exp_of_j_angle_bit_for_bit():
+    # cos and sin written into a complex array: the bytes of np.exp(1j * x),
+    # -0.0 and huge angles included; both are NaN at an infinite or NaN angle
+    rng = np.random.default_rng(35)
+    tiny = 2.0 ** rng.integers(-1074, 1023, 500) * rng.choice([-1.0, 1.0], 500)
+    angle = np.concatenate([rng.normal(size=4000) * 10.0, rng.normal(size=2000) * 1e8,
+                            rng.uniform(-1e300, 1e300, 500), tiny,
+                            [0.0, -0.0, 5e-324, -5e-324, 1e-17, math.pi, -math.pi, 1e22, 2.0 ** 1023,
+                             math.inf, -math.inf, math.nan]])
+    for x in (angle, np.multiply.outer(rng.normal(size=64) * 5.0, rng.normal(size=100))):
+        with np.errstate(invalid="ignore"):
+            want, got = np.exp(1j * x), fields._cis(x)
+        finite = np.isfinite(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got[finite].tobytes() == want[finite].tobytes()
+        for z in (got[~finite], want[~finite]):
+            assert np.isnan(z.real).all() and np.isnan(z.imag).all()
+    assert np.signbit(fields._cis(np.array([-0.0])).imag).tolist() == [False]
 
 
 # ---------------------------------------------------------------------------
