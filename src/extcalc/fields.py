@@ -21,6 +21,8 @@ in two forms: rows over a point array (``*_components``), the jet's partial
 rows times a table of ``wedge``/``left_interior`` on unit blades summed over
 axes, a slice of the one cached ``algebra._product_table``; and exact
 analytic fields (``*_field``), the merged partial table gathered through it.
+A derived row whose key cannot collide with another mode's is not grouped:
+for modes with no monomial and no envelope the rows merge by source mode.
 
 The wave phase is theta(x) = 2 pi sum_i Delta_ii xi_i x_i + phi, i.e. the
 metric dot product of the frequency covector with the position.  This is the
@@ -156,7 +158,9 @@ def _mode_row(dim: int, phase: float, waveform: str, xi, poly, poly_center,
 # order: the same products and sums, the same merge order and a relative
 # prune after each addition.  So a derived table lists the same modes, in the
 # same order, with coefficients equal in value to that algebra's; Python's
-# scalar types and the signs of zeros are not kept.
+# scalar types and the signs of zeros are not kept.  Rows whose keys cannot
+# collide are not grouped by key: they are kept, or merged by the mode they
+# came from, with the same result.
 # ---------------------------------------------------------------------------
 
 # columns of ``_ModeTable.data``: three scalars, then blocks of dim columns
@@ -312,8 +316,10 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None,
     else:
         amp, part, source = _nonzero_rows(table.amp, part, source)
         data, keys = table.data, source[:, None]
+    count = len(part)
+    if count > 1:
+        group, count = _groups(part, keys)
     lead = slice(None)
-    group, count = _groups(part, keys) if len(part) > 1 else (None, len(part))
     if count < len(part):
         # rank counts a member's predecessors in its group
         order = np.argsort(group, kind="stable")
@@ -522,8 +528,8 @@ class AnalyticField:
 
     def _partial_table(self) -> tuple[_ModeTable, np.ndarray, np.ndarray | None]:
         """The partials along every axis as one merged table, axis by axis,
-        each row's axis, and each row's source mode where no two rows can
-        share a key (else None), built from one pass over the table.  Each
+        each row's axis, and each row's source mode where the no-collision
+        rule below holds (else None), built from one pass over the table.  Each
         mode gives up to four modes, in this order: its monomial factor
         differentiated (amplitude times the exponent, exponent lowered), its
         waveform (amplitude times the phase slope s, with the phase advanced
@@ -700,10 +706,8 @@ class AnalyticField:
     def _with_amplitudes(self, grade: int, amp: np.ndarray) -> "AnalyticField":
         """This field's modes with new amplitude rows: no two keys were equal,
         so none become equal, and only the rows now zero are dropped."""
-        amp = _pruned(amp)
-        nonzero = np.logical_or.reduce(amp != 0, axis=1)
-        return AnalyticField._from_table(self.signature, grade,
-                                         _ModeTable(amp, self._table.data).take(nonzero), merged=True)
+        table = _ModeTable(*_nonzero_rows(_pruned(amp), self._table.data))
+        return AnalyticField._from_table(self.signature, grade, table, merged=True)
 
     def __mul__(self, factor: complex) -> "AnalyticField":
         return self._with_amplitudes(self.grade, self._table.amp * factor)
@@ -932,7 +936,11 @@ def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
 
     Row by row this is sum_i P_i @ T[i] over the partial tables P_i, with T
     the ``_derivative_table``: each row of the field's ``_partial_table`` is
-    gathered through its axis's ``_derivative_gather`` and signed in place.
+    gathered through its axis's ``_derivative_gather`` and signed in place,
+    and the rows are merged.  Where the partial table names each row's
+    source mode, a mode's rows share its key and no other row's, so they
+    merge by source, in axis order and each mode first met along its first
+    axis with a nonzero row, with no key sorted; else by key.
     """
     sig = f.signature
     grade = _derivative_grade(f, kind)
