@@ -218,17 +218,28 @@ def _check_grade(found: int, grade: int) -> None:
         raise ValueError(f"mode amplitude grade {found} != field grade {grade}")
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _pruned(amp: np.ndarray) -> np.ndarray:
     """``algebra._prune`` applied in place to every row of fresh arrays: zero
     entries and entries below PRUNE_REL of the row's largest magnitude become
     absent, and no relative cut is made in a row holding a NaN or infinite
     entry (fail closed); magnitudes and sums beyond the float range are
     infinite, without a warning, as ``algebra._magnitudes`` makes them."""
+    rows, ncomp = amp.shape
     with np.errstate(over="ignore"):
         mags = np.abs(amp)
-        # a row whose magnitudes do not sum to a finite value gets no cut
-        cut = np.where(np.add.reduce(mags, axis=1) < np.inf,
-                       PRUNE_REL * np.maximum.reduce(mags, axis=1, initial=0.0), 0.0)
+    # a reduceat over the flat rows: numpy reduces along short rows slowly
+    peak = np.maximum.reduceat(mags.reshape(-1), np.arange(0, amp.size, ncomp)) if amp.size else np.zeros(rows)
+    cut = PRUNE_REL * peak
+    # a row whose magnitudes do not sum to a finite value gets no cut; no
+    # order of summing magnitudes below FLOAT_MAX / (2 ncomp) overflows, so
+    # only the other rows are summed
+    doubtful = np.flatnonzero(~(peak < _FLOAT_MAX / (2 * max(ncomp, 1))))
+    if len(doubtful):
+        with np.errstate(over="ignore"):
+            cut[doubtful] = np.where(np.add.reduce(mags[doubtful], axis=1) < np.inf, cut[doubtful], 0.0)
     drop = mags < cut[:, None]
     drop |= amp == 0
     np.copyto(amp, 0, where=drop)

@@ -15,10 +15,10 @@ the face-by-face boundary integrals with a point-by-point field wrapper and
 an exact-bits key, the dense slice flux, the per-node frequency-domain flux
 and cone synthesis, the derived-field and mapped amplitude modes built by
 per-mode multivector algebra, the mode-table merge through a dict of Python
-key tuples, a by-value comparison of modes, the analytic field reader
-through ``Multivector`` and ``Mode`` objects with an exact key of mode
-tables, and the loop form of the identity suite.  None of these is used by
-the package."""
+key tuples, the row prune by reductions along the rows, a by-value
+comparison of modes, the analytic field reader through ``Multivector`` and
+``Mode`` objects with an exact key of mode tables, and the loop form of the
+identity suite.  None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -470,6 +470,19 @@ def reference_derivative_modes(mode: Mode, axis: int) -> list[Mode]:
         if shift:
             out.append(replace(mode, amplitude=mode.amplitude * (-shift / w2)))
     return [m for m in out if m.amplitude]
+
+
+def reference_pruned(amp: np.ndarray) -> np.ndarray:
+    """``fields._pruned`` as one reduce along the rows for each row's largest
+    magnitude and one for each row's sum."""
+    with np.errstate(over="ignore"):
+        mags = np.abs(amp)
+        cut = np.where(np.add.reduce(mags, axis=1) < np.inf,
+                       algebra.PRUNE_REL * np.maximum.reduce(mags, axis=1, initial=0.0), 0.0)
+    drop = mags < cut[:, None]
+    drop |= amp == 0
+    np.copyto(amp, 0, where=drop)
+    return amp
 
 
 def reference_merged_modes(modes: Iterable[Mode]) -> list[Mode]:

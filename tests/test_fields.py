@@ -37,6 +37,7 @@ from _support import (
     reference_merged,
     reference_merged_modes,
     reference_partial_modes,
+    reference_pruned,
     reference_evaluate,
     reference_exterior_derivative,
     reference_interior_derivative,
@@ -648,6 +649,30 @@ def test_merge_matches_the_dict_of_key_tuples(monkeypatch, dict_rows):
         assert got.amp.tobytes() == want.amp.tobytes()
         assert got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
         assert got_part.dtype == want_part.dtype and got_part.tobytes() == want_part.tobytes()
+
+
+def test_prune_matches_the_row_reductions_bit_for_bit():
+    # the peak by reduceat and the sum only where the peak could overflow it:
+    # the bytes of the row reductions, on rows near the float range, with
+    # NaN, +-inf, -0.0 and complex parts beyond the range, and empty arrays
+    rng = np.random.default_rng(36)
+    big = np.finfo(float).max
+    specials = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, big, -big, big / 2, big / 3, 1e300, 1e-300,
+                         5e-324, 1.0, -2.5, 1e-15, 1e-14, 3e-13])
+    for _ in range(3000):
+        rows, ncomp = int(rng.integers(0, 40)), int(rng.integers(0, 21))
+        amp = rng.normal(size=(rows, ncomp)) * 10.0 ** rng.integers(-30, 30, size=(rows, ncomp))
+        pick = rng.random(amp.shape) < rng.choice([0.0, 0.1, 0.5])
+        amp[pick] = rng.choice(specials, size=np.count_nonzero(pick))
+        # rows at the overflow bound of the peak
+        edge = rng.random(rows) < 0.2
+        amp[edge] = np.nextafter(big / (2 * max(ncomp, 1)), rng.choice([0.0, math.inf]))
+        if rng.random() < 0.4:
+            amp = amp.astype(complex)
+            amp.imag = np.where(rng.random(amp.shape) < 0.3, rng.choice(specials, size=amp.shape), 0.0)
+        want = reference_pruned(amp.copy())
+        got = fields._pruned(amp.copy())
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_merge_by_source_matches_the_keyed_merge():
