@@ -236,8 +236,8 @@ def _pruned(amp: np.ndarray) -> np.ndarray:
     # a row whose magnitudes do not sum to a finite value gets no cut; no
     # order of summing magnitudes below FLOAT_MAX / (2 ncomp) overflows, so
     # only the other rows are summed
-    doubtful = np.flatnonzero(~(peak < _FLOAT_MAX / (2 * max(ncomp, 1))))
-    if len(doubtful):
+    doubtful = ~(peak < _FLOAT_MAX / (2 * max(ncomp, 1)))
+    if doubtful.any():
         with np.errstate(over="ignore"):
             cut[doubtful] = np.where(np.add.reduce(mags[doubtful], axis=1) < np.inf, cut[doubtful], 0.0)
     drop = mags < cut[:, None]
@@ -330,21 +330,21 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None,
     count = len(part)
     if count > 1:
         group, count = _groups(part, keys)
-    lead = slice(None)
-    if count < len(part):
-        # rank counts a member's predecessors in its group
-        order = np.argsort(group, kind="stable")
-        starts = np.searchsorted(group[order], np.arange(count))
-        rank = np.empty_like(group)
-        rank[order] = np.arange(len(group)) - starts[group[order]]
-        lead = order[starts]
-        merged = amp[lead]
-        with np.errstate(invalid="ignore"):
-            for r in range(1, int(rank.max()) + 1):
-                members = np.flatnonzero(rank == r)
-                g = group[members]
-                merged[g] = _pruned(merged[g] + amp[members])
-        amp, part, lead = _nonzero_rows(merged, part[lead], lead)
+    if count == len(part):
+        return _ModeTable(amp, data if source is None else data[source]), part
+    # rank counts a member's predecessors in its group
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(count))
+    rank = np.empty_like(group)
+    rank[order] = np.arange(len(group)) - starts[group[order]]
+    lead = order[starts]
+    merged = amp[lead]
+    with np.errstate(invalid="ignore"):
+        for r in range(1, int(rank.max()) + 1):
+            members = np.flatnonzero(rank == r)
+            g = group[members]
+            merged[g] = _pruned(merged[g] + amp[members])
+    amp, part, lead = _nonzero_rows(merged, part[lead], lead)
     return _ModeTable(amp, data[lead] if source is None else data[source[lead]]), part
 
 
@@ -355,9 +355,9 @@ def _waves_only(table: _ModeTable, exp: np.ndarray) -> bool:
     matches nothing, so its rows never merge), and no two distinct cosine
     phases round to one phase after the pi/2 step.  Rounding is monotone, so
     only neighbours among the sorted phases can meet, as 0.0 and 1e-17 do."""
-    data, poly = table.data, table.block(_POLY)
-    if np.count_nonzero(poly) or np.signbit(poly).any() or np.count_nonzero(data[:, _WIDTH] > 0) \
-            or np.isnan(data[:, :-1]).any():
+    data = table.data
+    # an exponent other than +0.0 has a bit set
+    if table.block(_POLY).view(np.int64).any() or data[:, _WIDTH].any() or np.isnan(data[:, :-1]).any():
         return False
     phase = np.sort(data[~exp, _PHASE])
     stepped = phase + 0.5 * math.pi
@@ -931,15 +931,17 @@ def _derivative_at(f, kind: str, x: Sequence[float], slopes: Sequence[np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _derivative_gather(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_derivative_table`` as a signed gather: each column of T[i] holds at
-    most one entry, so output blade b along axis i is ``sign[i, b]`` times
-    input blade ``source[i, b]`` (sign 0 where nothing lands)."""
+def _derivative_gather(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``_derivative_table`` as a signed gather, one (source, sign, lands)
+    triple per axis i: each column of T[i] holds at most one entry, so output
+    blade b is ``sign[b]`` times input blade ``source[b]`` where ``lands[b]``,
+    and nothing lands elsewhere (sign 0)."""
     table = _derivative_table(sig, grade, kind)
     source = np.abs(table).argmax(axis=1)
     sign = np.take_along_axis(table, source[:, None, :], axis=1)[:, 0, :]
-    source.flags.writeable = sign.flags.writeable = False
-    return source, sign
+    lands = sign != 0
+    source.flags.writeable = sign.flags.writeable = lands.flags.writeable = False
+    return tuple(zip(source, sign, lands))
 
 
 def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
@@ -958,15 +960,12 @@ def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
     if grade is None:
         return AnalyticField(sig, 0)
     table, along, mode = f._partial_table()
-    source, sign = _derivative_gather(sig, f.grade, kind)
-    amp = np.empty((len(along), sign.shape[1]), dtype=table.amp.dtype)
-    # the rows come axis by axis
+    # the rows come axis by axis; a blade that nothing lands on stays +0.0
     bounds = np.searchsorted(along, np.arange(sig.dim + 1)).tolist()
+    amp = np.zeros((len(along), math.comb(sig.dim, grade)), dtype=table.amp.dtype)
     with np.errstate(invalid="ignore"):
-        for axis, lo, hi in zip(sig.axes(), bounds, bounds[1:]):
-            block = np.take(table.amp[lo:hi], source[axis], axis=1, out=amp[lo:hi])
-            np.copyto(block, 0, where=sign[axis] == 0)
-            np.multiply(sign[axis], block, out=block)
+        for (source, sign, lands), lo, hi in zip(_derivative_gather(sig, f.grade, kind), bounds, bounds[1:]):
+            np.multiply(sign, table.amp[lo:hi].take(source, axis=1), out=amp[lo:hi], where=lands)
         amp = _pruned(amp)
     return AnalyticField._from_table(sig, grade, _merged(_ModeTable(amp, table.data), source=mode)[0],
                                      merged=True)

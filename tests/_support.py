@@ -548,8 +548,9 @@ def reference_keyed_derivative(field: AnalyticField, kind: str) -> AnalyticField
     """The exterior ("exterior") or interior derivative field by the keyed
     grouping alone: every candidate partial row of every mode with a data row
     of its own, merged per axis by ``fields._merged`` on the keys
-    (``_groups``), each row gathered and signed through ``_derivative_gather``,
-    then merged on the keys again.  No row is merged by its source mode."""
+    (``_groups``), each row gathered and signed through its axis's
+    ``_derivative_table`` entries, then merged on the keys again.  No row is
+    merged by its source mode."""
     sig, t = field.signature, field._table
     grade = field.grade + 1 if kind == EXTERIOR else field.grade - 1
     if not 0 <= grade <= sig.dim:
@@ -581,7 +582,10 @@ def reference_keyed_derivative(field: AnalyticField, kind: str) -> AnalyticField
     np.add(changed[:, fields._PHASE], 0.5 * math.pi, out=changed[:, fields._PHASE],
            where=(candidate == 1) & ~exp[mode])
     partial, along = fields._merged(_ModeTable(amp, changed), along)
-    source, sign = fields._derivative_gather(sig, field.grade, kind)
+    # each column of the derivative table holds at most one entry
+    table = _derivative_table(sig, field.grade, kind)
+    source = np.abs(table).argmax(axis=1)
+    sign = np.take_along_axis(table, source[:, None, :], axis=1)[:, 0, :]
     amp, sign = partial.amp[np.arange(len(along))[:, None], source[along]], sign[along]
     np.copyto(amp, 0, where=sign == 0)
     with np.errstate(invalid="ignore"):
