@@ -231,7 +231,9 @@ def _pruned(amp: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         mags = np.abs(amp)
     # a reduceat over the flat rows: numpy reduces along short rows slowly
-    peak = np.maximum.reduceat(mags.reshape(-1), np.arange(0, amp.size, ncomp)) if amp.size else np.zeros(rows)
+    peak = np.zeros(rows)
+    if amp.size:
+        peak = np.maximum.reduceat(mags.reshape(-1), np.arange(0, amp.size, ncomp))
     cut = PRUNE_REL * peak
     # a row whose magnitudes do not sum to a finite value gets no cut; no
     # order of summing magnitudes below FLOAT_MAX / (2 ncomp) overflows, so
