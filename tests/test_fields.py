@@ -772,9 +772,9 @@ def test_cis_is_exp_of_j_angle_bit_for_bit():
     # cos and sin written into a complex array: the bytes of np.exp(1j * x),
     # -0.0 and huge angles included; both are NaN at an infinite or NaN angle
     rng = np.random.default_rng(35)
-    tiny = 2.0 ** rng.integers(-1074, 1023, 500) * rng.choice([-1.0, 1.0], 500)
+    powers = 2.0 ** rng.integers(-1074, 1023, 500) * rng.choice([-1.0, 1.0], 500)
     angle = np.concatenate([rng.normal(size=4000) * 10.0, rng.normal(size=2000) * 1e8,
-                            rng.uniform(-1e300, 1e300, 500), tiny,
+                            rng.uniform(-1e300, 1e300, 500), powers,
                             [0.0, -0.0, 5e-324, -5e-324, 1e-17, math.pi, -math.pi, 1e22, 2.0 ** 1023,
                              math.inf, -math.inf, math.nan]])
     for x in (angle, np.multiply.outer(rng.normal(size=64) * 5.0, rng.normal(size=100))):
