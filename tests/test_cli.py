@@ -145,22 +145,6 @@ def test_maxwell_check_locates_a_worst_residual_of_the_hom_side(tmp_path, capsys
                                    "[0.952487, -0.838328], component e_01 of hom")
 
 
-def _within(got, want, bound, where="report"):
-    """Same keys, verdicts and strings; every number within bound of the recorded one."""
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and sorted(got) == sorted(want), where
-        for key in want:
-            _within(got[key], want[key], bound, f"{where}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _within(g, w, bound, f"{where}[{i}]")
-    elif isinstance(want, (bool, str)) or want is None:
-        assert got == want and type(got) is type(want), where
-    else:
-        assert abs(got - want) <= bound, (where, got, want)
-
-
 @pytest.mark.parametrize("name,argv", [
     ("classical-seed-7", ("classical", "--seed", "7")),
     ("maxwell-check-vacuum_plane_wave", ("maxwell-check", "--config",
@@ -179,18 +163,12 @@ def _within(got, want, bound, where="report"):
                                       str(SCENARIOS / "flux_compare_14.json"))),
 ])
 def test_shipped_reports_keep_their_recorded_values(capsys, name, argv):
+    # every report byte: the runs read the mode tables, their merges and derivatives, the stress
+    # and force tables, and the slice-flux moments in node and Gram form
     recorded = (REPORTS / f"{name}.json").read_text()
-    want = json.loads(recorded)
     code, out, _ = run(capsys, *argv)
-    assert code == (0 if want["passed"] else 1)
-    got = json.loads(out)
-    _within(got, want, 1e-3 * want["tol"])
-    assert got.get("synth_modes") == want.get("synth_modes")
-    if name in ("stress-energy-vacuum_plane_wave", "maxwell-check-nonconserved_source",
-                "flux-compare-flux_compare_14"):
-        # the runs read the stress table and the derivative tables, which must keep every report
-        # byte, and the (1,4) slice flux takes Gram form on each of its four axes
-        assert out == recorded
+    assert code == (0 if json.loads(recorded)["passed"] else 1)
+    assert out == recorded
 
 
 def test_parser_is_built_once_and_keeps_no_flags(capsys):
