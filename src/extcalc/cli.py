@@ -48,9 +48,6 @@ from .fields import (
     AnalyticField,
     FieldDomainError,
     GridField,
-    _POLY,
-    _WIDTH,
-    _XI,
     _cosine_field,
     _derivative_rows,
     _pruned,
@@ -268,14 +265,14 @@ def _check_fourier(system: MaxwellSystem) -> dict:
     f_field = system.F
     if not isinstance(f_field, AnalyticField):
         return {"skipped": "grid-backed fields have no mode data"}
-    table = f_field._table
-    if np.any(table.block(_POLY)) or np.any(table.data[:, _WIDTH]):
+    waves = f_field._plane_waves()
+    if waves is None:
         return {"skipped": "plane-wave algebra needs modes without monomial or envelope factors"}
     # a grid-backed source has no modes either, but it is a source
     if not (isinstance(system.J, AnalyticField) and system.J.mode_count == 0):
         return {"skipped": "algebraic source-free check needs a source-free scenario"}
     modes = [null_support_violation(xi, Multivector.from_row(f_field.signature, f_field.grade, amp))
-             for xi, amp in zip(table.block(_XI).tolist(), table.amp)]
+             for xi, amp in waves]
     return {name: _worst([mode[key] for mode in modes]) for name, key in
             (("inhom_max", "inhom_max"), ("hom_max", "hom_max"), ("null_support_violation", "violation"))}
 

@@ -160,7 +160,9 @@ def _mode_row(dim: int, phase: float, waveform: str, xi, poly, poly_center,
 # same order, with coefficients equal in value to that algebra's; Python's
 # scalar types and the signs of zeros are not kept.  Rows whose keys cannot
 # collide are not grouped by key: they are kept, or merged by the mode they
-# came from, with the same result.
+# came from, with the same result.  Every merge is one fold (``_merged``).
+# Only this module reads the table's columns; other modules build and read
+# it through ``AnalyticField._from_rows``, ``_rows`` and ``_plane_waves``.
 # ---------------------------------------------------------------------------
 
 # columns of ``_ModeTable.data``: three scalars, then blocks of dim columns
@@ -256,47 +258,28 @@ def _pruned(amp: np.ndarray) -> np.ndarray:
 _DICT_ROWS = 32
 
 
-def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable lexicographic order of the rows, first column first, and where
-    in it each run of equal rows starts.  Rows are equal when every column
-    compares equal as floats, so 0.0 and -0.0 match and NaN matches nothing."""
-    order = np.lexsort(keys.T[::-1])
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable lexicographic order of the rows, first column first, where in
+    it each run of equal rows starts, and each row's run.  Rows are equal
+    when every column compares equal as floats, so 0.0 and -0.0 match and
+    NaN matches nothing; with no column all rows are equal.  (Array methods
+    and ufuncs: on small tables numpy's Python wrappers cost more.)"""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
     ordered = keys[order]
-    start = np.ones(len(keys), dtype=bool)
+    start = np.empty(len(keys), dtype=bool)
+    start[:1] = True
     np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1, out=start[1:])
-    return order, start
+    run = np.empty(len(keys), dtype=np.intp)
+    run[order] = np.add.accumulate(start, dtype=np.intp) - 1
+    return order, start.nonzero()[0], run
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows in lexicographic order and each row's index among
     them, as ``np.unique(keys, axis=0, return_inverse=True)`` gives them
     without NaN, from one lexsort (``_sorted_runs``)."""
-    order, start = _sorted_runs(keys)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(start) - 1
-    return keys[order[start]], inverse
-
-
-def _groups(part: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each row's group, the groups numbered by first occurrence, and their
-    count.  Rows group when their part and every key compare equal as
-    floats, so 0.0 and -0.0 group and a row holding NaN is a group of its own."""
-    if len(part) <= _DICT_ROWS:
-        seen: dict[tuple, int] = {}
-        group = [seen.setdefault(key, len(seen)) for key in zip(part.tolist(), map(tuple, keys.tolist()))]
-        return np.array(group, dtype=np.intp), len(seen)
-    keys = keys[:, np.logical_or.reduce(keys != keys[0], axis=0)]
-    if np.count_nonzero(part != part[0]):
-        keys = np.column_stack([part, keys])
-    if not keys.shape[1]:
-        return np.zeros(len(part), dtype=np.intp), 1
-    order, start = _sorted_runs(keys)
-    lead = order[start]
-    number = np.empty(len(lead), dtype=np.intp)
-    number[np.argsort(lead)] = np.arange(len(lead))
-    group = np.empty(len(keys), dtype=np.intp)
-    group[order] = number[np.cumsum(start) - 1]
-    return group, len(lead)
+    order, first, run = _sorted_runs(keys)
+    return keys[order[first]], run
 
 
 def _nonzero_rows(amp: np.ndarray, *aligned: np.ndarray) -> tuple:
@@ -315,11 +298,18 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None,
     objects; modes whose amplitude is or becomes zero are dropped.
 
     Rows of different ``part`` never merge; the parts of the rows kept are
-    returned with the table.  Keys compare as floats (``_groups``).  A caller
-    that knows which rows share a key from how it built them gives each
-    row's ``source`` instead, and ``table.data`` then holds one key row per
-    source: rows merge when their sources are equal, and no key is compared.
-    The merged table holds one data row per mode either way.
+    returned with the table.  Keys compare as floats (``_sorted_runs``).  A
+    caller that knows which rows share a key from how it built them gives
+    each row's ``source`` instead, and ``table.data`` then holds one key row
+    per source: rows merge when their sources are equal, and no key is
+    compared.  The merged table holds one data row per mode either way.
+
+    One fold serves every merge: ``_sorted_runs`` puts each group's rows
+    together as a run, in row order, sorting the dict numbers of the groups
+    on tables of up to ``_DICT_ROWS`` rows, else the part where it varies and
+    the key columns that vary, or the sources.  A run's first row leads its
+    group, its r-th row after that is added r-th, and the groups are written
+    in the order of their lead rows, first occurrence.
     """
     if part is None:
         part = np.zeros(len(table.amp), dtype=np.intp)
@@ -330,36 +320,52 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None,
         amp, part, source = _nonzero_rows(table.amp, part, source)
         data, keys = table.data, source[:, None]
     count = len(part)
-    if count > 1:
-        group, count = _groups(part, keys)
-    if count == len(part):
+    first = None
+    if count > 1 and source is None and count <= _DICT_ROWS:
+        seen: dict[tuple, int] = {}
+        number = [seen.setdefault(key, len(seen)) for key in zip(part.tolist(), map(tuple, keys.tolist()))]
+        if len(seen) < count:
+            order, first, group = _sorted_runs(np.array(number, dtype=np.intp)[:, None])
+    elif count > 1:
+        keys = keys[:, np.logical_or.reduce(keys != keys[0], axis=0)]
+        if np.count_nonzero(part != part[0]):
+            keys = np.column_stack([part, keys])
+        order, first, group = _sorted_runs(keys)
+    if first is None or len(first) == count:
         return _ModeTable(amp, data if source is None else data[source]), part
-    # rank counts a member's predecessors in its group
-    order = np.argsort(group, kind="stable")
-    starts = np.searchsorted(group[order], np.arange(count))
+    # each row's rank: its place in its group's run
     rank = np.empty_like(group)
-    rank[order] = np.arange(len(group)) - starts[group[order]]
-    lead = order[starts]
+    rank[order] = np.arange(count) - first[group[order]]
+    lead = order[first]
     merged = amp[lead]
     with np.errstate(invalid="ignore"):
-        for r in range(1, int(rank.max()) + 1):
-            members = np.flatnonzero(rank == r)
+        for r in range(1, rank.max() + 1):
+            # in row order: numpy may keep either NaN of a sum by its place in the array
+            members = (rank == r).nonzero()[0]
             g = group[members]
             merged[g] = _pruned(merged[g] + amp[members])
-    amp, part, lead = _nonzero_rows(merged, part[lead], lead)
+    # the groups in the order of their lead rows, first occurrence
+    by_lead = lead.argsort()
+    lead = lead[by_lead]
+    amp, part, lead = _nonzero_rows(merged[by_lead], part[lead], lead)
     return _ModeTable(amp, data[lead] if source is None else data[source[lead]]), part
 
 
+def _plain_waves(table: _ModeTable) -> bool:
+    """Whether no mode has a monomial or an envelope: every exponent is
+    +0.0 (an exponent other than +0.0 has a bit set), as the exponent step
+    of ``_partial_table`` keeps it, and every width 0.0."""
+    return not (table.block(_POLY).view(np.int64).any() or table.data[:, _WIDTH].any())
+
+
 def _waves_only(table: _ModeTable, exp: np.ndarray) -> bool:
-    """Whether the partials of a table cannot share keys across modes: no
-    mode has a monomial (every exponent +0.0, which the exponent step of
-    ``_partial_table`` keeps) or an envelope, no key holds a NaN (which
-    matches nothing, so its rows never merge), and no two distinct cosine
-    phases round to one phase after the pi/2 step.  Rounding is monotone, so
-    only neighbours among the sorted phases can meet, as 0.0 and 1e-17 do."""
+    """Whether the partials of a table cannot share keys across modes: its
+    modes are ``_plain_waves``, no key holds a NaN (which matches nothing, so
+    its rows never merge), and no two distinct cosine phases round to one
+    phase after the pi/2 step.  Rounding is monotone, so only neighbours
+    among the sorted phases can meet, as 0.0 and 1e-17 do."""
     data = table.data
-    # an exponent other than +0.0 has a bit set
-    if table.block(_POLY).view(np.int64).any() or data[:, _WIDTH].any() or np.isnan(data[:, :-1]).any():
+    if not _plain_waves(table) or np.isnan(data[:, :-1]).any():
         return False
     phase = np.sort(data[~exp, _PHASE])
     stepped = phase + 0.5 * math.pi
@@ -518,17 +524,49 @@ class AnalyticField:
         field._set(signature, grade, table if merged else _merged(table)[0])
         return field
 
+    @classmethod
+    def _from_rows(cls, signature: SpacetimeSignature, grade: int, modes: Iterable[tuple]) -> "AnalyticField":
+        """The field of (amplitude grade, dense amplitude row, ``Mode`` keyword
+        values) triples, each mode checked as a ``Mode`` as it comes, then
+        every grade; the rows pruned, complex only while a kept coefficient
+        is (as a ``Multivector`` row), and the modes merged."""
+        grades, amps, data = [], [], []
+        for found, row, values in modes:
+            data.append(_mode_row(signature.dim, **values))
+            grades.append(found)
+            amps.append(row)
+        for found in grades:
+            _check_grade(found, grade)
+        table = _stacked(signature, grade, amps, data, None)
+        amp = _pruned(table.amp)
+        if amp.dtype == complex and not np.any(amp.imag):
+            table = table._replace(amp=amp.real.copy())
+        return cls._from_table(signature, grade, table)
+
+    def _rows(self):
+        """Each mode decoded: its amplitude row, pruned as ``Multivector``
+        prunes it, xi, phase, waveform, monomial exponents and centre, and
+        the envelope's (centre, width) or None, as Python values."""
+        dim, t = self.signature.dim, self._table
+        for amp, row in zip(_pruned(t.amp.copy()).tolist(), t.data.tolist()):
+            yield (amp, row[3:3 + dim], row[_PHASE], WAVE_EXP if row[_EXP] else WAVE_COS,
+                   row[3 + dim:3 + 2 * dim], row[3 + 2 * dim:3 + 3 * dim],
+                   (row[3 + 3 * dim:-1], row[_WIDTH]) if row[_WIDTH] > 0 else None)
+
+    def _plane_waves(self) -> list[tuple[list, np.ndarray]] | None:
+        """Each mode's xi and amplitude row if the modes are ``_plain_waves``."""
+        t = self._table
+        return list(zip(t.block(_XI).tolist(), t.amp)) if _plain_waves(t) else None
+
     @property
     def modes(self) -> tuple[Mode, ...]:
         """The modes as ``Mode`` objects, in table order."""
         if self._modes is None:
-            sig, dim, t = self.signature, self.signature.dim, self._table
+            sig, grade = self.signature, self.grade
             self._modes = tuple(
-                Mode(Multivector.from_row(sig, self.grade, amp), tuple(row[3:3 + dim]), row[_PHASE],
-                     WAVE_EXP if row[_EXP] else WAVE_COS, tuple(row[3 + dim:3 + 2 * dim]),
-                     tuple(row[3 + 2 * dim:3 + 3 * dim]),
-                     GaussianEnvelope(tuple(row[3 + 3 * dim:-1]), row[_WIDTH]) if row[_WIDTH] > 0 else None)
-                for amp, row in zip(t.amp, t.data.tolist()))
+                Mode(Multivector.from_row(sig, grade, amp), tuple(xi), phase, waveform, tuple(poly),
+                     tuple(centre), None if envelope is None else GaussianEnvelope(tuple(envelope[0]), envelope[1]))
+                for amp, xi, phase, waveform, poly, centre, envelope in self._rows())
         return self._modes
 
     @property
@@ -561,34 +599,33 @@ class AnalyticField:
         rows, as ``_merged`` takes them by source."""
         sig, t = self.signature, self._table
         data = t.data
-        poly = t.block(_POLY)
-        slope = 2.0 * math.pi * _metric(sig) * t.block(_XI)
+        slope = (2.0 * math.pi * _metric(sig) * t.block(_XI)).T
         exp = data[:, _EXP] != 0
+        waves = _waves_only(t, exp)
         # candidates c of mode m along axis a, as valid[a, m, c] and
-        # factor[a, m, c]: monomial, waveform, envelope, envelope shift
-        valid = np.zeros((sig.dim, len(data), 4), dtype=bool)
-        factor = np.zeros(valid.shape)
-        valid[:, :, 0] = poly.T != 0
-        factor[:, :, 0] = poly.T
-        valid[:, :, 1] = slope.T != 0.0
-        factor[:, :, 1] = slope.T
-        has_env = data[:, _WIDTH] > 0
-        if np.count_nonzero(has_env):
-            w2 = data[:, -1]
-            shift = (t.block(_CENTRE) - t.block(_ENV)).T
-            valid[:, :, 2] = has_env
-            valid[:, :, 3] = has_env & (shift != 0)
-            np.divide(-1.0, w2, out=factor[:, :, 2], where=has_env)
-            np.divide(-shift, w2, out=factor[:, :, 3], where=valid[:, :, 3])
+        # factor[a, m, c]: monomial, waveform, envelope, envelope shift, of
+        # the kinds the table has (the waveform alone where ``waves``)
+        valid, factor = [slope != 0.0], [slope]
         if np.count_nonzero(exp):
             # an exponential's waveform factor is j s
-            factor = factor.astype(complex)
-            factor[:, exp, 1] *= 1j
+            factor[0] = slope.astype(complex)
+            factor[0][:, exp] *= 1j
+        if not waves:
+            poly = t.block(_POLY).T
+            valid.insert(0, poly != 0)
+            factor.insert(0, poly)
+            has_env = data[:, _WIDTH] > 0
+            if np.count_nonzero(has_env):
+                w2 = data[:, -1]
+                shift = (t.block(_CENTRE) - t.block(_ENV)).T
+                valid += [np.broadcast_to(has_env, shift.shape), has_env & (shift != 0)]
+                factor += [np.divide(-1.0, w2, out=np.zeros(shift.shape), where=valid[2]),
+                           np.divide(-shift, w2, out=np.zeros(shift.shape), where=valid[3])]
         # axis by axis, then mode by mode, then in candidate order
-        along, mode, candidate = np.nonzero(valid)
+        along, mode, candidate = np.nonzero(np.stack(valid, axis=2))
         with np.errstate(invalid="ignore"):
-            amp = _pruned(t.amp[mode] * factor[along, mode, candidate][:, None])
-        if _waves_only(t, exp):
+            amp = _pruned(t.amp[mode] * np.stack(factor, axis=2)[along, mode, candidate][:, None])
+        if waves:
             stepped = data.copy()
             np.add(stepped[:, _PHASE], 0.5 * math.pi, out=stepped[:, _PHASE], where=~exp)
             amp, along, mode = _nonzero_rows(amp, along, mode)

@@ -19,8 +19,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .algebra import Bitensor, Multivector, SpacetimeSignature
-from .fields import (_EXP, _PHASE, _WIDTH, WAVE_COS, WAVE_EXP, AnalyticField, GaussianEnvelope, GridField,
-                     _check_grade, _mode_row, _pruned, _stacked)
+from .fields import WAVE_COS, AnalyticField, GaussianEnvelope, GridField
 
 __all__ = [
     "ScenarioError",
@@ -259,17 +258,16 @@ def _envelope_from_json(data, dim: int) -> GaussianEnvelope | None:
 
 def field_to_json(field) -> dict:
     if isinstance(field, AnalyticField):
-        # from the table, each amplitude pruned as Multivector prunes it
-        sig, grade, table = field.signature, field.grade, field._table
-        dim, blades = sig.dim, _columns(sig.dim, grade)
+        sig, grade = field.signature, field.grade
+        blades = _columns(sig.dim, grade)
         modes = []
-        for amp, row in zip(_pruned(table.amp.copy()).tolist(), table.data.tolist()):
-            xi, poly, centre, env = (row[3 + b * dim:3 + (b + 1) * dim] for b in range(4))
+        for amp, xi, phase, waveform, poly, centre, envelope in field._rows():
             entry = {
                 "xi": xi,
-                "phase": row[_PHASE],
-                "waveform": WAVE_EXP if row[_EXP] else WAVE_COS,
-                "envelope": {"type": "gaussian", "width": row[_WIDTH], "center": env} if row[_WIDTH] else None,
+                "phase": phase,
+                "waveform": waveform,
+                "envelope": None if envelope is None else {"type": "gaussian", "width": envelope[1],
+                                                           "center": envelope[0]},
                 "amplitude": {"signature": signature_to_json(sig), "grade": grade,
                               "terms": [_term_to_json(indices, c) for indices, c in zip(blades, amp) if c]},
             }
@@ -293,33 +291,25 @@ def field_to_json(field) -> dict:
 
 
 def _modes_from_json(entries, sig: SpacetimeSignature, grade: int) -> AnalyticField:
-    """The field of a list of mode objects, read into its table with the
-    checks, in order, of building a ``Mode`` of each multivector amplitude and
-    then the field of those modes: rows pruned by ``_pruned``, modes merged."""
+    """The field of a list of mode objects, each read as a ``Mode`` of its
+    multivector amplitude, as ``AnalyticField._from_rows`` takes them."""
     dim = sig.dim
-    grades, amps, data = [], [], []
-    for entry in entries:
+
+    def read(entry) -> tuple[int, list, dict]:
         amp_grade, terms = _terms_from_json(entry["amplitude"], sig)
         columns = _columns(dim, amp_grade)
-        xi = [json_float(v, "xi") for v in entry.get("xi", ())]
-        phase = json_float(entry.get("phase", 0.0), "phase")
-        waveform = entry.get("waveform", WAVE_COS)
-        poly = [json_int(p, "poly") for p in entry.get("poly", ())]
-        centre = [json_float(c, "poly_center") for c in entry.get("poly_center", ())]
-        envelope = _envelope_from_json(entry.get("envelope"), dim)
-        data.append(_mode_row(dim, phase, waveform, xi, poly, centre, envelope))
-        grades.append(amp_grade)
-        amps.append(row := [0.0] * len(columns))
+        values = dict(xi=[json_float(v, "xi") for v in entry.get("xi", ())],
+                      phase=json_float(entry.get("phase", 0.0), "phase"),
+                      waveform=entry.get("waveform", WAVE_COS),
+                      poly=[json_int(p, "poly") for p in entry.get("poly", ())],
+                      poly_center=[json_float(c, "poly_center") for c in entry.get("poly_center", ())],
+                      envelope=_envelope_from_json(entry.get("envelope"), dim))
+        row = [0.0] * len(columns)
         for indices, c in terms.items():
             row[columns[indices]] = c
-    for found in grades:
-        _check_grade(found, grade)
-    table = _stacked(sig, grade, amps, data, None)
-    amp = _pruned(table.amp)
-    if amp.dtype == complex and not np.any(amp.imag):
-        # as a Multivector row: complex only while a kept coefficient is
-        table = table._replace(amp=amp.real.copy())
-    return AnalyticField._from_table(sig, grade, table)
+        return amp_grade, row, values
+
+    return AnalyticField._from_rows(sig, grade, map(read, entries))
 
 
 def field_from_json(data: Mapping, sig: SpacetimeSignature):

@@ -17,8 +17,8 @@ and cone synthesis, the derived-field and mapped amplitude modes built by
 per-mode multivector algebra, the mode-table merge through a dict of Python
 key tuples, the row prune by reductions along the rows, a by-value
 comparison of modes, the analytic field reader through ``Multivector`` and
-``Mode`` objects with an exact key of mode tables, and the loop form of the
-identity suite.  None of these is used by the package."""
+``Mode`` objects with an exact key of mode tables, the analytic field writer
+through ``Mode`` objects, and the loop form of the identity suite.  None of these is used by the package."""
 
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ from extcalc.fields import (
 )
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, MaxwellSystem, classical_pack, classical_unpack
 from extcalc.integrate import HypersurfaceBox, gauss_legendre_rule
-from extcalc.serialize import ScenarioError, _reading, json_float, json_int
+from extcalc.serialize import ScenarioError, _reading, json_float, json_int, multivector_to_json
 
 
 def sort_with_sign(indices: Iterable[int], dim: int | None = None) -> tuple[tuple[int, ...], int]:
@@ -547,10 +547,10 @@ def axis_partial_field(field: AnalyticField, axis: int) -> AnalyticField:
 def reference_keyed_derivative(field: AnalyticField, kind: str) -> AnalyticField:
     """The exterior ("exterior") or interior derivative field by the keyed
     grouping alone: every candidate partial row of every mode with a data row
-    of its own, merged per axis by ``fields._merged`` on the keys
-    (``_groups``), each row gathered and signed through its axis's
+    of its own, merged per axis through the dict of key tuples
+    (``reference_merged``), each row gathered and signed through its axis's
     ``_derivative_table`` entries, then merged on the keys again.  No row is
-    merged by its source mode."""
+    merged by its source mode, and no step of ``fields._merged`` runs."""
     sig, t = field.signature, field._table
     grade = field.grade + 1 if kind == EXTERIOR else field.grade - 1
     if not 0 <= grade <= sig.dim:
@@ -581,7 +581,8 @@ def reference_keyed_derivative(field: AnalyticField, kind: str) -> AnalyticField
     changed[np.arange(len(mode)), t.column(fields._POLY, 0) + along] += fields._CANDIDATE_STEP[candidate]
     np.add(changed[:, fields._PHASE], 0.5 * math.pi, out=changed[:, fields._PHASE],
            where=(candidate == 1) & ~exp[mode])
-    partial, along = fields._merged(_ModeTable(amp, changed), along)
+    with np.errstate(invalid="ignore"):
+        partial, along = reference_merged(_ModeTable(amp, changed), along)
     # each column of the derivative table holds at most one entry
     table = _derivative_table(sig, field.grade, kind)
     source = np.abs(table).argmax(axis=1)
@@ -590,7 +591,8 @@ def reference_keyed_derivative(field: AnalyticField, kind: str) -> AnalyticField
     np.copyto(amp, 0, where=sign == 0)
     with np.errstate(invalid="ignore"):
         amp = _pruned(np.multiply(sign, amp, out=amp))
-    return AnalyticField._from_table(sig, grade, fields._merged(_ModeTable(amp, partial.data))[0], merged=True)
+        merged = reference_merged(_ModeTable(amp, partial.data))[0]
+    return AnalyticField._from_table(sig, grade, merged, merged=True)
 
 
 def reference_dalembertian(field: AnalyticField, x: Sequence[float]) -> Multivector:
@@ -913,6 +915,22 @@ def _reference_envelope(data, dim: int) -> GaussianEnvelope | None:
     center = data.get("center", [0.0] * dim)
     return GaussianEnvelope(center=tuple(json_float(c, "envelope center") for c in center),
                             width=json_float(data["width"], "envelope width"))
+
+
+def reference_field_to_json(field: AnalyticField) -> dict:
+    """The analytic field writer through the ``modes`` view, one ``Mode``
+    object at a time."""
+    modes = []
+    for mode in field.modes:
+        entry = {"xi": list(mode.xi), "phase": mode.phase, "waveform": mode.waveform,
+                 "envelope": None if mode.envelope is None else {
+                     "type": "gaussian", "width": mode.envelope.width, "center": list(mode.envelope.center)},
+                 "amplitude": multivector_to_json(mode.amplitude)}
+        if any(mode.poly):
+            entry["poly"] = list(mode.poly)
+            entry["poly_center"] = list(mode.poly_center)
+        modes.append(entry)
+    return {"grade": field.grade, "backend": "modes", "modes": modes}
 
 
 def table_bits(field: AnalyticField) -> tuple:

@@ -746,7 +746,7 @@ def assert_no_two_modes_share_a_key(potential):
     # synthesis drops zero rows and groups nothing: a keyed merge finds no pair
     table = potential._table
     count = potential.mode_count
-    assert fields._groups(np.zeros(count, dtype=np.intp), table.data[:, :-1])[1] == count
+    assert len(fields._sorted_runs(table.data[:, :-1])[1]) == count
     assert table_bits(AnalyticField._from_table(potential.signature, potential.grade,
                                                 fields._merged(table)[0], merged=True)) == table_bits(potential)
 

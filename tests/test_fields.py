@@ -677,18 +677,37 @@ def test_prune_matches_the_row_reductions_bit_for_bit():
 
 def test_merge_by_source_matches_the_keyed_merge():
     # rows whose key is their source's data row merge as the keyed grouping
-    # merges them: amplitudes, data, parts and order
+    # (the dict of key tuples) merges them: amplitudes, data, parts and order
     rng = np.random.default_rng(34)
     for table, part in adversarial_tables(rng, 600):
         # no NaN, which matches nothing, and the last column, which is no key, zero
         data = np.nan_to_num(table.data, nan=7.0)
         data[:, -1] = 0.0
         keys, source = fields._distinct_rows(data)
+        copy = None if part is None else part.copy()
         with np.errstate(invalid="ignore"):
             got, got_part = fields._merged(fields._ModeTable(table.amp, keys), part, source=source)
-            want, want_part = fields._merged(fields._ModeTable(table.amp, keys[source]), part)
+            want, want_part = reference_merged(fields._ModeTable(table.amp, keys[source]), copy)
         assert table_bits(AnalyticField._from_table(EUC3, 0, got, merged=True)) \
             == table_bits(AnalyticField._from_table(EUC3, 0, want, merged=True))
+        assert got_part.tobytes() == want_part.tobytes()
+
+
+def test_merge_by_source_does_not_depend_on_the_labels():
+    # the fold orders groups by their first row, not by label: the sources
+    # relabelled by a permutation (their key rows moved with them) give the
+    # same bytes in the same order
+    rng = np.random.default_rng(18)
+    for table, part in adversarial_tables(rng, 1500):
+        keys, source = fields._distinct_rows(np.nan_to_num(table.data, nan=7.0))
+        label = rng.permutation(len(keys))
+        relabelled = np.empty_like(keys)
+        relabelled[label] = keys
+        with np.errstate(invalid="ignore"):
+            got, got_part = fields._merged(fields._ModeTable(table.amp, relabelled), part, source=label[source])
+            want, want_part = fields._merged(fields._ModeTable(table.amp, keys), part, source=source)
+        assert got.amp.dtype == want.amp.dtype and got.amp.tobytes() == want.amp.tobytes()
+        assert got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
         assert got_part.tobytes() == want_part.tobytes()
 
 

@@ -31,7 +31,8 @@ from extcalc.serialize import (
     signature_from_json,
 )
 
-from _support import mode_values, reference_field_from_json, table_bits
+from _support import (mode_family_fields, mode_values, reference_field_from_json, reference_field_to_json,
+                      table_bits)
 
 MINK = SpacetimeSignature(1, 3)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -391,21 +392,6 @@ def test_a_foreign_amplitude_signature_is_an_error():
     assert field_from_json(data, MINK).mode_count == 1
 
 
-def _reference_field_to_json(field) -> dict:
-    """The mode writer through the ``modes`` view."""
-    modes = []
-    for mode in field.modes:
-        entry = {"xi": list(mode.xi), "phase": mode.phase, "waveform": mode.waveform,
-                 "envelope": None if mode.envelope is None else {
-                     "type": "gaussian", "width": mode.envelope.width, "center": list(mode.envelope.center)},
-                 "amplitude": multivector_to_json(mode.amplitude)}
-        if any(mode.poly):
-            entry["poly"] = list(mode.poly)
-            entry["poly_center"] = list(mode.poly_center)
-        modes.append(entry)
-    return {"grade": field.grade, "backend": "modes", "modes": modes}
-
-
 @pytest.mark.parametrize("k,n,grade", READER_CASES)
 def test_field_to_json_writes_the_modes_view_from_the_table(k, n, grade):
     sig = SpacetimeSignature(k, n)
@@ -414,10 +400,25 @@ def test_field_to_json_writes_the_modes_view_from_the_table(k, n, grade):
     unpruned = _cosine_field(sig, grade, np.array([[1.0, *[1e-16] * (math.comb(sig.dim, grade) - 1)]]),
                              np.zeros((1, sig.dim)), np.zeros(1))
     for f in (field, field * 1j, unpruned, *(exterior_derivative_field(field), interior_derivative_field(field))):
-        assert canonical_dumps(field_to_json(f)) == canonical_dumps(_reference_field_to_json(f))
+        assert canonical_dumps(field_to_json(f)) == canonical_dumps(reference_field_to_json(f))
     for path in SCENARIOS.glob("*.json"):
         data = json.loads(path.read_text())
         for name in ("F", "J", "A"):
             if data.get(name) and data[name].get("backend") == "modes":
                 sig = signature_from_json(data["signature"])
                 assert field_to_json(field_from_json(data[name], sig)) == data[name]
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (0, 3), (2, 2)])
+def test_field_to_json_is_the_writer_of_one_mode_at_a_time(k, n):
+    # the table decoded by fields, against Mode objects written one at a time: the five
+    # families, complex amplitudes, and a NaN amplitude, which no relative cut prunes
+    sig = SpacetimeSignature(k, n)
+    rng = np.random.default_rng([k, n, 33])
+    for r in range(sig.dim + 1):
+        families = mode_family_fields(sig, r, rng)
+        blades = list(sig.index_lists(r))
+        nan = Multivector(sig, r, {idx: float(rng.normal()) for idx in blades} | {blades[0]: math.nan})
+        for f in (*families.values(), families["mixed"] * (0.5 - 2j),
+                  families["cos"] + AnalyticField(sig, r, [Mode(nan, (0.2,) * sig.dim, 0.7)])):
+            assert canonical_dumps(field_to_json(f)) == canonical_dumps(reference_field_to_json(f))
