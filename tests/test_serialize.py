@@ -399,7 +399,13 @@ def test_field_to_json_writes_the_modes_view_from_the_table(k, n, grade):
     field = field_from_json(_field_json(sig, grade, rng), sig)
     unpruned = _cosine_field(sig, grade, np.array([[1.0, *[1e-16] * (math.comb(sig.dim, grade) - 1)]]),
                              np.zeros((1, sig.dim)), np.zeros(1))
-    for f in (field, field * 1j, unpruned, *(exterior_derivative_field(field), interior_derivative_field(field))):
+    # the five families, complex amplitudes, and a NaN amplitude, which no relative cut prunes
+    families = mode_family_fields(sig, grade, rng)
+    blades = list(sig.index_lists(grade))
+    nan = Multivector(sig, grade, {idx: float(rng.normal()) for idx in blades} | {blades[0]: math.nan})
+    for f in (field, field * 1j, unpruned, *(exterior_derivative_field(field), interior_derivative_field(field)),
+              *families.values(), families["mixed"] * (0.5 - 2j),
+              families["cos"] + AnalyticField(sig, grade, [Mode(nan, (0.2,) * sig.dim, 0.7)])):
         assert canonical_dumps(field_to_json(f)) == canonical_dumps(reference_field_to_json(f))
     for path in SCENARIOS.glob("*.json"):
         data = json.loads(path.read_text())
@@ -408,17 +414,3 @@ def test_field_to_json_writes_the_modes_view_from_the_table(k, n, grade):
                 sig = signature_from_json(data["signature"])
                 assert field_to_json(field_from_json(data[name], sig)) == data[name]
 
-
-@pytest.mark.parametrize("k,n", [(1, 3), (0, 3), (2, 2)])
-def test_field_to_json_is_the_writer_of_one_mode_at_a_time(k, n):
-    # the table decoded by fields, against Mode objects written one at a time: the five
-    # families, complex amplitudes, and a NaN amplitude, which no relative cut prunes
-    sig = SpacetimeSignature(k, n)
-    rng = np.random.default_rng([k, n, 33])
-    for r in range(sig.dim + 1):
-        families = mode_family_fields(sig, r, rng)
-        blades = list(sig.index_lists(r))
-        nan = Multivector(sig, r, {idx: float(rng.normal()) for idx in blades} | {blades[0]: math.nan})
-        for f in (*families.values(), families["mixed"] * (0.5 - 2j),
-                  families["cos"] + AnalyticField(sig, r, [Mode(nan, (0.2,) * sig.dim, 0.7)])):
-            assert canonical_dumps(field_to_json(f)) == canonical_dumps(reference_field_to_json(f))
