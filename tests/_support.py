@@ -18,7 +18,8 @@ per-mode multivector algebra, the mode-table merge through a dict of Python
 key tuples, the row prune by reductions along the rows, a by-value
 comparison of modes, the analytic field reader through ``Multivector`` and
 ``Mode`` objects with an exact key of mode tables, the analytic field writer
-through ``Mode`` objects, and the loop form of the identity suite.  None of these is used by the package."""
+through ``Mode`` objects, and the loop form of the identity suite.  None of
+these is used by the package."""
 
 from __future__ import annotations
 

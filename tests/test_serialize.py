@@ -413,4 +413,3 @@ def test_field_to_json_writes_the_modes_view_from_the_table(k, n, grade):
             if data.get(name) and data[name].get("backend") == "modes":
                 sig = signature_from_json(data["signature"])
                 assert field_to_json(field_from_json(data[name], sig)) == data[name]
-
