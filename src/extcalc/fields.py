@@ -208,18 +208,6 @@ class _ModeTable(NamedTuple):
         return self.data[:, start:start + (self.data.shape[1] - 4) // 4]
 
 
-def _stacked(sig: SpacetimeSignature, grade: int, amps: list, data: list[tuple], dtype: type) -> _ModeTable:
-    """The table of amplitude rows and ``_mode_row`` rows, one per mode; a
-    ``dtype`` of None takes the rows' own."""
-    return _ModeTable(np.array(amps, dtype=dtype).reshape(len(amps), math.comb(sig.dim, grade)),
-                      np.array(data, dtype=float).reshape(len(data), 4 * sig.dim + 4))
-
-
-def _check_grade(found: int, grade: int) -> None:
-    if found != grade:
-        raise ValueError(f"mode amplitude grade {found} != field grade {grade}")
-
-
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -381,8 +369,7 @@ def _cosine_field(sig: SpacetimeSignature, grade: int, amp: np.ndarray, xi: np.n
     table = _ModeTable(amp, np.zeros((len(amp), 4 * sig.dim + 4)))
     table.data[:, _PHASE] = phase
     table.block(_XI)[:] = xi
-    if distinct:
-        return AnalyticField._from_table(sig, grade, _ModeTable(*_nonzero_rows(*table)), merged=True)
+    table = _ModeTable(*_nonzero_rows(*table)) if distinct else _merged(table)[0]
     return AnalyticField._from_table(sig, grade, table)
 
 
@@ -495,19 +482,16 @@ class AnalyticField:
     __slots__ = ("signature", "grade", "_table", "_modes", "_arrays")
 
     def __init__(self, signature: SpacetimeSignature, grade: int, modes: Iterable[Mode] = ()):
-        amps, data = [], []
-        for mode in modes:
-            amplitude = mode.amplitude
-            if amplitude.signature != signature:
-                raise ValueError("mode amplitude signature does not match the field")
-            _check_grade(amplitude.grade, grade)
-            if amplitude:
-                amps.append(amplitude.row())
-                data.append(_mode_row(signature.dim, mode.phase, mode.waveform, mode.xi, mode.poly,
-                                      mode.poly_center, mode.envelope))
-        dtype = complex if any(map(np.iscomplexobj, amps)) else float
-        # merge modes sharing every scalar factor; keeps derived fields compact
-        self._set(signature, grade, _merged(_stacked(signature, grade, amps, data, dtype))[0])
+        def rows():
+            for mode in modes:
+                amplitude = mode.amplitude
+                if amplitude.signature != signature:
+                    raise ValueError("mode amplitude signature does not match the field")
+                yield amplitude.grade, amplitude.row(), dict(
+                    phase=mode.phase, waveform=mode.waveform, xi=mode.xi, poly=mode.poly,
+                    poly_center=mode.poly_center, envelope=mode.envelope)
+
+        self._set(signature, grade, AnalyticField._from_rows(signature, grade, rows())._table)
 
     def _set(self, signature: SpacetimeSignature, grade: int, table: _ModeTable) -> None:
         """Hold an already merged table."""
@@ -518,30 +502,35 @@ class AnalyticField:
         self._arrays: _Kernel | None = None
 
     @classmethod
-    def _from_table(cls, signature: SpacetimeSignature, grade: int, table: _ModeTable,
-                    merged: bool = False) -> "AnalyticField":
+    def _from_table(cls, signature: SpacetimeSignature, grade: int, table: _ModeTable) -> "AnalyticField":
+        """The field of an already merged table."""
         field = object.__new__(cls)
-        field._set(signature, grade, table if merged else _merged(table)[0])
+        field._set(signature, grade, table)
         return field
 
     @classmethod
     def _from_rows(cls, signature: SpacetimeSignature, grade: int, modes: Iterable[tuple]) -> "AnalyticField":
         """The field of (amplitude grade, dense amplitude row, ``Mode`` keyword
         values) triples, each mode checked as a ``Mode`` as it comes, then
-        every grade; the rows pruned, complex only while a kept coefficient
-        is (as a ``Multivector`` row), and the modes merged."""
+        every grade; the rows pruned, float unless a kept coefficient has a
+        nonzero imaginary part (then complex), and the modes merged.  The one
+        builder of a table from mode rows: ``__init__`` and the JSON reader
+        both hand their modes to it."""
         grades, amps, data = [], [], []
         for found, row, values in modes:
             data.append(_mode_row(signature.dim, **values))
             grades.append(found)
             amps.append(row)
         for found in grades:
-            _check_grade(found, grade)
-        table = _stacked(signature, grade, amps, data, None)
-        amp = _pruned(table.amp)
+            if found != grade:
+                raise ValueError(f"mode amplitude grade {found} != field grade {grade}")
+        amp = np.array(amps).reshape(len(amps), math.comb(signature.dim, grade))
+        amp = _pruned(amp.astype(complex if np.iscomplexobj(amp) else float, copy=False))
         if amp.dtype == complex and not np.any(amp.imag):
-            table = table._replace(amp=amp.real.copy())
-        return cls._from_table(signature, grade, table)
+            amp = amp.real.copy()
+        data = np.array(data, dtype=float).reshape(len(data), 4 * signature.dim + 4)
+        # merge modes sharing every scalar factor; keeps derived fields compact
+        return cls._from_table(signature, grade, _merged(_ModeTable(amp, data))[0])
 
     def _rows(self):
         """Each mode decoded: its amplitude row, pruned as ``Multivector``
@@ -683,11 +672,13 @@ class AnalyticField:
         rows, from one pass of the mode kernel (forward-mode first-order jet):
         theta is shared, and the waveform's derivative is -sin theta, or j
         exp(j theta), times the phase slope."""
-        planes = self._jet(np.asarray(points, dtype=float), 1)
+        planes = self._jet(points, 1)
         return planes[0], planes[1:]
 
     def _jet(self, points: np.ndarray, order: int) -> np.ndarray:
-        """``_kernel_jet`` in chunks of near ``_KERNEL_ENTRIES`` entries."""
+        """``_kernel_jet`` in chunks of near ``_KERNEL_ENTRIES`` entries, at
+        the points as a float array."""
+        points = np.asarray(points, dtype=float)
         kernel = self._mode_arrays()
         nplanes = 1 + order * self.signature.dim
         step = max(1, _KERNEL_ENTRIES // max(1, nplanes * len(kernel.rows)))
@@ -750,14 +741,14 @@ class AnalyticField:
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         if self.signature != other.signature or self.grade != other.grade:
             raise ValueError("cannot add fields with different signature or grade")
-        return AnalyticField._from_table(self.signature, self.grade, _ModeTable(
-            *(np.concatenate(pair) for pair in zip(self._table, other._table))))
+        return AnalyticField._from_table(self.signature, self.grade, _merged(_ModeTable(
+            *(np.concatenate(pair) for pair in zip(self._table, other._table))))[0])
 
     def _with_amplitudes(self, grade: int, amp: np.ndarray) -> "AnalyticField":
         """This field's modes with new amplitude rows: no two keys were equal,
         so none become equal, and only the rows now zero are dropped."""
         table = _ModeTable(*_nonzero_rows(_pruned(amp), self._table.data))
-        return AnalyticField._from_table(self.signature, grade, table, merged=True)
+        return AnalyticField._from_table(self.signature, grade, table)
 
     def __mul__(self, factor: complex) -> "AnalyticField":
         return self._with_amplitudes(self.grade, self._table.amp * factor)
@@ -1006,8 +997,7 @@ def _derivative_field(f: AnalyticField, kind: str) -> AnalyticField:
         for (source, sign, lands), lo, hi in zip(_derivative_gather(sig, f.grade, kind), bounds, bounds[1:]):
             np.multiply(sign, table.amp[lo:hi].take(source, axis=1), out=amp[lo:hi], where=lands)
         amp = _pruned(amp)
-    return AnalyticField._from_table(sig, grade, _merged(_ModeTable(amp, table.data), source=mode)[0],
-                                     merged=True)
+    return AnalyticField._from_table(sig, grade, _merged(_ModeTable(amp, table.data), source=mode)[0])
 
 
 def exterior_derivative_field(f: AnalyticField) -> AnalyticField:

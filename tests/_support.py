@@ -542,7 +542,7 @@ def axis_partial_field(field: AnalyticField, axis: int) -> AnalyticField:
     if mode is not None:
         table = _ModeTable(table.amp, table.data[mode])
     lo, hi = np.searchsorted(along, [axis, axis + 1]).tolist()
-    return AnalyticField._from_table(field.signature, field.grade, table.take(slice(lo, hi)), merged=True)
+    return AnalyticField._from_table(field.signature, field.grade, table.take(slice(lo, hi)))
 
 
 def reference_keyed_derivative(field: AnalyticField, kind: str) -> AnalyticField:
@@ -593,7 +593,7 @@ def reference_keyed_derivative(field: AnalyticField, kind: str) -> AnalyticField
     with np.errstate(invalid="ignore"):
         amp = _pruned(np.multiply(sign, amp, out=amp))
         merged = reference_merged(_ModeTable(amp, partial.data))[0]
-    return AnalyticField._from_table(sig, grade, merged, merged=True)
+    return AnalyticField._from_table(sig, grade, merged)
 
 
 def reference_dalembertian(field: AnalyticField, x: Sequence[float]) -> Multivector:
@@ -881,7 +881,14 @@ def reference_field_from_json(data, sig: SpacetimeSignature) -> tuple[AnalyticFi
     ``Multivector``, each mode into a ``Mode``, then the ``AnalyticField`` of
     those modes, under the reader's error wrapping.  Returns the field and the
     modes with a nonzero amplitude, which were its ``modes`` view when none
-    merged."""
+    merged.
+
+    The ``AnalyticField`` constructor hands its modes to
+    ``AnalyticField._from_rows``, the builder the reader calls, so this
+    reference shares the table build with the code it checks: it certifies
+    how each entry is read and checked, while ``reference_pruned``,
+    ``reference_merged`` and ``test_modes_field_round_trip`` certify the
+    shared prune, merge and dtype rule."""
     with _reading("field object"):
         grade = json_int(data["grade"], "grade")
         modes = []

@@ -748,7 +748,7 @@ def assert_no_two_modes_share_a_key(potential):
     count = potential.mode_count
     assert len(fields._sorted_runs(table.data[:, :-1])[1]) == count
     assert table_bits(AnalyticField._from_table(potential.signature, potential.grade,
-                                                fields._merged(table)[0], merged=True)) == table_bits(potential)
+                                                fields._merged(table)[0])) == table_bits(potential)
 
 
 @pytest.mark.parametrize("case", sorted(CONE_CASES))

@@ -126,6 +126,11 @@ def test_evaluate_components_matches_pointwise():
         mv = f.evaluate(x)
         for pos, idx in enumerate(lists):
             assert dense[p, pos] == pytest.approx(mv.coeff(idx), abs=1e-12)
+    # both backends take a list of points as they take the array
+    assert f.evaluate_components(points.tolist()).tobytes() == dense.tobytes()
+    grid = GridField.sample(f, origin=(-0.2,) * 4, spacing=(0.1,) * 4, counts=(3, 3, 3, 3))
+    sites = [[-0.2, -0.1, 0.0, 0.0], [0.0, 0.0, -0.2, -0.1]]
+    assert grid.evaluate_components(sites).tobytes() == grid.evaluate_components(np.array(sites)).tobytes()
 
 
 def mixed_mode_field(sig, grade, rng):
@@ -532,6 +537,22 @@ def test_monomial_exponents_must_be_nonnegative_integers(poly):
     assert Mode(amplitude=Multivector.blade(EUC3, (0,)), poly=(2.0, 0, 1)).poly == (2, 0, 1)
 
 
+def test_field_refuses_a_foreign_signature_then_a_wrong_grade():
+    vector = Mode(amplitude=Multivector.blade(MINK, (1,)), xi=(0.5, 0.5, 0.0, 0.0))
+    foreign = Mode(amplitude=Multivector.blade(SpacetimeSignature(2, 2), (1,)))
+    bivector = Mode(amplitude=Multivector.blade(MINK, (0, 1)))
+    with pytest.raises(ValueError, match="mode amplitude signature does not match the field"):
+        AnalyticField(MINK, 1, [vector, foreign])
+    with pytest.raises(ValueError, match=re.escape("mode amplitude grade 2 != field grade 1")):
+        AnalyticField(MINK, 1, [vector, bivector])
+    # a zero amplitude is checked too
+    with pytest.raises(ValueError, match=re.escape("mode amplitude grade 2 != field grade 1")):
+        AnalyticField(MINK, 1, [Mode(amplitude=Multivector.zero(MINK, 2))])
+    # signatures are checked as the modes come, then grades, as the JSON reader checks them
+    with pytest.raises(ValueError, match="mode amplitude signature does not match the field"):
+        AnalyticField(MINK, 1, [bivector, foreign])
+
+
 def test_partial_fields_keep_the_replace_construction():
     rng = np.random.default_rng(16)
     for kn in ((1, 3), (2, 2), (0, 3), (1, 1)):
@@ -688,8 +709,8 @@ def test_merge_by_source_matches_the_keyed_merge():
         with np.errstate(invalid="ignore"):
             got, got_part = fields._merged(fields._ModeTable(table.amp, keys), part, source=source)
             want, want_part = reference_merged(fields._ModeTable(table.amp, keys[source]), copy)
-        assert table_bits(AnalyticField._from_table(EUC3, 0, got, merged=True)) \
-            == table_bits(AnalyticField._from_table(EUC3, 0, want, merged=True))
+        assert table_bits(AnalyticField._from_table(EUC3, 0, got)) \
+            == table_bits(AnalyticField._from_table(EUC3, 0, want))
         assert got_part.tobytes() == want_part.tobytes()
 
 
@@ -782,7 +803,7 @@ def test_monomial_envelope_and_nan_keys_take_the_keyed_grouping():
             # an exponent of -0.0, which the exponent step turns into +0.0
             table = AnalyticField(sig, grade, waves)._table
             table.data[0, table.column(fields._POLY, 0)] = -0.0
-            f = AnalyticField._from_table(sig, grade, table, merged=True)
+            f = AnalyticField._from_table(sig, grade, table)
             assert f._partial_table()[2] is None
             assert_derivatives_match_the_keyed_grouping(f)
 

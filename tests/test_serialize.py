@@ -91,6 +91,18 @@ def test_modes_field_round_trip():
         assert (back.evaluate(x) - field.evaluate(x)).max_abs() < 1e-14
         for axis in range(4):
             assert (back.partial_at(axis, x) - field.partial_at(axis, x)).max_abs() < 1e-13
+    # one builder and one dtype rule: a field built from modes is the field read from its JSON, bit for bit
+    rng = np.random.default_rng(4)
+    built = [field]
+    for sig in (MINK, SpacetimeSignature(2, 2)):
+        for r in range(sig.dim + 1):
+            built += mode_family_fields(sig, r, rng).values()
+    coefficients = (1, 1.0, 1 + 0j, 1j)
+    built += [plane_wave(Multivector.blade(MINK, (1,), c), (0.5, 0.5, 0.0, 0.0)) for c in coefficients]
+    for f in built:
+        assert table_bits(field_from_json(field_to_json(f), f.signature)) == table_bits(f)
+    # float, or complex only where a kept coefficient has a nonzero imaginary part
+    assert [f._table.amp.dtype for f in built[-len(coefficients):]] == [float, float, float, complex]
 
 
 def test_grid_field_round_trip():
