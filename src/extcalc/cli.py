@@ -456,9 +456,8 @@ def cmd_flux_compare(args) -> int:
     # a vanishing Fourier flux leaves nothing to compare against: NaN, so FAIL
     rel_err = (direct - fourier).max_abs() / scale if scale > 0 else math.nan
     # pointwise Lorenz residual of the synthesized potential, for the record
-    rng = np.random.default_rng(0)
-    divergence = interior_derivative_components(potential, rng.uniform(-1.0, 1.0, size=(10, sig.dim)))
-    gauge_max = _worst(divergence)
+    points = _sample_points(np.random.default_rng(0), sig.dim, 10)
+    gauge_max = _worst(interior_derivative_components(potential, points))
     report = {
         "command": "flux-compare",
         "signature": signature_to_json(sig),
@@ -591,9 +590,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         for flag, least in (("points", 1), ("configs", 1), ("samples", 1), ("seed", 0)):
-            value = getattr(args, flag, None)
-            if value is not None and value < least:
-                raise ScenarioError(f"--{flag} must be at least {least}, got {value}")
+            if (value := getattr(args, flag, None)) is not None:
+                json_int(value, f"--{flag}", least)
         with np.errstate(all="ignore"):  # a NaN or inf reaches the verdict, not a numpy warning
             return args.func(args)
     except (ScenarioError, GaugeViolation, FieldDomainError) as exc:

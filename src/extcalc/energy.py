@@ -18,9 +18,9 @@ points the same way (one point is a one-row array).
 Slice fluxes across a constant-coordinate surface come in two forms: direct
 quadrature of the tensor column over the slice, and the frequency-domain
 expression integrating the on-cone squared potential amplitude against the
-null-completed frequency direction.  Both carry the permutation sign of
-moving the fixed axis in front of the remaining ones, exactly as in the
-half-space boundary element.
+null-completed frequency direction.  Both carry the permutation sign
+(-1)^axis of moving the fixed axis in front of the remaining ones, exactly
+as in the half-space boundary element.
 """
 
 from __future__ import annotations
@@ -155,12 +155,12 @@ def stress_tensor_explicit_components(sig: SpacetimeSignature, grade: int, rows:
 
 
 def trace(t: Bitensor) -> complex:
-    """Metric trace: sum of Delta_ii T_ii."""
-    return sum(t.signature.metric(i) * t.get(i, i) for i in t.signature.axes())
+    """The metric trace of one bitensor: the one-row case of ``trace_components``."""
+    return trace_components(t.signature, t.row()[None, :])[0].item()
 
 
 def trace_components(sig: SpacetimeSignature, tensor_rows: np.ndarray) -> np.ndarray:
-    """``trace`` of each (npairs,) tensor row, pairs in
+    """Metric trace sum of Delta_ii T_ii of each (npairs,) tensor row, pairs in
     ``combinations_with_replacement`` order."""
     pairs = list(combinations_with_replacement(sig.axes(), 2))
     return sum(sig.metric(i) * tensor_rows[:, pairs.index((i, i))] for i in sig.axes())
@@ -350,11 +350,6 @@ def _identity_terms(f_field, kinds: Sequence[str], x: Sequence[float]) -> tuple:
 # direct slice flux
 # ---------------------------------------------------------------------------
 
-def _axis_sign(sig: SpacetimeSignature, axis: int) -> int:
-    comp = tuple(i for i in sig.axes() if i != axis)
-    return _sign_tables(sig).lookup("w")[(axis,)][comp][1]
-
-
 def _slice_moments(rows: np.ndarray, const: np.ndarray, axes) -> np.ndarray:
     """Q[p, q] = sum over the slice nodes of w F_p F_q, from per-axis factors.
 
@@ -491,7 +486,9 @@ def flux_T_direct(f_field, axis: int, coordinate: float,
                                                 {a: nodes for a, (nodes, _) in rules.items()})
     moments = _slice_moments(rows, const, [(factors[a][0], rules[a][1], factors[a][1])
                                            for a in slice_box.free_axes])
-    sign = _axis_sign(sig, axis)
+    # the slice sign (-1)^axis, as in flux_T_fourier: integrate._integral's sign of the
+    # upper face fixing ``axis`` of a full box
+    sign = (-1) ** axis
     tables = _stress_tables(sig, f_field.grade)
     out = {}
     for i in sig.axes():
@@ -597,7 +594,8 @@ def flux_T_fourier(a_hat: Callable[[np.ndarray], np.ndarray], axis: int,
     # accumulated node by node in grid order
     accum = np.cumsum(scale[:, None] * xi_plus[regular], axis=0)[-1] if regular.any() \
         else np.zeros(sig.dim)
-    prefactor = (-1) ** r * 2.0 * math.pi ** 2 * _axis_sign(sig, axis)
+    # the slice sign (-1)^axis, as in flux_T_direct
+    prefactor = (-1) ** r * 2.0 * math.pi ** 2 * (-1) ** axis
     return Multivector(sig, 1, {(a,): prefactor * accum[a] for a in sig.axes() if accum[a] != 0.0})
 
 

@@ -3,9 +3,8 @@
 Two backends satisfy the same small protocol: ``signature``, ``grade``, the
 batched ``evaluate_components(points)`` giving dense ``(npoints, ncomp)`` rows
 in ``index_lists(grade)`` order, ``jet(points)`` giving those rows and the
-``(dim, npoints, ncomp)`` partial rows along every axis from one pass, its
-slice ``partial_components(axis, points)``, and the per-point one-row cases
-``evaluate`` and ``partial_at``, as multivectors:
+``(dim, npoints, ncomp)`` partial rows along every axis from one pass, and
+the per-point one-row cases ``evaluate`` and ``partial_at``, as multivectors:
 
 * ``AnalyticField`` is a finite sum of modes, each the product of a constant
   multivector amplitude, a monomial, a cosine or complex-exponential waveform
@@ -88,10 +87,6 @@ class GaussianEnvelope:
         if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError(f"envelope width must be finite and positive, got {self.width}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-    def truncation_radius(self) -> float:
-        """Distance from the center beyond which the envelope drops below ENVELOPE_CUTOFF."""
-        return self.width * _CUTOFF_WIDTHS
 
 
 @dataclass(frozen=True)
@@ -627,15 +622,10 @@ class AnalyticField:
         return (*_merged(_ModeTable(amp, changed), along), None)
 
     def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
-        row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
-        return Multivector.from_row(self.signature, self.grade, row)
-
-    def partial_components(self, axis: int, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) exact partial along one axis: a slice of the
-        ``jet``."""
         if not 0 <= axis < self.signature.dim:
             raise IndexError(f"axis {axis} out of range")
-        return self.jet(points)[1][axis]
+        row = self.jet(as_point(self.signature, x)[None, :])[1][axis, 0]
+        return Multivector.from_row(self.signature, self.grade, row)
 
     def is_complex(self) -> bool:
         return bool(self._table.amp.dtype == complex or self._table.data[:, _EXP].any())
@@ -724,7 +714,7 @@ class AnalyticField:
 
     def _envelope_bounds(self, axis: int) -> dict[int, tuple[float, float]]:
         """Per axis other than ``axis``, the span of every mode's envelope out
-        to its ``GaussianEnvelope.truncation_radius``, read from the mode table."""
+        to where it drops below ENVELOPE_CUTOFF, read from the mode table."""
         t = self._table
         width = t.data[:, _WIDTH]
         if not len(width):
@@ -840,9 +830,9 @@ class GridField:
         return sites
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) lattice values in ``index_lists`` order."""
-        points = np.asarray(points, dtype=float)
-        return self.values[tuple(self._sites(points).T)]
+        """Dense (npoints, ncomp) lattice values in ``index_lists`` order: the
+        ``_jet`` along no axis."""
+        return self._jet(points, ())[0]
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
         row = self.evaluate_components(as_point(self.signature, x)[None, :])[0]
@@ -869,15 +859,12 @@ class GridField:
             out[:] = (ahead - behind) / (2.0 * self.spacing[axis])
         return rows, slopes
 
-    def partial_components(self, axis: int, points: np.ndarray) -> np.ndarray:
-        """Dense (npoints, ncomp) central differences along one axis: the
-        ``jet`` restricted to that axis, so its domain is the axis's own."""
+    def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
+        """The central difference along one axis at one point: the ``_jet``
+        along that axis alone, so the point's domain is the axis's own."""
         if not 0 <= axis < self.signature.dim:
             raise IndexError(f"axis {axis} out of range")
-        return self._jet(points, (axis,))[1][0]
-
-    def partial_at(self, axis: int, x: Sequence[float]) -> Multivector:
-        row = self.partial_components(axis, as_point(self.signature, x)[None, :])[0]
+        row = self._jet(as_point(self.signature, x)[None, :], (axis,))[1][0, 0]
         return Multivector.from_row(self.signature, self.grade, row)
 
 

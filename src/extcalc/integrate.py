@@ -31,8 +31,8 @@ from .algebra import (Bitensor, GradeError, Multivector, SpacetimeSignature, dot
                       vec_interior_bitensor)
 from .fields import exterior_derivative_field, interior_derivative_field
 
-__all__ = ["HypersurfaceBox", "gauss_legendre_rule", "circulation", "flux",
-           "stokes_circulation_check", "stokes_flux_check", "bitensor_stokes_check"]
+__all__ = ["HypersurfaceBox", "circulation", "flux", "stokes_circulation_check", "stokes_flux_check",
+           "bitensor_stokes_check"]
 
 DEFAULT_POINTS = 8
 
@@ -114,11 +114,6 @@ def _composite_rule(a: float, b: float, points: int, panels: int) -> tuple[np.nd
     weights = (half * base_weights).ravel()
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
-
-
-def gauss_legendre_rule(a: float, b: float, points: int, panels: int = 1):
-    """Composite Gauss-Legendre nodes and weights on [a, b], as new arrays."""
-    return tuple(array.copy() for array in _composite_rule(float(a), float(b), points, panels))
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,6 @@ __all__ = [
     "signature_to_json",
     "signature_from_json",
     "multivector_to_json",
-    "multivector_from_json",
     "field_to_json",
     "field_from_json",
     "bitensor_to_json",
@@ -237,13 +236,6 @@ def _terms_from_json(data: Mapping, sig: SpacetimeSignature) -> tuple[int, dict]
         if not columns or not columns.keys() >= terms.keys():
             Multivector(sig, grade, terms)  # raises the constructor's error for the grade or an index list
         return grade, terms
-
-
-def multivector_from_json(data: Mapping, sig: SpacetimeSignature | None = None) -> Multivector:
-    with _reading("multivector object"):
-        if sig is None:
-            sig = signature_from_json(data["signature"])
-        return Multivector(sig, *_terms_from_json(data, sig))
 
 
 def _envelope_from_json(data, dim: int) -> GaussianEnvelope | None:

@@ -61,7 +61,7 @@ from extcalc.fields import (
     polynomial_field,
 )
 from extcalc.maxwell import MINKOWSKI, ClassicalFields, MaxwellSystem, classical_pack, classical_unpack
-from extcalc.integrate import HypersurfaceBox, gauss_legendre_rule
+from extcalc.integrate import HypersurfaceBox, _composite_rule
 from extcalc.serialize import ScenarioError, _reading, json_float, json_int, multivector_to_json
 
 
@@ -339,7 +339,7 @@ class ComponentBitensorField:
         comp = self.comps.get((min(i, j), max(i, j)))
         if comp is None:
             return np.zeros(len(points))
-        rows = comp.evaluate_components(points) if axis is None else comp.partial_components(axis, points)
+        rows = comp.evaluate_components(points) if axis is None else comp.jet(points)[1][axis]
         return rows[:, 0]
 
     def evaluate_components(self, points: np.ndarray) -> np.ndarray:
@@ -755,7 +755,7 @@ def reference_grid(box, points: int, panels: int = 1) -> tuple[np.ndarray, np.nd
     itertools.product of the per-axis rules, last free axis fastest, each
     weight multiplied up in free-axis order from 1.0."""
     free = box.free_axes
-    rules = [gauss_legendre_rule(*box.intervals[a], points, panels) for a in free]
+    rules = [_composite_rule(*box.intervals[a], points, panels) for a in free]
     nodes, weights = [], []
     for combo in itertools.product(*(range(len(r[0])) for r in rules)):
         x = np.empty(box.signature.dim)

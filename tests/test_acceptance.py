@@ -242,16 +242,17 @@ def _expected_split_residuals(field, x):
     A_i = (1/2) Delta_ii sum_j Delta_jj dot(left_interior(e_i, d_j F), right_interior(F, e_j))
     B_i = (1/2) Delta_ii sum_j Delta_jj dot(wedge(e_i, d_j F), wedge(F, e_j))
 
-    Built from the field's partials and the public products only, never
-    through QuadraticTensorField, so the check does not rest on the divergence
-    it certifies.
+    Built from the field's value and partials, one ``jet`` at x, and the public
+    products only, never through QuadraticTensorField, so the check does not
+    rest on the divergence it certifies.
     """
     sig = field.signature
-    value = field.evaluate(x)
+    rows, slopes = field.jet(np.asarray(x, dtype=float)[None, :])
+    value = Multivector.from_row(sig, field.grade, rows[0])
     basis = [Multivector.blade(sig, (i,)) for i in sig.axes()]
     a_terms, b_terms = {}, {}
     for j in sig.axes():
-        slope = field.partial_at(j, x)
+        slope = Multivector.from_row(sig, field.grade, slopes[j, 0])
         value_int = right_interior(value, basis[j])
         value_ext = wedge(value, basis[j])
         for i in sig.axes():
@@ -261,9 +262,9 @@ def _expected_split_residuals(field, x):
             b_terms[(i,)] = b_terms.get((i,), 0) + \
                 weight * dot(wedge(basis[i], slope), value_ext)
     want_odot = Multivector(sig, 1, a_terms) \
-        - 0.5 * left_interior(_derivative_at(field, INTERIOR, x), value)
+        - 0.5 * left_interior(_derivative_at(field, INTERIOR, x, slopes=slopes), value)
     want_owedge = Multivector(sig, 1, b_terms) \
-        - 0.5 * right_interior(_derivative_at(field, EXTERIOR, x), value)
+        - 0.5 * right_interior(_derivative_at(field, EXTERIOR, x, slopes=slopes), value)
     return want_odot, want_owedge
 
 

@@ -773,7 +773,7 @@ def test_fourier_null_support_follows_the_maxwell_rule(capsys, tmp_path):
     # within 1e-9 once divided by 2 pi but not before: it counts as a solution,
     # and its |xi . xi| |F_hat| is the reported violation
     from extcalc.maxwell import fourier_maxwell_residuals, null_support_violation
-    from extcalc.serialize import multivector_from_json
+    from extcalc.serialize import _terms_from_json
 
     def tiny_mode(data):
         mode = json.loads(json.dumps(data["F"]["modes"][0]))
@@ -784,7 +784,8 @@ def test_fourier_null_support_follows_the_maxwell_rule(capsys, tmp_path):
 
     config = _edited_vacuum(tmp_path, tiny_mode)
     code, out, _ = run(capsys, "maxwell-check", "--config", config)
-    modes = [(mode["xi"], multivector_from_json(mode["amplitude"]))
+    sig = SpacetimeSignature(1, 3)
+    modes = [(mode["xi"], Multivector(sig, *_terms_from_json(mode["amplitude"], sig)))
              for mode in json.loads(Path(config).read_text())["F"]["modes"]]
     raw_inhom = fourier_maxwell_residuals(*modes[1])[0].max_abs()
     assert 1e-9 <= raw_inhom < 2 * math.pi * 1e-9

@@ -13,6 +13,7 @@ from extcalc.algebra import (
     GradeError,
     Multivector,
     SpacetimeSignature,
+    _product_table,
     dot,
     odot,
     owedge,
@@ -20,6 +21,8 @@ from extcalc.algebra import (
 from extcalc.energy import (
     GaugeViolation,
     _bitensor_tables,
+    _cone_nodes,
+    _force_table,
     _stress_tables,
     QuadraticTensorField,
     StressTensorField,
@@ -39,6 +42,7 @@ from extcalc.energy import (
     trace_formula_components,
 )
 from extcalc.fields import (
+    ENVELOPE_CUTOFF,
     EXTERIOR,
     INTERIOR,
     AnalyticField,
@@ -47,13 +51,14 @@ from extcalc.fields import (
     Mode,
     _cosine_field,
     _derivative_at,
+    _derivative_table,
     exterior_derivative_field,
     interior_derivative_field,
     plane_wave,
     polynomial_field,
 )
-from extcalc.integrate import HypersurfaceBox, bitensor_stokes_check, gauss_legendre_rule
-from extcalc.maxwell import MINKOWSKI, ClassicalFields, classical_pack
+from extcalc.integrate import HypersurfaceBox, _composite_rule, bitensor_stokes_check
+from extcalc.maxwell import MINKOWSKI, ClassicalFields, classical_pack, null_frequency
 
 from _support import (
     bitensor_table_mismatches,
@@ -190,6 +195,68 @@ def test_bitensor_tables_are_the_reference_loop_bit_for_bit():
             assert bitensor_table_mismatches(SpacetimeSignature(k, d - k)) == [], (k, d - k)
             cases += 1
     assert cases == 20
+
+
+def _table_certificates(sig, g, derivative=_derivative_table):
+    """The worst residual of each of the paper's identities among the tables on
+    grade g, exactly 0.0 where it holds: every entry is a multiple of 1/4, so no
+    sum rounds.
+
+    E and I are the exterior and interior ``derivative`` tables.  Partials
+    commute, so the second-order identities are symmetrised over the two axes:
+    dd = 0, delta delta = 0, and delta d - d delta = (-1)^g box with
+    box = sum_i Delta_ii d_i d_i.  At field grade r = g >= 1, the structural
+    identity behind conservation, div T + (delta F) _| F + F |_ (dF) = 0, reads
+    D[j,i,c,b] + sum_a I[j,c,a] L[a,b,i] + sum_e E[j,c,e] R[e,b,i] = 0 on the
+    stress divergence table D, the force table L and the right-interior table R.
+    """
+    dim, ncomp = sig.dim, math.comb(sig.dim, g)
+    ext = {h: derivative(sig, h, EXTERIOR) for h in range(dim + 1)}
+    inner = {h: derivative(sig, h, INTERIOR) for h in range(dim + 1)}
+
+    def pair(first, second):
+        return np.einsum("iab,jbc->ijac", first, second)
+
+    def symmetrised(residual):
+        return float(np.abs(residual + residual.transpose(1, 0, 2, 3)).max(initial=0.0))
+
+    box = np.zeros((dim, dim, ncomp, ncomp))
+    if g < dim:
+        box += pair(ext[g], inner[g + 1])
+    if g > 0:
+        box -= pair(inner[g], ext[g - 1])
+    metric = np.diag([float(sig.metric(i)) for i in sig.axes()])
+    out = {"dd": symmetrised(pair(ext[g], ext[g + 1])) if g < dim else 0.0,
+           "delta delta": symmetrised(pair(inner[g], inner[g - 1])) if g > 0 else 0.0,
+           "delta d - d delta": symmetrised(box - (-1) ** g * np.einsum("ij,ac->ijac", metric, np.eye(ncomp)))}
+    if g > 0:
+        structure = _bitensor_tables(sig, g, "stress")[1] \
+            + np.einsum("jca,abi->jicb", inner[g], _force_table(sig, g))
+        if g < dim:  # else dF has no components
+            structure = structure + np.einsum("jce,ebi->jicb", ext[g], _product_table(sig, "r", g + 1, g))
+        out["structure"] = float(np.abs(structure).max())
+    return out
+
+
+def test_table_certificates_are_exactly_zero():
+    cases = [(SpacetimeSignature(k, d - k), g) for d in range(1, 7) for k in range(d + 1) for g in range(d + 1)]
+    assert len(cases) == 139
+    residuals = {(sig.k, sig.n, g): _table_certificates(sig, g) for sig, g in cases}
+    assert {case: res for case, res in residuals.items() if any(res.values())} == {}
+
+
+@pytest.mark.parametrize("kind", [EXTERIOR, INTERIOR])
+def test_table_certificates_catch_a_negated_derivative_entry(kind):
+    def negated(sig, grade, which):
+        table = _derivative_table(sig, grade, which)
+        if (grade, which) == (1, kind):
+            table = table.copy()
+            a, b = np.argwhere(table[0] != 0)[0]
+            table[0, a, b] *= -1
+        return table
+
+    sig = SpacetimeSignature(1, 3)
+    assert any(any(_table_certificates(sig, g, negated).values()) for g in range(sig.dim + 1))
 
 
 def test_two_argument_products_match_the_reference_loop():
@@ -329,11 +396,11 @@ def test_tensor_divergence_identity_arbitrary_fields():
 
 class _CountingField:
     """A field that counts its evaluations: the jet (rows and every partial
-    row at once) and the separate value and partial reads."""
+    row at once) and the separate value reads."""
 
     def __init__(self, field):
         self.field, self.signature, self.grade = field, field.signature, field.grade
-        self.calls = {"jet": 0, "evaluate": 0, "partial": 0}
+        self.calls = {"jet": 0, "evaluate": 0}
 
     def jet(self, points):
         self.calls["jet"] += 1
@@ -343,19 +410,15 @@ class _CountingField:
         self.calls["evaluate"] += 1
         return self.field.evaluate_components(points)
 
-    def partial_components(self, axis, points):
-        self.calls["partial"] += 1
-        return self.field.partial_components(axis, points)
-
 
 def test_identity_checks_evaluate_each_partial_once():
     # one jet holds the value and every partial: each is evaluated once
     f = _CountingField(random_cos_field(MINKOWSKI, 2, np.random.default_rng(17)))
     tensor_identity_check(f, (0.1, 0.2, 0.3, 0.4))
-    assert f.calls == {"jet": 1, "evaluate": 0, "partial": 0}
-    f.calls = {"jet": 0, "evaluate": 0, "partial": 0}
+    assert f.calls == {"jet": 1, "evaluate": 0}
+    f.calls = {"jet": 0, "evaluate": 0}
     tensor_divergence_identity(f, (0.1, 0.2, 0.3, 0.4))
-    assert f.calls == {"jet": 1, "evaluate": 0, "partial": 0}
+    assert f.calls == {"jet": 1, "evaluate": 0}
 
 
 def test_split_residuals_cancel_for_non_maxwellian():
@@ -602,8 +665,10 @@ def test_flux_direct_envelope_bounds_are_the_truncation_radii():
     rng = np.random.default_rng(9)
     f = random_slice_field(M12, 2, rng, "envelope")
     envelopes = [mode.envelope for mode in f.modes]
-    bounds = {a: (min(e.center[a] - e.truncation_radius() for e in envelopes),
-                  max(e.center[a] + e.truncation_radius() for e in envelopes)) for a in (0, 2)}
+    # exp(-radius^2 / (2 w^2)) = ENVELOPE_CUTOFF
+    radius = [e.width * math.sqrt(2.0 * math.log(1.0 / ENVELOPE_CUTOFF)) for e in envelopes]
+    bounds = {a: (min(e.center[a] - r for e, r in zip(envelopes, radius)),
+                  max(e.center[a] + r for e, r in zip(envelopes, radius))) for a in (0, 2)}
     assert flux_T_direct(f, 1, 0.3, points=5) == flux_T_direct(f, 1, 0.3, bounds=bounds, points=5)
     with pytest.raises(ValueError, match="empty field needs explicit bounds"):
         flux_T_direct(AnalyticField(M12, 2), 1, 0.3)
@@ -644,6 +709,23 @@ def scalar_bump_11(xi_plus):
     return h[:, None]
 
 
+@pytest.mark.parametrize("k,n", [(0, 3), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2)])
+def test_cone_nodes_are_the_null_frequency_of_each_node(k, n):
+    # the two null completions chi = sqrt(-Delta_ll xi_bar . xi_bar) agree in value
+    # (a null xi_bar gives chi = -0.0 on the cone, and 0.0 pruned from the multivector),
+    # and the cone drops exactly the nodes that null_frequency cannot complete
+    sig = SpacetimeSignature(k, n)
+    for axis in sig.axes():
+        region = {a: (-1.0, 1.0) for a in sig.axes() if a != axis}
+        grid, _ = HypersurfaceBox(sig, intervals=region, fixed={axis: 0.0}).grid_points(5, 1)
+        nodes, xi_plus, chi, _ = _cone_nodes(sig, axis, region, 5, 1)
+        completed = [null_frequency(node.tolist(), axis, sig) for node in grid]
+        kept = [c is not None for c in completed]
+        assert nodes.tobytes() == grid[kept].tobytes(), axis
+        want = np.array([c.row() for c in completed if c is not None]).reshape(-1, sig.dim)
+        assert np.array_equal(xi_plus, want) and np.array_equal(chi, want[:, axis]), axis
+
+
 def test_fourier_flux_zero_amplitude():
     got = flux_T_fourier(lambda xp: np.zeros((len(xp), 1)), 0, {1: (0.4, 1.6)},
                          M11, grade=1, points=24)
@@ -655,7 +737,7 @@ def test_capstone_11_direct_vs_fourier_vs_plancherel():
     fourier = flux_T_fourier(scalar_bump_11, 0, region, M11, grade=1, points=32, panels=4)
 
     # independent oracle: the closed-form value is -2 pi^2 int h^2 dxi (e_0 + e_1)
-    nodes, weights = gauss_legendre_rule(0.4, 1.6, 32, 4)
+    nodes, weights = _composite_rule(0.4, 1.6, 32, 4)
     h2 = np.exp(-((nodes - BUMP_CENTER) ** 2) / (BUMP_WIDTH ** 2))
     oracle = -2.0 * math.pi ** 2 * float(weights @ h2)
     assert fourier.coeff((0,)) == pytest.approx(oracle, rel=1e-10)
@@ -793,7 +875,7 @@ def test_fourier_flux_names_the_first_offending_node():
             return rows + np.where(xi_plus[:, 0] == 0.0, 1.0, 0.0)[:, None]
         return a_hat
 
-    nodes, _ = gauss_legendre_rule(-0.5, 0.5, 5)
+    nodes, _ = _composite_rule(-0.5, 0.5, 5, 1)
     for side, error, message in (
             (1, ValueError, r"must vanish near the chi = 0 degeneracy \(chi=0\)"),
             (-1, GaugeViolation, re.escape(f"at xi_bar={[0.0, nodes[0].item(), nodes[0].item()]}: residual "))):

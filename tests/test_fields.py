@@ -301,7 +301,6 @@ def test_jet_matches_the_partial_fields(k, n, grade):
             want = axis_partial_field(field, axis).evaluate_components(points)
             scale = np.abs(want).max(axis=1, keepdims=True)
             assert np.all(np.abs(slopes[axis] - want) <= 1e-12 * scale), (name, axis)
-            assert np.array_equal(field.partial_components(axis, points), slopes[axis])
 
 
 def test_axis_factors_rebuild_each_mode_factor():
@@ -852,7 +851,7 @@ def test_grid_evaluate_and_errors():
     # the batched partial raises the same message for the first edge site
     with pytest.raises(FieldDomainError,
                        match=r"axis 0 neighbours of site \(0, 2, 2\) fall outside the lattice"):
-        grid.partial_components(0, np.array([x, (-0.5, 0.0, 0.0), (0.5, 0.0, 0.0)]))
+        grid.jet(np.array([x, (-0.5, 0.0, 0.0), (0.5, 0.0, 0.0)]))
     # batched lattice reads: row by row equal to evaluate, in index_lists order
     lists = [(0,), (1,), (2,)]
     sites = np.array([[-0.5, -0.5, -0.5], [0.5, 0.25, -0.25], x, [0.0, 0.5, 0.0]])
@@ -862,8 +861,7 @@ def test_grid_evaluate_and_errors():
         assert row.tolist() == [grid.evaluate(point).coeff(idx) for idx in lists]
     # batched central differences: row by row equal to partial_at on interior sites
     inner = np.array([x, [0.25, -0.25, 0.0], [0.0, 0.25, 0.25]])
-    for axis in range(3):
-        slopes = grid.partial_components(axis, inner)
+    for axis, slopes in enumerate(grid.jet(inner)[1]):
         assert slopes.shape == (3, 3)
         for point, row in zip(inner, slopes):
             assert row.tolist() == [grid.partial_at(axis, point).coeff(idx) for idx in lists]
@@ -904,10 +902,8 @@ def test_grid_partial_rejects_an_axis_out_of_range():
     grid = GridField.sample(constant_field(Multivector.blade(MINK, (0, 1))), origin=(0.0,) * 4,
                             spacing=(0.5,) * 4, counts=(3,) * 4)
     x = (0.5, 0.5, 0.5, 0.5)
-    assert grid.partial_components(3, np.array([x])).shape == (1, 6)
+    assert grid.partial_at(3, x).is_zero()
     for axis in (-1, 4):
-        with pytest.raises(IndexError, match=f"axis {axis} out of range"):
-            grid.partial_components(axis, np.array([x]))
         with pytest.raises(IndexError, match=f"axis {axis} out of range"):
             grid.partial_at(axis, x)
 
@@ -918,7 +914,7 @@ def test_grid_jet_is_the_values_and_every_central_difference():
     inner = np.array([(-0.25, 0.0, 0.25), (0.25, -0.25, 0.0), (0.0, 0.25, 0.25)])
     rows, slopes = grid.jet(inner)
     assert rows.tobytes() == grid.evaluate_components(inner).tobytes()
-    want = np.stack([grid.partial_components(axis, inner) for axis in range(3)])
+    want = np.stack([grid._jet(inner, (axis,))[1][0] for axis in range(3)])
     assert slopes.shape == want.shape and slopes.tobytes() == want.tobytes()
     # the first bad point raises as the values, then the partials axis by axis, would
     for bad in ([(0.1, 0.0, 0.0), (2.0, 0.0, 0.0)], [(0.0, -0.5, 0.0), (0.0, 0.0, 0.5), (-0.5, 0.0, 0.0)],
@@ -927,7 +923,7 @@ def test_grid_jet_is_the_values_and_every_central_difference():
         with pytest.raises(FieldDomainError) as want_error:
             grid.evaluate_components(points)
             for axis in range(3):
-                grid.partial_components(axis, points)
+                grid._jet(points, (axis,))
         with pytest.raises(FieldDomainError, match=re.escape(str(want_error.value))):
             grid.jet(points)
 

@@ -21,12 +21,12 @@ from extcalc.fields import (
 )
 from extcalc.integrate import (
     HypersurfaceBox,
+    _composite_rule,
     _integral,
     _legendre_base,
     bitensor_stokes_check,
     circulation,
     flux,
-    gauss_legendre_rule,
     stokes_circulation_check,
     stokes_flux_check,
 )
@@ -84,8 +84,8 @@ def test_grid_points_match_the_product_reference(free):
             assert np.array_equal([w for _, w in pairs], ref_weights)
 
 
-def test_gauss_legendre_rule_integrates_polynomials_exactly():
-    nodes, weights = gauss_legendre_rule(-1.0, 2.0, points=4, panels=3)
+def test_composite_rule_integrates_polynomials_exactly():
+    nodes, weights = _composite_rule(-1.0, 2.0, 4, 3)
     got = float(np.sum(weights * nodes ** 5))
     assert got == pytest.approx((2.0 ** 6 - 1.0) / 6.0, abs=1e-12)
 
@@ -338,28 +338,25 @@ def test_reversed_orientation_flips_signs():
 
 
 @pytest.mark.parametrize("points,panels", [(1, 1), (5, 1), (8, 3), (24, 2)])
-def test_gauss_legendre_rule_reuses_one_read_only_base_rule(points, panels):
+def test_composite_rule_reuses_one_read_only_base_rule(points, panels):
     base_nodes, base_weights = np.polynomial.legendre.leggauss(points)
     cached_nodes, cached_weights = _legendre_base(points)
     assert _legendre_base(points)[0] is cached_nodes
     assert cached_nodes.tobytes() == base_nodes.tobytes()
     assert cached_weights.tobytes() == base_weights.tobytes()
     # the composite rule is bit for bit the one built from a fresh leggauss
-    nodes, weights = gauss_legendre_rule(-0.3, 1.1, points, panels)
+    nodes, weights = _composite_rule(-0.3, 1.1, points, panels)
     edges = np.linspace(-0.3, 1.1, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     want_nodes = np.concatenate([h * base_nodes + 0.5 * (hi + lo)
                                  for h, lo, hi in zip(half, edges[:-1], edges[1:])])
     want_weights = np.concatenate([h * base_weights for h in half])
     assert nodes.tobytes() == want_nodes.tobytes() and weights.tobytes() == want_weights.tobytes()
-    # callers own what they get back and cannot write to the cache
-    nodes[:] = 0.0
-    weights[:] = 0.0
-    for array in (cached_nodes, cached_weights):
+    # the rule is cached like its base, and no caller can write to either
+    assert _composite_rule(-0.3, 1.1, points, panels)[0] is nodes
+    for array in (nodes, weights, cached_nodes, cached_weights):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
-    assert _legendre_base(points)[0].tobytes() == base_nodes.tobytes()
-    assert gauss_legendre_rule(-0.3, 1.1, points, panels)[0].tobytes() == want_nodes.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,22 @@ def test_public_names_are_the_module_all_lists():
     assert len(declared) == len(set(declared))
     submodules = [module.__name__.rsplit(".", 1)[1] for module in MODULES]
     assert sorted(names) == sorted(declared + submodules + ["__version__"])
+
+
+def test_each_public_name_has_a_caller_or_is_a_library_entry_point():
+    # a name in a module's __all__ is a word in another module of the package or in the
+    # benchmark, or the README lists it under "Library entry points": none is public for tests alone
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = set(re.findall(r"`(\w+)`", readme.split("## Library entry points\n", 1)[1].split("\n## ", 1)[0]))
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in (ROOT / "src" / "extcalc").glob("*.py")}
+    benchmark = "".join(path.read_text(encoding="utf-8") for path in (ROOT / "benchmarks").glob("*.py"))
+    uncalled = []
+    for module in MODULES:
+        own = module.__name__.rsplit(".", 1)[1]
+        callers = benchmark + "".join(text for stem, text in sources.items() if stem != own)
+        uncalled += [name for name in module.__all__
+                     if name not in listed and not re.search(rf"\b{name}\b", callers)]
+    assert uncalled == []
 
 
 def test_readme_library_example_runs_verbatim():
