@@ -521,10 +521,9 @@ def _product_table(sig: SpacetimeSignature, product: str, u_grade: int, v_grade:
                "r": (right_interior, u_grade - v_grade)}[product]
     us = [Multivector.blade(sig, idx) for idx in sig.index_lists(u_grade)]
     vs = [Multivector.blade(sig, idx) for idx in sig.index_lists(v_grade)]
-    if 0 <= out <= sig.dim:
-        table = np.array([[fn(u, v).row() for v in vs] for u in us], dtype=float)
-    else:
-        table = np.zeros((len(us), len(vs), 0))
+    shape = (len(us), len(vs), math.comb(sig.dim, out) if out >= 0 else 0)
+    rows = [[fn(u, v).row() for v in vs] for u in us] if 0 <= out <= sig.dim else []
+    table = np.array(rows, dtype=float).reshape(shape)
     # cached and shared by every caller
     table.flags.writeable = False
     return table

@@ -526,7 +526,7 @@ def _cone_nodes(sig: SpacetimeSignature, axis: int, region: Mapping[int, tuple[f
     radicand = -sig.metric(axis) * xi_sq
     inside = ~(radicand < 0)
     nodes, weights = nodes[inside], weights[inside]
-    chi = np.sqrt(radicand[inside])
+    chi = np.sqrt(radicand[inside]) + 0.0  # + 0.0: sqrt(-0.0) is -0.0
     xi_plus = nodes.copy()
     xi_plus[:, axis] = chi
     return nodes, xi_plus, chi, weights

@@ -148,14 +148,13 @@ def _mode_row(dim: int, phase: float, waveform: str, xi, poly, poly_center,
 #
 # An analytic field stores its modes as one table of stacked arrays, and
 # derives its partial table and exterior and interior derivative fields by
-# array operations on it.  The amplitudes are one float or complex array, and
-# every operation takes the per-mode ``Multivector`` algebra's steps in its
-# order: the same products and sums, the same merge order and a relative
-# prune after each addition.  So a derived table lists the same modes, in the
-# same order, with coefficients equal in value to that algebra's; Python's
-# scalar types and the signs of zeros are not kept.  Rows whose keys cannot
-# collide are not grouped by key: they are kept, or merged by the mode they
-# came from, with the same result.  Every merge is one fold (``_merged``).
+# array operations on it.  The amplitudes are one float or complex array.
+# Every operation ends in one merge rule (``_merged``): one stable sort puts
+# rows with equal keys together, each group's rows are summed in row order,
+# the sums are pruned once by ``algebra._prune``'s relative rule, and the
+# groups keep the order of their first rows.  Rows whose keys cannot collide
+# are not grouped by key: they are kept, or merged by the mode they came
+# from, with the same result.
 # Only this module reads the table's columns; other modules build and read
 # it through ``AnalyticField._from_rows``, ``_rows`` and ``_plane_waves``.
 # ---------------------------------------------------------------------------
@@ -233,14 +232,6 @@ def _pruned(amp: np.ndarray) -> np.ndarray:
     return amp
 
 
-# tables of at most this many rows are grouped through a dict of Python key
-# tuples, larger ones by sorting: per call the dict is the faster up to about
-# 32 rows and the sort from about 48 (captured merges of the benchmark
-# workloads, truncated to each size), and sorting every table slows a run of
-# small-table checks end to end (BENCH_18.json, sort_only)
-_DICT_ROWS = 32
-
-
 def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A stable lexicographic order of the rows, first column first, where in
     it each run of equal rows starts, and each row's run.  Rows are equal
@@ -277,8 +268,8 @@ def _nonzero_rows(amp: np.ndarray, *aligned: np.ndarray) -> tuple:
 def _merged(table: _ModeTable, part: np.ndarray | None = None,
             source: np.ndarray | None = None) -> tuple[_ModeTable, np.ndarray]:
     """Modes sharing every field but the amplitude merged into their first
-    occurrence by sequential addition, as ``AnalyticField`` merges ``Mode``
-    objects; modes whose amplitude is or becomes zero are dropped.
+    occurrence: each group's amplitudes summed in row order and pruned once;
+    modes whose amplitude is or becomes zero are dropped.
 
     Rows of different ``part`` never merge; the parts of the rows kept are
     returned with the table.  Keys compare as floats (``_sorted_runs``).  A
@@ -287,12 +278,11 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None,
     per source: rows merge when their sources are equal, and no key is
     compared.  The merged table holds one data row per mode either way.
 
-    One fold serves every merge: ``_sorted_runs`` puts each group's rows
-    together as a run, in row order, sorting the dict numbers of the groups
-    on tables of up to ``_DICT_ROWS`` rows, else the part where it varies and
-    the key columns that vary, or the sources.  A run's first row leads its
-    group, its r-th row after that is added r-th, and the groups are written
-    in the order of their lead rows, first occurrence.
+    One stable ``_sorted_runs`` over the part where it varies and the key
+    columns that vary, or over the sources, puts each group's rows together
+    as a run in row order.  A run's first row leads its group, its r-th row
+    after that is added r-th, the sums are pruned once, and the groups are
+    written in the order of their lead rows, first occurrence.
     """
     if part is None:
         part = np.zeros(len(table.amp), dtype=np.intp)
@@ -303,18 +293,12 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None,
         amp, part, source = _nonzero_rows(table.amp, part, source)
         data, keys = table.data, source[:, None]
     count = len(part)
-    first = None
-    if count > 1 and source is None and count <= _DICT_ROWS:
-        seen: dict[tuple, int] = {}
-        number = [seen.setdefault(key, len(seen)) for key in zip(part.tolist(), map(tuple, keys.tolist()))]
-        if len(seen) < count:
-            order, first, group = _sorted_runs(np.array(number, dtype=np.intp)[:, None])
-    elif count > 1:
+    if count > 1:
         keys = keys[:, np.logical_or.reduce(keys != keys[0], axis=0)]
         if np.count_nonzero(part != part[0]):
             keys = np.column_stack([part, keys])
         order, first, group = _sorted_runs(keys)
-    if first is None or len(first) == count:
+    if count < 2 or len(first) == count:
         return _ModeTable(amp, data if source is None else data[source]), part
     # each row's rank: its place in its group's run
     rank = np.empty_like(group)
@@ -325,12 +309,11 @@ def _merged(table: _ModeTable, part: np.ndarray | None = None,
         for r in range(1, rank.max() + 1):
             # in row order: numpy may keep either NaN of a sum by its place in the array
             members = (rank == r).nonzero()[0]
-            g = group[members]
-            merged[g] = _pruned(merged[g] + amp[members])
+            merged[group[members]] += amp[members]
     # the groups in the order of their lead rows, first occurrence
     by_lead = lead.argsort()
     lead = lead[by_lead]
-    amp, part, lead = _nonzero_rows(merged[by_lead], part[lead], lead)
+    amp, part, lead = _nonzero_rows(_pruned(merged[by_lead]), part[lead], lead)
     return _ModeTable(amp, data[lead] if source is None else data[source[lead]]), part
 
 

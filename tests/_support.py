@@ -488,23 +488,25 @@ def reference_pruned(amp: np.ndarray) -> np.ndarray:
 
 def reference_merged_modes(modes: Iterable[Mode]) -> list[Mode]:
     """Modes sharing every field but the amplitude merged into their first
-    occurrence through ``Multivector.__add__``; zero amplitudes dropped."""
-    merged: dict[tuple, Mode] = {}
+    occurrence: the group's dense amplitude rows summed in order, then made
+    one ``Multivector`` (pruned once); zero amplitudes dropped."""
+    merged: dict[tuple, tuple[Mode, np.ndarray]] = {}
     for mode in modes:
         if not mode.amplitude:
             continue
         key = (mode.xi, mode.phase, mode.waveform, mode.poly, mode.poly_center, mode.envelope)
         held = merged.get(key)
-        merged[key] = mode if held is None else dataclasses.replace(
-            held, amplitude=held.amplitude + mode.amplitude)
-    return [m for m in merged.values() if m.amplitude]
+        merged[key] = (mode, mode.amplitude.row()) if held is None else (held[0], held[1] + mode.amplitude.row())
+    out = [dataclasses.replace(m, amplitude=Multivector.from_row(m.amplitude.signature, m.amplitude.grade, row))
+           for m, row in merged.values()]
+    return [m for m in out if m.amplitude]
 
 
 def reference_merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple[_ModeTable, np.ndarray]:
     """``fields._merged`` through a dict keyed by each row's part and its
     ``data[:, :-1]`` entries as a tuple of Python floats (equal keys compare
     equal, so 0.0 matches -0.0 and a fresh NaN matches nothing); the groups'
-    members are then added in order with the relative prune."""
+    members are then added in order and the sums pruned once."""
     if part is None:
         part = np.zeros(len(table.data), dtype=np.intp)
     nonzero = np.logical_or.reduce(table.amp != 0, axis=1)
@@ -525,7 +527,8 @@ def reference_merged(table: _ModeTable, part: np.ndarray | None = None) -> tuple
     for r in range(1, int(rank.max()) + 1):
         members = np.flatnonzero(rank == r)
         g = group[members]
-        amp[g] = _pruned(amp[g] + table.amp[members])
+        amp[g] = amp[g] + table.amp[members]
+    amp = _pruned(amp)
     nonzero = np.logical_or.reduce(amp != 0, axis=1)
     return _ModeTable(amp, table.data[lead]).take(nonzero), part[lead][nonzero]
 

@@ -303,9 +303,15 @@ def test_product_table_lays_out_unit_blade_products():
     table = algebra._product_table(sig, "w", 1, 1)
     assert table.dtype == float and table.shape == (3, 3, 3)
     assert table[0].tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-    # a product that leaves the grade range has no columns
-    assert algebra._product_table(sig, "w", 2, 2).shape == (3, 3, 0)
-    assert algebra._product_table(sig, "l", 2, 1).shape == (3, 3, 0)
+    # one axis per unit blade of each operand grade and of the product's grade:
+    # a product that leaves the grade range has no columns, and an operand
+    # grade beyond the dimension (4 on three axes) no rows
+    grades = range(sig.dim + 2)
+    for product, u, v in itertools.product("wlr", grades, grades):
+        out = {"w": u + v, "l": v - u, "r": u - v}[product]
+        width = math.comb(sig.dim, out) if 0 <= out else 0
+        shape = algebra._product_table(sig, product, u, v).shape
+        assert shape == (math.comb(sig.dim, u), math.comb(sig.dim, v), width), (product, u, v)
     # cached and shared, so read-only
     assert algebra._product_table(sig, "w", 1, 1) is table
     with pytest.raises(ValueError):

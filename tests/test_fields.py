@@ -573,7 +573,8 @@ def test_partial_fields_keep_the_replace_construction():
 def test_derived_fields_match_the_multivector_route(k, n):
     # the mode table's per-axis partial rows, exterior and interior derivative
     # fields, sums, scalings and merges list the same modes in the same order
-    # with coefficients equal in value to per-mode multivector algebra's
+    # with coefficients equal in value to per-mode multivector products whose
+    # equal modes are merged by summing their rows and pruning once
     sig = SpacetimeSignature(k, n)
     rng = np.random.default_rng(10 * k + n)
 
@@ -589,8 +590,8 @@ def test_derived_fields_match_the_multivector_route(k, n):
                  Mode(amplitude=Multivector.blade(sig, blade, 0.5j), xi=(0.3,) * sig.dim, waveform="exp")]
         blades = list(sig.index_lists(r))
         if len(blades) > 1:
-            # a real sum whose second entry cancels below the relative prune,
-            # so the next term lands on an absent entry
+            # a real sum whose second entry cancels below the relative prune
+            # part way, and stays in the sum: the group is pruned once
             pair = [Mode(amplitude=Multivector(sig, r, {blades[0]: 1.0, blades[1]: 0.1 + 1e-16}),
                          poly=(3,) * sig.dim),
                     Mode(amplitude=Multivector(sig, r, {blades[1]: -0.1}), poly=(3,) * sig.dim),
@@ -626,8 +627,8 @@ def test_merging_opposite_infinities_warns_of_nothing():
 def adversarial_tables(rng, count):
     """Mode tables whose key rows repeat, mix 0.0 with -0.0 and hold NaN and
     +-inf, with real or complex amplitudes that repeat, cancel or are
-    non-finite, one to three parts (or none), and every size from empty to
-    beyond ``_DICT_ROWS``; the last few are all-equal tables."""
+    non-finite, one to three parts (or none), and sizes from empty to 150
+    rows; the last few are all-equal tables."""
     specials = np.array([0.0, -0.0, 0.5, -1.25, 3.0, math.nan, math.inf, -math.inf])
     odds = np.array([6, 6, 4, 4, 4, 1, 1, 1], dtype=float)
     for i in range(count):
@@ -652,12 +653,9 @@ def adversarial_tables(rng, count):
         yield fields._ModeTable(amp, data), part
 
 
-@pytest.mark.parametrize("dict_rows", [fields._DICT_ROWS, 0])
-def test_merge_matches_the_dict_of_key_tuples(monkeypatch, dict_rows):
+def test_merge_matches_the_dict_of_key_tuples():
     # bit for bit the dict route: amplitudes with their dtype, data, parts
-    # and order; a dict_rows of 0 sends every table of two or more rows
-    # through the sorted grouping
-    monkeypatch.setattr(fields, "_DICT_ROWS", dict_rows)
+    # and order
     rng = np.random.default_rng(18)
     for table, part in adversarial_tables(rng, 1500):
         copy = None if part is None else part.copy()
@@ -669,6 +667,15 @@ def test_merge_matches_the_dict_of_key_tuples(monkeypatch, dict_rows):
         assert got.amp.tobytes() == want.amp.tobytes()
         assert got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
         assert got_part.dtype == want_part.dtype and got_part.tobytes() == want_part.tobytes()
+
+
+def test_a_group_is_summed_whole_then_pruned_once():
+    # (0.1 + 1e-16) - 0.1 is below the relative prune beside 1.0, yet it stays
+    # in the sum: the entry is the group's whole sum, not 0.3
+    amp = np.array([[1.0, 0.1 + 1e-16], [0.0, -0.1], [0.0, 0.3]])
+    merged = fields._merged(fields._ModeTable(amp, np.zeros((3, 8))))[0]
+    assert merged.amp.tolist() == [[1.0, ((0.1 + 1e-16) - 0.1) + 0.3]]
+    assert ((0.1 + 1e-16) - 0.1) + 0.3 != 0.3
 
 
 def test_prune_matches_the_row_reductions_bit_for_bit():
@@ -761,7 +768,7 @@ def assert_derivatives_match_the_keyed_grouping(f):
 @pytest.mark.parametrize("k,n", WAVE_SIGNATURES)
 def test_wave_field_derivatives_match_the_keyed_grouping(k, n):
     # no monomial and no envelope: the rows merge by source mode, with the
-    # bytes and order of the keyed grouping, on both sides of _DICT_ROWS
+    # bytes and order of the keyed grouping, on tables of 1 to 40 modes
     sig = SpacetimeSignature(k, n)
     rng = np.random.default_rng([k, n, 32])
     for grade in range(sig.dim):
