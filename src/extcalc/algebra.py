@@ -226,10 +226,6 @@ class Multivector:
         return cls(signature, grade)
 
     @classmethod
-    def scalar(cls, signature: SpacetimeSignature, value: complex) -> "Multivector":
-        return cls(signature, 0, {(): value})
-
-    @classmethod
     def blade(cls, signature: SpacetimeSignature, indices: Iterable[int], coeff: complex = 1) -> "Multivector":
         indices = tuple(indices)
         return cls(signature, len(indices), {indices: coeff})
@@ -257,21 +253,8 @@ class Multivector:
     def coeff(self, indices: Iterable[int]) -> complex:
         return self.terms.get(tuple(indices), 0)
 
-    def vector_components(self) -> list[complex]:
-        if self.grade != 1:
-            raise GradeError("vector_components requires grade 1")
-        return [self.terms.get((i,), 0) for i in self.signature.axes()]
-
-    def scalar_value(self) -> complex:
-        if self.grade != 0:
-            raise GradeError("scalar_value requires grade 0")
-        return self.terms.get((), 0)
-
     def max_abs(self) -> float:
         return _max_abs(self.terms.values())
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -496,13 +496,14 @@ def cmd_classical(args) -> int:
     seed = args.seed if args.seed is not None else 0
     tol = args.tol if args.tol is not None else 1e-9
     rng = np.random.default_rng(seed)
+    configs, samples = 3, 5
 
     agreement_max = 0.0
     first_sample = None
-    for _ in range(args.configs):
+    for _ in range(configs):
         cf = ClassicalFields(E=_random_spatial_field(rng), B=_random_spatial_field(rng),
                              rho=_random_spatial_field(rng, grade=0), j=_random_spatial_field(rng))
-        points = _sample_points(rng, 4, args.samples)
+        points = _sample_points(rng, 4, samples)
         got = residuals_to_classical(*maxwell_residual_components(classical_pack(cf), points))
         want = classical_vector_residual_components(cf, points)
         agreement_max = _worst([agreement_max, *(_worst(got[name] - want[name]) for name in got)])
@@ -517,12 +518,12 @@ def cmd_classical(args) -> int:
         E=_cosine_field(MINKOWSKI, 1, np.array([[0.0, 1.0, 0.0, 0.0]]), xi, phase),
         B=_cosine_field(MINKOWSKI, 1, np.array([[0.0, 0.0, 1.0, 0.0]]), xi, phase),
         rho=AnalyticField(MINKOWSKI, 0), j=AnalyticField(MINKOWSKI, 1)))
-    vacuum_rows = maxwell_residual_components(vacuum, _sample_points(rng, 4, args.samples))
+    vacuum_rows = maxwell_residual_components(vacuum, _sample_points(rng, 4, samples))
     vacuum_max = _worst(list(map(_worst, vacuum_rows)))
 
     worst = _worst([agreement_max, vacuum_max])
-    report = {"command": "classical", "seed": seed, "tol": tol, "configs": args.configs,
-              "samples": args.samples, "agreement_max": agreement_max,
+    report = {"command": "classical", "seed": seed, "tol": tol, "configs": configs,
+              "samples": samples, "agreement_max": agreement_max,
               "vacuum_residual_max": vacuum_max, "first_sample": first_sample,
               "max_residual": worst, "passed": worst <= tol}
     return _finish(args, report, f", reduction agreement {agreement_max:g}, "
@@ -533,8 +534,13 @@ def cmd_classical(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad flag, or none, is a one-line usage error like any bad input
+        raise ScenarioError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extcalc",
         description="Exterior-algebra Maxwell and stress-energy verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -574,8 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical", help="classical (E, B, rho, j) reduction demo")
     flags(p, "seed")
-    p.add_argument("--configs", type=int, default=3, help="random configurations to test")
-    p.add_argument("--samples", type=int, default=5, help="sample points per configuration")
     p.set_defaults(func=cmd_classical)
 
     return parser
@@ -587,9 +591,9 @@ _parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        for flag, least in (("points", 1), ("configs", 1), ("samples", 1), ("seed", 0)):
+        args = _parser().parse_args(argv)
+        for flag, least in (("points", 1), ("seed", 0)):
             if (value := getattr(args, flag, None)) is not None:
                 json_int(value, f"--{flag}", least)
         with np.errstate(all="ignore"):  # a NaN or inf reaches the verdict, not a numpy warning

@@ -184,9 +184,6 @@ def trace_formula_components(sig: SpacetimeSignature, grade: int, rows: np.ndarr
 # tensor fields with exact derivatives
 # ---------------------------------------------------------------------------
 
-_PRODUCTS = ("odot", "owedge", "stress")
-
-
 @lru_cache(maxsize=None)
 def _bitensor_tables(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient arrays of one kind's quadratic bitensor.
@@ -212,22 +209,15 @@ def _bitensor_tables(sig: SpacetimeSignature, grade: int, kind: str) -> tuple[np
 
 @dataclass(frozen=True)
 class QuadraticTensorField:
-    """Bitensor field quadratic in one multivector field.
+    """The stress-energy-momentum tensor field of one multivector field.
 
-    ``kind`` selects the interior product bitensor, the exterior one, or the
-    full stress tensor.  Values and the interior derivative contract the
-    field's dense rows with the kind's ``_bitensor_tables``, the tables that
-    ``odot``, ``owedge`` and ``stress_tensor_def`` read at one value; the
-    derivative is the bilinear product rule on the field's exact (or
-    central-difference) partials.
+    Values and the interior derivative contract the field's dense rows with
+    the stress ``_bitensor_tables``, the table ``stress_tensor_def`` reads at
+    one value; the derivative is the bilinear product rule on the field's
+    exact (or central-difference) partials.
     """
 
     field: object
-    kind: str = "stress"
-
-    def __post_init__(self):
-        if self.kind not in _PRODUCTS:
-            raise ValueError(f"unknown tensor kind {self.kind!r}")
 
     @property
     def signature(self) -> SpacetimeSignature:
@@ -237,12 +227,12 @@ class QuadraticTensorField:
         """Dense (npoints, npairs) values, pairs i <= j in
         ``combinations_with_replacement`` order."""
         rows = self.field.evaluate_components(points)
-        table, _ = _bitensor_tables(self.signature, self.field.grade, self.kind)
+        table, _ = _bitensor_tables(self.signature, self.field.grade, "stress")
         return np.einsum("pab,na,nb->np", table, rows, rows)
 
     def divergence_components(self, points: np.ndarray) -> np.ndarray:
         """Dense (npoints, dim) interior derivative sum_j d_j T_ij."""
-        return _divergence_rows(self.field, self.kind, *self.field.jet(points))
+        return _divergence_rows(self.field, "stress", *self.field.jet(points))
 
     def evaluate(self, x: Sequence[float]) -> Bitensor:
         sig = self.signature
@@ -260,9 +250,7 @@ def _divergence_rows(field, kind: str, rows: np.ndarray, slopes: np.ndarray) -> 
     return np.einsum("jiab,jna,nb->ni", table, slopes, rows)
 
 
-def StressTensorField(field) -> QuadraticTensorField:
-    """The stress-energy-momentum tensor of a multivector field."""
-    return QuadraticTensorField(field, "stress")
+StressTensorField = QuadraticTensorField
 
 
 def _force_table(sig: SpacetimeSignature, grade: int) -> np.ndarray:

@@ -911,12 +911,11 @@ def exterior_derivative_components(f, points: np.ndarray) -> np.ndarray:
     return _derivative_rows(f, EXTERIOR, np.asarray(points, dtype=float))
 
 
-def interior_derivative_components(f, points: np.ndarray,
-                                   axes: Iterable[int] | None = None) -> np.ndarray:
+def interior_derivative_components(f, points: np.ndarray) -> np.ndarray:
     """Grade-lowering derivative sum_i Delta_ii e_i interior (d_i f) as dense
-    (npoints, ncomp) rows in ``index_lists(grade - 1)`` order; ``axes``
-    restricts the sum (time or space parts); (npoints, 0) for a scalar field."""
-    return _derivative_rows(f, INTERIOR, np.asarray(points, dtype=float), axes)
+    (npoints, ncomp) rows in ``index_lists(grade - 1)`` order; (npoints, 0)
+    for a scalar field."""
+    return _derivative_rows(f, INTERIOR, np.asarray(points, dtype=float))
 
 
 def _derivative_at(f, kind: str, x: Sequence[float], slopes: Sequence[np.ndarray] | None = None) -> Multivector:

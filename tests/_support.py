@@ -271,10 +271,10 @@ def _bridge_reference_tables() -> dict[str, list[np.ndarray]]:
     return {
         "pack": [reference_unit_table(sig, lambda a: wedge(e0, a), 1, 2),
                  reference_unit_table(sig, lambda b: right_interior(e123, b), 1, 2),
-                 reference_unit_table(sig, lambda a: Multivector.blade(sig, (0,), a.scalar_value()), 0, 1)],
+                 reference_unit_table(sig, lambda a: Multivector.blade(sig, (0,), a.coeff(())), 0, 1)],
         "unpack": [reference_unit_table(sig, lambda a: left_interior(e0, a), 2, 1),
                    reference_unit_table(sig, lambda a: left_interior(a, e123), 2, 1),
-                   reference_unit_table(sig, lambda a: Multivector.scalar(sig, a.coeff((0,))), 1, 0),
+                   reference_unit_table(sig, lambda a: Multivector.blade(sig, (), a.coeff((0,))), 1, 0),
                    reference_unit_table(sig, lambda a: Multivector(sig, 1, {i: c for i, c in a.terms.items()
                                                                              if 0 not in i}), 1, 1)],
     }
@@ -332,7 +332,7 @@ class ComponentBitensorField:
 
     def evaluate(self, x: Sequence[float]) -> Bitensor:
         return Bitensor(self.signature,
-                        {key: comp.evaluate(x).scalar_value() for key, comp in self.comps.items()})
+                        {key: comp.evaluate(x).coeff(()) for key, comp in self.comps.items()})
 
     def _column(self, i: int, j: int, points: np.ndarray, axis: int | None = None) -> np.ndarray:
         """Component T_ij at the points, or its partial along ``axis``."""
@@ -356,7 +356,7 @@ def reference_tensor_divergence(field, kind: str, x: Sequence[float]) -> Multive
     The product rule written out from ``left_interior``, ``right_interior``,
     ``wedge`` and ``dot`` on the field value and its partials, with the
     contractions of each shared across axes; ``kind`` is "odot", "owedge" or
-    "stress" as in ``QuadraticTensorField``.
+    "stress" as in ``_bitensor_tables``.
     """
     sig = field.signature
     value = field.evaluate(x)
@@ -437,7 +437,7 @@ def reference_classical_vector_residuals(cf, x: Sequence[float]) -> dict:
     def div(field):
         return sum(dcomp(field, i, i) for i in (1, 2, 3))
 
-    gauss = div(cf.E) - cf.rho.evaluate(x).scalar_value()
+    gauss = div(cf.E) - cf.rho.evaluate(x).coeff(())
     faraday = curl(cf.E) + np.array([dcomp(cf.B, 0, i) for i in (1, 2, 3)])
     monopole = div(cf.B)
     ampere = curl(cf.B) - np.array([comp(cf.j, i) for i in (1, 2, 3)]) \
@@ -681,7 +681,7 @@ def product_rule_check(v, w, x: Sequence[float]) -> float:
     for i in sig.axes():
         du = left_interior(v.partial_at(i, x), wx) + left_interior(vx, w.partial_at(i, x))
         contracted = left_interior(Multivector.blade(sig, (i,)), du)
-        div_u += sig.metric(i) * contracted.scalar_value()
+        div_u += sig.metric(i) * contracted.coeff(())
     term1 = dot(_derivative_at(v, EXTERIOR, x), wx)
     term2 = (-1) ** v.grade * dot(_derivative_at(w, INTERIOR, x), vx)
     return abs(div_u - term1 - term2)
@@ -989,7 +989,7 @@ def _reference_cone_nodes(sig: SpacetimeSignature, axis: int, region, points: in
 def _reference_amplitude(a_hat, xi_plus: Multivector, grade: int) -> Multivector:
     """The array spectrum at one node, as a multivector."""
     sig = xi_plus.signature
-    row = np.asarray(a_hat(np.array([xi_plus.vector_components()], dtype=float)))[0]
+    row = np.asarray(a_hat(np.array([xi_plus.row()], dtype=float)))[0]
     return Multivector.from_row(sig, grade, row)
 
 

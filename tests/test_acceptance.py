@@ -44,8 +44,8 @@ from extcalc.fields import (
     GaussianEnvelope,
     Mode,
     _derivative_at,
+    _derivative_rows,
     exterior_derivative_field,
-    interior_derivative_components,
     interior_derivative_field,
     plane_wave,
     polynomial_field,
@@ -150,7 +150,7 @@ def _random_classical(rng):
         modes = []
         for _ in range(2):
             if grade == 0:
-                amp = Multivector.scalar(MINKOWSKI, float(rng.normal()))
+                amp = Multivector.blade(MINKOWSKI, (), float(rng.normal()))
             else:
                 amp = Multivector(MINKOWSKI, 1, {(i,): float(rng.normal()) for i in (1, 2, 3)})
             modes.append(Mode(amplitude=amp, xi=tuple(rng.uniform(-0.7, 0.7, 4)),
@@ -469,7 +469,7 @@ def test_criterion_12_degrees_of_freedom():
     points = rng.uniform(-1, 1, size=(10, 4))
     for potential in basis:
         for axes in (range(1), range(1, 4)):
-            worst = max(worst, np.abs(interior_derivative_components(potential, points, axes)).max())
+            worst = max(worst, np.abs(_derivative_rows(potential, INTERIOR, points, axes)).max())
     ok = worst < 1e-12
     report(12, ok, f"two transverse polarizations, residuals {worst:.3e} (tol 1e-12)")
     assert worst < 1e-12

@@ -156,14 +156,14 @@ def test_wedge_examples():
     e2 = Multivector.blade(MINK, (2,))
     assert wedge(e1, e2) == Multivector.blade(MINK, (1, 2))
     assert wedge(e2, e1) == Multivector.blade(MINK, (1, 2), -1)
-    assert wedge(e1, e1).is_zero()
+    assert not wedge(e1, e1)
 
 
 def test_wedge_grade_overflow_is_zero():
     sig = SpacetimeSignature(0, 2)
     u = Multivector.blade(sig, (0, 1))
     v = Multivector.blade(sig, (0,))
-    assert wedge(u, v).is_zero()
+    assert not wedge(u, v)
 
 
 @settings(max_examples=50, deadline=None)
@@ -171,7 +171,7 @@ def test_wedge_grade_overflow_is_zero():
 def test_wedge_skew_commutes(u, w):
     lhs = wedge(u, w)
     rhs = wedge(w, u) * ((-1) ** (u.grade * w.grade))
-    assert (lhs - rhs).is_zero()
+    assert not (lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_left_interior_examples():
     assert parity_oracle((2, 1)) == -1
     assert left_interior(e1, e12) == Multivector.blade(MINK, (2,), -1)
     e3 = Multivector.blade(MINK, (3,))
-    assert left_interior(e3, e12).is_zero()
+    assert not left_interior(e3, e12)
 
 
 def test_left_interior_equal_grades_is_dot():
@@ -193,7 +193,7 @@ def test_left_interior_equal_grades_is_dot():
     v = Multivector(MINK, 2, {(0, 1): 1, (2, 3): 5})
     res = left_interior(u, v)
     assert res.grade == 0
-    assert res.scalar_value() == dot(u, v)
+    assert res.coeff(()) == dot(u, v)
 
 
 def test_right_interior_examples():
@@ -202,7 +202,7 @@ def test_right_interior_examples():
     # Delta_22 sigma((2),(1)) = -1, frozen by the signature oracle
     assert right_interior(e12, e2) == Multivector.blade(MINK, (1,), -1)
     e3 = Multivector.blade(MINK, (3,))
-    assert right_interior(e12, e3).is_zero()
+    assert not right_interior(e12, e3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,7 +214,7 @@ def test_interior_transpose_property(kn, gu, gv, data):
     v = data.draw(multivector_strategy(sig, gv))
     lhs = left_interior(u, v)
     rhs = right_interior(v, u) * ((-1) ** (gu * (gu + gv)))
-    assert (lhs - rhs).is_zero()
+    assert not (lhs - rhs)
 
 
 def _exact(x):
@@ -275,7 +275,7 @@ def test_cross_matches_classical():
         b = rng.normal(size=3)
         u = Multivector.vector(EUC3, a)
         v = Multivector.vector(EUC3, b)
-        got = cross(u, v).vector_components()
+        got = cross(u, v).row().tolist()
         expected = np.cross(a, b)
         assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-12
 
@@ -347,7 +347,7 @@ def test_vec_interior_bitensor_examples():
 
     e1 = Multivector.blade(MINK, (1,))
     u23 = Bitensor(MINK, {(2, 3): 1})
-    assert vec_interior_bitensor(e1, u23).is_zero()
+    assert not vec_interior_bitensor(e1, u23)
 
     e3 = Multivector.blade(MINK, (3,))
     u03 = Bitensor(MINK, {(0, 3): 1})
@@ -406,7 +406,7 @@ def test_grade_arithmetic_and_random_identities(r, data):
 
     lhs2 = left_interior(v, wedge(vp, w))
     rhs2 = ((-1) ** r * dot(v, vp)) * w + wedge(vp, left_interior(v, w))
-    assert (lhs2 - rhs2).is_zero()
+    assert not (lhs2 - rhs2)
 
     u = data.draw(multivector_strategy(MINK, 1))
     s = data.draw(multivector_strategy(MINK, max(r - 1, 0)))
@@ -678,7 +678,7 @@ def test_complex_beyond_the_float_range_reaches_max_abs_as_inf():
 
 
 def test_grade_zero_behaves_as_scalar():
-    s = Multivector.scalar(MINK, 2.0)
+    s = Multivector.blade(MINK, (), 2.0)
     v = Multivector(MINK, 1, {(2,): 3.0})
     assert wedge(s, v) == v * 2.0
     assert left_interior(s, v) == v * 2.0

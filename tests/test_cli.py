@@ -181,7 +181,7 @@ def test_parser_is_built_once_and_keeps_no_flags(capsys):
     vacuum = str(SCENARIOS / "vacuum_plane_wave.json")
     calls = [("maxwell-check", "--config", vacuum, "--seed", "3", "--points", "5"),
              ("maxwell-check", "--config", vacuum),
-             ("classical", "--seed", "4", "--samples", "2"),
+             ("classical", "--seed", "4"),
              ("stress-energy", "--config", vacuum)]
     reports = []
     for argv in calls:
@@ -417,8 +417,6 @@ def assert_usage_error(code, out, err):
     ("flux-compare", "slice_points", 0),
     ("flux-compare", "freq_points", 0),
     ("flux-compare", "slice_panels", 0),
-    ("classical", "--samples", 0),
-    ("classical", "--configs", 0),
     ("maxwell-check", "seed", -1),
     ("maxwell-check", "--seed", -1),
     ("stress-energy", "--seed", -1),
@@ -860,7 +858,8 @@ def test_grid_field_in_an_integral_check_exits_2(capsys, tmp_path):
     assert_usage_error(*run(capsys, "maxwell-check", "--config", str(path)))
 
 
-# each command declares only the flags it reads; any other flag is a usage error
+# each command declares only the flags it reads; any other flag, a flag value of the
+# wrong type, or no command at all is a one-line usage error
 @pytest.mark.parametrize("command,flag,value", [
     ("verify-identities", "--points", "4"),
     ("verify-identities", "--config", "x.json"),
@@ -870,16 +869,26 @@ def test_grid_field_in_an_integral_check_exits_2(capsys, tmp_path):
     ("flux-compare", "--seed", "3"),
     ("classical", "--points", "4"),
     ("classical", "--config", "x.json"),
+    ("classical", "--samples", "2"),
+    ("classical", "--configs", "2"),
+    ("maxwell-check", "--seed", "x"),
+    ("maxwell-check", "--points", "1.5"),
+    pytest.param(None, None, None, id="no-command"),
 ])
 def test_unread_flags_exit_2(capsys, command, flag, value):
     config = [] if command in ("verify-identities", "classical") else \
         ["--config", str(SCENARIOS / ("flux_compare_11.json" if command == "flux-compare"
                                       else "vacuum_plane_wave.json"))]
+    code, out, err = run(capsys, *([command, *config, flag, value] if command else []))
+    assert_usage_error(code, out, err)
+    assert (flag or "command") in err
+
+
+def test_help_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, *config, flag, value])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and flag in captured.err
+        main(["classical", "-h"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 VACUUM = json.loads((SCENARIOS / "vacuum_plane_wave.json").read_text())

@@ -1,11 +1,14 @@
 """The package surface: its public names and the README's library example."""
 
+import ast
 import contextlib
+import inspect
 import io
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from extcalc import algebra, energy, fields, integrate, maxwell, serialize
@@ -29,20 +32,45 @@ def test_public_names_are_the_module_all_lists():
     assert sorted(names) == sorted(declared + submodules + ["__version__"])
 
 
+def _references(path: Path, strings: bool = False) -> set:
+    """The names a module's code reads: each ``Name``, ``Attribute`` and import alias, and with
+    ``strings`` the words of its string constants other than docstrings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.rsplit(".", 1)[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings:
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
 def test_each_public_name_has_a_caller_or_is_a_library_entry_point():
-    # a name in a module's __all__ is a word in another module of the package or in the
-    # benchmark, or the README lists it under "Library entry points": none is public for tests alone
+    # a name in a module's __all__, and each public method or property of a class there, is read
+    # by the code of another module of the package or named by the benchmark (whose tracer binds
+    # methods by their string names), or the README lists it under "Library entry points":
+    # none is public for tests alone
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     listed = set(re.findall(r"`(\w+)`", readme.split("## Library entry points\n", 1)[1].split("\n## ", 1)[0]))
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in (ROOT / "src" / "extcalc").glob("*.py")}
-    benchmark = "".join(path.read_text(encoding="utf-8") for path in (ROOT / "benchmarks").glob("*.py"))
+    sources = {path.stem: _references(path) for path in (ROOT / "src" / "extcalc").glob("*.py")}
+    benchmark = set().union(*(_references(path, strings=True) for path in (ROOT / "benchmarks").glob("*.py")))
     uncalled = []
     for module in MODULES:
         own = module.__name__.rsplit(".", 1)[1]
-        callers = benchmark + "".join(text for stem, text in sources.items() if stem != own)
-        uncalled += [name for name in module.__all__
-                     if name not in listed and not re.search(rf"\b{name}\b", callers)]
-    assert uncalled == []
+        callers = listed | benchmark | set().union(*(names for stem, names in sources.items() if stem != own))
+        uncalled += [name for name in module.__all__ if name not in callers]
+        classes = {value for value in map(vars(module).get, module.__all__) if inspect.isclass(value)}
+        uncalled += [name for cls in classes for name, value in vars(cls).items()
+                     if not name.startswith("_") and name not in callers
+                     and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))]
+    assert sorted(uncalled) == []
 
 
 def test_readme_library_example_runs_verbatim():
